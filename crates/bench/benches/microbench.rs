@@ -10,9 +10,10 @@ use rand::{Rng, SeedableRng};
 use seaweed_availability::ReturnPrediction;
 use seaweed_core::predictor::Predictor;
 use seaweed_core::vertex::chain_to_root;
+use seaweed_core::SeaweedMsg;
 use seaweed_overlay::{Overlay, OverlayConfig, OverlayEvent, OverlayMsg};
 use seaweed_sim::{
-    Engine, Event, NodeIdx, SchedulerKind, SimConfig, TrafficClass, UniformTopology,
+    Engine, Event, NodeIdx, SchedulerKind, SimConfig, TimerHandle, TrafficClass, UniformTopology,
 };
 use seaweed_store::histogram::NumericHistogram;
 use seaweed_store::{AggFunc, Aggregate, CmpOp, Query};
@@ -205,6 +206,7 @@ fn bench_engine(c: &mut Criterion) {
 /// re-armed from inside the event loop.
 fn bench_des_event_throughput(c: &mut Criterion) {
     const TIMERS: u64 = 100_000;
+    const WIDE_EVENTS: u64 = 200_000;
 
     fn run(scheduler: SchedulerKind) -> u64 {
         let mut eng: Engine<u64> = Engine::new(
@@ -245,10 +247,81 @@ fn bench_des_event_throughput(c: &mut Criterion) {
         fired
     }
 
+    /// The full stack's queue shape, which the 8-node `Engine<u64>` case
+    /// above cannot show: a payload as wide as the protocol's, 2,000
+    /// endsystems, 60 s heartbeats that cascade down four wheel levels,
+    /// beside each a 90 s timer that is cancelled and replaced before it
+    /// fires, and two messages a few ms out per heartbeat. The cost that scales with entry size —
+    /// how often and how far a queued event is moved — only shows here.
+    fn run_wide(scheduler: SchedulerKind) -> u64 {
+        const NODES: u32 = 2_000;
+        const WIDE_WORDS: usize = std::mem::size_of::<OverlayMsg<SeaweedMsg>>() / 8;
+        type Wide = [u64; WIDE_WORDS];
+        let mut eng: Engine<Wide> = Engine::new(
+            Box::new(UniformTopology::new(
+                NODES as usize,
+                Duration::from_millis(2),
+            )),
+            SimConfig {
+                scheduler,
+                ..SimConfig::default()
+            },
+        );
+        for i in 0..NODES {
+            eng.schedule_up(Time(u64::from(i) * 29_989), NodeIdx(i));
+        }
+        let period = Duration::from_secs(60);
+        let deadline = Duration::from_secs(90);
+        let mut spare: Vec<Option<TimerHandle>> = vec![None; NODES as usize];
+        let mut handled = 0u64;
+        while handled < WIDE_EVENTS {
+            let Some((_, ev)) = eng.next_event_before(Time::ZERO + Duration::from_hours(24)) else {
+                break;
+            };
+            handled += 1;
+            match ev {
+                Event::NodeUp { node } => {
+                    eng.set_timer(node, period, 0);
+                    spare[node.idx()] = Some(eng.set_timer(node, deadline, 1));
+                }
+                Event::Timer { node, tag: 0 } => {
+                    eng.set_timer(node, period, 0);
+                    // The heartbeat also rescinds the node's deadline,
+                    // parked three levels up, and arms its replacement.
+                    let fresh = eng.set_timer(node, deadline, 1);
+                    if let Some(old) = spare[node.idx()].replace(fresh) {
+                        eng.cancel_timer(old);
+                    }
+                    let to = NodeIdx((node.0 * 7 + 1) % NODES);
+                    let mut msg: Wide = [0; WIDE_WORDS];
+                    msg[0] = 1;
+                    eng.send(node, to, msg, 256, TrafficClass::Maintenance);
+                }
+                Event::Message { to, payload, .. } => {
+                    let mut msg = payload.into_owned();
+                    if msg[0] > 0 {
+                        msg[0] -= 1;
+                        let next = NodeIdx((to.0 * 13 + 5) % NODES);
+                        eng.send(to, next, msg, 256, TrafficClass::Maintenance);
+                    }
+                }
+                _ => {}
+            }
+        }
+        handled
+    }
+
     let mut g = c.benchmark_group("des_event_throughput");
     g.throughput(Throughput::Elements(TIMERS));
     g.bench_function("wheel", |b| b.iter(|| black_box(run(SchedulerKind::Wheel))));
     g.bench_function("heap", |b| b.iter(|| black_box(run(SchedulerKind::Heap))));
+    g.throughput(Throughput::Elements(WIDE_EVENTS));
+    g.bench_function("wide/wheel", |b| {
+        b.iter(|| black_box(run_wide(SchedulerKind::Wheel)));
+    });
+    g.bench_function("wide/heap", |b| {
+        b.iter(|| black_box(run_wide(SchedulerKind::Heap)));
+    });
     g.finish();
 }
 

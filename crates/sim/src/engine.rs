@@ -19,12 +19,17 @@
 //! scheduled (a monotone sequence number breaks ties), and all randomness
 //! (message loss) comes from a seeded RNG.
 //!
-//! Two event-queue implementations exist behind [`SchedulerKind`]: a
-//! hierarchical timer wheel (the default — O(1) schedule/cancel, no
-//! comparison sorting) and the original binary heap (kept as a baseline
-//! for equivalence testing and benchmarking). Both deliver the exact same
-//! `(time, seq)` total order, so a fixed seed produces byte-identical runs
-//! under either.
+//! Every scheduled event is parked once in a free-listed slab and stays
+//! put until it is delivered; what the scheduler orders is a 24-byte key
+//! `(time, seq, slab index)`. Two schedulers exist behind
+//! [`SchedulerKind`] over the same slab: a hierarchical timer wheel (the
+//! default — O(1) schedule/cancel, no comparison sorting) and the
+//! original binary heap (kept as a baseline for equivalence testing and
+//! benchmarking). Both deliver the exact same `(time, seq)` total order,
+//! so a fixed seed produces byte-identical runs under either.
+//! Cancellation unparks the event and tombstones its index in a bitmap;
+//! the index is recycled only when the scheduler next meets the dead key
+//! and drops it, so a queued key always names its own event.
 //!
 //! Timers are first-class cancellable: [`Engine::set_timer`] returns a
 //! [`TimerHandle`], [`Engine::cancel_timer`] disarms it, and every timer a
@@ -35,7 +40,7 @@
 //! [`Engine::set_detached_timer`].
 
 use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, HashMap, HashSet, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -47,33 +52,6 @@ use crate::faults::{FaultInjector, FaultPlan, LinkEffect};
 use crate::metrics::MetricsRegistry;
 use crate::topology::Topology;
 use crate::trace::{DropCause, TraceConfig, TraceEvent, Tracer};
-
-/// Hasher for internal `u64` sequence numbers (timer metadata,
-/// cancellation tombstones). These maps sit on the per-event hot path
-/// and their keys are trusted monotone counters, so SipHash's collision
-/// resistance buys nothing — a single multiply + rotate does.
-#[derive(Default, Clone)]
-struct SeqHasher(u64);
-
-impl std::hash::Hasher for SeqHasher {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-    }
-
-    fn write_u64(&mut self, n: u64) {
-        self.0 = n.wrapping_mul(0x9E37_79B9_7F4A_7C15).rotate_right(31);
-    }
-}
-
-type SeqBuild = std::hash::BuildHasherDefault<SeqHasher>;
-type SeqMap<V> = HashMap<u64, V, SeqBuild>;
-type SeqSet = HashSet<u64, SeqBuild>;
 
 /// Dense index of an endsystem in the simulation (not its Pastry id).
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
@@ -258,6 +236,12 @@ enum Pending<M> {
     Timer {
         node: NodeIdx,
         tag: u64,
+        /// Fire time, kept beside the key's copy so a node-down sweep
+        /// can trace the cancellation without finding the key.
+        at: Time,
+        kind: TimerKind,
+        /// Position in `Engine::armed[node]`; unused for detached timers.
+        pos: u32,
     },
     NodeUp {
         node: NodeIdx,
@@ -276,27 +260,23 @@ enum Pending<M> {
     },
 }
 
-struct Queued<M> {
-    at: Time,
+/// An event parked in the slab: written once when it is scheduled, moved
+/// out once when it is delivered or cancelled, never copied in between.
+struct Parked<M> {
+    /// Sequence number of the occupant — the generation a
+    /// [`TimerHandle`] is checked against after the index is reused.
     seq: u64,
     pending: Pending<M>,
 }
 
-impl<M> PartialEq for Queued<M> {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl<M> Eq for Queued<M> {}
-impl<M> PartialOrd for Queued<M> {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl<M> Ord for Queued<M> {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        (self.at, self.seq).cmp(&(other.at, other.seq))
-    }
+/// What the schedulers order, cascade and sort: the `(at, seq)` delivery
+/// key and the slab index of the parked event. The derived ordering is
+/// `(at, seq)`; `seq` is unique, so `idx` never decides.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
+struct Key {
+    at: Time,
+    seq: u64,
+    idx: u32,
 }
 
 /// Which event-queue implementation the engine runs on.
@@ -345,6 +325,58 @@ impl Default for SimConfig {
     }
 }
 
+// ---------------------------------------------------------------- indices
+
+/// Lifecycle of slab indices, shared by both schedulers. An index is
+/// *live* from `push` until its event is delivered, *tombstoned* from a
+/// cancellation until its key physically leaves the scheduler, and *free*
+/// otherwise — so `live + tombstones + free.len()` is the slab length and
+/// an index is never handed out again while a key still names it.
+#[derive(Default)]
+struct Indices {
+    /// Bit `i` set: index `i` is tombstoned. One bit per slab entry, so
+    /// the scheduler's liveness test stays in cache where the 24-byte
+    /// keys are and never touches the slab.
+    dead: Vec<u64>,
+    free: Vec<u32>,
+    live: usize,
+    tombstones: usize,
+}
+
+impl Indices {
+    /// Tombstones a live index whose key is still queued.
+    fn bury(&mut self, idx: u32) {
+        self.dead[idx as usize >> 6] |= 1u64 << (idx & 63);
+        self.live -= 1;
+        self.tombstones += 1;
+    }
+
+    /// For a key that is physically leaving the scheduler: if its index
+    /// is tombstoned, recycles the index and returns true (the caller
+    /// drops the key).
+    #[inline]
+    fn reap(&mut self, idx: u32) -> bool {
+        if self.tombstones == 0 {
+            return false;
+        }
+        let (word, bit) = (idx as usize >> 6, 1u64 << (idx & 63));
+        if self.dead[word] & bit == 0 {
+            return false;
+        }
+        self.dead[word] &= !bit;
+        self.tombstones -= 1;
+        self.free.push(idx);
+        true
+    }
+
+    /// Drops tombstoned keys from one wheel slot.
+    fn purge(&mut self, slot: &mut Vec<Key>) {
+        if self.tombstones != 0 {
+            slot.retain(|k| !self.reap(k.idx));
+        }
+    }
+}
+
 // ------------------------------------------------------------------ wheel
 
 /// RNG stream constant for the engine's own draws — loss, duplication,
@@ -358,55 +390,44 @@ const LEVELS: usize = 11;
 
 /// A hierarchical timing wheel over microsecond timestamps.
 ///
-/// Level `l` has 64 slots of width `64^l` µs. An entry lives at the
-/// highest level where its timestamp differs from the cursor — i.e. slot
-/// index `(at >> 6l) & 63` at level `l = msb(at ^ cursor) / 6` — and
-/// cascades toward level 0 as the cursor approaches it. A level-0 slot
-/// within the cursor's 64 µs window holds exactly one timestamp, so
-/// draining a slot and sorting it by sequence number yields the global
-/// `(time, seq)` delivery order the heap produced.
-struct TimerWheel<M> {
-    /// Time of the most recently drained slot; all stored entries have
-    /// `at >= cursor`.
+/// Level `l` has 64 slots of width `64^l` µs. A key lives at the highest
+/// level where its timestamp differs from the cursor — i.e. slot index
+/// `(at >> 6l) & 63` at level `l = msb(at ^ cursor) / 6` — and cascades
+/// toward level 0 as the cursor approaches it. A level-0 slot within the
+/// cursor's 64 µs window holds exactly one timestamp, so draining a slot
+/// and sorting it by sequence number yields the global `(time, seq)`
+/// delivery order the heap produces.
+struct TimerWheel {
+    /// Time of the most recently drained slot; all stored keys have
+    /// `at >= cursor`, and the cursor never passes a horizon the engine
+    /// was asked to stop at (the clock rests there and later pushes are
+    /// dated from it).
     cursor: u64,
     /// Per-level occupancy bitmaps (bit = slot non-empty).
     occ: [u64; LEVELS],
     /// `LEVELS × SLOTS` flattened slot vectors.
-    slots: Vec<Vec<Queued<M>>>,
-    /// Entries at exactly `cursor`, sorted by seq, being handed out.
-    current: VecDeque<Queued<M>>,
+    slots: Vec<Vec<Key>>,
+    /// Keys at exactly `cursor`, sorted by seq; `current[head..]` is
+    /// still to be handed out.
+    current: Vec<Key>,
+    head: usize,
     /// Scratch buffer reused across cascades to avoid reallocating.
-    cascade_buf: Vec<Queued<M>>,
-    /// Sequence numbers cancelled while still parked in a slot. Purged
-    /// when the slot is next touched (cascade, drain or peek), so a
-    /// cancellation costs O(1) instead of a scan of an arbitrarily large
-    /// high-level slot.
-    cancelled: SeqSet,
-    /// Live entries only — tombstoned ones are already excluded.
-    len: usize,
+    cascade_buf: Vec<Key>,
 }
 
-impl<M> TimerWheel<M> {
+impl TimerWheel {
     fn new() -> Self {
         TimerWheel {
             cursor: 0,
             occ: [0; LEVELS],
             slots: (0..LEVELS * SLOTS).map(|_| Vec::new()).collect(),
-            current: VecDeque::new(),
+            current: Vec::new(),
+            head: 0,
             cascade_buf: Vec::new(),
-            cancelled: SeqSet::default(),
-            len: 0,
         }
     }
 
-    /// Drops tombstoned entries from one slot.
-    fn purge_slot(cancelled: &mut SeqSet, slot: &mut Vec<Queued<M>>) {
-        if !cancelled.is_empty() {
-            slot.retain(|e| !cancelled.remove(&e.seq));
-        }
-    }
-
-    /// (level, slot) the entry belongs to, relative to the current cursor.
+    /// (level, slot) the key belongs to, relative to the current cursor.
     fn level_slot(&self, at: u64) -> (usize, usize) {
         let d = at ^ self.cursor;
         if d == 0 {
@@ -417,53 +438,77 @@ impl<M> TimerWheel<M> {
         }
     }
 
-    fn insert_at(&mut self, e: Queued<M>) {
-        debug_assert!(e.at.0 >= self.cursor, "wheel insert into the past");
-        let (l, s) = self.level_slot(e.at.0);
-        self.slots[l * SLOTS + s].push(e);
+    fn push(&mut self, k: Key) {
+        debug_assert!(k.at.0 >= self.cursor, "wheel insert into the past");
+        let (l, s) = self.level_slot(k.at.0);
+        self.slots[l * SLOTS + s].push(k);
         self.occ[l] |= 1u64 << s;
     }
 
-    fn push(&mut self, e: Queued<M>) {
-        self.len += 1;
-        self.insert_at(e);
+    /// Occupied slots of level `l` strictly after the cursor's own.
+    fn later_slots(&self, l: usize) -> u64 {
+        let idx = ((self.cursor >> (LEVEL_BITS as usize * l)) & 63) as u32;
+        if idx >= 63 {
+            0
+        } else {
+            self.occ[l] & (!0u64 << (idx + 1))
+        }
     }
 
-    fn pop(&mut self) -> Option<Queued<M>> {
+    /// Start time of slot `s` at level `l` within the cursor's window.
+    fn slot_start(&self, l: usize, s: u32) -> u64 {
+        let parent_shift = LEVEL_BITS as usize * (l + 1);
+        let base = if parent_shift >= 64 {
+            0
+        } else {
+            self.cursor & !((1u64 << parent_shift) - 1)
+        };
+        base | (u64::from(s) << (LEVEL_BITS as usize * l))
+    }
+
+    /// Hands out the earliest live key at or before `horizon`, in one
+    /// traversal. Tombstoned keys met on the way are reaped.
+    fn pop_before(&mut self, ix: &mut Indices, horizon: u64) -> Option<Key> {
         loop {
-            if let Some(e) = self.current.pop_front() {
-                self.len -= 1;
-                return Some(e);
+            while let Some(&k) = self.current.get(self.head) {
+                if k.at.0 > horizon {
+                    return None;
+                }
+                self.head += 1;
+                if !ix.reap(k.idx) {
+                    return Some(k);
+                }
             }
-            if !self.advance() {
+            self.current.clear();
+            self.head = 0;
+            if !self.advance(ix, horizon) {
                 return None;
             }
         }
     }
 
-    /// Drains the earliest occupied slot into `current` (sorted by seq),
-    /// cascading higher levels as needed. Returns false when empty.
-    fn advance(&mut self) -> bool {
+    /// Moves the earliest occupied slot into `current` (sorted by seq),
+    /// cascading higher levels as needed. Returns false — with the cursor
+    /// still at or before `horizon` — when nothing starts by then.
+    fn advance(&mut self, ix: &mut Indices, horizon: u64) -> bool {
         loop {
             // Level 0. The cursor's own slot is included: pushes at
             // exactly the current time land there after the slot was
             // drained, and must still be delivered.
-            let idx0 = (self.cursor & 63) as u32;
-            let m = self.occ[0] & (!0u64 << idx0);
+            let m = self.occ[0] & (!0u64 << (self.cursor & 63));
             if m != 0 {
                 let s = m.trailing_zeros();
                 let t = (self.cursor & !63) | u64::from(s);
+                if t > horizon {
+                    return false;
+                }
                 self.cursor = t;
                 self.occ[0] &= !(1u64 << s);
-                let slot = &mut self.slots[s as usize];
-                debug_assert!(slot.iter().all(|e| e.at.0 == t));
-                Self::purge_slot(&mut self.cancelled, slot);
-                self.current.extend(slot.drain(..));
-                self.current
-                    .make_contiguous()
-                    .sort_unstable_by_key(|e| e.seq);
-                if self.current.is_empty() {
-                    continue; // the slot held only tombstones
+                // `current` is empty here: trade buffers, copy nothing.
+                std::mem::swap(&mut self.current, &mut self.slots[s as usize]);
+                debug_assert!(self.current.iter().all(|k| k.at.0 == t));
+                if self.current.len() > 1 {
+                    self.current.sort_unstable_by_key(|k| k.seq);
                 }
                 return true;
             }
@@ -471,196 +516,193 @@ impl<M> TimerWheel<M> {
             // after the cursor's position and cascade it down. Everything
             // in that slot lands at a lower level relative to the new
             // cursor (its slot base), so the search restarts at level 0.
-            let mut cascaded = false;
-            for l in 1..LEVELS {
-                let shift = LEVEL_BITS as usize * l;
-                let idx = ((self.cursor >> shift) & 63) as u32;
-                let m = if idx >= 63 {
-                    0
-                } else {
-                    self.occ[l] & (!0u64 << (idx + 1))
-                };
-                if m == 0 {
-                    continue;
+            let Some((l, s)) = (1..LEVELS).find_map(|l| {
+                let m = self.later_slots(l);
+                (m != 0).then(|| (l, m.trailing_zeros()))
+            }) else {
+                return false;
+            };
+            // A lone key in the earliest occupied slot is the earliest key
+            // of all: hand it out from where it is, skipping the levels
+            // in between.
+            let slot = l * SLOTS + s as usize;
+            if let [k] = self.slots[slot][..] {
+                if k.at.0 > horizon {
+                    return false;
                 }
-                let s = u64::from(m.trailing_zeros());
-                let parent_shift = LEVEL_BITS as usize * (l + 1);
-                let base = if parent_shift >= 64 {
-                    0
-                } else {
-                    self.cursor & !((1u64 << parent_shift) - 1)
-                };
-                self.cursor = base | (s << shift);
+                self.cursor = k.at.0;
                 self.occ[l] &= !(1u64 << s);
-                let mut buf = std::mem::take(&mut self.cascade_buf);
-                std::mem::swap(&mut buf, &mut self.slots[l * SLOTS + s as usize]);
-                for e in buf.drain(..) {
-                    if self.cancelled.remove(&e.seq) {
-                        continue;
-                    }
-                    self.insert_at(e);
-                }
-                self.cascade_buf = buf;
-                cascaded = true;
-                break;
+                std::mem::swap(&mut self.current, &mut self.slots[slot]);
+                return true;
             }
-            if !cascaded {
+            let start = self.slot_start(l, s);
+            if start > horizon {
                 return false;
             }
+            self.cursor = start;
+            self.occ[l] &= !(1u64 << s);
+            let mut buf = std::mem::take(&mut self.cascade_buf);
+            std::mem::swap(&mut buf, &mut self.slots[slot]);
+            for k in buf.drain(..) {
+                if !ix.reap(k.idx) {
+                    self.push(k);
+                }
+            }
+            self.cascade_buf = buf;
         }
     }
 
-    /// Timestamp of the earliest live entry, without advancing the
-    /// cursor. Purges tombstones from the slots it inspects so the
-    /// reported time is exact.
-    fn peek_at(&mut self) -> Option<Time> {
-        'restart: loop {
-            if let Some(e) = self.current.front() {
-                return Some(e.at);
+    /// Timestamp of the earliest live key, without advancing the cursor.
+    /// Purges tombstones from the slots it inspects so the reported time
+    /// is exact.
+    fn peek_at(&mut self, ix: &mut Indices) -> Option<Time> {
+        while let Some(&k) = self.current.get(self.head) {
+            if !ix.reap(k.idx) {
+                return Some(k.at);
             }
-            if self.len == 0 {
+            self.head += 1;
+        }
+        'restart: loop {
+            if ix.live == 0 {
                 return None;
             }
-            let idx0 = (self.cursor & 63) as u32;
-            let mut m = self.occ[0] & (!0u64 << idx0);
+            let mut m = self.occ[0] & (!0u64 << (self.cursor & 63));
             while m != 0 {
                 let s = m.trailing_zeros();
                 let slot = &mut self.slots[s as usize];
-                Self::purge_slot(&mut self.cancelled, slot);
-                if let Some(e) = slot.first() {
-                    return Some(e.at);
+                ix.purge(slot);
+                if let Some(k) = slot.first() {
+                    return Some(k.at);
                 }
                 self.occ[0] &= !(1u64 << s);
                 m &= !(1u64 << s);
             }
             for l in 1..LEVELS {
-                let shift = LEVEL_BITS as usize * l;
-                let idx = ((self.cursor >> shift) & 63) as u32;
-                let m = if idx >= 63 {
-                    0
-                } else {
-                    self.occ[l] & (!0u64 << (idx + 1))
-                };
+                let m = self.later_slots(l);
                 if m != 0 {
                     let s = m.trailing_zeros() as usize;
                     let slot = &mut self.slots[l * SLOTS + s];
-                    Self::purge_slot(&mut self.cancelled, slot);
+                    ix.purge(slot);
                     if slot.is_empty() {
                         self.occ[l] &= !(1u64 << s);
                         continue 'restart;
                     }
-                    // The slot spans 64^l µs; its earliest entry is the min.
-                    return slot.iter().map(|e| e.at).min();
+                    // The slot spans 64^l µs; its earliest key is the min.
+                    return slot.iter().map(|k| k.at).min();
                 }
             }
-            debug_assert!(false, "len > 0 but no occupied slot");
+            debug_assert!(false, "live > 0 but no occupied slot");
             return None;
         }
     }
+}
 
-    /// Removes the entry `(at, seq)`. Entries already drained into the
-    /// `current` batch are removed directly; anything still parked in a
-    /// slot is tombstoned in O(1) and physically dropped the next time
-    /// its slot is cascaded, drained or peeked. The caller (the engine's
-    /// per-timer metadata) guarantees the entry is actually pending.
-    fn cancel(&mut self, at: Time, seq: u64) -> bool {
-        if at.0 == self.cursor {
-            if let Some(pos) = self.current.iter().position(|e| e.seq == seq) {
-                let _ = self.current.remove(pos);
-                self.len -= 1;
-                return true;
-            }
-        }
-        if at.0 < self.cursor {
-            return false;
-        }
-        self.cancelled.insert(seq);
-        self.len -= 1;
-        true
+// ------------------------------------------------------------------ queue
+
+/// The scheduler behind a static dispatch switch. Both variants order
+/// the same keys into the identical `(time, seq)` total order.
+enum KeyOrder {
+    Wheel(TimerWheel),
+    /// The original binary heap; tombstoned keys are skipped at the head.
+    Heap(BinaryHeap<Reverse<Key>>),
+}
+
+/// Reaps tombstoned keys off the top of the heap.
+fn drop_cancelled_head(heap: &mut BinaryHeap<Reverse<Key>>, ix: &mut Indices) {
+    while heap.peek().is_some_and(|Reverse(k)| ix.reap(k.idx)) {
+        heap.pop();
     }
 }
 
-// ------------------------------------------------------------------- heap
-
-/// The original binary-heap queue. Cancellation is lazy: cancelled
-/// sequence numbers are tombstoned and skipped at the head.
-struct HeapQueue<M> {
-    heap: BinaryHeap<Reverse<Queued<M>>>,
-    cancelled: SeqSet,
-}
-
-impl<M> HeapQueue<M> {
-    fn new() -> Self {
-        HeapQueue {
-            heap: BinaryHeap::new(),
-            cancelled: SeqSet::default(),
-        }
-    }
-
-    fn drop_cancelled_head(&mut self) {
-        while let Some(Reverse(q)) = self.heap.peek() {
-            if self.cancelled.is_empty() || !self.cancelled.contains(&q.seq) {
-                return;
-            }
-            let seq = q.seq;
-            self.heap.pop();
-            self.cancelled.remove(&seq);
-        }
-    }
-
-    fn push(&mut self, e: Queued<M>) {
-        self.heap.push(Reverse(e));
-    }
-
-    fn pop(&mut self) -> Option<Queued<M>> {
-        self.drop_cancelled_head();
-        self.heap.pop().map(|Reverse(q)| q)
-    }
-
-    fn peek_at(&mut self) -> Option<Time> {
-        self.drop_cancelled_head();
-        self.heap.peek().map(|Reverse(q)| q.at)
-    }
-
-    fn cancel(&mut self, seq: u64) -> bool {
-        self.cancelled.insert(seq)
-    }
-}
-
-/// The event queue behind a static dispatch switch. Both variants
-/// deliver the identical `(time, seq)` total order.
-enum EventQueue<M> {
-    Wheel(TimerWheel<M>),
-    Heap(HeapQueue<M>),
+/// The event queue: one payload slab plus a scheduler over 24-byte keys.
+struct EventQueue<M> {
+    /// `slab[key.idx]` is the event a queued key stands for. An entry is
+    /// `None` while its index is free or tombstoned.
+    slab: Vec<Option<Parked<M>>>,
+    ix: Indices,
+    order: KeyOrder,
 }
 
 impl<M> EventQueue<M> {
-    fn push(&mut self, e: Queued<M>) {
-        match self {
-            EventQueue::Wheel(w) => w.push(e),
-            EventQueue::Heap(h) => h.push(e),
+    fn new(kind: SchedulerKind) -> Self {
+        EventQueue {
+            slab: Vec::new(),
+            ix: Indices::default(),
+            order: match kind {
+                SchedulerKind::Wheel => KeyOrder::Wheel(TimerWheel::new()),
+                SchedulerKind::Heap => KeyOrder::Heap(BinaryHeap::new()),
+            },
         }
     }
 
-    fn pop(&mut self) -> Option<Queued<M>> {
-        match self {
-            EventQueue::Wheel(w) => w.pop(),
-            EventQueue::Heap(h) => h.pop(),
+    /// Parks `pending` and queues its key; returns the slab index.
+    fn push(&mut self, at: Time, seq: u64, pending: Pending<M>) -> u32 {
+        let parked = Some(Parked { seq, pending });
+        let idx = if let Some(idx) = self.ix.free.pop() {
+            debug_assert!(self.slab[idx as usize].is_none(), "free index occupied");
+            self.slab[idx as usize] = parked;
+            idx
+        } else {
+            let idx = u32::try_from(self.slab.len()).expect("slab index fits u32");
+            self.slab.push(parked);
+            if self.slab.len() > self.ix.dead.len() * 64 {
+                self.ix.dead.push(0);
+            }
+            idx
+        };
+        self.ix.live += 1;
+        let key = Key { at, seq, idx };
+        match &mut self.order {
+            KeyOrder::Wheel(w) => w.push(key),
+            KeyOrder::Heap(h) => h.push(Reverse(key)),
         }
+        idx
+    }
+
+    /// Removes and returns the earliest live event at or before
+    /// `horizon`; its index is free again on return.
+    fn pop_before(&mut self, horizon: Time) -> Option<(Key, Pending<M>)> {
+        let key = match &mut self.order {
+            KeyOrder::Wheel(w) => w.pop_before(&mut self.ix, horizon.0)?,
+            KeyOrder::Heap(h) => {
+                drop_cancelled_head(h, &mut self.ix);
+                if h.peek()?.0.at > horizon {
+                    return None;
+                }
+                h.pop()?.0
+            }
+        };
+        let parked = self.slab[key.idx as usize]
+            .take()
+            .expect("a live key names a parked event");
+        debug_assert_eq!(parked.seq, key.seq, "slab index reused under a queued key");
+        self.ix.live -= 1;
+        self.ix.free.push(key.idx);
+        Some((key, parked.pending))
     }
 
     fn peek_at(&mut self) -> Option<Time> {
-        match self {
-            EventQueue::Wheel(w) => w.peek_at(),
-            EventQueue::Heap(h) => h.peek_at(),
+        match &mut self.order {
+            KeyOrder::Wheel(w) => w.peek_at(&mut self.ix),
+            KeyOrder::Heap(h) => {
+                drop_cancelled_head(h, &mut self.ix);
+                h.peek().map(|Reverse(k)| k.at)
+            }
         }
     }
 
-    fn cancel(&mut self, at: Time, seq: u64) -> bool {
-        match self {
-            EventQueue::Wheel(w) => w.cancel(at, seq),
-            EventQueue::Heap(h) => h.cancel(seq),
+    /// Unparks the event at `idx` if it is still the one numbered `seq`,
+    /// leaving a tombstone for the scheduler to reap when it next meets
+    /// the key. `None` for a stale `(idx, seq)`: delivered, cancelled, or
+    /// the index since reused by a later event.
+    fn cancel(&mut self, idx: u32, seq: u64) -> Option<Pending<M>> {
+        let slot = self.slab.get_mut(idx as usize)?;
+        if slot.as_ref()?.seq != seq {
+            return None;
         }
+        let parked = slot.take()?;
+        self.ix.bury(idx);
+        Some(parked.pending)
     }
 }
 
@@ -684,6 +726,9 @@ enum TimerKind {
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub struct TimerHandle {
     node: NodeIdx,
+    /// Slab index the timer was parked at, and the sequence number that
+    /// tells this timer from a later occupant of the same index.
+    idx: u32,
     seq: u64,
     at: Time,
 }
@@ -712,8 +757,10 @@ pub struct Engine<M> {
     /// Live node indices, ordered — keeps `num_up`/`up_nodes` O(live)
     /// instead of scanning every endsystem.
     live: BTreeSet<u32>,
-    /// Per-node outstanding timers: seq → (fire time, kind).
-    timer_meta: Vec<SeqMap<(Time, TimerKind)>>,
+    /// Per-node slab indices of the armed liveness-tied timers (auto and
+    /// quantum; detached ones are not swept), in no particular order —
+    /// each timer's entry records its own position.
+    armed: Vec<Vec<u32>>,
     recorder: BandwidthRecorder,
     rng: StdRng,
     loss_rate: f64,
@@ -781,14 +828,11 @@ impl<M> Engine<M> {
         let mut e = Engine {
             now: Time::ZERO,
             seq: 0,
-            queue: match config.scheduler {
-                SchedulerKind::Wheel => EventQueue::Wheel(TimerWheel::new()),
-                SchedulerKind::Heap => EventQueue::Heap(HeapQueue::new()),
-            },
+            queue: EventQueue::new(config.scheduler),
             topo,
             up: vec![false; n],
             live: BTreeSet::new(),
-            timer_meta: vec![SeqMap::default(); n],
+            armed: vec![Vec::new(); n],
             recorder: BandwidthRecorder::new(n, config.collect_cdf),
             rng: StdRng::seed_from_u64(config.seed ^ ENGINE_STREAM),
             loss_rate: config.loss_rate,
@@ -929,22 +973,25 @@ impl<M> Engine<M> {
         self.app_events.get(kind).copied().unwrap_or(0)
     }
 
-    /// Enqueues an event, clamping requests dated before the current
-    /// clock to `now` (counted in [`Engine::clamped_to_now`]) so callers
-    /// computing absolute times from stale state cannot corrupt the
-    /// delivery order. Returns the entry's sequence number and effective
-    /// time.
-    fn push(&mut self, at: Time, pending: Pending<M>) -> (u64, Time) {
-        let at = if at < self.now {
+    /// Clamps a request dated before the current clock to `now` (counted
+    /// in [`Engine::clamped_to_now`]) so callers computing absolute times
+    /// from stale state cannot corrupt the delivery order.
+    fn clamp(&mut self, at: Time) -> Time {
+        if at < self.now {
             self.clamped_to_now += 1;
             self.now
         } else {
             at
-        };
+        }
+    }
+
+    /// Enqueues `pending` at `at`, clamped to the clock. Returns the
+    /// entry's slab index and sequence number.
+    fn push(&mut self, at: Time, pending: Pending<M>) -> (u32, u64) {
+        let at = self.clamp(at);
         let seq = self.seq;
         self.seq += 1;
-        self.queue.push(Queued { at, seq, pending });
-        (seq, at)
+        (self.queue.push(at, seq, pending), seq)
     }
 
     /// Sends a network message. Transmission bandwidth is charged to
@@ -1162,8 +1209,24 @@ impl<M> Engine<M> {
         tag: u64,
         kind: TimerKind,
     ) -> TimerHandle {
-        let (seq, at) = self.push(self.now + delay, Pending::Timer { node, tag });
-        self.timer_meta[node.idx()].insert(seq, (at, kind));
+        let at = self.clamp(self.now + delay);
+        let tied = kind != TimerKind::Detached;
+        let pos = if tied {
+            u32::try_from(self.armed[node.idx()].len()).expect("armed list fits u32")
+        } else {
+            0
+        };
+        let timer = Pending::Timer {
+            node,
+            tag,
+            at,
+            kind,
+            pos,
+        };
+        let (idx, seq) = self.push(at, timer);
+        if tied {
+            self.armed[node.idx()].push(idx);
+        }
         self.trace(|| TraceEvent::TimerSet {
             node,
             tag,
@@ -1171,17 +1234,37 @@ impl<M> Engine<M> {
             at,
             detached: kind == TimerKind::Detached,
         });
-        TimerHandle { node, seq, at }
+        TimerHandle { node, idx, seq, at }
+    }
+
+    /// Takes the liveness-tied timer at `pos` off `node`'s armed list.
+    fn disarm(&mut self, node: NodeIdx, pos: u32) {
+        let list = &mut self.armed[node.idx()];
+        list.swap_remove(pos as usize);
+        if let Some(&moved) = list.get(pos as usize) {
+            match &mut self.queue.slab[moved as usize] {
+                Some(Parked {
+                    pending: Pending::Timer { pos: p, .. },
+                    ..
+                }) => *p = pos,
+                _ => debug_assert!(false, "armed list names a non-timer"),
+            }
+        }
     }
 
     /// Disarms a pending timer. Returns whether it was still pending
     /// (false if it already fired or was cancelled — a safe no-op).
     pub fn cancel_timer(&mut self, h: TimerHandle) -> bool {
-        if self.timer_meta[h.node.idx()].remove(&h.seq).is_none() {
+        let Some(Pending::Timer {
+            node, kind, pos, ..
+        }) = self.queue.cancel(h.idx, h.seq)
+        else {
             return false;
+        };
+        debug_assert_eq!(node, h.node, "handle and timer disagree on the node");
+        if kind != TimerKind::Detached {
+            self.disarm(node, pos);
         }
-        let removed = self.queue.cancel(h.at, h.seq);
-        debug_assert!(removed, "outstanding timer missing from queue");
         self.timers_cancelled += 1;
         self.trace(|| TraceEvent::TimerCancel {
             node: h.node,
@@ -1205,8 +1288,8 @@ impl<M> Engine<M> {
     /// is empty. The partitioned executor ([`crate::exec`]) publishes
     /// this after each window to compute the global lower bound the next
     /// window may start from.
-    /// (`&mut` because the wheel scheduler advances its cursor lazily on
-    /// peek.)
+    /// (`&mut` because both schedulers reap cancelled entries lazily, as
+    /// they meet them.)
     #[must_use]
     pub fn next_pending_at(&mut self) -> Option<Time> {
         self.queue.peek_at()
@@ -1271,20 +1354,12 @@ impl<M> Engine<M> {
     /// advances to the horizon).
     pub fn next_event_before(&mut self, horizon: Time) -> Option<(Time, Event<M>)> {
         loop {
-            match self.queue.peek_at() {
-                None => {
-                    self.now = self.now.max(horizon);
-                    return None;
-                }
-                Some(at) if at > horizon => {
-                    self.now = horizon;
-                    return None;
-                }
-                _ => {}
-            }
-            let q = self.queue.pop().expect("peeked");
+            let Some((q, pending)) = self.queue.pop_before(horizon) else {
+                self.now = self.now.max(horizon);
+                return None;
+            };
             self.now = q.at;
-            match q.pending {
+            match pending {
                 Pending::Message {
                     from,
                     to,
@@ -1325,11 +1400,16 @@ impl<M> Engine<M> {
                     });
                     return Some((self.now, Event::Message { from, to, payload }));
                 }
-                Pending::Timer { node, tag } => {
-                    let Some((_, kind)) = self.timer_meta[node.idx()].remove(&q.seq) else {
-                        debug_assert!(false, "fired timer without metadata");
-                        continue;
-                    };
+                Pending::Timer {
+                    node,
+                    tag,
+                    kind,
+                    pos,
+                    ..
+                } => {
+                    if kind != TimerKind::Detached {
+                        self.disarm(node, pos);
+                    }
                     // An auto timer armed for an already-down node (legal
                     // but unusual) is dropped at fire time.
                     if kind != TimerKind::Detached && !self.up[node.idx()] {
@@ -1407,29 +1487,26 @@ impl<M> Engine<M> {
     /// Drops every auto timer `node` still has pending — its next
     /// availability session starts with a clean slate.
     fn auto_cancel_timers(&mut self, node: NodeIdx) {
-        // Collect while the queue and metadata are borrowed, trace after;
-        // sorted by seq so the trace order is canonical rather than the
-        // metadata map's (deterministic but arbitrary) iteration order.
+        // The list is in arming order scrambled by swap-removes; the only
+        // order-sensitive output (the trace) is sorted by seq below.
         let collect = self.tracing_active();
         let mut cancelled_log: Vec<(u64, Time)> = Vec::new();
-        let meta = &mut self.timer_meta[node.idx()];
-        let queue = &mut self.queue;
-        let mut dropped = 0u64;
-        // lint:allow(D001): SeqMap uses the fixed-key SeqHasher over engine-assigned monotone seqs, so iteration order is identical across processes; the only order-sensitive output (the trace) is sorted below.
-        meta.retain(|&seq, &mut (at, kind)| {
-            if kind != TimerKind::Detached {
-                let removed = queue.cancel(at, seq);
-                debug_assert!(removed, "outstanding timer missing from queue");
-                dropped += 1;
-                if collect {
-                    cancelled_log.push((seq, at));
-                }
-                false
-            } else {
-                true
+        let armed = std::mem::take(&mut self.armed[node.idx()]);
+        self.timers_cancelled += armed.len() as u64;
+        for idx in armed {
+            let Some(Parked {
+                seq,
+                pending: Pending::Timer { at, .. },
+            }) = self.queue.slab[idx as usize].take()
+            else {
+                debug_assert!(false, "armed list names a non-timer");
+                continue;
+            };
+            self.queue.ix.bury(idx);
+            if collect {
+                cancelled_log.push((seq, at));
             }
-        });
-        self.timers_cancelled += dropped;
+        }
         cancelled_log.sort_unstable_by_key(|&(seq, _)| seq);
         for (seq, at) in cancelled_log {
             self.trace(|| TraceEvent::TimerCancel { node, seq, at });
@@ -1490,6 +1567,11 @@ impl<M> Engine<M> {
         m.set_counter("sim.tx_bytes.query", totals[2]);
         m.set_gauge("sim.nodes_up", self.num_up() as f64);
         m.set_gauge("sim.nodes_total", self.num_nodes() as f64);
+        m.set_gauge("sim.queue.depth", self.queue.ix.live as f64);
+        m.set_gauge("sim.queue.slab_high_water", self.queue.slab.len() as f64);
+        m.set_gauge("sim.queue.tombstones", self.queue.ix.tombstones as f64);
+        let armed: usize = self.armed.iter().map(Vec::len).sum();
+        m.set_gauge("sim.queue.armed_timers", armed as f64);
         for (kind, count) in &self.app_events {
             m.set_counter(kind, *count);
         }

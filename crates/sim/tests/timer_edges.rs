@@ -1,8 +1,10 @@
-//! Timer-wheel edge cases: handles that outlive their timer, timers on
-//! down nodes, and fire times sitting exactly on cascade-level
-//! boundaries (64 µs, 4096 µs, 262144 µs for a 6-bit wheel). Everything
-//! is exercised on both schedulers — the wheel's lazy tombstones and
-//! cascades must be indistinguishable from the reference heap.
+//! Timer-wheel edge cases: handles that outlive their timer (and the
+//! slab index it was parked at), timers on down nodes, cancellation
+//! inside a large same-instant batch, and fire times sitting exactly on
+//! cascade-level boundaries (64 µs, 4096 µs, 262144 µs for a 6-bit
+//! wheel). Everything is exercised on both schedulers — the wheel's lazy
+//! tombstones and cascades must be indistinguishable from the reference
+//! heap.
 
 use seaweed_sim::{Engine, Event, NodeIdx, SchedulerKind, SimConfig, UniformTopology};
 use seaweed_types::{Duration, Time};
@@ -136,5 +138,81 @@ fn cancel_before_cascade_leaves_nothing_behind() {
         assert_eq!(fired, vec![(Time(262_176), NodeIdx(0), 2)], "{kind:?}");
         assert!(!e.cancel_timer(doomed), "{kind:?}");
         assert_eq!(e.timers_cancelled, 1, "{kind:?}");
+    }
+}
+
+/// The ABA case of a slab: a handle outlives its timer, the timer's index
+/// is handed to a later timer, and the old handle is cancelled. The
+/// sequence number in the handle must tell the two apart.
+#[test]
+fn stale_handle_to_a_recycled_slot_cancels_nothing() {
+    for kind in BOTH {
+        let mut e = engine(1, kind);
+        up(&mut e, 0);
+        // Fired, then recycled: the queue is empty when `heir` is armed,
+        // so it takes over the index `fired` was parked at.
+        let fired = e.set_timer(NodeIdx(0), Duration::from_micros(10), 1);
+        assert_eq!(drain(&mut e, Time(20)).len(), 1, "{kind:?}");
+        let heir = e.set_timer(NodeIdx(0), Duration::from_micros(10), 2);
+        assert!(!e.cancel_timer(fired), "{kind:?}");
+        assert_eq!(
+            drain(&mut e, Time(40)),
+            vec![(Time(30), NodeIdx(0), 2)],
+            "{kind:?}"
+        );
+        assert!(!e.cancel_timer(heir), "{kind:?}");
+
+        // Cancelled, reaped when the clock passes its time, then recycled.
+        let cancelled = e.set_timer(NodeIdx(0), Duration::from_micros(10), 3);
+        assert!(e.cancel_timer(cancelled), "{kind:?}");
+        assert!(drain(&mut e, Time(60)).is_empty(), "{kind:?}");
+        let heir = e.set_detached_timer(NodeIdx(0), Duration::from_micros(10), 4);
+        assert!(!e.cancel_timer(cancelled), "{kind:?}");
+        assert!(!e.cancel_timer(fired), "{kind:?}");
+        assert_eq!(
+            drain(&mut e, Time(80)),
+            vec![(Time(70), NodeIdx(0), 4)],
+            "{kind:?}"
+        );
+        assert!(!e.cancel_timer(heir), "{kind:?}");
+        assert_eq!(e.timers_cancelled, 1, "{kind:?}");
+        // Every event above really did share one slab index.
+        let slab = e.metrics().gauge("sim.queue.slab_high_water");
+        assert_eq!(slab, Some(1.0), "{kind:?}");
+    }
+}
+
+/// Handlers cancelling siblings inside one large same-µs batch (timers
+/// armed together with equal delays): each cancel is a constant-time
+/// mark, the cancelled half never fires, and the rest keeps its order.
+#[test]
+fn cancelling_every_other_entry_of_a_same_instant_batch() {
+    const BATCH: u64 = 10_000;
+    for kind in BOTH {
+        let mut e = engine(1, kind);
+        up(&mut e, 0);
+        let handles: Vec<_> = (0..BATCH)
+            .map(|tag| e.set_timer(NodeIdx(0), Duration::from_micros(500), tag))
+            .collect();
+        // The first fire pulls the whole instant into the hand-out batch;
+        // its "handler" then cancels every odd sibling in it.
+        let horizon = Time(1_000);
+        let (t, ev) = e.next_event_before(horizon).expect("first of the batch");
+        assert_eq!(t, Time(500), "{kind:?}");
+        assert!(matches!(ev, Event::Timer { tag: 0, .. }), "{kind:?}");
+        for h in handles.iter().skip(1).step_by(2) {
+            assert!(e.cancel_timer(*h), "{kind:?}");
+        }
+        assert_eq!(e.timers_cancelled, BATCH / 2, "{kind:?}");
+        assert_eq!(e.next_pending_at(), Some(Time(500)), "{kind:?}");
+        let rest = drain(&mut e, horizon);
+        let want: Vec<_> = (2..BATCH)
+            .step_by(2)
+            .map(|tag| (Time(500), NodeIdx(0), tag))
+            .collect();
+        assert_eq!(rest, want, "{kind:?}");
+        assert!(handles.iter().all(|h| !e.cancel_timer(*h)), "{kind:?}");
+        assert_eq!(e.timers_cancelled, BATCH / 2, "{kind:?}");
+        assert_eq!(e.next_pending_at(), None, "{kind:?}");
     }
 }

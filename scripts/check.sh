@@ -102,4 +102,10 @@ echo "==> abl07 smoke (fixed seed: hedging oracles clean, CSV byte-stable)"
 cmp results/abl07_smoke_a.csv results/abl07_smoke_b.csv
 rm -f results/abl07_smoke_{a,b}.csv
 
+echo "==> perf/ benchmark (its unit tests; smoke: five workloads correct, fingerprint untraced == traced)"
+# perf/ is its own workspace measuring the library crates from outside;
+# a change to a public signature it compiles against fails here.
+cargo test -q --manifest-path perf/Cargo.toml --offline
+perf/run.sh --smoke
+
 echo "OK"
