@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the hot paths of every layer:
 //! hashing, id arithmetic, the vertex parent function, histogram
 //! construction and estimation, aggregate/predictor merging, SQL parsing,
-//! overlay routing and raw engine throughput.
+//! overlay routing and maintenance, and raw engine throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -11,9 +11,10 @@ use seaweed_availability::ReturnPrediction;
 use seaweed_core::predictor::Predictor;
 use seaweed_core::vertex::chain_to_root;
 use seaweed_core::SeaweedMsg;
-use seaweed_overlay::{Overlay, OverlayConfig, OverlayEvent, OverlayMsg};
+use seaweed_overlay::{Overlay, OverlayConfig, OverlayMsg};
 use seaweed_sim::{
-    Engine, Event, NodeIdx, SchedulerKind, SimConfig, TimerHandle, TrafficClass, UniformTopology,
+    CorpNetTopology, Engine, Event, NodeIdx, SchedulerKind, SimConfig, TimerHandle, Topology,
+    TrafficClass, UniformTopology,
 };
 use seaweed_store::histogram::NumericHistogram;
 use seaweed_store::{AggFunc, Aggregate, CmpOp, Query};
@@ -121,37 +122,56 @@ fn bench_sql(c: &mut Criterion) {
     });
 }
 
-/// Builds a joined 500-node overlay once, then measures routing one
-/// message end-to-end (all hops, event loop included).
-fn bench_routing(c: &mut Criterion) {
-    let n = 500usize;
-    let mut eng: Engine<OverlayMsg<u64>> = Engine::new(
-        Box::new(UniformTopology::new(n, Duration::from_millis(1))),
-        SimConfig::default(),
-    );
+/// An `n`-node overlay on `topology`, every node joined one after the
+/// other and the event loop run to `settle` so the ring has converged.
+fn joined_overlay(
+    topology: Box<dyn Topology>,
+    n: usize,
+    settle: Time,
+) -> (Engine<OverlayMsg<u64>>, Overlay) {
+    let mut eng: Engine<OverlayMsg<u64>> = Engine::new(topology, SimConfig::default());
     let mut ov = Overlay::new(Overlay::random_ids(n, 4), OverlayConfig::default());
     for i in 0..n {
         eng.schedule_up(Time::from_micros(1 + i as u64 * 100_000), NodeIdx(i as u32));
     }
-    // Drain to quiescence.
-    let mut horizon = Time::ZERO + Duration::from_hours(1);
-    while let Some((_, ev)) = eng.next_event_before(horizon) {
-        match ev {
-            Event::Message { from, to, payload } => {
-                let _ = ov.on_message(&mut eng, from, to, payload.into_owned());
-            }
-            Event::Timer { node, tag } => {
-                let _ = ov.on_timer(&mut eng, node, tag);
-            }
-            Event::NodeUp { node } => {
-                let _: Vec<OverlayEvent<u64>> = ov.node_up(&mut eng, node);
-            }
-            Event::NodeDown { node } => ov.node_down(&mut eng, node),
-            // No fault plan configured: crash/partition events can't occur.
-            Event::NodeCrash { .. } | Event::PartitionStart { .. } | Event::PartitionEnd { .. } => {
-            }
-        }
+    while let Some((_, ev)) = eng.next_event_before(settle) {
+        overlay_dispatch(&mut eng, &mut ov, ev);
     }
+    (eng, ov)
+}
+
+/// Hands one engine event to the overlay, dropping what it surfaces.
+fn overlay_dispatch(
+    eng: &mut Engine<OverlayMsg<u64>>,
+    ov: &mut Overlay,
+    ev: Event<OverlayMsg<u64>>,
+) {
+    match ev {
+        Event::Message { from, to, payload } => {
+            let _ = ov.on_message(eng, from, to, payload.into_owned());
+        }
+        Event::Timer { node, tag } => {
+            let _ = ov.on_timer(eng, node, tag);
+        }
+        Event::NodeUp { node } => {
+            let _ = ov.node_up(eng, node);
+        }
+        Event::NodeDown { node } => ov.node_down(eng, node),
+        // No fault plan configured: crash/partition events can't occur.
+        Event::NodeCrash { .. } | Event::PartitionStart { .. } | Event::PartitionEnd { .. } => {}
+    }
+}
+
+/// Builds a joined 500-node overlay once, then measures routing one
+/// message end-to-end (all hops, event loop included).
+fn bench_routing(c: &mut Criterion) {
+    let n = 500usize;
+    let mut horizon = Time::ZERO + Duration::from_hours(1);
+    let (mut eng, mut ov) = joined_overlay(
+        Box::new(UniformTopology::new(n, Duration::from_millis(1))),
+        n,
+        horizon,
+    );
     let mut rng = StdRng::seed_from_u64(5);
     c.bench_function("overlay/route_500_nodes", |b| {
         b.iter(|| {
@@ -171,6 +191,39 @@ fn bench_routing(c: &mut Criterion) {
             black_box(delivered.len())
         });
     });
+}
+
+/// The always-on maintenance plane by itself: a converged 2,000-node ring
+/// on the CorpNet topology doing nothing but leafset anti-entropy — each
+/// refresh timer sends a `LeafsetPull`, answered by a `LeafsetPush` that
+/// changes nothing — through the real `Overlay` handlers. One iteration
+/// is 60,000 events, ten simulated minutes of that ring (2,000 nodes ×
+/// 10 refreshes × timer + Pull + Push); the ring carries over between
+/// iterations, as it does in a long run.
+fn bench_overlay_maintenance(c: &mut Criterion) {
+    const NODES: usize = 2_000;
+    const EVENTS: u64 = 60_000;
+    let (mut eng, mut ov) = joined_overlay(
+        Box::new(CorpNetTopology::new(NODES, 4)),
+        NODES,
+        Time::ZERO + Duration::from_mins(30),
+    );
+    assert_eq!(ov.num_joined(), NODES);
+    let forever = Time::ZERO + Duration::from_hours(1_000_000);
+    let mut g = c.benchmark_group("overlay_maintenance");
+    g.throughput(Throughput::Elements(EVENTS));
+    g.bench_function("converged_2000", |b| {
+        b.iter(|| {
+            for _ in 0..EVENTS {
+                let (_, ev) = eng
+                    .next_event_before(forever)
+                    .expect("refresh timers re-arm forever");
+                overlay_dispatch(&mut eng, &mut ov, ev);
+            }
+            black_box(ov.stats.leafset_refreshes)
+        });
+    });
+    g.finish();
 }
 
 fn bench_engine(c: &mut Criterion) {
@@ -474,6 +527,7 @@ criterion_group!(
     bench_merges,
     bench_sql,
     bench_routing,
+    bench_overlay_maintenance,
     bench_engine,
     bench_des_event_throughput,
     bench_payload_fanout,

@@ -9,7 +9,7 @@
 //! aggregate back along the reverse edges; silent subranges are reissued
 //! after a timeout.
 
-use seaweed_overlay::{OverlayEvent, SelectionKind};
+use seaweed_overlay::{OverlayEvents, SelectionKind};
 use seaweed_sim::{NodeIdx, TrafficClass};
 use seaweed_types::{Duration, Id, IdRange};
 
@@ -127,23 +127,19 @@ impl<P: DataProvider> Seaweed<P> {
         self.arm_query_kick(eng, origin, h);
     }
 
-    /// Drains a batch of overlay events produced outside the main
-    /// dispatch loop.
-    pub(crate) fn cascade(&mut self, eng: &mut SeaweedEngine, evs: Vec<OverlayEvent<SeaweedMsg>>) {
-        let mut queue: std::collections::VecDeque<_> = evs.into();
-        while let Some(ev) = queue.pop_front() {
-            let more = self.on_overlay_event_pub(eng, ev);
-            queue.extend(more);
-        }
-    }
-
-    // Small shim so sibling modules can reuse the private handler.
-    pub(crate) fn on_overlay_event_pub(
+    /// Drains a batch of overlay events to quiescence, oldest first.
+    /// Overlay events can cascade (e.g. routing that delivers locally),
+    /// so this drains a queue rather than recursing; an empty batch — a
+    /// maintenance event — returns at the first `pop_front`.
+    pub(crate) fn cascade(
         &mut self,
         eng: &mut SeaweedEngine,
-        ev: OverlayEvent<SeaweedMsg>,
-    ) -> Vec<OverlayEvent<SeaweedMsg>> {
-        self.on_overlay_event(eng, ev)
+        mut queue: OverlayEvents<SeaweedMsg>,
+    ) {
+        while let Some(ev) = queue.pop_front() {
+            let more = self.on_overlay_event(eng, ev);
+            queue.extend(more);
+        }
     }
 
     /// A dissemination message (range responsibility) arrived at `n`.
@@ -154,9 +150,9 @@ impl<P: DataProvider> Seaweed<P> {
         h: QueryHandle,
         range: IdRange,
         parent: NodeIdx,
-    ) -> Vec<OverlayEvent<SeaweedMsg>> {
+    ) -> OverlayEvents<SeaweedMsg> {
         if !self.queries[h as usize].active {
-            return Vec::new();
+            return OverlayEvents::new();
         }
         self.learn_query(eng, n, h);
 
@@ -183,7 +179,7 @@ impl<P: DataProvider> Seaweed<P> {
             }
             // Otherwise the existing task is still collecting; it will
             // report when complete.
-            return Vec::new();
+            return OverlayEvents::new();
         }
 
         let mut task = DissemTask {
@@ -209,7 +205,7 @@ impl<P: DataProvider> Seaweed<P> {
         let my_sole = self.overlay.sole_coverage_range(n);
         // Midpoints n is responsible for would boomerang if routed out.
         let my_region = self.overlay.responsible_range(n);
-        let mut out_events = Vec::new();
+        let mut out_events = OverlayEvents::new();
 
         // Work stack of subranges this node must either absorb locally or
         // delegate. Splitting is 2^b-ary as in the implementation the
@@ -657,7 +653,7 @@ impl<P: DataProvider> Seaweed<P> {
         h: QueryHandle,
         range: IdRange,
         result: RangeResult,
-    ) -> Vec<OverlayEvent<SeaweedMsg>> {
+    ) -> OverlayEvents<SeaweedMsg> {
         self.stats.predictor_reports += 1;
         // Find this node's task owning that subrange. Heal-time re-issues
         // can leave one node with several tasks whose slots cover the
@@ -683,7 +679,7 @@ impl<P: DataProvider> Seaweed<P> {
             })
             .or_else(|| candidates.first().copied());
         let Some(key) = key else {
-            return Vec::new(); // late/duplicate report for a finished task
+            return OverlayEvents::new(); // late/duplicate report for a finished task
         };
         let report_size = u64::from(match &result {
             RangeResult::Predictor(p) => wire::predictor_report(p.wire_size()),
@@ -696,11 +692,11 @@ impl<P: DataProvider> Seaweed<P> {
         // machinery re-drive the range.
         let Some(task) = self.tasks.get_mut(&key) else {
             self.stats.internal_drops += 1;
-            return Vec::new();
+            return OverlayEvents::new();
         };
         let Some(slot) = task.slots.iter_mut().find(|s| s.range == range) else {
             self.stats.internal_drops += 1;
-            return Vec::new();
+            return OverlayEvents::new();
         };
         // `None`: unhedged fill. `Some(true)`: the hedge won the race.
         // `Some(false)`: the primary won, the hedge was pure overhead.
@@ -745,12 +741,12 @@ impl<P: DataProvider> Seaweed<P> {
         // touch stats/timelines.
         let Some(task) = self.tasks.get(&key) else {
             self.stats.internal_drops += 1;
-            return Vec::new();
+            return OverlayEvents::new();
         };
         if task.slots.iter().all(|s| s.done.is_some()) {
             self.finish_task(eng, n, h, key);
         }
-        Vec::new()
+        OverlayEvents::new()
     }
 
     /// Reissue timer fired for a task: re-route any silent subranges (up

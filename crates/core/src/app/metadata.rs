@@ -7,7 +7,6 @@
 //! metadata (their replica set gained a member) and the metadata the
 //! failed node held for currently-down owners (so k copies persist).
 
-use seaweed_overlay::OverlayEvent;
 use seaweed_sim::{NodeIdx, TrafficClass};
 use seaweed_types::Duration;
 
@@ -224,7 +223,6 @@ impl<P: DataProvider> Seaweed<P> {
 
         // Aggregation-tree vertex groups the failed node belonged to.
         self.repair_vertices_of(eng, failed);
-        let _: Vec<OverlayEvent<SeaweedMsg>> = Vec::new();
     }
 }
 

@@ -31,7 +31,9 @@ use std::collections::{BTreeMap, VecDeque};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seaweed_availability::{AvailabilityModel, ModelConfig, ReplyLatencyStats};
-use seaweed_overlay::{is_overlay_tag, Overlay, OverlayEvent, OverlayMsg, SelectionKind};
+use seaweed_overlay::{
+    is_overlay_tag, Overlay, OverlayEvent, OverlayEvents, OverlayMsg, SelectionKind,
+};
 use seaweed_sim::{Engine, Event, NodeIdx};
 use seaweed_store::{Aggregate, BoundQuery, Query};
 use seaweed_types::{sha1, Duration, Id, IdRange, Time};
@@ -1121,7 +1123,7 @@ impl<P: DataProvider> Seaweed<P> {
     /// Handles one engine event (exposed for custom experiment loops that
     /// interleave injections with event processing).
     pub fn dispatch(&mut self, eng: &mut SeaweedEngine, ev: Event<OverlayMsg<SeaweedMsg>>) {
-        let initial: Vec<OverlayEvent<SeaweedMsg>> = match ev {
+        let initial: OverlayEvents<SeaweedMsg> = match ev {
             Event::Message { from, to, payload } => {
                 // `into_owned` only clones while other in-flight copies
                 // still share the allocation (multicast fan-out or fault
@@ -1133,7 +1135,7 @@ impl<P: DataProvider> Seaweed<P> {
             }
             Event::Timer { node, tag } => {
                 self.on_app_timer(eng, node, tag);
-                Vec::new()
+                OverlayEvents::new()
             }
             Event::NodeUp { node } => {
                 self.on_node_up(eng, node);
@@ -1142,48 +1144,42 @@ impl<P: DataProvider> Seaweed<P> {
             Event::NodeDown { node } => {
                 self.overlay.node_down(eng, node);
                 self.on_node_down(eng, node);
-                Vec::new()
+                OverlayEvents::new()
             }
             Event::NodeCrash { node } => {
                 self.overlay.node_down(eng, node);
                 self.on_node_crash(eng, node);
-                Vec::new()
+                OverlayEvents::new()
             }
             Event::PartitionStart { partition } => {
                 let members = eng.partition_members(partition);
                 self.overlay.partition_started(eng, &members);
-                Vec::new()
+                OverlayEvents::new()
             }
             Event::PartitionEnd { partition } => {
                 let members = eng.partition_members(partition);
                 self.overlay.partition_healed(eng, &members);
                 self.on_partition_healed(eng);
-                Vec::new()
+                OverlayEvents::new()
             }
         };
-        // Overlay events can cascade (e.g. routing that delivers locally),
-        // so drain a queue rather than recursing.
-        let mut queue: VecDeque<OverlayEvent<SeaweedMsg>> = initial.into();
-        while let Some(oe) = queue.pop_front() {
-            let more = self.on_overlay_event(eng, oe);
-            queue.extend(more);
-        }
+        self.cascade(eng, initial);
     }
 
-    fn on_overlay_event(
+    pub(crate) fn on_overlay_event(
         &mut self,
         eng: &mut SeaweedEngine,
         ev: OverlayEvent<SeaweedMsg>,
-    ) -> Vec<OverlayEvent<SeaweedMsg>> {
+    ) -> OverlayEvents<SeaweedMsg> {
         match ev {
             OverlayEvent::Joined { node } => self.on_joined(eng, node),
             OverlayEvent::NeighborJoined { node, joined } => {
                 self.on_neighbor_joined(eng, node, joined);
-                Vec::new()
+                OverlayEvents::new()
             }
             OverlayEvent::NeighborFailed { node, failed } => {
                 self.on_neighbor_failed(eng, node, failed);
-                Vec::new()
+                OverlayEvents::new()
             }
             OverlayEvent::AppMessage {
                 node,
@@ -1305,14 +1301,14 @@ impl<P: DataProvider> Seaweed<P> {
         from: NodeIdx,
         to: NodeIdx,
         msg: SeaweedMsg,
-    ) -> Vec<OverlayEvent<SeaweedMsg>> {
+    ) -> OverlayEvents<SeaweedMsg> {
         let Some(msg) = self.validate_msg(msg) else {
-            return Vec::new();
+            return OverlayEvents::new();
         };
         match msg {
             SeaweedMsg::MetaPush { owner } => {
                 self.on_meta_push(to, owner);
-                Vec::new()
+                OverlayEvents::new()
             }
             SeaweedMsg::PredictorReport {
                 query,
@@ -1328,7 +1324,7 @@ impl<P: DataProvider> Seaweed<P> {
             ),
             SeaweedMsg::PredictorToOrigin { query, predictor } => {
                 self.on_predictor_at_origin(eng, to, query, *predictor);
-                Vec::new()
+                OverlayEvents::new()
             }
             SeaweedMsg::ViewReport {
                 query,
@@ -1349,7 +1345,7 @@ impl<P: DataProvider> Seaweed<P> {
                 endsystems,
             } => {
                 self.on_view_at_origin(eng, to, query, agg, endsystems);
-                Vec::new()
+                OverlayEvents::new()
             }
             SeaweedMsg::ResultAck {
                 query,
@@ -1358,11 +1354,11 @@ impl<P: DataProvider> Seaweed<P> {
                 version,
             } => {
                 self.on_result_ack(to, query, vertex, child, version);
-                Vec::new()
+                OverlayEvents::new()
             }
             SeaweedMsg::VertexReplicate { query, vertex } => {
                 self.on_vertex_replicate(to, query, vertex);
-                Vec::new()
+                OverlayEvents::new()
             }
             SeaweedMsg::ResultToOrigin {
                 query,
@@ -1370,15 +1366,15 @@ impl<P: DataProvider> Seaweed<P> {
                 version,
             } => {
                 self.on_result_at_origin(eng, to, query, agg, version);
-                Vec::new()
+                OverlayEvents::new()
             }
             SeaweedMsg::QueryListPull => {
                 self.on_query_list_pull(eng, from, to);
-                Vec::new()
+                OverlayEvents::new()
             }
             SeaweedMsg::QueryListPush { queries } => {
                 self.on_query_list_push(eng, to, &queries);
-                Vec::new()
+                OverlayEvents::new()
             }
             // These two arrive via routing, not direct sends.
             SeaweedMsg::Disseminate {
@@ -1403,9 +1399,9 @@ impl<P: DataProvider> Seaweed<P> {
         node: NodeIdx,
         _key: Id,
         msg: SeaweedMsg,
-    ) -> Vec<OverlayEvent<SeaweedMsg>> {
+    ) -> OverlayEvents<SeaweedMsg> {
         let Some(msg) = self.validate_msg(msg) else {
-            return Vec::new();
+            return OverlayEvents::new();
         };
         match msg {
             SeaweedMsg::Disseminate {
@@ -1422,7 +1418,7 @@ impl<P: DataProvider> Seaweed<P> {
             } => self.on_result_submit(eng, route_origin, node, query, vertex, child, version, agg),
             other => {
                 debug_assert!(false, "unexpected routed message: {other:?}");
-                Vec::new()
+                OverlayEvents::new()
             }
         }
     }
@@ -1865,7 +1861,7 @@ impl<P: DataProvider> Seaweed<P> {
         }
     }
 
-    fn on_joined(&mut self, eng: &mut SeaweedEngine, n: NodeIdx) -> Vec<OverlayEvent<SeaweedMsg>> {
+    fn on_joined(&mut self, eng: &mut SeaweedEngine, n: NodeIdx) -> OverlayEvents<SeaweedMsg> {
         // (Re)start metadata pushes: one immediately, then randomized.
         self.push_metadata(eng, n);
         self.schedule_meta_push(eng, n);
@@ -1883,7 +1879,7 @@ impl<P: DataProvider> Seaweed<P> {
                 );
             }
         }
-        Vec::new()
+        OverlayEvents::new()
     }
 
     fn on_query_list_pull(&mut self, eng: &mut SeaweedEngine, from: NodeIdx, at: NodeIdx) {

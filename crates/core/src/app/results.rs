@@ -11,7 +11,7 @@
 //! vertex. The root vertex's key is the queryId; its primary pushes the
 //! merged result to the query origin as it improves.
 
-use seaweed_overlay::OverlayEvent;
+use seaweed_overlay::OverlayEvents;
 use seaweed_sim::{NodeIdx, TrafficClass};
 use seaweed_store::Aggregate;
 use seaweed_types::Id;
@@ -338,9 +338,9 @@ impl<P: DataProvider> Seaweed<P> {
         child: Id,
         version: u64,
         agg: Aggregate,
-    ) -> Vec<OverlayEvent<SeaweedMsg>> {
+    ) -> OverlayEvents<SeaweedMsg> {
         if !self.queries[h as usize].active {
-            return Vec::new();
+            return OverlayEvents::new();
         }
         self.learn_query(eng, at, h);
 
@@ -354,7 +354,7 @@ impl<P: DataProvider> Seaweed<P> {
             // miss here is an internal inconsistency — drop the
             // submission (counted) and let the retry timer re-drive it.
             self.stats.internal_drops += 1;
-            return Vec::new();
+            return OverlayEvents::new();
         };
         // Keep the memoized children-merge exact: appending a child past
         // the current maximum key extends the fold in place (same f64
@@ -427,7 +427,7 @@ impl<P: DataProvider> Seaweed<P> {
 
         // Propagate the merged aggregate upward.
         self.propagate_up(eng, at, h, vertex);
-        Vec::new()
+        OverlayEvents::new()
     }
 
     /// Merges a vertex's children and pushes the result to its parent

@@ -38,14 +38,16 @@
 //! entries that point at departed nodes (charging probe traffic for each
 //! stale entry encountered, as MSPastry's per-hop acknowledgements do).
 
+pub mod events;
 pub mod node;
 pub mod overlay;
 pub mod ring;
 pub mod wire;
 
-pub use node::NodeState;
+pub use events::OverlayEvents;
+pub use node::{LeafHalf, NodeState, HALF_CAP};
 pub use overlay::{
     is_overlay_tag, Overlay, OverlayConfig, OverlayEngine, OverlayEvent, OverlayMsg, OverlayStats,
-    SelectionKind,
+    SelectionKind, SPARE_PUSH_MAX,
 };
 pub use ring::{LayoutKind, RingIndex};

@@ -1,7 +1,82 @@
 //! Per-node Pastry state: leafset and routing table.
 
+use std::ops::Deref;
+
 use seaweed_sim::NodeIdx;
 use seaweed_types::{Id, IdRange};
+
+/// Hard cap on one leafset half: `OverlayConfig::leafset` may be at most
+/// `2 × HALF_CAP` (the paper runs l = 8, i.e. 4 per side).
+pub const HALF_CAP: usize = 8;
+
+/// One leafset half, stored inline in [`NodeState`]: nearest neighbor
+/// first, no duplicates, at most [`HALF_CAP`] entries. Reads go through
+/// `Deref<[NodeIdx]>`; being `Copy`, a pre-change snapshot costs no
+/// allocation.
+#[derive(Clone, Copy, PartialEq, Eq)]
+pub struct LeafHalf {
+    len: u8,
+    slots: [NodeIdx; HALF_CAP],
+}
+
+impl Default for LeafHalf {
+    fn default() -> Self {
+        LeafHalf {
+            len: 0,
+            slots: [NodeIdx(0); HALF_CAP],
+        }
+    }
+}
+
+impl Deref for LeafHalf {
+    type Target = [NodeIdx];
+
+    fn deref(&self) -> &[NodeIdx] {
+        &self.slots[..self.len as usize]
+    }
+}
+
+impl std::fmt::Debug for LeafHalf {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
+
+impl LeafHalf {
+    pub fn clear(&mut self) {
+        self.len = 0;
+    }
+
+    /// Appends `x` as the farthest member.
+    ///
+    /// # Panics
+    /// Panics if the half already holds [`HALF_CAP`] members.
+    pub fn push(&mut self, x: NodeIdx) {
+        self.slots[self.len as usize] = x;
+        self.len += 1;
+    }
+
+    /// Inserts `x` at `pos`, keeping at most `half` members; returns the
+    /// member pushed off the far end, if any. Requires `pos < half` and
+    /// `half <= HALF_CAP`.
+    pub fn insert_capped(&mut self, pos: usize, x: NodeIdx, half: usize) -> Option<NodeIdx> {
+        let len = self.len as usize;
+        debug_assert!(pos <= len && pos < half && half <= HALF_CAP);
+        let evicted = (len == half).then(|| self.slots[len - 1]);
+        let new_len = (len + 1).min(half);
+        self.slots.copy_within(pos..new_len - 1, pos + 1);
+        self.slots[pos] = x;
+        self.len = new_len as u8;
+        evicted
+    }
+
+    /// Removes the member at `pos`, closing the gap.
+    pub fn remove(&mut self, pos: usize) {
+        let len = self.len as usize;
+        self.slots.copy_within(pos + 1..len, pos);
+        self.len -= 1;
+    }
+}
 
 /// Pastry state of one endsystem.
 #[derive(Clone, Debug)]
@@ -12,9 +87,9 @@ pub struct NodeState {
     pub joined: bool,
     /// Clockwise leafset half: nearest live neighbors in increasing ring
     /// distance (at most l/2).
-    pub cw: Vec<NodeIdx>,
+    pub cw: LeafHalf,
     /// Counter-clockwise half, same ordering.
-    pub ccw: Vec<NodeIdx>,
+    pub ccw: LeafHalf,
     /// Routing table, flattened `rt[row * cols + digit]`, grown on write
     /// one whole row at a time. With random ids only the first
     /// ~log_{2^b}(N) rows ever fill, so eagerly allocating all `rows`
@@ -32,8 +107,8 @@ impl NodeState {
         NodeState {
             id,
             joined: false,
-            cw: Vec::new(),
-            ccw: Vec::new(),
+            cw: LeafHalf::default(),
+            ccw: LeafHalf::default(),
             rt: Vec::new(),
             cols: cols as u32,
         }
@@ -93,9 +168,17 @@ impl NodeState {
         }
     }
 
-    /// All current leafset members (both halves).
+    /// All current leafset members (both halves). In a ring of at most
+    /// l/2 + 1 nodes a member sits in *both* halves and is yielded twice;
+    /// see [`NodeState::members`].
     pub fn leafset(&self) -> impl Iterator<Item = NodeIdx> + '_ {
         self.cw.iter().chain(self.ccw.iter()).copied()
+    }
+
+    /// Deduplicated leafset members: the clockwise half, then the
+    /// counter-clockwise members not already seen.
+    pub fn members(&self) -> impl Iterator<Item = NodeIdx> + '_ {
+        dedup_members(&self.cw, &self.ccw)
     }
 
     /// True if `n` is in the leafset.
@@ -143,6 +226,16 @@ impl NodeState {
     }
 }
 
+/// `cw` followed by the members of `ccw` not in `cw` (each half is
+/// duplicate-free on its own).
+pub(crate) fn dedup_members<'a>(
+    cw: &'a [NodeIdx],
+    ccw: &'a [NodeIdx],
+) -> impl Iterator<Item = NodeIdx> + 'a {
+    let fresh = ccw.iter().filter(move |m| !cw.contains(m));
+    cw.iter().chain(fresh).copied()
+}
+
 /// Midpoint of the clockwise arc from `a` to `b` (exclusive of wrap
 /// ambiguity: if `a == b` the result is `a`).
 #[must_use]
@@ -154,11 +247,19 @@ pub fn ring_midpoint(a: Id, b: Id) -> Id {
 mod tests {
     use super::*;
 
+    fn half(members: &[u32]) -> LeafHalf {
+        let mut h = LeafHalf::default();
+        for &m in members {
+            h.push(NodeIdx(m));
+        }
+        h
+    }
+
     #[test]
     fn leafset_membership_ops() {
         let mut n = NodeState::new(Id(100), 32, 16);
-        n.cw = vec![NodeIdx(1), NodeIdx(2)];
-        n.ccw = vec![NodeIdx(3)];
+        n.cw = half(&[1, 2]);
+        n.ccw = half(&[3]);
         assert!(n.in_leafset(NodeIdx(2)));
         assert!(!n.in_leafset(NodeIdx(9)));
         assert_eq!(n.leafset().count(), 3);
@@ -168,10 +269,35 @@ mod tests {
     }
 
     #[test]
+    fn leaf_half_insert_evicts_the_farthest() {
+        let mut h = half(&[1, 2, 3]);
+        assert_eq!(h.insert_capped(3, NodeIdx(4), 4), None);
+        assert_eq!(&*h, &[NodeIdx(1), NodeIdx(2), NodeIdx(3), NodeIdx(4)]);
+        assert_eq!(h.insert_capped(1, NodeIdx(9), 4), Some(NodeIdx(4)));
+        assert_eq!(&*h, &[NodeIdx(1), NodeIdx(9), NodeIdx(2), NodeIdx(3)]);
+        assert_eq!(h.insert_capped(3, NodeIdx(7), 4), Some(NodeIdx(3)));
+        assert_eq!(&*h, &[NodeIdx(1), NodeIdx(9), NodeIdx(2), NodeIdx(7)]);
+        h.remove(0);
+        assert_eq!(&*h, &[NodeIdx(9), NodeIdx(2), NodeIdx(7)]);
+        h.clear();
+        assert!(h.is_empty());
+    }
+
+    #[test]
+    fn members_dedups_a_node_in_both_halves() {
+        let mut n = NodeState::new(Id(100), 32, 16);
+        n.cw = half(&[1, 2]);
+        n.ccw = half(&[2, 1, 3]);
+        assert_eq!(n.leafset().count(), 5);
+        let members: Vec<NodeIdx> = n.members().collect();
+        assert_eq!(members, [NodeIdx(1), NodeIdx(2), NodeIdx(3)]);
+    }
+
+    #[test]
     fn reset_clears_everything() {
         let mut n = NodeState::new(Id(5), 2, 4);
         n.joined = true;
-        n.cw = vec![NodeIdx(1)];
+        n.cw.push(NodeIdx(1));
         *n.rt_slot_mut(0, 3) = Some(NodeIdx(2));
         assert_eq!(n.rt_get(0, 3), Some(NodeIdx(2)));
         n.reset();
@@ -193,8 +319,8 @@ mod tests {
         let ids = vec![Id(0), Id(100), Id(200)];
         let mut n = NodeState::new(Id(100), 32, 16);
         // Node 1 (id 100) between node 0 (id 0) and node 2 (id 200).
-        n.ccw = vec![NodeIdx(0)];
-        n.cw = vec![NodeIdx(2)];
+        n.ccw.push(NodeIdx(0));
+        n.cw.push(NodeIdx(2));
         let r = n.responsible_range(&ids);
         assert!(r.contains(Id(100)));
         assert!(r.contains(Id(50)));
@@ -210,7 +336,7 @@ mod tests {
         assert!(lone.responsible_range(&ids).is_full());
 
         let mut a = NodeState::new(Id(0), 32, 16);
-        a.cw = vec![NodeIdx(1)];
+        a.cw.push(NodeIdx(1));
         let r = a.responsible_range(&ids);
         // Owns half the ring (the exact midpoint is a boundary tie that
         // goes to the clockwise neighbor).

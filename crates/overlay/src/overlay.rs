@@ -1,13 +1,14 @@
 //! The overlay orchestrator: join, leafset maintenance, prefix routing.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seaweed_sim::{Engine, NodeIdx, TimerHandle, TrafficClass};
 use seaweed_types::{Duration, Id, IdRange};
 
-use crate::node::NodeState;
+use crate::events::OverlayEvents;
+use crate::node::{dedup_members, LeafHalf, NodeState, HALF_CAP};
 use crate::ring::{LayoutKind, RingIndex};
 use crate::wire;
 
@@ -34,7 +35,8 @@ pub enum SelectionKind {
 pub struct OverlayConfig {
     /// Digit width: ids are base-2^b sequences (paper: 4).
     pub b: u8,
-    /// Leafset size l (l/2 per side; paper: 8).
+    /// Leafset size l (l/2 per side; paper: 8). Even, at least 2 and at
+    /// most `2 × HALF_CAP` — [`Overlay::new`] rejects anything else.
     pub leafset: usize,
     /// Leafset heartbeat period (paper: 30 s).
     pub heartbeat: Duration,
@@ -92,7 +94,9 @@ pub enum OverlayMsg<A> {
     /// One routing-table row offered to a joiner by a node on the join
     /// path.
     RtRow { entries: Vec<NodeIdx> },
-    /// The join root's leafset, completing the join.
+    /// The join root's leafset, completing the join. The joiner seeds its
+    /// leafset from the ground-truth ring (crate docs), so the members are
+    /// charged on the wire but not materialised: senders leave this empty.
     JoinReply { leafset: Vec<NodeIdx> },
     /// A freshly joined node introducing itself to its leafset.
     Announce,
@@ -189,10 +193,10 @@ pub struct Overlay {
     /// Reverse leafset index: `listed_by[n]` holds every node whose
     /// leafset currently contains `n`. Failure detection is armed from
     /// this set — leafset views can be asymmetric, so the dead node's own
-    /// view is *not* a valid list of its watchers. BTreeSet gives
-    /// deterministic (ascending) iteration, which the per-detector jitter
-    /// draws rely on.
-    listed_by: Vec<BTreeSet<u32>>,
+    /// view is *not* a valid list of its watchers. Each list is kept
+    /// sorted and duplicate-free (≈ l entries): iteration is ascending,
+    /// which the per-detector jitter draws rely on.
+    listed_by: Vec<Vec<u32>>,
     /// Pending join-retry timer per node, cancelled on join completion.
     join_retry: Vec<Option<TimerHandle>>,
     /// Rotation cursor into each node's leafset for the periodic
@@ -202,6 +206,15 @@ pub struct Overlay {
     /// `(detector, handle)` pairs, cancelled if the node comes back up
     /// before the detection delay elapses.
     fail_timers: Vec<Vec<(u32, TimerHandle)>>,
+    /// Emptied `LeafsetPush` member buffers awaiting reuse, at most
+    /// [`SPARE_PUSH_MAX`]. A buffer is owned by exactly one party at a
+    /// time: this list, then the Pull handler filling it, then the
+    /// in-flight message, then the Push handler that merges it and hands
+    /// it back. The engine delivers a duplicated or multicast payload by
+    /// value ([`seaweed_sim::Payload::into_owned`] clones while copies
+    /// still share it), so the buffer handed back is never one another
+    /// in-flight copy can still read.
+    spare_push: Vec<Vec<NodeIdx>>,
     rng: StdRng,
     rows: usize,
     pub stats: OverlayStats,
@@ -209,12 +222,47 @@ pub struct Overlay {
 
 const NO_POS: usize = usize::MAX;
 
+/// Direction of a ground-truth ring walk.
+#[derive(Clone, Copy, Debug)]
+enum Walk {
+    Cw,
+    Ccw,
+}
+
+/// Bound on [`Overlay::spare_push_buffers`]: a handful covers the pushes
+/// in flight at once; beyond it returned buffers are simply dropped.
+pub const SPARE_PUSH_MAX: usize = 32;
+
+/// Adds `x` to a sorted duplicate-free list (no-op if present).
+fn sorted_insert(list: &mut Vec<u32>, x: u32) {
+    if let Err(pos) = list.binary_search(&x) {
+        list.insert(pos, x);
+    }
+}
+
+/// Removes `x` from a sorted duplicate-free list (no-op if absent).
+fn sorted_remove(list: &mut Vec<u32>, x: u32) {
+    if let Ok(pos) = list.binary_search(&x) {
+        list.remove(pos);
+    }
+}
+
 impl Overlay {
     /// Creates the overlay for a fixed id assignment (one id per
     /// endsystem; ids persist across availability sessions, as in
     /// Seaweed where the endsystemId identifies the machine).
+    ///
+    /// # Panics
+    /// Panics if `cfg.leafset` is odd, below 2 or above `2 × HALF_CAP`:
+    /// the halves are fixed-capacity and every handler assumes l/2 ≥ 1.
     #[must_use]
     pub fn new(ids: Vec<Id>, cfg: OverlayConfig) -> Self {
+        assert!(
+            cfg.leafset.is_multiple_of(2) && (2..=2 * HALF_CAP).contains(&cfg.leafset),
+            "OverlayConfig::leafset must be even and within 2..={}, got {}",
+            2 * HALF_CAP,
+            cfg.leafset
+        );
         let rows = Id::num_digits(cfg.b);
         let cols = 1usize << cfg.b;
         let nodes = ids
@@ -233,10 +281,11 @@ impl Overlay {
             ring_map,
             joined_list: Vec::new(),
             joined_pos: vec![NO_POS; n],
-            listed_by: vec![BTreeSet::new(); n],
+            listed_by: vec![Vec::new(); n],
             join_retry: vec![None; n],
             refresh_pos: vec![0; n],
             fail_timers: vec![Vec::new(); n],
+            spare_push: Vec::new(),
             rows,
             stats: OverlayStats::default(),
         }
@@ -278,19 +327,39 @@ impl Overlay {
     /// view).
     #[must_use]
     pub fn leafset_members(&self, n: NodeIdx) -> Vec<NodeIdx> {
-        let mut out: Vec<NodeIdx> = Vec::with_capacity(self.cfg.leafset);
-        for m in self.nodes[n.idx()].leafset() {
-            if !out.contains(&m) {
-                out.push(m);
-            }
-        }
-        out
+        self.nodes[n.idx()].members().collect()
+    }
+
+    /// `n`'s leafset halves `(cw, ccw)`, nearest neighbor first (its own,
+    /// possibly stale, view).
+    #[must_use]
+    pub fn leafset_halves(&self, n: NodeIdx) -> (&[NodeIdx], &[NodeIdx]) {
+        let st = &self.nodes[n.idx()];
+        (&st.cw, &st.ccw)
+    }
+
+    /// The nodes whose leafsets currently contain `n`, ascending — the
+    /// reverse index failure detection is armed from.
+    #[must_use]
+    pub fn listed_by(&self, n: NodeIdx) -> &[u32] {
+        &self.listed_by[n.idx()]
+    }
+
+    /// Recycled `LeafsetPush` buffers currently held (≤ [`SPARE_PUSH_MAX`]).
+    #[must_use]
+    pub fn spare_push_buffers(&self) -> usize {
+        self.spare_push.len()
     }
 
     /// The `k` nodes whose ids are ring-closest to `n`'s id, from `n`'s
     /// own leafset view — Seaweed's metadata replica set (k must be ≤ l).
     #[must_use]
     pub fn replica_set(&self, n: NodeIdx, k: usize) -> Vec<NodeIdx> {
+        debug_assert!(
+            k <= self.cfg.leafset,
+            "replica set of {k} exceeds the leafset size {}",
+            self.cfg.leafset
+        );
         let id = self.ids[n.idx()];
         let mut members = self.leafset_members(n);
         members.sort_by(|&a, &b| {
@@ -337,8 +406,8 @@ impl Overlay {
     #[must_use]
     pub fn replica_set_oracle(&self, id: Id, k: usize) -> Vec<NodeIdx> {
         let half = k.div_ceil(2) + 1;
-        let mut cands = self.ring_neighbors_cw(id, half + k);
-        for m in self.ring_neighbors_ccw(id, half + k) {
+        let mut cands = self.ring_neighbors(Walk::Cw, id, half + k);
+        for m in self.ring_neighbors(Walk::Ccw, id, half + k) {
             if !cands.contains(&m) {
                 cands.push(m);
             }
@@ -399,9 +468,9 @@ impl Overlay {
         }
         let mut best: Option<NodeIdx> = None;
         for n in self
-            .ring_neighbors_cw(key, 1)
+            .ring_neighbors(Walk::Cw, key, 1)
             .into_iter()
-            .chain(self.ring_neighbors_ccw(key, 1))
+            .chain(self.ring_neighbors(Walk::Ccw, key, 1))
         {
             best = match best {
                 None => Some(n),
@@ -419,7 +488,7 @@ impl Overlay {
         &mut self,
         eng: &mut OverlayEngine<A>,
         n: NodeIdx,
-    ) -> Vec<OverlayEvent<A>> {
+    ) -> OverlayEvents<A> {
         // The node is back: disarm any detection timers still pending for
         // its previous session (cancelling a handle whose detector has
         // itself gone down is a harmless no-op).
@@ -434,7 +503,7 @@ impl Overlay {
             return self.complete_join(eng, n);
         }
         self.start_join(eng, n);
-        Vec::new()
+        OverlayEvents::new()
     }
 
     fn start_join<A: Clone>(&mut self, eng: &mut OverlayEngine<A>, n: NodeIdx) {
@@ -473,8 +542,8 @@ impl Overlay {
         // heartbeats. The reverse index is authoritative here: leafset
         // views are asymmetric under churn, so `n`'s own view may omit
         // nodes that still list it (and would otherwise never detect).
-        let watchers: Vec<u32> = self.listed_by[n.idx()].iter().copied().collect();
-        for w in watchers {
+        for i in 0..self.listed_by[n.idx()].len() {
+            let w = self.listed_by[n.idx()][i];
             let m = NodeIdx(w);
             if eng.is_up(m) {
                 let jitter =
@@ -505,8 +574,8 @@ impl Overlay {
         // (`listed_by` iterates in ascending order, keeping the jitter
         // draws deterministic.)
         for &m in members {
-            let watchers: Vec<u32> = self.listed_by[m.idx()].iter().copied().collect();
-            for w in watchers {
+            for i in 0..self.listed_by[m.idx()].len() {
+                let w = self.listed_by[m.idx()][i];
                 if inside[w as usize] {
                     continue;
                 }
@@ -525,8 +594,9 @@ impl Overlay {
             if !eng.is_up(m) {
                 continue;
             }
-            let watched: Vec<NodeIdx> = self.nodes[m.idx()].leafset().collect();
-            for t in watched {
+            // (Both halves, not deduplicated: one timer per entry, as
+            // each entry is a heartbeat edge.)
+            for t in self.nodes[m.idx()].leafset() {
                 if inside[t.idx()] {
                     continue;
                 }
@@ -553,17 +623,7 @@ impl Overlay {
             }
             self.stats.partition_repairs += 1;
             self.rebuild_leafset_where(m, &|x| eng.reachable(m, x));
-            let ls = self.leafset_members(m);
-            for &p in &ls {
-                self.learn(m, p);
-                eng.send(
-                    m,
-                    p,
-                    OverlayMsg::Announce,
-                    wire::ANNOUNCE,
-                    TrafficClass::Overlay,
-                );
-            }
+            self.announce_to_leafset(eng, m);
             self.update_heartbeat_rate(eng, m);
         }
     }
@@ -574,7 +634,7 @@ impl Overlay {
         eng: &mut OverlayEngine<A>,
         node: NodeIdx,
         tag: u64,
-    ) -> Vec<OverlayEvent<A>> {
+    ) -> OverlayEvents<A> {
         if tag & TAG_FAIL == TAG_FAIL {
             let failed = NodeIdx((tag & TAG_PAYLOAD_MASK) as u32);
             let pending = &mut self.fail_timers[failed.idx()];
@@ -585,7 +645,7 @@ impl Overlay {
         }
         if tag & TAG_FAIL == TAG_LS_REFRESH {
             self.on_leafset_refresh(eng, node);
-            return Vec::new();
+            return OverlayEvents::new();
         }
         if tag & TAG_JOIN_RETRY == TAG_JOIN_RETRY {
             self.join_retry[node.idx()] = None;
@@ -600,23 +660,26 @@ impl Overlay {
             self.stats.join_retries += 1;
             self.start_join(eng, node);
         }
-        Vec::new()
+        OverlayEvents::new()
     }
 
     /// Periodic leafset anti-entropy (MSPastry's leafset probing): pull
     /// one leafset member's leafset per period, rotating through the
-    /// members. The push reply is merged via
-    /// [`handle_announce`](Self::handle_announce), repairing asymmetric
-    /// views — e.g. a neighbor whose join Announce was lost and who
-    /// would otherwise stay invisible forever (heartbeats carry no
-    /// membership).
+    /// (deduplicated) members. The push reply is merged into the leafset,
+    /// repairing asymmetric views — e.g. a neighbor whose join Announce
+    /// was lost and who would otherwise stay invisible forever
+    /// (heartbeats carry no membership).
     fn on_leafset_refresh<A: Clone>(&mut self, eng: &mut OverlayEngine<A>, n: NodeIdx) {
         if !eng.is_up(n) || !self.nodes[n.idx()].joined {
             return; // restarting; complete_join re-arms the probe
         }
-        let members = self.leafset_members(n);
-        if !members.is_empty() {
-            let peer = members[self.refresh_pos[n.idx()] % members.len()];
+        let st = &self.nodes[n.idx()];
+        let count = st.members().count();
+        if count > 0 {
+            let peer = st
+                .members()
+                .nth(self.refresh_pos[n.idx()] % count)
+                .expect("index below the member count");
             self.refresh_pos[n.idx()] = self.refresh_pos[n.idx()].wrapping_add(1);
             self.stats.leafset_refreshes += 1;
             eng.send(
@@ -643,14 +706,14 @@ impl Overlay {
         eng: &mut OverlayEngine<A>,
         detector: NodeIdx,
         failed: NodeIdx,
-    ) -> Vec<OverlayEvent<A>> {
+    ) -> OverlayEvents<A> {
         if eng.is_up(failed) && eng.reachable(detector, failed) {
-            return Vec::new(); // came back before the timeout expired
+            return OverlayEvents::new(); // came back before the timeout expired
         }
         if !self.nodes[detector.idx()].remove_from_leafset(failed) {
-            return Vec::new(); // already repaired (or detector restarted)
+            return OverlayEvents::new(); // already repaired (or detector restarted)
         }
-        self.listed_by[failed.idx()].remove(&detector.0);
+        sorted_remove(&mut self.listed_by[failed.idx()], detector.0);
         self.stats.leafset_repairs += 1;
         // Repair: converge the leafset to ground truth — restricted to
         // nodes the detector can actually reach, so a partitioned
@@ -673,10 +736,10 @@ impl Overlay {
                 TrafficClass::Overlay,
             );
         }
-        vec![OverlayEvent::NeighborFailed {
+        OverlayEvents::one(OverlayEvent::NeighborFailed {
             node: detector,
             failed,
-        }]
+        })
     }
 
     /// Must be called for every engine `Message` event; returns events
@@ -687,15 +750,13 @@ impl Overlay {
         from: NodeIdx,
         to: NodeIdx,
         msg: OverlayMsg<A>,
-    ) -> Vec<OverlayEvent<A>> {
+    ) -> OverlayEvents<A> {
         match msg {
-            OverlayMsg::App(payload) => {
-                vec![OverlayEvent::AppMessage {
-                    node: to,
-                    from,
-                    payload,
-                }]
-            }
+            OverlayMsg::App(payload) => OverlayEvents::one(OverlayEvent::AppMessage {
+                node: to,
+                from,
+                payload,
+            }),
             OverlayMsg::Route {
                 key,
                 origin,
@@ -714,11 +775,11 @@ impl Overlay {
                 for e in entries {
                     self.learn(to, e);
                 }
-                Vec::new()
+                OverlayEvents::new()
             }
             OverlayMsg::JoinReply { leafset: _ } => {
                 if self.nodes[to.idx()].joined || !eng.is_up(to) {
-                    return Vec::new(); // duplicate reply
+                    return OverlayEvents::new(); // duplicate reply
                 }
                 self.complete_join(eng, to)
             }
@@ -726,14 +787,16 @@ impl Overlay {
                 // The announcer may have died while the message was in
                 // flight; inserting it would plant a leafset entry that
                 // no detection timer covers.
-                if eng.is_up(from) {
-                    self.handle_announce(to, from)
-                } else {
-                    Vec::new()
+                let mut out = OverlayEvents::new();
+                if eng.is_up(from) && self.nodes[to.idx()].joined {
+                    self.learn(to, from);
+                    self.merge_member(to, from, &mut out);
                 }
+                out
             }
             OverlayMsg::LeafsetPull => {
-                let members = self.leafset_members(to);
+                let mut members = self.spare_push.pop().unwrap_or_default();
+                members.extend(self.nodes[to.idx()].members());
                 let size = wire::leafset_msg(members.len());
                 eng.send(
                     to,
@@ -742,19 +805,25 @@ impl Overlay {
                     size,
                     TrafficClass::Overlay,
                 );
-                Vec::new()
+                OverlayEvents::new()
             }
-            OverlayMsg::LeafsetPush { members } => {
+            OverlayMsg::LeafsetPush { mut members } => {
                 // Merge, not just learn: anti-entropy pulls repair
                 // asymmetric leafset views. Dead members are skipped for
                 // the same reason a stale Announce is (no detection timer
                 // would cover the entry).
-                let mut out = Vec::new();
-                for m in members {
+                let mut out = OverlayEvents::new();
+                let merging = self.nodes[to.idx()].joined;
+                for &m in &members {
                     self.learn(to, m);
-                    if eng.is_up(m) && self.nodes[m.idx()].joined {
-                        out.extend(self.handle_announce(to, m));
+                    if merging && eng.is_up(m) && self.nodes[m.idx()].joined {
+                        self.merge_member(to, m, &mut out);
                     }
+                }
+                // Last read done: the buffer goes back for the next Pull.
+                if self.spare_push.len() < SPARE_PUSH_MAX {
+                    members.clear();
+                    self.spare_push.push(members);
                 }
                 out
             }
@@ -769,9 +838,9 @@ impl Overlay {
         at: NodeIdx,
         joiner: NodeIdx,
         hops: u8,
-    ) -> Vec<OverlayEvent<A>> {
+    ) -> OverlayEvents<A> {
         if !eng.is_up(joiner) {
-            return Vec::new(); // joiner already gone
+            return OverlayEvents::new(); // joiner already gone
         }
         if !self.nodes[at.idx()].joined {
             // We restarted mid-route; bounce to some joined node if any.
@@ -787,7 +856,7 @@ impl Overlay {
                     TrafficClass::Overlay,
                 );
             }
-            return Vec::new();
+            return OverlayEvents::new();
         }
         // Offer the joiner the routing-table row it will need at this
         // prefix depth, as in the Pastry join protocol.
@@ -824,19 +893,21 @@ impl Overlay {
                 );
             }
             None => {
-                // We are the joiner's root: complete the join.
-                let leafset = self.leafset_members(at);
-                let size = wire::leafset_msg(leafset.len() + 1);
+                // We are the joiner's root: complete the join. The
+                // reply is charged for our leafset plus ourselves.
+                let members = self.nodes[at.idx()].members().count();
                 eng.send(
                     at,
                     joiner,
-                    OverlayMsg::JoinReply { leafset },
-                    size,
+                    OverlayMsg::JoinReply {
+                        leafset: Vec::new(),
+                    },
+                    wire::leafset_msg(members + 1),
                     TrafficClass::Overlay,
                 );
             }
         }
-        Vec::new()
+        OverlayEvents::new()
     }
 
     /// Finishes a join: install the ground-truth leafset (charged via the
@@ -846,7 +917,7 @@ impl Overlay {
         &mut self,
         eng: &mut OverlayEngine<A>,
         n: NodeIdx,
-    ) -> Vec<OverlayEvent<A>> {
+    ) -> OverlayEvents<A> {
         debug_assert!(!self.nodes[n.idx()].joined);
         if let Some(h) = self.join_retry[n.idx()].take() {
             eng.cancel_timer(h);
@@ -862,8 +933,17 @@ impl Overlay {
         self.joined_pos[n.idx()] = self.joined_list.len();
         self.joined_list.push(n);
 
-        let members = self.leafset_members(n);
-        for &m in &members {
+        self.announce_to_leafset(eng, n);
+        self.update_heartbeat_rate(eng, n);
+        self.arm_leafset_refresh(eng, n);
+        OverlayEvents::one(OverlayEvent::Joined { node: n })
+    }
+
+    /// `n` learns and sends an Announce to every (deduplicated) member of
+    /// its leafset.
+    fn announce_to_leafset<A: Clone>(&mut self, eng: &mut OverlayEngine<A>, n: NodeIdx) {
+        let (cw, ccw) = (self.nodes[n.idx()].cw, self.nodes[n.idx()].ccw);
+        for m in dedup_members(&cw, &ccw) {
             self.learn(n, m);
             eng.send(
                 n,
@@ -873,21 +953,17 @@ impl Overlay {
                 TrafficClass::Overlay,
             );
         }
-        self.update_heartbeat_rate(eng, n);
-        self.arm_leafset_refresh(eng, n);
-        vec![OverlayEvent::Joined { node: n }]
     }
 
-    fn handle_announce<A: Clone>(&mut self, at: NodeIdx, joined: NodeIdx) -> Vec<OverlayEvent<A>> {
-        if !self.nodes[at.idx()].joined {
-            return Vec::new();
-        }
-        self.learn(at, joined);
-        let leafset_changed = self.leafset_insert(at, joined);
-        if leafset_changed {
-            vec![OverlayEvent::NeighborJoined { node: at, joined }]
-        } else {
-            Vec::new()
+    /// The joined node `at` heard of the live, joined node `m` (from
+    /// `m`'s own Announce or a peer's leafset push): merge it into the
+    /// leafset, surfacing `NeighborJoined` if that changed it.
+    fn merge_member<A>(&mut self, at: NodeIdx, m: NodeIdx, out: &mut OverlayEvents<A>) {
+        if self.leafset_insert(at, m) {
+            out.push(OverlayEvent::NeighborJoined {
+                node: at,
+                joined: m,
+            });
         }
     }
 
@@ -899,78 +975,80 @@ impl Overlay {
     /// an open partition boundary, which are joined and live but
     /// unreachable.
     fn rebuild_leafset_where(&mut self, n: NodeIdx, keep: &dyn Fn(NodeIdx) -> bool) {
-        let old: Vec<NodeIdx> = self.nodes[n.idx()].leafset().collect();
         let half = self.cfg.leafset / 2;
         let id = self.ids[n.idx()];
-        let cw = self.ring_neighbors_cw_where(id, half, keep);
-        let ccw = self.ring_neighbors_ccw_where(id, half, keep);
+        // The walks skip the exact-id match, i.e. `n` itself.
+        let (mut cw, mut ccw) = (LeafHalf::default(), LeafHalf::default());
+        self.walk_neighbors(Walk::Cw, id, half, keep, &mut |m| cw.push(m));
+        self.walk_neighbors(Walk::Ccw, id, half, keep, &mut |m| ccw.push(m));
         let st = &mut self.nodes[n.idx()];
-        st.cw = cw.into_iter().filter(|&m| m != n).collect();
-        st.ccw = ccw.into_iter().filter(|&m| m != n).collect();
-        self.reindex_leafset(n, &old);
-    }
-
-    /// Reverse-index bookkeeping after `n`'s leafset changed: drops the
-    /// entries for the pre-change members (`old`) and records the current
-    /// ones.
-    fn reindex_leafset(&mut self, n: NodeIdx, old: &[NodeIdx]) {
-        for m in old {
-            self.listed_by[m.idx()].remove(&n.0);
+        let (old_cw, old_ccw) = (st.cw, st.ccw);
+        st.cw = cw;
+        st.ccw = ccw;
+        // Reverse index: drop the pre-change members, record the new.
+        for m in old_cw.iter().chain(old_ccw.iter()) {
+            sorted_remove(&mut self.listed_by[m.idx()], n.0);
         }
-        let new: Vec<NodeIdx> = self.nodes[n.idx()].leafset().collect();
-        for m in new {
-            self.listed_by[m.idx()].insert(n.0);
+        for m in cw.iter().chain(ccw.iter()) {
+            sorted_insert(&mut self.listed_by[m.idx()], n.0);
         }
     }
 
     /// Drops every reverse-index entry held on behalf of `n`'s leafset
     /// (called before the leafset is cleared on restart/shutdown).
     fn unlist_all(&mut self, n: NodeIdx) {
-        let members: Vec<NodeIdx> = self.nodes[n.idx()].leafset().collect();
-        for m in members {
-            self.listed_by[m.idx()].remove(&n.0);
+        for m in self.nodes[n.idx()].leafset() {
+            sorted_remove(&mut self.listed_by[m.idx()], n.0);
         }
     }
 
     /// Inserts `x` into `n`'s leafset halves if it is among the l/2
-    /// nearest on either side. Returns true if the leafset changed.
+    /// nearest on either side. Returns true if the leafset changed. The
+    /// reverse index is touched only then: `x` gains `n` as a watcher,
+    /// and a member pushed off the far end of a half loses it unless the
+    /// other half still holds that member.
     fn leafset_insert(&mut self, n: NodeIdx, x: NodeIdx) -> bool {
         if n == x {
             return false;
         }
-        let old: Vec<NodeIdx> = self.nodes[n.idx()].leafset().collect();
         let half = self.cfg.leafset / 2;
         let id = self.ids[n.idx()];
         let xid = self.ids[x.idx()];
-        let mut changed = false;
         let ids = &self.ids;
         let st = &mut self.nodes[n.idx()];
+        let mut changed = false;
+        let mut evicted = [None; 2];
         if !st.cw.contains(&x) {
+            let d = id.cw_dist(xid);
             let pos = st
                 .cw
                 .iter()
-                .position(|&m| id.cw_dist(xid) < id.cw_dist(ids[m.idx()]))
+                .position(|&m| d < id.cw_dist(ids[m.idx()]))
                 .unwrap_or(st.cw.len());
             if pos < half {
-                st.cw.insert(pos, x);
-                st.cw.truncate(half);
+                evicted[0] = st.cw.insert_capped(pos, x, half);
                 changed = true;
             }
         }
         if !st.ccw.contains(&x) {
+            let d = id.ccw_dist(xid);
             let pos = st
                 .ccw
                 .iter()
-                .position(|&m| id.ccw_dist(xid) < id.ccw_dist(ids[m.idx()]))
+                .position(|&m| d < id.ccw_dist(ids[m.idx()]))
                 .unwrap_or(st.ccw.len());
             if pos < half {
-                st.ccw.insert(pos, x);
-                st.ccw.truncate(half);
+                evicted[1] = st.ccw.insert_capped(pos, x, half);
                 changed = true;
             }
         }
         if changed {
-            self.reindex_leafset(n, &old);
+            for e in evicted.into_iter().flatten() {
+                if !st.in_leafset(e) {
+                    sorted_remove(&mut self.listed_by[e.idx()], n.0);
+                }
+            }
+            sorted_insert(&mut self.listed_by[x.idx()], n.0);
         }
         changed
     }
@@ -990,84 +1068,54 @@ impl Overlay {
         }
     }
 
-    /// Takes the first `count` walk results that are not the exact key
-    /// and satisfy `keep` (shared tail of the cw/ccw walks).
-    fn take_neighbors(
+    /// Visits the nearest `count` joined live nodes from `id` in the
+    /// given direction — skipping an exact-id match and anything failing
+    /// `keep` — nearest first, dispatched on the configured layout.
+    fn walk_neighbors(
         &self,
-        walk: impl Iterator<Item = NodeIdx>,
+        dir: Walk,
         id: Id,
         count: usize,
         keep: &dyn Fn(NodeIdx) -> bool,
-    ) -> Vec<NodeIdx> {
-        let mut out = Vec::with_capacity(count);
-        for n in walk {
-            if out.len() >= count {
-                break;
-            }
-            if self.ids[n.idx()] != id && keep(n) {
-                out.push(n);
-            }
+        visit: &mut dyn FnMut(NodeIdx),
+    ) {
+        if self.index.live_count() == 0 || count == 0 {
+            return;
         }
+        let mut left = count;
+        let mut take = |n: NodeIdx| {
+            if self.ids[n.idx()] != id && keep(n) {
+                visit(n);
+                left -= 1;
+            }
+            left > 0
+        };
+        // `all` stops at the first `false`, i.e. once `count` were taken.
+        match (&self.ring_map, dir) {
+            (Some(map), Walk::Cw) => map
+                .range((id.0.wrapping_add(1))..)
+                .chain(map.range(..=id.0))
+                .all(|(_, &n)| take(n)),
+            (Some(map), Walk::Ccw) => map
+                .range(..id.0)
+                .rev()
+                .chain(map.range(id.0..).rev())
+                .all(|(_, &n)| take(n)),
+            (None, Walk::Cw) => self.index.cw_live_from(id).all(take),
+            (None, Walk::Ccw) => self.index.ccw_live_from(id).all(take),
+        };
+    }
+
+    /// Nearest joined live nodes from `id` (excluding the exact key
+    /// match), for the oracle queries.
+    fn ring_neighbors(&self, dir: Walk, id: Id, count: usize) -> Vec<NodeIdx> {
+        let mut out = Vec::with_capacity(count);
+        self.walk_neighbors(dir, id, count, &|_| true, &mut |n| out.push(n));
         out
     }
 
-    /// Nearest joined live nodes clockwise from `id` (excluding the exact
-    /// key match).
-    fn ring_neighbors_cw(&self, id: Id, count: usize) -> Vec<NodeIdx> {
-        self.ring_neighbors_cw_where(id, count, &|_| true)
-    }
-
-    fn ring_neighbors_cw_where(
-        &self,
-        id: Id,
-        count: usize,
-        keep: &dyn Fn(NodeIdx) -> bool,
-    ) -> Vec<NodeIdx> {
-        if self.index.live_count() == 0 || count == 0 {
-            return Vec::new();
-        }
-        match &self.ring_map {
-            Some(map) => self.take_neighbors(
-                map.range((id.0.wrapping_add(1))..)
-                    .chain(map.range(..=id.0))
-                    .map(|(_, &n)| n),
-                id,
-                count,
-                keep,
-            ),
-            None => self.take_neighbors(self.index.cw_live_from(id), id, count, keep),
-        }
-    }
-
-    fn ring_neighbors_ccw(&self, id: Id, count: usize) -> Vec<NodeIdx> {
-        self.ring_neighbors_ccw_where(id, count, &|_| true)
-    }
-
-    fn ring_neighbors_ccw_where(
-        &self,
-        id: Id,
-        count: usize,
-        keep: &dyn Fn(NodeIdx) -> bool,
-    ) -> Vec<NodeIdx> {
-        if self.index.live_count() == 0 || count == 0 {
-            return Vec::new();
-        }
-        match &self.ring_map {
-            Some(map) => self.take_neighbors(
-                map.range(..id.0)
-                    .rev()
-                    .chain(map.range(id.0..).rev())
-                    .map(|(_, &n)| n),
-                id,
-                count,
-                keep,
-            ),
-            None => self.take_neighbors(self.index.ccw_live_from(id), id, count, keep),
-        }
-    }
-
     fn update_heartbeat_rate<A: Clone>(&self, eng: &mut OverlayEngine<A>, n: NodeIdx) {
-        let l = self.leafset_members(n).len() as f32;
+        let l = self.nodes[n.idx()].members().count() as f32;
         let rate = l * wire::HEARTBEAT as f32 / self.cfg.heartbeat.as_secs_f64() as f32;
         eng.set_standing(n, TrafficClass::Overlay, rate, rate);
     }
@@ -1086,7 +1134,7 @@ impl Overlay {
         payload: A,
         size: u32,
         class: TrafficClass,
-    ) -> Vec<OverlayEvent<A>> {
+    ) -> OverlayEvents<A> {
         self.stats.routed_messages += 1;
         let _ = class; // routed traffic is always accounted as Query class
         self.forward_or_deliver(eng, from, key, from, 0, size, payload)
@@ -1144,7 +1192,7 @@ impl Overlay {
         hops: u8,
         size: u32,
         payload: A,
-    ) -> Vec<OverlayEvent<A>> {
+    ) -> OverlayEvents<A> {
         const MAX_HOPS: u8 = 128;
         let next = if hops >= MAX_HOPS {
             None
@@ -1166,19 +1214,19 @@ impl Overlay {
                     size + wire::ROUTE_OVERHEAD,
                     TrafficClass::Query,
                 );
-                Vec::new()
+                OverlayEvents::new()
             }
             None => {
                 self.stats.delivered_messages += 1;
                 self.stats.total_hops += u64::from(hops);
                 self.stats.max_hops = self.stats.max_hops.max(hops);
-                vec![OverlayEvent::Deliver {
+                OverlayEvents::one(OverlayEvent::Deliver {
                     node: at,
                     key,
                     origin,
                     hops,
                     payload,
-                }]
+                })
             }
         }
     }
@@ -1275,7 +1323,7 @@ impl Overlay {
         let removed = st.remove_from_leafset(gone);
         st.rt_purge(gone);
         if removed {
-            self.listed_by[gone.idx()].remove(&at.0);
+            sorted_remove(&mut self.listed_by[gone.idx()], at.0);
         }
     }
 }
@@ -1546,6 +1594,164 @@ mod tests {
             assert_eq!(owners.len(), 1, "probe {probe:?} owned by {owners:?}");
             assert_eq!(Some(owners[0]), ov.oracle_root(probe));
         }
+    }
+
+    fn build_with_leafset(n: usize, seed: u64, leafset: usize) -> (Eng, Overlay) {
+        let (eng, _) = build(n, seed);
+        let ov = Overlay::new(
+            Overlay::random_ids(n, seed),
+            OverlayConfig {
+                seed,
+                leafset,
+                ..Default::default()
+            },
+        );
+        (eng, ov)
+    }
+
+    /// Drives like [`drive`], counting the `LeafsetPull`s each node
+    /// receives from `puller`.
+    fn pulls_from(eng: &mut Eng, ov: &mut Overlay, puller: NodeIdx, horizon: Time) -> Vec<u32> {
+        let mut pulls = vec![0u32; ov.ids().len()];
+        while let Some((_, ev)) = eng.next_event_before(horizon) {
+            match ev {
+                Event::Message { from, to, payload } => {
+                    let msg = payload.into_owned();
+                    if from == puller && matches!(msg, OverlayMsg::LeafsetPull) {
+                        pulls[to.idx()] += 1;
+                    }
+                    let _ = ov.on_message(eng, from, to, msg);
+                }
+                Event::Timer { node, tag } => {
+                    let _ = ov.on_timer(eng, node, tag);
+                }
+                other => panic!("unexpected {other:?}"),
+            }
+        }
+        pulls
+    }
+
+    #[test]
+    fn new_rejects_leafset_sizes_the_halves_cannot_hold() {
+        for leafset in [0, 1, 3, 7, 2 * HALF_CAP + 1, 2 * HALF_CAP + 2] {
+            let built = std::panic::catch_unwind(|| {
+                Overlay::new(
+                    Overlay::random_ids(4, 1),
+                    OverlayConfig {
+                        leafset,
+                        ..Default::default()
+                    },
+                )
+            });
+            assert!(built.is_err(), "leafset {leafset} accepted");
+        }
+        for leafset in [2, 8, 2 * HALF_CAP] {
+            let cfg = OverlayConfig {
+                leafset,
+                ..Default::default()
+            };
+            assert_eq!(Overlay::new(Vec::new(), cfg).config().leafset, leafset);
+        }
+    }
+
+    #[test]
+    fn leafset_of_two_is_successor_and_predecessor() {
+        let n = 12;
+        let (mut eng, mut ov) = build_with_leafset(n, 14, 2);
+        bootstrap_all(&mut eng, &mut ov, n);
+        let mut order: Vec<usize> = (0..n).collect();
+        order.sort_by_key(|&i| ov.ids()[i].0);
+        for (pos, &i) in order.iter().enumerate() {
+            let succ = NodeIdx(order[(pos + 1) % n] as u32);
+            let pred = NodeIdx(order[(pos + n - 1) % n] as u32);
+            let (cw, ccw) = ov.leafset_halves(NodeIdx(i as u32));
+            assert_eq!((cw, ccw), (&[succ][..], &[pred][..]), "node {i}");
+        }
+        assert_eq!(ov.replica_set(NodeIdx(0), 2).len(), 2);
+    }
+
+    #[test]
+    fn singleton_ring_owns_everything_and_pulls_nobody() {
+        let (mut eng, mut ov) = build(1, 15);
+        let events = bootstrap_all(&mut eng, &mut ov, 1);
+        assert!(matches!(
+            events[..],
+            [OverlayEvent::Joined { node: NodeIdx(0) }]
+        ));
+        let me = NodeIdx(0);
+        assert!(ov.leafset_members(me).is_empty());
+        assert!(ov.replica_set(me, 8).is_empty());
+        assert!(ov.responsible_range(me).is_full());
+        // The refresh timer fired (and re-armed) for an hour, pulling
+        // nobody.
+        assert_eq!(ov.stats.leafset_refreshes, 0);
+        let evs = ov.route(&mut eng, me, Id(7), 1, 10, TrafficClass::Query);
+        assert!(matches!(
+            evs.iter().next(),
+            Some(OverlayEvent::Deliver {
+                node: NodeIdx(0),
+                hops: 0,
+                ..
+            })
+        ));
+    }
+
+    #[test]
+    fn two_node_ring_lists_the_peer_in_both_halves_once() {
+        let (mut eng, mut ov) = build(2, 16);
+        bootstrap_all(&mut eng, &mut ov, 2);
+        for (me, peer) in [(NodeIdx(0), NodeIdx(1)), (NodeIdx(1), NodeIdx(0))] {
+            assert_eq!(ov.leafset_halves(me), (&[peer][..], &[peer][..]));
+            assert_eq!(ov.leafset_members(me), [peer]);
+            assert_eq!(ov.replica_set(me, 8), [peer]);
+            assert_eq!(ov.listed_by(me), [peer.0]);
+        }
+        // Every refresh pulls the one peer.
+        let before = ov.stats.leafset_refreshes;
+        let horizon = eng.now() + Duration::from_hours(1);
+        let pulls = pulls_from(&mut eng, &mut ov, NodeIdx(0), horizon);
+        assert!(ov.stats.leafset_refreshes > before);
+        assert_eq!(pulls[0], 0);
+        assert!(pulls[1] >= 40, "{pulls:?}");
+    }
+
+    #[test]
+    fn ring_within_half_a_leafset_dedups_and_rotates_evenly() {
+        // N - 1 = 3 <= l/2 = 4: every other node sits in *both* halves.
+        let n = 4;
+        let (mut eng, mut ov) = build(n, 17);
+        bootstrap_all(&mut eng, &mut ov, n);
+        for i in 0..n as u32 {
+            let me = NodeIdx(i);
+            let (cw, ccw) = ov.leafset_halves(me);
+            assert_eq!((cw.len(), ccw.len()), (3, 3));
+            let rev: Vec<NodeIdx> = ccw.iter().rev().copied().collect();
+            assert_eq!(cw, &rev[..], "ccw walks the same three nodes backwards");
+            // Dedup keeps the clockwise order, one entry per node.
+            assert_eq!(ov.leafset_members(me), cw);
+            assert_eq!(ov.replica_set(me, 8).len(), 3);
+            assert_eq!(ov.listed_by(me).len(), 3);
+        }
+        // The refresh rotation walks the three *distinct* members, not
+        // the six half entries: over an hour each peer is pulled equally
+        // often, give or take the one in progress.
+        let horizon = eng.now() + Duration::from_hours(1);
+        let pulls = pulls_from(&mut eng, &mut ov, NodeIdx(0), horizon);
+        assert_eq!(pulls[0], 0);
+        let (lo, hi) = (
+            pulls[1..].iter().min().unwrap(),
+            pulls[1..].iter().max().unwrap(),
+        );
+        assert!(*lo >= 10 && hi - lo <= 1, "{pulls:?}");
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "exceeds the leafset size")]
+    fn replica_set_larger_than_the_leafset_is_a_caller_bug() {
+        let (mut eng, mut ov) = build(12, 18);
+        bootstrap_all(&mut eng, &mut ov, 12);
+        let _ = ov.replica_set(NodeIdx(0), 9);
     }
 
     #[test]

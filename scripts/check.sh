@@ -108,4 +108,16 @@ echo "==> perf/ benchmark (its unit tests; smoke: five workloads correct, finger
 cargo test -q --manifest-path perf/Cargo.toml --offline
 perf/run.sh --smoke
 
+echo "==> allocation gate (traced farsite_steady smoke: leafset maintenance stays allocation-free)"
+# perf/ counts allocations from outside, so no counting allocator (and no
+# `unsafe`, D006) has to enter a deterministic crate to hold this line:
+# 4.00 allocations per LeafsetPull/LeafsetPush before PR 13, ~0.0001 after.
+ledger=perf/out/farsite_steady.smoke.ledger.json
+allocs=$(sed -n 's/.*"overlay\.leafset\.allocs_per_event": {"value": \([-+0-9.eE]*\),.*/\1/p' "$ledger")
+echo "    overlay.leafset.allocs_per_event = ${allocs:-missing}"
+if ! awk -v a="$allocs" 'BEGIN { exit !(a != "" && a + 0 <= 0.1) }'; then
+  echo "overlay.leafset.allocs_per_event exceeds 0.1 (or is missing from $ledger)" >&2
+  exit 1
+fi
+
 echo "OK"
