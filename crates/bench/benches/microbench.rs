@@ -13,8 +13,8 @@ use seaweed_core::vertex::chain_to_root;
 use seaweed_core::SeaweedMsg;
 use seaweed_overlay::{Overlay, OverlayConfig, OverlayMsg};
 use seaweed_sim::{
-    CorpNetTopology, Engine, Event, NodeIdx, SchedulerKind, SimConfig, TimerHandle, Topology,
-    TrafficClass, UniformTopology,
+    CorpNetTopology, Engine, Event, NodeIdx, SimConfig, TimerHandle, Topology, TrafficClass,
+    UniformTopology,
 };
 use seaweed_store::histogram::NumericHistogram;
 use seaweed_store::{AggFunc, Aggregate, CmpOp, Query};
@@ -253,21 +253,19 @@ fn bench_engine(c: &mut Criterion) {
     g.finish();
 }
 
-/// Timer-heavy scheduler comparison: the hierarchical wheel vs the
-/// reference binary heap on the protocol's dominant event pattern —
-/// short-lived heartbeat timers, half of them cancelled before firing,
-/// re-armed from inside the event loop.
+/// Timer-heavy event-queue throughput on the protocol's dominant event
+/// pattern — short-lived heartbeat timers, half of them cancelled before
+/// firing, re-armed from inside the event loop. (The case names keep the
+/// `wheel` they had beside the deleted binary-heap cases, so recorded
+/// numbers stay comparable.)
 fn bench_des_event_throughput(c: &mut Criterion) {
     const TIMERS: u64 = 100_000;
     const WIDE_EVENTS: u64 = 200_000;
 
-    fn run(scheduler: SchedulerKind) -> u64 {
+    fn run() -> u64 {
         let mut eng: Engine<u64> = Engine::new(
             Box::new(UniformTopology::new(8, Duration::MILLISECOND)),
-            SimConfig {
-                scheduler,
-                ..SimConfig::default()
-            },
+            SimConfig::default(),
         );
         for i in 0..8u64 {
             eng.schedule_up(Time(i), NodeIdx(i as u32));
@@ -306,7 +304,7 @@ fn bench_des_event_throughput(c: &mut Criterion) {
     /// beside each a 90 s timer that is cancelled and replaced before it
     /// fires, and two messages a few ms out per heartbeat. The cost that scales with entry size —
     /// how often and how far a queued event is moved — only shows here.
-    fn run_wide(scheduler: SchedulerKind) -> u64 {
+    fn run_wide() -> u64 {
         const NODES: u32 = 2_000;
         const WIDE_WORDS: usize = std::mem::size_of::<OverlayMsg<SeaweedMsg>>() / 8;
         type Wide = [u64; WIDE_WORDS];
@@ -315,10 +313,7 @@ fn bench_des_event_throughput(c: &mut Criterion) {
                 NODES as usize,
                 Duration::from_millis(2),
             )),
-            SimConfig {
-                scheduler,
-                ..SimConfig::default()
-            },
+            SimConfig::default(),
         );
         for i in 0..NODES {
             eng.schedule_up(Time(u64::from(i) * 29_989), NodeIdx(i));
@@ -366,15 +361,9 @@ fn bench_des_event_throughput(c: &mut Criterion) {
 
     let mut g = c.benchmark_group("des_event_throughput");
     g.throughput(Throughput::Elements(TIMERS));
-    g.bench_function("wheel", |b| b.iter(|| black_box(run(SchedulerKind::Wheel))));
-    g.bench_function("heap", |b| b.iter(|| black_box(run(SchedulerKind::Heap))));
+    g.bench_function("wheel", |b| b.iter(|| black_box(run())));
     g.throughput(Throughput::Elements(WIDE_EVENTS));
-    g.bench_function("wide/wheel", |b| {
-        b.iter(|| black_box(run_wide(SchedulerKind::Wheel)));
-    });
-    g.bench_function("wide/heap", |b| {
-        b.iter(|| black_box(run_wide(SchedulerKind::Heap)));
-    });
+    g.bench_function("wide/wheel", |b| b.iter(|| black_box(run_wide())));
     g.finish();
 }
 

@@ -12,16 +12,15 @@
 //!
 //! Sweeps the hedge threshold (fraction of `dissem_timeout`, plus
 //! hedging off) × churn (bystander crash/rejoin cycles during the
-//! query) × replica selection (`IdOrder` vs `AvailAware`) and reports,
-//! per configuration, the p50/p90/p99 of delay-to-0.9-completeness
-//! across seeds next to the dissemination bandwidth and the hedge
-//! ledger. The headline comparison (default 0.5 threshold vs off) is
-//! printed per churn × selection cell. Exits non-zero on any oracle
-//! violation; with a fixed `--seed` the CSV is byte-stable.
+//! query) and reports, per configuration, the p50/p90/p99 of
+//! delay-to-0.9-completeness across seeds next to the dissemination
+//! bandwidth and the hedge ledger. The headline comparison (default 0.5
+//! threshold vs off) is printed per churn setting. Exits non-zero on any
+//! oracle violation; with a fixed `--seed` the CSV is byte-stable.
 
 use seaweed_bench::{jobs, run_sweep, write_csv, Args, OutTable};
 use seaweed_core::{ChaosOracle, HedgeConfig, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{Overlay, OverlayConfig, SelectionKind};
+use seaweed_overlay::{Overlay, OverlayConfig};
 use seaweed_sim::{
     CorpNetTopology, CrashSpec, Engine, FaultPlan, LinkFaultSpec, NodeIdx, OutageSpec, SimConfig,
 };
@@ -105,7 +104,6 @@ struct Config {
     /// Hedge threshold as a fraction of `dissem_timeout`; `None` = off.
     hedge: Option<f64>,
     churn: bool,
-    selection: SelectionKind,
 }
 
 struct RunOutcome {
@@ -151,7 +149,6 @@ fn run_one(cfg: Config, seed: u64, n: usize, routers: usize) -> RunOutcome {
         Overlay::random_ids(n, seed),
         OverlayConfig {
             seed,
-            selection: cfg.selection,
             ..Default::default()
         },
     );
@@ -232,14 +229,7 @@ fn label(cfg: Config) -> String {
     let hedge = cfg
         .hedge
         .map_or_else(|| "off".to_owned(), |f| format!("{f:.2}"));
-    format!(
-        "hedge={hedge} churn={} sel={}",
-        u8::from(cfg.churn),
-        match cfg.selection {
-            SelectionKind::IdOrder => "id",
-            SelectionKind::AvailAware => "avail",
-        }
-    )
+    format!("hedge={hedge} churn={}", u8::from(cfg.churn))
 }
 
 fn main() {
@@ -252,14 +242,8 @@ fn main() {
 
     let mut configs = Vec::new();
     for churn in [false, true] {
-        for selection in [SelectionKind::IdOrder, SelectionKind::AvailAware] {
-            for hedge in [None, Some(0.25), Some(0.5), Some(0.75)] {
-                configs.push(Config {
-                    hedge,
-                    churn,
-                    selection,
-                });
-            }
+        for hedge in [None, Some(0.25), Some(0.5), Some(0.75)] {
+            configs.push(Config { hedge, churn });
         }
     }
     println!(
@@ -323,7 +307,6 @@ fn main() {
             vec![
                 a.cfg.hedge.unwrap_or(-1.0),
                 f64::from(u8::from(a.cfg.churn)),
-                f64::from(u8::from(a.cfg.selection == SelectionKind::AvailAware)),
                 seeds as f64,
                 a.p50 as f64,
                 a.p90 as f64,
@@ -343,7 +326,6 @@ fn main() {
         &[
             "hedge_fraction",
             "churn",
-            "avail_aware",
             "seeds",
             "p50_t90_us",
             "p90_t90_us",
@@ -382,34 +364,27 @@ fn main() {
     t.print();
 
     // Headline: default threshold (0.5 x dissem_timeout) vs hedging off,
-    // per churn x selection cell.
+    // per churn setting.
     println!("  default threshold (0.5) vs off:");
     for churn in [false, true] {
-        for selection in [SelectionKind::IdOrder, SelectionKind::AvailAware] {
-            let find = |hedge: Option<f64>| {
-                aggregates.iter().find(|a| {
-                    a.cfg.churn == churn && a.cfg.selection == selection && a.cfg.hedge == hedge
-                })
-            };
-            let (Some(off), Some(def)) = (find(None), find(Some(0.5))) else {
-                continue;
-            };
-            let p99_cut = 100.0 - 100.0 * def.p99 as f64 / off.p99 as f64;
-            let p50_delta = 100.0 * def.p50 as f64 / off.p50 as f64 - 100.0;
-            let bw_extra =
-                100.0 * def.mean_dissem_bytes as f64 / off.mean_dissem_bytes as f64 - 100.0;
-            println!(
-                "    churn={} sel={:>5}: p99 {} -> {} ({p99_cut:+.1}% cut), \
-                 p50 {p50_delta:+.2}%, dissem bytes {bw_extra:+.2}%",
-                u8::from(churn),
-                match selection {
-                    SelectionKind::IdOrder => "id",
-                    SelectionKind::AvailAware => "avail",
-                },
-                fmt_s(off.p99),
-                fmt_s(def.p99),
-            );
-        }
+        let find = |hedge: Option<f64>| {
+            aggregates
+                .iter()
+                .find(|a| a.cfg.churn == churn && a.cfg.hedge == hedge)
+        };
+        let (Some(off), Some(def)) = (find(None), find(Some(0.5))) else {
+            continue;
+        };
+        let p99_cut = 100.0 - 100.0 * def.p99 as f64 / off.p99 as f64;
+        let p50_delta = 100.0 * def.p50 as f64 / off.p50 as f64 - 100.0;
+        let bw_extra = 100.0 * def.mean_dissem_bytes as f64 / off.mean_dissem_bytes as f64 - 100.0;
+        println!(
+            "    churn={}: p99 {} -> {} ({p99_cut:+.1}% cut), \
+             p50 {p50_delta:+.2}%, dissem bytes {bw_extra:+.2}%",
+            u8::from(churn),
+            fmt_s(off.p99),
+            fmt_s(def.p99),
+        );
     }
 
     if failed {

@@ -13,74 +13,12 @@
 use seaweed_bench::{write_csv, Args, OutTable};
 use seaweed_core::{ChaosOracle, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
 use seaweed_overlay::{Overlay, OverlayConfig};
-use seaweed_sim::{
-    CorpNetTopology, CrashSpec, DropStats, Engine, FaultPlan, LinkFaultSpec, NodeIdx, OutageSpec,
-    PartitionSpec, SimConfig,
-};
+use seaweed_sim::{CorpNetTopology, DropStats, Engine, FaultPlan, NodeIdx, SimConfig};
 use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
 use seaweed_types::{Duration, Time};
 
 fn secs(s: u64) -> Time {
     Time(s * 1_000_000)
-}
-
-/// Builds the fault plan from the topology's structure: cut the regional
-/// router with the largest subtree, take the biggest branch down with
-/// amnesia, degrade one router pair, and crash two bystanders.
-fn chaos_plan(topo: &CorpNetTopology, n: usize) -> FaultPlan {
-    let regional = (topo.num_core()..topo.num_core() + topo.num_regional())
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .expect("regional routers");
-    let partition = PartitionSpec::from_router_cut(topo, regional, secs(602), secs(780));
-    let branch = topo
-        .branch_routers()
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .expect("branch routers");
-    let outage = OutageSpec::branch_outage(topo, branch, secs(640), secs(700), true);
-
-    let excluded: Vec<u32> = partition
-        .members
-        .iter()
-        .chain(outage.members.iter())
-        .copied()
-        .collect();
-    let bystanders: Vec<u32> = (1..n as u32)
-        .filter(|m| !excluded.contains(m))
-        .take(2)
-        .collect();
-    let crashes = vec![
-        CrashSpec {
-            node: NodeIdx(bystanders[0]),
-            at: secs(630),
-            rejoin_after: Duration::from_secs(60),
-        },
-        CrashSpec {
-            node: NodeIdx(bystanders[1]),
-            at: secs(690),
-            rejoin_after: Duration::from_secs(45),
-        },
-    ];
-
-    let za = topo.router_of(NodeIdx(1)) as u32;
-    let mut zb = topo.router_of(NodeIdx(2)) as u32;
-    if zb == za {
-        zb = topo.router_of(NodeIdx(3)) as u32;
-    }
-    FaultPlan {
-        partitions: vec![partition],
-        link_faults: vec![LinkFaultSpec {
-            zone_a: za,
-            zone_b: zb,
-            from: secs(600),
-            until: secs(720),
-            extra_loss: 0.15,
-            latency_mult: 3.0,
-        }],
-        crashes,
-        outages: vec![outage],
-        dup_rate: 0.02,
-        reorder_window: Duration::from_millis(50),
-    }
 }
 
 struct SeedOutcome {
@@ -109,7 +47,7 @@ fn run_seed(seed: u64, n: usize, routers: usize) -> SeedOutcome {
         tables.push(t);
     }
     let topo = CorpNetTopology::with_params(n, routers, Duration::MILLISECOND, seed);
-    let plan = chaos_plan(&topo, n);
+    let plan = FaultPlan::chaos(&topo, &[]);
     let mut eng: SeaweedEngine = Engine::new(
         Box::new(topo),
         SimConfig {

@@ -9,7 +9,7 @@
 //! aggregate back along the reverse edges; silent subranges are reissued
 //! after a timeout.
 
-use seaweed_overlay::{OverlayEvents, SelectionKind};
+use seaweed_overlay::OverlayEvents;
 use seaweed_sim::{NodeIdx, TrafficClass};
 use seaweed_types::{Duration, Id, IdRange};
 
@@ -75,7 +75,7 @@ impl<P: DataProvider> Seaweed<P> {
         origin: NodeIdx,
         h: QueryHandle,
     ) {
-        if !self.tail_tolerance_active() {
+        if self.cfg.hedge.is_none() {
             return;
         }
         let t = self.set_app_timer(
@@ -157,7 +157,7 @@ impl<P: DataProvider> Seaweed<P> {
         self.learn_query(eng, n, h);
 
         let key: TaskKey = (n.0, h, range.start().0, range.width().unwrap_or(0));
-        let tail_tolerant = self.tail_tolerance_active();
+        let tail_tolerant = self.cfg.hedge.is_some();
         if let Some(task) = self.tasks.get_mut(&key) {
             // Hedges and availability-aware re-routes can hand the same
             // range to us from a *second* parent. Pre-tail-tolerance the
@@ -307,59 +307,39 @@ impl<P: DataProvider> Seaweed<P> {
         out_events
     }
 
-    /// Routing key for *re*-delegating a silent subrange: its midpoint
-    /// under [`SelectionKind::IdOrder`] (the pre-hedging baseline,
-    /// preserved bit-for-bit). Under [`SelectionKind::AvailAware`], while
-    /// the presumptive owner-side replica is believed up the midpoint is
-    /// still used (the first send probably got unlucky, not the
-    /// geometry); when it is down, the retry goes to the best-ranked
-    /// *live* cover candidate instead of another round trip into the
-    /// outage. The divert is one hop by construction: the candidate's own
-    /// onward delegation is plain midpoint routing, which terminates at a
-    /// live region owner.
+    /// Routing key for *re*-delegating a silent subrange. With hedging
+    /// off it is the midpoint, always (the pre-hedging protocol, bit for
+    /// bit). With hedging on, the midpoint is still used while the
+    /// presumptive owner-side replica is believed up (the first send
+    /// probably got unlucky, not the geometry); when it is down, the
+    /// retry goes to the nearest *live* cover candidate instead of
+    /// another round trip into the outage. The divert is one hop by
+    /// construction: the candidate's own onward delegation is plain
+    /// midpoint routing, which terminates at a live region owner.
     fn divert_target_key(&self, eng: &SeaweedEngine, n: NodeIdx, r: &IdRange) -> Id {
         let mid = r.midpoint();
-        if self.overlay.config().selection != SelectionKind::AvailAware {
+        if self.cfg.hedge.is_none() {
             return mid;
         }
-        let owner = self.overlay.cover_candidates(mid, 1).first().copied();
-        if owner.is_none_or(|x| eng.is_up(x)) {
+        let cands = self.overlay.cover_candidates(mid, COVER_CANDIDATES);
+        if cands.first().is_none_or(|&owner| eng.is_up(owner)) {
             return mid;
         }
-        self.overlay
-            .select_cover(mid, COVER_CANDIDATES, |x| self.avail_score(eng, x))
+        cands
             .into_iter()
             .find(|&x| x != n && eng.is_up(x))
             .map_or(mid, |x| self.overlay.id_of(x))
     }
 
-    /// The backup cover pick for a still-silent subrange: the best-ranked
+    /// The backup cover pick for a still-silent subrange: the nearest
     /// *live* candidate around the midpoint that is neither ourselves nor
     /// the owner-side replica the original delegation targeted.
     fn hedge_target(&self, eng: &SeaweedEngine, n: NodeIdx, r: &IdRange) -> Option<NodeIdx> {
-        let mid = r.midpoint();
-        let primary = self.overlay.cover_candidates(mid, 1).first().copied();
         self.overlay
-            .select_cover(mid, COVER_CANDIDATES, |x| self.avail_score(eng, x))
+            .cover_candidates(r.midpoint(), COVER_CANDIDATES)
             .into_iter()
-            .find(|&x| x != n && Some(x) != primary && eng.is_up(x))
-    }
-
-    /// Availability score for replica selection, higher = better. An
-    /// endsystem believed up now beats any down one; among down ones, the
-    /// sooner the availability model expects a return, the higher. The
-    /// monolithic simulation uses engine liveness plus the shared model
-    /// tables as the stand-in for the replicated per-endsystem metadata a
-    /// real delegator would consult (same convention as range
-    /// absorption). Integer-valued so ranking needs no float compares.
-    fn avail_score(&self, eng: &SeaweedEngine, x: NodeIdx) -> u64 {
-        if eng.is_up(x) {
-            return u64::MAX;
-        }
-        let down_since = self.down_since[x.idx()].unwrap_or_else(|| eng.now());
-        let pred = self.models[x.idx()].predict_return(eng.now(), down_since);
-        let eta = pred.quantile(0.5).unwrap_or_else(|| pred.expected());
-        (u64::MAX / 2).saturating_sub(eta.as_micros())
+            .skip(1) // the owner-side replica
+            .find(|&x| x != n && eng.is_up(x))
     }
 
     /// How long to wait for a subrange reply before hedging: the
@@ -831,50 +811,7 @@ impl<P: DataProvider> Seaweed<P> {
                 );
                 self.cascade(eng, evs);
             }
-            let hedging = self.cfg.hedge.is_some();
-            if hedging {
-                // Disarm a hedge timer still pending from the previous
-                // round before re-arming both races.
-                let stale = self.tasks.get_mut(&key).and_then(|t| t.hedge_timer.take());
-                if let Some(t) = stale {
-                    self.cancel_app_timer(eng, t);
-                }
-            }
-            // Re-armed unconditionally, exactly as before hedging
-            // existed: the reissue cascade may have completed the task
-            // synchronously, in which case the baseline lets the timer
-            // fire as a no-op while hedged mode disarms it right away.
-            // lint:allow(D008): non-hedging baseline deliberately lets a completed task's timer fire as a no-op, preserving the pre-hedging event stream bit-for-bit
-            let timeout = self.set_app_timer(
-                eng,
-                n,
-                self.cfg.dissem_timeout,
-                TimerAction::DissemTimeout { node: n, task: key },
-            );
-            // lint:allow(D008): armed only when hedging, and hedged mode disarms in the match below; the leaked path (hedging false) arms nothing
-            let hedge = hedging.then(|| {
-                let delay = self.hedge_delay(n);
-                self.set_app_timer(
-                    eng,
-                    n,
-                    delay,
-                    TimerAction::HedgeTimeout { node: n, task: key },
-                )
-            });
-            match self.tasks.get_mut(&key) {
-                Some(task) if !task.reported => {
-                    task.timeout_timer = Some(timeout);
-                    task.hedge_timer = hedge;
-                }
-                _ => {
-                    if hedging {
-                        self.cancel_app_timer(eng, timeout);
-                        if let Some(t) = hedge {
-                            self.cancel_app_timer(eng, t);
-                        }
-                    }
-                }
-            }
+            self.rearm_task_timers(eng, key);
         }
         // All slots may now be resolved (give-ups). Reissue cascades
         // above can legitimately complete and retire state, so a missing
@@ -884,6 +821,64 @@ impl<P: DataProvider> Seaweed<P> {
         };
         if !task.reported && task.slots.iter().all(|s| s.done.is_some()) {
             self.finish_task(eng, n, h, key);
+        }
+    }
+
+    /// Re-arms a task's reissue timer (and, with hedging on, its hedge
+    /// timer) after a round of re-delegation — a reissue, or the re-cover
+    /// of given-up ranges when a partition heals.
+    pub(crate) fn rearm_task_timers(&mut self, eng: &mut SeaweedEngine, key: TaskKey) {
+        let n = NodeIdx(key.0);
+        let hedging = self.cfg.hedge.is_some();
+        if hedging {
+            // Disarm whatever the previous round left pending (a hedge
+            // timer mid-race, other slots' reissue timer across a heal),
+            // so hedged mode keeps exactly one of each per task.
+            let stale: Vec<AppTimer> = self.tasks.get_mut(&key).map_or_else(Vec::new, |t| {
+                t.timeout_timer
+                    .take()
+                    .into_iter()
+                    .chain(t.hedge_timer.take())
+                    .collect()
+            });
+            for t in stale {
+                self.cancel_app_timer(eng, t);
+            }
+        }
+        // Armed unconditionally, exactly as before hedging existed: the
+        // re-delegation cascade may have completed the task
+        // synchronously, in which case the baseline lets the timer fire
+        // as a no-op while hedged mode disarms it right away.
+        // lint:allow(D008): non-hedging baseline deliberately lets a completed task's timer fire as a no-op, preserving the pre-hedging event stream bit-for-bit
+        let timeout = self.set_app_timer(
+            eng,
+            n,
+            self.cfg.dissem_timeout,
+            TimerAction::DissemTimeout { node: n, task: key },
+        );
+        // lint:allow(D008): armed only when hedging, and hedged mode disarms in the match below; the leaked path (hedging false) arms nothing
+        let hedge = hedging.then(|| {
+            let delay = self.hedge_delay(n);
+            self.set_app_timer(
+                eng,
+                n,
+                delay,
+                TimerAction::HedgeTimeout { node: n, task: key },
+            )
+        });
+        match self.tasks.get_mut(&key) {
+            Some(task) if !task.reported => {
+                task.timeout_timer = Some(timeout);
+                task.hedge_timer = hedge;
+            }
+            _ => {
+                if hedging {
+                    self.cancel_app_timer(eng, timeout);
+                    if let Some(t) = hedge {
+                        self.cancel_app_timer(eng, t);
+                    }
+                }
+            }
         }
     }
 

@@ -31,9 +31,7 @@ use std::collections::{BTreeMap, VecDeque};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seaweed_availability::{AvailabilityModel, ModelConfig, ReplyLatencyStats};
-use seaweed_overlay::{
-    is_overlay_tag, Overlay, OverlayEvent, OverlayEvents, OverlayMsg, SelectionKind,
-};
+use seaweed_overlay::{is_overlay_tag, Overlay, OverlayEvent, OverlayEvents, OverlayMsg};
 use seaweed_sim::{Engine, Event, NodeIdx};
 use seaweed_store::{Aggregate, BoundQuery, Query};
 use seaweed_types::{sha1, Duration, Id, IdRange, Time};
@@ -200,11 +198,13 @@ pub struct SeaweedConfig {
     /// Local processing delay between receiving a query and submitting
     /// the locally executed result.
     pub local_exec_delay: Duration,
-    /// Hedged dissemination: when a delegated subrange stays silent past
-    /// the expected-reply quantile, duplicate the task to a backup cover
-    /// candidate instead of waiting out the full reissue timeout. `None`
-    /// (the default) disables hedging and preserves the pre-hedging
-    /// message and timer stream bit-for-bit.
+    /// Tail tolerance (DESIGN.md §3.5): when a delegated subrange stays
+    /// silent past the expected-reply quantile, duplicate the task to a
+    /// backup cover candidate instead of waiting out the full reissue
+    /// timeout; divert a reissue whose owner-side replica is down to the
+    /// nearest live candidate; and re-kick a query whose root went
+    /// silent. `None` (the default) disables all three and preserves the
+    /// pre-hedging message and timer stream bit-for-bit.
     pub hedge: Option<HedgeConfig>,
     /// Concurrent multi-query (storm) mode: admission control at the
     /// injection point, slot recycling behind handle generations, and
@@ -724,7 +724,6 @@ impl<P: DataProvider> Seaweed<P> {
         // Hot-state container backend; the overlay's ring index (which
         // asserts id uniqueness) doubles as the ordered id universe for
         // range enumeration, so no separate id map is kept here.
-        let layout = overlay.config().layout;
         Seaweed {
             rng: StdRng::seed_from_u64(cfg.seed ^ APP_STREAM),
             models: (0..n).map(|_| AvailabilityModel::new(cfg.model)).collect(),
@@ -740,12 +739,12 @@ impl<P: DataProvider> Seaweed<P> {
             knows_query: vec![0; n],
             submitted: vec![0; n],
             exec_pending: vec![0; n],
-            tasks: TaskStore::new(layout, n),
-            vertices: VertexStore::new(layout),
+            tasks: TaskStore::new(n),
+            vertices: VertexStore::default(),
             node_vertices: vec![Vec::new(); n],
-            pending_submits: SubmitStore::new(layout, n),
-            cont_epoch: NodeQueryStore::new(layout, n),
-            leaf_targets: NodeQueryStore::new(layout, n),
+            pending_submits: SubmitStore::new(n),
+            cont_epoch: NodeQueryStore::new(n),
+            leaf_targets: NodeQueryStore::new(n),
             gave_up: Vec::new(),
             slot_gen: Vec::new(),
             free_slots: Vec::new(),
@@ -1423,14 +1422,6 @@ impl<P: DataProvider> Seaweed<P> {
         }
     }
 
-    /// Whether any tail-tolerance feature is on (hedging or non-baseline
-    /// replica selection). Gates every behavioural divergence from the
-    /// pre-hedging protocol — with this false, the byte-identical
-    /// equivalence pins hold.
-    pub(crate) fn tail_tolerance_active(&self) -> bool {
-        self.cfg.hedge.is_some() || self.overlay.config().selection != SelectionKind::IdOrder
-    }
-
     // ---------------------------------------------------------- timers
 
     pub(crate) fn set_app_timer(
@@ -1748,8 +1739,8 @@ impl<P: DataProvider> Seaweed<P> {
                 continue;
             }
             if issuer == n {
-                // Ascending key order under both layouts; the first
-                // candidate is picked, so the order is protocol-visible.
+                // Ascending key order; the first candidate is picked, so
+                // the order is protocol-visible.
                 let candidates: Vec<TaskKey> = self
                     .tasks
                     .candidate_keys(n.0, h, |task| task.slots.iter().any(|s| s.range == range));
@@ -1799,58 +1790,7 @@ impl<P: DataProvider> Seaweed<P> {
             self.cascade(eng, evs);
         }
         for key in rearm {
-            let n = NodeIdx(key.0);
-            let hedging = self.cfg.hedge.is_some();
-            if hedging {
-                // The task may still hold armed timers from before the
-                // heal (e.g. other slots mid-reissue); disarm them so
-                // hedged mode keeps exactly one of each per task.
-                let stale: Vec<AppTimer> = self.tasks.get_mut(&key).map_or_else(Vec::new, |t| {
-                    t.timeout_timer
-                        .take()
-                        .into_iter()
-                        .chain(t.hedge_timer.take())
-                        .collect()
-                });
-                for t in stale {
-                    self.cancel_app_timer(eng, t);
-                }
-            }
-            // Armed unconditionally, exactly as before hedging existed:
-            // the re-cover cascade above may have already completed the
-            // task, in which case the baseline lets the timer fire as a
-            // no-op while hedged mode disarms it right away.
-            // lint:allow(D008): non-hedging baseline deliberately lets a completed task's timer fire as a no-op, preserving the pre-hedging event stream bit-for-bit
-            let timeout = self.set_app_timer(
-                eng,
-                n,
-                self.cfg.dissem_timeout,
-                TimerAction::DissemTimeout { node: n, task: key },
-            );
-            // lint:allow(D008): armed only when hedging, and hedged mode disarms in the match below; the leaked path (hedging false) arms nothing
-            let hedge = hedging.then(|| {
-                let delay = self.hedge_delay(n);
-                self.set_app_timer(
-                    eng,
-                    n,
-                    delay,
-                    TimerAction::HedgeTimeout { node: n, task: key },
-                )
-            });
-            match self.tasks.get_mut(&key) {
-                Some(task) if !task.reported => {
-                    task.timeout_timer = Some(timeout);
-                    task.hedge_timer = hedge;
-                }
-                _ => {
-                    if hedging {
-                        self.cancel_app_timer(eng, timeout);
-                        if let Some(t) = hedge {
-                            self.cancel_app_timer(eng, t);
-                        }
-                    }
-                }
-            }
+            self.rearm_task_timers(eng, key);
         }
         for h in 0..self.queries.len() as QueryHandle {
             let q = &self.queries[h as usize];

@@ -664,7 +664,13 @@ impl<P: DataProvider> Seaweed<P> {
             if survivors.is_empty() {
                 if !state.children.is_empty() {
                     self.stats.vertex_states_lost += 1;
-                    self.vertices.remove(&(h, vertex));
+                    // The holders still listed are all down; their
+                    // membership goes with the state, or a vertex later
+                    // recreated under this key would inherit them.
+                    let lost = self.vertices.remove(&(h, vertex));
+                    for x in lost.into_iter().flat_map(|s| s.holders) {
+                        self.node_vertices[x.idx()].retain(|&e| e != (h, vertex));
+                    }
                 }
                 continue;
             }

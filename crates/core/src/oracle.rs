@@ -326,7 +326,7 @@ impl ChaosOracle {
                 TimerAction::QueryKick { query, .. } => {
                     // Armed only by tail tolerance, and disarmed the
                     // moment any aggregate reaches the origin.
-                    if !sw.tail_tolerance_active() {
+                    if !hedging {
                         out.push(format!(
                             "timer {seq}: query-kick timer armed with tail tolerance off"
                         ));

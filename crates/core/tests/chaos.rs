@@ -9,8 +9,7 @@ use proptest::prelude::*;
 use seaweed_core::{ChaosOracle, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
 use seaweed_overlay::{Overlay, OverlayConfig, OverlayMsg};
 use seaweed_sim::{
-    CorpNetTopology, CrashSpec, Engine, Event, FaultPlan, LinkFaultSpec, NodeIdx, OutageSpec,
-    PartitionSpec, SimConfig, TraceConfig,
+    CorpNetTopology, Engine, Event, FaultPlan, NodeIdx, OutageSpec, SimConfig, TraceConfig,
 };
 use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
 use seaweed_types::{Duration, Time};
@@ -24,69 +23,13 @@ fn secs(s: u64) -> Time {
     Time(s * 1_000_000)
 }
 
-/// Builds the fault plan from the topology's structure: cut the regional
-/// router with the largest subtree, take the biggest branch down with
-/// amnesia, degrade one router pair, and crash two bystanders.
-fn chaos_plan(topo: &CorpNetTopology) -> FaultPlan {
-    let regional = (topo.num_core()..topo.num_core() + topo.num_regional())
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .unwrap();
-    let partition = PartitionSpec::from_router_cut(topo, regional, secs(602), secs(780));
-    let branch = topo
-        .branch_routers()
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .unwrap();
-    let outage = OutageSpec::branch_outage(topo, branch, secs(640), secs(700), true);
-
-    // Two bystander crashes, disjoint from the partition and the outage
-    // (overlap is legal, but disjointness keeps every fault observable)
-    // and sparing the origin (node 0).
-    let excluded: Vec<u32> = partition
-        .members
-        .iter()
-        .chain(outage.members.iter())
-        .copied()
-        .collect();
-    let bystanders: Vec<u32> = (1..N as u32)
-        .filter(|m| !excluded.contains(m))
-        .take(2)
-        .collect();
-    let crashes = vec![
-        CrashSpec {
-            node: NodeIdx(bystanders[0]),
-            at: secs(630),
-            rejoin_after: Duration::from_secs(60),
-        },
-        CrashSpec {
-            node: NodeIdx(bystanders[1]),
-            at: secs(690),
-            rejoin_after: Duration::from_secs(45),
-        },
-    ];
-
-    let za = topo.router_of(NodeIdx(1)) as u32;
-    let mut zb = topo.router_of(NodeIdx(2)) as u32;
-    if zb == za {
-        zb = topo.router_of(NodeIdx(3)) as u32;
-    }
-    FaultPlan {
-        partitions: vec![partition],
-        link_faults: vec![LinkFaultSpec {
-            zone_a: za,
-            zone_b: zb,
-            from: secs(600),
-            until: secs(720),
-            extra_loss: 0.15,
-            latency_mult: 3.0,
-        }],
-        crashes,
-        outages: vec![outage],
-        dup_rate: 0.02,
-        reorder_window: Duration::from_millis(50),
-    }
-}
-
-fn world(seed: u64, trace: bool) -> (SeaweedEngine, Seaweed<LiveTables>, Schema, FaultPlan) {
+/// The 36-endsystem world under `plan`, or under the shared chaos plan
+/// when `None`.
+fn world(
+    seed: u64,
+    trace: bool,
+    plan: Option<FaultPlan>,
+) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
     let schema = Schema::new(
         "T",
         vec![
@@ -102,13 +45,13 @@ fn world(seed: u64, trace: bool) -> (SeaweedEngine, Seaweed<LiveTables>, Schema,
         tables.push(t);
     }
     let topo = CorpNetTopology::with_params(N, ROUTERS, Duration::MILLISECOND, seed);
-    let plan = chaos_plan(&topo);
+    let plan = plan.unwrap_or_else(|| FaultPlan::chaos(&topo, &[]));
     let eng: SeaweedEngine = Engine::new(
         Box::new(topo),
         SimConfig {
             seed,
             loss_rate: 0.01,
-            faults: Some(plan.clone()),
+            faults: Some(plan),
             trace: trace.then(TraceConfig::default),
             ..SimConfig::default()
         },
@@ -128,7 +71,7 @@ fn world(seed: u64, trace: bool) -> (SeaweedEngine, Seaweed<LiveTables>, Schema,
             ..Default::default()
         },
     );
-    (eng, sw, schema, plan)
+    (eng, sw, schema)
 }
 
 /// FNV-1a fingerprint over a compact per-event descriptor. Payload
@@ -177,7 +120,7 @@ struct RunResult {
 }
 
 fn run_chaos(seed: u64, trace: bool) -> RunResult {
-    let (mut eng, mut sw, schema, _plan) = world(seed, trace);
+    let (mut eng, mut sw, schema) = world(seed, trace, None);
     for i in 0..N {
         eng.schedule_up(Time(1 + i as u64 * 300_000), NodeIdx(i as u32));
     }
@@ -270,4 +213,46 @@ proptest! {
         prop_assert_eq!(traced.log_len, plain.log_len);
         prop_assert_eq!(traced.rows, plain.rows);
     }
+}
+
+/// Regression: when the last live holder of an aggregation vertex is
+/// found dead, the vertex state is dropped — and so must be the
+/// membership of the holders still listed (down, their own failure not
+/// yet detected). A clean outage of 28 of the 36 endsystems, longer than
+/// the failure-detection delay, takes whole replica groups down at once;
+/// the survivors' detections then reach that branch.
+#[test]
+fn a_vertex_lost_with_all_its_holders_leaves_no_membership_behind() {
+    let outage = OutageSpec {
+        members: (8..N as u32).collect(),
+        down_at: secs(640),
+        up_at: secs(900),
+        amnesia: false,
+    };
+    let plan = FaultPlan {
+        outages: vec![outage],
+        ..FaultPlan::default()
+    };
+    let (mut eng, mut sw, schema) = world(7, false, Some(plan));
+    for i in 0..N {
+        eng.schedule_up(Time(1 + i as u64 * 300_000), NodeIdx(i as u32));
+    }
+    sw.run_until(&mut eng, Time(T0));
+    sw.inject_query(
+        &mut eng,
+        NodeIdx(0),
+        "SELECT SUM(v) FROM T WHERE flag = 1",
+        Duration::from_hours(4),
+        &schema,
+    )
+    .unwrap();
+    let oracle = ChaosOracle::new(N as u64);
+    for t in [700, 760, 880, 1000, 1500] {
+        sw.run_until(&mut eng, secs(t));
+        oracle.assert_clean(&sw, &eng);
+    }
+    assert!(
+        sw.stats.vertex_states_lost > 0,
+        "the outage never cost a vertex all its holders"
+    );
 }

@@ -1,8 +1,8 @@
 //! Federated Seaweed under the partitioned parallel executor, with the
 //! full chaos plan active in every shard.
 //!
-//! Three claims, pinned across 32 seeds and both overlay layouts
-//! (`Map` and `Arena`), per satellite of DESIGN.md §3.6:
+//! Three claims, pinned across 32 seeds, per satellite of DESIGN.md
+//! §3.6:
 //!
 //! 1. [`ExecKind::Parallel`] is byte-identical to [`ExecKind::Serial`]:
 //!    per-shard event-log fingerprints, result rows, bandwidth reports
@@ -19,12 +19,9 @@ use proptest::prelude::*;
 use seaweed_core::{
     ChaosOracle, FedSchedule, FedShard, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine,
 };
-use seaweed_overlay::{LayoutKind, Overlay, OverlayConfig};
+use seaweed_overlay::{Overlay, OverlayConfig};
 use seaweed_sim::exec::{partition_seed, run_partitioned, ExecConfig, ExecKind};
-use seaweed_sim::{
-    CorpNetTopology, CrashSpec, Engine, FaultPlan, LinkFaultSpec, NodeIdx, OutageSpec,
-    PartitionSpec, SimConfig, SubTopology, Topology,
-};
+use seaweed_sim::{CorpNetTopology, Engine, FaultPlan, NodeIdx, SimConfig, SubTopology, Topology};
 use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
 use seaweed_types::{Duration, Time};
 
@@ -34,72 +31,6 @@ const PARTS: usize = 3;
 
 fn secs(s: u64) -> Time {
     Time(s * 1_000_000)
-}
-
-/// Global-index chaos plan in the mould of `tests/chaos.rs`: structural
-/// partition, correlated amnesia outage, link degradation, bystander
-/// crashes, duplication, reordering. Each shard receives its projection
-/// via [`FaultPlan::for_partition`]. Shard origins (each partition's
-/// local node 0) are spared from crashes/outages so query injection
-/// always has a live origin.
-fn chaos_plan(topo: &CorpNetTopology, origins: &[u32]) -> FaultPlan {
-    let regional = (topo.num_core()..topo.num_core() + topo.num_regional())
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .unwrap();
-    let partition = PartitionSpec::from_router_cut(topo, regional, secs(602), secs(780));
-    let branch = topo
-        .branch_routers()
-        .max_by_key(|&r| {
-            topo.subtree_endsystems(r)
-                .iter()
-                .filter(|e| !origins.contains(e))
-                .count()
-        })
-        .unwrap();
-    let mut outage = OutageSpec::branch_outage(topo, branch, secs(640), secs(700), true);
-    outage.members.retain(|m| !origins.contains(m));
-
-    let excluded: Vec<u32> = partition
-        .members
-        .iter()
-        .chain(outage.members.iter())
-        .chain(origins.iter())
-        .copied()
-        .collect();
-    let bystanders: Vec<u32> = (0..N as u32)
-        .filter(|m| !excluded.contains(m))
-        .take(2)
-        .collect();
-    let crashes = bystanders
-        .iter()
-        .enumerate()
-        .map(|(i, &b)| CrashSpec {
-            node: NodeIdx(b),
-            at: secs(630 + 60 * i as u64),
-            rejoin_after: Duration::from_secs(60),
-        })
-        .collect();
-
-    let za = topo.router_of(NodeIdx(1)) as u32;
-    let mut zb = topo.router_of(NodeIdx(2)) as u32;
-    if zb == za {
-        zb = topo.router_of(NodeIdx(3)) as u32;
-    }
-    FaultPlan {
-        partitions: vec![partition],
-        link_faults: vec![LinkFaultSpec {
-            zone_a: za,
-            zone_b: zb,
-            from: secs(600),
-            until: secs(720),
-            extra_loss: 0.15,
-            latency_mult: 3.0,
-        }],
-        crashes,
-        outages: vec![outage],
-        dup_rate: 0.02,
-        reorder_window: Duration::from_millis(50),
-    }
 }
 
 /// Per-shard run fingerprint — everything that must be byte-identical
@@ -115,7 +46,7 @@ struct ShardResult {
     violations: Vec<String>,
 }
 
-fn run_federated(seed: u64, layout: LayoutKind, kind: ExecKind) -> Vec<ShardResult> {
+fn run_federated(seed: u64, kind: ExecKind) -> Vec<ShardResult> {
     let schema = Schema::new(
         "T",
         vec![
@@ -136,7 +67,7 @@ fn run_federated(seed: u64, layout: LayoutKind, kind: ExecKind) -> Vec<ShardResu
         pmap.lookahead
     );
     let origins: Vec<u32> = pmap.members.iter().map(|m| m[0]).collect();
-    let plan = chaos_plan(&global, &origins);
+    let plan = FaultPlan::chaos(&global, &origins);
     let schedule = FedSchedule {
         inject_at: secs(600),
         report_at: secs(1400),
@@ -171,7 +102,6 @@ fn run_federated(seed: u64, layout: LayoutKind, kind: ExecKind) -> Vec<ShardResu
             Overlay::random_ids(members.len(), shard_seed),
             OverlayConfig {
                 seed: shard_seed,
-                layout,
                 ..Default::default()
             },
         );
@@ -218,27 +148,65 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
 
     /// 32-seed chaos sweep under `ExecKind::Parallel`: oracle-clean in
-    /// every shard, byte-identical to `Serial`, across both overlay
-    /// layouts.
+    /// every shard, byte-identical to `Serial`.
     #[test]
     fn federated_chaos_parallel_is_clean_and_serial_identical(seed in 0u64..10_000) {
-        for layout in [LayoutKind::Map, LayoutKind::Arena] {
-            let parallel = run_federated(seed, layout, ExecKind::Parallel);
-            for (p, r) in parallel.iter().enumerate() {
-                prop_assert!(
-                    r.violations.is_empty(),
-                    "oracle violations in shard {p} (seed {seed}, {layout:?}):\n  {}",
-                    r.violations.join("\n  ")
-                );
-            }
-            // The root heard from every other shard.
-            prop_assert_eq!(parallel[0].reports_received, PARTS as u32 - 1);
-            // Chaos actually fired inside the shards.
-            let dup: u64 = parallel.iter().map(|r| r.duplicated).sum();
-            prop_assert!(dup > 0, "no duplicated messages anywhere (seed {seed})");
-
-            let serial = run_federated(seed, layout, ExecKind::Serial);
-            prop_assert_eq!(&parallel, &serial, "parallel vs serial (seed {seed}, {layout:?})");
+        let parallel = run_federated(seed, ExecKind::Parallel);
+        for (p, r) in parallel.iter().enumerate() {
+            prop_assert!(
+                r.violations.is_empty(),
+                "oracle violations in shard {p} (seed {seed}):\n  {}",
+                r.violations.join("\n  ")
+            );
         }
+        // The root heard from every other shard.
+        prop_assert_eq!(parallel[0].reports_received, PARTS as u32 - 1);
+        // Chaos actually fired inside the shards.
+        let dup: u64 = parallel.iter().map(|r| r.duplicated).sum();
+        prop_assert!(dup > 0, "no duplicated messages anywhere (seed {seed})");
+
+        let serial = run_federated(seed, ExecKind::Serial);
+        prop_assert_eq!(&parallel, &serial, "parallel vs serial (seed {seed})");
+    }
+}
+
+fn fnv(hash: &mut u64, bytes: &[u8]) {
+    for b in bytes {
+        *hash ^= u64::from(*b);
+        *hash = hash.wrapping_mul(0x100_0000_01b3);
+    }
+}
+
+/// Seed 7, serial and parallel, against the fingerprint recorded from
+/// the map layout on the heap scheduler before those baselines were
+/// deleted. The shards keep no event log, so `log_hash` covers each
+/// shard's counters (events, rows, merged rows, reports received,
+/// duplicated messages) in shard order; `log_len` is the events summed
+/// over shards, `rows` what the root merged, and `report_hash` covers
+/// every shard's `BandwidthReport` rendering.
+#[test]
+fn federated_chaos_matches_golden() {
+    let golden = (0x80cd_e535_c2da_dea5, 6737, 32, 0xecfd_da49_85ca_75f8);
+    for kind in [ExecKind::Serial, ExecKind::Parallel] {
+        let shards = run_federated(7, kind);
+        let (mut log_hash, mut report_hash) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+        for r in &shards {
+            assert!(r.violations.is_empty(), "{:?}", r.violations);
+            let counters = (
+                r.events,
+                r.rows,
+                r.merged_rows,
+                r.reports_received,
+                r.duplicated,
+            );
+            fnv(&mut log_hash, format!("{counters:?}").as_bytes());
+            fnv(&mut report_hash, r.report.as_bytes());
+        }
+        let log_len: u64 = shards.iter().map(|r| r.events).sum();
+        assert_eq!(
+            (log_hash, log_len, shards[0].merged_rows, report_hash),
+            golden,
+            "{kind:?}"
+        );
     }
 }

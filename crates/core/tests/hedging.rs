@@ -1,19 +1,16 @@
 //! Chaos testing with hedged dissemination ON.
 //!
-//! The equivalence tests pin hedging-off to the old byte stream; this
-//! file turns the tail-tolerance machinery on (hedged requests +
-//! availability-aware replica selection) under the full chaos plan and
-//! checks the properties that must survive it: every oracle invariant
+//! `goldens.rs` pins hedging-off to the pre-hedging byte stream; this
+//! file turns the tail-tolerance machinery on (hedged requests, with
+//! reissues diverted to live cover candidates) under the full chaos plan
+//! and checks the properties that must survive it: every oracle invariant
 //! (including exactly-once and the new timer-hygiene/hedge-accounting
 //! checks), deterministic replay, and sane hedge bookkeeping.
 
 use proptest::prelude::*;
 use seaweed_core::{ChaosOracle, HedgeConfig, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{LayoutKind, Overlay, OverlayConfig, SelectionKind};
-use seaweed_sim::{
-    CorpNetTopology, CrashSpec, Engine, Event, FaultPlan, LinkFaultSpec, NodeIdx, OutageSpec,
-    PartitionSpec, SchedulerKind, SimConfig,
-};
+use seaweed_overlay::{Overlay, OverlayConfig};
+use seaweed_sim::{CorpNetTopology, Engine, Event, FaultPlan, NodeIdx, SimConfig};
 use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
 use seaweed_types::{Duration, Time};
 
@@ -23,61 +20,6 @@ const T0: u64 = 600_000_000;
 
 fn secs(s: u64) -> Time {
     Time(s * 1_000_000)
-}
-
-/// Same fault schedule as `chaos.rs` / `selection_equivalence.rs`.
-fn chaos_plan(topo: &CorpNetTopology) -> FaultPlan {
-    let regional = (topo.num_core()..topo.num_core() + topo.num_regional())
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .unwrap();
-    let partition = PartitionSpec::from_router_cut(topo, regional, secs(602), secs(780));
-    let branch = topo
-        .branch_routers()
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .unwrap();
-    let outage = OutageSpec::branch_outage(topo, branch, secs(640), secs(700), true);
-    let excluded: Vec<u32> = partition
-        .members
-        .iter()
-        .chain(outage.members.iter())
-        .copied()
-        .collect();
-    let bystanders: Vec<u32> = (1..N as u32)
-        .filter(|m| !excluded.contains(m))
-        .take(2)
-        .collect();
-    let crashes = vec![
-        CrashSpec {
-            node: NodeIdx(bystanders[0]),
-            at: secs(630),
-            rejoin_after: Duration::from_secs(60),
-        },
-        CrashSpec {
-            node: NodeIdx(bystanders[1]),
-            at: secs(690),
-            rejoin_after: Duration::from_secs(45),
-        },
-    ];
-    let za = topo.router_of(NodeIdx(1)) as u32;
-    let mut zb = topo.router_of(NodeIdx(2)) as u32;
-    if zb == za {
-        zb = topo.router_of(NodeIdx(3)) as u32;
-    }
-    FaultPlan {
-        partitions: vec![partition],
-        link_faults: vec![LinkFaultSpec {
-            zone_a: za,
-            zone_b: zb,
-            from: secs(600),
-            until: secs(720),
-            extra_loss: 0.15,
-            latency_mult: 3.0,
-        }],
-        crashes,
-        outages: vec![outage],
-        dup_rate: 0.02,
-        reorder_window: Duration::from_millis(50),
-    }
 }
 
 fn fnv(hash: &mut u64, bytes: &[u8]) {
@@ -95,10 +37,9 @@ struct RunResult {
     hedge_wins: u64,
     hedge_losses: u64,
     hedge_wasted_bytes: u64,
-    give_ups: u64,
 }
 
-fn run_hedged(seed: u64, layout: LayoutKind, scheduler: SchedulerKind) -> RunResult {
+fn run_hedged(seed: u64) -> RunResult {
     let schema = Schema::new(
         "T",
         vec![
@@ -114,12 +55,11 @@ fn run_hedged(seed: u64, layout: LayoutKind, scheduler: SchedulerKind) -> RunRes
         tables.push(t);
     }
     let topo = CorpNetTopology::with_params(N, ROUTERS, Duration::MILLISECOND, seed);
-    let plan = chaos_plan(&topo);
+    let plan = FaultPlan::chaos(&topo, &[]);
     let mut eng: SeaweedEngine = Engine::new(
         Box::new(topo),
         SimConfig {
             seed,
-            scheduler,
             loss_rate: 0.01,
             faults: Some(plan),
             ..SimConfig::default()
@@ -129,8 +69,6 @@ fn run_hedged(seed: u64, layout: LayoutKind, scheduler: SchedulerKind) -> RunRes
         Overlay::random_ids(N, seed),
         OverlayConfig {
             seed,
-            layout,
-            selection: SelectionKind::AvailAware,
             ..Default::default()
         },
     );
@@ -192,7 +130,6 @@ fn run_hedged(seed: u64, layout: LayoutKind, scheduler: SchedulerKind) -> RunRes
         hedge_wins: sw.stats.hedge_wins,
         hedge_losses: sw.stats.hedge_losses,
         hedge_wasted_bytes: sw.stats.hedge_wasted_bytes,
-        give_ups: sw.stats.dissem_give_ups,
     }
 }
 
@@ -206,7 +143,7 @@ proptest! {
     /// run replays bit-identically under the same seed.
     #[test]
     fn hedged_chaos_is_oracle_clean_and_deterministic(seed in 0u64..10_000) {
-        let a = run_hedged(seed, LayoutKind::Arena, SchedulerKind::Wheel);
+        let a = run_hedged(seed);
         prop_assert!(a.rows <= N as u64, "exactly-once violated: {} rows", a.rows);
         prop_assert!(
             a.rows * 2 >= N as u64,
@@ -221,7 +158,7 @@ proptest! {
         if a.hedges_sent == 0 {
             prop_assert_eq!(a.hedge_wasted_bytes, 0);
         }
-        let b = run_hedged(seed, LayoutKind::Arena, SchedulerKind::Wheel);
+        let b = run_hedged(seed);
         prop_assert_eq!(a.log_hash, b.log_hash, "same-seed replay diverged");
         prop_assert_eq!(a.log_len, b.log_len);
         prop_assert_eq!(a.rows, b.rows);
@@ -231,24 +168,13 @@ proptest! {
 
 /// A pinned seed where the chaos plan actually provokes hedges, so the
 /// machinery is known-exercised (the proptest above would also pass on
-/// seeds where every reply beats the hedge delay). Also checks both
-/// hot-state layouts agree with hedging on.
+/// seeds where every reply beats the hedge delay). `goldens.rs` pins this
+/// seed's full fingerprint.
 #[test]
-fn hedges_fire_under_chaos_and_layouts_agree() {
-    let map = run_hedged(7, LayoutKind::Map, SchedulerKind::Wheel);
-    let arena = run_hedged(7, LayoutKind::Arena, SchedulerKind::Wheel);
+fn hedges_fire_under_chaos() {
+    let run = run_hedged(7);
     assert!(
-        map.hedges_sent > 0,
+        run.hedges_sent > 0,
         "seed 7 chaos plan provoked no hedges — the machinery never ran"
     );
-    assert_eq!(
-        map.log_hash, arena.log_hash,
-        "layouts diverged with hedging on"
-    );
-    assert_eq!(map.log_len, arena.log_len);
-    assert_eq!(map.rows, arena.rows);
-    assert_eq!(map.hedges_sent, arena.hedges_sent);
-    assert_eq!(map.hedge_wins, arena.hedge_wins);
-    assert_eq!(map.hedge_losses, arena.hedge_losses);
-    assert_eq!(map.give_ups, arena.give_ups);
 }

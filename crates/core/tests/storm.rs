@@ -7,9 +7,8 @@
 //!   same rows, same bandwidth report. The storm machinery may only
 //!   change behaviour when queries actually contend.
 //! * K concurrent queries must each converge to the same rows they get
-//!   when run alone (same seed), across Map × Arena layouts and both
-//!   scheduler backends — fair scheduling may reorder work but must
-//!   never lose or duplicate contributions.
+//!   when run alone (same seed) — fair scheduling may reorder work but
+//!   must never lose or duplicate contributions.
 //! * Under the full chaos plan with slot-recycling pressure the run
 //!   must stay oracle-clean (exactly-once, predictor sanity, storm
 //!   hygiene) and be bit-stable across repeated runs, for 16 seeds.
@@ -22,11 +21,8 @@ use seaweed_core::{
     ChaosOracle, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine, SeaweedMsg, StormConfig,
     Submission,
 };
-use seaweed_overlay::{LayoutKind, Overlay, OverlayConfig, OverlayMsg};
-use seaweed_sim::{
-    CorpNetTopology, CrashSpec, Engine, Event, FaultPlan, LinkFaultSpec, NodeIdx, OutageSpec,
-    PartitionSpec, Payload, SchedulerKind, SimConfig,
-};
+use seaweed_overlay::{Overlay, OverlayConfig, OverlayMsg};
+use seaweed_sim::{CorpNetTopology, Engine, Event, FaultPlan, NodeIdx, Payload, SimConfig};
 use seaweed_store::{AggFunc, Aggregate, ColumnDef, DataType, Schema, Table, Value};
 use seaweed_types::{Duration, Time};
 
@@ -46,67 +42,8 @@ fn secs(s: u64) -> Time {
     Time(s * 1_000_000)
 }
 
-/// The chaos.rs fault plan, verbatim: cut the largest regional subtree,
-/// amnesia-outage the biggest branch, degrade one router pair, crash two
-/// bystanders.
-fn chaos_plan(topo: &CorpNetTopology) -> FaultPlan {
-    let regional = (topo.num_core()..topo.num_core() + topo.num_regional())
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .unwrap();
-    let partition = PartitionSpec::from_router_cut(topo, regional, secs(602), secs(780));
-    let branch = topo
-        .branch_routers()
-        .max_by_key(|&r| topo.subtree_endsystems(r).len())
-        .unwrap();
-    let outage = OutageSpec::branch_outage(topo, branch, secs(640), secs(700), true);
-    let excluded: Vec<u32> = partition
-        .members
-        .iter()
-        .chain(outage.members.iter())
-        .copied()
-        .collect();
-    let bystanders: Vec<u32> = (1..N as u32)
-        .filter(|m| !excluded.contains(m))
-        .take(2)
-        .collect();
-    let crashes = vec![
-        CrashSpec {
-            node: NodeIdx(bystanders[0]),
-            at: secs(630),
-            rejoin_after: Duration::from_secs(60),
-        },
-        CrashSpec {
-            node: NodeIdx(bystanders[1]),
-            at: secs(690),
-            rejoin_after: Duration::from_secs(45),
-        },
-    ];
-    let za = topo.router_of(NodeIdx(1)) as u32;
-    let mut zb = topo.router_of(NodeIdx(2)) as u32;
-    if zb == za {
-        zb = topo.router_of(NodeIdx(3)) as u32;
-    }
-    FaultPlan {
-        partitions: vec![partition],
-        link_faults: vec![LinkFaultSpec {
-            zone_a: za,
-            zone_b: zb,
-            from: secs(600),
-            until: secs(720),
-            extra_loss: 0.15,
-            latency_mult: 3.0,
-        }],
-        crashes,
-        outages: vec![outage],
-        dup_rate: 0.02,
-        reorder_window: Duration::from_millis(50),
-    }
-}
-
 struct WorldSpec {
     seed: u64,
-    layout: LayoutKind,
-    scheduler: SchedulerKind,
     storm: Option<StormConfig>,
     chaos: bool,
 }
@@ -129,12 +66,11 @@ fn world(spec: &WorldSpec) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
         tables.push(t);
     }
     let topo = CorpNetTopology::with_params(N, ROUTERS, Duration::MILLISECOND, spec.seed);
-    let faults = spec.chaos.then(|| chaos_plan(&topo));
+    let faults = spec.chaos.then(|| FaultPlan::chaos(&topo, &[]));
     let eng: SeaweedEngine = Engine::new(
         Box::new(topo),
         SimConfig {
             seed: spec.seed,
-            scheduler: spec.scheduler,
             loss_rate: if spec.chaos { 0.01 } else { 0.0 },
             faults,
             ..SimConfig::default()
@@ -144,7 +80,6 @@ fn world(spec: &WorldSpec) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
         Overlay::random_ids(N, spec.seed),
         OverlayConfig {
             seed: spec.seed,
-            layout: spec.layout,
             ..Default::default()
         },
     );
@@ -197,11 +132,15 @@ impl EventLog {
             Event::PartitionStart { partition } => format!("ps:{}:{partition}", t.as_micros()),
             Event::PartitionEnd { partition } => format!("pe:{}:{partition}", t.as_micros()),
         };
-        for b in desc.as_bytes() {
+        self.fnv(desc.as_bytes());
+        self.len += 1;
+    }
+
+    fn fnv(&mut self, bytes: &[u8]) {
+        for b in bytes {
             self.hash ^= u64::from(*b);
             self.hash = self.hash.wrapping_mul(0x100_0000_01b3);
         }
-        self.len += 1;
     }
 }
 
@@ -268,34 +207,28 @@ fn run_chaos_single(spec: &WorldSpec) -> ChaosRun {
 #[test]
 fn k1_storm_is_byte_identical_to_baseline() {
     for seed in [3u64, 17] {
-        for scheduler in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let base = run_chaos_single(&WorldSpec {
-                seed,
-                layout: LayoutKind::Arena,
-                scheduler,
-                storm: None,
-                chaos: true,
-            });
-            let storm = run_chaos_single(&WorldSpec {
-                seed,
-                layout: LayoutKind::Arena,
-                scheduler,
-                storm: Some(StormConfig::default()),
-                chaos: true,
-            });
-            assert!(base.violations.is_empty(), "{:?}", base.violations);
-            assert!(storm.violations.is_empty(), "{:?}", storm.violations);
-            assert_eq!(
-                base.log_hash, storm.log_hash,
-                "K=1 storm event log diverged from baseline (seed {seed}, {scheduler:?})"
-            );
-            assert_eq!(base.log_len, storm.log_len);
-            assert_eq!(base.rows, storm.rows);
-            assert_eq!(
-                base.report, storm.report,
-                "bandwidth reports diverged (seed {seed}, {scheduler:?})"
-            );
-        }
+        let base = run_chaos_single(&WorldSpec {
+            seed,
+            storm: None,
+            chaos: true,
+        });
+        let storm = run_chaos_single(&WorldSpec {
+            seed,
+            storm: Some(StormConfig::default()),
+            chaos: true,
+        });
+        assert!(base.violations.is_empty(), "{:?}", base.violations);
+        assert!(storm.violations.is_empty(), "{:?}", storm.violations);
+        assert_eq!(
+            base.log_hash, storm.log_hash,
+            "K=1 storm event log diverged from baseline (seed {seed})"
+        );
+        assert_eq!(base.log_len, storm.log_len);
+        assert_eq!(base.rows, storm.rows);
+        assert_eq!(
+            base.report, storm.report,
+            "bandwidth reports diverged (seed {seed})"
+        );
     }
 }
 
@@ -310,138 +243,144 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(3))]
 
     /// Fair-scheduling correctness: K queries run concurrently see
-    /// exactly the rows each sees alone (same seed), across layouts and
-    /// scheduler backends. The scan scheduler may interleave and batch
-    /// work but must never lose or duplicate a contribution.
+    /// exactly the rows each sees alone (same seed). The scan scheduler
+    /// may interleave and batch work but must never lose or duplicate a
+    /// contribution.
     #[test]
     fn concurrent_queries_match_solo_rows(seed in 0u64..10_000, k in 2usize..6) {
-        for layout in [LayoutKind::Map, LayoutKind::Arena] {
-            for scheduler in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-                let spec = WorldSpec {
-                    seed,
-                    layout,
-                    scheduler,
-                    storm: Some(StormConfig {
-                        // Tight quanta so contended endsystems actually
-                        // slice and share scans at this tiny scale.
-                        quantum_rows: 1,
-                        max_batch: 4,
-                        ..StormConfig::default()
-                    }),
-                    chaos: false,
-                };
-                // Concurrent: all K injected back-to-back at T0.
-                let (mut eng, mut sw, schema) = world(&spec);
-                boot(&mut eng);
-                drive(&mut eng, &mut sw, Time(T0));
-                let mut handles = Vec::new();
-                for i in 0..k {
-                    let sub = sw
-                        .submit_query(
-                            &mut eng,
-                            NodeIdx((i % N) as u32),
-                            &storm_sql(i),
-                            Duration::from_hours(4),
-                            &schema,
-                        )
-                        .unwrap();
-                    match sub {
-                        Submission::Admitted(h) => handles.push(h),
-                        Submission::Queued(t) => panic!("K<{k} under budget queued ({t})"),
-                    }
-                }
-                drive(&mut eng, &mut sw, secs(1800));
-                let oracle = ChaosOracle::new(TOTAL_ROWS);
-                oracle.assert_clean(&sw, &eng);
-                let together: Vec<u64> =
-                    handles.iter().map(|&h| sw.query(h).rows()).collect();
-
-                // Alone: each query in a fresh world, same seed.
-                for (i, &rows_together) in together.iter().enumerate() {
-                    let (mut eng, mut sw, schema) = world(&spec);
-                    boot(&mut eng);
-                    drive(&mut eng, &mut sw, Time(T0));
-                    let Submission::Admitted(h) = sw
-                        .submit_query(
-                            &mut eng,
-                            NodeIdx((i % N) as u32),
-                            &storm_sql(i),
-                            Duration::from_hours(4),
-                            &schema,
-                        )
-                        .unwrap()
-                    else {
-                        panic!("solo submission queued")
-                    };
-                    drive(&mut eng, &mut sw, secs(1800));
-                    prop_assert_eq!(
-                        rows_together,
-                        sw.query(h).rows(),
-                        "query {} sees different rows under contention \
-                         (seed {}, k {}, {:?}, {:?})",
-                        i, seed, k, layout, scheduler
-                    );
-                }
+        let spec = WorldSpec {
+            seed,
+            storm: Some(StormConfig {
+                // Tight quanta so contended endsystems actually
+                // slice and share scans at this tiny scale.
+                quantum_rows: 1,
+                max_batch: 4,
+                ..StormConfig::default()
+            }),
+            chaos: false,
+        };
+        // Concurrent: all K injected back-to-back at T0.
+        let (mut eng, mut sw, schema) = world(&spec);
+        boot(&mut eng);
+        drive(&mut eng, &mut sw, Time(T0));
+        let mut handles = Vec::new();
+        for i in 0..k {
+            let sub = sw
+                .submit_query(
+                    &mut eng,
+                    NodeIdx((i % N) as u32),
+                    &storm_sql(i),
+                    Duration::from_hours(4),
+                    &schema,
+                )
+                .unwrap();
+            match sub {
+                Submission::Admitted(h) => handles.push(h),
+                Submission::Queued(t) => panic!("K<{k} under budget queued ({t})"),
             }
+        }
+        drive(&mut eng, &mut sw, secs(1800));
+        let oracle = ChaosOracle::new(TOTAL_ROWS);
+        oracle.assert_clean(&sw, &eng);
+        let together: Vec<u64> =
+            handles.iter().map(|&h| sw.query(h).rows()).collect();
+
+        // Alone: each query in a fresh world, same seed.
+        for (i, &rows_together) in together.iter().enumerate() {
+            let (mut eng, mut sw, schema) = world(&spec);
+            boot(&mut eng);
+            drive(&mut eng, &mut sw, Time(T0));
+            let Submission::Admitted(h) = sw
+                .submit_query(
+                    &mut eng,
+                    NodeIdx((i % N) as u32),
+                    &storm_sql(i),
+                    Duration::from_hours(4),
+                    &schema,
+                )
+                .unwrap()
+            else {
+                panic!("solo submission queued")
+            };
+            drive(&mut eng, &mut sw, secs(1800));
+            prop_assert_eq!(
+                rows_together,
+                sw.query(h).rows(),
+                "query {} sees different rows under contention (seed {}, k {})",
+                i, seed, k
+            );
         }
     }
 }
 
-/// Chaos under storm pressure, 16 seeds: a burst of queries exceeding a
-/// small in-flight budget (forcing queueing, slot recycling and
-/// generation bumps mid-chaos) must stay oracle-clean, and each seed's
-/// run must be bit-stable — the same fingerprint twice.
+/// One chaos run under storm pressure: 8 queries against a budget of 4,
+/// so half park in the admission queue, and short TTLs force expiry →
+/// release → admission churn (slot recycling, generation bumps) across
+/// the fault windows. Oracle-checked at every checkpoint. Returns the
+/// `(log_hash, log_len, results_at_origin, report_hash)` fingerprint and
+/// the tickets admitted from the queue, in order.
+fn chaos_storm(seed: u64) -> ((u64, u64, u64, u64), Vec<u64>) {
+    let spec = WorldSpec {
+        seed,
+        storm: Some(StormConfig {
+            max_in_flight: 4,
+            quantum_rows: 1,
+            ..StormConfig::default()
+        }),
+        chaos: true,
+    };
+    let (mut eng, mut sw, schema) = world(&spec);
+    boot(&mut eng);
+    let mut log = EventLog::new();
+    let mut drive_logged =
+        |eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, horizon: Time| {
+            while let Some((t, ev)) = eng.next_event_before(horizon) {
+                log.add(t, &ev);
+                sw.dispatch(eng, ev);
+            }
+        };
+    drive_logged(&mut eng, &mut sw, Time(T0));
+    for i in 0..8 {
+        let ttl = Duration::from_secs(120 + 60 * i as u64);
+        sw.submit_query(&mut eng, NodeIdx(0), &storm_sql(i), ttl, &schema)
+            .unwrap();
+    }
+    let oracle = ChaosOracle::new(TOTAL_ROWS);
+    for t in [650, 720, 800, 1000, 1500] {
+        drive_logged(&mut eng, &mut sw, secs(t));
+        let v = oracle.check(&sw, &eng);
+        assert!(
+            v.is_empty(),
+            "oracle violations (seed {seed}, t {t}):\n  {}",
+            v.join("\n  ")
+        );
+    }
+    let admitted: Vec<u64> = sw.drain_admissions().iter().map(|&(t, _)| t).collect();
+    let results = sw.stats.results_at_origin;
+    let mut report = EventLog::new();
+    report.fnv(format!("{:?}", eng.finish()).as_bytes());
+    ((log.hash, log.len, results, report.hash), admitted)
+}
+
+/// Chaos under storm pressure, 16 seeds: each run must stay oracle-clean
+/// (asserted inside `chaos_storm`) and be bit-stable — the same
+/// fingerprint twice.
 #[test]
 fn sixteen_seed_chaos_storm_is_clean_and_stable() {
     for seed in 0u64..16 {
-        let fingerprint = |seed: u64| -> (u64, u64, Vec<u64>) {
-            let spec = WorldSpec {
-                seed,
-                layout: LayoutKind::Arena,
-                scheduler: SchedulerKind::Wheel,
-                storm: Some(StormConfig {
-                    max_in_flight: 4,
-                    quantum_rows: 1,
-                    ..StormConfig::default()
-                }),
-                chaos: true,
-            };
-            let (mut eng, mut sw, schema) = world(&spec);
-            boot(&mut eng);
-            let mut log = EventLog::new();
-            let mut drive_logged =
-                |eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, horizon: Time| {
-                    while let Some((t, ev)) = eng.next_event_before(horizon) {
-                        log.add(t, &ev);
-                        sw.dispatch(eng, ev);
-                    }
-                };
-            drive_logged(&mut eng, &mut sw, Time(T0));
-            // 8 queries against a budget of 4: half park in the
-            // admission queue; short TTLs force expiry → release →
-            // admission churn across the fault windows.
-            for i in 0..8 {
-                let ttl = Duration::from_secs(120 + 60 * i as u64);
-                sw.submit_query(&mut eng, NodeIdx(0), &storm_sql(i), ttl, &schema)
-                    .unwrap();
-            }
-            let oracle = ChaosOracle::new(TOTAL_ROWS);
-            for t in [650, 720, 800, 1000, 1500] {
-                drive_logged(&mut eng, &mut sw, secs(t));
-                let v = oracle.check(&sw, &eng);
-                assert!(
-                    v.is_empty(),
-                    "oracle violations (seed {seed}, t {t}):\n  {}",
-                    v.join("\n  ")
-                );
-            }
-            let admitted: Vec<u64> = sw.drain_admissions().iter().map(|&(t, _)| t).collect();
-            (log.hash, log.len, admitted)
-        };
-        let a = fingerprint(seed);
-        let b = fingerprint(seed);
+        let a = chaos_storm(seed);
+        let b = chaos_storm(seed);
         assert_eq!(a, b, "chaos storm not bit-stable (seed {seed})");
     }
+}
+
+/// Seed 7 of the run above, as recorded from the map layout on the heap
+/// scheduler before those baselines were deleted (`goldens.rs` explains
+/// the fingerprint).
+#[test]
+fn chaos_storm_matches_golden() {
+    let golden = (0xd135_e362_7d05_205d, 11048, 322, 0x91a9_52b7_c925_c0fd);
+    assert_eq!(chaos_storm(7), (golden, vec![0, 1, 2, 3]));
 }
 
 /// Satellite-1 regression: expire query A, let its slot recycle into
@@ -452,8 +391,6 @@ fn sixteen_seed_chaos_storm_is_clean_and_stable() {
 fn stale_reply_to_recycled_slot_is_dropped() {
     let spec = WorldSpec {
         seed: 11,
-        layout: LayoutKind::Arena,
-        scheduler: SchedulerKind::Wheel,
         storm: Some(StormConfig::default()),
         chaos: false,
     };
@@ -538,8 +475,6 @@ fn stale_reply_to_recycled_slot_is_dropped() {
 fn admission_queue_promotes_in_ticket_order() {
     let spec = WorldSpec {
         seed: 5,
-        layout: LayoutKind::Map,
-        scheduler: SchedulerKind::Wheel,
         storm: Some(StormConfig {
             max_in_flight: 2,
             ..StormConfig::default()

@@ -48,6 +48,6 @@ pub use events::OverlayEvents;
 pub use node::{LeafHalf, NodeState, HALF_CAP};
 pub use overlay::{
     is_overlay_tag, Overlay, OverlayConfig, OverlayEngine, OverlayEvent, OverlayMsg, OverlayStats,
-    SelectionKind, SPARE_PUSH_MAX,
+    SPARE_PUSH_MAX,
 };
-pub use ring::{LayoutKind, RingIndex};
+pub use ring::RingIndex;

@@ -1,7 +1,5 @@
 //! The overlay orchestrator: join, leafset maintenance, prefix routing.
 
-use std::collections::BTreeMap;
-
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seaweed_sim::{Engine, NodeIdx, TimerHandle, TrafficClass};
@@ -9,26 +7,11 @@ use seaweed_types::{Duration, Id, IdRange};
 
 use crate::events::OverlayEvents;
 use crate::node::{dedup_members, LeafHalf, NodeState, HALF_CAP};
-use crate::ring::{LayoutKind, RingIndex};
+use crate::ring::RingIndex;
 use crate::wire;
 
 /// Engine type every overlay-based application runs on.
 pub type OverlayEngine<A> = Engine<OverlayMsg<A>>;
-
-/// Replica-selection policy for cover/hedge picks (dissemination
-/// delegation and backup targets).
-///
-/// `IdOrder` is the paper's blind policy — pure ring-distance order —
-/// retained as the byte-identical equivalence baseline. `AvailAware`
-/// re-ranks candidates by a caller-supplied availability score (the
-/// protocol layer scores with its per-endsystem availability models), so
-/// traffic prefers the replica most likely up *now*.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum SelectionKind {
-    #[default]
-    IdOrder,
-    AvailAware,
-}
 
 /// Overlay configuration; defaults are the paper's (§4.3.1).
 #[derive(Clone, Debug)]
@@ -50,14 +33,6 @@ pub struct OverlayConfig {
     /// Seed for id assignment jitter-free operations (bootstrap pick,
     /// detection jitter).
     pub seed: u64,
-    /// Hot-state container layout, for this crate's ring and the
-    /// protocol layer's per-query registries (which read it via
-    /// [`Overlay::config`]). `Map` retains the original BTreeMap
-    /// containers as the equivalence-test baseline.
-    pub layout: LayoutKind,
-    /// Replica-selection policy consulted by [`Overlay::select_cover`].
-    /// `IdOrder` preserves pre-hedging behaviour bit-for-bit.
-    pub selection: SelectionKind,
 }
 
 impl Default for OverlayConfig {
@@ -69,8 +44,6 @@ impl Default for OverlayConfig {
             detect_delay: Duration::from_secs(40),
             leafset_refresh: Duration::from_secs(60),
             seed: 0,
-            layout: LayoutKind::default(),
-            selection: SelectionKind::default(),
         }
     }
 }
@@ -180,13 +153,9 @@ pub struct Overlay {
     nodes: Vec<NodeState>,
     /// Ground truth of *joined, live* nodes (the oracle used for
     /// membership convergence; see crate docs): the sorted-vec universe
-    /// plus a live bitset. Maintained under every layout — its
-    /// membership-ignoring range scans serve the protocol layer in both.
+    /// plus a live bitset. Its membership-ignoring range scans also
+    /// serve the protocol layer.
     index: RingIndex,
-    /// Retained map baseline, populated and consulted only under
-    /// [`LayoutKind::Map`]; the layout-equivalence proptest pins the two
-    /// walk implementations byte-identical.
-    ring_map: Option<BTreeMap<u128, NodeIdx>>,
     /// Joined live nodes as a dense list for O(1) random bootstrap picks.
     joined_list: Vec<NodeIdx>,
     joined_pos: Vec<usize>,
@@ -271,14 +240,12 @@ impl Overlay {
             .collect();
         let n = ids.len();
         let index = RingIndex::new(&ids);
-        let ring_map = (cfg.layout == LayoutKind::Map).then(BTreeMap::new);
         Overlay {
             rng: StdRng::seed_from_u64(cfg.seed ^ OVERLAY_STREAM),
             cfg,
             ids,
             nodes,
             index,
-            ring_map,
             joined_list: Vec::new(),
             joined_pos: vec![NO_POS; n],
             listed_by: vec![Vec::new(); n],
@@ -413,7 +380,7 @@ impl Overlay {
             }
         }
         // Include an exact-id match if present (ring_neighbors skip it).
-        if let Some(exact) = self.ring_get(id.0) {
+        if let Some(exact) = self.index.get_live(id.0) {
             if !cands.contains(&exact) {
                 cands.push(exact);
             }
@@ -432,27 +399,11 @@ impl Overlay {
 
     /// Candidate endsystems for covering `key`: the `k` ring-closest
     /// members of the namespace *universe* (up or down — a delegator's
-    /// replicated metadata knows the ids either way), ranked by the
-    /// configured [`SelectionKind`].
-    ///
-    /// `IdOrder` returns the pure ring-distance order; `score` is never
-    /// consulted, keeping the baseline path byte-identical to pre-hedging
-    /// behaviour. `AvailAware` stably re-ranks by `score` (higher first),
-    /// so ring distance then id still break ties among equal scores.
-    #[must_use]
-    pub fn select_cover(&self, key: Id, k: usize, score: impl Fn(NodeIdx) -> u64) -> Vec<NodeIdx> {
-        let mut cands = self.index.around(key, k, &self.ids);
-        if self.cfg.selection == SelectionKind::AvailAware {
-            cands.sort_by_key(|&n| std::cmp::Reverse(score(n)));
-        }
-        cands
-    }
-
-    /// The raw ring-distance-ordered cover candidates around `key`,
-    /// regardless of the configured [`SelectionKind`]. The first entry
-    /// is the presumptive owner-side replica a plain key route would
-    /// reach — callers compare against it to decide whether re-ranking
-    /// should divert from the baseline geometry at all.
+    /// replicated metadata knows the ids either way), nearest first with
+    /// the smaller id breaking ties. The first entry is the presumptive
+    /// owner-side replica a plain key route would reach; the recovery
+    /// paths (reissue divert, hedge backup) take the first *live* entry
+    /// after it.
     #[must_use]
     pub fn cover_candidates(&self, key: Id, k: usize) -> Vec<NodeIdx> {
         self.index.around(key, k, &self.ids)
@@ -463,7 +414,7 @@ impl Overlay {
     /// path).
     #[must_use]
     pub fn oracle_root(&self, key: Id) -> Option<NodeIdx> {
-        if let Some(exact) = self.ring_get(key.0) {
+        if let Some(exact) = self.index.get_live(key.0) {
             return Some(exact);
         }
         let mut best: Option<NodeIdx> = None;
@@ -526,9 +477,6 @@ impl Overlay {
         let was_joined = self.nodes[n.idx()].joined;
         if was_joined {
             self.index.remove(n);
-            if let Some(map) = &mut self.ring_map {
-                map.remove(&self.ids[n.idx()].0);
-            }
             let pos = self.joined_pos[n.idx()];
             if pos != NO_POS {
                 self.joined_list.swap_remove(pos);
@@ -927,9 +875,6 @@ impl Overlay {
         self.rebuild_leafset_where(n, &|m| eng.reachable(n, m));
         self.nodes[n.idx()].joined = true;
         self.index.insert(n);
-        if let Some(map) = &mut self.ring_map {
-            map.insert(self.ids[n.idx()].0, n);
-        }
         self.joined_pos[n.idx()] = self.joined_list.len();
         self.joined_list.push(n);
 
@@ -1053,24 +998,16 @@ impl Overlay {
         changed
     }
 
-    /// The live ring index (always maintained, whatever the layout).
-    /// The protocol layer uses its universe scans for range enumeration.
+    /// The live ring index. The protocol layer uses its universe scans
+    /// for range enumeration.
     #[must_use]
     pub fn ring_index(&self) -> &RingIndex {
         &self.index
     }
 
-    /// Exact live lookup, dispatched on the configured layout.
-    fn ring_get(&self, key: u128) -> Option<NodeIdx> {
-        match &self.ring_map {
-            Some(map) => map.get(&key).copied(),
-            None => self.index.get_live(key),
-        }
-    }
-
     /// Visits the nearest `count` joined live nodes from `id` in the
     /// given direction — skipping an exact-id match and anything failing
-    /// `keep` — nearest first, dispatched on the configured layout.
+    /// `keep` — nearest first.
     fn walk_neighbors(
         &self,
         dir: Walk,
@@ -1083,7 +1020,7 @@ impl Overlay {
             return;
         }
         let mut left = count;
-        let mut take = |n: NodeIdx| {
+        let take = |n: NodeIdx| {
             if self.ids[n.idx()] != id && keep(n) {
                 visit(n);
                 left -= 1;
@@ -1091,18 +1028,9 @@ impl Overlay {
             left > 0
         };
         // `all` stops at the first `false`, i.e. once `count` were taken.
-        match (&self.ring_map, dir) {
-            (Some(map), Walk::Cw) => map
-                .range((id.0.wrapping_add(1))..)
-                .chain(map.range(..=id.0))
-                .all(|(_, &n)| take(n)),
-            (Some(map), Walk::Ccw) => map
-                .range(..id.0)
-                .rev()
-                .chain(map.range(id.0..).rev())
-                .all(|(_, &n)| take(n)),
-            (None, Walk::Cw) => self.index.cw_live_from(id).all(take),
-            (None, Walk::Ccw) => self.index.ccw_live_from(id).all(take),
+        match dir {
+            Walk::Cw => self.index.cw_live_from(id).all(take),
+            Walk::Ccw => self.index.ccw_live_from(id).all(take),
         };
     }
 

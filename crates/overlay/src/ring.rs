@@ -1,5 +1,4 @@
-//! Sorted-vector ring index: the arena/SoA replacement for the
-//! `BTreeMap<u128, NodeIdx>` ground-truth ring.
+//! Sorted-vector ring index: the ground-truth ring of joined live nodes.
 //!
 //! The endsystem population is fixed for the lifetime of a run (ids
 //! persist across availability sessions), so the index precomputes a
@@ -11,33 +10,17 @@
 //! endsystems) the whole index is ~1.6 MB of contiguous memory versus a
 //! pointer-chased B-tree of 128-bit keys.
 //!
-//! Walk order reproduces the retained map implementation exactly:
-//! clockwise from `id` visits ids in `(id..]` wrapping, ascending;
-//! counter-clockwise visits `[..id)` descending then wraps. One benign
-//! divergence is documented on [`RingIndex::cw_live_from`]: the map
-//! backend double-visits the ring when `id == u128::MAX` (its
+//! Walk order is that of the `BTreeMap<u128, NodeIdx>` this replaced
+//! (kept as the reference model in this module's tests): clockwise from
+//! `id` visits ids in `(id..]` wrapping, ascending; counter-clockwise
+//! visits `[..id)` descending then wraps. One benign divergence: that
+//! map walk double-visits the ring when `id == u128::MAX` (its
 //! `wrapping_add(1)` overflows to an all-covering range chain); the
 //! index visits each member once. Ids are uniform random 128-bit
 //! values, so the colliding key has probability 2^-128 per run.
 
 use seaweed_sim::NodeIdx;
 use seaweed_types::{Id, IdRange};
-
-/// Hot-state container layout selector, read by both the overlay and the
-/// protocol layer above it (mirroring how `SchedulerKind` selects the
-/// timer backend). `Map` retains the original BTreeMap-keyed containers
-/// as the equivalence baseline; `Arena` is the dense layout. The
-/// `layout_equivalence` proptest pins event logs and BandwidthReports
-/// byte-identical between the two under the full chaos plan.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum LayoutKind {
-    /// 128-bit-id-keyed `BTreeMap` containers (the original
-    /// implementation, retained as the determinism baseline).
-    Map,
-    /// Sorted-vec ring index plus dense per-node / per-query slabs.
-    #[default]
-    Arena,
-}
 
 /// The static sorted universe of endsystem ids plus a live-membership
 /// bitset. See the module docs for the layout rationale.
@@ -134,9 +117,9 @@ impl RingIndex {
 
     /// Live members clockwise from `id`: ids strictly greater than `id`
     /// ascending, then wrapping through the smallest ids up to and
-    /// including an exact match (which callers skip, as the map walk
-    /// did). Matches the retained `range((id+1)..).chain(range(..=id))`
-    /// order; see the module docs for the `id == u128::MAX` divergence.
+    /// including an exact match (which callers skip). The order of a
+    /// map's `range((id+1)..).chain(range(..=id))`; see the module docs
+    /// for the `id == u128::MAX` divergence.
     pub fn cw_live_from(&self, id: Id) -> impl Iterator<Item = NodeIdx> + '_ {
         let split = self.keys.partition_point(|&k| k <= id.0);
         SetRanksFwd::new(&self.words, split, self.keys.len())
@@ -146,8 +129,8 @@ impl RingIndex {
 
     /// Live members counter-clockwise from `id`: ids strictly smaller
     /// than `id` descending, then wrapping through the largest ids down
-    /// to an exact match. Matches `range(..id).rev().chain(range(id..)
-    /// .rev())`.
+    /// to an exact match. The order of a map's `range(..id).rev()
+    /// .chain(range(id..).rev())`.
     pub fn ccw_live_from(&self, id: Id) -> impl Iterator<Item = NodeIdx> + '_ {
         let split = self.keys.partition_point(|&k| k < id.0);
         SetRanksRev::new(&self.words, 0, split)
@@ -329,7 +312,7 @@ mod tests {
 
     use super::*;
 
-    /// A universe plus the map baseline, with a pseudorandom subset live.
+    /// A universe plus the map model, with a pseudorandom subset live.
     fn world(n: usize, seed: u64) -> (Vec<Id>, RingIndex, BTreeMap<u128, NodeIdx>) {
         let mut rng = StdRng::seed_from_u64(seed);
         let ids: Vec<Id> = (0..n).map(|_| Id::random(&mut rng)).collect();
@@ -344,7 +327,7 @@ mod tests {
         (ids, index, map)
     }
 
-    /// The map backend's clockwise walk, verbatim.
+    /// The map model's clockwise walk.
     fn map_cw(map: &BTreeMap<u128, NodeIdx>, id: Id) -> Vec<NodeIdx> {
         map.range((id.0.wrapping_add(1))..)
             .chain(map.range(..=id.0))
@@ -361,7 +344,7 @@ mod tests {
     }
 
     #[test]
-    fn live_walks_match_map_backend() {
+    fn live_walks_match_map_model() {
         for seed in 0..8 {
             let (ids, index, map) = world(64, seed);
             let mut probes: Vec<Id> = ids.iter().step_by(7).copied().collect();

@@ -20,15 +20,13 @@
 //! (message loss) comes from a seeded RNG.
 //!
 //! Every scheduled event is parked once in a free-listed slab and stays
-//! put until it is delivered; what the scheduler orders is a 24-byte key
-//! `(time, seq, slab index)`. Two schedulers exist behind
-//! [`SchedulerKind`] over the same slab: a hierarchical timer wheel (the
-//! default — O(1) schedule/cancel, no comparison sorting) and the
-//! original binary heap (kept as a baseline for equivalence testing and
-//! benchmarking). Both deliver the exact same `(time, seq)` total order,
-//! so a fixed seed produces byte-identical runs under either.
+//! put until it is delivered; what the queue orders is a 24-byte key
+//! `(time, seq, slab index)`, in a hierarchical timer wheel: O(1)
+//! schedule and cancel, no comparison sorting, delivery in `(time, seq)`
+//! order (`tests/queue_model.rs` holds the queue to a `BTreeMap` model
+//! of that order, operation by operation).
 //! Cancellation unparks the event and tombstones its index in a bitmap;
-//! the index is recycled only when the scheduler next meets the dead key
+//! the index is recycled only when the wheel next meets the dead key
 //! and drops it, so a queued key always names its own event.
 //!
 //! Timers are first-class cancellable: [`Engine::set_timer`] returns a
@@ -39,8 +37,7 @@
 //! timers that must survive churn (e.g. a query's TTL at its origin) use
 //! [`Engine::set_detached_timer`].
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 use std::rc::Rc;
 
 use rand::rngs::StdRng;
@@ -269,7 +266,7 @@ struct Parked<M> {
     pending: Pending<M>,
 }
 
-/// What the schedulers order, cascade and sort: the `(at, seq)` delivery
+/// What the wheel orders, cascades and sorts: the `(at, seq)` delivery
 /// key and the slab index of the parked event. The derived ordering is
 /// `(at, seq)`; `seq` is unique, so `idx` never decides.
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Debug)]
@@ -277,17 +274,6 @@ struct Key {
     at: Time,
     seq: u64,
     idx: u32,
-}
-
-/// Which event-queue implementation the engine runs on.
-#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
-pub enum SchedulerKind {
-    /// Hierarchical timer wheel: O(1) schedule and cancel.
-    #[default]
-    Wheel,
-    /// Binary min-heap: the original implementation, kept as an
-    /// equivalence/benchmark baseline.
-    Heap,
 }
 
 /// Engine configuration.
@@ -300,8 +286,6 @@ pub struct SimConfig {
     pub loss_rate: f64,
     /// Collect per-(node,hour) bandwidth samples for CDFs (Figure 9(b)).
     pub collect_cdf: bool,
-    /// Event-queue implementation; both deliver identical event orders.
-    pub scheduler: SchedulerKind,
     /// Optional deterministic fault schedule (partitions, link
     /// degradation, crash-amnesia, correlated outages, dup/reorder).
     /// `None` injects nothing and changes nothing.
@@ -318,7 +302,6 @@ impl Default for SimConfig {
             seed: 0,
             loss_rate: 0.0,
             collect_cdf: false,
-            scheduler: SchedulerKind::Wheel,
             faults: None,
             trace: None,
         }
@@ -327,15 +310,15 @@ impl Default for SimConfig {
 
 // ---------------------------------------------------------------- indices
 
-/// Lifecycle of slab indices, shared by both schedulers. An index is
-/// *live* from `push` until its event is delivered, *tombstoned* from a
-/// cancellation until its key physically leaves the scheduler, and *free*
+/// Lifecycle of slab indices. An index is *live* from `push` until its
+/// event is delivered, *tombstoned* from a cancellation until its key
+/// physically leaves the wheel, and *free*
 /// otherwise — so `live + tombstones + free.len()` is the slab length and
 /// an index is never handed out again while a key still names it.
 #[derive(Default)]
 struct Indices {
     /// Bit `i` set: index `i` is tombstoned. One bit per slab entry, so
-    /// the scheduler's liveness test stays in cache where the 24-byte
+    /// the wheel's liveness test stays in cache where the 24-byte
     /// keys are and never touches the slab.
     dead: Vec<u64>,
     free: Vec<u32>,
@@ -351,7 +334,7 @@ impl Indices {
         self.tombstones += 1;
     }
 
-    /// For a key that is physically leaving the scheduler: if its index
+    /// For a key that is physically leaving the wheel: if its index
     /// is tombstoned, recycles the index and returns true (the caller
     /// drops the key).
     #[inline]
@@ -396,7 +379,7 @@ const LEVELS: usize = 11;
 /// toward level 0 as the cursor approaches it. A level-0 slot within the
 /// cursor's 64 µs window holds exactly one timestamp, so draining a slot
 /// and sorting it by sequence number yields the global `(time, seq)`
-/// delivery order the heap produces.
+/// delivery order.
 struct TimerWheel {
     /// Time of the most recently drained slot; all stored keys have
     /// `at >= cursor`, and the cursor never passes a horizon the engine
@@ -599,39 +582,21 @@ impl TimerWheel {
 
 // ------------------------------------------------------------------ queue
 
-/// The scheduler behind a static dispatch switch. Both variants order
-/// the same keys into the identical `(time, seq)` total order.
-enum KeyOrder {
-    Wheel(TimerWheel),
-    /// The original binary heap; tombstoned keys are skipped at the head.
-    Heap(BinaryHeap<Reverse<Key>>),
-}
-
-/// Reaps tombstoned keys off the top of the heap.
-fn drop_cancelled_head(heap: &mut BinaryHeap<Reverse<Key>>, ix: &mut Indices) {
-    while heap.peek().is_some_and(|Reverse(k)| ix.reap(k.idx)) {
-        heap.pop();
-    }
-}
-
-/// The event queue: one payload slab plus a scheduler over 24-byte keys.
+/// The event queue: one payload slab plus the wheel over 24-byte keys.
 struct EventQueue<M> {
     /// `slab[key.idx]` is the event a queued key stands for. An entry is
     /// `None` while its index is free or tombstoned.
     slab: Vec<Option<Parked<M>>>,
     ix: Indices,
-    order: KeyOrder,
+    wheel: TimerWheel,
 }
 
 impl<M> EventQueue<M> {
-    fn new(kind: SchedulerKind) -> Self {
+    fn new() -> Self {
         EventQueue {
             slab: Vec::new(),
             ix: Indices::default(),
-            order: match kind {
-                SchedulerKind::Wheel => KeyOrder::Wheel(TimerWheel::new()),
-                SchedulerKind::Heap => KeyOrder::Heap(BinaryHeap::new()),
-            },
+            wheel: TimerWheel::new(),
         }
     }
 
@@ -651,27 +616,14 @@ impl<M> EventQueue<M> {
             idx
         };
         self.ix.live += 1;
-        let key = Key { at, seq, idx };
-        match &mut self.order {
-            KeyOrder::Wheel(w) => w.push(key),
-            KeyOrder::Heap(h) => h.push(Reverse(key)),
-        }
+        self.wheel.push(Key { at, seq, idx });
         idx
     }
 
     /// Removes and returns the earliest live event at or before
     /// `horizon`; its index is free again on return.
     fn pop_before(&mut self, horizon: Time) -> Option<(Key, Pending<M>)> {
-        let key = match &mut self.order {
-            KeyOrder::Wheel(w) => w.pop_before(&mut self.ix, horizon.0)?,
-            KeyOrder::Heap(h) => {
-                drop_cancelled_head(h, &mut self.ix);
-                if h.peek()?.0.at > horizon {
-                    return None;
-                }
-                h.pop()?.0
-            }
-        };
+        let key = self.wheel.pop_before(&mut self.ix, horizon.0)?;
         let parked = self.slab[key.idx as usize]
             .take()
             .expect("a live key names a parked event");
@@ -682,17 +634,11 @@ impl<M> EventQueue<M> {
     }
 
     fn peek_at(&mut self) -> Option<Time> {
-        match &mut self.order {
-            KeyOrder::Wheel(w) => w.peek_at(&mut self.ix),
-            KeyOrder::Heap(h) => {
-                drop_cancelled_head(h, &mut self.ix);
-                h.peek().map(|Reverse(k)| k.at)
-            }
-        }
+        self.wheel.peek_at(&mut self.ix)
     }
 
     /// Unparks the event at `idx` if it is still the one numbered `seq`,
-    /// leaving a tombstone for the scheduler to reap when it next meets
+    /// leaving a tombstone for the wheel to reap when it next meets
     /// the key. `None` for a stale `(idx, seq)`: delivered, cancelled, or
     /// the index since reused by a later event.
     fn cancel(&mut self, idx: u32, seq: u64) -> Option<Pending<M>> {
@@ -828,7 +774,7 @@ impl<M> Engine<M> {
         let mut e = Engine {
             now: Time::ZERO,
             seq: 0,
-            queue: EventQueue::new(config.scheduler),
+            queue: EventQueue::new(),
             topo,
             up: vec![false; n],
             live: BTreeSet::new(),
@@ -1288,8 +1234,8 @@ impl<M> Engine<M> {
     /// is empty. The partitioned executor ([`crate::exec`]) publishes
     /// this after each window to compute the global lower bound the next
     /// window may start from.
-    /// (`&mut` because both schedulers reap cancelled entries lazily, as
-    /// they meet them.)
+    /// (`&mut` because the wheel reaps cancelled entries lazily, as it
+    /// meets them.)
     #[must_use]
     pub fn next_pending_at(&mut self) -> Option<Time> {
         self.queue.peek_at()
@@ -1598,18 +1544,11 @@ mod tests {
     use super::*;
     use crate::topology::UniformTopology;
 
-    fn engine_with(n: usize, latency_ms: u64, scheduler: SchedulerKind) -> Engine<&'static str> {
+    fn engine(n: usize, latency_ms: u64) -> Engine<&'static str> {
         Engine::new(
             Box::new(UniformTopology::new(n, Duration::from_millis(latency_ms))),
-            SimConfig {
-                scheduler,
-                ..SimConfig::default()
-            },
+            SimConfig::default(),
         )
-    }
-
-    fn engine(n: usize, latency_ms: u64) -> Engine<&'static str> {
-        engine_with(n, latency_ms, SchedulerKind::Wheel)
     }
 
     fn drain(e: &mut Engine<&'static str>, horizon: Time) -> Vec<(Time, String)> {
@@ -1896,45 +1835,6 @@ mod tests {
         assert_eq!(e.num_up(), 2);
         assert!(e.is_up(NodeIdx(3)));
         assert!(!e.is_up(NodeIdx(0)));
-    }
-
-    /// The wheel and the heap must produce identical event sequences,
-    /// including ties, cascade boundaries and cancellations.
-    #[test]
-    fn wheel_matches_heap_on_mixed_schedule() {
-        let run = |scheduler: SchedulerKind| -> Vec<(Time, String)> {
-            let mut e = engine_with(4, 3, scheduler);
-            for i in 0..4 {
-                e.schedule_up(Time::ZERO, NodeIdx(i));
-            }
-            // Spread timers across several wheel levels, with ties.
-            let mut handles = Vec::new();
-            for k in 0..200u64 {
-                let node = NodeIdx((k % 4) as u32);
-                let delay = Duration::from_micros((k * k * 37) % 5_000_000);
-                handles.push(e.set_timer(node, delay, k));
-                if k % 3 == 0 {
-                    e.set_timer(node, delay, 1_000 + k); // same-time tie
-                }
-            }
-            for (i, h) in handles.iter().enumerate() {
-                if i % 5 == 0 {
-                    e.cancel_timer(*h);
-                }
-            }
-            e.schedule_down(Time(2_000_000), NodeIdx(2));
-            e.schedule_up(Time(3_500_000), NodeIdx(2));
-            let mut out = Vec::new();
-            // Drain in horizon slices to exercise peek/horizon paths.
-            for slice in 1..=10u64 {
-                out.extend(drain(&mut e, Time(slice * 600_000)));
-            }
-            out
-        };
-        let wheel = run(SchedulerKind::Wheel);
-        let heap = run(SchedulerKind::Heap);
-        assert_eq!(wheel.len(), heap.len());
-        assert_eq!(wheel, heap);
     }
 
     /// Long-delay timers cross multiple cascade levels and still fire in

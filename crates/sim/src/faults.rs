@@ -33,7 +33,7 @@ use rand::{Rng, SeedableRng};
 use seaweed_types::{Duration, Time};
 
 use crate::engine::NodeIdx;
-use crate::topology::CorpNetTopology;
+use crate::topology::{CorpNetTopology, Topology};
 
 /// Stream-separation constant: the injector's RNG never shares a stream
 /// with the engine, topology, overlay or application RNGs derived from
@@ -156,6 +156,74 @@ impl FaultPlan {
             && self.outages.is_empty()
             && self.dup_rate == 0.0
             && self.reorder_window == Duration::ZERO
+    }
+
+    /// The chaos schedule the fault-tolerance suites and `chaos01_faults`
+    /// share, anchored at a query injected 600 s in: the largest regional
+    /// subtree is cut off from 602 s to 780 s, the largest branch crashes
+    /// with amnesia from 640 s to 700 s, one router pair is degraded from
+    /// 600 s to 720 s (15% extra loss, 3× latency), two bystanders outside
+    /// both sets crash at 630 s and 690 s, and throughout 2% of messages
+    /// are duplicated and deliveries reorder within 50 ms.
+    ///
+    /// Endsystem 0, the conventional query origin, is never a bystander.
+    /// `spared` endsystems (the shard origins of a federated run) are
+    /// kept out of the outage and the crashes as well.
+    ///
+    /// # Panics
+    /// Panics if the topology has no regional or branch router, or fewer
+    /// than two eligible bystanders.
+    #[must_use]
+    pub fn chaos(topo: &CorpNetTopology, spared: &[u32]) -> FaultPlan {
+        let secs = |s: u64| Time(s * 1_000_000);
+        let largest = |routers: std::ops::Range<usize>| {
+            routers
+                .max_by_key(|&r| topo.subtree_endsystems(r).len())
+                .expect("topology has the router tier")
+        };
+        let regional = largest(topo.num_core()..topo.num_core() + topo.num_regional());
+        let partition = PartitionSpec::from_router_cut(topo, regional, secs(602), secs(780));
+        let mut outage = OutageSpec::branch_outage(
+            topo,
+            largest(topo.branch_routers()),
+            secs(640),
+            secs(700),
+            true,
+        );
+        outage.members.retain(|m| !spared.contains(m));
+
+        // Disjoint from the partition and the outage: overlap is legal,
+        // but disjointness keeps every fault observable.
+        let mut bystanders = (1..topo.num_endsystems() as u32).filter(|m| {
+            !partition.members.contains(m) && !outage.members.contains(m) && !spared.contains(m)
+        });
+        let mut crash = |at: u64, rejoin: u64| CrashSpec {
+            node: NodeIdx(bystanders.next().expect("two bystanders")),
+            at: secs(at),
+            rejoin_after: Duration::from_secs(rejoin),
+        };
+        let crashes = vec![crash(630, 60), crash(690, 45)];
+
+        let za = topo.router_of(NodeIdx(1)) as u32;
+        let mut zb = topo.router_of(NodeIdx(2)) as u32;
+        if zb == za {
+            zb = topo.router_of(NodeIdx(3)) as u32;
+        }
+        FaultPlan {
+            partitions: vec![partition],
+            link_faults: vec![LinkFaultSpec {
+                zone_a: za,
+                zone_b: zb,
+                from: secs(600),
+                until: secs(720),
+                extra_loss: 0.15,
+                latency_mult: 3.0,
+            }],
+            crashes,
+            outages: vec![outage],
+            dup_rate: 0.02,
+            reorder_window: Duration::from_millis(50),
+        }
     }
 
     /// Projects this plan onto one execution partition: `members` is the

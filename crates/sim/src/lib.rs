@@ -44,7 +44,7 @@ pub mod trace;
 pub use bandwidth::{BandwidthRecorder, BandwidthReport, DropStats, TrafficClass};
 pub use engine::{
     payload_cross_partition_clones, payload_fallback_clones, Engine, Event, NodeIdx, Payload,
-    SchedulerKind, SimConfig, TimerHandle,
+    SimConfig, TimerHandle,
 };
 pub use exec::{ExecConfig, ExecKind, Outbox, PartitionApp};
 pub use faults::{CrashSpec, FaultPlan, LinkFaultSpec, OutageSpec, PartitionSpec};

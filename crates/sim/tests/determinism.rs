@@ -7,7 +7,7 @@
 use proptest::prelude::*;
 use seaweed_sim::{
     CrashSpec, Engine, Event, FaultPlan, LinkFaultSpec, NodeIdx, OutageSpec, PartitionSpec,
-    SchedulerKind, SimConfig, TraceConfig, TrafficClass, UniformTopology,
+    SimConfig, TraceConfig, TrafficClass, UniformTopology,
 };
 use seaweed_types::{Duration, Time};
 
@@ -70,65 +70,6 @@ fn run_script(script: &[Action], seed: u64) -> Vec<String> {
     log
 }
 
-/// Runs a script under the given scheduler with loss, churn, timer
-/// cancellation and deliberate equal-timestamp ties, returning the full
-/// event log and the bandwidth report's exact rendering.
-fn run_with(script: &[Action], seed: u64, scheduler: SchedulerKind) -> (Vec<String>, String) {
-    let mut eng: E = Engine::new(
-        Box::new(UniformTopology::new(8, Duration::from_millis(3))),
-        SimConfig {
-            seed,
-            loss_rate: 0.05,
-            collect_cdf: true,
-            scheduler,
-            ..SimConfig::default()
-        },
-    );
-    eng.schedule_up(Time::ZERO, NodeIdx(0));
-    let _ = eng.next_event_before(Time(1));
-    let mut handles = Vec::new();
-    for (i, a) in script.iter().enumerate() {
-        match *a {
-            Action::Up(n, t) => eng.schedule_up(Time(1 + t), NodeIdx(u32::from(n))),
-            Action::Down(n, t) => eng.schedule_down(Time(1 + t), NodeIdx(u32::from(n))),
-            Action::Timer(n, d, tag) => {
-                let node = NodeIdx(u32::from(n));
-                let h = eng.set_timer(node, Duration::from_micros(d), tag);
-                handles.push(h);
-                // Duplicate every third timer at the same instant so
-                // equal-timestamp tie-breaking is exercised.
-                if i % 3 == 0 {
-                    let _ = eng.set_timer(node, Duration::from_micros(d), tag | (1 << 20));
-                }
-            }
-        }
-    }
-    // Cancel every fifth armed timer; cancellation must behave the same
-    // under both schedulers.
-    for h in handles.iter().step_by(5) {
-        eng.cancel_timer(*h);
-    }
-    let mut log = Vec::new();
-    let mut sends = 0u32;
-    while let Some((t, ev)) = eng.next_event_before(Time::ZERO + Duration::from_secs(10)) {
-        log.push(format!("{t:?} {ev:?}"));
-        match ev {
-            // Bounce a bounded number of replies to exercise message
-            // scheduling from within the loop.
-            Event::Message { from, to, .. } if sends < 200 && eng.is_up(from) => {
-                sends += 1;
-                eng.send(to, from, 0, 48, TrafficClass::Maintenance);
-            }
-            Event::NodeUp { node } if node != NodeIdx(0) && eng.is_up(NodeIdx(0)) => {
-                eng.send(NodeIdx(0), node, u64::from(node.0), 64, TrafficClass::Query);
-            }
-            _ => {}
-        }
-    }
-    let report = eng.finish();
-    (log, format!("{report:?}"))
-}
-
 /// A fault plan exercising every injection mechanism at once, scaled to
 /// the 8-node test world.
 fn chaos_plan() -> FaultPlan {
@@ -164,17 +105,12 @@ fn chaos_plan() -> FaultPlan {
 
 /// Like `run_with`, but under the full chaos plan. Returns the event log,
 /// the report rendering and the message-conservation ledger terms.
-fn run_faulty(
-    script: &[Action],
-    seed: u64,
-    scheduler: SchedulerKind,
-) -> (Vec<String>, String, u64) {
+fn run_faulty(script: &[Action], seed: u64) -> (Vec<String>, String, u64) {
     let mut eng: E = Engine::new(
         Box::new(UniformTopology::new(8, Duration::from_millis(3))),
         SimConfig {
             seed,
             loss_rate: 0.05,
-            scheduler,
             faults: Some(chaos_plan()),
             ..SimConfig::default()
         },
@@ -225,8 +161,7 @@ fn run_faulty(
     (log, format!("{report:?}"), delivered)
 }
 
-/// Like `run_faulty` under the Wheel scheduler, optionally with event
-/// tracing enabled. Returns the event log, the report rendering and the
+/// Like `run_faulty`, optionally with event tracing enabled. Returns the event log, the report rendering and the
 /// exported JSONL trace (when tracing).
 fn run_traced(script: &[Action], seed: u64, trace: bool) -> (Vec<String>, String, Option<String>) {
     let mut eng: E = Engine::new(
@@ -275,18 +210,12 @@ fn run_traced(script: &[Action], seed: u64, trace: bool) -> (Vec<String>, String
 /// clone-and-send loop, selected by `multicast`. The payload is a real
 /// allocation (`Vec<u64>`) so sharing is observable if it ever leaked
 /// into behaviour. Returns the event log and the report rendering.
-fn run_fanout(
-    script: &[Action],
-    seed: u64,
-    scheduler: SchedulerKind,
-    multicast: bool,
-) -> (Vec<String>, String) {
+fn run_fanout(script: &[Action], seed: u64, multicast: bool) -> (Vec<String>, String) {
     let mut eng: Engine<Vec<u64>> = Engine::new(
         Box::new(UniformTopology::new(8, Duration::from_millis(3))),
         SimConfig {
             seed,
             loss_rate: 0.05,
-            scheduler,
             faults: Some(chaos_plan()),
             ..SimConfig::default()
         },
@@ -343,27 +272,13 @@ proptest! {
     /// script under the full chaos plan (loss, duplication, reordering,
     /// partitions, crash-amnesia), fanning a payload out via one
     /// `multicast` call produces byte-identical event logs and bandwidth
-    /// reports to the per-destination clone-and-send loop it replaced —
-    /// under both scheduler implementations.
+    /// reports to the per-destination clone-and-send loop it replaced.
     #[test]
     fn multicast_matches_clone_loop(script in actions(), seed in 0u64..200) {
-        for scheduler in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let (log_m, rep_m) = run_fanout(&script, seed, scheduler, true);
-            let (log_c, rep_c) = run_fanout(&script, seed, scheduler, false);
-            prop_assert_eq!(log_m, log_c);
-            prop_assert_eq!(rep_m, rep_c);
-        }
-    }
-
-    /// The timer wheel and the reference heap deliver byte-identical
-    /// event sequences and bandwidth reports for any script of churn,
-    /// messages, timers, cancellations and equal-time ties.
-    #[test]
-    fn wheel_and_heap_are_byte_identical(script in actions(), seed in 0u64..200) {
-        let (log_w, rep_w) = run_with(&script, seed, SchedulerKind::Wheel);
-        let (log_h, rep_h) = run_with(&script, seed, SchedulerKind::Heap);
-        prop_assert_eq!(log_w, log_h);
-        prop_assert_eq!(rep_w, rep_h);
+        let (log_m, rep_m) = run_fanout(&script, seed, true);
+        let (log_c, rep_c) = run_fanout(&script, seed, false);
+        prop_assert_eq!(log_m, log_c);
+        prop_assert_eq!(rep_m, rep_c);
     }
 
     /// Identical scripts and seeds produce byte-identical event logs.
@@ -373,21 +288,15 @@ proptest! {
     }
 
     /// With partitions, link faults, crash-amnesia, correlated outages,
-    /// duplication and reordering all active, both schedulers still
-    /// deliver byte-identical logs and reports, reruns reproduce exactly,
-    /// and the drop ledger balances.
+    /// duplication and reordering all active, reruns reproduce the log,
+    /// the report and the delivery count exactly, and the drop ledger
+    /// balances (asserted inside `run_faulty`).
     #[test]
     fn fault_injection_is_deterministic_and_balanced(
         script in actions(),
         seed in 0u64..200,
     ) {
-        let (log_w, rep_w, del_w) = run_faulty(&script, seed, SchedulerKind::Wheel);
-        let (log_h, rep_h, del_h) = run_faulty(&script, seed, SchedulerKind::Heap);
-        prop_assert_eq!(&log_w, &log_h);
-        prop_assert_eq!(rep_w, rep_h);
-        prop_assert_eq!(del_w, del_h);
-        let (log_again, ..) = run_faulty(&script, seed, SchedulerKind::Wheel);
-        prop_assert_eq!(log_w, log_again);
+        prop_assert_eq!(run_faulty(&script, seed), run_faulty(&script, seed));
     }
 
     /// Tracing is pure observation: with the full chaos plan active, the

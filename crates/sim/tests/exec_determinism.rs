@@ -5,8 +5,7 @@
 //! [`ExecKind::Serial`] — per-shard event logs, bandwidth reports and
 //! exported traces — under the full chaos plan (loss, partitions, link
 //! degradation, crash-amnesia, correlated outages, duplication,
-//! reordering), under both scheduler implementations, with
-//! cross-partition messages and control payloads landing exactly at the
+//! reordering), with cross-partition messages and control payloads landing exactly at the
 //! lookahead bound. The proptest here pins that claim; the torture test
 //! hammers the boundary case deterministically.
 
@@ -17,8 +16,8 @@ use seaweed_sim::exec::{
     partition_seed, run_partitioned, ExecConfig, ExecKind, Outbox, PartitionApp,
 };
 use seaweed_sim::{
-    CrashSpec, Engine, Event, FaultPlan, NodeIdx, OutageSpec, PartitionSpec, SchedulerKind,
-    SimConfig, SubTopology, Topology, TraceConfig, TrafficClass, UniformTopology,
+    CrashSpec, Engine, Event, FaultPlan, NodeIdx, OutageSpec, PartitionSpec, SimConfig,
+    SubTopology, Topology, TraceConfig, TrafficClass, UniformTopology,
 };
 use seaweed_types::{Duration, Time};
 
@@ -165,13 +164,7 @@ impl PartitionApp<Msg> for ShardApp {
 /// exported JSONL trace.
 type Fingerprint = (Vec<String>, String, String);
 
-fn run_exec(
-    script: &[Action],
-    seed: u64,
-    scheduler: SchedulerKind,
-    kind: ExecKind,
-    workers: usize,
-) -> Vec<Fingerprint> {
+fn run_exec(script: &[Action], seed: u64, kind: ExecKind, workers: usize) -> Vec<Fingerprint> {
     let global = Arc::new(UniformTopology::new(N, LATENCY));
     let pmap = global.partition_map(PARTS).expect("partitionable");
     assert_eq!(pmap.lookahead, LATENCY);
@@ -190,7 +183,6 @@ fn run_exec(
             SimConfig {
                 seed: partition_seed(seed, p),
                 loss_rate: 0.05,
-                scheduler,
                 faults: Some(chaos.for_partition(&members)),
                 trace: Some(TraceConfig::default()),
                 ..SimConfig::default()
@@ -244,20 +236,17 @@ proptest! {
 
     /// For any churn/timer script under the full chaos plan, parallel
     /// execution is byte-identical to serial — per-shard event logs,
-    /// bandwidth reports and traces — under both schedulers, and reruns
-    /// reproduce exactly.
+    /// bandwidth reports and traces — and reruns reproduce exactly.
     #[test]
     fn parallel_matches_serial_bytewise(script in actions(), seed in 0u64..200) {
-        for scheduler in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            let serial = run_exec(&script, seed, scheduler, ExecKind::Serial, 0);
-            let parallel = run_exec(&script, seed, scheduler, ExecKind::Parallel, 3);
-            prop_assert_eq!(&serial, &parallel, "serial vs parallel, {:?}", scheduler);
-            // And with fewer workers than partitions (worker owns 2 shards).
-            let squeezed = run_exec(&script, seed, scheduler, ExecKind::Parallel, 2);
-            prop_assert_eq!(&serial, &squeezed, "serial vs 2-worker, {:?}", scheduler);
-            let rerun = run_exec(&script, seed, scheduler, ExecKind::Parallel, 3);
-            prop_assert_eq!(&parallel, &rerun, "parallel rerun, {:?}", scheduler);
-        }
+        let serial = run_exec(&script, seed, ExecKind::Serial, 0);
+        let parallel = run_exec(&script, seed, ExecKind::Parallel, 3);
+        prop_assert_eq!(&serial, &parallel, "serial vs parallel");
+        // And with fewer workers than partitions (worker owns 2 shards).
+        let squeezed = run_exec(&script, seed, ExecKind::Parallel, 2);
+        prop_assert_eq!(&serial, &squeezed, "serial vs 2-worker");
+        let rerun = run_exec(&script, seed, ExecKind::Parallel, 3);
+        prop_assert_eq!(&parallel, &rerun, "parallel rerun");
     }
 }
 

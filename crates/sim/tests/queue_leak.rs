@@ -4,9 +4,7 @@
 //! that population — not by the number of events processed — and the
 //! last `NodeDown` must take everything back to baseline.
 
-use seaweed_sim::{
-    Engine, Event, NodeIdx, SchedulerKind, SimConfig, TimerHandle, TrafficClass, UniformTopology,
-};
+use seaweed_sim::{Engine, Event, NodeIdx, SimConfig, TimerHandle, TrafficClass, UniformTopology};
 use seaweed_types::{Duration, Time};
 
 const NODES: u32 = 64;
@@ -38,16 +36,14 @@ fn delay(x: u64) -> Duration {
     Duration::from_micros(1 + (x >> 8) % (1 << (x % 27)))
 }
 
-fn churn(scheduler: SchedulerKind) {
+#[test]
+fn queue_is_sized_by_population_not_by_events() {
     let mut e: Engine<u64> = Engine::new(
         Box::new(UniformTopology::new(
             NODES as usize,
             Duration::from_millis(2),
         )),
-        SimConfig {
-            scheduler,
-            ..SimConfig::default()
-        },
+        SimConfig::default(),
     );
     for n in 0..NODES {
         e.schedule_up(Time::ZERO, NodeIdx(n));
@@ -97,7 +93,7 @@ fn churn(scheduler: SchedulerKind) {
         }
         if handled.is_multiple_of(1_000) {
             let g = gauges(&e);
-            assert_eq!(g.armed, POPULATION, "{scheduler:?} at {handled}");
+            assert_eq!(g.armed, POPULATION, "at {handled}");
             peak_in_use = peak_in_use.max(g.depth + g.tombstones);
             if handled == CYCLES / 10 {
                 warm = Some(g.slab);
@@ -110,25 +106,22 @@ fn churn(scheduler: SchedulerKind) {
     // at once (live plus not-yet-reaped tombstones), sampled above.
     assert!(
         g.slab <= warm + warm / 4,
-        "{scheduler:?}: slab grew {warm} -> {} over 9e5 cycles",
+        "slab grew {warm} -> {} over 9e5 cycles",
         g.slab
     );
     assert!(
         g.slab <= 2 * peak_in_use,
-        "{scheduler:?}: slab {} vs {peak_in_use} in use at once",
+        "slab {} vs {peak_in_use} in use at once",
         g.slab
     );
     assert!(
         g.depth + g.tombstones <= g.slab,
-        "{scheduler:?}: live {} + tombstoned {} exceed the slab {}",
+        "live {} + tombstoned {} exceed the slab {}",
         g.depth,
         g.tombstones,
         g.slab
     );
-    assert!(
-        e.timers_cancelled > CYCLES / 8,
-        "{scheduler:?}: cancels ran"
-    );
+    assert!(e.timers_cancelled > CYCLES / 8, "cancels ran");
 
     // Baseline: the last NodeDown empties every armed list at once, and
     // once the clock has passed the dead keys nothing is parked at all.
@@ -139,25 +132,11 @@ fn churn(scheduler: SchedulerKind) {
     while let Some((_, ev)) = e.next_event_before(e.now()) {
         downs += u32::from(matches!(ev, Event::NodeDown { .. }));
     }
-    assert_eq!(downs, NODES, "{scheduler:?}");
-    assert_eq!(gauges(&e).armed, 0, "{scheduler:?}");
+    assert_eq!(downs, NODES);
+    assert_eq!(gauges(&e).armed, 0);
     while e.next_event_before(far).is_some() {}
     let end = gauges(&e);
-    assert_eq!(
-        (end.depth, end.tombstones, end.armed),
-        (0, 0, 0),
-        "{scheduler:?}"
-    );
-    assert_eq!(end.slab, g.slab, "{scheduler:?}: draining parked nothing");
-    assert_eq!(e.next_pending_at(), None, "{scheduler:?}");
-}
-
-#[test]
-fn wheel_queue_is_sized_by_population_not_by_events() {
-    churn(SchedulerKind::Wheel);
-}
-
-#[test]
-fn heap_queue_is_sized_by_population_not_by_events() {
-    churn(SchedulerKind::Heap);
+    assert_eq!((end.depth, end.tombstones, end.armed), (0, 0, 0));
+    assert_eq!(end.slab, g.slab, "draining parked nothing");
+    assert_eq!(e.next_pending_at(), None);
 }

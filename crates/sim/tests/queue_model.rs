@@ -1,8 +1,9 @@
 //! Model-based test of the slab-backed event queue: random interleavings
-//! of arming, sending, cancelling, churn, stepping and peeking on both
-//! schedulers, checked operation by operation against a plain
+//! of arming, sending, cancelling, churn, stepping and peeking, checked
+//! operation by operation against a plain
 //! `BTreeMap<(Time, seq), _>` that allocates sequence numbers the way the
-//! engine does. The model knows nothing of slabs, keys or tombstones, so
+//! engine does — the reference for the timer wheel's delivery order.
+//! The model knows nothing of slabs, keys or tombstones, so
 //! whatever index recycling the engine does must be invisible: same pop
 //! sequence, `next_pending_at` never a cancelled entry's time, and a stale
 //! handle — fired, cancelled twice, swept by a node-down, or naming a slab
@@ -11,9 +12,7 @@
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
-use seaweed_sim::{
-    Engine, Event, NodeIdx, SchedulerKind, SimConfig, TimerHandle, TrafficClass, UniformTopology,
-};
+use seaweed_sim::{Engine, Event, NodeIdx, SimConfig, TimerHandle, TrafficClass, UniformTopology};
 use seaweed_types::{Duration, Time};
 
 const NODES: u8 = 4;
@@ -55,9 +54,10 @@ enum Op {
 }
 
 /// Delays with deliberate ties (0–3 µs), short hops within one or two
-/// wheel levels, and spans that park three levels up.
+/// wheel levels, spans that park three levels up, and seconds-long ones
+/// that cascade down through four.
 fn delay() -> impl Strategy<Value = u64> {
-    prop_oneof![0u64..4, 0u64..5_000, 0u64..400_000]
+    prop_oneof![0u64..4, 0u64..5_000, 0u64..400_000, 0u64..5_000_000]
 }
 
 fn ops() -> impl Strategy<Value = Vec<Op>> {
@@ -210,16 +210,13 @@ fn pop_both(
     Ok(want.is_some())
 }
 
-fn check(script: &[Op], scheduler: SchedulerKind) -> Result<(), TestCaseError> {
+fn check(script: &[Op]) -> Result<(), TestCaseError> {
     let mut eng: Engine<u64> = Engine::new(
         Box::new(UniformTopology::new(
             usize::from(NODES),
             Duration::from_micros(LATENCY_US),
         )),
-        SimConfig {
-            scheduler,
-            ..SimConfig::default()
-        },
+        SimConfig::default(),
     );
     let mut model = Model::default();
     // Each handle with the model key of the timer it was issued for.
@@ -307,7 +304,7 @@ fn check(script: &[Op], scheduler: SchedulerKind) -> Result<(), TestCaseError> {
     }
     // Run dry: everything left comes out in model order, and the slab
     // holds nothing afterwards.
-    let horizon = model.now + 1_000_000;
+    let horizon = model.now + 10_000_000;
     while pop_both(&mut eng, &mut model, horizon, script.len())? {}
     prop_assert_eq!(eng.next_pending_at(), None);
     prop_assert_eq!(gauge(&eng, "sim.queue.depth"), 0);
@@ -324,11 +321,6 @@ proptest! {
 
     #[test]
     fn queue_matches_ordered_map_model(script in ops()) {
-        for scheduler in [SchedulerKind::Wheel, SchedulerKind::Heap] {
-            check(&script, scheduler).map_err(|e| match e {
-                TestCaseError::Fail(why) => TestCaseError::fail(format!("{scheduler:?}: {why}")),
-                reject => reject,
-            })?;
-        }
+        check(&script)?;
     }
 }

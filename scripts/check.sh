@@ -1,6 +1,6 @@
 #!/usr/bin/env bash
 # Repository gate: formatting, lints, build and the full test suite.
-# Run before pushing; CI (.github/workflows/ci.yml) runs the same steps.
+# Run before pushing; CI (.github/workflows/ci.yml) runs this script.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -40,67 +40,57 @@ cargo test -q --workspace
 echo "==> cargo bench --no-run (Criterion benches must keep compiling)"
 cargo bench --workspace --no-run
 
+# byte_stable <stem> <bin> [args…]: runs target/release/<bin> twice (the
+# second time silently) and requires every output except the JSON twins,
+# which carry wall-clock, to be byte-identical between the two. In an
+# argument, `@` stands for this run's output stem (results/<stem>_smoke_a,
+# then …_b) and `x|y` for x on the first run and y on the second.
+byte_stable() {
+  local stem="results/$1_smoke" bin="./target/release/$2" run arg out
+  shift 2
+  for run in a b; do
+    local args=()
+    for arg in "$@"; do
+      case "$arg" in *'|'*) if [ "$run" = a ]; then arg="${arg%%|*}"; else arg="${arg##*|}"; fi ;; esac
+      args+=("${arg//@/${stem}_$run}")
+    done
+    if [ "$run" = a ]; then "$bin" "${args[@]}"; else "$bin" "${args[@]}" >/dev/null; fi
+  done
+  for out in "${stem}"_a.*; do
+    case "$out" in *.json) ;; *) cmp "$out" "${out/_smoke_a./_smoke_b.}" ;; esac
+  done
+  rm -f "${stem}"_a.* "${stem}"_b.*
+}
+
 echo "==> chaos smoke (fixed seed: oracles clean, CSV byte-stable)"
-./target/release/chaos01_faults --seed 7 --seeds 4 --out results/chaos01_smoke_a.csv
-./target/release/chaos01_faults --seed 7 --seeds 4 --out results/chaos01_smoke_b.csv >/dev/null
-cmp results/chaos01_smoke_a.csv results/chaos01_smoke_b.csv
-rm -f results/chaos01_smoke_a.csv results/chaos01_smoke_b.csv
+byte_stable chaos01 chaos01_faults --seed 7 --seeds 4 --out @.csv
 
 echo "==> trace smoke (fixed seed: CSV and JSONL trace byte-stable)"
-./target/release/obs01_query_timeline --seed 7 --seeds 2 \
-  --out results/obs01_smoke_a.csv --trace-out results/obs01_trace_a.jsonl
-./target/release/obs01_query_timeline --seed 7 --seeds 2 \
-  --out results/obs01_smoke_b.csv --trace-out results/obs01_trace_b.jsonl >/dev/null
-cmp results/obs01_smoke_a.csv results/obs01_smoke_b.csv
-cmp results/obs01_trace_a.jsonl results/obs01_trace_b.jsonl
-rm -f results/obs01_smoke_{a,b}.csv results/obs01_trace_{a,b}.jsonl
+byte_stable obs01 obs01_query_timeline --seed 7 --seeds 2 --out @.csv --trace-out @.jsonl
 
 echo "==> scale smoke (fixed seed, small N: CSV byte-stable)"
-# The CSV carries only simulation-deterministic columns; the JSON twin
-# holds wall-clock and is machine-dependent, so only the CSV is compared.
-./target/release/scale01_endsystems --base 100 --max-n 200 --seed 7 \
-  --out results/scale01_smoke_a.csv --json results/scale01_smoke_a.json
-./target/release/scale01_endsystems --base 100 --max-n 200 --seed 7 \
-  --out results/scale01_smoke_b.csv --json results/scale01_smoke_b.json >/dev/null
-cmp results/scale01_smoke_a.csv results/scale01_smoke_b.csv
-rm -f results/scale01_smoke_{a,b}.csv results/scale01_smoke_{a,b}.json
+byte_stable scale01 scale01_endsystems --base 100 --max-n 200 --seed 7 --out @.csv --json @.json
 
 echo "==> scale02 smoke (fixed seed, small N, Farsite point disabled: CSV byte-stable)"
-./target/release/scale02_farsite --base 100 --max-n 200 --farsite-n 0 --seed 7 \
-  --out results/scale02_smoke_a.csv --json results/scale02_smoke_a.json
-./target/release/scale02_farsite --base 100 --max-n 200 --farsite-n 0 --seed 7 \
-  --out results/scale02_smoke_b.csv --json results/scale02_smoke_b.json >/dev/null
-cmp results/scale02_smoke_a.csv results/scale02_smoke_b.csv
-rm -f results/scale02_smoke_{a,b}.csv results/scale02_smoke_{a,b}.json
+byte_stable scale02 scale02_farsite --base 100 --max-n 200 --farsite-n 0 --seed 7 \
+  --out @.csv --json @.json
 
 echo "==> scale03 smoke (fixed seed, small N: parallel executor CSV == serial CSV)"
 # The partitioned executor's whole contract: a parallel-only run emits
 # the byte-identical deterministic CSV of a serial-only run (each run
 # also asserts per-shard oracle cleanliness and completeness 1.0).
-./target/release/scale03_million --n 600 --parts 3 --workers 3 --seed 7 --mode serial \
-  --out results/scale03_smoke_a.csv --json results/scale03_smoke_a.json
-./target/release/scale03_million --n 600 --parts 3 --workers 3 --seed 7 --mode parallel \
-  --out results/scale03_smoke_b.csv --json results/scale03_smoke_b.json >/dev/null
-cmp results/scale03_smoke_a.csv results/scale03_smoke_b.csv
-rm -f results/scale03_smoke_{a,b}.csv results/scale03_smoke_{a,b}.json
+byte_stable scale03 scale03_million --n 600 --parts 3 --workers 3 --seed 7 \
+  --mode 'serial|parallel' --out @.csv --json @.json
 
 echo "==> storm01 smoke (fixed seed, small N: oracle-gated, K=1 byte-identity, CSV byte-stable)"
 # Asserts internally: every query reaches completeness 1.0, the chaos
 # oracle stays clean, and the K=1 storm run is byte-identical to the
 # storm-off baseline (exits non-zero otherwise).
-./target/release/storm01_query_storm --n 300 --max-k 100 --seed 7 \
-  --out results/storm01_smoke_a.csv --json results/storm01_smoke_a.json
-./target/release/storm01_query_storm --n 300 --max-k 100 --seed 7 \
-  --out results/storm01_smoke_b.csv --json results/storm01_smoke_b.json >/dev/null
-cmp results/storm01_smoke_a.csv results/storm01_smoke_b.csv
-rm -f results/storm01_smoke_{a,b}.csv results/storm01_smoke_{a,b}.json
+byte_stable storm01 storm01_query_storm --n 300 --max-k 100 --seed 7 --out @.csv --json @.json
 
 echo "==> abl07 smoke (fixed seed: hedging oracles clean, CSV byte-stable)"
 # Exits non-zero on any ChaosOracle violation with hedging on.
-./target/release/abl07_hedging --seed 7 --seeds 3 --out results/abl07_smoke_a.csv
-./target/release/abl07_hedging --seed 7 --seeds 3 --out results/abl07_smoke_b.csv >/dev/null
-cmp results/abl07_smoke_a.csv results/abl07_smoke_b.csv
-rm -f results/abl07_smoke_{a,b}.csv
+byte_stable abl07 abl07_hedging --seed 7 --seeds 3 --out @.csv
 
 echo "==> perf/ benchmark (its unit tests; smoke: five workloads correct, fingerprint untraced == traced)"
 # perf/ is its own workspace measuring the library crates from outside;
