@@ -19,17 +19,14 @@
 //! oracle violation; with a fixed `--seed` the CSV is byte-stable.
 
 use seaweed_bench::{jobs, run_sweep, write_csv, Args, OutTable};
-use seaweed_core::{ChaosOracle, HedgeConfig, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{Overlay, OverlayConfig};
-use seaweed_sim::{
-    CorpNetTopology, CrashSpec, Engine, FaultPlan, LinkFaultSpec, NodeIdx, OutageSpec, SimConfig,
+use seaweed_core::{
+    boot_staggered, build_world, flag_fixture, ChaosOracle, HedgeConfig, SeaweedConfig,
 };
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
+use seaweed_overlay::OverlayConfig;
+use seaweed_sim::{
+    CorpNetTopology, CrashSpec, FaultPlan, LinkFaultSpec, NodeIdx, OutageSpec, SimConfig,
+};
 use seaweed_types::{Duration, Time};
-
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
 
 /// Horizon used for censored runs (0.9-completeness never reached).
 const HORIZON_S: u64 = 1500;
@@ -52,7 +49,13 @@ fn outage_plan(topo: &CorpNetTopology, n: usize, churn: bool) -> FaultPlan {
                 .min_by_key(|&r| topo.subtree_endsystems(r).len())
         })
         .expect("a branch router without the origin");
-    let outage = OutageSpec::branch_outage(topo, branch, secs(595), secs(700), false);
+    let outage = OutageSpec::branch_outage(
+        topo,
+        branch,
+        Time::from_secs(595),
+        Time::from_secs(700),
+        false,
+    );
 
     let za = topo.router_of(NodeIdx(1)) as u32;
     let mut zb = topo.router_of(NodeIdx(2)) as u32;
@@ -69,12 +72,12 @@ fn outage_plan(topo: &CorpNetTopology, n: usize, churn: bool) -> FaultPlan {
         vec![
             CrashSpec {
                 node: NodeIdx(bystanders[0]),
-                at: secs(601),
+                at: Time::from_secs(601),
                 rejoin_after: Duration::from_secs(40),
             },
             CrashSpec {
                 node: NodeIdx(bystanders[1]),
-                at: secs(604),
+                at: Time::from_secs(604),
                 rejoin_after: Duration::from_secs(30),
             },
         ]
@@ -87,8 +90,8 @@ fn outage_plan(topo: &CorpNetTopology, n: usize, churn: bool) -> FaultPlan {
         link_faults: vec![LinkFaultSpec {
             zone_a: za,
             zone_b: zb,
-            from: secs(595),
-            until: secs(700),
+            from: Time::from_secs(595),
+            until: Time::from_secs(700),
             extra_loss: 0.15,
             latency_mult: 3.0,
         }],
@@ -120,54 +123,29 @@ struct RunOutcome {
 }
 
 fn run_one(cfg: Config, seed: u64, n: usize, routers: usize) -> RunOutcome {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
-    let mut tables = Vec::with_capacity(n);
-    for node in 0..n {
-        let mut t = Table::new(schema.clone());
-        t.insert(vec![Value::Int(1), Value::Int(node as i64 + 1)])
-            .expect("seed row");
-        tables.push(t);
-    }
+    let (tables, schema) = flag_fixture(0..n as u32, 1);
     let topo = CorpNetTopology::with_params(n, routers, Duration::MILLISECOND, seed);
     let plan = outage_plan(&topo, n, cfg.churn);
-    let mut eng: SeaweedEngine = Engine::new(
+    let (mut eng, mut sw) = build_world(
         Box::new(topo),
+        seed,
         SimConfig {
-            seed,
             loss_rate: 0.01,
             faults: Some(plan),
             ..SimConfig::default()
         },
-    );
-    let overlay = Overlay::new(
-        Overlay::random_ids(n, seed),
-        OverlayConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let mut sw = Seaweed::new(
-        overlay,
-        LiveTables::new(tables),
+        OverlayConfig::default(),
         SeaweedConfig {
-            seed,
             hedge: cfg.hedge.map(|fraction| HedgeConfig {
                 fallback_fraction: fraction,
                 ..HedgeConfig::default()
             }),
             ..Default::default()
         },
+        tables,
     );
-    for i in 0..n {
-        eng.schedule_up(Time(1 + i as u64 * 300_000), NodeIdx(i as u32));
-    }
-    sw.run_until(&mut eng, secs(600));
+    boot_staggered(&mut eng, Duration::from_millis(300));
+    sw.run_until(&mut eng, Time::from_secs(600));
     let h = sw
         .inject_query(
             &mut eng,
@@ -181,14 +159,14 @@ fn run_one(cfg: Config, seed: u64, n: usize, routers: usize) -> RunOutcome {
     let oracle = ChaosOracle::new(n as u64);
     let mut violations = Vec::new();
     for t in [650, 720, 1000, HORIZON_S] {
-        sw.run_until(&mut eng, secs(t));
+        sw.run_until(&mut eng, Time::from_secs(t));
         violations.extend(oracle.check(&sw, &eng));
     }
 
     let t90 = sw
         .timeline(h)
         .time_to_completeness(0.9, n as f64)
-        .unwrap_or_else(|| secs(HORIZON_S).saturating_since(secs(600)));
+        .unwrap_or_else(|| Time::from_secs(HORIZON_S).saturating_since(Time::from_secs(600)));
     RunOutcome {
         t90,
         dissem_bytes: sw.stats.dissem_bytes,

@@ -11,15 +11,10 @@
 //! byte-stable across runs.
 
 use seaweed_bench::{write_csv, Args, OutTable};
-use seaweed_core::{ChaosOracle, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{Overlay, OverlayConfig};
-use seaweed_sim::{CorpNetTopology, DropStats, Engine, FaultPlan, NodeIdx, SimConfig};
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
+use seaweed_core::{boot_staggered, build_world, flag_fixture, ChaosOracle, SeaweedConfig};
+use seaweed_overlay::OverlayConfig;
+use seaweed_sim::{CorpNetTopology, DropStats, FaultPlan, NodeIdx, SimConfig};
 use seaweed_types::{Duration, Time};
-
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
 
 struct SeedOutcome {
     seed: u64,
@@ -32,50 +27,23 @@ struct SeedOutcome {
 }
 
 fn run_seed(seed: u64, n: usize, routers: usize) -> SeedOutcome {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
-    let mut tables = Vec::with_capacity(n);
-    for node in 0..n {
-        let mut t = Table::new(schema.clone());
-        t.insert(vec![Value::Int(1), Value::Int(node as i64 + 1)])
-            .expect("seed row");
-        tables.push(t);
-    }
+    let (tables, schema) = flag_fixture(0..n as u32, 1);
     let topo = CorpNetTopology::with_params(n, routers, Duration::MILLISECOND, seed);
     let plan = FaultPlan::chaos(&topo, &[]);
-    let mut eng: SeaweedEngine = Engine::new(
+    let (mut eng, mut sw) = build_world(
         Box::new(topo),
+        seed,
         SimConfig {
-            seed,
             loss_rate: 0.01,
             faults: Some(plan),
             ..SimConfig::default()
         },
+        OverlayConfig::default(),
+        SeaweedConfig::default(),
+        tables,
     );
-    let overlay = Overlay::new(
-        Overlay::random_ids(n, seed),
-        OverlayConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let mut sw = Seaweed::new(
-        overlay,
-        LiveTables::new(tables),
-        SeaweedConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    for i in 0..n {
-        eng.schedule_up(Time(1 + i as u64 * 300_000), NodeIdx(i as u32));
-    }
-    sw.run_until(&mut eng, secs(600));
+    boot_staggered(&mut eng, Duration::from_millis(300));
+    sw.run_until(&mut eng, Time::from_secs(600));
     let h = sw
         .inject_query(
             &mut eng,
@@ -91,7 +59,7 @@ fn run_seed(seed: u64, n: usize, routers: usize) -> SeedOutcome {
     let oracle = ChaosOracle::new(n as u64);
     let mut violations = Vec::new();
     for t in [650, 720, 800, 1000, 1500] {
-        sw.run_until(&mut eng, secs(t));
+        sw.run_until(&mut eng, Time::from_secs(t));
         violations.extend(oracle.check(&sw, &eng));
     }
 

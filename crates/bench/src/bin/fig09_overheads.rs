@@ -65,7 +65,7 @@ fn part_ab(args: &Args, full: bool) {
     println!(
         "  simulated in {:.1}s ({} messages)",
         t0.elapsed().as_secs_f64(),
-        result.sim_events
+        result.messages_sent
     );
 
     // (a) hourly series.

@@ -35,7 +35,7 @@ fn main() {
     println!(
         "  simulated in {:.1}s ({} messages)",
         t0.elapsed().as_secs_f64(),
-        result.sim_events
+        result.messages_sent
     );
 
     // (a) hourly overhead series.

@@ -18,15 +18,10 @@
 //! binary twice and `cmp`s the trace.
 
 use seaweed_bench::{write_csv, Args, OutTable};
-use seaweed_core::{LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{Overlay, OverlayConfig};
-use seaweed_sim::{CorpNetTopology, Engine, NodeIdx, SimConfig, TraceConfig};
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
+use seaweed_core::{boot_staggered, build_world, flag_fixture, SeaweedConfig};
+use seaweed_overlay::OverlayConfig;
+use seaweed_sim::{CorpNetTopology, NodeIdx, SimConfig, TraceConfig};
 use seaweed_types::{Duration, Time};
-
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
 
 /// Completeness checkpoints after injection, in seconds.
 const CHECKPOINTS_S: [u64; 8] = [0, 15, 30, 60, 120, 300, 600, 1200];
@@ -48,56 +43,36 @@ struct SeedOutcome {
 }
 
 fn run_seed(seed: u64, n: usize, routers: usize, export_trace: bool) -> SeedOutcome {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
-    let mut tables = Vec::with_capacity(n);
-    for node in 0..n {
-        let mut t = Table::new(schema.clone());
-        t.insert(vec![Value::Int(1), Value::Int(node as i64 + 1)])
-            .expect("seed row");
-        tables.push(t);
-    }
-    let topo = CorpNetTopology::with_params(n, routers, Duration::MILLISECOND, seed);
-    let mut eng: SeaweedEngine = Engine::new(
-        Box::new(topo),
-        SimConfig {
+    let (tables, schema) = flag_fixture(0..n as u32, 1);
+    let (mut eng, mut sw) = build_world(
+        Box::new(CorpNetTopology::with_params(
+            n,
+            routers,
+            Duration::MILLISECOND,
             seed,
+        )),
+        seed,
+        SimConfig {
             loss_rate: 0.005,
             trace: Some(TraceConfig { capacity: 1 << 20 }),
             ..SimConfig::default()
         },
+        OverlayConfig::default(),
+        SeaweedConfig::default(),
+        tables,
     );
-    let overlay = Overlay::new(
-        Overlay::random_ids(n, seed),
-        OverlayConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let mut sw = Seaweed::new(
-        overlay,
-        LiveTables::new(tables),
-        SeaweedConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    for i in 0..n {
-        eng.schedule_up(Time(1 + i as u64 * 300_000), NodeIdx(i as u32));
-    }
+    boot_staggered(&mut eng, Duration::from_millis(300));
     // Every fifth endsystem leaves before injection and returns on a
     // staggered schedule after it, so the predictor has unavailable
     // rows to forecast and the actual curve climbs as they return.
     for (returner, i) in (5..n).step_by(5).enumerate() {
-        eng.schedule_down(secs(560), NodeIdx(i as u32));
-        eng.schedule_up(secs(660 + returner as u64 * 120), NodeIdx(i as u32));
+        eng.schedule_down(Time::from_secs(560), NodeIdx(i as u32));
+        eng.schedule_up(
+            Time::from_secs(660 + returner as u64 * 120),
+            NodeIdx(i as u32),
+        );
     }
-    sw.run_until(&mut eng, secs(600));
+    sw.run_until(&mut eng, Time::from_secs(600));
     let h = sw
         .inject_query(
             &mut eng,

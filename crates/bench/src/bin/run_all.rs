@@ -35,7 +35,6 @@ const EXPERIMENTS: &[&str] = &[
     "abl05_predictors",
     "abl06_delta_encoding",
     "chaos01_faults",
-    "scale01_endsystems",
     // Last: the Farsite-scale, partitioned-executor and storm sweeps
     // dwarf everything above. scale03 stops at the 250k point here; the
     // 1M run is opt-in via `scale03_million --million 1`.

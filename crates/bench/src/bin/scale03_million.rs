@@ -18,7 +18,7 @@
 //! **clean** ([`ChaosOracle`]) and the federation **complete**: root
 //! rows + merged remote rows == N.
 //!
-//! Artifacts, same split as scale01/scale02:
+//! Artifacts, same split as scale02:
 //!
 //! * `results/scale03.csv` — deterministic columns only (byte-stable
 //!   across machines, thread counts and exec modes for a fixed seed).
@@ -29,14 +29,15 @@
 
 use std::sync::Arc;
 
+use seaweed_bench::counters::RunCounters;
+use seaweed_bench::report::{peak_rss_bytes, per_second, write_report, Fields, Value};
 use seaweed_bench::{write_csv, Args, OutTable};
 use seaweed_core::{
-    ChaosOracle, FedSchedule, FedShard, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine,
+    build_world, flag_fixture, ChaosOracle, FedSchedule, FedShard, SeaweedConfig, SeaweedEngine,
 };
-use seaweed_overlay::{Overlay, OverlayConfig};
+use seaweed_overlay::OverlayConfig;
 use seaweed_sim::exec::{partition_seed, run_partitioned, ExecConfig, ExecKind};
-use seaweed_sim::{CorpNetTopology, Engine, NodeIdx, SimConfig, SubTopology, Topology};
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
+use seaweed_sim::{CorpNetTopology, NodeIdx, SimConfig, SubTopology, Topology};
 use seaweed_types::{Duration, Time};
 
 /// The Farsite trace population (paper §4) — scale02's headline point.
@@ -46,40 +47,9 @@ const QUARTER_M: usize = 258_315;
 /// The north-star population; `--million 1` adds it to the ladder.
 const MILLION: usize = 1_000_000;
 
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
-/// Process peak resident set (VmHWM) in bytes; 0 where /proc is absent.
-/// Monotone over process lifetime, so points run in ascending N and each
-/// figure is "peak RSS so far".
-fn peak_rss_bytes() -> u64 {
-    let Ok(status) = std::fs::read_to_string("/proc/self/status") else {
-        return 0;
-    };
-    for line in status.lines() {
-        if let Some(rest) = line.strip_prefix("VmHWM:") {
-            let kb: u64 = rest
-                .trim()
-                .trim_end_matches("kB")
-                .trim()
-                .parse()
-                .unwrap_or(0);
-            return kb * 1024;
-        }
-    }
-    0
-}
-
 /// Deterministic per-shard outcome; summed into a [`Point`].
 struct ShardOut {
-    events: u64,
-    messages: u64,
-    tx_bytes: [u64; 3],
-    meta_pushes: u64,
-    dissem_msgs: u64,
-    predictor_reports: u64,
-    result_submissions: u64,
+    run: RunCounters,
     local_rows: u64,
     merged_rows: u64,
     reports_received: u32,
@@ -95,32 +65,19 @@ struct Point {
     kind: ExecKind,
     wall_s: f64,
     peak_rss: u64,
-    events: u64,
-    messages: u64,
-    tx_bytes: [u64; 3],
-    meta_pushes: u64,
-    dissem_msgs: u64,
-    predictor_reports: u64,
-    result_submissions: u64,
+    run: RunCounters,
     rows: u64,
     lookahead_us: u64,
 }
 
 fn run_point(n: usize, parts: usize, workers: usize, seed: u64, kind: ExecKind) -> Point {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
     let global = Arc::new(CorpNetTopology::new(n, seed));
     let pmap = global
         .partition_map(parts)
         .unwrap_or_else(|| panic!("no {parts}-way site partition at N={n}"));
     let schedule = FedSchedule {
-        inject_at: secs(900),
-        report_at: secs(1750),
+        inject_at: Time::from_secs(900),
+        report_at: Time::from_secs(1750),
     };
     let cfg = ExecConfig {
         kind,
@@ -135,36 +92,15 @@ fn run_point(n: usize, parts: usize, workers: usize, seed: u64, kind: ExecKind) 
     let build = |p: usize| {
         let members = pmap.members[p].clone();
         let shard_seed = partition_seed(seed, p);
-        let tables: Vec<Table> = members
-            .iter()
-            .map(|&g| {
-                let mut t = Table::new(schema.clone());
-                t.insert(vec![Value::Int(1), Value::Int(i64::from(g) + 1)])
-                    .expect("seed row");
-                t
-            })
-            .collect();
-        let mut eng: SeaweedEngine = Engine::new(
+        // Each endsystem's row carries its global number.
+        let (tables, schema) = flag_fixture(members.iter().copied(), 1);
+        let (mut eng, sw) = build_world(
             Box::new(SubTopology::new(global.clone(), members.clone())),
-            SimConfig {
-                seed: shard_seed,
-                ..SimConfig::default()
-            },
-        );
-        let overlay = Overlay::new(
-            Overlay::random_ids(members.len(), shard_seed),
-            OverlayConfig {
-                seed: shard_seed,
-                ..Default::default()
-            },
-        );
-        let sw = Seaweed::new(
-            overlay,
-            LiveTables::new(tables),
-            SeaweedConfig {
-                seed: shard_seed,
-                ..Default::default()
-            },
+            shard_seed,
+            SimConfig::default(),
+            OverlayConfig::default(),
+            SeaweedConfig::default(),
+            tables,
         );
         for (l, &g) in members.iter().enumerate() {
             eng.schedule_up(Time(1 + u64::from(g) * step), NodeIdx(l as u32));
@@ -177,7 +113,7 @@ fn run_point(n: usize, parts: usize, workers: usize, seed: u64, kind: ExecKind) 
             schedule,
             "SELECT SUM(v) FROM T WHERE flag = 1",
             Duration::from_hours(1),
-            schema.clone(),
+            schema,
         );
         (eng, app)
     };
@@ -188,17 +124,8 @@ fn run_point(n: usize, parts: usize, workers: usize, seed: u64, kind: ExecKind) 
         let rows = app.local_rows();
         assert_eq!(rows, local_n, "shard {p} completeness must be 1.0 at N={n}");
         ChaosOracle::new(local_n).assert_clean(&app.sw, &eng);
-        let stats = app.sw.stats;
-        let messages = eng.messages_sent;
-        let report = eng.finish();
         ShardOut {
-            events: app.events,
-            messages,
-            tx_bytes: report.total_tx,
-            meta_pushes: stats.meta_pushes,
-            dissem_msgs: stats.disseminate_msgs,
-            predictor_reports: stats.predictor_reports,
-            result_submissions: stats.result_submissions,
+            run: RunCounters::harvest(app.events, &app.sw, eng),
             local_rows: rows,
             merged_rows: app.merged_rows,
             reports_received: app.reports_received,
@@ -207,7 +134,7 @@ fn run_point(n: usize, parts: usize, workers: usize, seed: u64, kind: ExecKind) 
 
     // lint:allow(D002): host-side benchmark timing for BENCH_scale03.json, never feeds simulated time
     let t0 = std::time::Instant::now();
-    let shards = run_partitioned(&cfg, pmap.lookahead, secs(1800), build, finish);
+    let shards = run_partitioned(&cfg, pmap.lookahead, Time::from_secs(1800), build, finish);
     let wall_s = t0.elapsed().as_secs_f64();
 
     // Federated completeness: the root saw its own rows plus a report
@@ -219,7 +146,6 @@ fn run_point(n: usize, parts: usize, workers: usize, seed: u64, kind: ExecKind) 
         "federated completeness must be 1.0 at N={n}"
     );
 
-    let sum = |f: fn(&ShardOut) -> u64| shards.iter().map(f).sum::<u64>();
     Point {
         n,
         parts,
@@ -227,17 +153,7 @@ fn run_point(n: usize, parts: usize, workers: usize, seed: u64, kind: ExecKind) 
         kind,
         wall_s,
         peak_rss: peak_rss_bytes(),
-        events: sum(|s| s.events),
-        messages: sum(|s| s.messages),
-        tx_bytes: [
-            sum(|s| s.tx_bytes[0]),
-            sum(|s| s.tx_bytes[1]),
-            sum(|s| s.tx_bytes[2]),
-        ],
-        meta_pushes: sum(|s| s.meta_pushes),
-        dissem_msgs: sum(|s| s.dissem_msgs),
-        predictor_reports: sum(|s| s.predictor_reports),
-        result_submissions: sum(|s| s.result_submissions),
+        run: shards.iter().map(|s| s.run).sum(),
         rows,
         lookahead_us: pmap.lookahead.as_micros(),
     }
@@ -246,66 +162,49 @@ fn run_point(n: usize, parts: usize, workers: usize, seed: u64, kind: ExecKind) 
 /// The deterministic face of a point — everything `--mode both` pins
 /// between serial and parallel execution.
 fn deterministic_row(p: &Point) -> Vec<f64> {
-    vec![
-        p.n as f64,
-        p.parts as f64,
-        p.lookahead_us as f64,
-        p.events as f64,
-        p.messages as f64,
-        p.tx_bytes[0] as f64,
-        p.tx_bytes[1] as f64,
-        p.tx_bytes[2] as f64,
-        p.meta_pushes as f64,
-        p.dissem_msgs as f64,
-        p.predictor_reports as f64,
-        p.result_submissions as f64,
-        p.rows as f64,
-        p.rows as f64 / p.n as f64,
-    ]
+    let mut row = vec![p.n as f64, p.parts as f64, p.lookahead_us as f64];
+    row.extend(p.run.columns());
+    row.extend([p.rows as f64, p.rows as f64 / p.n as f64]);
+    row
 }
 
-fn write_json(path: &str, seed: u64, points: &[Point]) {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n");
-    writeln!(out, "  \"bench\": \"scale03_million\",").expect("string write");
-    writeln!(out, "  \"seed\": {seed},").expect("string write");
-    writeln!(
-        out,
-        "  \"host_cores\": {},",
-        // lint:allow(D004): reads the core count for the JSON header; spawns nothing
-        std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get)
-    )
-    .expect("string write");
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"n\": {}, \"mode\": \"{}\", \"parts\": {}, \"workers\": {}, \
-             \"lookahead_us\": {}, \"wall_s\": {:.3}, \"events\": {}, \
-             \"events_per_s\": {:.0}, \"peak_rss_bytes\": {}, \"messages\": {}, \
-             \"completeness\": {:.3}}}{comma}",
-            p.n,
-            match p.kind {
-                ExecKind::Serial => "serial",
-                ExecKind::Parallel => "parallel",
-            },
-            p.parts,
-            p.workers,
-            p.lookahead_us,
-            p.wall_s,
-            p.events,
-            p.events as f64 / p.wall_s.max(1e-9),
-            p.peak_rss,
-            p.messages,
-            p.rows as f64 / p.n as f64,
-        )
-        .expect("string write");
+fn mode_name(kind: ExecKind) -> &'static str {
+    match kind {
+        ExecKind::Serial => "serial",
+        ExecKind::Parallel => "parallel",
     }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("  wrote {path}");
+}
+
+fn json_twin(path: &str, seed: u64, points: &[Point]) {
+    // lint:allow(D004): reads the core count for the JSON header; spawns nothing
+    let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    let header: Fields = vec![
+        ("bench", "scale03_million".into()),
+        ("seed", seed.into()),
+        ("host_cores", cores.into()),
+    ];
+    let points: Vec<Fields> = points
+        .iter()
+        .map(|p| {
+            vec![
+                ("n", p.n.into()),
+                ("mode", mode_name(p.kind).into()),
+                ("parts", p.parts.into()),
+                ("workers", p.workers.into()),
+                ("lookahead_us", p.lookahead_us.into()),
+                ("wall_s", Value::Fixed(p.wall_s, 3)),
+                ("events", p.run.events.into()),
+                (
+                    "events_per_s",
+                    Value::Fixed(per_second(p.run.events, p.wall_s), 0),
+                ),
+                ("peak_rss_bytes", p.peak_rss.into()),
+                ("messages", p.run.messages.into()),
+                ("completeness", Value::Fixed(p.rows as f64 / p.n as f64, 3)),
+            ]
+        })
+        .collect();
+    write_report(path, &header, &points);
 }
 
 fn main() {
@@ -346,13 +245,10 @@ fn main() {
                 "  N={:>7} {:>8}: {:>10} events, {:>7.1}s wall ({:.0} events/s, {} workers), \
                  peak RSS {:.0} MB, completeness {:.3}",
                 p.n,
-                match kind {
-                    ExecKind::Serial => "serial",
-                    ExecKind::Parallel => "parallel",
-                },
-                p.events,
+                mode_name(kind),
+                p.run.events,
                 p.wall_s,
-                p.events as f64 / p.wall_s.max(1e-9),
+                per_second(p.run.events, p.wall_s),
                 p.workers,
                 p.peak_rss as f64 / 1e6,
                 p.rows as f64 / p.n as f64,
@@ -382,27 +278,14 @@ fn main() {
             rows.push(deterministic_row(p));
         }
     }
-    write_csv(
-        &out,
-        &[
-            "n",
-            "parts",
-            "lookahead_us",
-            "events",
-            "messages",
-            "tx_overlay_bytes",
-            "tx_maintenance_bytes",
-            "tx_query_bytes",
-            "meta_pushes",
-            "disseminate_msgs",
-            "predictor_reports",
-            "result_submissions",
-            "rows",
-            "completeness",
-        ],
-        &rows,
-    );
-    write_json(&json, seed, &points);
+    let header = [
+        &["n", "parts", "lookahead_us"][..],
+        &RunCounters::COLUMNS,
+        &["rows", "completeness"],
+    ]
+    .concat();
+    write_csv(&out, &header, &rows);
+    json_twin(&json, seed, &points);
 
     let mut t = OutTable::new(&[
         "n",
@@ -416,14 +299,11 @@ fn main() {
     for p in &points {
         t.row(vec![
             p.n.to_string(),
-            match p.kind {
-                ExecKind::Serial => "serial".into(),
-                ExecKind::Parallel => "parallel".into(),
-            },
+            mode_name(p.kind).into(),
             p.workers.to_string(),
-            p.events.to_string(),
+            p.run.events.to_string(),
             format!("{:.1}", p.wall_s),
-            format!("{:.0}", p.events as f64 / p.wall_s.max(1e-9)),
+            format!("{:.0}", per_second(p.run.events, p.wall_s)),
             format!("{:.0}", p.peak_rss as f64 / 1e6),
         ]);
     }

@@ -24,18 +24,18 @@
 //!
 //! * `results/storm01.csv` — simulation-deterministic columns only;
 //!   byte-stable for a fixed `--seed` (CI smoke in `scripts/check.sh`).
-//! * `BENCH_storm01.json` — adds wall-clock numbers for EXPERIMENTS.md.
+//! * `results/storm01.json` (gitignored) — adds wall-clock numbers.
 
 use std::collections::HashMap;
 
+use seaweed_bench::report::{per_second, write_report, Fields, Value};
 use seaweed_bench::{write_csv, Args, OutTable};
 use seaweed_core::{
-    ChaosOracle, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine, SeaweedMsg, StormConfig,
-    Submission,
+    boot_staggered, build_world, flag_fixture, ChaosOracle, LiveTables, Seaweed, SeaweedConfig,
+    SeaweedEngine, StormConfig, Submission,
 };
-use seaweed_overlay::{Overlay, OverlayConfig, OverlayMsg};
-use seaweed_sim::{CorpNetTopology, Engine, Event, NodeIdx, SimConfig};
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
+use seaweed_overlay::OverlayConfig;
+use seaweed_sim::{CorpNetTopology, EventLog, NodeIdx, SimConfig};
 use seaweed_types::{Duration, Time};
 
 /// Rows per endsystem fragment; with `QUANTUM_ROWS` below, a contended
@@ -45,50 +45,11 @@ const QUANTUM_ROWS: u64 = 2;
 /// Submission burst time: joins plus one metadata-push cycle first.
 const T0_SECS: u64 = 900;
 
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
 /// Distinct query text per storm member (distinct query ids), identical
 /// ground truth: every row has `flag = 1`, so every predicate matches
 /// the full population.
 fn storm_sql(i: usize) -> String {
     format!("SELECT SUM(v) FROM T WHERE flag < {}", 2 + i as i64)
-}
-
-/// FNV-1a fingerprint over a compact per-event descriptor (ordering,
-/// endpoints and timestamps pin the schedule bit-for-bit). Only engaged
-/// for the K=1 byte-identity check; the big sweep points skip the
-/// per-event formatting cost.
-struct EventLog {
-    hash: u64,
-    len: u64,
-}
-
-impl EventLog {
-    fn new() -> Self {
-        EventLog {
-            hash: 0xcbf2_9ce4_8422_2325,
-            len: 0,
-        }
-    }
-
-    fn add(&mut self, t: Time, ev: &Event<OverlayMsg<SeaweedMsg>>) {
-        let desc = match *ev {
-            Event::Message { from, to, .. } => format!("m:{}:{}:{}", t.as_micros(), from.0, to.0),
-            Event::Timer { node, tag } => format!("t:{}:{}:{tag}", t.as_micros(), node.0),
-            Event::NodeUp { node } => format!("u:{}:{}", t.as_micros(), node.0),
-            Event::NodeDown { node } => format!("d:{}:{}", t.as_micros(), node.0),
-            Event::NodeCrash { node } => format!("c:{}:{}", t.as_micros(), node.0),
-            Event::PartitionStart { partition } => format!("ps:{}:{partition}", t.as_micros()),
-            Event::PartitionEnd { partition } => format!("pe:{}:{partition}", t.as_micros()),
-        };
-        for b in desc.as_bytes() {
-            self.hash ^= u64::from(*b);
-            self.hash = self.hash.wrapping_mul(0x100_0000_01b3);
-        }
-        self.len += 1;
-    }
 }
 
 /// Per-query record harvested at completion, before retirement recycles
@@ -136,55 +97,25 @@ fn run_point(
     storm: Option<StormConfig>,
     fingerprint: bool,
 ) -> Point {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
-    let mut tables = Vec::with_capacity(n);
-    for node in 0..n {
-        let mut t = Table::new(schema.clone());
-        for r in 0..ROWS_PER_NODE {
-            t.insert(vec![Value::Int(1), Value::Int((node + r) as i64 + 1)])
-                .expect("seed row");
-        }
-        tables.push(t);
-    }
+    let (tables, schema) = flag_fixture(0..n as u32, ROWS_PER_NODE);
     let total_rows = (n * ROWS_PER_NODE) as u64;
-    let topo = CorpNetTopology::new(n, seed);
-    let mut eng: SeaweedEngine = Engine::new(
-        Box::new(topo),
-        SimConfig {
-            seed,
-            ..SimConfig::default()
-        },
-    );
-    let overlay = Overlay::new(
-        Overlay::random_ids(n, seed),
-        OverlayConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let mut sw = Seaweed::new(
-        overlay,
-        LiveTables::new(tables),
+    let (mut eng, mut sw) = build_world(
+        Box::new(CorpNetTopology::new(n, seed)),
+        seed,
+        SimConfig::default(),
+        OverlayConfig::default(),
         SeaweedConfig {
-            seed,
             storm,
             ..Default::default()
         },
+        tables,
     );
-    let step = (60_000_000 / n as u64).max(1);
-    for i in 0..n {
-        eng.schedule_up(Time(1 + i as u64 * step), NodeIdx(i as u32));
-    }
+    boot_staggered(&mut eng, Duration((60_000_000 / n as u64).max(1)));
 
-    // lint:allow(D002): host-side benchmark timing for BENCH_storm01.json, never feeds simulated time
+    // lint:allow(D002): host-side benchmark timing for the JSON twin, never feeds simulated time
     let t0 = std::time::Instant::now();
     let mut events = 0u64;
+    // Only the K=1 byte-identity check pays for the fingerprint.
     let mut log = fingerprint.then(EventLog::new);
     let mut drive = |sw: &mut Seaweed<LiveTables>, eng: &mut SeaweedEngine, horizon: Time| {
         while let Some((t, ev)) = eng.next_event_before(horizon) {
@@ -195,7 +126,7 @@ fn run_point(
             sw.dispatch(eng, ev);
         }
     };
-    drive(&mut sw, &mut eng, secs(T0_SECS));
+    drive(&mut sw, &mut eng, Time::from_secs(T0_SECS));
 
     // The storm burst: all K submitted back-to-back. Over budget, the
     // tail parks in the admission queue.
@@ -226,7 +157,7 @@ fn run_point(
     let mut slices = 0u64;
     while completed < k {
         horizon += 10;
-        drive(&mut sw, &mut eng, secs(horizon));
+        drive(&mut sw, &mut eng, Time::from_secs(horizon));
         slices += 1;
         let mut still = Vec::with_capacity(live.len());
         for (i, h) in live.drain(..) {
@@ -288,7 +219,9 @@ fn run_point(
         .map(|r| r.injected + r.d100)
         .max()
         .expect("k >= 1");
-    let sim_span_s = last_done.saturating_since(secs(T0_SECS)).as_micros() as f64 / 1e6;
+    let sim_span_s = last_done
+        .saturating_since(Time::from_secs(T0_SECS))
+        .as_secs_f64();
     let fairness_spread = max_d100.as_micros() as f64 / (min_d100.as_micros() as f64).max(1.0);
 
     let stats = sw.stats;
@@ -312,42 +245,41 @@ fn run_point(
         max_d100,
         fairness_spread,
         sim_span_s,
-        log: log.map(|l| (l.hash, l.len)),
+        log: log.map(|l| (l.hash(), l.events())),
         rows_each: total_rows,
     }
 }
 
-fn write_json(path: &str, seed: u64, n: usize, byte_identical: bool, points: &[Point]) {
-    use std::fmt::Write as _;
-    let mut out = String::new();
-    out.push_str("{\n");
-    writeln!(out, "  \"bench\": \"storm01_query_storm\",").expect("string write");
-    writeln!(out, "  \"seed\": {seed},").expect("string write");
-    writeln!(out, "  \"n\": {n},").expect("string write");
-    writeln!(out, "  \"k1_byte_identical\": {byte_identical},").expect("string write");
-    out.push_str("  \"points\": [\n");
-    for (i, p) in points.iter().enumerate() {
-        let comma = if i + 1 == points.len() { "" } else { "," };
-        writeln!(
-            out,
-            "    {{\"k\": {}, \"wall_s\": {:.3}, \"events\": {}, \"events_per_s\": {:.0}, \
-             \"queries_per_sim_s\": {:.3}, \"p50_d90_s\": {:.3}, \"p99_d90_s\": {:.3}, \
-             \"fairness_spread\": {:.3}, \"shared_scan_batches\": {}}}{comma}",
-            p.k,
-            p.wall_s,
-            p.events,
-            p.events as f64 / p.wall_s.max(1e-9),
-            p.k as f64 / p.sim_span_s.max(1e-9),
-            p.p50_d90.as_micros() as f64 / 1e6,
-            p.p99_d90.as_micros() as f64 / 1e6,
-            p.fairness_spread,
-            p.shared_scan_batches,
-        )
-        .expect("string write");
-    }
-    out.push_str("  ]\n}\n");
-    std::fs::write(path, out).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("  wrote {path}");
+fn json_twin(path: &str, seed: u64, n: usize, byte_identical: bool, points: &[Point]) {
+    let header: Fields = vec![
+        ("bench", "storm01_query_storm".into()),
+        ("seed", seed.into()),
+        ("n", n.into()),
+        ("k1_byte_identical", byte_identical.into()),
+    ];
+    let points: Vec<Fields> = points
+        .iter()
+        .map(|p| {
+            vec![
+                ("k", p.k.into()),
+                ("wall_s", Value::Fixed(p.wall_s, 3)),
+                ("events", p.events.into()),
+                (
+                    "events_per_s",
+                    Value::Fixed(per_second(p.events, p.wall_s), 0),
+                ),
+                (
+                    "queries_per_sim_s",
+                    Value::Fixed(p.k as f64 / p.sim_span_s.max(1e-9), 3),
+                ),
+                ("p50_d90_s", Value::Fixed(p.p50_d90.as_secs_f64(), 3)),
+                ("p99_d90_s", Value::Fixed(p.p99_d90.as_secs_f64(), 3)),
+                ("fairness_spread", Value::Fixed(p.fairness_spread, 3)),
+                ("shared_scan_batches", p.shared_scan_batches.into()),
+            ]
+        })
+        .collect();
+    write_report(path, &header, &points);
 }
 
 fn main() {
@@ -356,7 +288,7 @@ fn main() {
     let max_k = args.get("max-k", 10_000usize);
     let seed = args.get("seed", 42u64);
     let out = args.get_str("out", "results/storm01.csv");
-    let json = args.get_str("json", "BENCH_storm01.json");
+    let json = args.get_str("json", "results/storm01.json");
 
     let ks: Vec<usize> = [1usize, 10, 100, 1_000, 10_000]
         .into_iter()
@@ -393,8 +325,8 @@ fn main() {
              {:>6.1}s wall",
             p.k,
             p.events,
-            p.p50_d90.as_micros() as f64 / 1e6,
-            p.p99_d90.as_micros() as f64 / 1e6,
+            p.p50_d90.as_secs_f64(),
+            p.p99_d90.as_secs_f64(),
             p.fairness_spread,
             p.wall_s,
         );
@@ -450,7 +382,7 @@ fn main() {
         ],
         &rows,
     );
-    write_json(&json, seed, n, byte_identical, &points);
+    json_twin(&json, seed, n, byte_identical, &points);
 
     let mut t = OutTable::new(&[
         "k",
@@ -466,8 +398,8 @@ fn main() {
             p.k.to_string(),
             p.events.to_string(),
             format!("{:.2}", p.k as f64 / p.sim_span_s.max(1e-9)),
-            format!("{:.2}", p.p50_d90.as_micros() as f64 / 1e6),
-            format!("{:.2}", p.p99_d90.as_micros() as f64 / 1e6),
+            format!("{:.2}", p.p50_d90.as_secs_f64()),
+            format!("{:.2}", p.p99_d90.as_secs_f64()),
             format!("{:.2}", p.fairness_spread),
             format!("{:.1}", p.wall_s),
         ]);

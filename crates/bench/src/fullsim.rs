@@ -6,9 +6,9 @@
 //! bandwidth report plus protocol statistics.
 
 use seaweed_availability::AvailabilityTrace;
-use seaweed_core::{Precomputed, Seaweed, SeaweedConfig, SeaweedEngine};
+use seaweed_core::{build_world_with_ids, Precomputed, SeaweedConfig};
 use seaweed_overlay::{Overlay, OverlayConfig, OverlayStats};
-use seaweed_sim::{BandwidthReport, CorpNetTopology, Engine, SimConfig, Topology, UniformTopology};
+use seaweed_sim::{BandwidthReport, CorpNetTopology, SimConfig};
 use seaweed_store::{BoundQuery, Query};
 use seaweed_types::{Duration, Time};
 use seaweed_workload::{flow_schema, AnemoneConfig};
@@ -19,11 +19,7 @@ pub struct FullSimConfig {
     /// Seed for the endsystemId assignment only (Figure 9(c) varies this
     /// while keeping trace/workload fixed). Defaults to `seed`.
     pub id_seed: u64,
-    /// Use the 298-router CorpNet-like topology (default) or a uniform
-    /// 5 ms fabric.
-    pub corpnet: bool,
     pub collect_cdf: bool,
-    pub loss_rate: f64,
     /// Gate traffic generation on the availability trace (machines
     /// generate no data while off). The paper's data came from a
     /// router-side capture and it "pessimistically assumes the total
@@ -44,7 +40,7 @@ pub struct FullSimConfig {
 }
 
 impl FullSimConfig {
-    /// Defaults: CorpNet topology, paper protocol parameters, the
+    /// Defaults: paper protocol parameters on the CorpNet topology, the
     /// Figure 9 query injected Tuesday 00:00 of week 2 (trace times are
     /// relative to a Monday epoch, mirroring the paper's July 1999
     /// calendar).
@@ -53,23 +49,15 @@ impl FullSimConfig {
         FullSimConfig {
             seed,
             id_seed: seed,
-            corpnet: true,
             collect_cdf: true,
-            loss_rate: 0.0,
             gate_data_on_trace: false,
             // Data volume per endsystem follows the paper's full capture
             // period (3 weeks) regardless of the simulated window.
             anemone: AnemoneConfig::default(),
-            seaweed: SeaweedConfig {
-                seed,
-                // §4.3: histograms pushed with an average period of
-                // 17.5 min, randomized phase (the SeaweedConfig default).
-                ..Default::default()
-            },
-            overlay: OverlayConfig {
-                seed,
-                ..Default::default()
-            },
+            // §4.3: histograms pushed with an average period of 17.5 min,
+            // randomized phase (the SeaweedConfig default).
+            seaweed: SeaweedConfig::default(),
+            overlay: OverlayConfig::default(),
             queries: vec!["SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80".to_owned()],
             injections: vec![(0, Time::ZERO + Duration::from_days(8))],
             ttl: Duration::from_days(30),
@@ -86,7 +74,8 @@ pub struct FullSimResult {
     /// predictor total rows).
     pub queries: Vec<QueryOutcome>,
     pub mean_online: f64,
-    pub sim_events: u64,
+    /// Messages the engine sent over the run.
+    pub messages_sent: u64,
 }
 
 pub struct QueryOutcome {
@@ -130,22 +119,18 @@ pub fn run_full(cfg: &FullSimConfig, trace: &AvailabilityTrace) -> FullSimResult
         }
     }
 
-    let topology: Box<dyn Topology> = if cfg.corpnet {
-        Box::new(CorpNetTopology::new(n, cfg.seed))
-    } else {
-        Box::new(UniformTopology::new(n, Duration::from_millis(5)))
-    };
-    let mut eng: SeaweedEngine = Engine::new(
-        topology,
+    let (mut eng, mut sw) = build_world_with_ids(
+        Box::new(CorpNetTopology::new(n, cfg.seed)),
+        Overlay::random_ids(n, cfg.id_seed),
+        cfg.seed,
         SimConfig {
-            seed: cfg.seed,
-            loss_rate: cfg.loss_rate,
             collect_cdf: cfg.collect_cdf,
             ..SimConfig::default()
         },
+        cfg.overlay.clone(),
+        cfg.seaweed.clone(),
+        provider,
     );
-    let overlay = Overlay::new(Overlay::random_ids(n, cfg.id_seed), cfg.overlay.clone());
-    let mut sw = Seaweed::new(overlay, provider, cfg.seaweed.clone());
     trace.replay_into(&mut eng);
 
     // Run, pausing at each injection instant.
@@ -187,7 +172,7 @@ pub fn run_full(cfg: &FullSimConfig, trace: &AvailabilityTrace) -> FullSimResult
     };
     let seaweed_stats = sw.stats;
     let overlay_stats = sw.overlay.stats;
-    let sim_events = eng.messages_sent;
+    let messages_sent = eng.messages_sent;
     let report = eng.finish();
     FullSimResult {
         report,
@@ -195,7 +180,7 @@ pub fn run_full(cfg: &FullSimConfig, trace: &AvailabilityTrace) -> FullSimResult
         overlay_stats,
         queries,
         mean_online,
-        sim_events,
+        messages_sent,
     }
 }
 
@@ -244,6 +229,6 @@ mod tests {
             q.rows,
             q.population_rows
         );
-        assert!(result.sim_events > 0);
+        assert!(result.messages_sent > 0);
     }
 }

@@ -10,11 +10,13 @@
 //! EXPERIMENTS.md for the mapping and recorded outcomes.
 
 pub mod cli;
+pub mod counters;
 pub mod figures;
 pub mod fullsim;
 pub mod output;
 pub mod parallel;
 pub mod predsim;
+pub mod report;
 
 pub use cli::Args;
 pub use output::{write_csv, Table as OutTable};

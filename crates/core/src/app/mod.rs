@@ -32,7 +32,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seaweed_availability::{AvailabilityModel, ModelConfig, ReplyLatencyStats};
 use seaweed_overlay::{is_overlay_tag, Overlay, OverlayEvent, OverlayEvents, OverlayMsg};
-use seaweed_sim::{Engine, Event, NodeIdx};
+use seaweed_sim::{Engine, Event, EventLog, NodeIdx};
 use seaweed_store::{Aggregate, BoundQuery, Query};
 use seaweed_types::{sha1, Duration, Id, IdRange, Time};
 
@@ -164,6 +164,26 @@ pub enum SeaweedMsg {
     QueryListPull,
     /// The active-query list.
     QueryListPush { queries: Vec<QueryHandle> },
+}
+
+impl SeaweedMsg {
+    /// The one query handle the message carries. `QueryListPush` carries
+    /// a list, not one, and the metadata messages carry none.
+    fn query_handle_mut(&mut self) -> Option<&mut QueryHandle> {
+        use SeaweedMsg as M;
+        match self {
+            M::MetaPush { .. } | M::QueryListPull | M::QueryListPush { .. } => None,
+            M::Disseminate { query, .. }
+            | M::PredictorReport { query, .. }
+            | M::PredictorToOrigin { query, .. }
+            | M::ViewReport { query, .. }
+            | M::ViewToOrigin { query, .. }
+            | M::ResultSubmit { query, .. }
+            | M::ResultAck { query, .. }
+            | M::VertexReplicate { query, .. }
+            | M::ResultToOrigin { query, .. } => Some(query),
+        }
+    }
 }
 
 // Every queued engine event — message or timer — is sized by the largest
@@ -442,8 +462,7 @@ pub(crate) enum TimerAction {
         query: QueryHandle,
     },
     /// A scan-scheduler quantum elapsed at `node`: advance the node's
-    /// queued local executions by one fair round. Armed through the
-    /// engine's quantum timer class (storm mode only).
+    /// queued local executions by one fair round (storm mode only).
     ScanQuantum {
         node: NodeIdx,
     },
@@ -1112,9 +1131,22 @@ impl<P: DataProvider> Seaweed<P> {
         self.expire_query(eng, slot);
     }
 
-    /// Runs the event loop until `horizon`.
-    pub fn run_until(&mut self, eng: &mut SeaweedEngine, horizon: Time) {
+    /// Runs the event loop until `horizon`; returns how many events it
+    /// dispatched.
+    pub fn run_until(&mut self, eng: &mut SeaweedEngine, horizon: Time) -> u64 {
+        let mut events = 0;
         while let Some((_, ev)) = eng.next_event_before(horizon) {
+            events += 1;
+            self.dispatch(eng, ev);
+        }
+        events
+    }
+
+    /// [`Seaweed::run_until`], folding each event into `log` as it is
+    /// delivered.
+    pub fn run_until_logged(&mut self, eng: &mut SeaweedEngine, horizon: Time, log: &mut EventLog) {
+        while let Some((t, ev)) = eng.next_event_before(horizon) {
+            log.add(t, &ev);
             self.dispatch(eng, ev);
         }
     }
@@ -1201,97 +1233,19 @@ impl<P: DataProvider> Seaweed<P> {
     /// a dead query: the message is dropped — `None` — before any state
     /// is touched, and `stale_handle_drops` counts it. `QueryListPush`
     /// drops stale entries individually rather than the whole list.
-    fn validate_msg(&mut self, msg: SeaweedMsg) -> Option<SeaweedMsg> {
-        use SeaweedMsg as M;
-        Some(match msg {
-            M::MetaPush { .. } | M::QueryListPull => msg,
-            M::QueryListPush { queries } => {
-                let live: Vec<QueryHandle> = queries
-                    .into_iter()
-                    .filter_map(|q| self.check_handle(q))
-                    .collect();
-                M::QueryListPush { queries: live }
-            }
-            M::Disseminate {
-                query,
-                range,
-                parent,
-            } => M::Disseminate {
-                query: self.check_handle(query)?,
-                range,
-                parent,
-            },
-            M::PredictorReport {
-                query,
-                range,
-                predictor,
-            } => M::PredictorReport {
-                query: self.check_handle(query)?,
-                range,
-                predictor,
-            },
-            M::PredictorToOrigin { query, predictor } => M::PredictorToOrigin {
-                query: self.check_handle(query)?,
-                predictor,
-            },
-            M::ViewReport {
-                query,
-                range,
-                agg,
-                endsystems,
-            } => M::ViewReport {
-                query: self.check_handle(query)?,
-                range,
-                agg,
-                endsystems,
-            },
-            M::ViewToOrigin {
-                query,
-                agg,
-                endsystems,
-            } => M::ViewToOrigin {
-                query: self.check_handle(query)?,
-                agg,
-                endsystems,
-            },
-            M::ResultSubmit {
-                query,
-                vertex,
-                child,
-                version,
-                agg,
-            } => M::ResultSubmit {
-                query: self.check_handle(query)?,
-                vertex,
-                child,
-                version,
-                agg,
-            },
-            M::ResultAck {
-                query,
-                vertex,
-                child,
-                version,
-            } => M::ResultAck {
-                query: self.check_handle(query)?,
-                vertex,
-                child,
-                version,
-            },
-            M::VertexReplicate { query, vertex } => M::VertexReplicate {
-                query: self.check_handle(query)?,
-                vertex,
-            },
-            M::ResultToOrigin {
-                query,
-                agg,
-                version,
-            } => M::ResultToOrigin {
-                query: self.check_handle(query)?,
-                agg,
-                version,
-            },
-        })
+    fn validate_msg(&mut self, mut msg: SeaweedMsg) -> Option<SeaweedMsg> {
+        if let SeaweedMsg::QueryListPush { queries } = &mut msg {
+            queries.retain_mut(|q| match self.check_handle(*q) {
+                Some(slot) => {
+                    *q = slot;
+                    true
+                }
+                None => false,
+            });
+        } else if let Some(query) = msg.query_handle_mut() {
+            *query = self.check_handle(*query)?;
+        }
+        Some(msg)
     }
 
     fn on_seaweed_msg(
@@ -1424,6 +1378,15 @@ impl<P: DataProvider> Seaweed<P> {
 
     // ---------------------------------------------------------- timers
 
+    /// Parks `action` under a fresh engine timer tag and returns the tag.
+    fn park_timer_action(&mut self, action: TimerAction) -> u64 {
+        let seq = self.timer_seq;
+        self.timer_seq += 1;
+        debug_assert!(seq < (1 << 62), "timer tag space exhausted");
+        self.timers.insert(seq, action);
+        seq
+    }
+
     pub(crate) fn set_app_timer(
         &mut self,
         eng: &mut SeaweedEngine,
@@ -1431,10 +1394,7 @@ impl<P: DataProvider> Seaweed<P> {
         delay: Duration,
         action: TimerAction,
     ) -> AppTimer {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        debug_assert!(seq < (1 << 62), "timer tag space exhausted");
-        self.timers.insert(seq, action);
+        let seq = self.park_timer_action(action);
         let handle = eng.set_timer(node, delay, seq);
         AppTimer { seq, handle }
     }
@@ -1459,29 +1419,8 @@ impl<P: DataProvider> Seaweed<P> {
         delay: Duration,
         action: TimerAction,
     ) {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        debug_assert!(seq < (1 << 62), "timer tag space exhausted");
-        self.timers.insert(seq, action);
+        let seq = self.park_timer_action(action);
         let _ = eng.set_detached_timer(node, delay, seq);
-    }
-
-    /// Arms a scan-scheduler quantum timer (storm mode): liveness-tied
-    /// like a plain app timer, but metered under the engine's quantum
-    /// timer class so storm runs account for scheduler overhead
-    /// separately from protocol timers.
-    pub(crate) fn set_quantum_app_timer(
-        &mut self,
-        eng: &mut SeaweedEngine,
-        node: NodeIdx,
-        delay: Duration,
-        action: TimerAction,
-    ) {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        debug_assert!(seq < (1 << 62), "timer tag space exhausted");
-        self.timers.insert(seq, action);
-        let _ = eng.set_quantum_timer(node, delay, seq);
     }
 
     fn on_app_timer(&mut self, eng: &mut SeaweedEngine, node: NodeIdx, tag: u64) {

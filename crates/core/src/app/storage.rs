@@ -22,18 +22,63 @@ use seaweed_types::Id;
 
 use super::{DissemTask, PendingSubmit, QueryHandle, TaskKey, VertexState};
 
-/// Dissemination tasks, keyed `(node, query, range start, range width)`:
-/// one map per endsystem, keyed by the remainder of the task key, so
-/// node-death cleanup drops one bucket instead of filtering the world.
+/// A key whose first component is the dense index of the endsystem that
+/// owns the entry and whose second is the query it belongs to.
+pub(crate) trait NodeKey: Copy {
+    /// The key without its node, `(query, ...)`: what a bucket orders by.
+    type Rest: Ord + Copy;
+    fn split(self) -> (u32, Self::Rest);
+    fn join(node: u32, rest: Self::Rest) -> Self;
+    fn query(rest: &Self::Rest) -> QueryHandle;
+}
+
+impl NodeKey for TaskKey {
+    type Rest = (QueryHandle, u128, u128);
+    fn split(self) -> (u32, Self::Rest) {
+        (self.0, (self.1, self.2, self.3))
+    }
+    fn join(node: u32, (q, start, width): Self::Rest) -> Self {
+        (node, q, start, width)
+    }
+    fn query(rest: &Self::Rest) -> QueryHandle {
+        rest.0
+    }
+}
+
+impl NodeKey for SubmitKey {
+    type Rest = (QueryHandle, u128);
+    fn split(self) -> (u32, Self::Rest) {
+        (self.0, (self.1, self.2))
+    }
+    fn join(node: u32, (q, child): Self::Rest) -> Self {
+        (node, q, child)
+    }
+    fn query(rest: &Self::Rest) -> QueryHandle {
+        rest.0
+    }
+}
+
+/// `(submitting node, query, child key)`.
+pub(crate) type SubmitKey = (u32, QueryHandle, u128);
+
+/// Entries bucketed by owning endsystem: one map per node, keyed by the
+/// remainder of the key, so node-death cleanup drops one bucket instead
+/// of filtering the world.
 #[derive(Debug)]
-pub(crate) struct TaskStore {
-    per_node: Vec<BTreeMap<(QueryHandle, u128, u128), DissemTask>>,
+pub(crate) struct NodeStore<K: NodeKey, V> {
+    per_node: Vec<BTreeMap<K::Rest, V>>,
     len: usize,
 }
 
-impl TaskStore {
+/// Dissemination tasks, keyed `(node, query, range start, range width)`.
+pub(crate) type TaskStore = NodeStore<TaskKey, DissemTask>;
+
+/// In-flight upward submissions, keyed `(node, query, child key)`.
+pub(crate) type SubmitStore = NodeStore<SubmitKey, PendingSubmit>;
+
+impl<K: NodeKey, V> NodeStore<K, V> {
     pub fn new(n: usize) -> Self {
-        TaskStore {
+        NodeStore {
             per_node: (0..n).map(|_| BTreeMap::new()).collect(),
             len: 0,
         }
@@ -43,47 +88,58 @@ impl TaskStore {
         self.len
     }
 
-    pub fn get(&self, key: &TaskKey) -> Option<&DissemTask> {
-        self.per_node[key.0 as usize].get(&(key.1, key.2, key.3))
+    pub fn get(&self, key: &K) -> Option<&V> {
+        let (node, rest) = key.split();
+        self.per_node[node as usize].get(&rest)
     }
 
-    pub fn get_mut(&mut self, key: &TaskKey) -> Option<&mut DissemTask> {
-        self.per_node[key.0 as usize].get_mut(&(key.1, key.2, key.3))
+    pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
+        let (node, rest) = key.split();
+        self.per_node[node as usize].get_mut(&rest)
     }
 
-    pub fn insert(&mut self, key: TaskKey, task: DissemTask) {
-        if self.per_node[key.0 as usize]
-            .insert((key.1, key.2, key.3), task)
-            .is_none()
-        {
+    pub fn insert(&mut self, key: K, val: V) {
+        let (node, rest) = key.split();
+        if self.per_node[node as usize].insert(rest, val).is_none() {
             self.len += 1;
         }
     }
 
-    /// Drops every task issued at `node` (its volatile state died with
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        let (node, rest) = key.split();
+        let removed = self.per_node[node as usize].remove(&rest);
+        if removed.is_some() {
+            self.len -= 1;
+        }
+        removed
+    }
+
+    /// Drops every entry owned by `node` (its volatile state died with
     /// it). O(own entries).
     pub fn clear_node(&mut self, node: u32) {
         let bucket = std::mem::take(&mut self.per_node[node as usize]);
         self.len -= bucket.len();
     }
 
-    /// Drops every task belonging to an expired query.
+    /// Drops every entry belonging to an expired query.
     pub fn clear_query(&mut self, query: QueryHandle) {
         for bucket in &mut self.per_node {
             let before = bucket.len();
-            bucket.retain(|&(qh, _, _), _| qh != query);
+            bucket.retain(|rest, _| K::query(rest) != query);
             self.len -= before - bucket.len();
         }
     }
 
-    /// All task keys in ascending `(node, query, start, width)` order.
-    pub fn keys(&self) -> impl Iterator<Item = TaskKey> + '_ {
+    /// All keys in ascending order of the full tuple.
+    pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
         self.per_node
             .iter()
             .enumerate()
-            .flat_map(|(n, bucket)| bucket.keys().map(move |&(q, s, w)| (n as u32, q, s, w)))
+            .flat_map(|(n, bucket)| bucket.keys().map(move |&rest| K::join(n as u32, rest)))
     }
+}
 
+impl TaskStore {
     /// Keys of `node`'s tasks for `query` whose task satisfies `pred`,
     /// in ascending key order (the heal/report paths pick the first
     /// candidate, so this order is protocol-visible).
@@ -186,73 +242,6 @@ impl VertexStore {
 
     pub fn keys(&self) -> impl Iterator<Item = (QueryHandle, Id)> + '_ {
         self.iter().map(|(k, _)| k)
-    }
-}
-
-/// In-flight upward submissions, keyed `(node, query, child key)`: one
-/// map per submitting endsystem, so node-death cleanup drops one bucket.
-#[derive(Debug)]
-pub(crate) struct SubmitStore {
-    per_node: Vec<BTreeMap<(QueryHandle, u128), PendingSubmit>>,
-    len: usize,
-}
-
-impl SubmitStore {
-    pub fn new(n: usize) -> Self {
-        SubmitStore {
-            per_node: (0..n).map(|_| BTreeMap::new()).collect(),
-            len: 0,
-        }
-    }
-
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    pub fn get(&self, key: &(u32, QueryHandle, u128)) -> Option<&PendingSubmit> {
-        self.per_node[key.0 as usize].get(&(key.1, key.2))
-    }
-
-    pub fn get_mut(&mut self, key: &(u32, QueryHandle, u128)) -> Option<&mut PendingSubmit> {
-        self.per_node[key.0 as usize].get_mut(&(key.1, key.2))
-    }
-
-    pub fn insert(&mut self, key: (u32, QueryHandle, u128), sub: PendingSubmit) {
-        if self.per_node[key.0 as usize]
-            .insert((key.1, key.2), sub)
-            .is_none()
-        {
-            self.len += 1;
-        }
-    }
-
-    pub fn remove(&mut self, key: &(u32, QueryHandle, u128)) -> Option<PendingSubmit> {
-        let removed = self.per_node[key.0 as usize].remove(&(key.1, key.2));
-        if removed.is_some() {
-            self.len -= 1;
-        }
-        removed
-    }
-
-    pub fn clear_node(&mut self, node: u32) {
-        let bucket = std::mem::take(&mut self.per_node[node as usize]);
-        self.len -= bucket.len();
-    }
-
-    pub fn clear_query(&mut self, query: QueryHandle) {
-        for bucket in &mut self.per_node {
-            let before = bucket.len();
-            bucket.retain(|&(qh, _), _| qh != query);
-            self.len -= before - bucket.len();
-        }
-    }
-
-    /// All keys in ascending `(node, query, child)` order.
-    pub fn keys(&self) -> impl Iterator<Item = (u32, QueryHandle, u128)> + '_ {
-        self.per_node
-            .iter()
-            .enumerate()
-            .flat_map(|(n, bucket)| bucket.keys().map(move |&(q, c)| (n as u32, q, c)))
     }
 }
 

@@ -279,7 +279,7 @@ impl<P: DataProvider> Seaweed<P> {
         });
         if !sn.pump {
             sn.pump = true;
-            self.set_quantum_app_timer(eng, n, quantum, TimerAction::ScanQuantum { node: n });
+            self.set_app_timer(eng, n, quantum, TimerAction::ScanQuantum { node: n });
         }
     }
 
@@ -330,7 +330,7 @@ impl<P: DataProvider> Seaweed<P> {
         let sn = &mut self.scan[n.idx()];
         if !sn.tasks.is_empty() && !sn.pump && eng.is_up(n) {
             sn.pump = true;
-            self.set_quantum_app_timer(eng, n, quantum, TimerAction::ScanQuantum { node: n });
+            self.set_app_timer(eng, n, quantum, TimerAction::ScanQuantum { node: n });
         }
     }
 

@@ -36,6 +36,7 @@ pub mod predictor;
 pub mod provider;
 pub mod vertex;
 pub mod wire;
+pub mod world;
 
 pub use app::{
     HedgeConfig, QueryHandle, QueryKind, QueryState, Seaweed, SeaweedConfig, SeaweedEngine,
@@ -46,3 +47,4 @@ pub use obs::{QueryTimeline, SloReport};
 pub use oracle::ChaosOracle;
 pub use predictor::Predictor;
 pub use provider::{DataProvider, LiveTables, Precomputed};
+pub use world::{boot_staggered, build_world, build_world_with_ids, flag_fixture};

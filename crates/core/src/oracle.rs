@@ -373,56 +373,28 @@ mod tests {
     use std::collections::BTreeMap;
 
     use proptest::prelude::*;
-    use seaweed_overlay::{Overlay, OverlayConfig};
-    use seaweed_sim::{Engine, NodeIdx, SimConfig, UniformTopology};
-    use seaweed_store::{Aggregate, ColumnDef, DataType, Schema, Table, Value};
+    use seaweed_overlay::OverlayConfig;
+    use seaweed_sim::{NodeIdx, SimConfig, UniformTopology};
+    use seaweed_store::Aggregate;
     use seaweed_types::{Duration, Id, Time};
 
     use super::ChaosOracle;
     use crate::app::{Seaweed, SeaweedConfig, SeaweedEngine, VertexState};
     use crate::provider::LiveTables;
+    use crate::world::{boot_staggered, build_world, flag_fixture};
 
     const N: usize = 12;
     const SQL: &str = "SELECT SUM(v) FROM T WHERE flag = 1";
 
     fn world(seed: u64) -> (SeaweedEngine, Seaweed<LiveTables>) {
-        let schema = Schema::new(
-            "T",
-            vec![
-                ColumnDef::new("flag", DataType::Int, true),
-                ColumnDef::new("v", DataType::Int, true),
-            ],
-        );
-        let mut tables = Vec::with_capacity(N);
-        for node in 0..N {
-            let mut t = Table::new(schema.clone());
-            t.insert(vec![Value::Int(1), Value::Int(node as i64 + 1)])
-                .unwrap();
-            tables.push(t);
-        }
-        let eng: SeaweedEngine = Engine::new(
+        build_world(
             Box::new(UniformTopology::new(N, Duration::from_millis(5))),
-            SimConfig {
-                seed,
-                ..SimConfig::default()
-            },
-        );
-        let overlay = Overlay::new(
-            Overlay::random_ids(N, seed),
-            OverlayConfig {
-                seed,
-                ..Default::default()
-            },
-        );
-        let sw = Seaweed::new(
-            overlay,
-            LiveTables::new(tables),
-            SeaweedConfig {
-                seed,
-                ..Default::default()
-            },
-        );
-        (eng, sw)
+            seed,
+            SimConfig::default(),
+            OverlayConfig::default(),
+            SeaweedConfig::default(),
+            flag_fixture(0..N as u32, 1).0,
+        )
     }
 
     /// Runs a small deployment, then injects synthetic invariant
@@ -431,9 +403,7 @@ mod tests {
     /// marked dead while its protocol state survives.
     fn violations(seed: u64) -> Vec<String> {
         let (mut eng, mut sw) = world(seed);
-        for i in 0..N {
-            eng.schedule_up(Time(1 + i as u64 * 200_000), NodeIdx(i as u32));
-        }
+        boot_staggered(&mut eng, Duration::from_millis(200));
         sw.run_until(&mut eng, Time(30_000_000));
         let schema = sw.provider.schema().clone();
         let (_, bound) = sw.provider.bind(SQL, 0).unwrap();

@@ -1,0 +1,165 @@
+//! The one way to stand up a world: topology → engine → Pastry overlay →
+//! Seaweed, under one seed.
+//!
+//! Every experiment in the paper is this stack under a different trace
+//! (§4.3), and every test, bench binary and example in this repository
+//! builds it here. Beside the constructor live the two pieces nearly all
+//! of them repeat: the staggered boot and the one-row-per-endsystem
+//! fixture whose ground truth is known in closed form.
+
+use seaweed_overlay::{Overlay, OverlayConfig};
+use seaweed_sim::{Engine, NodeIdx, SimConfig, Topology};
+use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
+use seaweed_types::{Duration, Id, Time};
+
+use crate::app::{Seaweed, SeaweedConfig, SeaweedEngine};
+use crate::provider::{DataProvider, LiveTables};
+
+/// Builds the engine over `topology` and the protocol stack over
+/// `provider`, one endsystem per topology endsystem, ids drawn from
+/// `seed`. The three layer configs are taken as they are except for
+/// their `seed` fields, which `seed` overrides — a run has one seed.
+/// All endsystems start down: replay a trace or call [`boot_staggered`].
+#[must_use]
+pub fn build_world<P: DataProvider>(
+    topology: Box<dyn Topology>,
+    seed: u64,
+    sim: SimConfig,
+    overlay: OverlayConfig,
+    seaweed: SeaweedConfig,
+    provider: P,
+) -> (SeaweedEngine, Seaweed<P>) {
+    let ids = Overlay::random_ids(topology.num_endsystems(), seed);
+    build_world_with_ids(topology, ids, seed, sim, overlay, seaweed, provider)
+}
+
+/// [`build_world`] over an explicit endsystemId assignment — for the
+/// experiment that varies the ids while the run's seed stays fixed
+/// (Figure 9(c)).
+///
+/// # Panics
+/// Panics unless there is exactly one id per topology endsystem.
+#[must_use]
+pub fn build_world_with_ids<P: DataProvider>(
+    topology: Box<dyn Topology>,
+    ids: Vec<Id>,
+    seed: u64,
+    sim: SimConfig,
+    overlay: OverlayConfig,
+    seaweed: SeaweedConfig,
+    provider: P,
+) -> (SeaweedEngine, Seaweed<P>) {
+    assert_eq!(ids.len(), topology.num_endsystems(), "one id per endsystem");
+    let eng = Engine::new(topology, SimConfig { seed, ..sim });
+    let overlay = Overlay::new(ids, OverlayConfig { seed, ..overlay });
+    let sw = Seaweed::new(overlay, provider, SeaweedConfig { seed, ..seaweed });
+    (eng, sw)
+}
+
+/// Schedules every endsystem up, endsystem `i` at `1 µs + i × step`.
+pub fn boot_staggered(eng: &mut SeaweedEngine, step: Duration) {
+    for i in 0..eng.num_nodes() {
+        eng.schedule_up(Time(1 + i as u64 * step.as_micros()), NodeIdx(i as u32));
+    }
+}
+
+/// The fixture with closed-form ground truth: table `T(flag, v)`, one
+/// fragment per entry of `nodes`, each holding `rows` rows
+/// `(flag = 1, v = node + r + 1)` for `r` in `0..rows`. With one row
+/// per endsystem and `nodes = 0..n`, `COUNT(*) WHERE flag = 1` is `n`
+/// and `SUM(v)` is `n(n+1)/2`. `nodes` are the numbers the values are
+/// derived from — a shard of a partitioned run passes its members'
+/// global indices.
+#[must_use]
+pub fn flag_fixture(nodes: impl IntoIterator<Item = u32>, rows: usize) -> (LiveTables, Schema) {
+    let schema = Schema::new(
+        "T",
+        vec![
+            ColumnDef::new("flag", DataType::Int, true),
+            ColumnDef::new("v", DataType::Int, true),
+        ],
+    );
+    let tables = nodes
+        .into_iter()
+        .map(|node| {
+            let mut t = Table::new(schema.clone());
+            for r in 0..rows {
+                t.insert(vec![
+                    Value::Int(1),
+                    Value::Int(i64::from(node) + r as i64 + 1),
+                ])
+                .expect("row matches the schema");
+            }
+            t
+        })
+        .collect();
+    (LiveTables::new(tables), schema)
+}
+
+#[cfg(test)]
+mod tests {
+    use seaweed_sim::{EventLog, UniformTopology};
+
+    use super::*;
+
+    const N: usize = 16;
+
+    fn topology() -> Box<dyn Topology> {
+        Box::new(UniformTopology::new(N, Duration::from_millis(5)))
+    }
+
+    /// Two simulated minutes of joins and metadata pushes under 5% loss
+    /// (so every layer draws from its RNG); the layer configs arrive
+    /// carrying `layer_seed`, which the run's seed must override.
+    fn short_run(seed: u64, layer_seed: u64) -> (Vec<Id>, u64, u64) {
+        let (mut eng, mut sw) = build_world(
+            topology(),
+            seed,
+            SimConfig {
+                seed: layer_seed,
+                loss_rate: 0.05,
+                ..SimConfig::default()
+            },
+            OverlayConfig {
+                seed: layer_seed,
+                ..OverlayConfig::default()
+            },
+            SeaweedConfig {
+                seed: layer_seed,
+                ..SeaweedConfig::default()
+            },
+            flag_fixture(0..N as u32, 1).0,
+        );
+        boot_staggered(&mut eng, Duration::from_millis(100));
+        let mut log = EventLog::new();
+        while let Some((t, ev)) = eng.next_event_before(Time::from_secs(120)) {
+            log.add(t, &ev);
+            sw.dispatch(&mut eng, ev);
+        }
+        (sw.overlay.ids().to_vec(), log.hash(), log.events())
+    }
+
+    #[test]
+    fn one_seed_reaches_every_layer() {
+        assert_eq!(short_run(7, 1), short_run(7, 2));
+        let (a, b) = (short_run(7, 1), short_run(8, 1));
+        assert_ne!(a.0, b.0, "ids must follow the seed");
+        assert_ne!(a.1, b.1, "the schedule must follow the seed");
+    }
+
+    #[test]
+    fn explicit_ids_are_honoured() {
+        let ids = Overlay::random_ids(N, 99);
+        assert_ne!(ids, Overlay::random_ids(N, 7));
+        let (_, sw) = build_world_with_ids(
+            topology(),
+            ids.clone(),
+            7,
+            SimConfig::default(),
+            OverlayConfig::default(),
+            SeaweedConfig::default(),
+            flag_fixture(0..N as u32, 1).0,
+        );
+        assert_eq!(sw.overlay.ids(), &ids[..]);
+    }
+}

@@ -4,36 +4,18 @@
 //! sends far fewer — and both converge to the same exact answer once
 //! the partition heals.
 
-use seaweed_core::{LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{Overlay, OverlayConfig};
-use seaweed_sim::{Engine, FaultPlan, NodeIdx, PartitionSpec, SimConfig, UniformTopology};
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
+use seaweed_core::{boot_staggered, build_world, flag_fixture, SeaweedConfig};
+use seaweed_overlay::OverlayConfig;
+use seaweed_sim::{FaultPlan, NodeIdx, PartitionSpec, SimConfig, UniformTopology};
 use seaweed_types::{Duration, Time};
 
 const N: usize = 30;
 const SEED: u64 = 11;
 
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
 /// Runs the 5%-loss partition scenario with the given retry cap and
 /// returns `(result_retries, rows at origin)`.
 fn run(result_retry_cap: Duration) -> (u64, u64) {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
-    let mut tables = Vec::with_capacity(N);
-    for node in 0..N {
-        let mut t = Table::new(schema.clone());
-        t.insert(vec![Value::Int(1), Value::Int(node as i64 + 1)])
-            .unwrap();
-        tables.push(t);
-    }
+    let (tables, schema) = flag_fixture(0..N as u32, 1);
     // A third of the population is cut off for two minutes; the query is
     // injected mid-partition, so majority-side submissions whose vertex
     // targets sit behind the cut are dropped and retry until the routing
@@ -41,43 +23,31 @@ fn run(result_retry_cap: Duration) -> (u64, u64) {
     let plan = FaultPlan {
         partitions: vec![PartitionSpec {
             members: (20..N as u32).collect(),
-            from: secs(905),
-            until: secs(1025),
+            from: Time::from_secs(905),
+            until: Time::from_secs(1025),
         }],
         ..FaultPlan::default()
     };
-    let mut eng: SeaweedEngine = Engine::new(
+    let (mut eng, mut sw) = build_world(
         Box::new(UniformTopology::new(N, Duration::from_millis(5))),
+        SEED,
         SimConfig {
-            seed: SEED,
             loss_rate: 0.05,
             faults: Some(plan),
             ..SimConfig::default()
         },
-    );
-    let overlay = Overlay::new(
-        Overlay::random_ids(N, SEED),
-        OverlayConfig {
-            seed: SEED,
-            ..Default::default()
-        },
-    );
-    let mut sw = Seaweed::new(
-        overlay,
-        LiveTables::new(tables),
+        OverlayConfig::default(),
         SeaweedConfig {
-            seed: SEED,
             result_retry: Duration::from_secs(2),
             result_retry_cap,
             ..Default::default()
         },
+        tables,
     );
-    for i in 0..N {
-        eng.schedule_up(Time::from_micros(1 + i as u64 * 700_000), NodeIdx(i as u32));
-    }
-    sw.run_until(&mut eng, secs(900));
+    boot_staggered(&mut eng, Duration::from_millis(700));
+    sw.run_until(&mut eng, Time::from_secs(900));
     assert_eq!(sw.overlay.num_joined(), N, "all join before the partition");
-    sw.run_until(&mut eng, secs(910));
+    sw.run_until(&mut eng, Time::from_secs(910));
 
     let h = sw
         .inject_query(
@@ -88,7 +58,7 @@ fn run(result_retry_cap: Duration) -> (u64, u64) {
             &schema,
         )
         .unwrap();
-    sw.run_until(&mut eng, secs(1800));
+    sw.run_until(&mut eng, Time::from_secs(1800));
     assert!(eng.dropped_partition > 0, "partition cut no traffic");
     (sw.stats.result_retries, sw.query(h).rows())
 }

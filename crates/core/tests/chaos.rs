@@ -6,12 +6,15 @@
 //! log.
 
 use proptest::prelude::*;
-use seaweed_core::{ChaosOracle, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{Overlay, OverlayConfig, OverlayMsg};
-use seaweed_sim::{
-    CorpNetTopology, Engine, Event, FaultPlan, NodeIdx, OutageSpec, SimConfig, TraceConfig,
+use seaweed_core::{
+    boot_staggered, build_world, flag_fixture, ChaosOracle, LiveTables, Seaweed, SeaweedConfig,
+    SeaweedEngine,
 };
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
+use seaweed_overlay::OverlayConfig;
+use seaweed_sim::{
+    CorpNetTopology, EventLog, FaultPlan, NodeIdx, OutageSpec, SimConfig, TraceConfig,
+};
+use seaweed_store::Schema;
 use seaweed_types::{Duration, Time};
 
 const N: usize = 36;
@@ -19,93 +22,31 @@ const ROUTERS: usize = 24;
 /// Query injection time; all fault windows are anchored after it.
 const T0: u64 = 600_000_000; // 600 s in µs
 
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
 /// The 36-endsystem world under `plan`, or under the shared chaos plan
-/// when `None`.
+/// when `None`; staggered boot scheduled.
 fn world(
     seed: u64,
     trace: bool,
     plan: Option<FaultPlan>,
 ) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
-    let mut tables = Vec::with_capacity(N);
-    for node in 0..N {
-        let mut t = Table::new(schema.clone());
-        t.insert(vec![Value::Int(1), Value::Int(node as i64 + 1)])
-            .unwrap();
-        tables.push(t);
-    }
+    let (tables, schema) = flag_fixture(0..N as u32, 1);
     let topo = CorpNetTopology::with_params(N, ROUTERS, Duration::MILLISECOND, seed);
     let plan = plan.unwrap_or_else(|| FaultPlan::chaos(&topo, &[]));
-    let eng: SeaweedEngine = Engine::new(
+    let (mut eng, sw) = build_world(
         Box::new(topo),
+        seed,
         SimConfig {
-            seed,
             loss_rate: 0.01,
             faults: Some(plan),
             trace: trace.then(TraceConfig::default),
             ..SimConfig::default()
         },
+        OverlayConfig::default(),
+        SeaweedConfig::default(),
+        tables,
     );
-    let overlay = Overlay::new(
-        Overlay::random_ids(N, seed),
-        OverlayConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let sw = Seaweed::new(
-        overlay,
-        LiveTables::new(tables),
-        SeaweedConfig {
-            seed,
-            ..Default::default()
-        },
-    );
+    boot_staggered(&mut eng, Duration::from_millis(300));
     (eng, sw, schema)
-}
-
-/// FNV-1a fingerprint over a compact per-event descriptor. Payload
-/// contents are excluded; ordering, endpoints and timestamps pin the
-/// schedule bit-for-bit.
-struct EventLog {
-    hash: u64,
-    len: u64,
-}
-
-impl EventLog {
-    fn new() -> Self {
-        EventLog {
-            hash: 0xcbf2_9ce4_8422_2325,
-            len: 0,
-        }
-    }
-
-    fn add(&mut self, t: Time, ev: &Event<OverlayMsg<seaweed_core::SeaweedMsg>>) {
-        let desc = match *ev {
-            Event::Message { from, to, .. } => format!("m:{}:{}:{}", t.as_micros(), from.0, to.0),
-            Event::Timer { node, tag } => format!("t:{}:{}:{tag}", t.as_micros(), node.0),
-            Event::NodeUp { node } => format!("u:{}:{}", t.as_micros(), node.0),
-            Event::NodeDown { node } => format!("d:{}:{}", t.as_micros(), node.0),
-            Event::NodeCrash { node } => format!("c:{}:{}", t.as_micros(), node.0),
-            Event::PartitionStart { partition } => format!("ps:{}:{partition}", t.as_micros()),
-            Event::PartitionEnd { partition } => format!("pe:{}:{partition}", t.as_micros()),
-        };
-        for b in desc.as_bytes() {
-            self.hash ^= u64::from(*b);
-            self.hash = self.hash.wrapping_mul(0x100_0000_01b3);
-        }
-        self.len += 1;
-    }
 }
 
 struct RunResult {
@@ -121,17 +62,8 @@ struct RunResult {
 
 fn run_chaos(seed: u64, trace: bool) -> RunResult {
     let (mut eng, mut sw, schema) = world(seed, trace, None);
-    for i in 0..N {
-        eng.schedule_up(Time(1 + i as u64 * 300_000), NodeIdx(i as u32));
-    }
     let mut log = EventLog::new();
-    let mut drive = |eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, horizon: Time| {
-        while let Some((t, ev)) = eng.next_event_before(horizon) {
-            log.add(t, &ev);
-            sw.dispatch(eng, ev);
-        }
-    };
-    drive(&mut eng, &mut sw, Time(T0));
+    sw.run_until_logged(&mut eng, Time(T0), &mut log);
     assert_eq!(sw.overlay.num_joined(), N, "all join before the faults");
 
     sw.inject_query(
@@ -148,13 +80,13 @@ fn run_chaos(seed: u64, trace: bool) -> RunResult {
     let oracle = ChaosOracle::new(N as u64);
     let mut violations = Vec::new();
     for t in [650, 720, 800, 1000, 1500] {
-        drive(&mut eng, &mut sw, secs(t));
+        sw.run_until_logged(&mut eng, Time::from_secs(t), &mut log);
         violations.extend(oracle.check(&sw, &eng));
     }
 
     RunResult {
-        log_hash: log.hash,
-        log_len: log.len,
+        log_hash: log.hash(),
+        log_len: log.events(),
         rows: sw.query(0).rows(),
         violations,
         amnesia_crashes: sw.stats.amnesia_crashes,
@@ -225,8 +157,8 @@ proptest! {
 fn a_vertex_lost_with_all_its_holders_leaves_no_membership_behind() {
     let outage = OutageSpec {
         members: (8..N as u32).collect(),
-        down_at: secs(640),
-        up_at: secs(900),
+        down_at: Time::from_secs(640),
+        up_at: Time::from_secs(900),
         amnesia: false,
     };
     let plan = FaultPlan {
@@ -234,9 +166,6 @@ fn a_vertex_lost_with_all_its_holders_leaves_no_membership_behind() {
         ..FaultPlan::default()
     };
     let (mut eng, mut sw, schema) = world(7, false, Some(plan));
-    for i in 0..N {
-        eng.schedule_up(Time(1 + i as u64 * 300_000), NodeIdx(i as u32));
-    }
     sw.run_until(&mut eng, Time(T0));
     sw.inject_query(
         &mut eng,
@@ -248,7 +177,7 @@ fn a_vertex_lost_with_all_its_holders_leaves_no_membership_behind() {
     .unwrap();
     let oracle = ChaosOracle::new(N as u64);
     for t in [700, 760, 880, 1000, 1500] {
-        sw.run_until(&mut eng, secs(t));
+        sw.run_until(&mut eng, Time::from_secs(t));
         oracle.assert_clean(&sw, &eng);
     }
     assert!(

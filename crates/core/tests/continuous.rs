@@ -6,9 +6,11 @@
 //! `NOW()` window must change across epochs as the window moves, keep
 //! counting each endsystem exactly once per epoch, and survive churn.
 
-use seaweed_core::{LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{Overlay, OverlayConfig};
-use seaweed_sim::{Engine, NodeIdx, SimConfig, UniformTopology};
+use seaweed_core::{
+    boot_staggered, build_world, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine,
+};
+use seaweed_overlay::OverlayConfig;
+use seaweed_sim::{NodeIdx, SimConfig, UniformTopology};
 use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
 use seaweed_types::{Duration, Time};
 
@@ -36,37 +38,21 @@ fn tables(n: usize, minutes: i64) -> LiveTables {
 }
 
 fn world(n: usize, seed: u64, minutes: i64) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
-    let eng: SeaweedEngine = Engine::new(
-        Box::new(UniformTopology::new(n, Duration::from_millis(5))),
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let overlay = Overlay::new(
-        Overlay::random_ids(n, seed),
-        OverlayConfig {
-            seed,
-            ..Default::default()
-        },
-    );
     let provider = tables(n, minutes);
     let schema = provider.schema().clone();
-    let sw = Seaweed::new(
-        overlay,
+    let (eng, sw) = build_world(
+        Box::new(UniformTopology::new(n, Duration::from_millis(5))),
+        seed,
+        SimConfig::default(),
+        OverlayConfig::default(),
+        SeaweedConfig::default(),
         provider,
-        SeaweedConfig {
-            seed,
-            ..Default::default()
-        },
     );
     (eng, sw, schema)
 }
 
-fn settle(eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, n: usize) {
-    for i in 0..n {
-        eng.schedule_up(Time::from_micros(1 + i as u64 * 500_000), NodeIdx(i as u32));
-    }
+fn settle(eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>) {
+    boot_staggered(eng, Duration::from_millis(500));
     sw.run_until(eng, Time::ZERO + Duration::from_mins(5));
 }
 
@@ -77,7 +63,7 @@ fn sliding_window_rolls_forward() {
     let n = 20;
     // Events cover the first 60 minutes.
     let (mut eng, mut sw, schema) = world(n, 1, 60);
-    settle(&mut eng, &mut sw, n);
+    settle(&mut eng, &mut sw);
 
     let h = sw
         .inject_continuous_query(
@@ -120,7 +106,7 @@ fn sliding_window_rolls_forward() {
 fn epochs_count_each_endsystem_exactly_once() {
     let n = 15;
     let (mut eng, mut sw, schema) = world(n, 2, 120);
-    settle(&mut eng, &mut sw, n);
+    settle(&mut eng, &mut sw);
     let h = sw
         .inject_continuous_query(
             &mut eng,
@@ -152,7 +138,7 @@ fn epochs_count_each_endsystem_exactly_once() {
 fn continuous_query_survives_churn() {
     let n = 20;
     let (mut eng, mut sw, schema) = world(n, 3, 240);
-    settle(&mut eng, &mut sw, n);
+    settle(&mut eng, &mut sw);
     let h = sw
         .inject_continuous_query(
             &mut eng,
@@ -189,7 +175,7 @@ fn local_updates_flow_into_continuous_results() {
     // mid-flight must show up in subsequent epochs.
     let n = 12;
     let (mut eng, mut sw, schema) = world(n, 9, 0); // no pre-existing events
-    settle(&mut eng, &mut sw, n);
+    settle(&mut eng, &mut sw);
     let h = sw
         .inject_continuous_query(
             &mut eng,
@@ -227,7 +213,7 @@ fn local_updates_flow_into_continuous_results() {
 fn expiry_stops_epochs() {
     let n = 10;
     let (mut eng, mut sw, schema) = world(n, 4, 240);
-    settle(&mut eng, &mut sw, n);
+    settle(&mut eng, &mut sw);
     let h = sw
         .inject_continuous_query(
             &mut eng,

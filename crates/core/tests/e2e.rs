@@ -1,10 +1,12 @@
 //! End-to-end protocol tests: the full Seaweed stack (engine → Pastry →
 //! Seaweed) on synthetic tables with known ground truth.
 
-use seaweed_core::{LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{Overlay, OverlayConfig};
-use seaweed_sim::{Engine, NodeIdx, SimConfig, UniformTopology};
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
+use seaweed_core::{
+    boot_staggered, build_world, flag_fixture, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine,
+};
+use seaweed_overlay::OverlayConfig;
+use seaweed_sim::{NodeIdx, SimConfig, UniformTopology};
+use seaweed_store::{Schema, Value};
 use seaweed_types::{Duration, Time};
 
 /// Each endsystem holds exactly one row matching `flag = 1` whose `v`
@@ -12,60 +14,37 @@ use seaweed_types::{Duration, Time};
 /// counting is then directly observable: `rows == |H|` and
 /// `SUM(v) == Σ_{i∈H}(i+1)`.
 fn tables(n: usize) -> LiveTables {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
-    let mut out = Vec::with_capacity(n);
+    let (mut tables, _) = flag_fixture(0..n as u32, 1);
     for node in 0..n {
-        let mut t = Table::new(schema.clone());
-        t.insert(vec![Value::Int(1), Value::Int(node as i64 + 1)])
-            .unwrap();
         for j in 0..5 {
-            t.insert(vec![Value::Int(0), Value::Int(j)]).unwrap();
+            tables
+                .table_mut(node)
+                .insert(vec![Value::Int(0), Value::Int(j)])
+                .unwrap();
         }
-        out.push(t);
+        tables.refresh_summary(node);
     }
-    LiveTables::new(out)
+    tables
 }
 
 fn world(n: usize, seed: u64) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
-    let eng: SeaweedEngine = Engine::new(
-        Box::new(UniformTopology::new(n, Duration::from_millis(5))),
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let overlay = Overlay::new(
-        Overlay::random_ids(n, seed),
-        OverlayConfig {
-            seed,
-            ..Default::default()
-        },
-    );
     let provider = tables(n);
     let schema = provider.schema().clone();
-    let sw = Seaweed::new(
-        overlay,
+    let (eng, sw) = build_world(
+        Box::new(UniformTopology::new(n, Duration::from_millis(5))),
+        seed,
+        SimConfig::default(),
+        OverlayConfig::default(),
+        SeaweedConfig::default(),
         provider,
-        SeaweedConfig {
-            seed,
-            ..Default::default()
-        },
     );
     (eng, sw, schema)
 }
 
-/// Brings all `n` nodes up staggered over a minute and settles joins and
-/// first metadata pushes.
-fn settle(eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, n: usize) {
-    for i in 0..n {
-        eng.schedule_up(Time::from_micros(1 + i as u64 * 777_000), NodeIdx(i as u32));
-    }
+/// Brings all nodes up staggered and settles joins and first metadata
+/// pushes.
+fn settle(eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>) {
+    boot_staggered(eng, Duration::from_millis(777));
     sw.run_until(eng, Time::ZERO + Duration::from_mins(10));
 }
 
@@ -76,7 +55,7 @@ const QUERY_SUM: &str = "SELECT SUM(v) FROM T WHERE flag = 1";
 fn query_over_fully_available_network() {
     let n = 30;
     let (mut eng, mut sw, schema) = world(n, 1);
-    settle(&mut eng, &mut sw, n);
+    settle(&mut eng, &mut sw);
     assert_eq!(sw.overlay.num_joined(), n);
 
     let h = sw
@@ -112,7 +91,7 @@ fn predictor_reflects_unavailable_endsystems() {
     let n = 30;
     let down = 8;
     let (mut eng, mut sw, schema) = world(n, 2);
-    settle(&mut eng, &mut sw, n);
+    settle(&mut eng, &mut sw);
 
     // Give every endsystem some up/down history so availability models
     // have observations, then take `down` nodes offline.
@@ -175,7 +154,7 @@ fn predictor_reflects_unavailable_endsystems() {
 fn rejoining_endsystem_is_counted_exactly_once() {
     let n = 20;
     let (mut eng, mut sw, schema) = world(n, 3);
-    settle(&mut eng, &mut sw, n);
+    settle(&mut eng, &mut sw);
 
     let h = sw
         .inject_query(
@@ -208,7 +187,7 @@ fn rejoining_endsystem_is_counted_exactly_once() {
 fn exactly_once_under_churn_during_query() {
     let n = 40;
     let (mut eng, mut sw, schema) = world(n, 4);
-    settle(&mut eng, &mut sw, n);
+    settle(&mut eng, &mut sw);
 
     // Churn: a third of the nodes bounce on staggered schedules while the
     // query runs.
@@ -246,7 +225,7 @@ fn exactly_once_under_churn_during_query() {
 fn predictor_latency_is_seconds_scale() {
     let n = 50;
     let (mut eng, mut sw, schema) = world(n, 5);
-    settle(&mut eng, &mut sw, n);
+    settle(&mut eng, &mut sw);
     let injected = eng.now();
     let h = sw
         .inject_query(
@@ -272,7 +251,7 @@ fn metadata_is_replicated_k_ways() {
     let n = 25;
     let (mut eng, mut sw, schema) = world(n, 6);
     let _ = &schema;
-    settle(&mut eng, &mut sw, n);
+    settle(&mut eng, &mut sw);
     let k = sw.cfg.k_metadata;
     for node in 0..n as u32 {
         let holders: Vec<NodeIdx> = (0..n as u32)
@@ -292,7 +271,7 @@ fn metadata_is_replicated_k_ways() {
 fn queries_expire_and_stop_consuming_state() {
     let n = 15;
     let (mut eng, mut sw, schema) = world(n, 7);
-    settle(&mut eng, &mut sw, n);
+    settle(&mut eng, &mut sw);
     let h = sw
         .inject_query(
             &mut eng,
@@ -321,7 +300,7 @@ fn deterministic_across_reruns() {
     let run = || {
         let n = 20;
         let (mut eng, mut sw, schema) = world(n, 42);
-        settle(&mut eng, &mut sw, n);
+        settle(&mut eng, &mut sw);
         let h = sw
             .inject_query(
                 &mut eng,

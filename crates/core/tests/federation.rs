@@ -13,25 +13,21 @@
 //! 3. The fault machinery actually fires inside shards (duplicated
 //!    messages observed), so the equivalence is not vacuous.
 
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use seaweed_core::{
-    ChaosOracle, FedSchedule, FedShard, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine,
+    build_world, flag_fixture, ChaosOracle, FedSchedule, FedShard, SeaweedConfig, SeaweedEngine,
 };
-use seaweed_overlay::{Overlay, OverlayConfig};
+use seaweed_overlay::OverlayConfig;
 use seaweed_sim::exec::{partition_seed, run_partitioned, ExecConfig, ExecKind};
-use seaweed_sim::{CorpNetTopology, Engine, FaultPlan, NodeIdx, SimConfig, SubTopology, Topology};
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
+use seaweed_sim::{fnv1a, CorpNetTopology, FaultPlan, NodeIdx, SimConfig, SubTopology, Topology};
 use seaweed_types::{Duration, Time};
 
 const N: usize = 48;
 const ROUTERS: usize = 24;
 const PARTS: usize = 3;
-
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
 
 /// Per-shard run fingerprint — everything that must be byte-identical
 /// between serial and parallel execution.
@@ -47,13 +43,6 @@ struct ShardResult {
 }
 
 fn run_federated(seed: u64, kind: ExecKind) -> Vec<ShardResult> {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
     let global = Arc::new(CorpNetTopology::with_params(
         N,
         ROUTERS,
@@ -69,8 +58,8 @@ fn run_federated(seed: u64, kind: ExecKind) -> Vec<ShardResult> {
     let origins: Vec<u32> = pmap.members.iter().map(|m| m[0]).collect();
     let plan = FaultPlan::chaos(&global, &origins);
     let schedule = FedSchedule {
-        inject_at: secs(600),
-        report_at: secs(1400),
+        inject_at: Time::from_secs(600),
+        report_at: Time::from_secs(1400),
     };
     let cfg = ExecConfig {
         kind,
@@ -80,38 +69,19 @@ fn run_federated(seed: u64, kind: ExecKind) -> Vec<ShardResult> {
     let build = |p: usize| {
         let members = pmap.members[p].clone();
         let shard_seed = partition_seed(seed, p);
-        let tables: Vec<Table> = members
-            .iter()
-            .map(|&g| {
-                let mut t = Table::new(schema.clone());
-                t.insert(vec![Value::Int(1), Value::Int(i64::from(g) + 1)])
-                    .unwrap();
-                t
-            })
-            .collect();
-        let mut eng: SeaweedEngine = Engine::new(
+        // Each endsystem's row carries its global number.
+        let (tables, schema) = flag_fixture(members.iter().copied(), 1);
+        let (mut eng, sw) = build_world(
             Box::new(SubTopology::new(global.clone(), members.clone())),
+            shard_seed,
             SimConfig {
-                seed: shard_seed,
                 loss_rate: 0.01,
                 faults: Some(plan.for_partition(&members)),
                 ..SimConfig::default()
             },
-        );
-        let overlay = Overlay::new(
-            Overlay::random_ids(members.len(), shard_seed),
-            OverlayConfig {
-                seed: shard_seed,
-                ..Default::default()
-            },
-        );
-        let sw = Seaweed::new(
-            overlay,
-            LiveTables::new(tables),
-            SeaweedConfig {
-                seed: shard_seed,
-                ..Default::default()
-            },
+            OverlayConfig::default(),
+            SeaweedConfig::default(),
+            tables,
         );
         for (l, &g) in members.iter().enumerate() {
             eng.schedule_up(Time(1 + u64::from(g) * 300_000), NodeIdx(l as u32));
@@ -124,7 +94,7 @@ fn run_federated(seed: u64, kind: ExecKind) -> Vec<ShardResult> {
             schedule,
             "SELECT SUM(v) FROM T WHERE flag = 1",
             Duration::from_hours(4),
-            schema.clone(),
+            schema,
         );
         (eng, app)
     };
@@ -141,7 +111,7 @@ fn run_federated(seed: u64, kind: ExecKind) -> Vec<ShardResult> {
             violations,
         }
     };
-    run_partitioned(&cfg, pmap.lookahead, secs(1500), build, finish)
+    run_partitioned(&cfg, pmap.lookahead, Time::from_secs(1500), build, finish)
 }
 
 proptest! {
@@ -170,13 +140,6 @@ proptest! {
     }
 }
 
-fn fnv(hash: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *hash ^= u64::from(*b);
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// Seed 7, serial and parallel, against the fingerprint recorded from
 /// the map layout on the heap scheduler before those baselines were
 /// deleted. The shards keep no event log, so `log_hash` covers each
@@ -189,19 +152,20 @@ fn federated_chaos_matches_golden() {
     let golden = (0x80cd_e535_c2da_dea5, 6737, 32, 0xecfd_da49_85ca_75f8);
     for kind in [ExecKind::Serial, ExecKind::Parallel] {
         let shards = run_federated(7, kind);
-        let (mut log_hash, mut report_hash) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+        let (mut counters, mut reports) = (String::new(), String::new());
         for r in &shards {
             assert!(r.violations.is_empty(), "{:?}", r.violations);
-            let counters = (
+            let shard = (
                 r.events,
                 r.rows,
                 r.merged_rows,
                 r.reports_received,
                 r.duplicated,
             );
-            fnv(&mut log_hash, format!("{counters:?}").as_bytes());
-            fnv(&mut report_hash, r.report.as_bytes());
+            write!(counters, "{shard:?}").unwrap();
+            reports.push_str(&r.report);
         }
+        let (log_hash, report_hash) = (fnv1a(counters.as_bytes()), fnv1a(reports.as_bytes()));
         let log_len: u64 = shards.iter().map(|r| r.events).sum();
         assert_eq!(
             (log_hash, log_len, shards[0].merged_rows, report_hash),

@@ -15,10 +15,13 @@
 //! seeds 7, 11 and 42 were captured on the commit before the hedging
 //! hooks existed and have never been regenerated.
 
-use seaweed_core::{ChaosOracle, HedgeConfig, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{Overlay, OverlayConfig};
-use seaweed_sim::{CorpNetTopology, Engine, Event, FaultPlan, NodeIdx, SimConfig};
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
+use seaweed_core::{
+    boot_staggered, build_world, flag_fixture, ChaosOracle, HedgeConfig, LiveTables, Seaweed,
+    SeaweedConfig, SeaweedEngine,
+};
+use seaweed_overlay::OverlayConfig;
+use seaweed_sim::{fnv1a, CorpNetTopology, EventLog, FaultPlan, NodeIdx, SimConfig};
+use seaweed_store::Schema;
 use seaweed_types::{Duration, Time};
 
 const N: usize = 36;
@@ -47,64 +50,28 @@ const GOLDENS: [(u64, Fingerprint); 8] = [
 /// chaos plan provokes hedges (`hedging.rs` asserts that it does).
 const HEDGED_GOLDEN: Fingerprint = (0x05fb_33dc_2a02_bcca, 6072, 36, 0xf182_fa88_72a5_d023);
 
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
-fn fnv(hash: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *hash ^= u64::from(*b);
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-}
-
 /// The 36-endsystem world of `chaos.rs`: one matching row per endsystem,
 /// 1% base loss, the shared chaos plan, staggered boot.
 fn world(seed: u64, hedge: Option<HedgeConfig>) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
-    let mut tables = Vec::with_capacity(N);
-    for node in 0..N {
-        let mut t = Table::new(schema.clone());
-        t.insert(vec![Value::Int(1), Value::Int(node as i64 + 1)])
-            .unwrap();
-        tables.push(t);
-    }
+    let (tables, schema) = flag_fixture(0..N as u32, 1);
     let topo = CorpNetTopology::with_params(N, ROUTERS, Duration::MILLISECOND, seed);
     let plan = FaultPlan::chaos(&topo, &[]);
-    let mut eng: SeaweedEngine = Engine::new(
+    let (mut eng, sw) = build_world(
         Box::new(topo),
+        seed,
         SimConfig {
-            seed,
             loss_rate: 0.01,
             faults: Some(plan),
             ..SimConfig::default()
         },
-    );
-    let overlay = Overlay::new(
-        Overlay::random_ids(N, seed),
-        OverlayConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let sw = Seaweed::new(
-        overlay,
-        LiveTables::new(tables),
+        OverlayConfig::default(),
         SeaweedConfig {
-            seed,
             hedge,
             ..Default::default()
         },
+        tables,
     );
-    for i in 0..N {
-        eng.schedule_up(Time(1 + i as u64 * 300_000), NodeIdx(i as u32));
-    }
+    boot_staggered(&mut eng, Duration::from_millis(300));
     (eng, sw, schema)
 }
 
@@ -114,27 +81,8 @@ fn world(seed: u64, hedge: Option<HedgeConfig>) -> (SeaweedEngine, Seaweed<LiveT
 fn run(seed: u64, hedge: Option<HedgeConfig>) -> Fingerprint {
     let hedging = hedge.is_some();
     let (mut eng, mut sw, schema) = world(seed, hedge);
-    let mut log_hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut log_len = 0u64;
-    let mut drive = |eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, horizon: Time| {
-        while let Some((t, ev)) = eng.next_event_before(horizon) {
-            let desc = match ev {
-                Event::Message { from, to, .. } => {
-                    format!("m:{}:{}:{}", t.as_micros(), from.0, to.0)
-                }
-                Event::Timer { node, tag } => format!("t:{}:{}:{tag}", t.as_micros(), node.0),
-                Event::NodeUp { node } => format!("u:{}:{}", t.as_micros(), node.0),
-                Event::NodeDown { node } => format!("d:{}:{}", t.as_micros(), node.0),
-                Event::NodeCrash { node } => format!("c:{}:{}", t.as_micros(), node.0),
-                Event::PartitionStart { partition } => format!("ps:{}:{partition}", t.as_micros()),
-                Event::PartitionEnd { partition } => format!("pe:{}:{partition}", t.as_micros()),
-            };
-            fnv(&mut log_hash, desc.as_bytes());
-            log_len += 1;
-            sw.dispatch(eng, ev);
-        }
-    };
-    drive(&mut eng, &mut sw, Time(T0));
+    let mut log = EventLog::new();
+    sw.run_until_logged(&mut eng, Time(T0), &mut log);
     assert_eq!(sw.overlay.num_joined(), N, "all join before the faults");
     sw.inject_query(
         &mut eng,
@@ -146,7 +94,7 @@ fn run(seed: u64, hedge: Option<HedgeConfig>) -> Fingerprint {
     .unwrap();
     let oracle = ChaosOracle::new(N as u64);
     for t in [650, 720, 800, 1000, 1500] {
-        drive(&mut eng, &mut sw, secs(t));
+        sw.run_until_logged(&mut eng, Time::from_secs(t), &mut log);
         oracle.assert_clean(&sw, &eng);
     }
     if !hedging {
@@ -156,9 +104,7 @@ fn run(seed: u64, hedge: Option<HedgeConfig>) -> Fingerprint {
     }
     let rows = sw.query(0).rows();
     let report = format!("{:?}", eng.finish());
-    let mut report_hash = 0xcbf2_9ce4_8422_2325u64;
-    fnv(&mut report_hash, report.as_bytes());
-    (log_hash, log_len, rows, report_hash)
+    (log.hash(), log.events(), rows, fnv1a(report.as_bytes()))
 }
 
 #[test]
@@ -182,12 +128,7 @@ fn hedged_chaos_matches_golden() {
 #[test]
 fn freed_query_slots_do_not_leak_into_reused_handles() {
     let (mut eng, mut sw, schema) = world(7, None);
-    let drive = |eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, horizon: Time| {
-        while let Some((_, ev)) = eng.next_event_before(horizon) {
-            sw.dispatch(eng, ev);
-        }
-    };
-    drive(&mut eng, &mut sw, Time(T0));
+    sw.run_until(&mut eng, Time(T0));
 
     // First query: short lifetime so it expires mid-run.
     let h0 = sw
@@ -199,7 +140,7 @@ fn freed_query_slots_do_not_leak_into_reused_handles() {
             &schema,
         )
         .unwrap();
-    drive(&mut eng, &mut sw, secs(900));
+    sw.run_until(&mut eng, Time::from_secs(900));
     assert!(!sw.query(h0).active, "first query must have expired");
 
     // Second query reuses the recycled arena storage.
@@ -213,7 +154,7 @@ fn freed_query_slots_do_not_leak_into_reused_handles() {
         )
         .unwrap();
     assert_ne!(h0, h1, "handles are never reused");
-    drive(&mut eng, &mut sw, secs(1800));
+    sw.run_until(&mut eng, Time::from_secs(1800));
 
     let oracle = ChaosOracle::new(N as u64);
     oracle.assert_clean(&sw, &eng);

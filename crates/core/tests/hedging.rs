@@ -8,26 +8,16 @@
 //! checks), deterministic replay, and sane hedge bookkeeping.
 
 use proptest::prelude::*;
-use seaweed_core::{ChaosOracle, HedgeConfig, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{Overlay, OverlayConfig};
-use seaweed_sim::{CorpNetTopology, Engine, Event, FaultPlan, NodeIdx, SimConfig};
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
+use seaweed_core::{
+    boot_staggered, build_world, flag_fixture, ChaosOracle, HedgeConfig, SeaweedConfig,
+};
+use seaweed_overlay::OverlayConfig;
+use seaweed_sim::{CorpNetTopology, EventLog, FaultPlan, NodeIdx, SimConfig};
 use seaweed_types::{Duration, Time};
 
 const N: usize = 36;
 const ROUTERS: usize = 24;
 const T0: u64 = 600_000_000;
-
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
-fn fnv(hash: &mut u64, bytes: &[u8]) {
-    for b in bytes {
-        *hash ^= u64::from(*b);
-        *hash = hash.wrapping_mul(0x100_0000_01b3);
-    }
-}
 
 struct RunResult {
     log_hash: u64,
@@ -40,71 +30,27 @@ struct RunResult {
 }
 
 fn run_hedged(seed: u64) -> RunResult {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
-    let mut tables = Vec::with_capacity(N);
-    for node in 0..N {
-        let mut t = Table::new(schema.clone());
-        t.insert(vec![Value::Int(1), Value::Int(node as i64 + 1)])
-            .unwrap();
-        tables.push(t);
-    }
+    let (tables, schema) = flag_fixture(0..N as u32, 1);
     let topo = CorpNetTopology::with_params(N, ROUTERS, Duration::MILLISECOND, seed);
     let plan = FaultPlan::chaos(&topo, &[]);
-    let mut eng: SeaweedEngine = Engine::new(
+    let (mut eng, mut sw) = build_world(
         Box::new(topo),
+        seed,
         SimConfig {
-            seed,
             loss_rate: 0.01,
             faults: Some(plan),
             ..SimConfig::default()
         },
-    );
-    let overlay = Overlay::new(
-        Overlay::random_ids(N, seed),
-        OverlayConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let mut sw = Seaweed::new(
-        overlay,
-        LiveTables::new(tables),
+        OverlayConfig::default(),
         SeaweedConfig {
-            seed,
             hedge: Some(HedgeConfig::default()),
             ..Default::default()
         },
+        tables,
     );
-    for i in 0..N {
-        eng.schedule_up(Time(1 + i as u64 * 300_000), NodeIdx(i as u32));
-    }
-    let mut log_hash = 0xcbf2_9ce4_8422_2325u64;
-    let mut log_len = 0u64;
-    let mut drive = |eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, horizon: Time| {
-        while let Some((t, ev)) = eng.next_event_before(horizon) {
-            let desc = match ev {
-                Event::Message { from, to, .. } => {
-                    format!("m:{}:{}:{}", t.as_micros(), from.0, to.0)
-                }
-                Event::Timer { node, tag } => format!("t:{}:{}:{tag}", t.as_micros(), node.0),
-                Event::NodeUp { node } => format!("u:{}:{}", t.as_micros(), node.0),
-                Event::NodeDown { node } => format!("d:{}:{}", t.as_micros(), node.0),
-                Event::NodeCrash { node } => format!("c:{}:{}", t.as_micros(), node.0),
-                Event::PartitionStart { partition } => format!("ps:{}:{partition}", t.as_micros()),
-                Event::PartitionEnd { partition } => format!("pe:{}:{partition}", t.as_micros()),
-            };
-            fnv(&mut log_hash, desc.as_bytes());
-            log_len += 1;
-            sw.dispatch(eng, ev);
-        }
-    };
-    drive(&mut eng, &mut sw, Time(T0));
+    boot_staggered(&mut eng, Duration::from_millis(300));
+    let mut log = EventLog::new();
+    sw.run_until_logged(&mut eng, Time(T0), &mut log);
     assert_eq!(sw.overlay.num_joined(), N);
     sw.inject_query(
         &mut eng,
@@ -119,12 +65,12 @@ fn run_hedged(seed: u64) -> RunResult {
     // hygiene, hedge accounting) must hold at every one.
     let oracle = ChaosOracle::new(N as u64);
     for t in [650, 720, 800, 1000, 1500] {
-        drive(&mut eng, &mut sw, secs(t));
+        sw.run_until_logged(&mut eng, Time::from_secs(t), &mut log);
         oracle.assert_clean(&sw, &eng);
     }
     RunResult {
-        log_hash,
-        log_len,
+        log_hash: log.hash(),
+        log_len: log.events(),
         rows: sw.query(0).rows(),
         hedges_sent: sw.stats.hedges_sent,
         hedge_wins: sw.stats.hedge_wins,

@@ -4,50 +4,26 @@
 //! retransmission machinery (dissemination reissue, result retry,
 //! join retry) must keep Seaweed's exactly-once guarantees intact.
 
-use seaweed_core::{LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{Overlay, OverlayConfig};
-use seaweed_sim::{Engine, NodeIdx, SimConfig, UniformTopology};
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
+use seaweed_core::{
+    boot_staggered, build_world, flag_fixture, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine,
+};
+use seaweed_overlay::OverlayConfig;
+use seaweed_sim::{NodeIdx, SimConfig, UniformTopology};
+use seaweed_store::Schema;
 use seaweed_types::{Duration, Time};
 
 fn world(n: usize, seed: u64, loss: f64) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
-    let mut tables = Vec::with_capacity(n);
-    for node in 0..n {
-        let mut t = Table::new(schema.clone());
-        t.insert(vec![Value::Int(1), Value::Int(node as i64 + 1)])
-            .unwrap();
-        tables.push(t);
-    }
-    let provider = LiveTables::new(tables);
-    let eng: SeaweedEngine = Engine::new(
+    let (tables, schema) = flag_fixture(0..n as u32, 1);
+    let (eng, sw) = build_world(
         Box::new(UniformTopology::new(n, Duration::from_millis(5))),
+        seed,
         SimConfig {
-            seed,
             loss_rate: loss,
             ..SimConfig::default()
         },
-    );
-    let overlay = Overlay::new(
-        Overlay::random_ids(n, seed),
-        OverlayConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let sw = Seaweed::new(
-        overlay,
-        provider,
-        SeaweedConfig {
-            seed,
-            ..Default::default()
-        },
+        OverlayConfig::default(),
+        SeaweedConfig::default(),
+        tables,
     );
     (eng, sw, schema)
 }
@@ -56,9 +32,7 @@ fn world(n: usize, seed: u64, loss: f64) -> (SeaweedEngine, Seaweed<LiveTables>,
 fn exactly_once_with_five_percent_message_loss() {
     let n = 40;
     let (mut eng, mut sw, schema) = world(n, 5, 0.05);
-    for i in 0..n {
-        eng.schedule_up(Time::from_micros(1 + i as u64 * 700_000), NodeIdx(i as u32));
-    }
+    boot_staggered(&mut eng, Duration::from_millis(700));
     sw.run_until(&mut eng, Time::ZERO + Duration::from_mins(15));
     assert_eq!(
         sw.overlay.num_joined(),
@@ -102,9 +76,7 @@ fn exactly_once_with_five_percent_message_loss() {
 fn cancel_stops_incremental_results() {
     let n = 25;
     let (mut eng, mut sw, schema) = world(n, 6, 0.0);
-    for i in 0..n {
-        eng.schedule_up(Time::from_micros(1 + i as u64 * 400_000), NodeIdx(i as u32));
-    }
+    boot_staggered(&mut eng, Duration::from_millis(400));
     // Keep five endsystems down until later.
     sw.run_until(&mut eng, Time::ZERO + Duration::from_mins(10));
     let t0 = eng.now();

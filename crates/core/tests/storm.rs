@@ -18,12 +18,14 @@
 
 use proptest::prelude::*;
 use seaweed_core::{
-    ChaosOracle, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine, SeaweedMsg, StormConfig,
-    Submission,
+    boot_staggered, build_world, flag_fixture, ChaosOracle, LiveTables, Seaweed, SeaweedConfig,
+    SeaweedEngine, SeaweedMsg, StormConfig, Submission,
 };
-use seaweed_overlay::{Overlay, OverlayConfig, OverlayMsg};
-use seaweed_sim::{CorpNetTopology, Engine, Event, FaultPlan, NodeIdx, Payload, SimConfig};
-use seaweed_store::{AggFunc, Aggregate, ColumnDef, DataType, Schema, Table, Value};
+use seaweed_overlay::{OverlayConfig, OverlayMsg};
+use seaweed_sim::{
+    fnv1a, CorpNetTopology, Event, EventLog, FaultPlan, NodeIdx, Payload, SimConfig,
+};
+use seaweed_store::{AggFunc, Aggregate, Schema};
 use seaweed_types::{Duration, Time};
 
 const N: usize = 36;
@@ -38,110 +40,34 @@ const TOTAL_ROWS: u64 = (N * ROWS_PER_NODE) as u64;
 /// Query injection time; all fault windows are anchored after it.
 const T0: u64 = 600_000_000; // 600 s in µs
 
-fn secs(s: u64) -> Time {
-    Time(s * 1_000_000)
-}
-
 struct WorldSpec {
     seed: u64,
     storm: Option<StormConfig>,
     chaos: bool,
 }
 
+/// The 36-endsystem world of `spec`, staggered boot scheduled.
 fn world(spec: &WorldSpec) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
-    let mut tables = Vec::with_capacity(N);
-    for node in 0..N {
-        let mut t = Table::new(schema.clone());
-        for r in 0..ROWS_PER_NODE {
-            t.insert(vec![Value::Int(1), Value::Int((node + r) as i64 + 1)])
-                .unwrap();
-        }
-        tables.push(t);
-    }
+    let (tables, schema) = flag_fixture(0..N as u32, ROWS_PER_NODE);
     let topo = CorpNetTopology::with_params(N, ROUTERS, Duration::MILLISECOND, spec.seed);
     let faults = spec.chaos.then(|| FaultPlan::chaos(&topo, &[]));
-    let eng: SeaweedEngine = Engine::new(
+    let (mut eng, sw) = build_world(
         Box::new(topo),
+        spec.seed,
         SimConfig {
-            seed: spec.seed,
             loss_rate: if spec.chaos { 0.01 } else { 0.0 },
             faults,
             ..SimConfig::default()
         },
-    );
-    let overlay = Overlay::new(
-        Overlay::random_ids(N, spec.seed),
-        OverlayConfig {
-            seed: spec.seed,
-            ..Default::default()
-        },
-    );
-    let sw = Seaweed::new(
-        overlay,
-        LiveTables::new(tables),
+        OverlayConfig::default(),
         SeaweedConfig {
-            seed: spec.seed,
             storm: spec.storm.clone(),
             ..Default::default()
         },
+        tables,
     );
+    boot_staggered(&mut eng, Duration::from_millis(300));
     (eng, sw, schema)
-}
-
-fn boot(eng: &mut SeaweedEngine) {
-    for i in 0..N {
-        eng.schedule_up(Time(1 + i as u64 * 300_000), NodeIdx(i as u32));
-    }
-}
-
-fn drive(eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, horizon: Time) {
-    while let Some((_, ev)) = eng.next_event_before(horizon) {
-        sw.dispatch(eng, ev);
-    }
-}
-
-/// FNV-1a fingerprint over a compact per-event descriptor (ordering,
-/// endpoints and timestamps pin the schedule bit-for-bit).
-struct EventLog {
-    hash: u64,
-    len: u64,
-}
-
-impl EventLog {
-    fn new() -> Self {
-        EventLog {
-            hash: 0xcbf2_9ce4_8422_2325,
-            len: 0,
-        }
-    }
-
-    fn add(&mut self, t: Time, ev: &Event<OverlayMsg<SeaweedMsg>>) {
-        let desc = match *ev {
-            Event::Message { from, to, .. } => format!("m:{}:{}:{}", t.as_micros(), from.0, to.0),
-            Event::Timer { node, tag } => format!("t:{}:{}:{tag}", t.as_micros(), node.0),
-            Event::NodeUp { node } => format!("u:{}:{}", t.as_micros(), node.0),
-            Event::NodeDown { node } => format!("d:{}:{}", t.as_micros(), node.0),
-            Event::NodeCrash { node } => format!("c:{}:{}", t.as_micros(), node.0),
-            Event::PartitionStart { partition } => format!("ps:{}:{partition}", t.as_micros()),
-            Event::PartitionEnd { partition } => format!("pe:{}:{partition}", t.as_micros()),
-        };
-        self.fnv(desc.as_bytes());
-        self.len += 1;
-    }
-
-    fn fnv(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.hash ^= u64::from(*b);
-            self.hash = self.hash.wrapping_mul(0x100_0000_01b3);
-        }
-    }
 }
 
 struct ChaosRun {
@@ -158,16 +84,8 @@ struct ChaosRun {
 /// bar.
 fn run_chaos_single(spec: &WorldSpec) -> ChaosRun {
     let (mut eng, mut sw, schema) = world(spec);
-    boot(&mut eng);
     let mut log = EventLog::new();
-    let mut drive_logged =
-        |eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, horizon: Time| {
-            while let Some((t, ev)) = eng.next_event_before(horizon) {
-                log.add(t, &ev);
-                sw.dispatch(eng, ev);
-            }
-        };
-    drive_logged(&mut eng, &mut sw, Time(T0));
+    sw.run_until_logged(&mut eng, Time(T0), &mut log);
     assert_eq!(sw.overlay.num_joined(), N, "all join before the faults");
 
     let sql = "SELECT SUM(v) FROM T WHERE flag = 1";
@@ -188,13 +106,13 @@ fn run_chaos_single(spec: &WorldSpec) -> ChaosRun {
     let oracle = ChaosOracle::new(TOTAL_ROWS);
     let mut violations = Vec::new();
     for t in [650, 720, 800, 1000, 1500] {
-        drive_logged(&mut eng, &mut sw, secs(t));
+        sw.run_until_logged(&mut eng, Time::from_secs(t), &mut log);
         violations.extend(oracle.check(&sw, &eng));
     }
 
     ChaosRun {
-        log_hash: log.hash,
-        log_len: log.len,
+        log_hash: log.hash(),
+        log_len: log.events(),
         rows: sw.query(h).rows(),
         violations,
         report: format!("{:?}", eng.finish()),
@@ -261,8 +179,7 @@ proptest! {
         };
         // Concurrent: all K injected back-to-back at T0.
         let (mut eng, mut sw, schema) = world(&spec);
-        boot(&mut eng);
-        drive(&mut eng, &mut sw, Time(T0));
+        sw.run_until(&mut eng, Time(T0));
         let mut handles = Vec::new();
         for i in 0..k {
             let sub = sw
@@ -279,7 +196,7 @@ proptest! {
                 Submission::Queued(t) => panic!("K<{k} under budget queued ({t})"),
             }
         }
-        drive(&mut eng, &mut sw, secs(1800));
+        sw.run_until(&mut eng, Time::from_secs(1800));
         let oracle = ChaosOracle::new(TOTAL_ROWS);
         oracle.assert_clean(&sw, &eng);
         let together: Vec<u64> =
@@ -288,8 +205,7 @@ proptest! {
         // Alone: each query in a fresh world, same seed.
         for (i, &rows_together) in together.iter().enumerate() {
             let (mut eng, mut sw, schema) = world(&spec);
-            boot(&mut eng);
-            drive(&mut eng, &mut sw, Time(T0));
+            sw.run_until(&mut eng, Time(T0));
             let Submission::Admitted(h) = sw
                 .submit_query(
                     &mut eng,
@@ -302,7 +218,7 @@ proptest! {
             else {
                 panic!("solo submission queued")
             };
-            drive(&mut eng, &mut sw, secs(1800));
+            sw.run_until(&mut eng, Time::from_secs(1800));
             prop_assert_eq!(
                 rows_together,
                 sw.query(h).rows(),
@@ -330,16 +246,8 @@ fn chaos_storm(seed: u64) -> ((u64, u64, u64, u64), Vec<u64>) {
         chaos: true,
     };
     let (mut eng, mut sw, schema) = world(&spec);
-    boot(&mut eng);
     let mut log = EventLog::new();
-    let mut drive_logged =
-        |eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, horizon: Time| {
-            while let Some((t, ev)) = eng.next_event_before(horizon) {
-                log.add(t, &ev);
-                sw.dispatch(eng, ev);
-            }
-        };
-    drive_logged(&mut eng, &mut sw, Time(T0));
+    sw.run_until_logged(&mut eng, Time(T0), &mut log);
     for i in 0..8 {
         let ttl = Duration::from_secs(120 + 60 * i as u64);
         sw.submit_query(&mut eng, NodeIdx(0), &storm_sql(i), ttl, &schema)
@@ -347,7 +255,7 @@ fn chaos_storm(seed: u64) -> ((u64, u64, u64, u64), Vec<u64>) {
     }
     let oracle = ChaosOracle::new(TOTAL_ROWS);
     for t in [650, 720, 800, 1000, 1500] {
-        drive_logged(&mut eng, &mut sw, secs(t));
+        sw.run_until_logged(&mut eng, Time::from_secs(t), &mut log);
         let v = oracle.check(&sw, &eng);
         assert!(
             v.is_empty(),
@@ -357,9 +265,8 @@ fn chaos_storm(seed: u64) -> ((u64, u64, u64, u64), Vec<u64>) {
     }
     let admitted: Vec<u64> = sw.drain_admissions().iter().map(|&(t, _)| t).collect();
     let results = sw.stats.results_at_origin;
-    let mut report = EventLog::new();
-    report.fnv(format!("{:?}", eng.finish()).as_bytes());
-    ((log.hash, log.len, results, report.hash), admitted)
+    let report = fnv1a(format!("{:?}", eng.finish()).as_bytes());
+    ((log.hash(), log.events(), results, report), admitted)
 }
 
 /// Chaos under storm pressure, 16 seeds: each run must stay oracle-clean
@@ -395,8 +302,7 @@ fn stale_reply_to_recycled_slot_is_dropped() {
         chaos: false,
     };
     let (mut eng, mut sw, schema) = world(&spec);
-    boot(&mut eng);
-    drive(&mut eng, &mut sw, Time(T0));
+    sw.run_until(&mut eng, Time(T0));
 
     // Query A: short TTL so it expires and releases its slot.
     let Submission::Admitted(h_a) = sw
@@ -411,7 +317,7 @@ fn stale_reply_to_recycled_slot_is_dropped() {
     else {
         panic!("A queued")
     };
-    drive(&mut eng, &mut sw, secs(900));
+    sw.run_until(&mut eng, Time::from_secs(900));
     assert_eq!(sw.storm_in_flight(), 0, "A must have expired and released");
 
     // Query B recycles A's slot under a bumped generation.
@@ -428,7 +334,7 @@ fn stale_reply_to_recycled_slot_is_dropped() {
         panic!("B queued")
     };
     assert_ne!(h_a, h_b, "handles are never reused");
-    drive(&mut eng, &mut sw, secs(1800));
+    sw.run_until(&mut eng, Time::from_secs(1800));
     let rows_b = sw.query(h_b).rows();
     assert_eq!(rows_b, TOTAL_ROWS, "B converges before the stale delivery");
     let version_b = sw.query(h_b).latest_version;
@@ -482,8 +388,7 @@ fn admission_queue_promotes_in_ticket_order() {
         chaos: false,
     };
     let (mut eng, mut sw, schema) = world(&spec);
-    boot(&mut eng);
-    drive(&mut eng, &mut sw, Time(T0));
+    sw.run_until(&mut eng, Time(T0));
 
     let mut admitted = Vec::new();
     let mut queued = Vec::new();
@@ -511,7 +416,7 @@ fn admission_queue_promotes_in_ticket_order() {
 
     // Let the two in-flight queries finish, then retire them: the queue
     // must drain in ticket order, two at a time.
-    drive(&mut eng, &mut sw, secs(1200));
+    sw.run_until(&mut eng, Time::from_secs(1200));
     for &h in &admitted {
         assert_eq!(sw.query(h).rows(), TOTAL_ROWS);
         sw.retire_query(&mut eng, h);
@@ -522,7 +427,7 @@ fn admission_queue_promotes_in_ticket_order() {
     assert_eq!(promoted[1].0, queued[1]);
     assert_eq!(sw.storm_queue_len(), 2);
 
-    drive(&mut eng, &mut sw, secs(2400));
+    sw.run_until(&mut eng, Time::from_secs(2400));
     for &(_, h) in &promoted {
         assert_eq!(sw.query(h).rows(), TOTAL_ROWS, "promoted queries converge");
         sw.retire_query(&mut eng, h);
@@ -531,7 +436,7 @@ fn admission_queue_promotes_in_ticket_order() {
     assert_eq!(rest.len(), 2);
     assert_eq!(rest[0].0, queued[2]);
     assert_eq!(rest[1].0, queued[3]);
-    drive(&mut eng, &mut sw, secs(3600));
+    sw.run_until(&mut eng, Time::from_secs(3600));
     for &(_, h) in &rest {
         assert_eq!(sw.query(h).rows(), TOTAL_ROWS);
     }

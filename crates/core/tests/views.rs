@@ -4,9 +4,11 @@
 //! the replicated portion alone would be answered with relatively low
 //! latency, albeit with some staleness."
 
-use seaweed_core::{LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{Overlay, OverlayConfig};
-use seaweed_sim::{Engine, NodeIdx, SimConfig, UniformTopology};
+use seaweed_core::{
+    boot_staggered, build_world, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine,
+};
+use seaweed_overlay::OverlayConfig;
+use seaweed_sim::{NodeIdx, SimConfig, UniformTopology};
 use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
 use seaweed_types::{Duration, Time};
 
@@ -27,28 +29,13 @@ fn world(n: usize, seed: u64) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
         t.insert(vec![Value::Int(0), Value::Int(999)]).unwrap();
         tables.push(t);
     }
-    let provider = LiveTables::new(tables);
-    let eng: SeaweedEngine = Engine::new(
+    let (eng, sw) = build_world(
         Box::new(UniformTopology::new(n, Duration::from_millis(5))),
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let overlay = Overlay::new(
-        Overlay::random_ids(n, seed),
-        OverlayConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let sw = Seaweed::new(
-        overlay,
-        provider,
-        SeaweedConfig {
-            seed,
-            ..Default::default()
-        },
+        seed,
+        SimConfig::default(),
+        OverlayConfig::default(),
+        SeaweedConfig::default(),
+        LiveTables::new(tables),
     );
     (eng, sw, schema)
 }
@@ -60,9 +47,7 @@ fn view_query_covers_entire_population_including_the_dead() {
     let n = 30;
     let (mut eng, mut sw, schema) = world(n, 1);
     let view = sw.register_view(VIEW_SQL, &schema).unwrap();
-    for i in 0..n {
-        eng.schedule_up(Time::from_micros(1 + i as u64 * 500_000), NodeIdx(i as u32));
-    }
+    boot_staggered(&mut eng, Duration::from_millis(500));
     sw.run_until(&mut eng, Time::ZERO + Duration::from_mins(10));
 
     // Take a third of the endsystems down and let detection finish.
@@ -102,9 +87,7 @@ fn view_values_refresh_with_pushes_and_cost_is_charged() {
     let n = 12;
     let (mut eng, mut sw, schema) = world(n, 2);
     let view = sw.register_view(VIEW_SQL, &schema).unwrap();
-    for i in 0..n {
-        eng.schedule_up(Time::from_micros(1 + i as u64), NodeIdx(i as u32));
-    }
+    boot_staggered(&mut eng, Duration(1));
     sw.run_until(&mut eng, Time::ZERO + Duration::from_hours(1));
     let pushes = sw.stats.meta_pushes;
     assert!(pushes > 0);
@@ -128,9 +111,7 @@ fn multiple_views_coexist() {
     let v_cnt = sw
         .register_view("SELECT COUNT(*) FROM Stats", &schema)
         .unwrap();
-    for i in 0..n {
-        eng.schedule_up(Time::from_micros(1 + i as u64 * 100_000), NodeIdx(i as u32));
-    }
+    boot_staggered(&mut eng, Duration::from_millis(100));
     sw.run_until(&mut eng, Time::ZERO + Duration::from_mins(10));
 
     let origin = NodeIdx(2);
@@ -153,9 +134,7 @@ fn multiple_views_coexist() {
 fn unregistered_view_panics() {
     let n = 5;
     let (mut eng, mut sw, _schema) = world(n, 4);
-    for i in 0..n {
-        eng.schedule_up(Time::from_micros(1 + i as u64), NodeIdx(i as u32));
-    }
+    boot_staggered(&mut eng, Duration(1));
     sw.run_until(&mut eng, Time::ZERO + Duration::from_mins(5));
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let _ = sw.query_view(&mut eng, NodeIdx(0), 7, Duration::from_mins(1));

@@ -76,12 +76,7 @@ impl Default for RuleConfig {
     fn default() -> Self {
         let v = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         RuleConfig {
-            timer_acquire: v(&[
-                "set_timer",
-                "set_quantum_timer",
-                "set_app_timer",
-                "set_quantum_app_timer",
-            ]),
+            timer_acquire: v(&["set_timer", "set_app_timer"]),
             timer_detached: v(&["set_detached_timer", "set_detached_app_timer"]),
             teardown: v(&["finish_task", "expire_query", "clear_node", "clear_query"]),
             index_acquire: v(&["slot_of", "live_slot"]),

@@ -24,10 +24,6 @@ use seaweed_types::{Duration, Id, Time};
 
 type Eng = Engine<OverlayMsg<u64>>;
 
-fn secs(s: u64) -> Time {
-    Time::ZERO + Duration::from_secs(s)
-}
-
 // ------------------------------------------------------------ the model
 
 /// The pre-inline `leafset_insert`, verbatim but for the reverse-index
@@ -279,8 +275,8 @@ fn run_schedule(n: usize, leafset: usize, seed: u64, dup_rate: f64) -> Result<Co
     let faults = FaultPlan {
         partitions: vec![PartitionSpec {
             members: cut,
-            from: secs(900),
-            until: secs(1_200),
+            from: Time::from_secs(900),
+            until: Time::from_secs(1_200),
         }],
         dup_rate,
         reorder_window: Duration::from_millis(rng.gen_range(0..40)),
@@ -311,7 +307,7 @@ fn run_schedule(n: usize, leafset: usize, seed: u64, dup_rate: f64) -> Result<Co
         t += rng.gen_range(0..3) * 500_000;
     }
     let mut up = vec![true; n];
-    let mut at = secs(120);
+    let mut at = Time::from_secs(120);
     for _ in 0..30 {
         at += Duration::from_secs(rng.gen_range(5..90));
         let node = rng.gen_range(0..n);
@@ -327,7 +323,7 @@ fn run_schedule(n: usize, leafset: usize, seed: u64, dup_rate: f64) -> Result<Co
         &mut eng,
         &mut ov,
         n,
-        at.max(secs(1_200)) + Duration::from_mins(10),
+        at.max(Time::from_secs(1_200)) + Duration::from_mins(10),
         &mut cov,
     )?;
     Ok(cov)

@@ -236,7 +236,9 @@ enum Pending<M> {
         /// Fire time, kept beside the key's copy so a node-down sweep
         /// can trace the cancellation without finding the key.
         at: Time,
-        kind: TimerKind,
+        /// Not tied to `node`'s liveness: survives its churn and fires
+        /// regardless; otherwise node-down disarms the timer.
+        detached: bool,
         /// Position in `Engine::armed[node]`; unused for detached timers.
         pos: u32,
     },
@@ -291,8 +293,8 @@ pub struct SimConfig {
     /// `None` injects nothing and changes nothing.
     pub faults: Option<FaultPlan>,
     /// Optional event tracing (see [`crate::trace`]). Tracing is purely
-    /// observational — it cannot perturb event order — and is ignored
-    /// entirely when the `trace` cargo feature is disabled.
+    /// observational — it cannot perturb event order; `None` is the off
+    /// switch.
     pub trace: Option<TraceConfig>,
 }
 
@@ -654,18 +656,6 @@ impl<M> EventQueue<M> {
 
 // ----------------------------------------------------------------- engine
 
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum TimerKind {
-    /// Cancelled automatically when its node goes down.
-    Auto,
-    /// Survives its node's churn; fires regardless of liveness.
-    Detached,
-    /// A scheduling-quantum expiry: liveness-tied like `Auto` (a down
-    /// node has no scan queue to pump), but metered separately so storm
-    /// runs can report scheduler overhead next to protocol timers.
-    Quantum,
-}
-
 /// Handle to a pending timer, returned by [`Engine::set_timer`] and
 /// [`Engine::set_detached_timer`]. Cancelling a handle whose timer has
 /// already fired or been cancelled is a harmless no-op.
@@ -703,8 +693,8 @@ pub struct Engine<M> {
     /// Live node indices, ordered — keeps `num_up`/`up_nodes` O(live)
     /// instead of scanning every endsystem.
     live: BTreeSet<u32>,
-    /// Per-node slab indices of the armed liveness-tied timers (auto and
-    /// quantum; detached ones are not swept), in no particular order —
+    /// Per-node slab indices of the armed liveness-tied timers (detached
+    /// ones are not swept), in no particular order —
     /// each timer's entry records its own position.
     armed: Vec<Vec<u32>>,
     recorder: BandwidthRecorder,
@@ -713,8 +703,7 @@ pub struct Engine<M> {
     /// Fault-plan runtime, present only when [`SimConfig::faults`] was
     /// set. Every `send()` and node transition consults it.
     faults: Option<FaultInjector>,
-    /// Event tracer, present only when [`SimConfig::trace`] was set *and*
-    /// the `trace` cargo feature is enabled.
+    /// Event tracer, present only when [`SimConfig::trace`] was set.
     tracer: Option<Tracer>,
     /// Count of messages dropped because the destination was down.
     pub dropped_dest_down: u64,
@@ -732,8 +721,6 @@ pub struct Engine<M> {
     pub messages_sent: u64,
     /// Timers disarmed before firing (explicitly or by node-down).
     pub timers_cancelled: u64,
-    /// Quantum-class timers (scan-scheduler slices) that actually fired.
-    pub quantum_timers_fired: u64,
     /// Events whose requested time lay in the past and were clamped to
     /// the current clock.
     pub clamped_to_now: u64,
@@ -764,10 +751,7 @@ impl<M> Engine<M> {
     #[must_use]
     pub fn new(topo: Box<dyn Topology>, config: SimConfig) -> Self {
         let n = topo.num_endsystems();
-        #[cfg(feature = "trace")]
         let tracer = config.trace.as_ref().map(Tracer::new);
-        #[cfg(not(feature = "trace"))]
-        let tracer = None;
         let faults = config
             .faults
             .map(|plan| FaultInjector::new(plan, config.seed, n));
@@ -792,7 +776,6 @@ impl<M> Engine<M> {
             drops_by_class: [0; NUM_CLASSES],
             messages_sent: 0,
             timers_cancelled: 0,
-            quantum_timers_fired: 0,
             clamped_to_now: 0,
             app_events: BTreeMap::new(),
         };
@@ -870,9 +853,7 @@ impl<M> Engine<M> {
 
     /// Records a trace event if tracing is active. The closure only runs
     /// in that case, so building the event costs nothing when tracing is
-    /// configured off — and with the `trace` cargo feature disabled the
-    /// whole call compiles away.
-    #[cfg(feature = "trace")]
+    /// configured off.
     #[inline]
     fn trace(&mut self, ev: impl FnOnce() -> TraceEvent) {
         if let Some(t) = &mut self.tracer {
@@ -880,15 +861,10 @@ impl<M> Engine<M> {
         }
     }
 
-    #[cfg(not(feature = "trace"))]
-    #[inline(always)]
-    fn trace(&mut self, _ev: impl FnOnce() -> TraceEvent) {}
-
-    /// Is a tracer attached and capturing? Always false with the `trace`
-    /// feature disabled.
+    /// Is a tracer attached and capturing?
     #[must_use]
     pub fn tracing_active(&self) -> bool {
-        cfg!(feature = "trace") && self.tracer.is_some()
+        self.tracer.is_some()
     }
 
     /// The attached tracer, if tracing is active.
@@ -1129,7 +1105,7 @@ impl<M> Engine<M> {
     /// timer is cancelled automatically if `node` goes down first, so it
     /// can never fire into a later availability session.
     pub fn set_timer(&mut self, node: NodeIdx, delay: Duration, tag: u64) -> TimerHandle {
-        self.arm_timer(node, delay, tag, TimerKind::Auto)
+        self.arm_timer(node, delay, tag, false)
     }
 
     /// Arms a timer that is *not* tied to `node`'s liveness: it survives
@@ -1137,15 +1113,7 @@ impl<M> Engine<M> {
     /// bookkeeping deadlines (e.g. query TTLs) that must hold across
     /// churn; cancel explicitly via the returned handle if needed.
     pub fn set_detached_timer(&mut self, node: NodeIdx, delay: Duration, tag: u64) -> TimerHandle {
-        self.arm_timer(node, delay, tag, TimerKind::Detached)
-    }
-
-    /// Arms a scheduling-quantum timer for `node`: behaviorally an auto
-    /// timer (node-down disarms it — a dead endsystem has no scan queue),
-    /// but counted in [`Engine::quantum_timers_fired`] so storm runs can
-    /// report scheduler pump overhead separately from protocol timers.
-    pub fn set_quantum_timer(&mut self, node: NodeIdx, delay: Duration, tag: u64) -> TimerHandle {
-        self.arm_timer(node, delay, tag, TimerKind::Quantum)
+        self.arm_timer(node, delay, tag, true)
     }
 
     fn arm_timer(
@@ -1153,24 +1121,23 @@ impl<M> Engine<M> {
         node: NodeIdx,
         delay: Duration,
         tag: u64,
-        kind: TimerKind,
+        detached: bool,
     ) -> TimerHandle {
         let at = self.clamp(self.now + delay);
-        let tied = kind != TimerKind::Detached;
-        let pos = if tied {
-            u32::try_from(self.armed[node.idx()].len()).expect("armed list fits u32")
-        } else {
+        let pos = if detached {
             0
+        } else {
+            u32::try_from(self.armed[node.idx()].len()).expect("armed list fits u32")
         };
         let timer = Pending::Timer {
             node,
             tag,
             at,
-            kind,
+            detached,
             pos,
         };
         let (idx, seq) = self.push(at, timer);
-        if tied {
+        if !detached {
             self.armed[node.idx()].push(idx);
         }
         self.trace(|| TraceEvent::TimerSet {
@@ -1178,7 +1145,7 @@ impl<M> Engine<M> {
             tag,
             seq,
             at,
-            detached: kind == TimerKind::Detached,
+            detached,
         });
         TimerHandle { node, idx, seq, at }
     }
@@ -1202,13 +1169,16 @@ impl<M> Engine<M> {
     /// (false if it already fired or was cancelled — a safe no-op).
     pub fn cancel_timer(&mut self, h: TimerHandle) -> bool {
         let Some(Pending::Timer {
-            node, kind, pos, ..
+            node,
+            detached,
+            pos,
+            ..
         }) = self.queue.cancel(h.idx, h.seq)
         else {
             return false;
         };
         debug_assert_eq!(node, h.node, "handle and timer disagree on the node");
-        if kind != TimerKind::Detached {
+        if !detached {
             self.disarm(node, pos);
         }
         self.timers_cancelled += 1;
@@ -1349,25 +1319,22 @@ impl<M> Engine<M> {
                 Pending::Timer {
                     node,
                     tag,
-                    kind,
+                    detached,
                     pos,
                     ..
                 } => {
-                    if kind != TimerKind::Detached {
+                    if !detached {
                         self.disarm(node, pos);
                     }
                     // An auto timer armed for an already-down node (legal
                     // but unusual) is dropped at fire time.
-                    if kind != TimerKind::Detached && !self.up[node.idx()] {
+                    if !detached && !self.up[node.idx()] {
                         self.trace(|| TraceEvent::TimerCancel {
                             node,
                             seq: q.seq,
                             at: q.at,
                         });
                         continue;
-                    }
-                    if kind == TimerKind::Quantum {
-                        self.quantum_timers_fired += 1;
                     }
                     self.trace(|| TraceEvent::TimerFire {
                         node,
@@ -1499,7 +1466,6 @@ impl<M> Engine<M> {
         let mut m = MetricsRegistry::new();
         m.set_counter("sim.messages_sent", self.messages_sent);
         m.set_counter("sim.timers_cancelled", self.timers_cancelled);
-        m.set_counter("sim.quantum_timers_fired", self.quantum_timers_fired);
         m.set_counter("sim.clamped_to_now", self.clamped_to_now);
         m.set_counter("sim.payload_fallback_clones", payload_fallback_clones());
         m.set_counter(
@@ -1684,13 +1650,11 @@ mod tests {
     }
 
     #[test]
-    fn quantum_timer_fires_counted_and_dies_with_node() {
+    fn auto_timer_fires_and_a_later_one_dies_with_its_node() {
         let mut e = engine(1, 0);
         e.schedule_up(Time::ZERO, NodeIdx(0));
         let _ = e.next_event_before(Time(1));
-        // First quantum fires and is metered separately from protocol
-        // timers.
-        e.set_quantum_timer(NodeIdx(0), Duration::from_secs(1), 3);
+        e.set_timer(NodeIdx(0), Duration::from_secs(1), 3);
         let (_, ev) = e
             .next_event_before(Time::ZERO + Duration::from_secs(2))
             .unwrap();
@@ -1701,16 +1665,14 @@ mod tests {
                 tag: 3
             }
         ));
-        assert_eq!(e.quantum_timers_fired, 1);
         assert_eq!(e.timers_cancelled, 0);
-        // Second quantum is disarmed by the node going down, exactly like
-        // an auto timer: a dead endsystem has no scan queue to pump.
-        e.set_quantum_timer(NodeIdx(0), Duration::from_secs(10), 4);
+        // The second is disarmed by the node going down (the scan
+        // scheduler relies on it: a dead endsystem has no queue to pump).
+        e.set_timer(NodeIdx(0), Duration::from_secs(10), 4);
         e.schedule_down(Time::ZERO + Duration::from_secs(5), NodeIdx(0));
         let evs = drain(&mut e, Time::ZERO + Duration::from_secs(60));
         assert_eq!(evs.len(), 1, "{evs:?}");
         assert!(evs[0].1.contains("NodeDown"));
-        assert_eq!(e.quantum_timers_fired, 1);
         assert_eq!(e.timers_cancelled, 1);
     }
 

@@ -35,6 +35,7 @@
 
 pub mod bandwidth;
 pub mod engine;
+pub mod event_log;
 pub mod exec;
 pub mod faults;
 pub mod metrics;
@@ -46,6 +47,7 @@ pub use engine::{
     payload_cross_partition_clones, payload_fallback_clones, Engine, Event, NodeIdx, Payload,
     SimConfig, TimerHandle,
 };
+pub use event_log::{fnv1a, EventLog};
 pub use exec::{ExecConfig, ExecKind, Outbox, PartitionApp};
 pub use faults::{CrashSpec, FaultPlan, LinkFaultSpec, OutageSpec, PartitionSpec};
 pub use metrics::{Histogram, MetricsRegistry};

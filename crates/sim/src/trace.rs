@@ -8,10 +8,8 @@
 //! never perturb the event order — runs with tracing on and off are
 //! byte-identical (the determinism proptests pin this).
 //!
-//! The whole subsystem compiles to a no-op when the `trace` cargo feature
-//! (on by default) is disabled: the engine's record hook becomes an empty
-//! inline function and the optimizer removes the per-event branch, so the
-//! hot path pays nothing.
+//! With `trace: None` the engine's record hook is one branch per event
+//! and the closure that would build the record never runs.
 //!
 //! Two export formats, both hand-rolled (the build environment has no
 //! serde) and byte-stable per seed — records are written in capture

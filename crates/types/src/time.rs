@@ -157,6 +157,12 @@ impl Time {
         Time(us)
     }
 
+    /// The instant `s` whole seconds after the epoch.
+    #[must_use]
+    pub fn from_secs(s: u64) -> Self {
+        Time(s * 1_000_000)
+    }
+
     #[must_use]
     pub fn as_micros(self) -> u64 {
         self.0
@@ -259,6 +265,7 @@ mod tests {
         assert_eq!(Duration::from_millis(1500).as_micros(), 1_500_000);
         assert_eq!(Duration::from_secs_f64(0.5), Duration::from_millis(500));
         assert_eq!(Duration::from_secs_f64(-3.0), Duration::ZERO);
+        assert_eq!(Time::from_secs(90), Time::ZERO + Duration::from_secs(90));
     }
 
     #[test]

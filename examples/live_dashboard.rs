@@ -16,9 +16,8 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seaweed_core::{LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{Overlay, OverlayConfig};
-use seaweed_sim::{Engine, NodeIdx, SimConfig, UniformTopology};
+use seaweed::harness::{Availability, WorldConfig};
+use seaweed_sim::NodeIdx;
 use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
 use seaweed_types::{Duration, Time};
 
@@ -56,27 +55,12 @@ fn main() {
         })
         .collect();
 
-    let mut eng: SeaweedEngine = Engine::new(
-        Box::new(UniformTopology::new(n, Duration::from_millis(4))),
-        SimConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let overlay = Overlay::new(
-        Overlay::random_ids(n, seed),
-        OverlayConfig {
-            seed,
-            ..Default::default()
-        },
-    );
-    let provider = LiveTables::new(tables);
-    let mut sw = Seaweed::new(
-        overlay,
-        provider,
-        SeaweedConfig {
-            seed,
-            ..Default::default()
+    let mut cfg = WorldConfig::new(n, seed);
+    cfg.uniform_latency = Duration::from_millis(4);
+    let (mut eng, mut sw) = cfg.build_with_tables(
+        tables,
+        Availability::AllUp {
+            stagger: Duration::from_millis(200),
         },
     );
 
@@ -86,9 +70,6 @@ fn main() {
         .register_view("SELECT COUNT(*) FROM Log", &schema)
         .expect("view");
 
-    for i in 0..n {
-        eng.schedule_up(Time::from_micros(1 + i as u64 * 200_000), NodeIdx(i as u32));
-    }
     sw.run_until(&mut eng, Time::ZERO + Duration::from_mins(5));
     println!("{} servers up; replicated view registered", eng.num_up());
 

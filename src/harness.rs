@@ -1,14 +1,15 @@
-//! Convenience harness for assembling a full Seaweed world:
-//! engine + topology + availability trace + workload + overlay + protocol
-//! stack. Examples, integration tests and experiment binaries all build
-//! on this.
+//! Convenience harness over [`seaweed_core::build_world`] for the
+//! examples and the root integration tests: picks the topology, drives
+//! availability (all-up or a trace) and generates Anemone fragments.
 
 use seaweed_availability::AvailabilityTrace;
-use seaweed_core::{LiveTables, Seaweed, SeaweedConfig, SeaweedEngine};
-use seaweed_overlay::{Overlay, OverlayConfig};
-use seaweed_sim::{CorpNetTopology, Engine, NodeIdx, SimConfig, Topology, UniformTopology};
+use seaweed_core::{
+    boot_staggered, build_world, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine,
+};
+use seaweed_overlay::OverlayConfig;
+use seaweed_sim::{CorpNetTopology, SimConfig, Topology, UniformTopology};
 use seaweed_store::Table;
-use seaweed_types::{Duration, Time};
+use seaweed_types::Duration;
 use seaweed_workload::AnemoneConfig;
 
 /// How endsystem availability is driven.
@@ -50,14 +51,8 @@ impl WorldConfig {
             uniform_latency: Duration::from_millis(5),
             collect_cdf: false,
             loss_rate: 0.0,
-            overlay: OverlayConfig {
-                seed,
-                ..Default::default()
-            },
-            seaweed: SeaweedConfig {
-                seed,
-                ..Default::default()
-            },
+            overlay: OverlayConfig::default(),
+            seaweed: SeaweedConfig::default(),
         }
     }
 
@@ -77,27 +72,20 @@ impl WorldConfig {
         availability: Availability<'_>,
     ) -> (SeaweedEngine, Seaweed<LiveTables>) {
         assert_eq!(tables.len(), self.n);
-        let mut eng: SeaweedEngine = Engine::new(
+        let (mut eng, sw) = build_world(
             self.topology(),
+            self.seed,
             SimConfig {
-                seed: self.seed,
                 loss_rate: self.loss_rate,
                 collect_cdf: self.collect_cdf,
                 ..SimConfig::default()
             },
+            self.overlay.clone(),
+            self.seaweed.clone(),
+            LiveTables::new(tables),
         );
-        let overlay = Overlay::new(Overlay::random_ids(self.n, self.seed), self.overlay.clone());
-        let provider = LiveTables::new(tables);
-        let sw = Seaweed::new(overlay, provider, self.seaweed.clone());
         match availability {
-            Availability::AllUp { stagger } => {
-                for i in 0..self.n {
-                    eng.schedule_up(
-                        Time::from_micros(1 + i as u64 * stagger.as_micros()),
-                        NodeIdx(i as u32),
-                    );
-                }
-            }
+            Availability::AllUp { stagger } => boot_staggered(&mut eng, stagger),
             Availability::Trace(trace) => trace.replay_into(&mut eng),
         }
         (eng, sw)
@@ -123,9 +111,4 @@ impl WorldConfig {
             .collect();
         self.build_with_tables(tables, availability)
     }
-}
-
-/// Runs the world until the engine clock reaches `until`.
-pub fn run_until(eng: &mut SeaweedEngine, sw: &mut Seaweed<LiveTables>, until: Time) {
-    sw.run_until(eng, until);
 }

@@ -3,38 +3,25 @@
 //! intercontinental WAN, which exercises timeout/reissue margins and the
 //! proximity structure of routing.
 
-use seaweed::harness::{Availability, WorldConfig};
-use seaweed_sim::NodeIdx;
-use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
+use seaweed_core::{boot_staggered, build_world, flag_fixture, SeaweedConfig};
+use seaweed_overlay::OverlayConfig;
+use seaweed_sim::{CorpNetTopology, NodeIdx, SimConfig};
 use seaweed_types::{Duration, Time};
 
 #[test]
 fn query_over_corpnet_topology() {
     let n = 120;
     let seed = 23;
-    let schema = Schema::new(
-        "T",
-        vec![
-            ColumnDef::new("flag", DataType::Int, true),
-            ColumnDef::new("v", DataType::Int, true),
-        ],
-    );
-    let tables: Vec<Table> = (0..n)
-        .map(|node| {
-            let mut t = Table::new(schema.clone());
-            t.insert(vec![Value::Int(1), Value::Int(node as i64 + 1)])
-                .unwrap();
-            t
-        })
-        .collect();
-    let mut cfg = WorldConfig::new(n, seed);
-    cfg.corpnet = true;
-    let (mut eng, mut sw) = cfg.build_with_tables(
+    let (tables, schema) = flag_fixture(0..n as u32, 1);
+    let (mut eng, mut sw) = build_world(
+        Box::new(CorpNetTopology::new(n, seed)),
+        seed,
+        SimConfig::default(),
+        OverlayConfig::default(),
+        SeaweedConfig::default(),
         tables,
-        Availability::AllUp {
-            stagger: Duration::from_millis(300),
-        },
     );
+    boot_staggered(&mut eng, Duration::from_millis(300));
     sw.run_until(&mut eng, Time::ZERO + Duration::from_mins(10));
     assert_eq!(sw.overlay.num_joined(), n);
 
