@@ -193,34 +193,64 @@ fn bench_routing(c: &mut Criterion) {
     });
 }
 
-/// The always-on maintenance plane by itself: a converged 2,000-node ring
-/// on the CorpNet topology doing nothing but leafset anti-entropy — each
-/// refresh timer sends a `LeafsetPull`, answered by a `LeafsetPush` that
-/// changes nothing — through the real `Overlay` handlers. One iteration
-/// is 60,000 events, ten simulated minutes of that ring (2,000 nodes ×
-/// 10 refreshes × timer + Pull + Push); the ring carries over between
-/// iterations, as it does in a long run.
+/// The maintenance plane by itself, on a 2,000-node ring on the CorpNet
+/// topology, through the real `Overlay` handlers. A converged ring's
+/// anti-entropy is a standing rate, so there are two things to time:
+///
+/// - `restart_2000`: one endsystem leaves, its watchers detect and repair,
+///   it rejoins, and every pair a stamp bump un-synced exchanges a real
+///   `LeafsetPull`/`LeafsetPush` again until the ring has nothing left to
+///   schedule — all the events one churn event costs. Throughput is
+///   restarts per second; the event count of the first one is printed.
+/// - `quiescent_hour_2000`: one simulated hour of the converged ring,
+///   which must process no event at all; what remains is taking the
+///   elided turns retroactively (`settle_elided_pulls`, as a wake-up
+///   would). Throughput is endsystem-hours per second.
 fn bench_overlay_maintenance(c: &mut Criterion) {
     const NODES: usize = 2_000;
-    const EVENTS: u64 = 60_000;
-    let (mut eng, mut ov) = joined_overlay(
-        Box::new(CorpNetTopology::new(NODES, 4)),
-        NODES,
-        Time::ZERO + Duration::from_mins(30),
-    );
+    let mut horizon = Time::ZERO + Duration::from_mins(30);
+    let (mut eng, mut ov) =
+        joined_overlay(Box::new(CorpNetTopology::new(NODES, 4)), NODES, horizon);
     assert_eq!(ov.num_joined(), NODES);
-    let forever = Time::ZERO + Duration::from_hours(1_000_000);
+    assert_eq!(eng.next_pending_at(), None, "converged: nothing scheduled");
     let mut g = c.benchmark_group("overlay_maintenance");
-    g.throughput(Throughput::Elements(EVENTS));
-    g.bench_function("converged_2000", |b| {
+
+    g.throughput(Throughput::Elements(1));
+    let mut restarts = 0u32;
+    g.bench_function("restart_2000", |b| {
         b.iter(|| {
-            for _ in 0..EVENTS {
-                let (_, ev) = eng
-                    .next_event_before(forever)
-                    .expect("refresh timers re-arm forever");
+            let victim = NodeIdx(restarts * 7 % NODES as u32);
+            eng.schedule_down(horizon + Duration::from_secs(1), victim);
+            eng.schedule_up(horizon + Duration::from_mins(2), victim);
+            horizon += Duration::from_mins(30);
+            let mut events = 0u64;
+            while let Some((_, ev)) = eng.next_event_before(horizon) {
                 overlay_dispatch(&mut eng, &mut ov, ev);
+                events += 1;
             }
-            black_box(ov.stats.leafset_refreshes)
+            assert_eq!(
+                eng.next_pending_at(),
+                None,
+                "re-converged within the window"
+            );
+            if restarts == 0 {
+                println!("overlay_maintenance/restart_2000: {events} events per restart");
+            }
+            restarts += 1;
+            black_box(events)
+        });
+    });
+
+    g.throughput(Throughput::Elements(NODES as u64));
+    g.bench_function("quiescent_hour_2000", |b| {
+        b.iter(|| {
+            horizon += Duration::from_hours(1);
+            assert!(
+                eng.next_event_before(horizon).is_none(),
+                "an event in a quiet hour"
+            );
+            ov.settle_elided_pulls(horizon);
+            black_box(ov.stats.leafset_pulls_elided)
         });
     });
     g.finish();

@@ -14,7 +14,8 @@
 //! ## Fidelity model
 //!
 //! The simulation is monolithic, so the overlay keeps all node state in
-//! one place and applies two documented hybrid shortcuts (DESIGN.md §3):
+//! one place and applies three documented hybrid shortcuts (DESIGN.md §3,
+//! "What is simulated, what is accounted"):
 //!
 //! * **Heartbeats are metered, not simulated.** Each joined node registers
 //!   standing Overlay-class traffic of `l × HEARTBEAT / period` bytes/sec
@@ -23,6 +24,12 @@
 //!   armed when a node actually fails (one heartbeat period + spread).
 //!   Event-per-beat simulation of 20k nodes × 4 weeks would be ~10⁹ events
 //!   that change no protocol decision.
+//! * **Anti-entropy between synced pairs is metered, not simulated.** Once
+//!   a real pull/push exchange has shown that pulling a leafset member
+//!   again would merge and learn nothing, and until a stamp bump on either
+//!   side says that may have changed, the pair's 60-second pulls are a
+//!   standing rate too; a node whose pairs are all synced arms no refresh
+//!   timer, and a converged ring schedules nothing at all.
 //! * **Membership repair converges to ground truth, costs protocol
 //!   messages.** When a node repairs its leafset (after detecting a
 //!   failure, or when seeding a joiner), the new member set is computed

@@ -3,7 +3,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seaweed_sim::{Engine, NodeIdx, TimerHandle, TrafficClass};
-use seaweed_types::{Duration, Id, IdRange};
+use seaweed_types::{Duration, Id, IdRange, Time};
 
 use crate::events::OverlayEvents;
 use crate::node::{dedup_members, LeafHalf, NodeState, HALF_CAP};
@@ -115,8 +115,16 @@ pub struct OverlayStats {
     pub leafset_repairs: u64,
     /// Leafset rebuilds performed while healing a network partition.
     pub partition_repairs: u64,
-    /// Periodic leafset anti-entropy pulls sent.
+    /// Periodic leafset anti-entropy pulls the protocol performed:
+    /// simulated as messages, or elided because the pair was synced.
     pub leafset_refreshes: u64,
+    /// The pulls among `leafset_refreshes` that landed on a synced pair
+    /// and were charged as a standing rate instead of being sent. A node
+    /// without a refresh timer is counted up to its last wake-up; see
+    /// [`Overlay::settle_elided_pulls`].
+    pub leafset_pulls_elided: u64,
+    /// Synced pairs un-synced by a stamp bump.
+    pub leafset_resyncs: u64,
     /// Stale-entry probes charged while routing around departed nodes.
     pub probes: u64,
     pub routed_messages: u64,
@@ -132,6 +140,10 @@ pub struct OverlayStats {
 /// stream so their draw orders survive refactors independently.
 const OVERLAY_STREAM: u64 = 0x0ea1_a700_1a7e_5700;
 const ID_ASSIGN_STREAM: u64 = 0x01d5_0f5e_aeed;
+/// The refresh jitter's own stream: one stateless draw per (node, turn),
+/// so a node's schedule of turns is the same whether or not a timer was
+/// armed for each of them, and draws nothing from `OVERLAY_STREAM`.
+const LS_REFRESH_STREAM: u64 = 0x15f2_e5e7_71b7_e200;
 
 const TAG_KIND_SHIFT: u32 = 62;
 const TAG_FAIL: u64 = 0b11 << TAG_KIND_SHIFT;
@@ -168,9 +180,9 @@ pub struct Overlay {
     listed_by: Vec<Vec<u32>>,
     /// Pending join-retry timer per node, cancelled on join completion.
     join_retry: Vec<Option<TimerHandle>>,
-    /// Rotation cursor into each node's leafset for the periodic
-    /// anti-entropy probe.
-    refresh_pos: Vec<usize>,
+    /// Per-node anti-entropy state: rotation, schedule of turns, and
+    /// which pairs are synced.
+    refresh: Vec<Refresh>,
     /// Pending failure-detection timers keyed by the *failed* node:
     /// `(detector, handle)` pairs, cancelled if the node comes back up
     /// before the detection delay elapses.
@@ -191,6 +203,62 @@ pub struct Overlay {
 
 const NO_POS: usize = usize::MAX;
 
+/// Anti-entropy state of one node `n`.
+///
+/// The ordered pair (n → p), p a leafset member of n, is **synced** when
+/// a real exchange completed and a pull of p by n, answered and delivered
+/// on the spot, would merge nothing into n's leafset and fill no
+/// routing-table slot ([`Overlay::pull_is_noop`]), and neither node's
+/// stamp has been bumped since. A synced pair's turns send nothing. Every
+/// input of that predicate is guarded by a [`Overlay::bump`] placed
+/// before the change, which un-syncs the pairs on either side of the
+/// bumped node.
+///
+/// A node whose pairs are all synced is **asleep**: it arms no refresh
+/// timer and its turns are a standing rate at both ends of each pair.
+/// An awake node's timer fires every turn, and a turn that lands on a
+/// synced pair is charged on the spot.
+#[derive(Clone, Copy, Debug, Default)]
+struct Refresh {
+    /// Version of everything a pull of or by this node depends on.
+    stamp: u32,
+    /// Bit `i`: the pair (n → `members(n).nth(i)`) is synced. Member
+    /// positions only move when the halves change, which bumps.
+    synced: u16,
+    /// How many pairs (q → n) are synced.
+    synced_by: u16,
+    /// While asleep with members: Σ `leafset_msg(|members(p)|)` over
+    /// them, the push bytes one rotation receives. Zero while awake.
+    asleep_push_bytes: u32,
+    /// Σ `PULL_WEIGHT / |members(q)|` over the sleeping q that list n:
+    /// the rate, in pulls per `PULL_WEIGHT` periods, at which n is
+    /// pulled unseen.
+    pulled_weight: u32,
+    /// The fraction of a turn the standing rate had charged towards the
+    /// next one when n was last woken; the next turn charged on the spot
+    /// is charged that much less.
+    prepaid: f32,
+    /// Rotation cursor into the (deduplicated) members.
+    pos: u32,
+    /// Turns taken so far; indexes the jitter draws.
+    turns: u32,
+    /// When the next turn is due — fired by a timer if `armed`, taken
+    /// retroactively by [`Overlay::wake`] if not.
+    next_turn: Time,
+    /// Is a `TAG_LS_REFRESH` timer pending? A joined node runs without
+    /// one exactly while it is asleep.
+    armed: bool,
+}
+
+/// lcm(1..=2 × HALF_CAP): `PULL_WEIGHT / |members|` is exact for every
+/// member count, so pair weights add and subtract without drift.
+const PULL_WEIGHT: u32 = 720_720;
+
+/// All-ones over `count` member positions.
+fn all_synced(count: usize) -> u16 {
+    ((1u32 << count) - 1) as u16
+}
+
 /// Direction of a ground-truth ring walk.
 #[derive(Clone, Copy, Debug)]
 enum Walk {
@@ -201,6 +269,22 @@ enum Walk {
 /// Bound on [`Overlay::spare_push_buffers`]: a handful covers the pushes
 /// in flight at once; beyond it returned buffers are simply dropped.
 pub const SPARE_PUSH_MAX: usize = 32;
+
+/// Where `x` would enter the leafset half `h` ordered by `dist`, if it is
+/// not in it and is among the `half` nearest.
+fn half_slot(
+    h: &LeafHalf,
+    x: NodeIdx,
+    half: usize,
+    dist: impl Fn(NodeIdx) -> u128,
+) -> Option<usize> {
+    if h.contains(&x) {
+        return None;
+    }
+    let d = dist(x);
+    let pos = h.iter().position(|&m| d < dist(m)).unwrap_or(h.len());
+    (pos < half).then_some(pos)
+}
 
 /// Adds `x` to a sorted duplicate-free list (no-op if present).
 fn sorted_insert(list: &mut Vec<u32>, x: u32) {
@@ -250,7 +334,7 @@ impl Overlay {
             joined_pos: vec![NO_POS; n],
             listed_by: vec![Vec::new(); n],
             join_retry: vec![None; n],
-            refresh_pos: vec![0; n],
+            refresh: vec![Refresh::default(); n],
             fail_timers: vec![Vec::new(); n],
             spare_push: Vec::new(),
             rows,
@@ -310,6 +394,55 @@ impl Overlay {
     #[must_use]
     pub fn listed_by(&self, n: NodeIdx) -> &[u32] {
         &self.listed_by[n.idx()]
+    }
+
+    /// `n`'s leafset stamp: bumped before any change to what a pull of
+    /// `n` would answer (as the receiver filters it) or to what `n` could
+    /// learn from one.
+    #[must_use]
+    pub fn leafset_stamp(&self, n: NodeIdx) -> u32 {
+        self.refresh[n.idx()].stamp
+    }
+
+    /// The leafset members `p` of `n` for which the pair (n → p) is
+    /// synced: `n`'s pulls of `p` are a standing rate, not messages.
+    #[must_use]
+    pub fn synced_peers(&self, n: NodeIdx) -> Vec<NodeIdx> {
+        let synced = self.refresh[n.idx()].synced;
+        let members = self.nodes[n.idx()].members().enumerate();
+        members
+            .filter_map(|(i, p)| (synced & 1 << i != 0).then_some(p))
+            .collect()
+    }
+
+    /// Is `n` joined with every pair synced and no refresh timer armed,
+    /// its anti-entropy a standing rate?
+    #[must_use]
+    pub fn is_asleep(&self, n: NodeIdx) -> bool {
+        self.nodes[n.idx()].joined && !self.refresh[n.idx()].armed
+    }
+
+    /// `n`'s rotation cursor: the number of anti-entropy turns (sent or
+    /// elided) it has taken, as of its last wake-up.
+    #[must_use]
+    pub fn refresh_cursor(&self, n: NodeIdx) -> u32 {
+        self.refresh[n.idx()].pos
+    }
+
+    /// `n`'s routing-table entry for (`row`, `col`).
+    #[must_use]
+    pub fn routing_slot(&self, n: NodeIdx, row: usize, col: usize) -> Option<NodeIdx> {
+        self.nodes[n.idx()].rt_get(row, col)
+    }
+
+    /// Brings the rotation cursors and [`OverlayStats::leafset_refreshes`]
+    /// / [`OverlayStats::leafset_pulls_elided`] up to `now` for the nodes
+    /// running without a refresh timer, whose elided turns are otherwise
+    /// only counted at their next wake-up.
+    pub fn settle_elided_pulls(&mut self, now: Time) {
+        for i in 0..self.joined_list.len() {
+            self.catch_up(now, self.joined_list[i]);
+        }
     }
 
     /// Recycled `LeafsetPush` buffers currently held (≤ [`SPARE_PUSH_MAX`]).
@@ -446,6 +579,7 @@ impl Overlay {
         for (_, h) in self.fail_timers[n.idx()].drain(..) {
             eng.cancel_timer(h);
         }
+        self.bump(eng, n);
         self.unlist_all(n);
         self.nodes[n.idx()].reset();
         self.stats.joins += 1;
@@ -493,6 +627,9 @@ impl Overlay {
         for i in 0..self.listed_by[n.idx()].len() {
             let w = self.listed_by[n.idx()][i];
             let m = NodeIdx(w);
+            // What `m` answers to a pull changes once the receiver
+            // filters `n` out as dead.
+            self.bump(eng, m);
             if eng.is_up(m) {
                 let jitter =
                     Duration::from_micros(self.rng.gen_range(0..self.cfg.heartbeat.as_micros()));
@@ -500,11 +637,14 @@ impl Overlay {
                 self.fail_timers[n.idx()].push((w, h));
             }
         }
-        // The engine auto-cancels n's own timers (join retry included).
+        self.bump(eng, n);
+        // The engine auto-cancels n's own timers (join retry and
+        // refresh included).
         self.join_retry[n.idx()] = None;
-        eng.set_standing(n, TrafficClass::Overlay, 0.0, 0.0);
+        self.refresh[n.idx()].armed = false;
         self.unlist_all(n);
         self.nodes[n.idx()].reset();
+        self.update_standing_rate(eng, n);
     }
 
     /// Must be called when the engine reports `PartitionStart`: every
@@ -531,6 +671,8 @@ impl Overlay {
                 if !eng.is_up(d) {
                     continue;
                 }
+                // A pull across the cut is lost, not a no-op.
+                self.bump(eng, d);
                 let jitter =
                     Duration::from_micros(self.rng.gen_range(0..self.cfg.heartbeat.as_micros()));
                 let h = eng.set_timer(d, self.cfg.detect_delay + jitter, TAG_FAIL | u64::from(m.0));
@@ -544,6 +686,10 @@ impl Overlay {
             }
             // (Both halves, not deduplicated: one timer per entry, as
             // each entry is a heartbeat edge.)
+            // (A pull across the cut is lost, here too.)
+            if self.nodes[m.idx()].leafset().any(|t| !inside[t.idx()]) {
+                self.bump(eng, m);
+            }
             for t in self.nodes[m.idx()].leafset() {
                 if inside[t.idx()] {
                     continue;
@@ -570,9 +716,10 @@ impl Overlay {
                 continue;
             }
             self.stats.partition_repairs += 1;
+            self.bump(eng, m);
             self.rebuild_leafset_where(m, &|x| eng.reachable(m, x));
             self.announce_to_leafset(eng, m);
-            self.update_heartbeat_rate(eng, m);
+            self.update_standing_rate(eng, m);
         }
     }
 
@@ -616,37 +763,233 @@ impl Overlay {
     /// (deduplicated) members. The push reply is merged into the leafset,
     /// repairing asymmetric views — e.g. a neighbor whose join Announce
     /// was lost and who would otherwise stay invisible forever
-    /// (heartbeats carry no membership).
+    /// (heartbeats carry no membership). A turn that lands on a synced
+    /// pair sends nothing, and a node whose pairs are all synced stops
+    /// arming the timer until [`Overlay::bump`] wakes it.
     fn on_leafset_refresh<A: Clone>(&mut self, eng: &mut OverlayEngine<A>, n: NodeIdx) {
+        self.refresh[n.idx()].armed = false;
         if !eng.is_up(n) || !self.nodes[n.idx()].joined {
             return; // restarting; complete_join re-arms the probe
         }
-        let st = &self.nodes[n.idx()];
-        let count = st.members().count();
-        if count > 0 {
-            let peer = st
-                .members()
-                .nth(self.refresh_pos[n.idx()] % count)
-                .expect("index below the member count");
-            self.refresh_pos[n.idx()] = self.refresh_pos[n.idx()].wrapping_add(1);
-            self.stats.leafset_refreshes += 1;
-            eng.send(
+        match self.take_turn(n) {
+            Some((peer, false)) => eng.send(
                 n,
                 peer,
                 OverlayMsg::LeafsetPull,
                 wire::leafset_msg(1),
                 TrafficClass::Overlay,
-            );
+            ),
+            Some((peer, true)) => self.charge_elided_pull(eng, n, peer),
+            None => {}
         }
-        self.arm_leafset_refresh(eng, n);
+        let count = self.nodes[n.idx()].members().count();
+        if self.refresh[n.idx()].synced != all_synced(count) {
+            self.arm_leafset_refresh(eng, n);
+        } else if count > 0 {
+            self.set_asleep(eng, n, true);
+        }
     }
 
-    /// Arms `n`'s next anti-entropy probe, jittered so probes across the
-    /// population stay desynchronised.
+    /// Charges both ends of the pull `n` did not send to its synced
+    /// member `p`, and of the push that did not come back — less what the
+    /// standing rate had already charged towards this turn before `n`
+    /// was woken.
+    fn charge_elided_pull<A: Clone>(&mut self, eng: &mut OverlayEngine<A>, n: NodeIdx, p: NodeIdx) {
+        debug_assert!(
+            self.pull_is_elidable(eng, n, p) && self.pull_is_noop(eng, n, p),
+            "{n:?} -> {p:?} elided while it could merge"
+        );
+        let r = &mut self.refresh[n.idx()];
+        let due = (1.0 - r.prepaid).max(0.0);
+        r.prepaid = (r.prepaid - 1.0).max(0.0);
+        let part = |bytes: u32| (bytes as f32 * due).round() as u32;
+        let pull = part(wire::leafset_msg(1));
+        let push = part(wire::leafset_msg(self.nodes[p.idx()].members().count()));
+        eng.record_exchange(n, TrafficClass::Overlay, pull, push);
+        eng.record_exchange(p, TrafficClass::Overlay, push, pull);
+    }
+
+    /// Moves `n`'s turns onto the standing rate (its pairs are all
+    /// synced and it arms no timer from here on) or off it — at `n`, and
+    /// at each member for its share of being pulled.
+    fn set_asleep<A: Clone>(&mut self, eng: &mut OverlayEngine<A>, n: NodeIdx, asleep: bool) {
+        let (cw, ccw) = (self.nodes[n.idx()].cw, self.nodes[n.idx()].ccw);
+        let share = PULL_WEIGHT / dedup_members(&cw, &ccw).count() as u32;
+        let mut push_bytes = 0;
+        for p in dedup_members(&cw, &ccw) {
+            push_bytes += wire::leafset_msg(self.nodes[p.idx()].members().count());
+            let weight = &mut self.refresh[p.idx()].pulled_weight;
+            *weight = if asleep {
+                *weight + share
+            } else {
+                *weight - share
+            };
+            self.update_standing_rate(eng, p);
+        }
+        self.refresh[n.idx()].asleep_push_bytes = if asleep { push_bytes } else { 0 };
+        self.update_standing_rate(eng, n);
+    }
+
+    /// `n`'s anti-entropy turn: advances the rotation and the schedule
+    /// of turns, and returns the member whose turn it is (if there is
+    /// any member) and whether the pull is elided, the pair being synced.
+    fn take_turn(&mut self, n: NodeIdx) -> Option<(NodeIdx, bool)> {
+        let r = &mut self.refresh[n.idx()];
+        r.turns = r.turns.wrapping_add(1);
+        r.next_turn += Self::refresh_interval(&self.cfg, n, r.turns);
+        let st = &self.nodes[n.idx()];
+        let count = st.members().count();
+        if count == 0 {
+            return None;
+        }
+        let i = r.pos as usize % count;
+        r.pos = r.pos.wrapping_add(1);
+        self.stats.leafset_refreshes += 1;
+        let elided = r.synced & 1 << i != 0;
+        self.stats.leafset_pulls_elided += u64::from(elided);
+        st.members().nth(i).map(|peer| (peer, elided))
+    }
+
+    /// The refresh period plus up to a quarter of it, so probes across
+    /// the population stay desynchronised: a stateless draw per (node,
+    /// turn).
+    fn refresh_interval(cfg: &OverlayConfig, n: NodeIdx, turn: u32) -> Duration {
+        let key = u64::from(n.0) << 32 | u64::from(turn);
+        let mut rng = StdRng::seed_from_u64(cfg.seed ^ LS_REFRESH_STREAM ^ key);
+        let period = cfg.leafset_refresh;
+        period + Duration::from_micros(rng.gen_range(0..period.as_micros().max(4) / 4))
+    }
+
+    /// Arms the timer for `n`'s next turn.
     fn arm_leafset_refresh<A: Clone>(&mut self, eng: &mut OverlayEngine<A>, n: NodeIdx) {
-        let period = self.cfg.leafset_refresh;
-        let jitter = Duration::from_micros(self.rng.gen_range(0..period.as_micros().max(4) / 4));
-        eng.set_timer(n, period + jitter, TAG_LS_REFRESH);
+        let r = &mut self.refresh[n.idx()];
+        debug_assert!(!r.armed && r.next_turn > eng.now());
+        eng.set_timer(n, r.next_turn.saturating_since(eng.now()), TAG_LS_REFRESH);
+        r.armed = true;
+    }
+
+    /// Takes, retroactively, the turns a joined node without a timer has
+    /// come due for: all its pairs were synced throughout (or it would
+    /// have been woken), so each was an elided pull.
+    fn catch_up(&mut self, now: Time, n: NodeIdx) {
+        if self.refresh[n.idx()].armed || !self.nodes[n.idx()].joined {
+            return;
+        }
+        while self.refresh[n.idx()].next_turn <= now {
+            let turn = self.take_turn(n);
+            debug_assert!(
+                turn.is_none_or(|(_, elided)| elided),
+                "{n:?} slept un-synced"
+            );
+        }
+    }
+
+    /// `n` is about to have an un-synced pair: puts it back on its
+    /// schedule of turns, timer armed, as if it had never left it, and
+    /// withdraws the standing rate it slept on.
+    fn wake<A: Clone>(&mut self, eng: &mut OverlayEngine<A>, n: NodeIdx) {
+        let now = eng.now();
+        self.catch_up(now, n);
+        let r = &mut self.refresh[n.idx()];
+        if r.asleep_push_bytes != 0 {
+            // The rate has charged the part of the running turn that is
+            // behind us.
+            let span = Self::refresh_interval(&self.cfg, n, r.turns).as_micros() as f32;
+            r.prepaid += 1.0 - r.next_turn.saturating_since(now).as_micros() as f32 / span;
+            self.set_asleep(eng, n, false);
+        }
+        if !self.refresh[n.idx()].armed && self.nodes[n.idx()].joined && eng.is_up(n) {
+            self.arm_leafset_refresh(eng, n);
+        }
+    }
+
+    /// Bumps `n`'s leafset stamp. Must run *before* any change to what a
+    /// pull of `n` would answer as its receiver filters it (its halves;
+    /// a member completing a join or going down) or to what `n` could
+    /// learn from one (its halves, an emptied routing slot, its joined
+    /// flag), and when a partition edge opens across it. Un-syncs every
+    /// pair (n → ·) and (· → n) and wakes the pullers, so the next turn
+    /// of each pair is a real exchange.
+    fn bump<A: Clone>(&mut self, eng: &mut OverlayEngine<A>, n: NodeIdx) {
+        let r = &mut self.refresh[n.idx()];
+        r.stamp = r.stamp.wrapping_add(1);
+        self.wake(eng, n);
+        let synced = std::mem::take(&mut self.refresh[n.idx()].synced);
+        if synced != 0 {
+            let (cw, ccw) = (self.nodes[n.idx()].cw, self.nodes[n.idx()].ccw);
+            for (i, p) in dedup_members(&cw, &ccw).enumerate() {
+                if synced & 1 << i != 0 {
+                    debug_assert!(
+                        self.pull_is_noop(eng, n, p),
+                        "{n:?} -> {p:?} un-synced late"
+                    );
+                    self.refresh[p.idx()].synced_by -= 1;
+                    self.stats.leafset_resyncs += 1;
+                }
+            }
+        }
+        if self.refresh[n.idx()].synced_by == 0 {
+            return;
+        }
+        for k in 0..self.listed_by[n.idx()].len() {
+            let q = NodeIdx(self.listed_by[n.idx()][k]);
+            let i = self.nodes[q.idx()].members().position(|m| m == n);
+            let i = i.expect("a watcher lists the watched");
+            if self.refresh[q.idx()].synced & 1 << i != 0 {
+                debug_assert!(
+                    self.pull_is_noop(eng, q, n),
+                    "{q:?} -> {n:?} un-synced late"
+                );
+                self.wake(eng, q);
+                self.refresh[q.idx()].synced &= !(1 << i);
+                self.refresh[n.idx()].synced_by -= 1;
+                self.stats.leafset_resyncs += 1;
+            }
+        }
+        debug_assert_eq!(self.refresh[n.idx()].synced_by, 0);
+    }
+
+    /// The joined node `n` just merged a push from `p` that carried
+    /// `pushed`: marks (n → p) synced if `p` is a reachable live member
+    /// whose members still read `pushed`. Merging is idempotent — a
+    /// member the halves turned away or evicted is farther than those
+    /// that stayed, and a learnt slot stays filled — so pulling the same
+    /// list again is then a no-op.
+    fn note_exchange<A: Clone>(
+        &mut self,
+        eng: &OverlayEngine<A>,
+        n: NodeIdx,
+        p: NodeIdx,
+        pushed: &[NodeIdx],
+    ) {
+        let Some(i) = self.nodes[n.idx()].members().position(|m| m == p) else {
+            return;
+        };
+        if self.refresh[n.idx()].synced & 1 << i != 0
+            || !self.pull_is_elidable(eng, n, p)
+            || !self.nodes[p.idx()].members().eq(pushed.iter().copied())
+        {
+            return;
+        }
+        debug_assert!(self.pull_is_noop(eng, n, p), "{n:?} -> {p:?} synced early");
+        self.refresh[n.idx()].synced |= 1 << i;
+        self.refresh[p.idx()].synced_by += 1;
+    }
+
+    /// Would a pull of `p` sent by `n` now be answered and come back?
+    fn pull_is_elidable<A: Clone>(&self, eng: &OverlayEngine<A>, n: NodeIdx, p: NodeIdx) -> bool {
+        eng.is_up(p) && self.nodes[p.idx()].joined && eng.reachable(n, p)
+    }
+
+    /// Would merging `p`'s current members into `n`, as the `LeafsetPush`
+    /// handler does, change neither `n`'s halves nor its routing table?
+    fn pull_is_noop<A: Clone>(&self, eng: &OverlayEngine<A>, n: NodeIdx, p: NodeIdx) -> bool {
+        self.nodes[p.idx()].members().all(|m| {
+            self.knows(n, m)
+                && (!eng.is_up(m)
+                    || !self.nodes[m.idx()].joined
+                    || self.insert_positions(n, m) == (None, None))
+        })
     }
 
     fn detect_failure<A: Clone>(
@@ -658,9 +1001,11 @@ impl Overlay {
         if eng.is_up(failed) && eng.reachable(detector, failed) {
             return OverlayEvents::new(); // came back before the timeout expired
         }
-        if !self.nodes[detector.idx()].remove_from_leafset(failed) {
+        if !self.nodes[detector.idx()].in_leafset(failed) {
             return OverlayEvents::new(); // already repaired (or detector restarted)
         }
+        self.bump(eng, detector);
+        self.nodes[detector.idx()].remove_from_leafset(failed);
         sorted_remove(&mut self.listed_by[failed.idx()], detector.0);
         self.stats.leafset_repairs += 1;
         // Repair: converge the leafset to ground truth — restricted to
@@ -670,6 +1015,7 @@ impl Overlay {
         // performs against the farthest surviving neighbor (or nothing
         // if we are now alone).
         self.rebuild_leafset_where(detector, &|m| eng.reachable(detector, m));
+        self.update_standing_rate(eng, detector);
         let peer = self.nodes[detector.idx()]
             .cw
             .last()
@@ -738,7 +1084,7 @@ impl Overlay {
                 let mut out = OverlayEvents::new();
                 if eng.is_up(from) && self.nodes[to.idx()].joined {
                     self.learn(to, from);
-                    self.merge_member(to, from, &mut out);
+                    self.merge_member(eng, to, from, &mut out);
                 }
                 out
             }
@@ -765,8 +1111,11 @@ impl Overlay {
                 for &m in &members {
                     self.learn(to, m);
                     if merging && eng.is_up(m) && self.nodes[m.idx()].joined {
-                        self.merge_member(to, m, &mut out);
+                        self.merge_member(eng, to, m, &mut out);
                     }
+                }
+                if merging {
+                    self.note_exchange(eng, to, from, &members);
                 }
                 // Last read done: the buffer goes back for the next Pull.
                 if self.spare_push.len() < SPARE_PUSH_MAX {
@@ -870,6 +1219,12 @@ impl Overlay {
         if let Some(h) = self.join_retry[n.idx()].take() {
             eng.cancel_timer(h);
         }
+        // A stale watcher from `n`'s last session answers pulls with a
+        // member the receiver is about to stop filtering out.
+        for i in 0..self.listed_by[n.idx()].len() {
+            self.bump(eng, NodeIdx(self.listed_by[n.idx()][i]));
+        }
+        self.bump(eng, n);
         // A node joining during a partition must not seed its leafset
         // with unreachable far-side members.
         self.rebuild_leafset_where(n, &|m| eng.reachable(n, m));
@@ -879,7 +1234,9 @@ impl Overlay {
         self.joined_list.push(n);
 
         self.announce_to_leafset(eng, n);
-        self.update_heartbeat_rate(eng, n);
+        self.update_standing_rate(eng, n);
+        let r = &mut self.refresh[n.idx()];
+        r.next_turn = eng.now() + Self::refresh_interval(&self.cfg, n, r.turns);
         self.arm_leafset_refresh(eng, n);
         OverlayEvents::one(OverlayEvent::Joined { node: n })
     }
@@ -903,8 +1260,14 @@ impl Overlay {
     /// The joined node `at` heard of the live, joined node `m` (from
     /// `m`'s own Announce or a peer's leafset push): merge it into the
     /// leafset, surfacing `NeighborJoined` if that changed it.
-    fn merge_member<A>(&mut self, at: NodeIdx, m: NodeIdx, out: &mut OverlayEvents<A>) {
-        if self.leafset_insert(at, m) {
+    fn merge_member<A: Clone>(
+        &mut self,
+        eng: &mut OverlayEngine<A>,
+        at: NodeIdx,
+        m: NodeIdx,
+        out: &mut OverlayEvents<A>,
+    ) {
+        if self.leafset_insert(eng, at, m) {
             out.push(OverlayEvent::NeighborJoined {
                 node: at,
                 joined: m,
@@ -947,55 +1310,53 @@ impl Overlay {
         }
     }
 
+    /// Where `x` would enter `n`'s `(cw, ccw)` halves: the position in
+    /// each half that does not hold it yet and where it is among the l/2
+    /// nearest.
+    fn insert_positions(&self, n: NodeIdx, x: NodeIdx) -> (Option<usize>, Option<usize>) {
+        if n == x {
+            return (None, None);
+        }
+        let half = self.cfg.leafset / 2;
+        let id = self.ids[n.idx()];
+        let ids = &self.ids;
+        let st = &self.nodes[n.idx()];
+        (
+            half_slot(&st.cw, x, half, |m| id.cw_dist(ids[m.idx()])),
+            half_slot(&st.ccw, x, half, |m| id.ccw_dist(ids[m.idx()])),
+        )
+    }
+
     /// Inserts `x` into `n`'s leafset halves if it is among the l/2
     /// nearest on either side. Returns true if the leafset changed. The
     /// reverse index is touched only then: `x` gains `n` as a watcher,
     /// and a member pushed off the far end of a half loses it unless the
     /// other half still holds that member.
-    fn leafset_insert(&mut self, n: NodeIdx, x: NodeIdx) -> bool {
-        if n == x {
+    fn leafset_insert<A: Clone>(
+        &mut self,
+        eng: &mut OverlayEngine<A>,
+        n: NodeIdx,
+        x: NodeIdx,
+    ) -> bool {
+        let (cw_pos, ccw_pos) = self.insert_positions(n, x);
+        if cw_pos.is_none() && ccw_pos.is_none() {
             return false;
         }
+        self.bump(eng, n);
         let half = self.cfg.leafset / 2;
-        let id = self.ids[n.idx()];
-        let xid = self.ids[x.idx()];
-        let ids = &self.ids;
         let st = &mut self.nodes[n.idx()];
-        let mut changed = false;
-        let mut evicted = [None; 2];
-        if !st.cw.contains(&x) {
-            let d = id.cw_dist(xid);
-            let pos = st
-                .cw
-                .iter()
-                .position(|&m| d < id.cw_dist(ids[m.idx()]))
-                .unwrap_or(st.cw.len());
-            if pos < half {
-                evicted[0] = st.cw.insert_capped(pos, x, half);
-                changed = true;
+        let evicted = [
+            cw_pos.and_then(|pos| st.cw.insert_capped(pos, x, half)),
+            ccw_pos.and_then(|pos| st.ccw.insert_capped(pos, x, half)),
+        ];
+        for e in evicted.into_iter().flatten() {
+            if !st.in_leafset(e) {
+                sorted_remove(&mut self.listed_by[e.idx()], n.0);
             }
         }
-        if !st.ccw.contains(&x) {
-            let d = id.ccw_dist(xid);
-            let pos = st
-                .ccw
-                .iter()
-                .position(|&m| d < id.ccw_dist(ids[m.idx()]))
-                .unwrap_or(st.ccw.len());
-            if pos < half {
-                evicted[1] = st.ccw.insert_capped(pos, x, half);
-                changed = true;
-            }
-        }
-        if changed {
-            for e in evicted.into_iter().flatten() {
-                if !st.in_leafset(e) {
-                    sorted_remove(&mut self.listed_by[e.idx()], n.0);
-                }
-            }
-            sorted_insert(&mut self.listed_by[x.idx()], n.0);
-        }
-        changed
+        sorted_insert(&mut self.listed_by[x.idx()], n.0);
+        self.update_standing_rate(eng, n);
+        true
     }
 
     /// The live ring index. The protocol layer uses its universe scans
@@ -1042,10 +1403,38 @@ impl Overlay {
         out
     }
 
-    fn update_heartbeat_rate<A: Clone>(&self, eng: &mut OverlayEngine<A>, n: NodeIdx) {
-        let l = self.nodes[n.idx()].members().count() as f32;
-        let rate = l * wire::HEARTBEAT as f32 / self.cfg.heartbeat.as_secs_f64() as f32;
-        eng.set_standing(n, TrafficClass::Overlay, rate, rate);
+    /// Registers `n`'s standing Overlay-class traffic, everything the
+    /// protocol exchanges on schedule without the simulator scheduling
+    /// it: a heartbeat per member per heartbeat period each way; while
+    /// `n` sleeps, a pull out and a member's push back once per refresh
+    /// period; and for each sleeping node that lists `n`, the mirror
+    /// image once per that node's rotation. The jitter puts the mean
+    /// refresh period an eighth above the configured one.
+    fn update_standing_rate<A: Clone>(&self, eng: &mut OverlayEngine<A>, n: NodeIdx) {
+        let st = &self.nodes[n.idx()];
+        if !st.joined {
+            eng.set_standing(n, TrafficClass::Overlay, 0.0, 0.0);
+            return;
+        }
+        let r = &self.refresh[n.idx()];
+        let count = st.members().count();
+        let heartbeats =
+            count as f64 * f64::from(wire::HEARTBEAT) / self.cfg.heartbeat.as_secs_f64();
+        let period = self.cfg.leafset_refresh.as_secs_f64() * 1.125;
+        let pulled = f64::from(r.pulled_weight) / f64::from(PULL_WEIGHT) / period;
+        let pull = f64::from(wire::leafset_msg(1));
+        let push = f64::from(wire::leafset_msg(count));
+        let (mut tx, mut rx) = (pulled * push, pulled * pull);
+        if r.asleep_push_bytes != 0 {
+            tx += pull / period;
+            rx += f64::from(r.asleep_push_bytes) / (count as f64 * period);
+        }
+        eng.set_standing(
+            n,
+            TrafficClass::Overlay,
+            (heartbeats + tx) as f32,
+            (heartbeats + rx) as f32,
+        );
     }
 
     // ---------------------------------------------------------- routing
@@ -1182,7 +1571,7 @@ impl Overlay {
             // Stale entry: charge a probe, purge, try again.
             self.stats.probes += 1;
             eng.record_probe(at, wire::PROBE);
-            self.purge(at, cand);
+            self.purge(eng, at, cand);
         }
     }
 
@@ -1226,32 +1615,40 @@ impl Overlay {
         }
     }
 
-    /// Learns that `m` exists (routing-table fill from observed traffic,
-    /// as in Pastry).
-    fn learn(&mut self, at: NodeIdx, m: NodeIdx) {
-        if at == m {
-            return;
-        }
+    /// The routing-table slot of `at` that `m` falls in, if any.
+    fn rt_slot_of(&self, at: NodeIdx, m: NodeIdx) -> Option<(usize, usize)> {
         let at_id = self.ids[at.idx()];
         let m_id = self.ids[m.idx()];
         let row = at_id.prefix_len(m_id, self.cfg.b);
-        if row >= self.rows {
-            return;
-        }
-        let col = m_id.digit(row, self.cfg.b) as usize;
-        let slot = self.nodes[at.idx()].rt_slot_mut(row, col);
-        if slot.is_none() {
-            *slot = Some(m);
+        (at != m && row < self.rows).then(|| (row, m_id.digit(row, self.cfg.b) as usize))
+    }
+
+    /// Learns that `m` exists (routing-table fill from observed traffic,
+    /// as in Pastry).
+    fn learn(&mut self, at: NodeIdx, m: NodeIdx) {
+        if let Some((row, col)) = self.rt_slot_of(at, m) {
+            let slot = self.nodes[at.idx()].rt_slot_mut(row, col);
+            if slot.is_none() {
+                *slot = Some(m);
+            }
         }
     }
 
+    /// Would [`Overlay::learn`] leave `at`'s routing table as it is?
+    fn knows(&self, at: NodeIdx, m: NodeIdx) -> bool {
+        self.rt_slot_of(at, m)
+            .is_none_or(|(row, col)| self.nodes[at.idx()].rt_get(row, col).is_some())
+    }
+
     /// Drops every reference `at` holds to `gone`.
-    fn purge(&mut self, at: NodeIdx, gone: NodeIdx) {
+    fn purge<A: Clone>(&mut self, eng: &mut OverlayEngine<A>, at: NodeIdx, gone: NodeIdx) {
+        self.bump(eng, at);
         let st = &mut self.nodes[at.idx()];
         let removed = st.remove_from_leafset(gone);
         st.rt_purge(gone);
         if removed {
             sorted_remove(&mut self.listed_by[gone.idx()], at.0);
+            self.update_standing_rate(eng, at);
         }
     }
 }
@@ -1537,16 +1934,26 @@ mod tests {
         (eng, ov)
     }
 
-    /// Drives like [`drive`], counting the `LeafsetPull`s each node
-    /// receives from `puller`.
-    fn pulls_from(eng: &mut Eng, ov: &mut Overlay, puller: NodeIdx, horizon: Time) -> Vec<u32> {
-        let mut pulls = vec![0u32; ov.ids().len()];
+    /// The pulls `puller`'s rotation performs up to `horizon`, by peer —
+    /// sent as messages or elided on a synced pair, read off the rotation
+    /// cursor, which walks the (unchanging) members in order — and how
+    /// many of them were messages.
+    fn pulls_from(
+        eng: &mut Eng,
+        ov: &mut Overlay,
+        puller: NodeIdx,
+        horizon: Time,
+    ) -> (Vec<u32>, u32) {
+        ov.settle_elided_pulls(eng.now());
+        let (cursor, stats) = (ov.refresh_cursor(puller), ov.stats);
+        let (mut sent, mut sent_by_puller) = (0u64, 0u32);
         while let Some((_, ev)) = eng.next_event_before(horizon) {
             match ev {
                 Event::Message { from, to, payload } => {
                     let msg = payload.into_owned();
-                    if from == puller && matches!(msg, OverlayMsg::LeafsetPull) {
-                        pulls[to.idx()] += 1;
+                    if matches!(msg, OverlayMsg::LeafsetPull) {
+                        sent += 1;
+                        sent_by_puller += u32::from(from == puller);
                     }
                     let _ = ov.on_message(eng, from, to, msg);
                 }
@@ -1556,7 +1963,18 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
-        pulls
+        ov.settle_elided_pulls(horizon);
+        assert_eq!(
+            ov.stats.leafset_refreshes - stats.leafset_refreshes,
+            ov.stats.leafset_pulls_elided - stats.leafset_pulls_elided + sent,
+            "every turn is a message or an elided pull"
+        );
+        let members = ov.leafset_members(puller);
+        let mut pulls = vec![0u32; ov.ids().len()];
+        for turn in cursor..ov.refresh_cursor(puller) {
+            pulls[members[turn as usize % members.len()].idx()] += 1;
+        }
+        (pulls, sent_by_puller)
     }
 
     #[test]
@@ -1610,9 +2028,12 @@ mod tests {
         assert!(ov.leafset_members(me).is_empty());
         assert!(ov.replica_set(me, 8).is_empty());
         assert!(ov.responsible_range(me).is_full());
-        // The refresh timer fired (and re-armed) for an hour, pulling
-        // nobody.
+        // Nobody to pull: its one refresh timer fired, took no turn and
+        // was not re-armed.
+        ov.settle_elided_pulls(eng.now());
         assert_eq!(ov.stats.leafset_refreshes, 0);
+        assert_eq!(ov.refresh_cursor(me), 0);
+        assert_eq!(eng.next_pending_at(), None);
         let evs = ov.route(&mut eng, me, Id(7), 1, 10, TrafficClass::Query);
         assert!(matches!(
             evs.iter().next(),
@@ -1634,13 +2055,14 @@ mod tests {
             assert_eq!(ov.replica_set(me, 8), [peer]);
             assert_eq!(ov.listed_by(me), [peer.0]);
         }
-        // Every refresh pulls the one peer.
-        let before = ov.stats.leafset_refreshes;
+        // Every turn pulls the one peer — as a standing rate by now: the
+        // first exchange each way found nothing to merge.
+        assert_eq!(ov.synced_peers(NodeIdx(0)), [NodeIdx(1)]);
         let horizon = eng.now() + Duration::from_hours(1);
-        let pulls = pulls_from(&mut eng, &mut ov, NodeIdx(0), horizon);
-        assert!(ov.stats.leafset_refreshes > before);
+        let (pulls, sent) = pulls_from(&mut eng, &mut ov, NodeIdx(0), horizon);
         assert_eq!(pulls[0], 0);
         assert!(pulls[1] >= 40, "{pulls:?}");
+        assert_eq!(sent, 0);
     }
 
     #[test]
@@ -1664,13 +2086,30 @@ mod tests {
         // the six half entries: over an hour each peer is pulled equally
         // often, give or take the one in progress.
         let horizon = eng.now() + Duration::from_hours(1);
-        let pulls = pulls_from(&mut eng, &mut ov, NodeIdx(0), horizon);
+        let (pulls, sent) = pulls_from(&mut eng, &mut ov, NodeIdx(0), horizon);
         assert_eq!(pulls[0], 0);
         let (lo, hi) = (
             pulls[1..].iter().min().unwrap(),
             pulls[1..].iter().max().unwrap(),
         );
         assert!(*lo >= 10 && hi - lo <= 1, "{pulls:?}");
+        assert_eq!(sent, 0, "a converged ring sends none of them");
+        // Un-synced, the same rotation goes out as messages: node 3
+        // restarts, and node 0 pulls all three members once each before
+        // anything is elided again.
+        eng.schedule_down(horizon, NodeIdx(3));
+        eng.schedule_up(horizon + Duration::from_secs(5), NodeIdx(3));
+        let rejoined = horizon + Duration::from_secs(10);
+        let _ = drive(&mut eng, &mut ov, rejoined);
+        assert!(ov.synced_peers(NodeIdx(0)).is_empty());
+        let (pulls, sent) = pulls_from(
+            &mut eng,
+            &mut ov,
+            NodeIdx(0),
+            rejoined + Duration::from_mins(4),
+        );
+        assert_eq!((&pulls[1..], sent), (&[1, 1, 1][..], 3));
+        assert_eq!(ov.synced_peers(NodeIdx(0)).len(), 3);
     }
 
     #[test]
@@ -1704,6 +2143,37 @@ mod tests {
                 payload: 42
             }
         )));
+    }
+
+    /// A converged all-up ring is pure standing rate: per node, a
+    /// heartbeat per member per 30 s each way, one pull out and one
+    /// 8-member push back per 67.5 s mean refresh period, and the mirror
+    /// image of its eight watchers' pulls of it — with no overlay event
+    /// left to process.
+    #[test]
+    fn a_converged_rings_anti_entropy_is_metered_without_events() {
+        let n = 64;
+        let (mut eng, mut ov) = build(n, 21);
+        bootstrap_all(&mut eng, &mut ov, n);
+        let converged = Time::ZERO + Duration::from_hours(1);
+        for i in 0..n as u32 {
+            assert_eq!(ov.synced_peers(NodeIdx(i)).len(), 8, "node {i}");
+        }
+        assert_eq!(eng.next_pending_at(), None, "nothing left to schedule");
+        let end = converged + Duration::from_hours(6);
+        assert!(drive(&mut eng, &mut ov, end).is_empty());
+        let report = eng.finish();
+        let expect = 8.0 * f64::from(wire::HEARTBEAT) / 30.0
+            + f64::from(wire::leafset_msg(1) + wire::leafset_msg(8)) / 67.5;
+        for (dir, hours) in [("tx", &report.tx_hours), ("rx", &report.rx_hours)] {
+            for (h, agg) in hours.iter().enumerate().skip(1) {
+                let bps = agg.per_online_bps(TrafficClass::Overlay);
+                assert!(
+                    (bps / expect - 1.0).abs() < 0.005,
+                    "{dir} hour {h}: {bps} B/s per node, expected {expect}"
+                );
+            }
+        }
     }
 
     #[test]

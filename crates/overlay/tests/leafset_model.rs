@@ -1,5 +1,6 @@
-//! Model equivalence for the leafset merge, plus the reverse-index
-//! invariant and the push-buffer recycling rules.
+//! Model equivalence for the leafset merge and for the pulls the overlay
+//! does not send, plus the reverse-index invariant and the push-buffer
+//! recycling rules.
 //!
 //! The overlay merges a heard-of node into fixed-capacity inline halves
 //! and touches the reverse index only when a half changed. The model
@@ -10,16 +11,30 @@
 //! on the halves and on the `NeighborJoined` events, in order. Rings of
 //! 1–40 nodes with l ∈ {2, 4, 8, 16} cover the small-ring regime where
 //! one node sits in *both* halves.
+//!
+//! The same model is the un-elided anti-entropy protocol. The overlay
+//! sends no pull between a *synced* pair (n → p) and charges the exchange
+//! as a standing rate; the oracle ([`check_elision`]) holds it to that
+//! after every delivered event: pulling p's current members into a
+//! snapshot of n through the model changes no half, surfaces no
+//! `NeighborJoined` and fills no routing slot; every change to an input
+//! of that verdict advanced the owner's leafset stamp; a pair stays
+//! synced only while both stamps stand still; and the rate the engine
+//! holds for each node is the closed form over its members and synced
+//! pairs. Liveness is [`a_converged_ring_schedules_nothing`].
 
 use std::collections::BTreeMap;
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+use seaweed_overlay::wire;
 use seaweed_overlay::{
     is_overlay_tag, Overlay, OverlayConfig, OverlayEvent, OverlayMsg, SPARE_PUSH_MAX,
 };
-use seaweed_sim::{Engine, Event, FaultPlan, NodeIdx, PartitionSpec, SimConfig, UniformTopology};
+use seaweed_sim::{
+    Engine, Event, FaultPlan, NodeIdx, PartitionSpec, SimConfig, TrafficClass, UniformTopology,
+};
 use seaweed_types::{Duration, Id, Time};
 
 type Eng = Engine<OverlayMsg<u64>>;
@@ -152,6 +167,232 @@ fn check_reverse_index(ov: &Overlay, n_nodes: usize) -> Result<(), String> {
     Ok(())
 }
 
+// ----------------------------------------------------------- the oracle
+
+/// The routing-table slot of `at` that `m` falls in (the overlay's
+/// `learn` fills it if empty).
+fn slot_of(ov: &Overlay, at: NodeIdx, m: NodeIdx) -> Option<(usize, usize)> {
+    let b = ov.config().b;
+    let (at_id, m_id) = (ov.id_of(at), ov.id_of(m));
+    let row = at_id.prefix_len(m_id, b);
+    (at != m && row < Id::num_digits(b)).then(|| (row, m_id.digit(row, b) as usize))
+}
+
+/// Everything about one node that a pull of it, or by it, depends on.
+#[derive(Clone, PartialEq, Debug)]
+struct PullInputs {
+    joined: bool,
+    halves: (Vec<NodeIdx>, Vec<NodeIdx>),
+    /// Its members as a receiver filters them: live and joined, or not.
+    answer: Vec<(NodeIdx, bool)>,
+    /// Its routing slots that some other node falls in.
+    slots: Vec<Option<NodeIdx>>,
+}
+
+/// One node as the oracle sees it between two events.
+#[derive(Clone, Debug)]
+struct NodeView {
+    stamp: u32,
+    inputs: PullInputs,
+    synced: Vec<NodeIdx>,
+    asleep: bool,
+}
+
+/// Per node, the distinct slots the other nodes fall in (ids never
+/// change): the only ones a schedule can fill or empty.
+type SlotMap = Vec<Vec<(usize, usize)>>;
+
+fn slot_map(ov: &Overlay, n_nodes: usize) -> SlotMap {
+    let nodes = || (0..n_nodes as u32).map(NodeIdx);
+    nodes()
+        .map(|at| {
+            let mut slots: Vec<_> = nodes().filter_map(|m| slot_of(ov, at, m)).collect();
+            slots.sort_unstable();
+            slots.dedup();
+            slots
+        })
+        .collect()
+}
+
+fn view(eng: &Eng, ov: &Overlay, slots: &SlotMap) -> Vec<NodeView> {
+    (0..slots.len() as u32)
+        .map(|i| {
+            let n = NodeIdx(i);
+            let (cw, ccw) = ov.leafset_halves(n);
+            let answer = ov.leafset_members(n).into_iter();
+            let slot = |&(r, c): &(usize, usize)| ov.routing_slot(n, r, c);
+            NodeView {
+                stamp: ov.leafset_stamp(n),
+                inputs: PullInputs {
+                    joined: ov.is_joined(n),
+                    halves: (cw.to_vec(), ccw.to_vec()),
+                    answer: answer
+                        .map(|m| (m, eng.is_up(m) && ov.is_joined(m)))
+                        .collect(),
+                    slots: slots[n.idx()].iter().map(slot).collect(),
+                },
+                synced: ov.synced_peers(n),
+                asleep: ov.is_asleep(n),
+            }
+        })
+        .collect()
+}
+
+/// The standing Overlay-class `(tx, rx)` of `n` in closed form: a
+/// heartbeat per member per heartbeat period each way; while `n` sleeps,
+/// a pull out and the pulled member's members back once per mean refresh
+/// period; per sleeping `q` that lists `n`, the mirror image once per
+/// `|members(q)|` periods.
+fn closed_form_rate(
+    eng: &Eng,
+    ov: &Overlay,
+    views: &[NodeView],
+    sleepers: &[Vec<usize>],
+    n: NodeIdx,
+) -> (f64, f64) {
+    let members = |v: &NodeView| v.inputs.answer.len() as f64;
+    let me = &views[n.idx()];
+    if !eng.is_up(n) || !me.inputs.joined {
+        return (0.0, 0.0);
+    }
+    let cfg = ov.config();
+    let period = cfg.leafset_refresh.as_secs_f64() * 1.125;
+    let hb = members(me) * f64::from(wire::HEARTBEAT) / cfg.heartbeat.as_secs_f64();
+    let (mut tx, mut rx) = (hb, hb);
+    if me.asleep {
+        for (p, _) in &me.inputs.answer {
+            let per_s = 1.0 / (members(me) * period);
+            tx += f64::from(wire::leafset_msg(1)) * per_s;
+            rx += f64::from(wire::leafset_msg(views[p.idx()].inputs.answer.len())) * per_s;
+        }
+    }
+    for &q in &sleepers[n.idx()] {
+        let per_s = 1.0 / (members(&views[q]) * period);
+        tx += f64::from(wire::leafset_msg(me.inputs.answer.len())) * per_s;
+        rx += f64::from(wire::leafset_msg(1)) * per_s;
+    }
+    (tx, rx)
+}
+
+/// What just happened, as far as the oracle's rules care.
+enum Delivered {
+    /// A `LeafsetPush` from `.0` reached `.1`: the one event that may
+    /// sync that pair.
+    Push(NodeIdx, NodeIdx),
+    /// A partition opened around these members.
+    Cut(Vec<NodeIdx>),
+    Other,
+}
+
+/// The elision oracle, run after every delivered event with the views
+/// before and after it.
+fn check_elision(
+    eng: &Eng,
+    ov: &Overlay,
+    before: &[NodeView],
+    after: &[NodeView],
+    what: &Delivered,
+) -> Result<(), String> {
+    // `sleepers[p]`: the sleeping nodes that list p.
+    let mut sleepers = vec![Vec::new(); after.len()];
+    for (q, v) in after.iter().enumerate().filter(|(_, v)| v.asleep) {
+        for (p, _) in &v.inputs.answer {
+            sleepers[p.idx()].push(q);
+        }
+    }
+    // A pair's verdict is a function of its two ends' inputs (a cut adds
+    // reachability): it is re-derived whenever either moved.
+    let moved = |x: NodeIdx| {
+        before[x.idx()].inputs != after[x.idx()].inputs || matches!(what, Delivered::Cut(_))
+    };
+    for (i, (was, is)) in before.iter().zip(after).enumerate() {
+        let n = NodeIdx(i as u32);
+        let bumped = was.stamp != is.stamp;
+        // 1. No input of a pull changes behind the stamp's back. (A slot
+        // that fills makes a pull learn less, never more.)
+        let emptied = was.inputs.slots.iter().zip(&is.inputs.slots);
+        let emptied = emptied.clone().any(|(w, i)| w.is_some() && w != i);
+        let cut = match what {
+            Delivered::Cut(members) if eng.is_up(n) => {
+                let inside = |x: &NodeIdx| members.contains(x);
+                was.inputs
+                    .answer
+                    .iter()
+                    .any(|(m, _)| inside(m) != inside(&n))
+            }
+            _ => false,
+        };
+        let changed = was.inputs.joined != is.inputs.joined
+            || was.inputs.halves != is.inputs.halves
+            || was.inputs.answer != is.inputs.answer
+            || emptied
+            || cut;
+        if changed && !bumped {
+            return Err(format!(
+                "{n:?} changed without a stamp bump:\n  was {:?}\n  is  {:?}",
+                was.inputs, is.inputs
+            ));
+        }
+        for p in &is.synced {
+            // 3. A pair outlives a bump of either end only by a fresh
+            // exchange.
+            let p_bumped = before[p.idx()].stamp != after[p.idx()].stamp;
+            let resynced = matches!(what, Delivered::Push(from, to) if (from, to) == (p, &n));
+            if was.synced.contains(p) && (bumped || p_bumped) && !resynced {
+                return Err(format!("{n:?} -> {p:?} still synced across a stamp bump"));
+            }
+            if !was.synced.contains(p) && !resynced {
+                return Err(format!("{n:?} -> {p:?} synced without an exchange"));
+            }
+            if was.synced.contains(p) && !moved(n) && !moved(*p) {
+                continue;
+            }
+            // 2. State equivalence: the pull the overlay will not send
+            // would change nothing.
+            let (puller_ok, pulled_ok) = (
+                is.inputs.joined && eng.is_up(n),
+                ov.is_joined(*p) && eng.is_up(*p) && eng.reachable(n, *p),
+            );
+            if !(puller_ok && pulled_ok) {
+                return Err(format!("{n:?} -> {p:?} synced but cannot be exchanged"));
+            }
+            let push = OverlayMsg::LeafsetPush {
+                members: ov.leafset_members(*p),
+            };
+            let model = model_merge(eng, ov, *p, n, &push).expect("a push merges");
+            if model.before != model.after || !model.joined.is_empty() {
+                return Err(format!(
+                    "{n:?} -> {p:?} synced, but the pull would merge {:?}: {:?} into {:?}",
+                    model.joined, model.after, model.before
+                ));
+            }
+            for (m, _) in &after[p.idx()].inputs.answer {
+                let learns =
+                    slot_of(ov, n, *m).is_some_and(|(r, c)| ov.routing_slot(n, r, c).is_none());
+                if learns {
+                    return Err(format!(
+                        "{n:?} -> {p:?} synced, but the pull would learn {m:?}"
+                    ));
+                }
+            }
+        }
+        // 4. Only a node whose pairs are all synced sleeps, and the engine
+        // holds exactly the rate the sleepers imply.
+        if is.asleep && is.synced.len() != is.inputs.answer.len() {
+            return Err(format!("{n:?} sleeps on an un-synced pair"));
+        }
+        let (tx, rx) = closed_form_rate(eng, ov, after, &sleepers, n);
+        let held = eng.standing(n, TrafficClass::Overlay);
+        let close = |held: f32, want: f64| (f64::from(held) - want).abs() <= 1e-5 * want.max(1.0);
+        if !close(held.0, tx) || !close(held.1, rx) {
+            return Err(format!(
+                "{n:?} holds a standing rate of {held:?}, the sleepers imply ({tx}, {rx})"
+            ));
+        }
+    }
+    Ok(())
+}
+
 // ------------------------------------------------------------ the drive
 
 /// What a run exercised; the fixed-seed test below asserts the schedule
@@ -167,6 +408,11 @@ struct Coverage {
     pushes_sent: u64,
     pushes_delivered: u64,
     max_spare: usize,
+    /// Events after which some pair was newly synced / newly un-synced.
+    syncs: u64,
+    unsyncs: u64,
+    /// Events that emptied a routing slot without touching the halves.
+    slot_only_purges: u64,
 }
 
 /// Runs engine + overlay to `horizon`, checking every merge against the
@@ -181,10 +427,16 @@ fn drive_checked(
     // Member lists each Pull handler put on the wire, per (sender,
     // receiver) of the push: every delivered copy must be one of them.
     let mut sent: BTreeMap<(u32, u32), Vec<Vec<NodeIdx>>> = BTreeMap::new();
+    let slots = slot_map(ov, n_nodes);
+    let mut before = view(eng, ov, &slots);
     while let Some((_, ev)) = eng.next_event_before(horizon) {
+        let mut what = Delivered::Other;
         match ev {
             Event::Message { from, to, payload } => {
                 let msg = payload.into_owned();
+                if matches!(msg, OverlayMsg::LeafsetPush { .. }) {
+                    what = Delivered::Push(from, to);
+                }
                 let expected = model_merge(eng, ov, from, to, &msg);
                 let is_pull = matches!(msg, OverlayMsg::LeafsetPull);
                 if let OverlayMsg::LeafsetPush { members } = &msg {
@@ -249,6 +501,7 @@ fn drive_checked(
             Event::PartitionStart { partition } => {
                 let members = eng.partition_members(partition);
                 ov.partition_started(eng, &members);
+                what = Delivered::Cut(members);
             }
             Event::PartitionEnd { partition } => {
                 let members = eng.partition_members(partition);
@@ -256,6 +509,23 @@ fn drive_checked(
             }
         }
         check_reverse_index(ov, n_nodes)?;
+        let after = view(eng, ov, &slots);
+        check_elision(eng, ov, &before, &after, &what)
+            .map_err(|e| format!("at {:?}: {e}", eng.now()))?;
+        for (was, is) in before.iter().zip(&after) {
+            cov.syncs += u64::from(is.synced.iter().any(|p| !was.synced.contains(p)));
+            cov.unsyncs += u64::from(was.synced.iter().any(|p| !is.synced.contains(p)));
+            cov.slot_only_purges += u64::from(
+                was.inputs.halves == is.inputs.halves
+                    && was
+                        .inputs
+                        .slots
+                        .iter()
+                        .zip(&is.inputs.slots)
+                        .any(|(w, i)| w.is_some() && i.is_none()),
+            );
+        }
+        before = after;
         let spare = ov.spare_push_buffers();
         cov.max_spare = cov.max_spare.max(spare);
         if spare > SPARE_PUSH_MAX {
@@ -270,6 +540,15 @@ fn drive_checked(
 /// One random schedule: staggered (sometimes simultaneous) joins, churn,
 /// one partition window, message loss, duplication and reordering.
 fn run_schedule(n: usize, leafset: usize, seed: u64, dup_rate: f64) -> Result<Coverage, String> {
+    let (mut eng, mut ov, end) = schedule(n, leafset, seed, dup_rate);
+    let mut cov = Coverage::default();
+    drive_checked(&mut eng, &mut ov, n, end, &mut cov)?;
+    Ok(cov)
+}
+
+/// Builds the world of [`run_schedule`] with its faults queued; the last
+/// of them is over ten minutes before the returned time.
+fn schedule(n: usize, leafset: usize, seed: u64, dup_rate: f64) -> (Eng, Overlay, Time) {
     let mut rng = StdRng::seed_from_u64(seed ^ 0x1eaf_5e70);
     let cut: Vec<u32> = (0..n as u32).filter(|_| rng.gen_bool(0.4)).collect();
     let faults = FaultPlan {
@@ -293,7 +572,7 @@ fn run_schedule(n: usize, leafset: usize, seed: u64, dup_rate: f64) -> Result<Co
             ..SimConfig::default()
         },
     );
-    let mut ov = Overlay::new(
+    let ov = Overlay::new(
         Overlay::random_ids(n, seed),
         OverlayConfig {
             seed,
@@ -318,15 +597,8 @@ fn run_schedule(n: usize, leafset: usize, seed: u64, dup_rate: f64) -> Result<Co
         }
         up[node] = !up[node];
     }
-    let mut cov = Coverage::default();
-    drive_checked(
-        &mut eng,
-        &mut ov,
-        n,
-        at.max(Time::from_secs(1_200)) + Duration::from_mins(10),
-        &mut cov,
-    )?;
-    Ok(cov)
+    let end = at.max(Time::from_secs(1_200)) + Duration::from_mins(10);
+    (eng, ov, end)
 }
 
 proptest! {
@@ -357,11 +629,72 @@ fn schedules_cover_the_interesting_merges() {
         total.push_changes += cov.push_changes;
         total.both_halves += cov.both_halves;
         total.evictions += cov.evictions;
+        total.syncs += cov.syncs;
+        total.unsyncs += cov.unsyncs;
+        total.slot_only_purges += cov.slot_only_purges;
     }
     assert!(total.announce_changes > 0, "{total:?}");
     assert!(total.push_changes > 0, "{total:?}");
     assert!(total.both_halves > 0, "{total:?}");
     assert!(total.evictions > 0, "{total:?}");
+    // The elision oracle had pairs to watch come and go, and saw the one
+    // bump site that leaves the halves alone.
+    assert!(total.syncs > 0 && total.unsyncs > 0, "{total:?}");
+    assert!(total.slot_only_purges > 0, "{total:?}");
+}
+
+/// Liveness: once the faults are over and every node has gone round its
+/// rotation a bounded number of times (lost pulls and pushes are retried
+/// a rotation later), every joined node's halves are the ring's ground
+/// truth, the reverse index is exact, every pair is synced — and the
+/// engine holds nothing: no refresh timer, no message, no event at all.
+#[test]
+fn a_converged_ring_schedules_nothing() {
+    for (n, leafset, seed, dup_rate) in [
+        (1, 8, 21, 0.0),
+        (2, 8, 22, 0.3),
+        (5, 8, 23, 0.0),
+        (12, 4, 24, 0.3),
+        (25, 2, 25, 0.0),
+        (40, 8, 26, 0.3),
+        (40, 16, 27, 1.0),
+    ] {
+        let (mut eng, mut ov, end) = schedule(n, leafset, seed, dup_rate);
+        let mut cov = Coverage::default();
+        let rotation = Duration::from_secs(75) * leafset as u64;
+        drive_checked(&mut eng, &mut ov, n, end + rotation * 12, &mut cov)
+            .unwrap_or_else(|e| panic!("n={n} l={leafset} seed={seed}: {e}"));
+        assert!(cov.syncs > 0 || n == 1);
+
+        let mut ring: Vec<NodeIdx> = (0..n as u32)
+            .map(NodeIdx)
+            .filter(|&m| eng.is_up(m))
+            .collect();
+        ring.sort_by_key(|m| ov.id_of(*m).0);
+        let near = (leafset / 2).min(ring.len().saturating_sub(1));
+        for (pos, &me) in ring.iter().enumerate() {
+            let at = |d: usize| ring[(pos + d) % ring.len()];
+            let cw: Vec<NodeIdx> = (1..=near).map(at).collect();
+            let ccw: Vec<NodeIdx> = (1..=near).map(|d| at(ring.len() - d)).collect();
+            assert!(ov.is_joined(me), "n={n} seed={seed}: {me:?} never joined");
+            assert_eq!(
+                ov.leafset_halves(me),
+                (&cw[..], &ccw[..]),
+                "n={n} l={leafset} seed={seed}: halves of {me:?}"
+            );
+            assert_eq!(
+                ov.synced_peers(me),
+                ov.leafset_members(me),
+                "n={n} l={leafset} seed={seed}: pairs of {me:?}"
+            );
+        }
+        check_reverse_index(&ov, n).unwrap();
+        assert_eq!(
+            eng.next_pending_at(),
+            None,
+            "n={n} l={leafset} seed={seed}: a converged ring still schedules"
+        );
+    }
 }
 
 /// Duplication rate 1.0: the engine delivers every message twice from one

@@ -13,15 +13,19 @@
 //! boundary flushes them into per-hour aggregate series and (optionally)
 //! raw CDF sample vectors.
 //!
-//! **Standing traffic.** Strictly periodic small messages (leafset
-//! heartbeats every 30 s, metadata refresh at very large scale) would
-//! dominate the event queue without affecting protocol decisions — our
-//! failure detection models the heartbeat *timeout*, not each beat. Such
-//! flows register a per-node bytes/second rate instead
-//! ([`BandwidthRecorder::set_standing`]); the recorder integrates rate ×
-//! per-node uptime each hour, so totals, per-hour series and CDF samples
-//! are identical to what event-per-beat simulation would record (up to
-//! sub-second phase).
+//! **Standing traffic.** Strictly periodic small messages would dominate
+//! the event queue without affecting protocol decisions: the 30 s leafset
+//! heartbeats (failure detection models the heartbeat *timeout*, not each
+//! beat) and the 60 s leafset anti-entropy pulls of a node all of whose
+//! exchanges are known to merge nothing (the overlay's *sleeping* nodes).
+//! Such flows register a per-node bytes/second rate instead
+//! ([`BandwidthRecorder::set_standing`]). The recorder integrates
+//! piecewise: every rate change, every up/down edge and every hour flush
+//! closes the stretch since the previous one and charges `rate × its
+//! length` to the hour it fell in, so a rate is charged for exactly the
+//! time it was in force on an up node, and totals, per-hour series and
+//! CDF samples are what event-per-message simulation would record (up to
+//! sub-period phase).
 
 use seaweed_types::{Duration, Time};
 
@@ -91,9 +95,12 @@ pub struct BandwidthRecorder {
     /// Standing (periodic, event-free) rates in bytes/sec of uptime.
     standing_tx: Vec<[f32; NUM_CLASSES]>,
     standing_rx: Vec<[f32; NUM_CLASSES]>,
-    /// Per-node uptime bookkeeping within the current hour.
+    /// Start of each up node's current stretch: since then it has been
+    /// up at its current standing rates, not yet charged for them.
     up_since: Vec<Option<Time>>,
-    uptime_us_hour: Vec<u64>,
+    /// Standing bytes of the closed stretches of the current hour.
+    standing_acc_tx: Vec<[f64; NUM_CLASSES]>,
+    standing_acc_rx: Vec<[f64; NUM_CLASSES]>,
     /// Completed per-hour aggregates.
     tx_hours: Vec<HourAggregate>,
     rx_hours: Vec<HourAggregate>,
@@ -121,7 +128,8 @@ impl BandwidthRecorder {
             standing_tx: vec![[0.0; NUM_CLASSES]; num_nodes],
             standing_rx: vec![[0.0; NUM_CLASSES]; num_nodes],
             up_since: vec![None; num_nodes],
-            uptime_us_hour: vec![0; num_nodes],
+            standing_acc_tx: vec![[0.0; NUM_CLASSES]; num_nodes],
+            standing_acc_rx: vec![[0.0; NUM_CLASSES]; num_nodes],
             tx_hours: Vec::new(),
             rx_hours: Vec::new(),
             tx_samples: Vec::new(),
@@ -153,17 +161,11 @@ impl BandwidthRecorder {
         let mut rx_agg = tx_agg;
         self.online_integral_us = 0;
         for node in 0..self.n {
-            // Close out uptime for nodes still up.
-            if let Some(since) = self.up_since[node] {
-                self.uptime_us_hour[node] += boundary.saturating_since(since).as_micros();
-                self.up_since[node] = Some(boundary);
-            }
-            let up_secs = self.uptime_us_hour[node] as f64 / 1e6;
-            self.uptime_us_hour[node] = 0;
             // Fold standing traffic into the counters.
+            self.close_stretch(boundary, node);
             for c in 0..NUM_CLASSES {
-                let st = (self.standing_tx[node][c] as f64 * up_secs) as u64;
-                let sr = (self.standing_rx[node][c] as f64 * up_secs) as u64;
+                let st = std::mem::take(&mut self.standing_acc_tx[node][c]) as u64;
+                let sr = std::mem::take(&mut self.standing_acc_rx[node][c]) as u64;
                 self.cur_tx[node][c] += st;
                 self.cur_rx[node][c] += sr;
                 self.total_tx[c] += st;
@@ -183,6 +185,20 @@ impl BandwidthRecorder {
         }
         self.tx_hours.push(tx_agg);
         self.rx_hours.push(rx_agg);
+    }
+
+    /// Charges `node` its standing rates for the stretch it has been up
+    /// since the last call, and starts the next stretch at `now`.
+    fn close_stretch(&mut self, now: Time, node: usize) {
+        let Some(since) = self.up_since[node] else {
+            return;
+        };
+        let secs = now.saturating_since(since).as_micros() as f64 / 1e6;
+        for c in 0..NUM_CLASSES {
+            self.standing_acc_tx[node][c] += f64::from(self.standing_tx[node][c]) * secs;
+            self.standing_acc_rx[node][c] += f64::from(self.standing_rx[node][c]) * secs;
+        }
+        self.up_since[node] = Some(now);
     }
 
     fn accumulate_online(&mut self, now: Time) {
@@ -205,17 +221,37 @@ impl BandwidthRecorder {
         self.advance(now);
         self.accumulate_online(now);
         self.online_count = self.online_count.saturating_sub(1);
-        if let Some(since) = self.up_since[node].take() {
-            self.uptime_us_hour[node] += now.saturating_since(since).as_micros();
-        }
+        self.close_stretch(now, node);
+        self.up_since[node] = None;
     }
 
-    /// Registers standing (periodic, event-free) traffic for `node`:
-    /// `tx_rate`/`rx_rate` bytes per second of *uptime*. Replaces any
-    /// previous rate for that class.
-    pub fn set_standing(&mut self, node: usize, class: TrafficClass, tx_rate: f32, rx_rate: f32) {
-        self.standing_tx[node][class as usize] = tx_rate;
-        self.standing_rx[node][class as usize] = rx_rate;
+    /// Registers standing (periodic, event-free) traffic for `node` from
+    /// `now` on: `tx_rate`/`rx_rate` bytes per second of *uptime*.
+    /// Replaces the previous rate for that class, which is charged up to
+    /// `now`.
+    pub fn set_standing(
+        &mut self,
+        now: Time,
+        node: usize,
+        class: TrafficClass,
+        tx_rate: f32,
+        rx_rate: f32,
+    ) {
+        let c = class as usize;
+        if (self.standing_tx[node][c], self.standing_rx[node][c]) == (tx_rate, rx_rate) {
+            return;
+        }
+        self.advance(now);
+        self.close_stretch(now, node);
+        self.standing_tx[node][c] = tx_rate;
+        self.standing_rx[node][c] = rx_rate;
+    }
+
+    /// The standing `(tx, rx)` rates currently registered for `node`.
+    #[must_use]
+    pub fn standing(&self, node: usize, class: TrafficClass) -> (f32, f32) {
+        let c = class as usize;
+        (self.standing_tx[node][c], self.standing_rx[node][c])
     }
 
     /// Records `bytes` transmitted by `node`.
@@ -232,8 +268,8 @@ impl BandwidthRecorder {
     }
 
     /// Whole-run transmitted-byte totals by class so far. Standing flows
-    /// are included up to the last completed hour flush (they are only
-    /// integrated at flush time).
+    /// are included up to the last completed hour flush (their stretches
+    /// reach the totals at flush time).
     #[must_use]
     pub fn totals_tx(&self) -> [u64; NUM_CLASSES] {
         self.total_tx
@@ -437,7 +473,7 @@ mod tests {
     #[test]
     fn standing_traffic_integrates_uptime() {
         let mut rec = BandwidthRecorder::new(2, true);
-        rec.set_standing(0, TrafficClass::Overlay, 10.0, 5.0);
+        rec.set_standing(Time::ZERO, 0, TrafficClass::Overlay, 10.0, 5.0);
         rec.node_up(Time::ZERO, 0);
         // Node 0 up for 30 min then down; node 1 never up.
         rec.node_down(Time::ZERO + Duration::from_mins(30), 0);
@@ -454,10 +490,69 @@ mod tests {
         assert_eq!(report.tx_zero_fraction(), 0.5);
     }
 
+    /// Down at :50, up at :55 with another rate, flush at :60: each rate
+    /// is charged for the minutes it was in force on an up node — not the
+    /// rate standing at the flush for the whole hour's uptime (which would
+    /// charge 55 min × 4 B/s here, and nothing at all had the node stayed
+    /// down with its rate zeroed).
+    #[test]
+    fn a_rate_that_changes_mid_hour_is_charged_piecewise() {
+        let min = |m| Time::ZERO + Duration::from_mins(m);
+        let mut rec = BandwidthRecorder::new(2, true);
+        rec.node_up(Time::ZERO, 0);
+        rec.set_standing(Time::ZERO, 0, TrafficClass::Overlay, 10.0, 5.0);
+        // Node 1 changes rate twice while up; ends the hour down.
+        rec.node_up(min(10), 1);
+        rec.set_standing(min(10), 1, TrafficClass::Maintenance, 1.0, 1.0);
+        rec.set_standing(min(20), 1, TrafficClass::Maintenance, 3.0, 2.0);
+        rec.node_down(min(30), 1);
+        rec.set_standing(min(30), 1, TrafficClass::Maintenance, 0.0, 0.0);
+        // Node 0: the owner zeroes the rate on the way down.
+        rec.node_down(min(50), 0);
+        rec.set_standing(min(50), 0, TrafficClass::Overlay, 0.0, 0.0);
+        rec.node_up(min(55), 0);
+        rec.set_standing(min(55), 0, TrafficClass::Overlay, 4.0, 8.0);
+        // A rate re-registered unchanged closes nothing.
+        rec.set_standing(min(57), 0, TrafficClass::Overlay, 4.0, 8.0);
+        let report = rec.finish(min(90));
+
+        let (ov, mt) = (
+            TrafficClass::Overlay as usize,
+            TrafficClass::Maintenance as usize,
+        );
+        let n0_tx = [10 * 50 * 60 + 4 * 5 * 60, 4 * 30 * 60];
+        let n0_rx = [5 * 50 * 60 + 8 * 5 * 60, 8 * 30 * 60];
+        let (n1_tx, n1_rx) = (10 * 60 + 3 * 10 * 60, 10 * 60 + 2 * 10 * 60);
+        assert_eq!(report.tx_hours.len(), 2);
+        for h in 0..2 {
+            assert_eq!(report.tx_hours[h].bytes[ov], n0_tx[h], "tx hour {h}");
+            assert_eq!(report.rx_hours[h].bytes[ov], n0_rx[h], "rx hour {h}");
+        }
+        assert_eq!(report.tx_hours[0].bytes[mt], n1_tx);
+        assert_eq!(report.rx_hours[0].bytes[mt], n1_rx);
+        assert_eq!(report.tx_hours[1].bytes[mt], 0);
+        assert_eq!(report.total_tx[ov], n0_tx[0] + n0_tx[1]);
+        assert_eq!(report.total_tx[mt], n1_tx);
+        // One sample per (node, hour), bytes over the nominal hour.
+        let samples = |bytes: [u64; 4]| {
+            let mut s = bytes.map(|b| b as f32 / 3600.0);
+            s.sort_by(f32::total_cmp);
+            s
+        };
+        assert_eq!(
+            report.tx_samples_sorted,
+            samples([n0_tx[0], n0_tx[1], n1_tx, 0])
+        );
+        assert_eq!(
+            report.rx_samples_sorted,
+            samples([n0_rx[0], n0_rx[1], n1_rx, 0])
+        );
+    }
+
     #[test]
     fn standing_spans_hour_boundaries() {
         let mut rec = BandwidthRecorder::new(1, false);
-        rec.set_standing(0, TrafficClass::Maintenance, 1.0, 1.0);
+        rec.set_standing(Time::ZERO, 0, TrafficClass::Maintenance, 1.0, 1.0);
         rec.node_up(Time::ZERO, 0);
         let report = rec.finish(Time::ZERO + Duration::from_hours(3));
         let per_hour: Vec<u64> = report
@@ -513,7 +608,7 @@ mod tests {
     fn totals_equal_sum_of_hour_series() {
         // Mid-hour end: events plus a standing rate, node churn included.
         let mut rec = BandwidthRecorder::new(2, true);
-        rec.set_standing(0, TrafficClass::Overlay, 4.0, 2.0);
+        rec.set_standing(Time::ZERO, 0, TrafficClass::Overlay, 4.0, 2.0);
         rec.node_up(Time::ZERO, 0);
         rec.node_up(Time::ZERO, 1);
         rec.record_tx(
@@ -557,7 +652,7 @@ mod tests {
     #[test]
     fn mean_per_online_accounts_standing_and_events() {
         let mut rec = BandwidthRecorder::new(1, false);
-        rec.set_standing(0, TrafficClass::Overlay, 2.0, 2.0);
+        rec.set_standing(Time::ZERO, 0, TrafficClass::Overlay, 2.0, 2.0);
         rec.node_up(Time::ZERO, 0);
         rec.record_tx(
             Time::ZERO + Duration::from_mins(10),

@@ -1435,13 +1435,28 @@ impl<M> Engine<M> {
             .record_tx(self.now, node.idx(), TrafficClass::Overlay, bytes);
     }
 
+    /// Charges `node` one side of an exchange — `tx` bytes sent, `rx`
+    /// received — without scheduling its messages: for an exchange the
+    /// caller knows changes no state at either end.
+    pub fn record_exchange(&mut self, node: NodeIdx, class: TrafficClass, tx: u32, rx: u32) {
+        self.recorder.record_tx(self.now, node.idx(), class, tx);
+        self.recorder.record_rx(self.now, node.idx(), class, rx);
+    }
+
     /// Registers standing (periodic, event-free) traffic for `node`; see
     /// [`BandwidthRecorder::set_standing`]. Used for strictly periodic
-    /// protocol traffic (leafset heartbeats) whose event-by-event
-    /// simulation would swamp the queue without changing any decision.
+    /// protocol traffic (leafset heartbeats, a fully synced node's
+    /// anti-entropy pulls) whose event-by-event simulation would swamp
+    /// the queue without changing any decision.
     pub fn set_standing(&mut self, node: NodeIdx, class: TrafficClass, tx_rate: f32, rx_rate: f32) {
         self.recorder
-            .set_standing(node.idx(), class, tx_rate, rx_rate);
+            .set_standing(self.now, node.idx(), class, tx_rate, rx_rate);
+    }
+
+    /// The standing `(tx, rx)` rates currently registered for `node`.
+    #[must_use]
+    pub fn standing(&self, node: NodeIdx, class: TrafficClass) -> (f32, f32) {
+        self.recorder.standing(node.idx(), class)
     }
 
     /// Per-cause drop statistics so far (also embedded in the final

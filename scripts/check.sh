@@ -93,15 +93,37 @@ echo "==> perf/ benchmark (its unit tests; smoke: five workloads correct, finger
 cargo test -q --manifest-path perf/Cargo.toml --offline
 perf/run.sh --smoke
 
+# ledger_value <metric>: its value in the traced farsite_steady smoke ledger.
+ledger=perf/out/farsite_steady.smoke.ledger.json
+ledger_value() {
+  sed -n "s/.*\"${1//./\\.}\": {\"value\": \([-+0-9.eE]*\),.*/\1/p" "$ledger"
+}
+
 echo "==> allocation gate (traced farsite_steady smoke: leafset maintenance stays allocation-free)"
 # perf/ counts allocations from outside, so no counting allocator (and no
 # `unsafe`, D006) has to enter a deterministic crate to hold this line:
-# 4.00 allocations per LeafsetPull/LeafsetPush before PR 13, ~0.0001 after.
-ledger=perf/out/farsite_steady.smoke.ledger.json
-allocs=$(sed -n 's/.*"overlay\.leafset\.allocs_per_event": {"value": \([-+0-9.eE]*\),.*/\1/p' "$ledger")
-echo "    overlay.leafset.allocs_per_event = ${allocs:-missing}"
-if ! awk -v a="$allocs" 'BEGIN { exit !(a != "" && a + 0 <= 0.1) }'; then
-  echo "overlay.leafset.allocs_per_event exceeds 0.1 (or is missing from $ledger)" >&2
+# 4.00 allocations per LeafsetPull/LeafsetPush before PR 13, ~0.002 after.
+# Only exchanges between un-synced pairs are events now, so the gate also
+# holds the denominator: under 1,000 of them the ratio would say nothing.
+allocs=$(ledger_value overlay.leafset.allocs_per_event)
+leafset_events=$(ledger_value overlay.leafset.events)
+echo "    overlay.leafset.allocs_per_event = ${allocs:-missing} over ${leafset_events:-missing} events"
+if ! awk -v a="$allocs" -v n="$leafset_events" 'BEGIN { exit !(a != "" && a + 0 <= 0.1 && n + 0 >= 1000) }'; then
+  echo "overlay.leafset.allocs_per_event exceeds 0.1 (or is missing from $ledger, or counts under 1000 events)" >&2
+  exit 1
+fi
+
+echo "==> event gate (traced farsite_steady smoke: a converged ring is not simulated)"
+# Leafset exchanges plus overlay timers were 0.74 of all events when every
+# refresh of every pair was an event; synced pairs are a standing rate
+# now, and what is left is the churn-driven remainder (~0.20 here).
+timer_events=$(ledger_value overlay.timer.events)
+sim_events=$(ledger_value sim.events)
+share=$(awk -v l="$leafset_events" -v t="$timer_events" -v s="$sim_events" \
+  'BEGIN { if (l != "" && t != "" && s + 0 > 0) printf "%.3f", (l + t) / s }')
+echo "    (overlay.leafset.events + overlay.timer.events) / sim.events = ${share:-missing}"
+if ! awk -v r="$share" 'BEGIN { exit !(r != "" && r + 0 <= 0.35) }'; then
+  echo "overlay maintenance is more than 0.35 of all events (or a count is missing from $ledger)" >&2
   exit 1
 fi
 
