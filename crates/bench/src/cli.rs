@@ -1,64 +1,115 @@
-//! Minimal command-line flag parsing for experiment binaries.
+//! Command-line parsing for `seaweed-bench <experiment> [flags]`.
 //!
 //! Hand-rolled on purpose — the permitted dependency set has no CLI
-//! crate, and the needs are trivial: `--flag value` pairs and boolean
-//! switches.
+//! crate, and the needs are trivial: an experiment name, `--flag value`
+//! pairs and boolean switches. What it does not know it rejects, before
+//! any simulation starts: a mistyped flag must not run the default
+//! experiment under the wrong name.
 
 use std::collections::HashMap;
 
-/// Parsed command-line arguments.
-#[derive(Debug, Clone)]
+use crate::exp::{Experiment, EXPERIMENTS};
+
+/// Every flag some experiment reads, and whether it takes a value. One
+/// list for all of them, because `all` hands its flags to every child.
+const FLAGS: &[(&str, bool)] = &[
+    ("base", true),
+    ("days", true),
+    ("farsite-n", true),
+    ("full", false),
+    ("hours", true),
+    ("jobs", true),
+    ("json", true),
+    ("max-k", true),
+    ("max-n", true),
+    ("million", true),
+    ("mode", true),
+    ("n", true),
+    ("out-dir", true),
+    ("part", true),
+    ("parts", true),
+    ("points", true),
+    ("routers", true),
+    ("seed", true),
+    ("seeds", true),
+    ("weeks", true),
+    ("workers", true),
+];
+
+fn takes_value(flag: &str) -> Option<bool> {
+    FLAGS
+        .iter()
+        .find(|(name, _)| *name == flag)
+        .map(|&(_, takes_value)| takes_value)
+}
+
+/// What would have been accepted, for the end of every rejection.
+fn usage() -> String {
+    let names: Vec<&str> = EXPERIMENTS.iter().map(|e| e.name).collect();
+    let flags: Vec<String> = FLAGS.iter().map(|(name, _)| format!("--{name}")).collect();
+    format!(
+        "usage: seaweed-bench <experiment> [--flag value]...\nexperiments: {}\nflags: {}",
+        names.join(" "),
+        flags.join(" ")
+    )
+}
+
+/// Resolves a command line (first item = program name) to the registry
+/// row it names and its flags.
+///
+/// # Errors
+/// A missing or unknown experiment name, an unknown flag, a value flag
+/// without its value, or a stray positional argument; the message ends
+/// with what would have been accepted.
+pub fn resolve<I: IntoIterator<Item = String>>(
+    argv: I,
+) -> Result<(&'static Experiment, Args), String> {
+    let mut argv = argv.into_iter().skip(1);
+    let name = argv.next().ok_or_else(usage)?;
+    let experiment = EXPERIMENTS
+        .iter()
+        .find(|e| e.name == name)
+        .ok_or_else(|| format!("unknown experiment: {name}\n{}", usage()))?;
+    Ok((experiment, Args::parse_flags(argv)?))
+}
+
+/// Parsed flags.
+#[derive(Debug, Clone, Default)]
 pub struct Args {
     values: HashMap<String, String>,
     switches: Vec<String>,
-    program: String,
 }
 
 impl Args {
-    /// Parses `std::env::args()`.
-    #[must_use]
-    pub fn parse() -> Self {
-        Self::parse_args(std::env::args())
-    }
-
-    /// Parses an explicit iterator (first item = program name).
-    pub fn parse_args<I: IntoIterator<Item = String>>(iter: I) -> Self {
-        let mut it = iter.into_iter();
-        let program = it.next().unwrap_or_default();
-        let mut values = HashMap::new();
-        let mut switches = Vec::new();
-        let mut pending: Option<String> = None;
-        for arg in it {
-            if let Some(stripped) = arg.strip_prefix("--") {
-                if let Some(key) = pending.take() {
-                    switches.push(key);
+    /// Parses the flags after the experiment name.
+    ///
+    /// # Errors
+    /// See [`resolve`].
+    pub fn parse_flags<I: IntoIterator<Item = String>>(flags: I) -> Result<Self, String> {
+        let mut args = Args::default();
+        let mut it = flags.into_iter();
+        while let Some(arg) = it.next() {
+            let Some(flag) = arg.strip_prefix("--") else {
+                return Err(format!("stray argument: {arg}\n{}", usage()));
+            };
+            match takes_value(flag) {
+                None => return Err(format!("unknown flag: {arg}\n{}", usage())),
+                Some(false) => args.switches.push(flag.to_owned()),
+                Some(true) => {
+                    let value = it
+                        .next()
+                        .ok_or_else(|| format!("{arg} needs a value\n{}", usage()))?;
+                    args.values.insert(flag.to_owned(), value);
                 }
-                pending = Some(stripped.to_owned());
-            } else if let Some(key) = pending.take() {
-                values.insert(key, arg);
-            } else {
-                eprintln!("ignoring stray argument: {arg}");
             }
         }
-        if let Some(key) = pending {
-            switches.push(key);
-        }
-        Args {
-            values,
-            switches,
-            program,
-        }
-    }
-
-    /// The program name (`argv[0]`).
-    #[must_use]
-    pub fn program(&self) -> &str {
-        &self.program
+        Ok(args)
     }
 
     /// Is a boolean switch present (e.g. `--full`)?
     #[must_use]
     pub fn has(&self, name: &str) -> bool {
+        assert_eq!(takes_value(name), Some(false), "--{name} is not in FLAGS");
         self.switches.iter().any(|s| s == name)
     }
 
@@ -67,7 +118,7 @@ impl Args {
     where
         T::Err: std::fmt::Display,
     {
-        match self.values.get(name) {
+        match self.raw(name) {
             None => default,
             Some(raw) => raw.parse().unwrap_or_else(|e| {
                 panic!("bad value for --{name}: {raw} ({e})");
@@ -78,10 +129,12 @@ impl Args {
     /// A string value with a default.
     #[must_use]
     pub fn get_str(&self, name: &str, default: &str) -> String {
-        self.values
-            .get(name)
-            .cloned()
-            .unwrap_or_else(|| default.to_owned())
+        self.raw(name).unwrap_or(default).to_owned()
+    }
+
+    fn raw(&self, name: &str) -> Option<&str> {
+        assert_eq!(takes_value(name), Some(true), "--{name} is not in FLAGS");
+        self.values.get(name).map(String::as_str)
     }
 }
 
@@ -89,28 +142,59 @@ impl Args {
 mod tests {
     use super::*;
 
-    fn parse(args: &[&str]) -> Args {
-        Args::parse_args(
-            std::iter::once("prog".to_owned()).chain(args.iter().map(|s| (*s).to_owned())),
+    fn resolve_line(line: &[&str]) -> Result<(&'static Experiment, Args), String> {
+        resolve(
+            std::iter::once("prog")
+                .chain(line.iter().copied())
+                .map(str::to_owned),
         )
     }
 
     #[test]
     fn values_switches_and_defaults() {
-        let a = parse(&["--n", "500", "--full", "--out", "results/x.csv", "--flag"]);
+        let (exp, a) =
+            resolve_line(&["fig10_churn", "--n", "500", "--full", "--out-dir", "x"]).unwrap();
+        assert_eq!(exp.name, "fig10_churn");
         assert_eq!(a.get("n", 100usize), 500);
         assert_eq!(a.get("seed", 7u64), 7);
         assert!(a.has("full"));
-        assert!(a.has("flag"));
-        assert!(!a.has("quick"));
-        assert_eq!(a.get_str("out", "d"), "results/x.csv");
-        assert_eq!(a.program(), "prog");
+        assert_eq!(a.get_str("out-dir", "d"), "x");
+        assert_eq!(a.get_str("mode", "both"), "both");
+        assert!(!resolve_line(&["fig10_churn"]).unwrap().1.has("full"));
     }
 
     #[test]
     #[should_panic(expected = "bad value")]
     fn bad_value_panics() {
-        let a = parse(&["--n", "xyz"]);
+        let (_, a) = resolve_line(&["fig10_churn", "--n", "xyz"]).unwrap();
         let _: usize = a.get("n", 1);
+    }
+
+    #[test]
+    fn unknown_flag_is_rejected_naming_the_accepted_ones() {
+        let err = resolve_line(&["fig10_churn", "--sed", "7"]).unwrap_err();
+        assert!(err.starts_with("unknown flag: --sed"), "{err}");
+        assert!(err.contains("--seed"), "{err}");
+        // The flags of the former per-bin outputs went with them.
+        assert!(resolve_line(&["chaos01_faults", "--out", "x.csv"]).is_err());
+    }
+
+    #[test]
+    fn stray_positional_is_rejected() {
+        let err = resolve_line(&["fig10_churn", "--full", "1200"]).unwrap_err();
+        assert!(err.starts_with("stray argument: 1200"), "{err}");
+        let err = resolve_line(&["fig10_churn", "fig09_overheads"]).unwrap_err();
+        assert!(err.starts_with("stray argument: fig09_overheads"), "{err}");
+        let err = resolve_line(&["fig10_churn", "--n"]).unwrap_err();
+        assert!(err.starts_with("--n needs a value"), "{err}");
+    }
+
+    #[test]
+    fn unknown_experiment_is_rejected_naming_the_registry() {
+        let err = resolve_line(&["fig11_churn"]).unwrap_err();
+        assert!(err.starts_with("unknown experiment: fig11_churn"), "{err}");
+        assert!(err.contains("fig10_churn") && err.contains(" all"), "{err}");
+        assert!(resolve_line(&[]).unwrap_err().starts_with("usage:"));
+        assert!(resolve_line(&["--seed", "7"]).is_err());
     }
 }

@@ -5,20 +5,19 @@
 //! and (ii) predictor coverage — the fraction of unavailable endsystems a
 //! query could still be predicted for.
 
+use crate::fullsim::{run_full, FullSimConfig};
+use crate::{jobs, run_sweep, Args, OutDir, OutTable};
 use seaweed_availability::FarsiteConfig;
-use seaweed_bench::fullsim::{run_full, FullSimConfig};
-use seaweed_bench::{jobs, run_sweep, write_csv, Args, OutTable};
 use seaweed_sim::TrafficClass;
 use seaweed_types::{Duration, Time};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let n = args.get("n", 800usize);
     let seed = args.get("seed", 14u64);
     let weeks = 1u64;
 
     let ks = vec![1usize, 2, 4, 8];
-    let workers = jobs(&args, ks.len());
+    let workers = jobs(args, ks.len());
     println!(
         "Ablation: metadata replication factor k \
          ({n} endsystems, {weeks} week, {workers} threads)"
@@ -27,7 +26,7 @@ fn main() {
     let results = run_sweep(ks, workers, |_, &k| {
         let mut cfg = FullSimConfig::new(seed);
         cfg.seaweed.k_metadata = k;
-        cfg.injections = vec![(0, Time::ZERO + Duration::from_days(4))];
+        cfg.injections = vec![Time::ZERO + Duration::from_days(4)];
         (k, run_full(&cfg, &trace))
     });
     let mut rows = Vec::new();
@@ -57,8 +56,8 @@ fn main() {
             format!("{}", result.seaweed_stats.meta_repairs),
         ]);
     }
-    write_csv(
-        "results/abl01_replication_k.csv",
+    out.write_csv(
+        "abl01_replication_k.csv",
         &["k", "maintenance_bps", "coverage_pct", "meta_repairs"],
         &rows,
     );

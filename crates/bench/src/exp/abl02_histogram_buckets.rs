@@ -4,14 +4,13 @@
 //! number of histogram buckets; this sweep quantifies the trade-off on
 //! real Anemone fragments for all four paper queries.
 
-use seaweed_bench::{jobs, run_sweep, write_csv, Args, OutTable};
+use crate::{jobs, run_sweep, Args, OutDir, OutTable};
 use seaweed_store::exec::count_matching;
 use seaweed_store::{DataSummary, Query};
 use seaweed_types::Duration;
 use seaweed_workload::{flow_schema, paper_queries, AnemoneConfig};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let n = args.get("n", 60usize);
     let seed = args.get("seed", 15u64);
 
@@ -34,7 +33,7 @@ fn main() {
         .collect();
 
     let bucket_counts = vec![2usize, 4, 8, 16, 32, 64, 128, 200];
-    let workers = jobs(&args, bucket_counts.len());
+    let workers = jobs(args, bucket_counts.len());
     let sweep = run_sweep(bucket_counts, workers, |_, &buckets| {
         let summaries: Vec<_> = tables
             .iter()
@@ -56,7 +55,7 @@ fn main() {
         (buckets, h_mean, mean_err, worst)
     });
     let mut rows = Vec::new();
-    let mut out = OutTable::new(&[
+    let mut table = OutTable::new(&[
         "buckets",
         "h (bytes)",
         "mean |error| %",
@@ -64,15 +63,15 @@ fn main() {
     ]);
     for (buckets, h_mean, mean_err, worst) in sweep {
         rows.push(vec![buckets as f64, h_mean, mean_err, worst]);
-        out.row(vec![
+        table.row(vec![
             format!("{buckets}"),
             format!("{h_mean:.0}"),
             format!("{mean_err:.3}"),
             format!("{worst:.3}"),
         ]);
     }
-    write_csv(
-        "results/abl02_histogram_buckets.csv",
+    out.write_csv(
+        "abl02_histogram_buckets.csv",
         &[
             "buckets",
             "h_bytes",
@@ -81,6 +80,6 @@ fn main() {
         ],
         &rows,
     );
-    out.print();
+    table.print();
     println!("  (the paper replicated 5 histograms totalling h = 6,473 B per endsystem)");
 }

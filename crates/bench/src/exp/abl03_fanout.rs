@@ -4,13 +4,12 @@
 //! table shape. Sweeps b and measures query dissemination cost, predictor
 //! latency and routing hop counts.
 
+use crate::fullsim::{run_full, FullSimConfig};
+use crate::{jobs, run_sweep, Args, OutDir, OutTable};
 use seaweed_availability::FarsiteConfig;
-use seaweed_bench::fullsim::{run_full, FullSimConfig};
-use seaweed_bench::{jobs, run_sweep, write_csv, Args, OutTable};
 use seaweed_types::{Duration, Time};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let n = args.get("n", 800usize);
     let seed = args.get("seed", 16u64);
 
@@ -21,11 +20,11 @@ fn main() {
         fc.generate(seed)
     };
     let widths = vec![1u8, 2, 4, 8];
-    let workers = jobs(&args, widths.len());
+    let workers = jobs(args, widths.len());
     let results = run_sweep(widths, workers, |_, &b| {
         let mut cfg = FullSimConfig::new(seed);
         cfg.overlay.b = b;
-        cfg.injections = vec![(0, Time::ZERO + Duration::from_days(1))];
+        cfg.injections = vec![Time::ZERO + Duration::from_days(1)];
         (b, run_full(&cfg, &trace))
     });
     let mut rows = Vec::new();
@@ -62,8 +61,8 @@ fn main() {
             format!("{hops:.2}"),
         ]);
     }
-    write_csv(
-        "results/abl03_fanout.csv",
+    out.write_csv(
+        "abl03_fanout.csv",
         &[
             "b",
             "fanout",

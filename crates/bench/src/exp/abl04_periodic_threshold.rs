@@ -5,14 +5,13 @@
 //! (and the minimum-observation gate) and measures completeness
 //! prediction error on the Farsite-like trace.
 
+use crate::predsim::PredictionSetup;
+use crate::{jobs, run_sweep, Args, OutDir, OutTable};
 use seaweed_availability::{FarsiteConfig, ModelConfig};
-use seaweed_bench::predsim::PredictionSetup;
-use seaweed_bench::{jobs, run_sweep, write_csv, Args, OutTable};
 use seaweed_types::{Duration, Time};
 use seaweed_workload::{AnemoneConfig, QUERY_HTTP_BYTES};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let n = args.get("n", 1_000usize);
     let seed = args.get("seed", 17u64);
     let weeks = 4u64;
@@ -38,7 +37,7 @@ fn main() {
         (5.0, 8),
         (1e9, 0), // periodic classification disabled entirely
     ];
-    let workers = jobs(&args, settings.len());
+    let workers = jobs(args, settings.len());
     let sweep = run_sweep(settings, workers, |_, &(threshold, min_obs)| {
         let cfg = ModelConfig {
             periodic_threshold: threshold,
@@ -72,8 +71,8 @@ fn main() {
             format!("{worst:.2}"),
         ]);
     }
-    write_csv(
-        "results/abl04_periodic_threshold.csv",
+    out.write_csv(
+        "abl04_periodic_threshold.csv",
         &[
             "threshold",
             "min_observations",

@@ -8,14 +8,13 @@
 //! * an hour-of-week availability profile (weekly structure, 7× state);
 //! * a naive fixed-delay baseline (always "8 hours").
 
+use crate::predsim::PredictionSetup;
+use crate::{jobs, run_sweep, Args, OutDir, OutTable};
 use seaweed_availability::{FarsiteConfig, HourOfWeekModel, ModelConfig, ReturnPrediction};
-use seaweed_bench::predsim::PredictionSetup;
-use seaweed_bench::{jobs, run_sweep, write_csv, Args, OutTable};
 use seaweed_types::{Duration, Time};
 use seaweed_workload::{AnemoneConfig, QUERY_HTTP_BYTES};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let n = args.get("n", 1_200usize);
     let seed = args.get("seed", 18u64);
     let weeks = 4u64;
@@ -57,7 +56,7 @@ fn main() {
         ("hour-of-week profile (336 B)", Predictor::HourOfWeek),
         ("fixed 8 h baseline", Predictor::FixedDelay),
     ];
-    let workers = jobs(&args, specs.len());
+    let workers = jobs(args, specs.len());
     let sweep = run_sweep(specs, workers, |idx, &(name, ref kind)| {
         let run_one = |inject: Time| match kind {
             Predictor::Paper => {
@@ -101,8 +100,8 @@ fn main() {
         rows.push(vec![idx, mean, worst]);
     }
 
-    write_csv(
-        "results/abl05_predictors.csv",
+    out.write_csv(
+        "abl05_predictors.csv",
         &["predictor", "mean_abs_error_pct", "worst_abs_error_pct"],
         &rows,
     );

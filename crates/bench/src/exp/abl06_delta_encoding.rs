@@ -5,13 +5,12 @@
 //! histogram." Grows each endsystem's Flow table day by day and compares
 //! the cumulative bytes of pushing full summaries vs deltas.
 
-use seaweed_bench::{jobs, run_sweep, write_csv, Args, OutTable};
+use crate::{jobs, run_sweep, Args, OutDir, OutTable};
 use seaweed_store::DataSummary;
 use seaweed_types::{Duration, Time};
 use seaweed_workload::AnemoneConfig;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let n = args.get("n", 40usize);
     let days = args.get("days", 14u64);
     let seed = args.get("seed", 19u64);
@@ -28,7 +27,7 @@ fn main() {
     // Each endsystem's day-by-day sequence depends only on its own
     // previous summary, so nodes sweep in parallel and days stay
     // sequential inside each node.
-    let workers = jobs(&args, n);
+    let workers = jobs(args, n);
     let per_node: Vec<Vec<(u64, u64)>> = run_sweep((0..n).collect(), workers, |_, &node| {
         let mut prev: Option<DataSummary> = None;
         let mut daily = Vec::with_capacity(days as usize);
@@ -73,8 +72,8 @@ fn main() {
             format!("{saving:.1}%"),
         ]);
     }
-    write_csv(
-        "results/abl06_delta_encoding.csv",
+    out.write_csv(
+        "abl06_delta_encoding.csv",
         &["day", "full_bytes_mean", "delta_bytes_mean", "saving_pct"],
         &rows,
     );
@@ -92,7 +91,7 @@ fn main() {
     let sample_nodes = n.min(15);
     let fine = run_sweep(
         (0..sample_nodes).collect(),
-        jobs(&args, sample_nodes),
+        jobs(args, sample_nodes),
         |_, &node| {
             let (mut full_b, mut delta_b, mut unchanged, mut pushes) = (0u64, 0u64, 0u64, 0u64);
             let mut prev: Option<DataSummary> = None;

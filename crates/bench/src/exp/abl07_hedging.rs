@@ -18,18 +18,15 @@
 //! threshold vs off) is printed per churn setting. Exits non-zero on any
 //! oracle violation; with a fixed `--seed` the CSV is byte-stable.
 
-use seaweed_bench::{jobs, run_sweep, write_csv, Args, OutTable};
+use crate::{jobs, run_sweep, Args, OutDir, OutTable};
 use seaweed_core::{
-    boot_staggered, build_world, flag_fixture, ChaosOracle, HedgeConfig, SeaweedConfig,
+    chaos_sim, chaos_world, inject_chaos_query, ChaosOracle, HedgeConfig, SeaweedConfig,
+    CHAOS_CHECKPOINTS, CHAOS_T0,
 };
-use seaweed_overlay::OverlayConfig;
 use seaweed_sim::{
     CorpNetTopology, CrashSpec, FaultPlan, LinkFaultSpec, NodeIdx, OutageSpec, SimConfig,
 };
 use seaweed_types::{Duration, Time};
-
-/// Horizon used for censored runs (0.9-completeness never reached).
-const HORIZON_S: u64 = 1500;
 
 /// The correlated-branch-outage plan: the smallest non-empty branch that
 /// does not contain the origin goes down (no amnesia) across the query
@@ -123,18 +120,15 @@ struct RunOutcome {
 }
 
 fn run_one(cfg: Config, seed: u64, n: usize, routers: usize) -> RunOutcome {
-    let (tables, schema) = flag_fixture(0..n as u32, 1);
-    let topo = CorpNetTopology::with_params(n, routers, Duration::MILLISECOND, seed);
-    let plan = outage_plan(&topo, n, cfg.churn);
-    let (mut eng, mut sw) = build_world(
-        Box::new(topo),
+    // The chaos world under this ablation's own fault plan.
+    let (mut eng, mut sw, schema) = chaos_world(
+        n,
+        routers,
         seed,
-        SimConfig {
-            loss_rate: 0.01,
-            faults: Some(plan),
-            ..SimConfig::default()
+        |topo| SimConfig {
+            faults: Some(outage_plan(topo, n, cfg.churn)),
+            ..chaos_sim(topo)
         },
-        OverlayConfig::default(),
         SeaweedConfig {
             hedge: cfg.hedge.map(|fraction| HedgeConfig {
                 fallback_fraction: fraction,
@@ -142,31 +136,23 @@ fn run_one(cfg: Config, seed: u64, n: usize, routers: usize) -> RunOutcome {
             }),
             ..Default::default()
         },
-        tables,
     );
-    boot_staggered(&mut eng, Duration::from_millis(300));
-    sw.run_until(&mut eng, Time::from_secs(600));
-    let h = sw
-        .inject_query(
-            &mut eng,
-            NodeIdx(0),
-            "SELECT SUM(v) FROM T WHERE flag = 1",
-            Duration::from_hours(4),
-            &schema,
-        )
-        .expect("inject");
+    sw.run_until(&mut eng, CHAOS_T0);
+    let h = inject_chaos_query(&mut eng, &mut sw, &schema);
 
     let oracle = ChaosOracle::new(n as u64);
     let mut violations = Vec::new();
-    for t in [650, 720, 1000, HORIZON_S] {
+    for t in CHAOS_CHECKPOINTS {
         sw.run_until(&mut eng, Time::from_secs(t));
         violations.extend(oracle.check(&sw, &eng));
     }
 
+    // Censored at the last checkpoint if 0.9-completeness is never reached.
+    let horizon = Time::from_secs(CHAOS_CHECKPOINTS[CHAOS_CHECKPOINTS.len() - 1]);
     let t90 = sw
         .timeline(h)
         .time_to_completeness(0.9, n as f64)
-        .unwrap_or_else(|| Time::from_secs(HORIZON_S).saturating_since(Time::from_secs(600)));
+        .unwrap_or_else(|| horizon.saturating_since(CHAOS_T0));
     RunOutcome {
         t90,
         dissem_bytes: sw.stats.dissem_bytes,
@@ -210,13 +196,11 @@ fn label(cfg: Config) -> String {
     format!("hedge={hedge} churn={}", u8::from(cfg.churn))
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let n = args.get("n", 36usize);
     let routers = args.get("routers", 24usize);
     let seed0 = args.get("seed", 42u64);
     let seeds = args.get("seeds", 24u64);
-    let out = args.get_str("out", "results/abl07.csv");
 
     let mut configs = Vec::new();
     for churn in [false, true] {
@@ -237,7 +221,7 @@ fn main() {
         .collect();
     // lint:allow(D002): operator-facing progress timing for a host-side experiment driver, never feeds simulated time
     let t0 = std::time::Instant::now();
-    let outcomes = run_sweep(runs.clone(), jobs(&args, runs.len()), |_, &(c, s)| {
+    let outcomes = run_sweep(runs.clone(), jobs(args, runs.len()), |_, &(c, s)| {
         run_one(c, s, n, routers)
     });
     println!(
@@ -299,8 +283,8 @@ fn main() {
             ]
         })
         .collect();
-    write_csv(
-        &out,
+    out.write_csv(
+        "abl07.csv",
         &[
             "hedge_fraction",
             "churn",

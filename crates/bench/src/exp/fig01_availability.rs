@@ -2,11 +2,10 @@
 //! (hourly probes; paper: 51,663 endsystems, July/August 1999, mean 81%,
 //! visible diurnal and weekly banding).
 
+use crate::{Args, OutDir};
 use seaweed_availability::FarsiteConfig;
-use seaweed_bench::{write_csv, Args};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let full = args.has("full");
     let n = args.get("n", if full { 51_663 } else { 5_000 });
     let weeks = args.get("weeks", 4u64);
@@ -22,8 +21,8 @@ fn main() {
         .enumerate()
         .map(|(h, &frac)| vec![h as f64, frac * n as f64, frac])
         .collect();
-    write_csv(
-        "results/fig01_availability.csv",
+    out.write_csv(
+        "fig01_availability.csv",
         &["hour", "available", "fraction"],
         &rows,
     );

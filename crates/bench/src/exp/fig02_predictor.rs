@@ -1,14 +1,13 @@
 //! Figure 2: an example completeness predictor — the cumulative expected
 //! row count over (log-scaled) time that Seaweed shows the user.
 
+use crate::predsim::PredictionSetup;
+use crate::{Args, OutDir};
 use seaweed_availability::FarsiteConfig;
-use seaweed_bench::predsim::PredictionSetup;
-use seaweed_bench::{write_csv, Args};
 use seaweed_types::{Duration, Time};
 use seaweed_workload::{AnemoneConfig, QUERY_HTTP_BYTES};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let n = args.get("n", 1_000usize);
     let seed = args.get("seed", 2u64);
     let weeks = 3u64;
@@ -32,8 +31,8 @@ fn main() {
         .iter()
         .map(|&(d, rows)| vec![d.as_secs_f64(), rows, rows / p.total_rows().max(1e-9)])
         .collect();
-    write_csv(
-        "results/fig02_predictor.csv",
+    out.write_csv(
+        "fig02_predictor.csv",
         &["delay_secs", "expected_rows", "completeness"],
         &rows,
     );

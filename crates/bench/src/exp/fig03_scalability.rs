@@ -2,14 +2,13 @@
 //! architectures versus (a) network size N, (b) update rate u,
 //! (c) database size d, (d) churn rate c — Table 1 values elsewhere.
 
+use crate::figures::run_scalability_panels;
+use crate::{Args, OutDir, OutTable};
 use seaweed_analytic::{sweep, ModelParams, SweepAxis};
-use seaweed_bench::figures::run_scalability_panels;
-use seaweed_bench::{Args, OutTable};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let points = args.get("points", 25usize);
-    run_scalability_panels(&ModelParams::default(), "fig03", points);
+    run_scalability_panels(&ModelParams::default(), "fig03", points, out);
 
     // Headline ratios the paper quotes in §4.2.5.
     let base = ModelParams::default();

@@ -3,17 +3,16 @@
 //! where the centralized design wins and PIER is competitive only at
 //! small database sizes.
 
+use crate::figures::run_scalability_panels;
+use crate::{Args, OutDir, OutTable};
 use seaweed_analytic::params::PIER_REFRESH_1H;
 use seaweed_analytic::{maintenance_bps, Architecture, ModelParams};
-use seaweed_bench::figures::run_scalability_panels;
-use seaweed_bench::{Args, OutTable};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let points = args.get("points", 25usize);
     let base = ModelParams::small_db_low_rate();
     println!("Figure 4: scalability with d = 100 MB, u = 10 B/s");
-    run_scalability_panels(&base, "fig04", points);
+    run_scalability_panels(&base, "fig04", points, out);
 
     let mut t = OutTable::new(&["architecture", "bytes/sec system-wide"]);
     let mut p1h = base;

@@ -13,34 +13,29 @@
 //! Default scale is reduced (documented in EXPERIMENTS.md); pass `--full`
 //! for the paper's scale.
 
+use crate::fullsim::{
+    run_full, write_bandwidth_cdf, write_overhead_timeseries, FullSimConfig, FullSimResult,
+};
+use crate::{jobs, run_sweep, Args, OutDir, OutTable};
 use seaweed_availability::FarsiteConfig;
-use seaweed_bench::fullsim::{run_full, FullSimConfig};
-use seaweed_bench::{jobs, run_sweep, write_csv, Args, OutTable};
 use seaweed_sim::TrafficClass;
 use seaweed_types::{Duration, Time};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let part = args.get_str("part", "all");
     let full = args.has("full");
     if part == "a" || part == "b" || part == "all" {
-        part_ab(&args, full);
+        part_ab(args, full, out);
     }
     if part == "c" || part == "all" {
-        part_c(&args, full);
+        part_c(args, full, out);
     }
     if part == "d" || part == "all" {
-        part_d(&args, full);
+        part_d(args, full, out);
     }
 }
 
-fn simulate(
-    n: usize,
-    weeks: u64,
-    seed: u64,
-    id_seed: u64,
-    collect_cdf: bool,
-) -> seaweed_bench::fullsim::FullSimResult {
+fn simulate(n: usize, weeks: u64, seed: u64, id_seed: u64, collect_cdf: bool) -> FullSimResult {
     let horizon = Duration::WEEK * weeks;
     let (trace, _) = {
         let mut fc = FarsiteConfig::small(n, weeks);
@@ -50,11 +45,11 @@ fn simulate(
     let mut cfg = FullSimConfig::new(seed);
     cfg.id_seed = id_seed;
     cfg.collect_cdf = collect_cdf;
-    cfg.injections = vec![(0, Time::ZERO + Duration::from_days((7 * weeks / 2).max(1)))];
+    cfg.injections = vec![Time::ZERO + Duration::from_days((7 * weeks / 2).max(1))];
     run_full(&cfg, &trace)
 }
 
-fn part_ab(args: &Args, full: bool) {
+fn part_ab(args: &Args, full: bool, out: &OutDir) {
     let n = args.get("n", if full { 20_000 } else { 2_000 });
     let weeks = args.get("weeks", if full { 4 } else { 2u64 });
     let seed = args.get("seed", 9u64);
@@ -68,33 +63,7 @@ fn part_ab(args: &Args, full: bool) {
         result.messages_sent
     );
 
-    // (a) hourly series.
-    let rows: Vec<Vec<f64>> = result
-        .report
-        .tx_hours
-        .iter()
-        .enumerate()
-        .map(|(h, agg)| {
-            vec![
-                h as f64,
-                agg.per_online_bps(TrafficClass::Overlay),
-                agg.per_online_bps(TrafficClass::Maintenance),
-                agg.per_online_bps(TrafficClass::Query),
-                agg.total_per_online_bps(),
-            ]
-        })
-        .collect();
-    write_csv(
-        "results/fig09a_overhead_timeseries.csv",
-        &[
-            "hour",
-            "pastry_bps",
-            "maintenance_bps",
-            "query_bps",
-            "total_bps",
-        ],
-        &rows,
-    );
+    write_overhead_timeseries(out, "fig09a_overhead_timeseries.csv", &result.report);
     let mut t = OutTable::new(&["component", "mean B/s per online endsystem"]);
     let overlay = result.report.mean_tx_per_online_bps(TrafficClass::Overlay);
     let maint = result
@@ -111,20 +80,7 @@ fn part_ab(args: &Args, full: bool) {
     t.print();
     println!("  (paper at 20,000 endsystems: total mean 69 B/s, maintenance dominant)");
 
-    // (b) CDF of per-(endsystem, hour) bandwidth.
-    let mut rows = Vec::new();
-    for pct in 0..=100 {
-        rows.push(vec![
-            f64::from(result.report.tx_percentile(f64::from(pct))),
-            f64::from(result.report.rx_percentile(f64::from(pct))),
-            f64::from(pct) / 100.0,
-        ]);
-    }
-    write_csv(
-        "results/fig09b_bandwidth_cdf.csv",
-        &["tx_bps", "rx_bps", "cdf"],
-        &rows,
-    );
+    write_bandwidth_cdf(out, "fig09b_bandwidth_cdf.csv", &result.report);
     println!(
         "  CDF: tx 99th pct {:.0} B/s (paper 178), rx 99th pct {:.0} B/s (paper 195), \
          zero-hours fraction {:.3} (paper: mean unavailability ~0.19)",
@@ -134,7 +90,7 @@ fn part_ab(args: &Args, full: bool) {
     );
 }
 
-fn part_c(args: &Args, full: bool) {
+fn part_c(args: &Args, full: bool, out: &OutDir) {
     let n = args.get("n", if full { 8_000 } else { 800 });
     let weeks = 1u64;
     let seed = args.get("seed", 9u64);
@@ -164,8 +120,8 @@ fn part_c(args: &Args, full: bool) {
             row
         })
         .collect();
-    write_csv(
-        "results/fig09c_id_assignment_cdfs.csv",
+    out.write_csv(
+        "fig09c_id_assignment_cdfs.csv",
         &["cdf", "assign0", "assign1", "assign2", "assign3", "assign4"],
         &rows,
     );
@@ -179,7 +135,7 @@ fn part_c(args: &Args, full: bool) {
     );
 }
 
-fn part_d(args: &Args, full: bool) {
+fn part_d(args: &Args, full: bool, out: &OutDir) {
     let weeks = 1u64;
     let seed = args.get("seed", 9u64);
     let sizes: Vec<usize> = if full {
@@ -208,8 +164,8 @@ fn part_d(args: &Args, full: bool) {
             format!("{query:.4}"),
         ]);
     }
-    write_csv(
-        "results/fig09d_overhead_vs_n.csv",
+    out.write_csv(
+        "fig09d_overhead_vs_n.csv",
         &["n", "pastry_bps", "maintenance_bps", "query_bps"],
         &rows,
     );

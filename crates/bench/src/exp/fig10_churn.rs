@@ -5,14 +5,12 @@
 //! overhead 472 B/s per online endsystem, 99th percentile 1,515 B/s —
 //! i.e. the overhead grows only 7× while churn grows 23×.
 
+use crate::fullsim::{run_full, write_bandwidth_cdf, write_overhead_timeseries, FullSimConfig};
+use crate::{Args, OutDir, OutTable};
 use seaweed_availability::GnutellaConfig;
-use seaweed_bench::fullsim::{run_full, FullSimConfig};
-use seaweed_bench::{write_csv, Args, OutTable};
-use seaweed_sim::TrafficClass;
 use seaweed_types::{Duration, Time};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let full = args.has("full");
     let n = args.get("n", if full { 7_602 } else { 1_200 });
     let hours = args.get("hours", 60u64);
@@ -28,7 +26,7 @@ fn main() {
     );
 
     let mut cfg = FullSimConfig::new(seed);
-    cfg.injections = vec![(0, Time::ZERO + Duration::from_hours(hours / 2))];
+    cfg.injections = vec![Time::ZERO + Duration::from_hours(hours / 2)];
     // lint:allow(D002): operator-facing progress timing for a host-side experiment driver, never feeds simulated time
     let t0 = std::time::Instant::now();
     let result = run_full(&cfg, &trace);
@@ -38,49 +36,8 @@ fn main() {
         result.messages_sent
     );
 
-    // (a) hourly overhead series.
-    let rows: Vec<Vec<f64>> = result
-        .report
-        .tx_hours
-        .iter()
-        .enumerate()
-        .map(|(h, agg)| {
-            vec![
-                h as f64,
-                agg.per_online_bps(TrafficClass::Overlay),
-                agg.per_online_bps(TrafficClass::Maintenance),
-                agg.per_online_bps(TrafficClass::Query),
-                agg.total_per_online_bps(),
-            ]
-        })
-        .collect();
-    write_csv(
-        "results/fig10a_churn_timeseries.csv",
-        &[
-            "hour",
-            "pastry_bps",
-            "maintenance_bps",
-            "query_bps",
-            "total_bps",
-        ],
-        &rows,
-    );
-
-    // (b) CDF.
-    let cdf_rows: Vec<Vec<f64>> = (0..=100)
-        .map(|p| {
-            vec![
-                f64::from(result.report.tx_percentile(f64::from(p))),
-                f64::from(result.report.rx_percentile(f64::from(p))),
-                f64::from(p) / 100.0,
-            ]
-        })
-        .collect();
-    write_csv(
-        "results/fig10b_churn_cdf.csv",
-        &["tx_bps", "rx_bps", "cdf"],
-        &cdf_rows,
-    );
+    write_overhead_timeseries(out, "fig10a_churn_timeseries.csv", &result.report);
+    write_bandwidth_cdf(out, "fig10b_churn_cdf.csv", &result.report);
 
     let mean = result.report.mean_tx_total_per_online_bps();
     let mut t = OutTable::new(&["metric", "measured", "paper"]);

@@ -5,13 +5,12 @@
 //! Paper: 3.1 s at 2,000 endsystems → 12.0 s at 51,663; dissemination
 //! 1,043 B per query per endsystem, predictor aggregation 776 B.
 
+use crate::fullsim::{run_full, FullSimConfig};
+use crate::{Args, OutDir, OutTable};
 use seaweed_availability::FarsiteConfig;
-use seaweed_bench::fullsim::{run_full, FullSimConfig};
-use seaweed_bench::{write_csv, Args, OutTable};
 use seaweed_types::{Duration, Time};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let full = args.has("full");
     let seed = args.get("seed", 12u64);
     let sizes: Vec<usize> = if full {
@@ -36,7 +35,7 @@ fn main() {
             fc.generate(seed)
         };
         let mut cfg = FullSimConfig::new(seed);
-        cfg.injections = vec![(0, Time::ZERO + Duration::from_days(1))];
+        cfg.injections = vec![Time::ZERO + Duration::from_days(1)];
         let result = run_full(&cfg, &trace);
         let q = &result.queries[0];
         let latency = q.predictor_latency.expect("predictor must arrive");
@@ -50,8 +49,8 @@ fn main() {
             format!("{pred:.0}"),
         ]);
     }
-    write_csv(
-        "results/lat01_predictor_latency.csv",
+    out.write_csv(
+        "lat01_predictor_latency.csv",
         &[
             "n",
             "latency_secs",

@@ -14,13 +14,12 @@
 //! A subset of endsystems is taken down before injection and returns
 //! on a staggered schedule afterwards, so the actual curve climbs as
 //! the predictor said it would. With a fixed `--seed` both the CSV and
-//! the exported JSONL trace are byte-stable across runs; CI runs the
-//! binary twice and `cmp`s the trace.
+//! the exported JSONL trace of the first seed are byte-stable across
+//! runs; CI runs the experiment twice and compares them.
 
-use seaweed_bench::{write_csv, Args, OutTable};
-use seaweed_core::{boot_staggered, build_world, flag_fixture, SeaweedConfig};
-use seaweed_overlay::OverlayConfig;
-use seaweed_sim::{CorpNetTopology, NodeIdx, SimConfig, TraceConfig};
+use crate::{Args, OutDir, OutTable};
+use seaweed_core::{chaos_world, inject_chaos_query, SeaweedConfig, CHAOS_T0};
+use seaweed_sim::{NodeIdx, SimConfig, TraceConfig};
 use seaweed_types::{Duration, Time};
 
 /// Completeness checkpoints after injection, in seconds.
@@ -43,25 +42,19 @@ struct SeedOutcome {
 }
 
 fn run_seed(seed: u64, n: usize, routers: usize, export_trace: bool) -> SeedOutcome {
-    let (tables, schema) = flag_fixture(0..n as u32, 1);
-    let (mut eng, mut sw) = build_world(
-        Box::new(CorpNetTopology::with_params(
-            n,
-            routers,
-            Duration::MILLISECOND,
-            seed,
-        )),
+    // The chaos world without the chaos: half the loss, no fault plan,
+    // every event traced.
+    let (mut eng, mut sw, schema) = chaos_world(
+        n,
+        routers,
         seed,
-        SimConfig {
+        |_| SimConfig {
             loss_rate: 0.005,
             trace: Some(TraceConfig { capacity: 1 << 20 }),
             ..SimConfig::default()
         },
-        OverlayConfig::default(),
         SeaweedConfig::default(),
-        tables,
     );
-    boot_staggered(&mut eng, Duration::from_millis(300));
     // Every fifth endsystem leaves before injection and returns on a
     // staggered schedule after it, so the predictor has unavailable
     // rows to forecast and the actual curve climbs as they return.
@@ -72,16 +65,8 @@ fn run_seed(seed: u64, n: usize, routers: usize, export_trace: bool) -> SeedOutc
             NodeIdx(i as u32),
         );
     }
-    sw.run_until(&mut eng, Time::from_secs(600));
-    let h = sw
-        .inject_query(
-            &mut eng,
-            NodeIdx(0),
-            "SELECT SUM(v) FROM T WHERE flag = 1",
-            Duration::from_hours(4),
-            &schema,
-        )
-        .expect("inject");
+    sw.run_until(&mut eng, CHAOS_T0);
+    let h = inject_chaos_query(&mut eng, &mut sw, &schema);
     let injected = eng.now();
     sw.run_until(&mut eng, injected + Duration::from_secs(1800));
 
@@ -131,14 +116,11 @@ fn run_seed(seed: u64, n: usize, routers: usize, export_trace: bool) -> SeedOutc
     }
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let n = args.get("n", 36usize);
     let routers = args.get("routers", 24usize);
     let seed0 = args.get("seed", 42u64);
     let seeds = args.get("seeds", 4u64);
-    let out = args.get_str("out", "results/obs01.csv");
-    let trace_out = args.get_str("trace-out", "results/obs01_trace.jsonl");
 
     println!(
         "Obs 01: {n} endsystems, {routers} routers, seeds {seed0}..{}",
@@ -147,7 +129,7 @@ fn main() {
     // lint:allow(D002): operator-facing progress timing for a host-side experiment driver, never feeds simulated time
     let t0 = std::time::Instant::now();
     let outcomes: Vec<SeedOutcome> = (seed0..seed0 + seeds)
-        .map(|s| run_seed(s, n, routers, s == seed0 && !trace_out.is_empty()))
+        .map(|s| run_seed(s, n, routers, s == seed0))
         .collect();
     println!("  simulated in {:.1}s", t0.elapsed().as_secs_f64());
 
@@ -173,8 +155,8 @@ fn main() {
             })
         })
         .collect();
-    write_csv(
-        &out,
+    out.write_csv(
+        "obs01.csv",
         &[
             "seed",
             "checkpoint_s",
@@ -193,17 +175,15 @@ fn main() {
         &rows,
     );
 
-    if !trace_out.is_empty() {
-        let jsonl = outcomes[0]
-            .trace_jsonl
-            .as_deref()
-            .expect("tracing enabled for first seed");
-        std::fs::write(&trace_out, jsonl).expect("write trace");
-        println!(
-            "  wrote {} trace records to {trace_out}",
-            jsonl.lines().count()
-        );
-    }
+    let jsonl = outcomes[0]
+        .trace_jsonl
+        .as_deref()
+        .expect("tracing enabled for first seed");
+    let trace_out = out.write("obs01_trace.jsonl", jsonl);
+    println!(
+        "  wrote {} trace records to {trace_out}",
+        jsonl.lines().count()
+    );
 
     let mut t = OutTable::new(&[
         "seed",

@@ -13,7 +13,7 @@
 //!
 //! Two artifacts:
 //!
-//! * `results/scale02.csv` — deterministic columns only (events,
+//! * `scale02.csv` — deterministic columns only (events,
 //!   messages, bytes by traffic class, protocol counters); with a fixed
 //!   `--seed` the file is byte-stable across machines (CI smoke compares
 //!   two runs with `cmp`).
@@ -21,9 +21,9 @@
 //!   events/second and peak RSS, the machine-dependent numbers backing
 //!   the EXPERIMENTS.md entry.
 
-use seaweed_bench::counters::RunCounters;
-use seaweed_bench::report::{peak_rss_bytes, per_second, write_report, Fields, Value};
-use seaweed_bench::{write_csv, Args, OutTable};
+use crate::counters::RunCounters;
+use crate::report::{peak_rss_bytes, per_second, write_report, Fields, Value};
+use crate::{Args, OutDir, OutTable};
 use seaweed_core::{boot_staggered, build_world, flag_fixture, ChaosOracle, SeaweedConfig};
 use seaweed_overlay::OverlayConfig;
 use seaweed_sim::{CorpNetTopology, NodeIdx, SimConfig};
@@ -129,14 +129,12 @@ fn json_twin(path: &str, seed: u64, points: &[Point]) {
     write_report(path, &header, &points);
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let base = args.get("base", 1_000usize);
     let max_n = args.get("max-n", 16_000usize);
     // The headline point; `--farsite-n 0` drops it (CI smoke).
     let farsite_n = args.get("farsite-n", FARSITE_N);
     let seed = args.get("seed", 42u64);
-    let out = args.get_str("out", "results/scale02.csv");
     let json = args.get_str("json", "BENCH_scale02.json");
 
     let mut sizes = Vec::new();
@@ -177,7 +175,7 @@ fn main() {
         })
         .collect();
     let header = [&["n"][..], &RunCounters::COLUMNS, &["rows", "completeness"]].concat();
-    write_csv(&out, &header, &rows);
+    out.write_csv("scale02.csv", &header, &rows);
     json_twin(&json, seed, &points);
 
     let mut t = OutTable::new(&["n", "events", "wall_s", "events/s", "peak_rss_MB"]);

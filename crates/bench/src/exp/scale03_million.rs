@@ -20,7 +20,7 @@
 //!
 //! Artifacts, same split as scale02:
 //!
-//! * `results/scale03.csv` — deterministic columns only (byte-stable
+//! * `scale03.csv` — deterministic columns only (byte-stable
 //!   across machines, thread counts and exec modes for a fixed seed).
 //! * `BENCH_scale03.json` — adds wall seconds, events/s, peak RSS and
 //!   the worker count per mode: the machine-dependent numbers backing
@@ -29,9 +29,9 @@
 
 use std::sync::Arc;
 
-use seaweed_bench::counters::RunCounters;
-use seaweed_bench::report::{peak_rss_bytes, per_second, write_report, Fields, Value};
-use seaweed_bench::{write_csv, Args, OutTable};
+use crate::counters::RunCounters;
+use crate::report::{peak_rss_bytes, per_second, write_report, Fields, Value};
+use crate::{Args, OutDir, OutTable};
 use seaweed_core::{
     build_world, flag_fixture, ChaosOracle, FedSchedule, FedShard, SeaweedConfig, SeaweedEngine,
 };
@@ -207,8 +207,7 @@ fn json_twin(path: &str, seed: u64, points: &[Point]) {
     write_report(path, &header, &points);
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     // `--n` runs a single population (CI smoke); 0 = the default ladder.
     let n_override = args.get("n", 0usize);
     let parts = args.get("parts", 8usize);
@@ -216,7 +215,6 @@ fn main() {
     let million = args.get("million", 0usize) != 0;
     let seed = args.get("seed", 42u64);
     let mode = args.get_str("mode", "both");
-    let out = args.get_str("out", "results/scale03.csv");
     let json = args.get_str("json", "BENCH_scale03.json");
 
     let sizes: Vec<usize> = if n_override > 0 {
@@ -284,7 +282,7 @@ fn main() {
         &["rows", "completeness"],
     ]
     .concat();
-    write_csv(&out, &header, &rows);
+    out.write_csv("scale03.csv", &header, &rows);
     json_twin(&json, seed, &points);
 
     let mut t = OutTable::new(&[

@@ -22,14 +22,16 @@
 //!
 //! Artifacts:
 //!
-//! * `results/storm01.csv` — simulation-deterministic columns only;
-//!   byte-stable for a fixed `--seed` (CI smoke in `scripts/check.sh`).
-//! * `results/storm01.json` (gitignored) — adds wall-clock numbers.
+//! * `storm01.csv` — simulation-deterministic columns only; byte-stable
+//!   for a fixed `--seed` (CI smoke in `scripts/check.sh`). A host
+//!   recording run by name, not part of `all`; no copy is checked in.
+//! * `storm01.json` (`--json`; beside the CSV by default, gitignored) —
+//!   adds wall-clock numbers.
 
 use std::collections::HashMap;
 
-use seaweed_bench::report::{per_second, write_report, Fields, Value};
-use seaweed_bench::{write_csv, Args, OutTable};
+use crate::report::{per_second, write_report, Fields, Value};
+use crate::{Args, OutDir, OutTable};
 use seaweed_core::{
     boot_staggered, build_world, flag_fixture, ChaosOracle, LiveTables, Seaweed, SeaweedConfig,
     SeaweedEngine, StormConfig, Submission,
@@ -282,13 +284,11 @@ fn json_twin(path: &str, seed: u64, n: usize, byte_identical: bool, points: &[Po
     write_report(path, &header, &points);
 }
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let n = args.get("n", 16_000usize);
     let max_k = args.get("max-k", 10_000usize);
     let seed = args.get("seed", 42u64);
-    let out = args.get_str("out", "results/storm01.csv");
-    let json = args.get_str("json", "results/storm01.json");
+    let json = args.get_str("json", &out.path("storm01.json"));
 
     let ks: Vec<usize> = [1usize, 10, 100, 1_000, 10_000]
         .into_iter()
@@ -359,8 +359,8 @@ fn main() {
             ]
         })
         .collect();
-    write_csv(
-        &out,
+    out.write_csv(
+        "storm01.csv",
         &[
             "k",
             "events",

@@ -5,14 +5,13 @@
 //! statistics and generated-workload summary sizes) so the calibration is
 //! visible.
 
+use crate::{Args, OutDir, OutTable};
 use seaweed_availability::FarsiteConfig;
-use seaweed_bench::{Args, OutTable};
 use seaweed_store::DataSummary;
 use seaweed_types::Duration;
 use seaweed_workload::AnemoneConfig;
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, _out: &OutDir) {
     let n = args.get("n", 1500usize);
     let seed = args.get("seed", 1u64);
 

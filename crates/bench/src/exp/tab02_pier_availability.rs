@@ -2,14 +2,13 @@
 //! its last refresh, for Farsite and Gnutella churn — plus the same
 //! quantity measured directly on our synthetic traces.
 
+use crate::{Args, OutDir, OutTable};
 use seaweed_analytic::params::{CHURN_FARSITE, CHURN_GNUTELLA};
 use seaweed_analytic::pier_availability;
 use seaweed_availability::{AvailabilityTrace, FarsiteConfig, GnutellaConfig};
-use seaweed_bench::{write_csv, Args, OutTable};
 use seaweed_types::{Duration, Time};
 
-fn main() {
-    let args = Args::parse();
+pub fn run(args: &Args, out: &OutDir) {
     let n = args.get("n", 1500usize);
     let seed = args.get("seed", 1u64);
 
@@ -33,8 +32,8 @@ fn main() {
         rows.push(vec![secs, f, g]);
     }
     t.print();
-    write_csv(
-        "results/tab02_pier_availability.csv",
+    out.write_csv(
+        "tab02_pier_availability.csv",
         &["t_secs", "farsite", "gnutella"],
         &rows,
     );

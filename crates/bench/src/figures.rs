@@ -1,4 +1,5 @@
-//! Shared figure-generation helpers used by several experiment binaries.
+//! The figures that are one function under several parameters:
+//! Figures 3/4 share their panels, Figures 5–8 are one run each.
 
 use seaweed_analytic::{sweep, ModelParams, SweepAxis};
 use seaweed_availability::FarsiteConfig;
@@ -6,12 +7,12 @@ use seaweed_types::{Duration, Time};
 use seaweed_workload::AnemoneConfig;
 
 use crate::cli::Args;
-use crate::output::write_csv;
+use crate::output::OutDir;
 use crate::predsim::PredictionSetup;
 
-/// Writes the four Figure 3 / Figure 4 panels as CSVs under `results/`
-/// with the given filename prefix.
-pub fn run_scalability_panels(base: &ModelParams, prefix: &str, points: usize) {
+/// Writes the four Figure 3 / Figure 4 panels as CSVs with the given
+/// filename prefix.
+pub fn run_scalability_panels(base: &ModelParams, prefix: &str, points: usize, out: &OutDir) {
     let panels = [
         (SweepAxis::NetworkSize, "a_network_size"),
         (SweepAxis::UpdateRate, "b_update_rate"),
@@ -34,8 +35,8 @@ pub fn run_scalability_panels(base: &ModelParams, prefix: &str, points: usize) {
                 ]
             })
             .collect();
-        write_csv(
-            &format!("results/{prefix}_{name}.csv"),
+        out.write_csv(
+            &format!("{prefix}_{name}.csv"),
             &[
                 "x",
                 "centralized",
@@ -61,8 +62,7 @@ pub const ERROR_CHECKPOINTS: [(&str, u64); 5] = [
 /// Runs one of the completeness-prediction experiments (Figures 5–8):
 /// predicted-vs-actual curve for a Tuesday-midnight injection, error
 /// panels across four consecutive weekdays and across times of day.
-/// Returns the worst absolute checkpoint error seen (per cent).
-pub fn run_prediction_figure(figure: u32, sql: &str, args: &Args) -> f64 {
+pub fn run_prediction_figure(figure: u32, sql: &str, args: &Args, out: &OutDir) {
     let full = args.has("full");
     let n = args.get("n", if full { 51_663 } else { 2_000 });
     let seed = args.get("seed", figure as u64);
@@ -94,8 +94,8 @@ pub fn run_prediction_figure(figure: u32, sql: &str, args: &Args) -> f64 {
         .iter()
         .map(|&(d, pred, act)| vec![d.as_secs_f64() / 3600.0, pred, act as f64])
         .collect();
-    write_csv(
-        &format!("results/fig{figure:02}a_predicted_vs_actual.csv"),
+    out.write_csv(
+        &format!("fig{figure:02}a_predicted_vs_actual.csv"),
         &["hours_since_query", "predicted_rows", "actual_rows"],
         &rows,
     );
@@ -128,8 +128,8 @@ pub fn run_prediction_figure(figure: u32, sql: &str, args: &Args) -> f64 {
         day_rows.push(row);
         println!("{line}  total {te:+.2}");
     }
-    write_csv(
-        &format!("results/fig{figure:02}b_error_by_day.csv"),
+    out.write_csv(
+        &format!("fig{figure:02}b_error_by_day.csv"),
         &["day_offset", "immediate", "h1", "h2", "h4", "h8", "total"],
         &day_rows,
     );
@@ -148,12 +148,11 @@ pub fn run_prediction_figure(figure: u32, sql: &str, args: &Args) -> f64 {
         row.push(r.total_error_pct());
         tod_rows.push(row);
     }
-    write_csv(
-        &format!("results/fig{figure:02}c_error_by_time_of_day.csv"),
+    out.write_csv(
+        &format!("fig{figure:02}c_error_by_time_of_day.csv"),
         &["inject_hour", "immediate", "h1", "h2", "h4", "h8", "total"],
         &tod_rows,
     );
 
     println!("  worst |error| over all injections/checkpoints: {worst:.2}% (paper: < 5%)");
-    worst
 }

@@ -8,10 +8,12 @@
 use seaweed_availability::AvailabilityTrace;
 use seaweed_core::{build_world_with_ids, Precomputed, SeaweedConfig};
 use seaweed_overlay::{Overlay, OverlayConfig, OverlayStats};
-use seaweed_sim::{BandwidthReport, CorpNetTopology, SimConfig};
+use seaweed_sim::{BandwidthReport, CorpNetTopology, SimConfig, TrafficClass};
 use seaweed_store::{BoundQuery, Query};
 use seaweed_types::{Duration, Time};
-use seaweed_workload::{flow_schema, AnemoneConfig};
+use seaweed_workload::{flow_schema, AnemoneConfig, QUERY_HTTP_BYTES};
+
+use crate::OutDir;
 
 /// Configuration of a full-stack run.
 pub struct FullSimConfig {
@@ -20,23 +22,11 @@ pub struct FullSimConfig {
     /// while keeping trace/workload fixed). Defaults to `seed`.
     pub id_seed: u64,
     pub collect_cdf: bool,
-    /// Gate traffic generation on the availability trace (machines
-    /// generate no data while off). The paper's data came from a
-    /// router-side capture and it "pessimistically assumes the total
-    /// data size as of the end of the trace" (§4.3), so the overhead
-    /// experiments run ungated by default.
-    pub gate_data_on_trace: bool,
-    pub anemone: AnemoneConfig,
     pub seaweed: SeaweedConfig,
     pub overlay: OverlayConfig,
-    /// SQL of the queries that may be injected (must be NOW()-free so
-    /// pre-computation is injection-time independent).
-    pub queries: Vec<String>,
-    /// `(query index, injection time)`; the origin is the first available
-    /// endsystem at that instant.
-    pub injections: Vec<(usize, Time)>,
-    /// Query lifetime.
-    pub ttl: Duration,
+    /// When the Figure 9 query (`QUERY_HTTP_BYTES`) is injected; the
+    /// origin is the first available endsystem at that instant.
+    pub injections: Vec<Time>,
 }
 
 impl FullSimConfig {
@@ -50,17 +40,11 @@ impl FullSimConfig {
             seed,
             id_seed: seed,
             collect_cdf: true,
-            gate_data_on_trace: false,
-            // Data volume per endsystem follows the paper's full capture
-            // period (3 weeks) regardless of the simulated window.
-            anemone: AnemoneConfig::default(),
             // §4.3: histograms pushed with an average period of 17.5 min,
             // randomized phase (the SeaweedConfig default).
             seaweed: SeaweedConfig::default(),
             overlay: OverlayConfig::default(),
-            queries: vec!["SELECT SUM(Bytes) FROM Flow WHERE SrcPort=80".to_owned()],
-            injections: vec![(0, Time::ZERO + Duration::from_days(8))],
-            ttl: Duration::from_days(30),
+            injections: vec![Time::ZERO + Duration::from_days(8)],
         }
     }
 }
@@ -85,38 +69,77 @@ pub struct QueryOutcome {
     pub population_rows: u64,
 }
 
+/// Figures 9(a) / 10(a): per-online-endsystem bandwidth by hour, split
+/// by traffic class.
+pub fn write_overhead_timeseries(out: &OutDir, name: &str, report: &BandwidthReport) {
+    let rows: Vec<Vec<f64>> = report
+        .tx_hours
+        .iter()
+        .enumerate()
+        .map(|(h, agg)| {
+            vec![
+                h as f64,
+                agg.per_online_bps(TrafficClass::Overlay),
+                agg.per_online_bps(TrafficClass::Maintenance),
+                agg.per_online_bps(TrafficClass::Query),
+                agg.total_per_online_bps(),
+            ]
+        })
+        .collect();
+    out.write_csv(
+        name,
+        &[
+            "hour",
+            "pastry_bps",
+            "maintenance_bps",
+            "query_bps",
+            "total_bps",
+        ],
+        &rows,
+    );
+}
+
+/// Figures 9(b) / 10(b): CDF of per-(endsystem, hour) bandwidth.
+pub fn write_bandwidth_cdf(out: &OutDir, name: &str, report: &BandwidthReport) {
+    let rows: Vec<Vec<f64>> = (0..=100)
+        .map(|p| {
+            vec![
+                f64::from(report.tx_percentile(f64::from(p))),
+                f64::from(report.rx_percentile(f64::from(p))),
+                f64::from(p) / 100.0,
+            ]
+        })
+        .collect();
+    out.write_csv(name, &["tx_bps", "rx_bps", "cdf"], &rows);
+}
+
 /// Runs the full stack over `trace`.
 #[must_use]
 pub fn run_full(cfg: &FullSimConfig, trace: &AvailabilityTrace) -> FullSimResult {
     let n = trace.num_endsystems();
     let schema = flow_schema();
-    let bound: Vec<BoundQuery> = cfg
-        .queries
-        .iter()
-        .map(|sql| {
-            Query::parse(sql)
-                .expect("parses")
-                .bind(&schema, 0)
-                .expect("binds")
-        })
-        .collect();
+    // NOW()-free, so pre-computation is injection-time independent.
+    let bound: BoundQuery = Query::parse(QUERY_HTTP_BYTES)
+        .expect("parses")
+        .bind(&schema, 0)
+        .expect("binds");
+    // Data volume per endsystem follows the paper's full capture period
+    // (3 weeks) regardless of the simulated window.
+    let anemone = AnemoneConfig::default();
 
     // Stream-generate the data plane: summaries + per-query answers.
     let mut provider = Precomputed::new(n);
-    let mut population_rows = vec![0u64; bound.len()];
+    let mut population_rows = 0u64;
     for node in 0..n {
-        let gate: &[(Time, Time)] = if cfg.gate_data_on_trace {
-            trace.intervals(node)
-        } else {
-            &[]
-        };
-        let table = cfg.anemone.generate_flow_table(cfg.seed, node, gate);
+        // Not gated on the availability trace (machines would generate
+        // no data while off): the paper's data came from a router-side
+        // capture and it "pessimistically assumes the total data size as
+        // of the end of the trace" (§4.3).
+        let table = anemone.generate_flow_table(cfg.seed, node, &[]);
         provider
-            .record_fragment(node, &table, &bound)
+            .record_fragment(node, &table, std::slice::from_ref(&bound))
             .expect("experiment queries execute against generated fragments");
-        for (qi, b) in bound.iter().enumerate() {
-            population_rows[qi] += seaweed_store::exec::count_matching(b, &table);
-        }
+        population_rows += seaweed_store::exec::count_matching(&bound, &table);
     }
 
     let (mut eng, mut sw) = build_world_with_ids(
@@ -135,24 +158,25 @@ pub fn run_full(cfg: &FullSimConfig, trace: &AvailabilityTrace) -> FullSimResult
 
     // Run, pausing at each injection instant.
     let mut injections = cfg.injections.clone();
-    injections.sort_by_key(|&(_, t)| t);
-    let mut handles: Vec<(usize, seaweed_core::QueryHandle, Time)> = Vec::new();
-    for &(qi, at) in &injections {
+    injections.sort_unstable();
+    let mut handles: Vec<(seaweed_core::QueryHandle, Time)> = Vec::new();
+    for &at in &injections {
         sw.run_until(&mut eng, at);
         let origin = eng
             .up_nodes()
             .next()
             .expect("an endsystem is available at injection");
+        let ttl = Duration::from_days(30);
         let h = sw
-            .inject_query(&mut eng, origin, &cfg.queries[qi], cfg.ttl, &schema)
+            .inject_query(&mut eng, origin, QUERY_HTTP_BYTES, ttl, &schema)
             .expect("query injects");
-        handles.push((qi, h, at));
+        handles.push((h, at));
     }
     sw.run_until(&mut eng, trace.horizon());
 
     let queries = handles
         .iter()
-        .map(|&(qi, h, at)| {
+        .map(|&(h, at)| {
             let q = sw.query(h);
             QueryOutcome {
                 predictor_latency: q.predictor_at.map(|t| t.since(at)),
@@ -161,7 +185,7 @@ pub fn run_full(cfg: &FullSimConfig, trace: &AvailabilityTrace) -> FullSimResult
                     .predictor
                     .as_ref()
                     .map_or(0.0, seaweed_core::Predictor::total_rows),
-                population_rows: population_rows[qi],
+                population_rows,
             }
         })
         .collect();
@@ -188,7 +212,6 @@ pub fn run_full(cfg: &FullSimConfig, trace: &AvailabilityTrace) -> FullSimResult
 mod tests {
     use super::*;
     use seaweed_availability::FarsiteConfig;
-    use seaweed_sim::TrafficClass;
 
     #[test]
     fn small_full_stack_run_produces_sane_report() {
@@ -196,7 +219,7 @@ mod tests {
         let (trace, _) = FarsiteConfig::small(80, 1).generate(9);
         // Trim trace to 3 days by regenerating with matching horizon.
         let mut cfg = FullSimConfig::new(9);
-        cfg.injections = vec![(0, Time::ZERO + Duration::from_days(1))];
+        cfg.injections = vec![Time::ZERO + Duration::from_days(1)];
         // Build a fresh 3-day trace instead of the 1-week default.
         let (trace3, _) = {
             let mut fc = FarsiteConfig::small(80, 1);

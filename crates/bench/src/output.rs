@@ -2,22 +2,46 @@
 
 use std::fmt::Write as _;
 use std::fs;
-use std::path::Path;
 
-/// Writes rows of f64 series as CSV under `results/` (creating the
-/// directory), with a header row.
-pub fn write_csv(path: &str, header: &[&str], rows: &[Vec<f64>]) {
-    let mut out = String::new();
-    writeln!(out, "{}", header.join(",")).expect("string write");
-    for row in rows {
-        let line: Vec<String> = row.iter().map(|v| format_num(*v)).collect();
-        writeln!(out, "{}", line.join(",")).expect("string write");
+use crate::cli::Args;
+
+/// The directory every deterministic output of a run lands in:
+/// `--out-dir`, by default the checked-in `results`.
+#[derive(Debug)]
+pub struct OutDir(String);
+
+impl OutDir {
+    #[must_use]
+    pub fn new(args: &Args) -> Self {
+        OutDir(args.get_str("out-dir", "results"))
     }
-    if let Some(dir) = Path::new(path).parent() {
-        fs::create_dir_all(dir).expect("create results dir");
+
+    /// `<root>/<name>`.
+    #[must_use]
+    pub fn path(&self, name: &str) -> String {
+        format!("{}/{name}", self.0)
     }
-    fs::write(path, out).unwrap_or_else(|e| panic!("write {path}: {e}"));
-    println!("  wrote {path} ({} rows)", rows.len());
+
+    /// Writes `body` to `<root>/<name>`, creating the directory, and
+    /// returns the path.
+    pub fn write(&self, name: &str, body: &str) -> String {
+        let path = self.path(name);
+        fs::create_dir_all(&self.0).unwrap_or_else(|e| panic!("create {}: {e}", self.0));
+        fs::write(&path, body).unwrap_or_else(|e| panic!("write {path}: {e}"));
+        path
+    }
+
+    /// Writes rows of f64 series as `<root>/<name>`, with a header row.
+    pub fn write_csv(&self, name: &str, header: &[&str], rows: &[Vec<f64>]) {
+        let mut out = String::new();
+        writeln!(out, "{}", header.join(",")).expect("string write");
+        for row in rows {
+            let line: Vec<String> = row.iter().map(|v| format_num(*v)).collect();
+            writeln!(out, "{}", line.join(",")).expect("string write");
+        }
+        let path = self.write(name, &out);
+        println!("  wrote {path} ({} rows)", rows.len());
+    }
 }
 
 fn format_num(v: f64) -> String {
@@ -82,15 +106,16 @@ mod tests {
 
     #[test]
     fn csv_roundtrip() {
-        let path = "results/test_output_csv.csv";
-        write_csv(path, &["a", "b"], &[vec![1.0, 2.5], vec![1e9, 0.0001]]);
-        let body = std::fs::read_to_string(path).unwrap();
+        let root = std::env::temp_dir().join(format!("seaweed-bench-{}", std::process::id()));
+        let out = OutDir(root.to_str().expect("utf-8 temp dir").to_owned());
+        out.write_csv("t.csv", &["a", "b"], &[vec![1.0, 2.5], vec![1e9, 0.0001]]);
+        let body = std::fs::read_to_string(out.path("t.csv")).unwrap();
         let mut lines = body.lines();
         assert_eq!(lines.next(), Some("a,b"));
         assert_eq!(lines.next(), Some("1,2.5000"));
         let third = lines.next().unwrap();
         assert!(third.starts_with("1.0"), "{third}");
-        std::fs::remove_file(path).ok();
+        std::fs::remove_dir_all(root).ok();
     }
 
     #[test]

@@ -167,10 +167,10 @@ mod tests {
 
     #[test]
     fn jobs_clamps_to_run_count() {
-        let args = Args::parse_args(["prog".to_owned()]);
+        let args = Args::default();
         assert_eq!(jobs(&args, 1), 1);
         assert!(jobs(&args, 64) >= 1);
-        let forced = Args::parse_args(["prog".to_owned(), "--jobs".to_owned(), "3".to_owned()]);
+        let forced = Args::parse_flags(["--jobs".to_owned(), "3".to_owned()]).unwrap();
         assert_eq!(jobs(&forced, 64), 3);
         assert_eq!(jobs(&forced, 2), 2);
     }

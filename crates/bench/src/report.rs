@@ -1,7 +1,7 @@
 //! The `BENCH_*.json` twin of a CSV: the same points plus the
 //! machine-dependent numbers (wall seconds, events/s, peak RSS).
 //!
-//! One writer for every bench binary. A report is a few header fields
+//! One writer for every experiment. A report is a few header fields
 //! and a list of points; each is an ordered list of `(key, value)` pairs
 //! and is written in exactly that order, integers as integers (a `u64`
 //! never passes through `f64`) and floats with the decimals the caller

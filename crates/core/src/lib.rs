@@ -47,4 +47,7 @@ pub use obs::{QueryTimeline, SloReport};
 pub use oracle::ChaosOracle;
 pub use predictor::Predictor;
 pub use provider::{DataProvider, LiveTables, Precomputed};
-pub use world::{boot_staggered, build_world, build_world_with_ids, flag_fixture};
+pub use world::{
+    boot_staggered, build_world, build_world_with_ids, chaos_sim, chaos_world, flag_fixture,
+    inject_chaos_query, run_chaos, ChaosRun, CHAOS_CHECKPOINTS, CHAOS_QUERY, CHAOS_T0,
+};

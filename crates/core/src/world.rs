@@ -2,17 +2,22 @@
 //! Seaweed, under one seed.
 //!
 //! Every experiment in the paper is this stack under a different trace
-//! (§4.3), and every test, bench binary and example in this repository
-//! builds it here. Beside the constructor live the two pieces nearly all
-//! of them repeat: the staggered boot and the one-row-per-endsystem
-//! fixture whose ground truth is known in closed form.
+//! (§4.3), and every test, experiment and example in this repository
+//! builds it here. Beside the constructor live the pieces nearly all
+//! of them repeat: the staggered boot, the one-row-per-endsystem
+//! fixture whose ground truth is known in closed form, and the chaos
+//! scenario the goldens, the chaos tests and three experiments share.
 
 use seaweed_overlay::{Overlay, OverlayConfig};
-use seaweed_sim::{Engine, NodeIdx, SimConfig, Topology};
+use seaweed_sim::{
+    fnv1a, BandwidthReport, CorpNetTopology, Engine, EventLog, FaultPlan, NodeIdx, SimConfig,
+    Topology, Tracer,
+};
 use seaweed_store::{ColumnDef, DataType, Schema, Table, Value};
 use seaweed_types::{Duration, Id, Time};
 
-use crate::app::{Seaweed, SeaweedConfig, SeaweedEngine};
+use crate::app::{QueryHandle, Seaweed, SeaweedConfig, SeaweedEngine, SeaweedStats};
+use crate::oracle::ChaosOracle;
 use crate::provider::{DataProvider, LiveTables};
 
 /// Builds the engine over `topology` and the protocol stack over
@@ -96,9 +101,151 @@ pub fn flag_fixture(nodes: impl IntoIterator<Item = u32>, rows: usize) -> (LiveT
     (LiveTables::new(tables), schema)
 }
 
+/// When the chaos scenario injects its query; every fault window of
+/// [`FaultPlan::chaos`] is anchored after it.
+pub const CHAOS_T0: Time = Time(600_000_000);
+
+/// Oracle checkpoints of the chaos scenario, in simulated seconds. They
+/// straddle every fault window: mid-partition/outage, post-crash-rejoin,
+/// post-heal, and converged.
+pub const CHAOS_CHECKPOINTS: [u64; 5] = [650, 720, 800, 1000, 1500];
+
+/// The query the chaos scenario asks of [`flag_fixture`].
+pub const CHAOS_QUERY: &str = "SELECT SUM(v) FROM T WHERE flag = 1";
+
+/// The chaos scenario's network: 1% uniform loss under the shared
+/// [`FaultPlan::chaos`] plan.
+#[must_use]
+pub fn chaos_sim(topo: &CorpNetTopology) -> SimConfig {
+    SimConfig {
+        loss_rate: 0.01,
+        faults: Some(FaultPlan::chaos(topo, &[])),
+        ..SimConfig::default()
+    }
+}
+
+/// The chaos scenario's world: `n` endsystems holding one matching row
+/// each ([`flag_fixture`]) behind `routers` CorpNet routers with 1 ms
+/// links, booted 300 ms apart. `sim` sees the topology the fault plan
+/// must name — pass [`chaos_sim`], or build on it.
+#[must_use]
+pub fn chaos_world(
+    n: usize,
+    routers: usize,
+    seed: u64,
+    sim: impl FnOnce(&CorpNetTopology) -> SimConfig,
+    seaweed: SeaweedConfig,
+) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
+    let (tables, schema) = flag_fixture(0..n as u32, 1);
+    let topo = CorpNetTopology::with_params(n, routers, Duration::MILLISECOND, seed);
+    let sim = sim(&topo);
+    let (mut eng, sw) = build_world(
+        Box::new(topo),
+        seed,
+        sim,
+        OverlayConfig::default(),
+        seaweed,
+        tables,
+    );
+    boot_staggered(&mut eng, Duration::from_millis(300));
+    (eng, sw, schema)
+}
+
+/// Injects [`CHAOS_QUERY`] at endsystem 0, the scenario's origin, with
+/// its four-hour lifetime.
+pub fn inject_chaos_query(
+    eng: &mut SeaweedEngine,
+    sw: &mut Seaweed<LiveTables>,
+    schema: &Schema,
+) -> QueryHandle {
+    sw.inject_query(
+        eng,
+        NodeIdx(0),
+        CHAOS_QUERY,
+        Duration::from_hours(4),
+        schema,
+    )
+    .expect("the chaos query parses and binds")
+}
+
+/// What one run of the chaos scenario leaves behind.
+#[derive(Debug)]
+pub struct ChaosRun {
+    /// The [`EventLog`] over every delivered event.
+    pub log: EventLog,
+    /// Rows at the origin at the last checkpoint.
+    pub rows: u64,
+    pub stats: SeaweedStats,
+    pub report: BandwidthReport,
+    /// Every [`ChaosOracle`] finding, over all checkpoints.
+    pub violations: Vec<String>,
+    /// Trace records captured; 0 with tracing off.
+    pub trace_recorded: u64,
+}
+
+impl ChaosRun {
+    /// `(log_hash, log_len, rows, report_hash)`: an FNV-1a hash over
+    /// every delivered event (kind, time, endpoints, timer tag) in
+    /// order, the event count, the rows at the origin, and a hash of
+    /// the final [`BandwidthReport`] rendering.
+    #[must_use]
+    pub fn fingerprint(&self) -> (u64, u64, u64, u64) {
+        let report = format!("{:?}", self.report);
+        (
+            self.log.hash(),
+            self.log.events(),
+            self.rows,
+            fnv1a(report.as_bytes()),
+        )
+    }
+
+    /// # Panics
+    /// Panics, listing them, if the oracle found anything.
+    pub fn assert_clean(&self) {
+        assert!(
+            self.violations.is_empty(),
+            "chaos oracle violations:\n  {}",
+            self.violations.join("\n  ")
+        );
+    }
+}
+
+/// Runs the chaos scenario over a [`chaos_world`]: the query injected
+/// at [`CHAOS_T0`], the oracle consulted at each of
+/// [`CHAOS_CHECKPOINTS`].
+///
+/// # Panics
+/// Panics unless every endsystem has joined by [`CHAOS_T0`] — the
+/// faults are meant to hit a converged ring.
+#[must_use]
+pub fn run_chaos(world: (SeaweedEngine, Seaweed<LiveTables>, Schema)) -> ChaosRun {
+    let (mut eng, mut sw, schema) = world;
+    let n = eng.num_nodes();
+    let mut log = EventLog::new();
+    sw.run_until_logged(&mut eng, CHAOS_T0, &mut log);
+    assert_eq!(sw.overlay.num_joined(), n, "all join before the faults");
+    let h = inject_chaos_query(&mut eng, &mut sw, &schema);
+    let oracle = ChaosOracle::new(n as u64);
+    let mut violations = Vec::new();
+    for t in CHAOS_CHECKPOINTS {
+        sw.run_until_logged(&mut eng, Time::from_secs(t), &mut log);
+        violations.extend(oracle.check(&sw, &eng));
+    }
+    let rows = sw.query(h).rows();
+    let trace_recorded = eng.tracer().map_or(0, Tracer::recorded);
+    ChaosRun {
+        log,
+        rows,
+        stats: sw.stats,
+        report: eng.finish(),
+        violations,
+        trace_recorded,
+    }
+}
+
 #[cfg(test)]
 mod tests {
-    use seaweed_sim::{EventLog, UniformTopology};
+    use seaweed_sim::UniformTopology;
 
     use super::*;
 

@@ -7,93 +7,28 @@
 
 use proptest::prelude::*;
 use seaweed_core::{
-    boot_staggered, build_world, flag_fixture, ChaosOracle, LiveTables, Seaweed, SeaweedConfig,
-    SeaweedEngine,
+    chaos_sim, chaos_world, inject_chaos_query, run_chaos, ChaosOracle, ChaosRun, SeaweedConfig,
+    CHAOS_T0,
 };
-use seaweed_overlay::OverlayConfig;
-use seaweed_sim::{
-    CorpNetTopology, EventLog, FaultPlan, NodeIdx, OutageSpec, SimConfig, TraceConfig,
-};
-use seaweed_store::Schema;
-use seaweed_types::{Duration, Time};
+use seaweed_sim::{FaultPlan, OutageSpec, SimConfig, TraceConfig};
+use seaweed_types::Time;
 
 const N: usize = 36;
 const ROUTERS: usize = 24;
-/// Query injection time; all fault windows are anchored after it.
-const T0: u64 = 600_000_000; // 600 s in µs
 
-/// The 36-endsystem world under `plan`, or under the shared chaos plan
-/// when `None`; staggered boot scheduled.
-fn world(
-    seed: u64,
-    trace: bool,
-    plan: Option<FaultPlan>,
-) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
-    let (tables, schema) = flag_fixture(0..N as u32, 1);
-    let topo = CorpNetTopology::with_params(N, ROUTERS, Duration::MILLISECOND, seed);
-    let plan = plan.unwrap_or_else(|| FaultPlan::chaos(&topo, &[]));
-    let (mut eng, sw) = build_world(
-        Box::new(topo),
+/// The chaos scenario over the 36-endsystem world, with or without
+/// engine tracing.
+fn run(seed: u64, trace: bool) -> ChaosRun {
+    run_chaos(chaos_world(
+        N,
+        ROUTERS,
         seed,
-        SimConfig {
-            loss_rate: 0.01,
-            faults: Some(plan),
+        |topo| SimConfig {
             trace: trace.then(TraceConfig::default),
-            ..SimConfig::default()
+            ..chaos_sim(topo)
         },
-        OverlayConfig::default(),
         SeaweedConfig::default(),
-        tables,
-    );
-    boot_staggered(&mut eng, Duration::from_millis(300));
-    (eng, sw, schema)
-}
-
-struct RunResult {
-    log_hash: u64,
-    log_len: u64,
-    rows: u64,
-    violations: Vec<String>,
-    amnesia_crashes: u64,
-    duplicated: u64,
-    dropped_partition: u64,
-    trace_recorded: u64,
-}
-
-fn run_chaos(seed: u64, trace: bool) -> RunResult {
-    let (mut eng, mut sw, schema) = world(seed, trace, None);
-    let mut log = EventLog::new();
-    sw.run_until_logged(&mut eng, Time(T0), &mut log);
-    assert_eq!(sw.overlay.num_joined(), N, "all join before the faults");
-
-    sw.inject_query(
-        &mut eng,
-        NodeIdx(0),
-        "SELECT SUM(v) FROM T WHERE flag = 1",
-        Duration::from_hours(4),
-        &schema,
-    )
-    .unwrap();
-
-    // Checkpoints straddle every fault window: mid-partition/outage,
-    // post-crash-rejoin, post-heal, and converged.
-    let oracle = ChaosOracle::new(N as u64);
-    let mut violations = Vec::new();
-    for t in [650, 720, 800, 1000, 1500] {
-        sw.run_until_logged(&mut eng, Time::from_secs(t), &mut log);
-        violations.extend(oracle.check(&sw, &eng));
-    }
-
-    RunResult {
-        log_hash: log.hash(),
-        log_len: log.events(),
-        rows: sw.query(0).rows(),
-        violations,
-        amnesia_crashes: sw.stats.amnesia_crashes,
-        duplicated: eng.messages_duplicated,
-        dropped_partition: eng.dropped_partition,
-        trace_recorded: eng.tracer().map_or(0, seaweed_sim::Tracer::recorded),
-    }
+    ))
 }
 
 proptest! {
@@ -101,16 +36,16 @@ proptest! {
 
     #[test]
     fn chaos_invariants_hold_and_runs_are_deterministic(seed in 0u64..10_000) {
-        let a = run_chaos(seed, false);
+        let a = run(seed, false);
         prop_assert!(
             a.violations.is_empty(),
             "oracle violations (seed {seed}):\n  {}",
             a.violations.join("\n  ")
         );
         // Every fault class must actually have fired.
-        prop_assert!(a.amnesia_crashes >= 2, "amnesia crashes: {}", a.amnesia_crashes);
-        prop_assert!(a.duplicated > 0, "no duplicated messages");
-        prop_assert!(a.dropped_partition > 0, "partition cut no traffic");
+        prop_assert!(a.stats.amnesia_crashes >= 2, "amnesia crashes: {}", a.stats.amnesia_crashes);
+        prop_assert!(a.report.drops.duplicated > 0, "no duplicated messages");
+        prop_assert!(a.report.drops.partition > 0, "partition cut no traffic");
         // Delay-aware, not wrong: results may be incomplete under faults
         // but never inflated (the oracle checked rows <= N), and most of
         // the population converges once everything heals.
@@ -121,10 +56,8 @@ proptest! {
         );
 
         // Same seed, byte-identical schedule.
-        let b = run_chaos(seed, false);
-        prop_assert_eq!(a.log_hash, b.log_hash, "event logs diverged (seed {})", seed);
-        prop_assert_eq!(a.log_len, b.log_len);
-        prop_assert_eq!(a.rows, b.rows);
+        let b = run(seed, false);
+        prop_assert_eq!(a.fingerprint(), b.fingerprint(), "event logs diverged (seed {})", seed);
     }
 
     /// The full chaos run with engine tracing enabled stays oracle-clean
@@ -132,18 +65,16 @@ proptest! {
     /// of the same seed: observation never perturbs the schedule.
     #[test]
     fn chaos_with_tracing_matches_untraced(seed in 0u64..10_000) {
-        let traced = run_chaos(seed, true);
+        let traced = run(seed, true);
         prop_assert!(
             traced.violations.is_empty(),
             "oracle violations under tracing (seed {seed}):\n  {}",
             traced.violations.join("\n  ")
         );
         prop_assert!(traced.trace_recorded > 0, "tracer captured nothing");
-        let plain = run_chaos(seed, false);
+        let plain = run(seed, false);
         prop_assert_eq!(plain.trace_recorded, 0);
-        prop_assert_eq!(traced.log_hash, plain.log_hash, "tracing perturbed the schedule (seed {})", seed);
-        prop_assert_eq!(traced.log_len, plain.log_len);
-        prop_assert_eq!(traced.rows, plain.rows);
+        prop_assert_eq!(traced.fingerprint(), plain.fingerprint(), "tracing perturbed the schedule (seed {})", seed);
     }
 }
 
@@ -165,16 +96,18 @@ fn a_vertex_lost_with_all_its_holders_leaves_no_membership_behind() {
         outages: vec![outage],
         ..FaultPlan::default()
     };
-    let (mut eng, mut sw, schema) = world(7, false, Some(plan));
-    sw.run_until(&mut eng, Time(T0));
-    sw.inject_query(
-        &mut eng,
-        NodeIdx(0),
-        "SELECT SUM(v) FROM T WHERE flag = 1",
-        Duration::from_hours(4),
-        &schema,
-    )
-    .unwrap();
+    let (mut eng, mut sw, schema) = chaos_world(
+        N,
+        ROUTERS,
+        7,
+        |topo| SimConfig {
+            faults: Some(plan),
+            ..chaos_sim(topo)
+        },
+        SeaweedConfig::default(),
+    );
+    sw.run_until(&mut eng, CHAOS_T0);
+    inject_chaos_query(&mut eng, &mut sw, &schema);
     let oracle = ChaosOracle::new(N as u64);
     for t in [700, 760, 880, 1000, 1500] {
         sw.run_until(&mut eng, Time::from_secs(t));

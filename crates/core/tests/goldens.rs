@@ -21,18 +21,15 @@
 //! (asserted below).
 
 use seaweed_core::{
-    boot_staggered, build_world, flag_fixture, ChaosOracle, HedgeConfig, LiveTables, Seaweed,
-    SeaweedConfig, SeaweedEngine,
+    chaos_sim, chaos_world, run_chaos, ChaosOracle, HedgeConfig, LiveTables, Seaweed,
+    SeaweedConfig, SeaweedEngine, CHAOS_QUERY, CHAOS_T0,
 };
-use seaweed_overlay::OverlayConfig;
-use seaweed_sim::{fnv1a, CorpNetTopology, EventLog, FaultPlan, NodeIdx, SimConfig};
+use seaweed_sim::NodeIdx;
 use seaweed_store::Schema;
 use seaweed_types::{Duration, Time};
 
 const N: usize = 36;
 const ROUTERS: usize = 24;
-/// Query injection time; all fault windows are anchored after it.
-const T0: u64 = 600_000_000;
 
 type Fingerprint = (u64, u64, u64, u64);
 
@@ -55,61 +52,27 @@ const GOLDENS: [(u64, Fingerprint); 8] = [
 /// chaos plan provokes hedges (`hedging.rs` asserts that it does).
 const HEDGED_GOLDEN: Fingerprint = (0x0f3a_1c36_dbbc_b4cf, 5846, 36, 0x66e1_b827_7210_ee78);
 
-/// The 36-endsystem world of `chaos.rs`: one matching row per endsystem,
-/// 1% base loss, the shared chaos plan, staggered boot.
+/// The 36-endsystem chaos world, hedging on or off.
 fn world(seed: u64, hedge: Option<HedgeConfig>) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
-    let (tables, schema) = flag_fixture(0..N as u32, 1);
-    let topo = CorpNetTopology::with_params(N, ROUTERS, Duration::MILLISECOND, seed);
-    let plan = FaultPlan::chaos(&topo, &[]);
-    let (mut eng, sw) = build_world(
-        Box::new(topo),
-        seed,
-        SimConfig {
-            loss_rate: 0.01,
-            faults: Some(plan),
-            ..SimConfig::default()
-        },
-        OverlayConfig::default(),
-        SeaweedConfig {
-            hedge,
-            ..Default::default()
-        },
-        tables,
-    );
-    boot_staggered(&mut eng, Duration::from_millis(300));
-    (eng, sw, schema)
+    let seaweed = SeaweedConfig {
+        hedge,
+        ..Default::default()
+    };
+    chaos_world(N, ROUTERS, seed, chaos_sim, seaweed)
 }
 
-/// Runs the chaos scenario — one query injected at `T0`, the oracle
-/// checked at checkpoints straddling every fault window — and returns
-/// its fingerprint.
+/// Runs the chaos scenario, oracle-clean at every checkpoint, and
+/// returns its fingerprint.
 fn run(seed: u64, hedge: Option<HedgeConfig>) -> Fingerprint {
     let hedging = hedge.is_some();
-    let (mut eng, mut sw, schema) = world(seed, hedge);
-    let mut log = EventLog::new();
-    sw.run_until_logged(&mut eng, Time(T0), &mut log);
-    assert_eq!(sw.overlay.num_joined(), N, "all join before the faults");
-    sw.inject_query(
-        &mut eng,
-        NodeIdx(0),
-        "SELECT SUM(v) FROM T WHERE flag = 1",
-        Duration::from_hours(4),
-        &schema,
-    )
-    .unwrap();
-    let oracle = ChaosOracle::new(N as u64);
-    for t in [650, 720, 800, 1000, 1500] {
-        sw.run_until_logged(&mut eng, Time::from_secs(t), &mut log);
-        oracle.assert_clean(&sw, &eng);
-    }
+    let run = run_chaos(world(seed, hedge));
+    run.assert_clean();
     if !hedging {
         // The tail-tolerance machinery must be fully inert.
-        assert_eq!(sw.stats.hedges_sent, 0);
-        assert_eq!(sw.stats.hedge_wasted_bytes, 0);
+        assert_eq!(run.stats.hedges_sent, 0);
+        assert_eq!(run.stats.hedge_wasted_bytes, 0);
     }
-    let rows = sw.query(0).rows();
-    let report = format!("{:?}", eng.finish());
-    (log.hash(), log.events(), rows, fnv1a(report.as_bytes()))
+    run.fingerprint()
 }
 
 #[test]
@@ -133,14 +96,14 @@ fn hedged_chaos_matches_golden() {
 #[test]
 fn freed_query_slots_do_not_leak_into_reused_handles() {
     let (mut eng, mut sw, schema) = world(7, None);
-    sw.run_until(&mut eng, Time(T0));
+    sw.run_until(&mut eng, CHAOS_T0);
 
     // First query: short lifetime so it expires mid-run.
     let h0 = sw
         .inject_query(
             &mut eng,
             NodeIdx(0),
-            "SELECT SUM(v) FROM T WHERE flag = 1",
+            CHAOS_QUERY,
             Duration::from_secs(120),
             &schema,
         )

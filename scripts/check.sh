@@ -28,8 +28,8 @@ echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
 echo "==> cargo build --release"
-# default-members is the whole workspace, so this builds the bench bins
-# the smokes below run (target/release/chaos01_faults, ...).
+# default-members is the whole workspace, so this builds the one
+# experiment executable the guard and the smokes below run.
 cargo build --release
 
 echo "==> cargo test"
@@ -38,54 +38,73 @@ cargo test -q
 echo "==> cargo bench --no-run (Criterion benches must keep compiling)"
 cargo bench --workspace --no-run
 
-# byte_stable <stem> <bin> [args…]: runs target/release/<bin> twice (the
-# second time silently) and requires every output except the JSON twins,
-# which carry wall-clock, to be byte-identical between the two. In an
-# argument, `@` stands for this run's output stem (results/<stem>_smoke_a,
-# then …_b) and `x|y` for x on the first run and y on the second.
+bench=./target/release/seaweed-bench
+scratch=$(mktemp -d)
+trap 'rm -rf "$scratch"' EXIT
+
+echo "==> figure guard (every checked-in CSV regenerates cmp-equal; every CSV produced is checked in)"
+# scale02.csv and scale03.csv are host recordings run by name (ROADMAP
+# 2b), not part of `all`; everything else under results/ is a figure.
+guard_start=$(date +%s)
+"$bench" all --out-dir "$scratch/all" >"$scratch/all.log" 2>&1 || { cat "$scratch/all.log"; exit 1; }
+guard_failed=0
+for f in $(git ls-files results); do
+  case "$f" in results/scale02.csv | results/scale03.csv) continue ;; esac
+  if ! cmp "$f" "$scratch/all/${f#results/}"; then
+    echo "figure guard: $f is not what the code produces" >&2
+    guard_failed=1
+  fi
+done
+for f in "$scratch"/all/*.csv; do
+  if ! git ls-files --error-unmatch "results/${f##*/}" >/dev/null 2>&1; then
+    echo "figure guard: ${f##*/} is produced by \`all\` but not checked in under results/" >&2
+    guard_failed=1
+  fi
+done
+echo "    figure guard wall-clock: $(($(date +%s) - guard_start))s"
+[ "$guard_failed" -eq 0 ]
+
+# byte_stable <name> [args…]: runs the experiment twice, into
+# $scratch/<name>/a and …/b (the second time silently), and requires every
+# output except the JSON twins, which carry wall-clock, to be
+# byte-identical between the two.
 byte_stable() {
-  local stem="results/$1_smoke" bin="./target/release/$2" run arg out
-  shift 2
-  for run in a b; do
-    local args=()
-    for arg in "$@"; do
-      case "$arg" in *'|'*) if [ "$run" = a ]; then arg="${arg%%|*}"; else arg="${arg##*|}"; fi ;; esac
-      args+=("${arg//@/${stem}_$run}")
-    done
-    if [ "$run" = a ]; then "$bin" "${args[@]}"; else "$bin" "${args[@]}" >/dev/null; fi
-  done
-  for out in "${stem}"_a.*; do
-    case "$out" in *.json) ;; *) cmp "$out" "${out/_smoke_a./_smoke_b.}" ;; esac
-  done
-  rm -f "${stem}"_a.* "${stem}"_b.*
+  local dir="$scratch/$1"
+  "$bench" "$@" --out-dir "$dir/a"
+  "$bench" "$@" --out-dir "$dir/b" >/dev/null
+  diff -r -x '*.json' "$dir/a" "$dir/b"
 }
 
 echo "==> chaos smoke (fixed seed: oracles clean, CSV byte-stable)"
-byte_stable chaos01 chaos01_faults --seed 7 --seeds 4 --out @.csv
+byte_stable chaos01_faults --seed 7 --seeds 4
 
 echo "==> trace smoke (fixed seed: CSV and JSONL trace byte-stable)"
-byte_stable obs01 obs01_query_timeline --seed 7 --seeds 2 --out @.csv --trace-out @.jsonl
+byte_stable obs01_query_timeline --seed 7 --seeds 2
 
 echo "==> scale02 smoke (fixed seed, small N, Farsite point disabled: CSV byte-stable)"
-byte_stable scale02 scale02_farsite --base 100 --max-n 200 --farsite-n 0 --seed 7 \
-  --out @.csv --json @.json
+# (--json: the default twin is the checked-in BENCH_scale02.json.)
+byte_stable scale02_farsite --base 100 --max-n 200 --farsite-n 0 --seed 7 \
+  --json "$scratch/scale02.json"
 
 echo "==> scale03 smoke (fixed seed, small N: parallel executor CSV == serial CSV)"
 # The partitioned executor's whole contract: a parallel-only run emits
 # the byte-identical deterministic CSV of a serial-only run (each run
 # also asserts per-shard oracle cleanliness and completeness 1.0).
-byte_stable scale03 scale03_million --n 600 --parts 3 --workers 3 --seed 7 \
-  --mode 'serial|parallel' --out @.csv --json @.json
+for mode in serial parallel; do
+  "$bench" scale03_million --n 600 --parts 3 --workers 3 --seed 7 --mode "$mode" \
+    --out-dir "$scratch/scale03/$mode" --json "$scratch/scale03.json"
+done
+diff -r -x '*.json' "$scratch/scale03/serial" "$scratch/scale03/parallel"
 
 echo "==> storm01 smoke (fixed seed, small N: oracle-gated, K=1 byte-identity, CSV byte-stable)"
 # Asserts internally: every query reaches completeness 1.0, the chaos
 # oracle stays clean, and the K=1 storm run is byte-identical to the
 # storm-off baseline (exits non-zero otherwise).
-byte_stable storm01 storm01_query_storm --n 300 --max-k 100 --seed 7 --out @.csv --json @.json
+byte_stable storm01_query_storm --n 300 --max-k 100 --seed 7
 
 echo "==> abl07 smoke (fixed seed: hedging oracles clean, CSV byte-stable)"
 # Exits non-zero on any ChaosOracle violation with hedging on.
-byte_stable abl07 abl07_hedging --seed 7 --seeds 3 --out @.csv
+byte_stable abl07_hedging --seed 7 --seeds 3
 
 echo "==> perf/ benchmark (its unit tests; smoke: five workloads correct, fingerprint untraced == traced)"
 # perf/ is its own workspace measuring the library crates from outside;

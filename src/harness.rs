@@ -1,13 +1,13 @@
 //! Convenience harness over [`seaweed_core::build_world`] for the
-//! examples and the root integration tests: picks the topology, drives
-//! availability (all-up or a trace) and generates Anemone fragments.
+//! examples and the root integration tests: a uniform-latency fabric,
+//! availability driven all-up or from a trace, Anemone fragments.
 
 use seaweed_availability::AvailabilityTrace;
 use seaweed_core::{
     boot_staggered, build_world, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine,
 };
 use seaweed_overlay::OverlayConfig;
-use seaweed_sim::{CorpNetTopology, SimConfig, Topology, UniformTopology};
+use seaweed_sim::{SimConfig, UniformTopology};
 use seaweed_store::Table;
 use seaweed_types::Duration;
 use seaweed_workload::AnemoneConfig;
@@ -27,17 +27,12 @@ pub enum Availability<'a> {
 pub struct WorldConfig {
     pub n: usize,
     pub seed: u64,
-    /// Use the CorpNet-like router topology (packet-level experiments);
-    /// otherwise a uniform-latency fabric.
-    pub corpnet: bool,
-    /// One-way latency for the uniform fabric.
+    /// One-way latency of the uniform fabric. (The packet-level
+    /// experiments run on the CorpNet router topology instead, through
+    /// `build_world` directly.)
     pub uniform_latency: Duration,
     /// Collect per-(node,hour) bandwidth samples for CDFs.
     pub collect_cdf: bool,
-    /// Uniform network message loss rate.
-    pub loss_rate: f64,
-    pub overlay: OverlayConfig,
-    pub seaweed: SeaweedConfig,
 }
 
 impl WorldConfig {
@@ -47,20 +42,8 @@ impl WorldConfig {
         WorldConfig {
             n,
             seed,
-            corpnet: false,
             uniform_latency: Duration::from_millis(5),
             collect_cdf: false,
-            loss_rate: 0.0,
-            overlay: OverlayConfig::default(),
-            seaweed: SeaweedConfig::default(),
-        }
-    }
-
-    fn topology(&self) -> Box<dyn Topology> {
-        if self.corpnet {
-            Box::new(CorpNetTopology::new(self.n, self.seed))
-        } else {
-            Box::new(UniformTopology::new(self.n, self.uniform_latency))
         }
     }
 
@@ -73,15 +56,14 @@ impl WorldConfig {
     ) -> (SeaweedEngine, Seaweed<LiveTables>) {
         assert_eq!(tables.len(), self.n);
         let (mut eng, sw) = build_world(
-            self.topology(),
+            Box::new(UniformTopology::new(self.n, self.uniform_latency)),
             self.seed,
             SimConfig {
-                loss_rate: self.loss_rate,
                 collect_cdf: self.collect_cdf,
                 ..SimConfig::default()
             },
-            self.overlay.clone(),
-            self.seaweed.clone(),
+            OverlayConfig::default(),
+            SeaweedConfig::default(),
             LiveTables::new(tables),
         );
         match availability {
