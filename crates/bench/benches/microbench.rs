@@ -397,146 +397,6 @@ fn bench_des_event_throughput(c: &mut Criterion) {
     g.finish();
 }
 
-/// Fan-out cost of one payload to many destinations: the old
-/// clone-per-destination send loop vs the shared-payload [`Engine::multicast`].
-/// Both variants drain the delivered messages (reading the payload through
-/// the envelope, no copy-out) so the full event-loop cost is included.
-fn bench_payload_fanout(c: &mut Criterion) {
-    const DESTS: usize = 64;
-    const PAYLOAD_BYTES: usize = 4096;
-
-    fn fresh_engine() -> Engine<Vec<u8>> {
-        let mut eng: Engine<Vec<u8>> = Engine::new(
-            Box::new(UniformTopology::new(DESTS + 1, Duration::MILLISECOND)),
-            SimConfig::default(),
-        );
-        for i in 0..=DESTS {
-            eng.schedule_up(Time(i as u64), NodeIdx(i as u32));
-        }
-        while eng.next_event_before(Time(1_000)).is_some() {}
-        eng
-    }
-
-    fn drain(eng: &mut Engine<Vec<u8>>) -> usize {
-        let mut bytes = 0usize;
-        while let Some((_, ev)) = eng.next_event_before(Time::ZERO + Duration::from_secs(10)) {
-            if let Event::Message { payload, .. } = ev {
-                bytes += payload.len();
-            }
-        }
-        bytes
-    }
-
-    let payload = vec![0xa5u8; PAYLOAD_BYTES];
-    let dests: Vec<NodeIdx> = (1..=DESTS as u32).map(NodeIdx).collect();
-    let mut g = c.benchmark_group("payload_fanout");
-    g.throughput(Throughput::Elements(DESTS as u64));
-    g.bench_function("clone_per_dest", |b| {
-        let mut eng = fresh_engine();
-        b.iter(|| {
-            for &to in &dests {
-                eng.send(
-                    NodeIdx(0),
-                    to,
-                    black_box(payload.clone()),
-                    PAYLOAD_BYTES as u32,
-                    TrafficClass::Maintenance,
-                );
-            }
-            black_box(drain(&mut eng))
-        });
-    });
-    g.bench_function("multicast_shared", |b| {
-        let mut eng = fresh_engine();
-        b.iter(|| {
-            eng.multicast(
-                NodeIdx(0),
-                &dests,
-                black_box(payload.clone()),
-                PAYLOAD_BYTES as u32,
-                TrafficClass::Maintenance,
-            );
-            black_box(drain(&mut eng))
-        });
-    });
-    g.finish();
-}
-
-/// Aggregation-vertex cost of absorbing 16 child predictor reports one at a
-/// time, re-encoding the merged result after each arrival: the old
-/// recompute-from-scratch path (clone the local partial, merge every
-/// received report, encode fresh) vs the incremental path (merge only the
-/// new arrival into the running partial, encode through the memoizing
-/// entry point).
-fn bench_predictor_merge(c: &mut Criterion) {
-    const CHILDREN: usize = 16;
-    let mut local = Predictor::new();
-    for i in 1..200u64 {
-        local.add_available(i as f64);
-    }
-    let reports: Vec<Predictor> = (0..CHILDREN as u64)
-        .map(|k| {
-            let mut p = Predictor::new();
-            for i in 1..50u64 {
-                p.add_available((k * 50 + i) as f64);
-                p.add_unavailable(
-                    i as f64,
-                    &ReturnPrediction::point(Duration::from_mins(i * 11 + k)),
-                );
-            }
-            p
-        })
-        .collect();
-
-    let mut g = c.benchmark_group("predictor_merge");
-    g.throughput(Throughput::Elements(CHILDREN as u64));
-    g.bench_function("recompute_per_report", |b| {
-        b.iter(|| {
-            let mut bytes = 0usize;
-            for k in 1..=CHILDREN {
-                let mut m = local.clone();
-                for r in &reports[..k] {
-                    m.merge(black_box(r));
-                }
-                bytes += m.encode().len();
-            }
-            black_box(bytes)
-        });
-    });
-    g.bench_function("incremental", |b| {
-        b.iter(|| {
-            let mut bytes = 0usize;
-            let mut m = local.clone();
-            for r in &reports {
-                m.merge(black_box(r));
-                bytes += m.encoded_bytes().len();
-            }
-            black_box(bytes)
-        });
-    });
-    g.finish();
-}
-
-/// All-pairs router RTTs on the paper-scale CorpNet graph (298 routers):
-/// the binary-heap Dijkstra-from-every-source baseline vs the bucket-queue
-/// run restricted to core/regional sources (branch rows derived from their
-/// uplink). Both produce byte-identical matrices.
-fn bench_topology_build(c: &mut Criterion) {
-    use seaweed_sim::topology::{
-        all_pairs_shortest, all_pairs_shortest_reference, build_router_graph,
-    };
-    let mut rng = StdRng::seed_from_u64(42);
-    let (adj, uplink, _, _) = build_router_graph(298, &mut rng);
-    let mut g = c.benchmark_group("topology_build");
-    g.bench_function("all_pairs_heap_298", |b| {
-        b.iter(|| black_box(all_pairs_shortest_reference(black_box(&adj))));
-    });
-    g.bench_function("all_pairs_bucket_298", |b| {
-        b.iter(|| black_box(all_pairs_shortest(black_box(&adj), black_box(&uplink))));
-    });
-    g.finish();
-}
-
 criterion_group!(
     benches,
     bench_sha1,
@@ -549,8 +409,5 @@ criterion_group!(
     bench_overlay_maintenance,
     bench_engine,
     bench_des_event_throughput,
-    bench_payload_fanout,
-    bench_predictor_merge,
-    bench_topology_build,
 );
 criterion_main!(benches);

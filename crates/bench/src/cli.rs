@@ -10,37 +10,48 @@ use std::collections::HashMap;
 
 use crate::exp::{Experiment, EXPERIMENTS};
 
-/// Every flag some experiment reads, and whether it takes a value. One
-/// list for all of them, because `all` hands its flags to every child.
-const FLAGS: &[(&str, bool)] = &[
-    ("base", true),
-    ("days", true),
-    ("farsite-n", true),
-    ("full", false),
-    ("hours", true),
-    ("jobs", true),
-    ("json", true),
-    ("max-k", true),
-    ("max-n", true),
-    ("million", true),
-    ("mode", true),
-    ("n", true),
-    ("out-dir", true),
-    ("part", true),
-    ("parts", true),
-    ("points", true),
-    ("routers", true),
-    ("seed", true),
-    ("seeds", true),
-    ("weeks", true),
-    ("workers", true),
+/// What follows a flag on the command line.
+#[derive(Clone, Copy, PartialEq, Debug)]
+enum Kind {
+    /// Nothing: the flag's presence is its value.
+    Switch,
+    /// An unsigned integer (a count, a size or a seed).
+    Number,
+    /// Any string (a path or a mode name).
+    Text,
+}
+
+/// Every flag some experiment reads, and what it takes. One list for all
+/// of them, because `all` hands its flags to every child.
+const FLAGS: &[(&str, Kind)] = &[
+    ("base", Kind::Number),
+    ("days", Kind::Number),
+    ("farsite-n", Kind::Number),
+    ("full", Kind::Switch),
+    ("hours", Kind::Number),
+    ("jobs", Kind::Number),
+    ("json", Kind::Text),
+    ("max-k", Kind::Number),
+    ("max-n", Kind::Number),
+    ("million", Kind::Number),
+    ("mode", Kind::Text),
+    ("n", Kind::Number),
+    ("out-dir", Kind::Text),
+    ("part", Kind::Text),
+    ("parts", Kind::Number),
+    ("points", Kind::Number),
+    ("routers", Kind::Number),
+    ("seed", Kind::Number),
+    ("seeds", Kind::Number),
+    ("weeks", Kind::Number),
+    ("workers", Kind::Number),
 ];
 
-fn takes_value(flag: &str) -> Option<bool> {
+fn kind_of(flag: &str) -> Option<Kind> {
     FLAGS
         .iter()
         .find(|(name, _)| *name == flag)
-        .map(|&(_, takes_value)| takes_value)
+        .map(|&(_, kind)| kind)
 }
 
 /// What would have been accepted, for the end of every rejection.
@@ -59,8 +70,9 @@ fn usage() -> String {
 ///
 /// # Errors
 /// A missing or unknown experiment name, an unknown flag, a value flag
-/// without its value, or a stray positional argument; the message ends
-/// with what would have been accepted.
+/// without its value, a number flag whose value is not one, or a stray
+/// positional argument; the message ends with what would have been
+/// accepted.
 pub fn resolve<I: IntoIterator<Item = String>>(
     argv: I,
 ) -> Result<(&'static Experiment, Args), String> {
@@ -92,13 +104,16 @@ impl Args {
             let Some(flag) = arg.strip_prefix("--") else {
                 return Err(format!("stray argument: {arg}\n{}", usage()));
             };
-            match takes_value(flag) {
+            match kind_of(flag) {
                 None => return Err(format!("unknown flag: {arg}\n{}", usage())),
-                Some(false) => args.switches.push(flag.to_owned()),
-                Some(true) => {
+                Some(Kind::Switch) => args.switches.push(flag.to_owned()),
+                Some(kind) => {
                     let value = it
                         .next()
                         .ok_or_else(|| format!("{arg} needs a value\n{}", usage()))?;
+                    if kind == Kind::Number && value.parse::<u64>().is_err() {
+                        return Err(format!("{arg} takes a number, not {value}\n{}", usage()));
+                    }
                     args.values.insert(flag.to_owned(), value);
                 }
             }
@@ -109,16 +124,21 @@ impl Args {
     /// Is a boolean switch present (e.g. `--full`)?
     #[must_use]
     pub fn has(&self, name: &str) -> bool {
-        assert_eq!(takes_value(name), Some(false), "--{name} is not in FLAGS");
+        assert_eq!(kind_of(name), Some(Kind::Switch), "--{name} in FLAGS");
         self.switches.iter().any(|s| s == name)
     }
 
-    /// A typed value with a default.
+    /// A number flag's value as `T`, with a default.
+    ///
+    /// # Panics
+    /// `T` cannot hold the value, which was checked to be an unsigned
+    /// integer when the command line was parsed: the caller asked for a
+    /// narrower type than `FLAGS` promises.
     pub fn get<T: std::str::FromStr>(&self, name: &str, default: T) -> T
     where
         T::Err: std::fmt::Display,
     {
-        match self.raw(name) {
+        match self.raw(name, Kind::Number) {
             None => default,
             Some(raw) => raw.parse().unwrap_or_else(|e| {
                 panic!("bad value for --{name}: {raw} ({e})");
@@ -126,14 +146,14 @@ impl Args {
         }
     }
 
-    /// A string value with a default.
+    /// A text flag's value, with a default.
     #[must_use]
     pub fn get_str(&self, name: &str, default: &str) -> String {
-        self.raw(name).unwrap_or(default).to_owned()
+        self.raw(name, Kind::Text).unwrap_or(default).to_owned()
     }
 
-    fn raw(&self, name: &str) -> Option<&str> {
-        assert_eq!(takes_value(name), Some(true), "--{name} is not in FLAGS");
+    fn raw(&self, name: &str, kind: Kind) -> Option<&str> {
+        assert_eq!(kind_of(name), Some(kind), "--{name} in FLAGS");
         self.values.get(name).map(String::as_str)
     }
 }
@@ -164,10 +184,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "bad value")]
-    fn bad_value_panics() {
-        let (_, a) = resolve_line(&["fig10_churn", "--n", "xyz"]).unwrap();
-        let _: usize = a.get("n", 1);
+    fn non_number_for_a_number_flag_is_rejected() {
+        let err = resolve_line(&["fig10_churn", "--n", "xyz"]).unwrap_err();
+        assert!(err.starts_with("--n takes a number, not xyz"), "{err}");
+        assert!(err.contains("usage:"), "{err}");
+        assert!(resolve_line(&["fig10_churn", "--seed", "-7"]).is_err());
+        // Text flags take anything.
+        let (_, a) = resolve_line(&["fig09_overheads", "--part", "7a"]).unwrap();
+        assert_eq!(a.get_str("part", "all"), "7a");
     }
 
     #[test]

@@ -189,7 +189,6 @@ impl<P: DataProvider> Seaweed<P> {
             slots: Vec::new(),
             local: self.empty_result(h),
             reported: false,
-            cached: None,
             timeout_timer: None,
             hedge_timer: None,
         };
@@ -308,14 +307,13 @@ impl<P: DataProvider> Seaweed<P> {
     }
 
     /// Routing key for *re*-delegating a silent subrange. With hedging
-    /// off it is the midpoint, always (the pre-hedging protocol, bit for
-    /// bit). With hedging on, the midpoint is still used while the
-    /// presumptive owner-side replica is believed up (the first send
-    /// probably got unlucky, not the geometry); when it is down, the
-    /// retry goes to the nearest *live* cover candidate instead of
-    /// another round trip into the outage. The divert is one hop by
-    /// construction: the candidate's own onward delegation is plain
-    /// midpoint routing, which terminates at a live region owner.
+    /// off it is the midpoint, always. With hedging on, the midpoint is
+    /// still used while the presumptive owner-side replica is believed
+    /// up (the first send probably got unlucky, not the geometry); when
+    /// it is down, the retry goes to the nearest *live* cover candidate
+    /// instead of another round trip into the outage. The divert is one
+    /// hop by construction: the candidate's own onward delegation is
+    /// plain midpoint routing, which terminates at a live region owner.
     fn divert_target_key(&self, eng: &SeaweedEngine, n: NodeIdx, r: &IdRange) -> Id {
         let mid = r.midpoint();
         if self.cfg.hedge.is_none() {
@@ -688,7 +686,6 @@ impl<P: DataProvider> Seaweed<P> {
             }
             let waited = now.saturating_since(slot.sent_at);
             slot.done = Some(result);
-            task.cached = None; // memoized merge no longer covers this slot
             self.reply_lat.observe(n.idx(), waited);
         } else if slot.hedge.is_some() {
             // The race loser's duplicate reply landing on an
@@ -778,7 +775,6 @@ impl<P: DataProvider> Seaweed<P> {
             for &(i, _) in &gave_up {
                 task.slots[i].done = Some(empty.clone());
             }
-            task.cached = None;
             for (_, r) in gave_up {
                 self.stats.dissem_give_ups += 1;
                 self.timelines[h as usize].give_ups += 1;
@@ -829,55 +825,44 @@ impl<P: DataProvider> Seaweed<P> {
     /// of given-up ranges when a partition heals.
     pub(crate) fn rearm_task_timers(&mut self, eng: &mut SeaweedEngine, key: TaskKey) {
         let n = NodeIdx(key.0);
-        let hedging = self.cfg.hedge.is_some();
-        if hedging {
-            // Disarm whatever the previous round left pending (a hedge
-            // timer mid-race, other slots' reissue timer across a heal),
-            // so hedged mode keeps exactly one of each per task.
-            let stale: Vec<AppTimer> = self.tasks.get_mut(&key).map_or_else(Vec::new, |t| {
-                t.timeout_timer
-                    .take()
-                    .into_iter()
-                    .chain(t.hedge_timer.take())
-                    .collect()
-            });
-            for t in stale {
-                self.cancel_app_timer(eng, t);
-            }
+        let timeout_action = TimerAction::DissemTimeout { node: n, task: key };
+        if self.cfg.hedge.is_none() {
+            // Fire-and-forget. The re-delegation cascade may already have
+            // completed the task, and then this fires as a no-op:
+            // cancelling such timers cost +9% `run_s` on `query_storm`
+            // when it was tried (ROADMAP 8a).
+            self.set_app_timer(eng, n, self.cfg.dissem_timeout, timeout_action);
+            return;
         }
-        // Armed unconditionally, exactly as before hedging existed: the
-        // re-delegation cascade may have completed the task
-        // synchronously, in which case the baseline lets the timer fire
-        // as a no-op while hedged mode disarms it right away.
-        // lint:allow(D008): non-hedging baseline deliberately lets a completed task's timer fire as a no-op, preserving the pre-hedging event stream bit-for-bit
-        let timeout = self.set_app_timer(
+        // Hedged mode keeps exactly one timer of each kind per task:
+        // disarm whatever the previous round left pending (a hedge timer
+        // mid-race, other slots' reissue timer across a heal).
+        let stale: Vec<AppTimer> = self.tasks.get_mut(&key).map_or_else(Vec::new, |t| {
+            t.timeout_timer
+                .take()
+                .into_iter()
+                .chain(t.hedge_timer.take())
+                .collect()
+        });
+        for t in stale {
+            self.cancel_app_timer(eng, t);
+        }
+        let timeout = self.set_app_timer(eng, n, self.cfg.dissem_timeout, timeout_action);
+        let hedge = self.set_app_timer(
             eng,
             n,
-            self.cfg.dissem_timeout,
-            TimerAction::DissemTimeout { node: n, task: key },
+            self.hedge_delay(n),
+            TimerAction::HedgeTimeout { node: n, task: key },
         );
-        // lint:allow(D008): armed only when hedging, and hedged mode disarms in the match below; the leaked path (hedging false) arms nothing
-        let hedge = hedging.then(|| {
-            let delay = self.hedge_delay(n);
-            self.set_app_timer(
-                eng,
-                n,
-                delay,
-                TimerAction::HedgeTimeout { node: n, task: key },
-            )
-        });
         match self.tasks.get_mut(&key) {
             Some(task) if !task.reported => {
                 task.timeout_timer = Some(timeout);
-                task.hedge_timer = hedge;
+                task.hedge_timer = Some(hedge);
             }
+            // The cascade completed the task synchronously.
             _ => {
-                if hedging {
-                    self.cancel_app_timer(eng, timeout);
-                    if let Some(t) = hedge {
-                        self.cancel_app_timer(eng, t);
-                    }
-                }
+                self.cancel_app_timer(eng, timeout);
+                self.cancel_app_timer(eng, hedge);
             }
         }
     }
@@ -897,30 +882,20 @@ impl<P: DataProvider> Seaweed<P> {
         }
         task.reported = true;
         // Reporting resolves both pending races; hedged mode disarms the
-        // timers instead of letting them fire as no-ops. (Taking the
-        // handles is unconditional bookkeeping; only hedged mode cancels,
-        // keeping the baseline's timer stream untouched.)
+        // timers, hedge-off lets the reissue timer fire as a no-op (see
+        // `rearm_task_timers`).
         let stale: Vec<AppTimer> = task
             .timeout_timer
             .take()
             .into_iter()
             .chain(task.hedge_timer.take())
             .collect();
-        // Merge local + slot results once; retransmissions of a lost
-        // report reuse the memoized value instead of re-merging.
-        let merged = match task.cached.clone() {
-            Some(m) => m,
-            None => {
-                let mut m = task.local.clone();
-                for slot in &task.slots {
-                    if let Some(r) = &slot.done {
-                        m.merge(r);
-                    }
-                }
-                task.cached = Some(m.clone());
-                m
-            }
-        };
+        // Local first, then the slots in slot order: a retransmission
+        // of a lost report re-merges to the same bits.
+        let mut merged = task.local.clone();
+        for r in task.slots.iter().filter_map(|slot| slot.done.as_ref()) {
+            merged.merge(r);
+        }
         let parent = task.parent;
         // Every delegator that converged on this task hears the report;
         // draining means a later retransmission fans out only to whoever

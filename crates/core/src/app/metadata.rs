@@ -34,14 +34,16 @@ impl<P: DataProvider> Seaweed<P> {
         let size = self.meta_push_size(owner);
         let members = self.overlay.replica_set(owner, self.cfg.k_metadata);
         self.stats.meta_pushes += members.len() as u64;
-        self.overlay.multicast_app(
-            eng,
-            owner,
-            &members,
-            SeaweedMsg::MetaPush { owner },
-            size,
-            TrafficClass::Maintenance,
-        );
+        for m in members {
+            self.overlay.send_app(
+                eng,
+                owner,
+                m,
+                SeaweedMsg::MetaPush { owner },
+                size,
+                TrafficClass::Maintenance,
+            );
+        }
     }
 
     /// Arms the next randomized periodic push (mean `push_period`).

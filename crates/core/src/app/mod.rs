@@ -107,11 +107,11 @@ pub enum SeaweedMsg {
         parent: NodeIdx,
     },
     /// Aggregated predictor for `range`, child → parent in the
-    /// dissemination tree. The predictor is boxed: it embeds the
-    /// bucket-edge table (~600 bytes), and an unboxed payload would set
-    /// the size of *every* queued engine event — messages and timers
-    /// alike — to the largest variant, multiplying the event queue's
-    /// working set ~5× under concurrent query load.
+    /// dissemination tree. The predictor is boxed: it is 416 bytes, and
+    /// an unboxed payload would set the size of *every* queued engine
+    /// event — messages and timers alike — to the largest variant,
+    /// multiplying the event queue's working set under concurrent query
+    /// load.
     PredictorReport {
         query: QueryHandle,
         range: IdRange,
@@ -188,10 +188,13 @@ impl SeaweedMsg {
 
 // Every queued engine event — message or timer — is sized by the largest
 // `SeaweedMsg` variant, and a query storm keeps hundreds of thousands of
-// them in flight. Keep fat payloads (the predictor and its inline bucket
-// table) behind a `Box` so the queue's working set stays lean; this
-// tripped at 656 bytes once and cost ~5× the event-queue memory.
+// them in flight. Keep fat payloads (the predictor's fifty buckets)
+// behind a `Box` so the queue's working set stays lean; this tripped at
+// 656 bytes once and cost ~5× the event-queue memory.
 const _: () = assert!(std::mem::size_of::<SeaweedMsg>() <= 128);
+// What the `Box` holds is the whole predictor — fifty buckets inline,
+// nothing behind a second pointer — so a report is one allocation.
+const _: () = assert!(std::mem::size_of::<Predictor>() == 416);
 
 /// Seaweed configuration; defaults are the paper's (§4.3.1).
 #[derive(Clone, Debug)]
@@ -223,8 +226,7 @@ pub struct SeaweedConfig {
     /// backup cover candidate instead of waiting out the full reissue
     /// timeout; divert a reissue whose owner-side replica is down to the
     /// nearest live candidate; and re-kick a query whose root went
-    /// silent. `None` (the default) disables all three and preserves the
-    /// pre-hedging message and timer stream bit-for-bit.
+    /// silent. `None` (the default) disables all three.
     pub hedge: Option<HedgeConfig>,
     /// Concurrent multi-query (storm) mode: admission control at the
     /// injection point, slot recycling behind handle generations, and
@@ -558,11 +560,6 @@ pub(crate) struct DissemTask {
     /// Locally accumulated result (own contribution + dead ranges).
     pub local: RangeResult,
     pub reported: bool,
-    /// Memoized `local ⊕ slots` merge from the last report, reused
-    /// verbatim when a lost report is retransmitted. Invalidated whenever
-    /// a slot's `done` result changes (fill, give-up, heal re-open) so it
-    /// can never drift from the canonical local-then-slot-order merge.
-    pub cached: Option<RangeResult>,
     /// The armed reissue timer, kept so hedged mode can disarm it when
     /// the task reports. `None` once fired, cancelled or never armed.
     pub timeout_timer: Option<AppTimer>,
@@ -592,13 +589,18 @@ pub(crate) struct VertexState {
     pub holders: Vec<NodeIdx>,
     /// Version of the last aggregate propagated upward.
     pub out_version: u64,
-    /// Memoized merge of `children` in ascending key order. Kept exactly
-    /// in sync by the submit path: a report appending a child *after* the
-    /// current maximum key extends the fold in place (bit-identical to a
-    /// full recompute, since f64 merge order is unchanged); any other
-    /// mutation — mid-map insert or in-place replacement — clears it, and
-    /// the next propagation recomputes from scratch.
-    pub cached: Option<Aggregate>,
+}
+
+impl VertexState {
+    /// The children folded into `empty` in ascending key order — the one
+    /// order, because f64 merges do not commute bit-for-bit.
+    pub(crate) fn merged(&self, empty: Aggregate) -> Aggregate {
+        let mut m = empty;
+        for (_, a) in self.children.values() {
+            m.merge(a);
+        }
+        m
+    }
 }
 
 /// A pending (unacked) upward submission from a vertex or leaf, keyed by
@@ -1402,8 +1404,8 @@ impl<P: DataProvider> Seaweed<P> {
     /// Disarms an application timer: the engine timer is cancelled and
     /// the deferred action dropped. Idempotent — a timer that already
     /// fired or was auto-cancelled by node-down is a no-op. Only hedged
-    /// mode calls this (the baseline lets no-op timers fire so its event
-    /// stream is untouched).
+    /// mode calls this; hedge-off lets a finished task's timers fire as
+    /// no-ops, which is cheaper (see `rearm_task_timers`).
     pub(crate) fn cancel_app_timer(&mut self, eng: &mut SeaweedEngine, t: AppTimer) {
         self.timers.remove(&t.seq);
         let _ = eng.cancel_timer(t.handle);
@@ -1478,8 +1480,8 @@ impl<P: DataProvider> Seaweed<P> {
         }
         // Hedged mode disarms every timer still tied to the query's
         // tasks before dropping them (invariant: no armed dissemination
-        // timer may reference a dead query). The baseline lets them fire
-        // as no-ops, as it always did.
+        // timer may reference a dead query). Hedge-off lets them fire
+        // as no-ops.
         if self.cfg.hedge.is_some() {
             let keys: Vec<TaskKey> = self.tasks.keys().filter(|k| k.1 == query).collect();
             let mut stale: Vec<AppTimer> = Vec::new();
@@ -1623,13 +1625,7 @@ impl<P: DataProvider> Seaweed<P> {
                 self.stats.internal_drops += 1;
                 continue;
             };
-            let merged = state.cached.unwrap_or_else(|| {
-                let mut m = Aggregate::empty(self.queries[h as usize].bound.agg);
-                for (_, a) in state.children.values() {
-                    m.merge(a);
-                }
-                m
-            });
+            let merged = state.merged(Aggregate::empty(self.queries[h as usize].bound.agg));
             let version = state.out_version;
             let origin = self.queries[h as usize].origin;
             if origin == primary {
@@ -1696,8 +1692,6 @@ impl<P: DataProvider> Seaweed<P> {
                                 slot.sent_at = eng.now();
                                 slot.hedge = None;
                                 task.reported = false;
-                                // Slot re-opened: memoized merge is stale.
-                                task.cached = None;
                                 if !rearm.contains(&key) {
                                     rearm.push(key);
                                 }

@@ -356,30 +356,14 @@ impl<P: DataProvider> Seaweed<P> {
             self.stats.internal_drops += 1;
             return OverlayEvents::new();
         };
-        // Keep the memoized children-merge exact: appending a child past
-        // the current maximum key extends the fold in place (same f64
-        // operation order as a recompute); replacing a child or inserting
-        // mid-map invalidates it; a stale duplicate leaves both the map
-        // and the cache untouched.
-        let appends_at_max = state
-            .children
-            .last_key_value()
-            .is_none_or(|(&max, _)| child > max);
+        // A stale duplicate (older version of a known child) is dropped.
         match state.children.entry(child) {
             std::collections::btree_map::Entry::Vacant(e) => {
                 e.insert((version, agg));
-                if appends_at_max {
-                    if let Some(c) = &mut state.cached {
-                        c.merge(&agg);
-                    }
-                } else {
-                    state.cached = None;
-                }
             }
             std::collections::btree_map::Entry::Occupied(mut e) => {
                 if version >= e.get().0 {
                     e.insert((version, agg));
-                    state.cached = None;
                 }
             }
         }
@@ -443,20 +427,7 @@ impl<P: DataProvider> Seaweed<P> {
             self.stats.internal_drops += 1;
             return;
         };
-        // Reuse the memoized children-merge when the submit path kept it
-        // current (the common case: one new child appended); recompute in
-        // canonical ascending-key order otherwise.
-        let merged = match state.cached {
-            Some(m) => m,
-            None => {
-                let mut m = empty;
-                for (_, a) in state.children.values() {
-                    m.merge(a);
-                }
-                state.cached = Some(m);
-                m
-            }
-        };
+        let merged = state.merged(empty);
         state.out_version += 1;
         let version = state.out_version;
 

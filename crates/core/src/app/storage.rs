@@ -366,7 +366,6 @@ mod tests {
         let fresh = vs.get(&(1, Id(200))).unwrap();
         assert!(fresh.children.is_empty());
         assert_eq!(fresh.out_version, 0);
-        assert!(fresh.cached.is_none());
         assert_eq!(vs.keys().collect::<Vec<_>>(), vec![(1, Id(200))]);
 
         // remove() wipes too.
@@ -471,7 +470,6 @@ mod tests {
             slots: Vec::new(),
             local: RangeResult::View(Aggregate::empty(AggFunc::Count), marker),
             reported: false,
-            cached: None,
             timeout_timer: None,
             hedge_timer: None,
         }

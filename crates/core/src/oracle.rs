@@ -427,7 +427,6 @@ mod tests {
                     children,
                     holders: Vec::new(),
                     out_version: 0,
-                    cached: None,
                 },
             );
         }

@@ -7,93 +7,40 @@
 //! Predictors are aggregated element-wise up the dissemination tree, so
 //! their size is constant regardless of how many endsystems contributed.
 
-use std::sync::Arc;
+use std::sync::LazyLock;
 
 use seaweed_availability::ReturnPrediction;
 use seaweed_types::{Duration, LogBuckets};
 
+/// Delay buckets in a predictor: [`LogBuckets::standard`]'s count.
+const BUCKETS: usize = 50;
+
+/// The one bucketing scheme every predictor uses, which is what lets any
+/// two of them merge.
+static STANDARD: LazyLock<LogBuckets> = LazyLock::new(|| {
+    let buckets = LogBuckets::standard();
+    assert_eq!(buckets.len(), BUCKETS, "standard scheme changed size");
+    buckets
+});
+
 /// A (partial) completeness predictor.
-#[derive(Clone)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct Predictor {
-    /// Bucketing scheme, shared: a `LogBuckets` is 536 bytes and every
-    /// predictor in a simulated network uses the same standard scheme, so
-    /// instances interned through [`Predictor::new`] all point at one
-    /// per-thread allocation instead of embedding a copy each. `Arc`'s
-    /// `Debug`/`PartialEq` delegate to the inner value, so event-log
-    /// fingerprints and equality are unchanged.
-    buckets: Arc<LogBuckets>,
     /// Rows available immediately (delay "zero").
     now_rows: f64,
     /// Expected rows becoming available in each delay bucket.
-    later: Vec<f64>,
+    later: [f64; BUCKETS],
     /// Number of endsystems folded in (for diagnostics).
     endsystems: u64,
-    /// Memoized wire encoding, cleared by every mutation. Excluded from
-    /// `Debug`/`PartialEq` so observable behaviour (event-log
-    /// fingerprints, equality) is independent of encoding history.
-    encoded: std::cell::OnceCell<Vec<u8>>,
-}
-
-/// Matches the historical derived output field-for-field (the cache is
-/// omitted): predictors appear inside Debug-formatted event logs whose
-/// fingerprints must stay byte-identical.
-impl std::fmt::Debug for Predictor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Predictor")
-            .field("buckets", &self.buckets)
-            .field("now_rows", &self.now_rows)
-            .field("later", &self.later)
-            .field("endsystems", &self.endsystems)
-            .finish()
-    }
-}
-
-/// Semantic equality: the encoding cache is ignored.
-impl PartialEq for Predictor {
-    fn eq(&self, other: &Self) -> bool {
-        self.buckets == other.buckets
-            && self.now_rows == other.now_rows
-            && self.later == other.later
-            && self.endsystems == other.endsystems
-    }
-}
-
-thread_local! {
-    /// The one shared copy of the standard bucketing scheme (per thread:
-    /// predictors are single-threaded simulation state).
-    static STANDARD_BUCKETS: Arc<LogBuckets> = Arc::new(LogBuckets::standard());
-}
-
-/// Returns `buckets` deduplicated against the shared standard scheme.
-fn intern(buckets: LogBuckets) -> Arc<LogBuckets> {
-    STANDARD_BUCKETS.with(|std_rc| {
-        if **std_rc == buckets {
-            Arc::clone(std_rc)
-        } else {
-            Arc::new(buckets)
-        }
-    })
 }
 
 impl Predictor {
     #[must_use]
     pub fn new() -> Self {
-        Self::from_rc(STANDARD_BUCKETS.with(Arc::clone))
-    }
-
-    #[must_use]
-    pub fn with_buckets(buckets: LogBuckets) -> Self {
-        Self::from_rc(intern(buckets))
-    }
-
-    fn from_rc(buckets: Arc<LogBuckets>) -> Self {
-        let later = vec![0.0; buckets.len()];
         Predictor {
-            buckets,
             now_rows: 0.0,
-            later,
+            later: [0.0; BUCKETS],
             endsystems: 0,
-            encoded: std::cell::OnceCell::new(),
         }
     }
 
@@ -102,7 +49,6 @@ impl Predictor {
     pub fn add_available(&mut self, rows: f64) {
         self.now_rows += rows.max(0.0);
         self.endsystems += 1;
-        self.encoded.take();
     }
 
     /// Folds in an endsystem that is available but whose scan is queued
@@ -114,45 +60,41 @@ impl Predictor {
             self.add_available(rows);
             return;
         }
-        let i = self.buckets.index(delay);
-        self.later[i] += rows.max(0.0);
+        self.later[STANDARD.index(delay)] += rows.max(0.0);
         self.endsystems += 1;
-        self.encoded.take();
     }
 
     /// Folds in an unavailable endsystem expected to return according to
     /// `pred`, holding `rows` relevant rows.
     pub fn add_unavailable(&mut self, rows: f64, pred: &ReturnPrediction) {
         let rows = rows.max(0.0);
+        let buckets = &*STANDARD;
         for &(delay, weight) in &pred.mass {
-            let i = self.buckets.index(delay);
-            self.later[i] += rows * weight;
+            self.later[buckets.index(delay)] += rows * weight;
         }
         self.endsystems += 1;
-        self.encoded.take();
     }
 
-    /// Merges another predictor (element-wise; both must share bucketing).
+    /// Merges another predictor, element-wise.
     pub fn merge(&mut self, other: &Predictor) {
-        assert_eq!(self.buckets, other.buckets, "bucket scheme mismatch");
         self.now_rows += other.now_rows;
         for (a, b) in self.later.iter_mut().zip(&other.later) {
             *a += b;
         }
         self.endsystems += other.endsystems;
-        self.encoded.take();
     }
 
     /// Expected rows queryable within `delay` of the prediction instant
     /// (the cumulative curve the user sees, Figure 2).
     #[must_use]
     pub fn expected_rows_within(&self, delay: Duration) -> f64 {
-        let cut = self.buckets.index(delay);
+        let buckets = &*STANDARD;
+        let cut = buckets.index(delay);
         let mut total = self.now_rows;
         for (i, &rows) in self.later.iter().enumerate() {
             // A bucket's rows count as arrived once the delay passes its
             // representative (geometric-midpoint) delay.
-            if i < cut || (i == cut && self.buckets.midpoint(i) <= delay) {
+            if i < cut || (i == cut && buckets.midpoint(i) <= delay) {
                 total += rows;
             }
         }
@@ -198,7 +140,7 @@ impl Predictor {
         for (i, &rows) in self.later.iter().enumerate() {
             acc += rows;
             if acc >= want {
-                return Some(self.buckets.midpoint(i));
+                return Some(STANDARD.midpoint(i));
             }
         }
         None
@@ -208,12 +150,13 @@ impl Predictor {
     /// bucket edge — for plotting (Figure 2, Figures 5–8 left panels).
     #[must_use]
     pub fn curve(&self) -> Vec<(Duration, f64)> {
-        let mut out = Vec::with_capacity(self.later.len() + 1);
+        let buckets = &*STANDARD;
+        let mut out = Vec::with_capacity(BUCKETS + 1);
         let mut acc = self.now_rows;
         out.push((Duration::ZERO, acc));
         for (i, &rows) in self.later.iter().enumerate() {
             acc += rows;
-            out.push((self.buckets.midpoint(i), acc));
+            out.push((buckets.midpoint(i), acc));
         }
         out
     }
@@ -223,14 +166,13 @@ impl Predictor {
         self.endsystems
     }
 
-    /// Serialized size: bucket vector as f32s plus a 16-byte header. With
-    /// the standard 50-bucket scheme this is 220 bytes; the paper reports
-    /// 776 bytes per endsystem for predictor aggregation including
-    /// framing and retransmissions. Exactly [`Predictor::encode`]'s
-    /// output length.
+    /// Serialized size: bucket vector as f32s plus a 16-byte header —
+    /// 220 bytes; the paper reports 776 bytes per endsystem for predictor
+    /// aggregation including framing and retransmissions. Exactly
+    /// [`Predictor::encode`]'s output length.
     #[must_use]
     pub fn wire_size(&self) -> u32 {
-        16 + 4 * (self.later.len() as u32 + 1)
+        16 + 4 * (BUCKETS as u32 + 1)
     }
 
     /// Serializes the predictor to its wire format:
@@ -239,56 +181,40 @@ impl Predictor {
     /// an estimate; 24 bits of mantissa dwarf its accuracy.
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        self.encoded_bytes().to_vec()
-    }
-
-    /// The wire encoding, memoized: the byte buffer is built on first
-    /// access and reused until the next mutation. Repeated encodes of an
-    /// unchanged predictor (per-completion reports, retransmissions) cost
-    /// a slice borrow instead of a fresh serialization.
-    #[must_use]
-    pub fn encoded_bytes(&self) -> &[u8] {
-        self.encoded.get_or_init(|| {
-            let mut out = Vec::with_capacity(self.wire_size() as usize);
-            out.extend_from_slice(&MAGIC.to_le_bytes());
-            out.extend_from_slice(&(self.later.len() as u32).to_le_bytes());
-            out.extend_from_slice(&self.endsystems.to_le_bytes());
-            out.extend_from_slice(&(self.now_rows as f32).to_le_bytes());
-            for &v in &self.later {
-                out.extend_from_slice(&(v as f32).to_le_bytes());
-            }
-            debug_assert_eq!(out.len(), self.wire_size() as usize);
-            out
-        })
-    }
-
-    /// Decodes a predictor previously produced by [`Predictor::encode`]
-    /// with the same bucketing scheme. Returns `None` on malformed input.
-    #[must_use]
-    pub fn decode(bytes: &[u8], buckets: LogBuckets) -> Option<Self> {
-        let mut r = Reader(bytes);
-        if r.u32()? != MAGIC {
-            return None;
+        let mut out = Vec::with_capacity(self.wire_size() as usize);
+        out.extend_from_slice(&MAGIC.to_le_bytes());
+        out.extend_from_slice(&(BUCKETS as u32).to_le_bytes());
+        out.extend_from_slice(&self.endsystems.to_le_bytes());
+        out.extend_from_slice(&(self.now_rows as f32).to_le_bytes());
+        for &v in &self.later {
+            out.extend_from_slice(&(v as f32).to_le_bytes());
         }
-        let n = r.u32()? as usize;
-        if n != buckets.len() {
+        debug_assert_eq!(out.len(), self.wire_size() as usize);
+        out
+    }
+
+    /// Decodes a predictor previously produced by [`Predictor::encode`].
+    /// Returns `None` on malformed input, which includes a well-formed
+    /// encoding over any bucket count but the standard one.
+    #[must_use]
+    pub fn decode(bytes: &[u8]) -> Option<Self> {
+        let mut r = Reader(bytes);
+        if r.u32()? != MAGIC || r.u32()? as usize != BUCKETS {
             return None;
         }
         let endsystems = r.u64()?;
         let now_rows = f64::from(r.f32()?);
-        let mut later = Vec::with_capacity(n);
-        for _ in 0..n {
-            later.push(f64::from(r.f32()?));
+        let mut later = [0.0; BUCKETS];
+        for v in &mut later {
+            *v = f64::from(r.f32()?);
         }
         if !r.0.is_empty() {
             return None;
         }
         Some(Predictor {
-            buckets: intern(buckets),
             now_rows,
             later,
             endsystems,
-            encoded: std::cell::OnceCell::new(),
         })
     }
 }
@@ -452,7 +378,7 @@ mod tests {
         }
         let bytes = p.encode();
         assert_eq!(bytes.len(), p.wire_size() as usize);
-        let q = Predictor::decode(&bytes, LogBuckets::standard()).expect("decodes");
+        let q = Predictor::decode(&bytes).expect("decodes");
         assert_eq!(q.endsystems(), p.endsystems());
         let rel = (q.total_rows() - p.total_rows()).abs() / p.total_rows();
         assert!(rel < 1e-6, "f32 round-trip error {rel}");
@@ -467,48 +393,35 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(Predictor::decode(&[], LogBuckets::standard()).is_none());
-        assert!(Predictor::decode(&[0u8; 220], LogBuckets::standard()).is_none());
+        assert!(Predictor::decode(&[]).is_none());
+        assert!(Predictor::decode(&[0u8; 220]).is_none());
         let good = Predictor::new().encode();
         // Truncated.
-        assert!(Predictor::decode(&good[..good.len() - 1], LogBuckets::standard()).is_none());
+        assert!(Predictor::decode(&good[..good.len() - 1]).is_none());
         // Trailing junk.
         let mut long = good.clone();
         long.push(0);
-        assert!(Predictor::decode(&long, LogBuckets::standard()).is_none());
-        // Wrong bucket scheme.
-        let other = LogBuckets::new(Duration::SECOND, Duration::from_hours(1), 4);
-        assert!(Predictor::decode(&good, other).is_none());
+        assert!(Predictor::decode(&long).is_none());
+        // Wrong bucket scheme: well-formed, but over 6 buckets. Every
+        // predictor is standard-bucketed, so this is `None`, not a
+        // predictor that cannot merge.
+        let mut other = good[..16 + 4 * 7].to_vec();
+        other[4..8].copy_from_slice(&6u32.to_le_bytes());
+        assert!(Predictor::decode(&other).is_none());
     }
 
     #[test]
-    fn mutate_after_encode_invalidates_memoized_bytes() {
-        // Every mutator must clear the memoized wire encoding; a stale
-        // cell would silently replay the pre-mutation bytes on the next
-        // report retransmission.
+    fn an_encoding_reflects_the_state_it_was_taken_from() {
         let mut p = Predictor::new();
         p.add_available(10.0);
         let first = p.encode();
-
-        p.add_available(5.0);
-        let after_add = p.encode();
-        assert_ne!(first, after_add, "add_available must re-encode");
-
         p.add_unavailable(3.0, &point(Duration::from_hours(1)));
-        let after_unavail = p.encode();
-        assert_ne!(after_add, after_unavail, "add_unavailable must re-encode");
+        let second = p.encode();
+        assert_ne!(first, second);
 
-        let mut other = Predictor::new();
-        other.add_available(2.0);
-        let _ = other.encode();
-        other.merge(&p);
-        let after_merge = other.encode();
-        assert_ne!(first, after_merge, "merge must re-encode");
-
-        // Each snapshot decodes back to the state at encode time.
-        let decoded = Predictor::decode(&after_unavail, LogBuckets::standard()).expect("decodes");
-        assert_eq!(decoded.endsystems(), p.endsystems());
-        assert!((decoded.total_rows() - p.total_rows()).abs() < 1e-3);
+        let early = Predictor::decode(&first).expect("decodes");
+        assert_eq!((early.endsystems(), early.total_rows()), (1, 10.0));
+        assert_eq!(Predictor::decode(&second).expect("decodes"), p);
     }
 
     #[test]

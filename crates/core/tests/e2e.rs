@@ -5,7 +5,7 @@ use seaweed_core::{
     boot_staggered, build_world, flag_fixture, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine,
 };
 use seaweed_overlay::OverlayConfig;
-use seaweed_sim::{NodeIdx, SimConfig, UniformTopology};
+use seaweed_sim::{payload_fallback_clones, NodeIdx, SimConfig, UniformTopology};
 use seaweed_store::{Schema, Value};
 use seaweed_types::{Duration, Time};
 
@@ -54,6 +54,7 @@ const QUERY_SUM: &str = "SELECT SUM(v) FROM T WHERE flag = 1";
 #[test]
 fn query_over_fully_available_network() {
     let n = 30;
+    let clones_before = payload_fallback_clones();
     let (mut eng, mut sw, schema) = world(n, 1);
     settle(&mut eng, &mut sw);
     assert_eq!(sw.overlay.num_joined(), n);
@@ -84,6 +85,11 @@ fn query_over_fully_available_network() {
     assert_eq!(q.rows(), n as u64);
     let expected_sum: f64 = (1..=n as i64).map(|v| v as f64).sum();
     assert_eq!(q.latest.unwrap().finish(), Some(expected_sum));
+    // Joins, a metadata push from every endsystem to its replica set and
+    // a query, with no fault plan to duplicate anything: no message was
+    // sent shared only to be cloned on delivery.
+    assert!(sw.stats.meta_pushes >= (n * 8) as u64);
+    assert_eq!(payload_fallback_clones(), clones_before);
 }
 
 #[test]

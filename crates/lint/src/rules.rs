@@ -532,13 +532,13 @@ fn d005_partial_cmp_sorts(ctx: &FileCtx, out: &mut Vec<Finding>) {
 /// protocol handler use this name for the in-flight message body).
 const PAYLOAD_IDENTS: &[&str] = &["payload"];
 
-/// Flags `.clone()` whose direct receiver is a message payload. Since the
-/// shared-payload envelope landed, fan-out goes through
-/// `Engine::multicast`/`send_shared` and the engine's fault-duplication
-/// path shares the `Rc` instead of cloning — a fresh `payload.clone()`
-/// reintroduces a per-destination copy of the full message body. Like
-/// D001, resolution is by name within the file; rename the local or add
-/// an inline `// lint:allow(D007): ...` marker for a justified copy.
+/// Flags `.clone()` whose direct receiver is a message payload. A
+/// fan-out of one large body goes through `Engine::multicast`, and the
+/// engine's fault-duplication path shares the `Rc` instead of cloning —
+/// a fresh `payload.clone()` is a per-destination copy of the full
+/// message body. Like D001, resolution is by name within the file;
+/// rename the local or add an inline `// lint:allow(D007): ...` marker
+/// for a justified copy.
 fn d007_payload_clone(ctx: &FileCtx, out: &mut Vec<Finding>) {
     let tokens = ctx.tokens;
     for (i, t) in tokens.iter().enumerate() {
@@ -556,7 +556,7 @@ fn d007_payload_clone(ctx: &FileCtx, out: &mut Vec<Finding>) {
                         t.line,
                         format!(
                             "`{recv}.clone()` copies a full message payload per destination; \
-                             share one allocation via `Engine::multicast`/`send_shared` \
+                             share one allocation via `Engine::multicast` \
                              (`Payload` envelope) instead"
                         ),
                     ));

@@ -1476,29 +1476,6 @@ impl Overlay {
         );
     }
 
-    /// Sends one direct application message to every destination in
-    /// `dests`, sharing a single payload allocation across all of them
-    /// (see [`seaweed_sim::Engine::multicast`]). Byte-identical event
-    /// order and accounting to calling [`Overlay::send_app`] once per
-    /// destination.
-    pub fn multicast_app<A: Clone>(
-        &mut self,
-        eng: &mut OverlayEngine<A>,
-        from: NodeIdx,
-        dests: &[NodeIdx],
-        payload: A,
-        size: u32,
-        class: TrafficClass,
-    ) {
-        eng.multicast(
-            from,
-            dests,
-            OverlayMsg::App(payload),
-            wire::HEADER + size,
-            class,
-        );
-    }
-
     #[allow(clippy::too_many_arguments)]
     fn forward_or_deliver<A: Clone>(
         &mut self,

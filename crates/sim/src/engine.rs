@@ -62,17 +62,14 @@ impl NodeIdx {
 }
 
 /// A message payload travelling through the engine: either owned by the
-/// single in-flight copy, or shared (`Rc`-backed) between several — the
-/// fan-out and fault-duplication paths hand every queued copy the same
-/// allocation instead of deep-cloning per destination. The DES is
+/// single in-flight copy, or shared (`Rc`-backed) between several —
+/// [`Engine::multicast`] and fault duplication hand every queued copy the
+/// same allocation instead of deep-cloning per destination. The DES is
 /// single-threaded (lint rule D004), so `Rc` suffices.
 ///
-/// The envelope is transparent: it `Deref`s to the payload for reads and
-/// its `Debug` output is exactly the inner payload's, so event-log
-/// fingerprints are byte-identical to the historical by-value
-/// representation. Consumers that need ownership call
-/// [`Payload::into_owned`], which only clones when other in-flight
-/// copies still share the allocation.
+/// The envelope `Deref`s to the payload for reads and prints as it.
+/// Consumers that need ownership call [`Payload::into_owned`], which
+/// only clones when other in-flight copies still share the allocation.
 pub enum Payload<M> {
     /// The only copy; moving it out is free.
     Owned(M),
@@ -178,8 +175,7 @@ impl<M> std::ops::Deref for Payload<M> {
     }
 }
 
-/// Transparent: prints exactly as the inner payload would, so Debug-based
-/// event-log fingerprints cannot tell owned from shared.
+/// Prints exactly as the inner payload would.
 impl<M: std::fmt::Debug> std::fmt::Debug for Payload<M> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         (**self).fmt(f)
@@ -928,20 +924,6 @@ impl<M> Engine<M> {
     /// sequence — is identical to the fault-free engine.
     pub fn send(&mut self, from: NodeIdx, to: NodeIdx, payload: M, size: u32, class: TrafficClass) {
         self.send_envelope(from, to, Payload::Owned(payload), size, class);
-    }
-
-    /// Sends one destination a payload that is (or may become) shared
-    /// with other in-flight messages. Identical semantics and accounting
-    /// to [`Engine::send`] — only the payload's ownership differs.
-    pub fn send_shared(
-        &mut self,
-        from: NodeIdx,
-        to: NodeIdx,
-        payload: Rc<M>,
-        size: u32,
-        class: TrafficClass,
-    ) {
-        self.send_envelope(from, to, Payload::Shared(payload), size, class);
     }
 
     /// Fans one payload out to every destination in `dests` (in slice

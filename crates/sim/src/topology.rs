@@ -8,9 +8,9 @@
 //! size and flavour (DESIGN.md "Substitutions"): a full-mesh-ish
 //! backbone of core routers spanning continents, regional aggregation
 //! routers, and branch routers, with RTTs drawn from ranges typical of each
-//! tier. All-pairs router RTTs are precomputed with a bucket-queue (Dial)
-//! Dijkstra run only from core/regional routers — branch rows follow from
-//! their single uplink — so latency lookup during simulation is O(1).
+//! tier. All-pairs router RTTs are precomputed (Dijkstra from every
+//! router, a few milliseconds at 298), so latency lookup during
+//! simulation is O(1).
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -231,10 +231,7 @@ impl CorpNetTopology {
         let mut rng = StdRng::seed_from_u64(seed ^ TOPOLOGY_STREAM);
         let (adj, uplink, n_core, n_regional) = build_router_graph(num_routers, &mut rng);
 
-        // All-pairs shortest-path RTT: bucket-queue Dijkstra from the
-        // core/regional routers only; branch rows are derived from their
-        // single uplink.
-        let rtt = all_pairs_shortest(&adj, &uplink);
+        let rtt = all_pairs_shortest(&adj);
         let one_way_us = rtt.iter().map(|&r| r / 2).collect();
 
         let attach = (0..num_endsystems)
@@ -317,8 +314,7 @@ const TOPOLOGY_STREAM: u64 = 0x5eae_edc0_99e7;
 /// Router graph as drawn by [`build_router_graph`]: adjacency list of
 /// `(peer, rtt_us)` per router, branch-uplink vector (`u32::MAX` for
 /// core/regional routers), and the core/regional tier sizes.
-#[doc(hidden)]
-pub type RouterGraph = (Vec<Vec<(u32, u32)>>, Vec<u32>, usize, usize);
+type RouterGraph = (Vec<Vec<(u32, u32)>>, Vec<u32>, usize, usize);
 
 /// Draws the three-tier router graph. Returns the adjacency list of
 /// `(peer, rtt_us)` per router, the branch-uplink vector (`u32::MAX` for
@@ -327,12 +323,7 @@ pub type RouterGraph = (Vec<Vec<(u32, u32)>>, Vec<u32>, usize, usize);
 /// The RNG draw order here is load-bearing: it is part of the
 /// experiment-seed contract, so links must keep being drawn in exactly
 /// this sequence.
-///
-/// Public but hidden: exposed (together with both all-pairs
-/// implementations) so `seaweed-bench` can compare the bucket-queue fast
-/// path against the binary-heap reference on the real graph shape.
-#[doc(hidden)]
-pub fn build_router_graph(num_routers: usize, rng: &mut StdRng) -> RouterGraph {
+fn build_router_graph(num_routers: usize, rng: &mut StdRng) -> RouterGraph {
     let n_core = (num_routers / 20).max(3);
     let n_regional = (num_routers / 4).max(n_core);
 
@@ -477,103 +468,10 @@ impl Topology for CorpNetTopology {
 /// construction).
 const UNREACHABLE_US: u32 = u32::MAX / 4;
 
-/// All-pairs shortest paths over the router graph; returns the flattened
-/// RTT matrix in microseconds. Unreachable pairs get [`UNREACHABLE_US`].
-///
-/// Two structural optimizations over textbook repeated binary-heap
-/// Dijkstra, both exact (the matrix is byte-identical to the reference
-/// implementation, see `bucket_dijkstra_matches_binary_heap`):
-///
-/// * **Dial's bucket queue.** Edge weights span a narrow range (0.5–120 ms
-///   in microseconds), so a circular array of buckets of width
-///   `min edge weight` replaces the heap. Any relaxation adds at least one
-///   bucket width, so the current bucket never receives new entries and
-///   pop order within it is irrelevant; pushes and pops are O(1) instead
-///   of O(log n).
-/// * **Hierarchical source reduction.** Branch routers are single-homed
-///   leaves (`uplink[b] != u32::MAX`, degree 1), so every path from a
-///   branch goes through its uplink: `dist(b, j) = w_uplink +
-///   dist(uplink, j)` for `j != b`. SSSP therefore runs only from
-///   core/regional routers (~30% of CorpNet) and branch rows are filled
-///   by one vector addition each.
-#[doc(hidden)]
-pub fn all_pairs_shortest(adj: &[Vec<(u32, u32)>], uplink: &[u32]) -> Vec<u32> {
-    let n = adj.len();
-    let mut out = vec![UNREACHABLE_US; n * n];
-    let weights = adj.iter().flatten().map(|&(_, w)| w);
-    let width = weights.clone().min().unwrap_or(1).max(1);
-    let max_w = weights.max().unwrap_or(1);
-    // Tentative distances live within `max_w` of the current bucket, so
-    // `max_w / width + 2` circular buckets can never alias.
-    let nb = (max_w / width + 2) as usize;
-    let mut buckets: Vec<Vec<(u32, u32)>> = vec![Vec::new(); nb];
-    let mut dist = vec![u32::MAX; n];
-
-    for src in 0..n {
-        if uplink[src] != u32::MAX {
-            continue; // branch row: derived from its uplink below
-        }
-        dist.iter_mut().for_each(|d| *d = u32::MAX);
-        dist[src] = 0;
-        buckets.iter_mut().for_each(Vec::clear);
-        buckets[0].push((0, src as u32));
-        let mut queued = 1usize;
-        let mut tick = 0u64;
-        while queued > 0 {
-            let bi = (tick % nb as u64) as usize;
-            while let Some((d, u)) = buckets[bi].pop() {
-                queued -= 1;
-                if d > dist[u as usize] {
-                    continue; // stale entry; lazy deletion
-                }
-                for &(v, w) in &adj[u as usize] {
-                    let nd = d.saturating_add(w);
-                    if nd < dist[v as usize] {
-                        dist[v as usize] = nd;
-                        buckets[(u64::from(nd / width) % nb as u64) as usize].push((nd, v));
-                        queued += 1;
-                    }
-                }
-            }
-            tick += 1;
-        }
-        for (j, &d) in dist.iter().enumerate() {
-            out[src * n + j] = if d == u32::MAX { UNREACHABLE_US } else { d };
-        }
-    }
-
-    // Branch rows: prepend the uplink edge to the uplink's row.
-    for b in 0..n {
-        let up = uplink[b];
-        if up == u32::MAX {
-            continue;
-        }
-        debug_assert_eq!(adj[b].len(), 1, "branch router {b} must be single-homed");
-        let w = adj[b]
-            .iter()
-            .find(|&&(v, _)| v == up)
-            .map(|&(_, w)| w)
-            .expect("branch router is linked to its uplink");
-        for j in 0..n {
-            out[b * n + j] = if j == b {
-                0
-            } else {
-                match out[up as usize * n + j] {
-                    UNREACHABLE_US => UNREACHABLE_US,
-                    d => w + d,
-                }
-            };
-        }
-    }
-    out
-}
-
-/// Textbook repeated binary-heap Dijkstra from every source — the
-/// implementation the bucket-queue version replaced, kept as the
-/// equivalence oracle for tests and as the benchmark baseline.
-#[doc(hidden)]
-#[must_use]
-pub fn all_pairs_shortest_reference(adj: &[Vec<(u32, u32)>]) -> Vec<u32> {
+/// All-pairs shortest paths over the router graph — binary-heap Dijkstra
+/// from every source; returns the flattened RTT matrix in microseconds.
+/// Unreachable pairs get [`UNREACHABLE_US`].
+fn all_pairs_shortest(adj: &[Vec<(u32, u32)>]) -> Vec<u32> {
     use std::cmp::Reverse;
     use std::collections::BinaryHeap;
     let n = adj.len();
@@ -607,22 +505,6 @@ pub fn all_pairs_shortest_reference(adj: &[Vec<(u32, u32)>]) -> Vec<u32> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// The bucket-queue + branch-row-derivation fast path must reproduce
-    /// the reference matrix bit-for-bit: one_way latencies feed directly
-    /// into event timestamps, so "close" is not good enough.
-    #[test]
-    fn bucket_dijkstra_matches_binary_heap() {
-        for (routers, seed) in [(10, 1u64), (40, 7), (100, 99), (CORPNET_ROUTERS, 42)] {
-            let mut rng = StdRng::seed_from_u64(seed ^ TOPOLOGY_STREAM);
-            let (adj, uplink, _, _) = build_router_graph(routers, &mut rng);
-            assert_eq!(
-                all_pairs_shortest(&adj, &uplink),
-                all_pairs_shortest_reference(&adj),
-                "matrix mismatch for {routers} routers, seed {seed}"
-            );
-        }
-    }
 
     #[test]
     fn uniform_latency() {

@@ -16,38 +16,14 @@ use crate::table::Table;
 /// 64 keeps h near the paper's reported size at our workload scale).
 pub const DEFAULT_BUCKETS: usize = 64;
 
-/// Replicable summary of one endsystem's fragment of one table.
-///
-/// Summaries are immutable after [`DataSummary::build`] (an endsystem
-/// rebuilds the whole summary when its fragment changes), so the wire
-/// size is memoized on first use. The fields are sealed behind read-only
-/// accessors precisely because of that memoization: a public field
-/// mutated after the first [`DataSummary::wire_size`] call would
-/// silently serve a stale size.
-#[derive(Clone)]
+/// Replicable summary of one endsystem's fragment of one table. An
+/// endsystem rebuilds the whole summary when its fragment changes.
+#[derive(Clone, Debug, PartialEq)]
 pub struct DataSummary {
     /// Total rows in the fragment.
     row_count: u64,
     /// `(column index, histogram)` for each indexed column.
     histograms: Vec<(usize, ColumnHistogram)>,
-    /// Memoized [`DataSummary::wire_size`]; derived from the fields above,
-    /// hence excluded from `Debug`/`PartialEq`.
-    wire: std::cell::OnceCell<u32>,
-}
-
-impl std::fmt::Debug for DataSummary {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DataSummary")
-            .field("row_count", &self.row_count)
-            .field("histograms", &self.histograms)
-            .finish()
-    }
-}
-
-impl PartialEq for DataSummary {
-    fn eq(&self, other: &Self) -> bool {
-        self.row_count == other.row_count && self.histograms == other.histograms
-    }
 }
 
 impl DataSummary {
@@ -71,7 +47,6 @@ impl DataSummary {
         DataSummary {
             row_count: table.num_rows() as u64,
             histograms,
-            wire: std::cell::OnceCell::new(),
         }
     }
 
@@ -126,16 +101,13 @@ impl DataSummary {
     }
 
     /// Serialized size in bytes — what metadata replication pays per push.
-    /// Computed once and memoized (summaries are immutable after build).
     #[must_use]
     pub fn wire_size(&self) -> u32 {
-        *self.wire.get_or_init(|| {
-            8 + self
-                .histograms
-                .iter()
-                .map(|(_, h)| 4 + h.wire_size())
-                .sum::<u32>()
-        })
+        8 + self
+            .histograms
+            .iter()
+            .map(|(_, h)| 4 + h.wire_size())
+            .sum::<u32>()
     }
 
     /// Size of a delta encoding against the previously pushed version —
@@ -260,28 +232,6 @@ mod tests {
         let size = s.wire_size();
         assert!((1_000..=20_000).contains(&size), "wire size {size}");
         assert_eq!(s.histograms().len(), 4);
-    }
-
-    #[test]
-    fn rebuild_after_fragment_change_reencodes() {
-        // Summaries are immutable-after-build (the fields are sealed), so
-        // "mutate then encode" means rebuilding from the grown fragment;
-        // the fresh summary must carry a fresh memoized wire size, not
-        // the old cell's value.
-        let small = DataSummary::build(&flow_table(500));
-        let small_size = small.wire_size();
-        let big = DataSummary::build(&flow_table(20_000));
-        assert_eq!(big.row_count(), 20_000);
-        assert!(
-            big.wire_size() > small_size,
-            "grown fragment must re-encode: {} vs {}",
-            big.wire_size(),
-            small_size
-        );
-        // A clone carries the same memoized size (fields are frozen, so
-        // sharing the filled cell is sound).
-        let clone = big.clone();
-        assert_eq!(clone.wire_size(), big.wire_size());
     }
 
     #[test]

@@ -118,24 +118,35 @@ ledger_value() {
   sed -n "s/.*\"${1//./\\.}\": {\"value\": \([-+0-9.eE]*\),.*/\1/p" "$ledger"
 }
 
-echo "==> allocation gate (traced farsite_steady smoke: leafset maintenance stays allocation-free)"
+# alloc_gate <layer> <limit>: <layer>.allocs_per_event is at most <limit>,
+# over at least 1,000 <layer>.events — under that the ratio says nothing.
+alloc_gate() {
+  local allocs events
+  allocs=$(ledger_value "$1.allocs_per_event")
+  events=$(ledger_value "$1.events")
+  echo "    $1.allocs_per_event = ${allocs:-missing} over ${events:-missing} events"
+  if ! awk -v a="$allocs" -v n="$events" -v max="$2" 'BEGIN { exit !(a != "" && a + 0 <= max && n + 0 >= 1000) }'; then
+    echo "$1.allocs_per_event exceeds $2 (or is missing from $ledger, or counts under 1000 events)" >&2
+    exit 1
+  fi
+}
+
+echo "==> allocation gates (traced farsite_steady smoke: leafset maintenance allocation-free, a predictor report one allocation)"
 # perf/ counts allocations from outside, so no counting allocator (and no
-# `unsafe`, D006) has to enter a deterministic crate to hold this line:
-# 4.00 allocations per LeafsetPull/LeafsetPush before PR 13, ~0.002 after.
-# Only exchanges between un-synced pairs are events now, so the gate also
-# holds the denominator: under 1,000 of them the ratio would say nothing.
-allocs=$(ledger_value overlay.leafset.allocs_per_event)
-leafset_events=$(ledger_value overlay.leafset.events)
-echo "    overlay.leafset.allocs_per_event = ${allocs:-missing} over ${leafset_events:-missing} events"
-if ! awk -v a="$allocs" -v n="$leafset_events" 'BEGIN { exit !(a != "" && a + 0 <= 0.1 && n + 0 >= 1000) }'; then
-  echo "overlay.leafset.allocs_per_event exceeds 0.1 (or is missing from $ledger, or counts under 1000 events)" >&2
-  exit 1
-fi
+# `unsafe`, D006) has to enter a deterministic crate to hold these lines.
+# Leafset: 4.00 allocations per LeafsetPull/LeafsetPush before PR 13,
+# ~0.002 after; only exchanges between un-synced pairs are events now.
+alloc_gate overlay.leafset 0.1
+# Dissemination: 5.79 per event while a boxed predictor was two
+# allocations and every task kept a second copy of its merge, 3.79 since
+# PR 18.
+alloc_gate core.disseminate 4.5
 
 echo "==> event gate (traced farsite_steady smoke: a converged ring is not simulated)"
 # Leafset exchanges plus overlay timers were 0.74 of all events when every
 # refresh of every pair was an event; synced pairs are a standing rate
 # now, and what is left is the churn-driven remainder (~0.20 here).
+leafset_events=$(ledger_value overlay.leafset.events)
 timer_events=$(ledger_value overlay.timer.events)
 sim_events=$(ledger_value sim.events)
 share=$(awk -v l="$leafset_events" -v t="$timer_events" -v s="$sim_events" \
