@@ -32,7 +32,23 @@ pub enum Profile {
     Flaky,
 }
 
-/// Configuration of the Farsite-like generator.
+/// Always-on machines: mean time between outages and mean outage span.
+const ALWAYS_ON_MTBF: Duration = Duration::from_days(18);
+const ALWAYS_ON_OUTAGE: Duration = Duration::from_hours(3);
+/// Office machines: mean arrival hour (fractional, 24h clock), stddev.
+const OFFICE_ARRIVAL_HOUR: f64 = 8.5;
+const OFFICE_ARRIVAL_SD: f64 = 0.8;
+/// Mean departure hour, stddev.
+const OFFICE_DEPARTURE_HOUR: f64 = 18.0;
+const OFFICE_DEPARTURE_SD: f64 = 1.2;
+/// Probability an office machine is used on a weekend day.
+const OFFICE_WEEKEND_PROB: f64 = 0.12;
+/// Flaky machines: mean exponential up and down spans.
+const FLAKY_UP_MEAN: Duration = Duration::from_hours(10);
+const FLAKY_DOWN_MEAN: Duration = Duration::from_hours(4);
+
+/// Configuration of the Farsite-like generator: population, horizon and
+/// the profile mix; each profile's own shape is the constants above.
 #[derive(Clone, Debug)]
 pub struct FarsiteConfig {
     pub num_endsystems: usize,
@@ -41,23 +57,9 @@ pub struct FarsiteConfig {
     pub weight_always_on: f64,
     pub weight_office: f64,
     pub weight_flaky: f64,
-    /// Always-on machines: mean time between outages and mean outage span.
-    pub always_on_mtbf: Duration,
-    pub always_on_outage: Duration,
-    /// Office machines: mean arrival hour (fractional, 24h clock), stddev.
-    pub office_arrival_hour: f64,
-    pub office_arrival_sd: f64,
-    /// Mean departure hour, stddev.
-    pub office_departure_hour: f64,
-    pub office_departure_sd: f64,
     /// Probability an office machine is left on overnight on a weekday
     /// evening (it then stays up until the next departure time).
     pub office_leave_on_prob: f64,
-    /// Probability an office machine is used on a weekend day.
-    pub office_weekend_prob: f64,
-    /// Flaky machines: mean exponential up and down spans.
-    pub flaky_up_mean: Duration,
-    pub flaky_down_mean: Duration,
 }
 
 /// RNG stream constant for Farsite trace generation (registered in
@@ -75,16 +77,7 @@ impl Default for FarsiteConfig {
             weight_always_on: 0.58,
             weight_office: 0.34,
             weight_flaky: 0.08,
-            always_on_mtbf: Duration::from_days(18),
-            always_on_outage: Duration::from_hours(3),
-            office_arrival_hour: 8.5,
-            office_arrival_sd: 0.8,
-            office_departure_hour: 18.0,
-            office_departure_sd: 1.2,
             office_leave_on_prob: 0.45,
-            office_weekend_prob: 0.12,
-            flaky_up_mean: Duration::from_hours(10),
-            flaky_down_mean: Duration::from_hours(4),
         }
     }
 }
@@ -138,7 +131,7 @@ impl FarsiteConfig {
         let mut t: u64 = 0;
         loop {
             // Up until the next outage (exponential MTBF).
-            let up_span = exp_sample(rng, self.always_on_mtbf);
+            let up_span = exp_sample(rng, ALWAYS_ON_MTBF);
             let up_end = t.saturating_add(up_span.as_micros()).min(horizon);
             if up_end > t {
                 iv.push((Time::from_micros(t), Time::from_micros(up_end)));
@@ -146,7 +139,7 @@ impl FarsiteConfig {
             if up_end >= horizon {
                 break;
             }
-            let outage = exp_sample(rng, self.always_on_outage).max(Duration::from_mins(10));
+            let outage = exp_sample(rng, ALWAYS_ON_OUTAGE).max(Duration::from_mins(10));
             t = up_end.saturating_add(outage.as_micros());
             if t >= horizon {
                 break;
@@ -167,7 +160,7 @@ impl FarsiteConfig {
         };
         for day in 0..horizon_days {
             let weekday = (day % 7) < 5; // epoch is a Monday
-            let active_today = weekday || rng.gen::<f64>() < self.office_weekend_prob;
+            let active_today = weekday || rng.gen::<f64>() < OFFICE_WEEKEND_PROB;
             if !active_today {
                 // If left on from before, power off mid-morning (cleaner
                 // helpdesk sweep) — models weekend shutdowns.
@@ -179,11 +172,11 @@ impl FarsiteConfig {
             }
             let arrive = day_time(
                 day,
-                gauss(rng, self.office_arrival_hour, self.office_arrival_sd).clamp(5.0, 12.0),
+                gauss(rng, OFFICE_ARRIVAL_HOUR, OFFICE_ARRIVAL_SD).clamp(5.0, 12.0),
             );
             let depart = day_time(
                 day,
-                gauss(rng, self.office_departure_hour, self.office_departure_sd).clamp(13.0, 23.5),
+                gauss(rng, OFFICE_DEPARTURE_HOUR, OFFICE_DEPARTURE_SD).clamp(13.0, 23.5),
             );
             let start = match on_since.take() {
                 Some(s) => s, // was left on overnight; keep running
@@ -206,15 +199,15 @@ impl FarsiteConfig {
         let horizon = self.horizon.as_micros();
         let mut iv = Vec::new();
         // Start up or down proportional to duty cycle.
-        let duty = self.flaky_up_mean.as_micros() as f64
-            / (self.flaky_up_mean.as_micros() + self.flaky_down_mean.as_micros()) as f64;
+        let duty = FLAKY_UP_MEAN.as_micros() as f64
+            / (FLAKY_UP_MEAN.as_micros() + FLAKY_DOWN_MEAN.as_micros()) as f64;
         let mut t: u64 = 0;
         let mut up = rng.gen::<f64>() < duty;
         while t < horizon {
             let span = if up {
-                exp_sample(rng, self.flaky_up_mean).max(Duration::from_mins(5))
+                exp_sample(rng, FLAKY_UP_MEAN).max(Duration::from_mins(5))
             } else {
-                exp_sample(rng, self.flaky_down_mean).max(Duration::from_mins(5))
+                exp_sample(rng, FLAKY_DOWN_MEAN).max(Duration::from_mins(5))
             };
             let end = t.saturating_add(span.as_micros()).min(horizon);
             if up && end > t {

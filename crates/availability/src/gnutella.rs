@@ -14,16 +14,17 @@ use seaweed_types::{Duration, Time};
 
 use crate::trace::{AvailabilityTrace, Intervals};
 
+/// Mean up-session length. The paper's departure rate of 9.46e-5 per
+/// online second corresponds to a mean session of ~2.94 hours.
+const UP_MEAN: Duration = Duration::from_secs((1.0 / 9.46e-5) as u64);
+/// Mean down span between sessions.
+const DOWN_MEAN: Duration = Duration::from_hours(4);
+
 /// Configuration of the Gnutella-like generator.
 #[derive(Clone, Debug)]
 pub struct GnutellaConfig {
     pub num_endsystems: usize,
     pub horizon: Duration,
-    /// Mean up-session length. The paper's departure rate of 9.46e-5 per
-    /// online second corresponds to a mean session of ~2.9 hours.
-    pub up_mean: Duration,
-    /// Mean down span between sessions.
-    pub down_mean: Duration,
 }
 
 /// RNG stream constant for Gnutella trace generation (registered in
@@ -35,8 +36,6 @@ impl Default for GnutellaConfig {
         GnutellaConfig {
             num_endsystems: 7_602,
             horizon: Duration::from_hours(60),
-            up_mean: Duration::from_secs((1.0 / 9.46e-5) as u64), // ~2.94 h
-            down_mean: Duration::from_hours(4),
         }
     }
 }
@@ -48,7 +47,6 @@ impl GnutellaConfig {
         GnutellaConfig {
             num_endsystems,
             horizon: Duration::from_hours(hours),
-            ..GnutellaConfig::default()
         }
     }
 
@@ -57,15 +55,15 @@ impl GnutellaConfig {
     pub fn generate(&self, seed: u64) -> AvailabilityTrace {
         let mut rng = StdRng::seed_from_u64(seed ^ GNUTELLA_STREAM);
         let horizon = self.horizon.as_micros();
-        let duty = self.up_mean.as_micros() as f64
-            / (self.up_mean.as_micros() + self.down_mean.as_micros()) as f64;
+        let duty =
+            UP_MEAN.as_micros() as f64 / (UP_MEAN.as_micros() + DOWN_MEAN.as_micros()) as f64;
         let mut all = Vec::with_capacity(self.num_endsystems);
         for _ in 0..self.num_endsystems {
             let mut iv: Intervals = Vec::new();
             let mut t: u64 = 0;
             let mut up = rng.gen::<f64>() < duty;
             while t < horizon {
-                let mean = if up { self.up_mean } else { self.down_mean };
+                let mean = if up { UP_MEAN } else { DOWN_MEAN };
                 let span = exp_sample(&mut rng, mean).max(Duration::from_mins(2));
                 let end = t.saturating_add(span.as_micros()).min(horizon);
                 if up && end > t {

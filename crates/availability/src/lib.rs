@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 //! Endsystem availability: traces, synthetic trace generators, and the
 //! per-endsystem availability model used for completeness prediction.

@@ -15,7 +15,17 @@
 //! down**. A member of the replica set records when it noticed the
 //! endsystem fail and evaluates the model on its behalf.
 
+use std::sync::LazyLock;
+
 use seaweed_types::{Duration, LogBuckets, Time};
+
+/// Bucketing of the down-duration distribution: 24 geometric buckets (26
+/// with under/overflow), which together with nibble-packed hour counts
+/// fill the 48-byte wire format.
+static DOWN_BUCKETS: LazyLock<LogBuckets> =
+    LazyLock::new(|| LogBuckets::new(Duration::SECOND, Duration::from_days(14), 24));
+/// Fallback return delay when no history exists at all.
+const DEFAULT_RETURN: Duration = Duration::from_hours(8);
 
 /// Tuning knobs for the availability model.
 #[derive(Clone, Copy, Debug)]
@@ -30,10 +40,6 @@ pub struct ModelConfig {
     /// paper's rule implicitly assumes a month of history. Below this
     /// count we use the (robust) down-duration distribution instead.
     pub min_periodic_observations: u32,
-    /// Bucketing of the down-duration distribution.
-    pub down_buckets: LogBuckets,
-    /// Fallback return delay when no history exists at all.
-    pub default_return: Duration,
 }
 
 impl Default for ModelConfig {
@@ -41,10 +47,6 @@ impl Default for ModelConfig {
         ModelConfig {
             periodic_threshold: 2.0,
             min_periodic_observations: 8,
-            // 24 geometric buckets (26 with under/overflow): together with
-            // nibble-packed hour counts this fills the 48-byte wire format.
-            down_buckets: LogBuckets::new(Duration::SECOND, Duration::from_days(14), 24),
-            default_return: Duration::from_hours(8),
         }
     }
 }
@@ -120,7 +122,7 @@ pub struct AvailabilityModel {
 impl AvailabilityModel {
     #[must_use]
     pub fn new(config: ModelConfig) -> Self {
-        let down_hist = vec![0u32; config.down_buckets.len()];
+        let down_hist = vec![0u32; DOWN_BUCKETS.len()];
         AvailabilityModel {
             config,
             down_hist,
@@ -132,7 +134,7 @@ impl AvailabilityModel {
     /// Records an up event: the endsystem was down for `down_span` and
     /// came back at `up_at`.
     pub fn observe_up(&mut self, down_span: Duration, up_at: Time) {
-        let idx = self.config.down_buckets.index(down_span);
+        let idx = DOWN_BUCKETS.index(down_span);
         self.down_hist[idx] = self.down_hist[idx].saturating_add(1);
         self.up_hours[up_at.hour_of_day() as usize] += 1;
         self.observations = self.observations.saturating_add(1);
@@ -193,7 +195,7 @@ impl AvailabilityModel {
     #[must_use]
     pub fn predict_return(&self, now: Time, down_since: Time) -> ReturnPrediction {
         if self.observations == 0 {
-            return ReturnPrediction::point(self.config.default_return);
+            return ReturnPrediction::point(DEFAULT_RETURN);
         }
         if self.is_periodic() {
             self.predict_periodic(now)
@@ -233,7 +235,7 @@ impl AvailabilityModel {
     /// Non-periodic prediction: the down-duration distribution conditioned
     /// on having already been down for `already_down`.
     fn predict_from_durations(&self, already_down: Duration) -> ReturnPrediction {
-        let buckets = &self.config.down_buckets;
+        let buckets = &*DOWN_BUCKETS;
         let mut mass = Vec::new();
         let mut total = 0.0;
         for (i, &count) in self.down_hist.iter().enumerate() {
@@ -266,10 +268,11 @@ impl AvailabilityModel {
     /// Mean observed down span (zero with no observations).
     #[must_use]
     pub fn mean_down_span(&self) -> Duration {
+        let buckets = &*DOWN_BUCKETS;
         let mut total = 0.0f64;
         let mut count = 0u64;
         for (i, &c) in self.down_hist.iter().enumerate() {
-            total += self.config.down_buckets.midpoint(i).as_secs_f64() * f64::from(c);
+            total += buckets.midpoint(i).as_secs_f64() * f64::from(c);
             count += u64::from(c);
         }
         if count == 0 {
@@ -415,7 +418,7 @@ mod tests {
         let m = AvailabilityModel::default();
         let pred = m.predict_return(at(0, 1), at(0, 0));
         assert_eq!(pred.mass.len(), 1);
-        assert_eq!(pred.expected(), ModelConfig::default().default_return);
+        assert_eq!(pred.expected(), DEFAULT_RETURN);
     }
 
     #[test]

@@ -177,7 +177,7 @@ fn bench_routing(c: &mut Criterion) {
         b.iter(|| {
             let key = Id::random(&mut rng);
             let from = NodeIdx(rng.gen_range(0..n as u32));
-            let mut delivered = ov.route(&mut eng, from, key, 1, 64, TrafficClass::Query);
+            let mut delivered = ov.route(&mut eng, from, key, 1, 64);
             horizon += Duration::from_mins(10);
             while delivered.is_empty() {
                 match eng.next_event_before(horizon) {

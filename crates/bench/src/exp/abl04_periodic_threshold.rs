@@ -42,7 +42,6 @@ pub fn run(args: &Args, out: &OutDir) {
         let cfg = ModelConfig {
             periodic_threshold: threshold,
             min_periodic_observations: min_obs,
-            ..ModelConfig::default()
         };
         let mut errs = Vec::new();
         for &inject in &injections {

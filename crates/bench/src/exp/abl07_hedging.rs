@@ -10,7 +10,7 @@
 //! that is the tail hedging attacks: a backup replica-set member gets
 //! the task at the hedge threshold instead.
 //!
-//! Sweeps the hedge threshold (fraction of `dissem_timeout`, plus
+//! Sweeps the hedge threshold (fraction of the 5 s reissue timeout, plus
 //! hedging off) × churn (bystander crash/rejoin cycles during the
 //! query) and reports, per configuration, the p50/p90/p99 of
 //! delay-to-0.9-completeness across seeds next to the dissemination
@@ -101,7 +101,7 @@ fn outage_plan(topo: &CorpNetTopology, n: usize, churn: bool) -> FaultPlan {
 
 #[derive(Clone, Copy)]
 struct Config {
-    /// Hedge threshold as a fraction of `dissem_timeout`; `None` = off.
+    /// Hedge threshold as a fraction of the reissue timeout; `None` = off.
     hedge: Option<f64>,
     churn: bool,
 }
@@ -132,7 +132,6 @@ fn run_one(cfg: Config, seed: u64, n: usize, routers: usize) -> RunOutcome {
         SeaweedConfig {
             hedge: cfg.hedge.map(|fraction| HedgeConfig {
                 fallback_fraction: fraction,
-                ..HedgeConfig::default()
             }),
             ..Default::default()
         },
@@ -219,7 +218,10 @@ pub fn run(args: &Args, out: &OutDir) {
         .iter()
         .flat_map(|&c| (seed0..seed0 + seeds).map(move |s| (c, s)))
         .collect();
-    // lint:allow(D002): operator-facing progress timing for a host-side experiment driver, never feeds simulated time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "operator-facing progress timing for a host-side experiment driver, never feeds simulated time"
+    )]
     let t0 = std::time::Instant::now();
     let outcomes = run_sweep(runs.clone(), jobs(args, runs.len()), |_, &(c, s)| {
         run_one(c, s, n, routers)
@@ -325,8 +327,8 @@ pub fn run(args: &Args, out: &OutDir) {
     }
     t.print();
 
-    // Headline: default threshold (0.5 x dissem_timeout) vs hedging off,
-    // per churn setting.
+    // Headline: default threshold (0.5 x the reissue timeout) vs hedging
+    // off, per churn setting.
     println!("  default threshold (0.5) vs off:");
     for churn in [false, true] {
         let find = |hedge: Option<f64>| {

@@ -4,9 +4,9 @@
 //! The driver re-runs its own executable once per `in_all` row of the
 //! registry, so each experiment's output (and its CSVs) is identical to
 //! running it by name, and its peak RSS is its own. Flags are handed
-//! through to every child. Experiments run `--jobs` (or `SEAWEED_JOBS`)
-//! at a time; each child's output is captured and printed in paper order
-//! once the sweep finishes, with a progress line as each child exits.
+//! through to every child. Experiments run `--jobs` at a time; each
+//! child's output is captured and printed in paper order once the sweep
+//! finishes, with a progress line as each child exits.
 
 use std::process::Command;
 
@@ -28,11 +28,17 @@ pub fn run(args: &Args, out: &OutDir) {
     let workers = jobs(args, names.len());
     let passthrough: Vec<String> = std::env::args().skip(2).collect();
     println!("running {} experiments, {workers} at a time", names.len());
-    // lint:allow(D002): operator-facing progress timing for a host-side experiment driver, never feeds simulated time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "operator-facing progress timing for a host-side experiment driver, never feeds simulated time"
+    )]
     let started = std::time::Instant::now();
 
     let outcomes = run_sweep(names.clone(), workers, |i, &exp| {
-        // lint:allow(D002): operator-facing progress timing for a host-side experiment driver, never feeds simulated time
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "operator-facing progress timing for a host-side experiment driver, never feeds simulated time"
+        )]
         let t0 = std::time::Instant::now();
         let output = Command::new(&self_path)
             .arg(exp)

@@ -23,7 +23,10 @@ pub fn run(args: &Args, out: &OutDir) {
         "Chaos 01: {n} endsystems, {routers} routers, seeds {seed0}..{}",
         seed0 + seeds
     );
-    // lint:allow(D002): operator-facing progress timing for a host-side experiment driver, never feeds simulated time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "operator-facing progress timing for a host-side experiment driver, never feeds simulated time"
+    )]
     let t0 = std::time::Instant::now();
     let world = |seed| chaos_world(n, routers, seed, chaos_sim, SeaweedConfig::default());
     let outcomes: Vec<(u64, ChaosRun)> = (seed0..seed0 + seeds)

@@ -54,7 +54,10 @@ fn part_ab(args: &Args, full: bool, out: &OutDir) {
     let weeks = args.get("weeks", if full { 4 } else { 2u64 });
     let seed = args.get("seed", 9u64);
     println!("Figure 9(a,b): {n} endsystems, {weeks} weeks, CorpNet topology");
-    // lint:allow(D002): operator-facing progress timing for a host-side experiment driver, never feeds simulated time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "operator-facing progress timing for a host-side experiment driver, never feeds simulated time"
+    )]
     let t0 = std::time::Instant::now();
     let result = simulate(n, weeks, seed, seed, true);
     println!(

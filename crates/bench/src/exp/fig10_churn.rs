@@ -27,7 +27,10 @@ pub fn run(args: &Args, out: &OutDir) {
 
     let mut cfg = FullSimConfig::new(seed);
     cfg.injections = vec![Time::ZERO + Duration::from_hours(hours / 2)];
-    // lint:allow(D002): operator-facing progress timing for a host-side experiment driver, never feeds simulated time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "operator-facing progress timing for a host-side experiment driver, never feeds simulated time"
+    )]
     let t0 = std::time::Instant::now();
     let result = run_full(&cfg, &trace);
     println!(

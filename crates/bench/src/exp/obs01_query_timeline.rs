@@ -126,7 +126,10 @@ pub fn run(args: &Args, out: &OutDir) {
         "Obs 01: {n} endsystems, {routers} routers, seeds {seed0}..{}",
         seed0 + seeds
     );
-    // lint:allow(D002): operator-facing progress timing for a host-side experiment driver, never feeds simulated time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "operator-facing progress timing for a host-side experiment driver, never feeds simulated time"
+    )]
     let t0 = std::time::Instant::now();
     let outcomes: Vec<SeedOutcome> = (seed0..seed0 + seeds)
         .map(|s| run_seed(s, n, routers, s == seed0))

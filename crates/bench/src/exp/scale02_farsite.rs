@@ -60,7 +60,10 @@ fn run_point(n: usize, seed: u64) -> Point {
     // sweep isolates simulator scaling.
     boot_staggered(&mut eng, Duration((60_000_000 / n as u64).max(1)));
 
-    // lint:allow(D002): host-side benchmark timing for BENCH_scale02.json, never feeds simulated time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-side benchmark timing for BENCH_scale02.json, never feeds simulated time"
+    )]
     let t0 = std::time::Instant::now();
     // Joins plus one full metadata-push cycle, then a population-wide
     // aggregation query for the second half-hour.

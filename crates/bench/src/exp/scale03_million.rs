@@ -132,7 +132,10 @@ fn run_point(n: usize, parts: usize, workers: usize, seed: u64, kind: ExecKind) 
         }
     };
 
-    // lint:allow(D002): host-side benchmark timing for BENCH_scale03.json, never feeds simulated time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-side benchmark timing for BENCH_scale03.json, never feeds simulated time"
+    )]
     let t0 = std::time::Instant::now();
     let shards = run_partitioned(&cfg, pmap.lookahead, Time::from_secs(1800), build, finish);
     let wall_s = t0.elapsed().as_secs_f64();
@@ -176,7 +179,6 @@ fn mode_name(kind: ExecKind) -> &'static str {
 }
 
 fn json_twin(path: &str, seed: u64, points: &[Point]) {
-    // lint:allow(D004): reads the core count for the JSON header; spawns nothing
     let cores = std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
     let header: Fields = vec![
         ("bench", "scale03_million".into()),

@@ -114,7 +114,10 @@ fn run_point(
     );
     boot_staggered(&mut eng, Duration((60_000_000 / n as u64).max(1)));
 
-    // lint:allow(D002): host-side benchmark timing for the JSON twin, never feeds simulated time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "host-side benchmark timing for the JSON twin, never feeds simulated time"
+    )]
     let t0 = std::time::Instant::now();
     let mut events = 0u64;
     // Only the K=1 byte-identity check pays for the fingerprint.

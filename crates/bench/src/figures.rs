@@ -71,7 +71,10 @@ pub fn run_prediction_figure(figure: u32, sql: &str, args: &Args, out: &OutDir) 
 
     println!("Figure {figure}: {sql}");
     println!("  population {n}, trace {weeks} weeks, seed {seed}");
-    // lint:allow(D002): operator-facing progress timing for a host-side experiment driver, never feeds simulated time
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "operator-facing progress timing for a host-side experiment driver, never feeds simulated time"
+    )]
     let t_gen = std::time::Instant::now();
     let (trace, _) = FarsiteConfig::small(n, weeks).generate(seed);
     let anemone = AnemoneConfig {

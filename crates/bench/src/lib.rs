@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! Experiment harness: regenerates every table and figure in the paper's
 //! evaluation (§4), plus ablations. One executable, `seaweed-bench
 //! <experiment> [flags]`, dispatches through the [`exp::EXPERIMENTS`]

@@ -15,9 +15,9 @@ use crate::cli::Args;
 
 /// Inner-executor worker budget while an outer sweep occupies `jobs`
 /// threads: the cores the sweep is *not* using, floored at one. Keeps
-/// `--jobs`/`SEAWEED_JOBS` fan-out composed with
-/// [`seaweed_sim::exec`]'s partition workers from oversubscribing the
-/// machine (`jobs × partitions` threads otherwise).
+/// `--jobs` fan-out composed with [`seaweed_sim::exec`]'s partition
+/// workers from oversubscribing the machine (`jobs × partitions` threads
+/// otherwise).
 #[must_use]
 pub fn inner_worker_budget(jobs: usize) -> usize {
     let avail = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
@@ -25,15 +25,12 @@ pub fn inner_worker_budget(jobs: usize) -> usize {
 }
 
 /// Worker-thread count for a sweep of `runs` items: the `--jobs N` flag
-/// if given, else the `SEAWEED_JOBS` environment variable, else the
-/// machine's available parallelism — always clamped to `1..=runs`.
+/// if given, else the machine's available parallelism — always clamped
+/// to `1..=runs`.
 #[must_use]
 pub fn jobs(args: &Args, runs: usize) -> usize {
-    let default = std::env::var("SEAWEED_JOBS")
-        .ok()
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get));
-    args.get("jobs", default).clamp(1, runs.max(1))
+    let avail = thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get);
+    args.get("jobs", avail).clamp(1, runs.max(1))
 }
 
 /// Runs `f(index, &item)` for every item, fanning out over `jobs`
@@ -61,7 +58,15 @@ where
     let prior_budget = seaweed_sim::exec::set_thread_budget(inner_worker_budget(jobs.min(n)));
     let next = AtomicUsize::new(0);
     let mut results: Vec<Option<R>> = (0..n).map(|_| None).collect();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "result channel of the sanctioned bench worker pool; ordering restored by seed index before any output"
+    )]
     let (tx, rx) = mpsc::channel::<(usize, R)>();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "parallel.rs IS the sanctioned bench worker pool: simulations are independent per seed and share nothing"
+    )]
     thread::scope(|s| {
         for _ in 0..jobs.min(n) {
             let tx = tx.clone();

@@ -15,7 +15,8 @@ use seaweed_types::{Duration, Id, IdRange};
 
 use super::{
     AppTimer, DissemTask, QueryHandle, QueryKind, RangeResult, Seaweed, SeaweedEngine, SeaweedMsg,
-    SubrangeSlot, TaskKey, TimerAction,
+    SubrangeSlot, TaskKey, TimerAction, DISSEM_TIMEOUT, HEDGE_MIN_SAMPLES, HEDGE_QUANTILE,
+    MAX_REISSUES,
 };
 use crate::predictor::Predictor;
 use crate::provider::DataProvider;
@@ -54,7 +55,6 @@ impl<P: DataProvider> Seaweed<P> {
                 parent: origin,
             },
             size,
-            TrafficClass::Query,
         );
         // If the origin is itself the root, the delivery comes back
         // synchronously; feed it through the normal dispatch path.
@@ -81,7 +81,7 @@ impl<P: DataProvider> Seaweed<P> {
         let t = self.set_app_timer(
             eng,
             origin,
-            self.cfg.dissem_timeout,
+            DISSEM_TIMEOUT,
             TimerAction::QueryKick {
                 node: origin,
                 query: h,
@@ -93,15 +93,13 @@ impl<P: DataProvider> Seaweed<P> {
     /// The watchdog fired: if the origin still has no aggregate at all,
     /// re-route the full-range kickoff (landing on whichever node now
     /// owns the query id — dedup absorbs it if the original root is
-    /// alive and collecting) and re-arm, up to the configured reissue
-    /// budget.
+    /// alive and collecting) and re-arm, up to `MAX_REISSUES` times.
     pub(crate) fn on_query_kick(
         &mut self,
         eng: &mut SeaweedEngine,
         origin: NodeIdx,
         h: QueryHandle,
     ) {
-        let budget = self.cfg.max_reissues;
         let q = &mut self.queries[h as usize];
         q.kick_timer = None;
         // The watchdog guards the dissemination tree's own deliverable.
@@ -116,7 +114,7 @@ impl<P: DataProvider> Seaweed<P> {
         if !q.active || got_report {
             return;
         }
-        if q.kicks >= budget {
+        if q.kicks >= MAX_REISSUES {
             eng.record_app_event(origin, "sim.app.query_kick.exhausted", u64::from(h));
             return;
         }
@@ -249,7 +247,6 @@ impl<P: DataProvider> Seaweed<P> {
                         parent: n,
                     },
                     size,
-                    TrafficClass::Query,
                 );
                 out_events.extend(evs);
                 task.slots.push(SubrangeSlot {
@@ -277,7 +274,7 @@ impl<P: DataProvider> Seaweed<P> {
             let timeout = self.set_app_timer(
                 eng,
                 n,
-                self.cfg.dissem_timeout,
+                DISSEM_TIMEOUT,
                 TimerAction::DissemTimeout { node: n, task: key },
             );
             let hedge = (self.cfg.hedge.is_some() && !pure_relay).then(|| {
@@ -341,7 +338,7 @@ impl<P: DataProvider> Seaweed<P> {
     }
 
     /// How long to wait for a subrange reply before hedging: the
-    /// configured quantile of this delegator's observed reply-latency
+    /// `HEDGE_QUANTILE` of this delegator's observed reply-latency
     /// distribution, falling back to a fraction of the reissue timeout
     /// until enough replies have been observed.
     ///
@@ -357,16 +354,16 @@ impl<P: DataProvider> Seaweed<P> {
         // reissue timeout, the cap anyway) keeps this total rather than
         // panicking if one ever stops.
         let Some(hc) = self.cfg.hedge.as_ref() else {
-            return self.cfg.dissem_timeout;
+            return DISSEM_TIMEOUT;
         };
         let fallback = Duration::from_micros(
-            (self.cfg.dissem_timeout.as_micros() as f64 * hc.fallback_fraction) as u64,
+            (DISSEM_TIMEOUT.as_micros() as f64 * hc.fallback_fraction) as u64,
         );
         self.reply_lat
-            .quantile(n.idx(), hc.quantile, hc.min_samples)
+            .quantile(n.idx(), HEDGE_QUANTILE, HEDGE_MIN_SAMPLES)
             .map_or(fallback, |q| q.max(fallback))
             .max(Duration::from_micros(1))
-            .min(self.cfg.dissem_timeout)
+            .min(DISSEM_TIMEOUT)
     }
 
     /// The hedge timer fired for a task: duplicate still-silent,
@@ -466,7 +463,6 @@ impl<P: DataProvider> Seaweed<P> {
                     parent: n,
                 },
                 size,
-                TrafficClass::Query,
             );
             self.cascade(eng, evs);
         }
@@ -727,7 +723,7 @@ impl<P: DataProvider> Seaweed<P> {
     }
 
     /// Reissue timer fired for a task: re-route any silent subranges (up
-    /// to the configured number of reissues), then give up on stragglers
+    /// to `MAX_REISSUES` times), then give up on stragglers
     /// so the predictor is not held hostage by churn.
     pub(crate) fn on_dissem_timeout(&mut self, eng: &mut SeaweedEngine, n: NodeIdx, key: TaskKey) {
         let Some(task) = self.tasks.get_mut(&key) else {
@@ -745,7 +741,7 @@ impl<P: DataProvider> Seaweed<P> {
             if slot.done.is_some() {
                 continue;
             }
-            if slot.reissues < self.cfg.max_reissues {
+            if slot.reissues < MAX_REISSUES {
                 slot.reissues += 1;
                 slot.sent_at = now; // reply latency measured from the resend
                                     // A new round earns a new hedge: the previous backup is
@@ -803,7 +799,6 @@ impl<P: DataProvider> Seaweed<P> {
                         parent: n,
                     },
                     size,
-                    TrafficClass::Query,
                 );
                 self.cascade(eng, evs);
             }
@@ -831,7 +826,7 @@ impl<P: DataProvider> Seaweed<P> {
             // completed the task, and then this fires as a no-op:
             // cancelling such timers cost +9% `run_s` on `query_storm`
             // when it was tried (ROADMAP 8a).
-            self.set_app_timer(eng, n, self.cfg.dissem_timeout, timeout_action);
+            self.set_app_timer(eng, n, DISSEM_TIMEOUT, timeout_action);
             return;
         }
         // Hedged mode keeps exactly one timer of each kind per task:
@@ -847,7 +842,7 @@ impl<P: DataProvider> Seaweed<P> {
         for t in stale {
             self.cancel_app_timer(eng, t);
         }
-        let timeout = self.set_app_timer(eng, n, self.cfg.dissem_timeout, timeout_action);
+        let timeout = self.set_app_timer(eng, n, DISSEM_TIMEOUT, timeout_action);
         let hedge = self.set_app_timer(
             eng,
             n,

@@ -10,7 +10,7 @@
 use seaweed_sim::{NodeIdx, TrafficClass};
 use seaweed_types::Duration;
 
-use super::{Seaweed, SeaweedEngine, SeaweedMsg, TimerAction};
+use super::{Seaweed, SeaweedEngine, SeaweedMsg, TimerAction, PUSH_PERIOD};
 use crate::provider::DataProvider;
 use crate::wire;
 
@@ -46,9 +46,9 @@ impl<P: DataProvider> Seaweed<P> {
         }
     }
 
-    /// Arms the next randomized periodic push (mean `push_period`).
+    /// Arms the next randomized periodic push (mean [`PUSH_PERIOD`]).
     pub(crate) fn schedule_meta_push(&mut self, eng: &mut SeaweedEngine, n: NodeIdx) {
-        let period = self.cfg.push_period.as_micros();
+        let period = PUSH_PERIOD.as_micros();
         let delay = Duration::from_micros(self.rng.gen_range_u64(1, 2 * period));
         self.set_app_timer(eng, n, delay, TimerAction::MetaPush { node: n });
     }

@@ -30,7 +30,7 @@ use std::collections::{BTreeMap, VecDeque};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seaweed_availability::{AvailabilityModel, ModelConfig, ReplyLatencyStats};
+use seaweed_availability::{AvailabilityModel, ReplyLatencyStats};
 use seaweed_overlay::{is_overlay_tag, Overlay, OverlayEvent, OverlayEvents, OverlayMsg};
 use seaweed_sim::{Engine, Event, EventLog, NodeIdx};
 use seaweed_store::{Aggregate, BoundQuery, Query};
@@ -196,21 +196,26 @@ const _: () = assert!(std::mem::size_of::<SeaweedMsg>() <= 128);
 // nothing behind a second pointer — so a report is one allocation.
 const _: () = assert!(std::mem::size_of::<Predictor>() == 416);
 
-/// Seaweed configuration; defaults are the paper's (§4.3.1).
+/// Aggregation-vertex replica group size m, primary included (paper: 3).
+const M_VERTEX: usize = 3;
+/// Mean metadata push period (paper: 17.5 min average, randomized
+/// phase).
+pub const PUSH_PERIOD: Duration = Duration::from_secs(1050);
+/// Timeout before a dissemination parent reissues a silent subrange.
+const DISSEM_TIMEOUT: Duration = Duration::from_secs(5);
+/// Maximum reissues per subrange before giving up.
+const MAX_REISSUES: u8 = 2;
+/// Local processing delay between receiving a query and submitting the
+/// locally executed result.
+const LOCAL_EXEC_DELAY: Duration = Duration::from_millis(100);
+
+/// Seaweed configuration; defaults are the paper's (§4.3.1). What no
+/// experiment varies is a constant above (DESIGN.md §3 says which
+/// ablation varies each field left here).
 #[derive(Clone, Debug)]
 pub struct SeaweedConfig {
     /// Metadata replication factor k (paper: 8).
     pub k_metadata: usize,
-    /// Aggregation-vertex replica group size m, primary included
-    /// (paper: 3).
-    pub m_vertex: usize,
-    /// Mean metadata push period (paper: 17.5 min average, randomized
-    /// phase).
-    pub push_period: Duration,
-    /// Timeout before a dissemination parent reissues a silent subrange.
-    pub dissem_timeout: Duration,
-    /// Maximum reissues per subrange before giving up.
-    pub max_reissues: u8,
     /// Initial timeout before an unacked result submission is
     /// retransmitted; doubles per retry (with seeded jitter) up to
     /// [`result_retry_cap`](Self::result_retry_cap).
@@ -218,9 +223,6 @@ pub struct SeaweedConfig {
     /// Ceiling of the result-retransmission backoff. Setting it equal to
     /// `result_retry` degenerates to the fixed-interval retry.
     pub result_retry_cap: Duration,
-    /// Local processing delay between receiving a query and submitting
-    /// the locally executed result.
-    pub local_exec_delay: Duration,
     /// Tail tolerance (DESIGN.md §3.5): when a delegated subrange stays
     /// silent past the expected-reply quantile, duplicate the task to a
     /// backup cover candidate instead of waiting out the full reissue
@@ -235,30 +237,27 @@ pub struct SeaweedConfig {
     /// bit-for-bit; even with it on, an uncontended endsystem executes
     /// exactly the baseline path.
     pub storm: Option<StormConfig>,
-    /// Availability-model tuning.
-    pub model: ModelConfig,
     pub seed: u64,
 }
+
+/// Reply-latency quantile a delegator waits for before hedging: p90 of
+/// its observed reply distribution.
+const HEDGE_QUANTILE: f64 = 0.9;
+/// Minimum completed-reply observations before the latency model is
+/// trusted for the quantile estimate.
+const HEDGE_MIN_SAMPLES: u64 = 4;
 
 /// Tuning for hedged dissemination (tail-tolerant querying).
 #[derive(Clone, Debug)]
 pub struct HedgeConfig {
-    /// Reply-latency quantile to wait for before hedging (default p90 of
-    /// the delegator's observed reply distribution).
-    pub quantile: f64,
-    /// Minimum completed-reply observations before the latency model is
-    /// trusted for the quantile estimate.
-    pub min_samples: u64,
-    /// Hedge delay as a fraction of `dissem_timeout` while the delegator
-    /// has fewer than `min_samples` observations.
+    /// Hedge delay as a fraction of `DISSEM_TIMEOUT` while the delegator
+    /// has fewer than `HEDGE_MIN_SAMPLES` observations.
     pub fallback_fraction: f64,
 }
 
 impl Default for HedgeConfig {
     fn default() -> Self {
         HedgeConfig {
-            quantile: 0.9,
-            min_samples: 4,
             fallback_fraction: 0.5,
         }
     }
@@ -268,16 +267,10 @@ impl Default for SeaweedConfig {
     fn default() -> Self {
         SeaweedConfig {
             k_metadata: 8,
-            m_vertex: 3,
-            push_period: Duration::from_secs(1050), // 17.5 min
-            dissem_timeout: Duration::from_secs(5),
-            max_reissues: 2,
             result_retry: Duration::from_secs(10),
             result_retry_cap: Duration::from_secs(160),
-            local_exec_delay: Duration::from_millis(100),
             hedge: None,
             storm: None,
-            model: ModelConfig::default(),
             seed: 0,
         }
     }
@@ -747,7 +740,7 @@ impl<P: DataProvider> Seaweed<P> {
         // range enumeration, so no separate id map is kept here.
         Seaweed {
             rng: StdRng::seed_from_u64(cfg.seed ^ APP_STREAM),
-            models: (0..n).map(|_| AvailabilityModel::new(cfg.model)).collect(),
+            models: (0..n).map(|_| AvailabilityModel::default()).collect(),
             cfg,
             overlay,
             provider,
@@ -835,11 +828,6 @@ impl<P: DataProvider> Seaweed<P> {
         }
         self.stats.stale_handle_drops += 1;
         None
-    }
-
-    #[must_use]
-    pub fn num_queries(&self) -> usize {
-        self.queries.len()
     }
 
     /// The protocol layer's counters and per-query latency histograms as
@@ -1529,8 +1517,8 @@ impl<P: DataProvider> Seaweed<P> {
         self.amnesia_vertices[n.idx()].clear();
     }
 
-    fn on_node_down(&mut self, _eng: &mut SeaweedEngine, n: NodeIdx) {
-        self.down_since[n.idx()] = Some(_eng.now());
+    fn on_node_down(&mut self, eng: &mut SeaweedEngine, n: NodeIdx) {
+        self.down_since[n.idx()] = Some(eng.now());
         // Local volatile query state dies with the node; parents reissue.
         self.tasks.clear_node(n.0);
         self.pending_submits.clear_node(n.0);
@@ -1718,7 +1706,6 @@ impl<P: DataProvider> Seaweed<P> {
                     parent: issuer,
                 },
                 size,
-                seaweed_sim::TrafficClass::Query,
             );
             self.cascade(eng, evs);
         }
@@ -1810,14 +1797,11 @@ impl<P: DataProvider> Seaweed<P> {
             return;
         }
         self.exec_pending[at.idx()] |= bit;
-        let jitter = Duration::from_micros(
-            self.rng
-                .gen_range(0..=self.cfg.local_exec_delay.as_micros()),
-        );
+        let jitter = Duration::from_micros(self.rng.gen_range(0..=LOCAL_EXEC_DELAY.as_micros()));
         self.set_app_timer(
             eng,
             at,
-            self.cfg.local_exec_delay + jitter,
+            LOCAL_EXEC_DELAY + jitter,
             TimerAction::ExecuteLocal { node: at, query: h },
         );
     }

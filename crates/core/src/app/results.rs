@@ -18,6 +18,7 @@ use seaweed_types::Id;
 
 use super::{
     PendingSubmit, QueryHandle, Seaweed, SeaweedEngine, SeaweedMsg, TimerAction, VertexState,
+    LOCAL_EXEC_DELAY, M_VERTEX,
 };
 use crate::provider::DataProvider;
 use crate::vertex::parent_vertex;
@@ -168,9 +169,9 @@ impl<P: DataProvider> Seaweed<P> {
             q.injected + seaweed_types::Duration::from_micros((epoch + 1) * interval.as_micros());
         let jitter = seaweed_types::Duration::from_micros(rand::Rng::gen_range(
             &mut self.rng,
-            0..=self.cfg.local_exec_delay.as_micros(),
+            0..=LOCAL_EXEC_DELAY.as_micros(),
         ));
-        let delay = next_at.saturating_since(eng.now()) + self.cfg.local_exec_delay + jitter;
+        let delay = next_at.saturating_since(eng.now()) + LOCAL_EXEC_DELAY + jitter;
         self.set_app_timer(
             eng,
             n,
@@ -239,7 +240,6 @@ impl<P: DataProvider> Seaweed<P> {
                 agg,
             },
             wire::RESULT_SUBMIT,
-            TrafficClass::Query,
         );
         self.set_app_timer(
             eng,
@@ -297,7 +297,6 @@ impl<P: DataProvider> Seaweed<P> {
                 agg,
             },
             wire::RESULT_SUBMIT,
-            TrafficClass::Query,
         );
         let delay = self.retry_backoff(attempts);
         self.set_app_timer(
@@ -532,7 +531,6 @@ impl<P: DataProvider> Seaweed<P> {
         h: QueryHandle,
         vertex: Id,
     ) {
-        let m = self.cfg.m_vertex;
         let exists = self.vertices.contains_key(&(h, vertex));
         if !exists {
             let mut state = VertexState::default();
@@ -546,7 +544,7 @@ impl<P: DataProvider> Seaweed<P> {
                 .replica_set(at, self.cfg.k_metadata)
                 .into_iter()
                 .filter(|&x| x != at)
-                .take(m - 1)
+                .take(M_VERTEX - 1)
                 .collect();
             let wire_h = self.live_handle(h);
             for bkp in backups {
@@ -646,11 +644,11 @@ impl<P: DataProvider> Seaweed<P> {
                 continue;
             }
             let children = state.children.len();
-            if state.holders.len() < self.cfg.m_vertex {
+            if state.holders.len() < M_VERTEX {
                 // Recruit a replacement near the vertex key.
                 let replacement = self
                     .overlay
-                    .replica_set_oracle(vertex, self.cfg.m_vertex + 2)
+                    .replica_set_oracle(vertex, M_VERTEX + 2)
                     .into_iter()
                     .find(|x| {
                         !state.holders.contains(x)

@@ -449,15 +449,4 @@ impl<P: DataProvider> Seaweed<P> {
         }
         out
     }
-
-    /// Panicking wrapper over [`Seaweed::storm_invariant_violations`],
-    /// for use inside tests.
-    pub fn assert_storm_invariants(&self) {
-        let v = self.storm_invariant_violations();
-        assert!(
-            v.is_empty(),
-            "storm invariant violations:\n  {}",
-            v.join("\n  ")
-        );
-    }
 }

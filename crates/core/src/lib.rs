@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 //! Seaweed — the delay-aware querying protocols (the paper's core
 //! contribution).
@@ -40,7 +39,7 @@ pub mod world;
 
 pub use app::{
     HedgeConfig, QueryHandle, QueryKind, QueryState, Seaweed, SeaweedConfig, SeaweedEngine,
-    SeaweedMsg, SeaweedStats, StormConfig, Submission, ViewDef, ViewHandle,
+    SeaweedMsg, SeaweedStats, StormConfig, Submission, ViewDef, ViewHandle, PUSH_PERIOD,
 };
 pub use federation::{FedCtl, FedSchedule, FedShard};
 pub use obs::{QueryTimeline, SloReport};

@@ -2,11 +2,12 @@
 //!
 //! A finding can be suppressed at the offending line (or the line
 //! directly above it) with a comment of the form
-//! `lint:allow(D001): <reason>` at the start of the comment — e.g.
-//! `// lint:allow(D002): progress reporting for humans, not simulated`.
+//! `lint:allow(D008): <reason>` at the start of the comment — e.g.
+//! `// lint:allow(D005): inputs are NaN-free by construction`.
 //! The reason is mandatory; a marker without one is itself a finding
 //! (D000), as is a marker that suppresses nothing — markers must not
-//! outlive the code they excuse.
+//! outlive the code they excuse, and a marker naming a rule this tool
+//! no longer has (D001–D004, D006, D007) can match nothing.
 
 use crate::lexer::Comment;
 use crate::report::Finding;
@@ -14,7 +15,7 @@ use crate::report::Finding;
 /// One parsed marker.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AllowMarker {
-    /// Rule ids the marker suppresses, e.g. `["D001"]`.
+    /// Rule ids the marker suppresses, e.g. `["D008"]`.
     pub rules: Vec<String>,
     /// Line the marker comment starts on.
     pub line: u32,
@@ -134,23 +135,23 @@ mod tests {
 
     #[test]
     fn parses_well_formed_markers() {
-        let l = lex("// lint:allow(D001): keys are monotone seqs\nlet x = 1;");
+        let l = lex("// lint:allow(D009): slot re-checked by the callee\nlet x = 1;");
         let s = scan_markers(&l.comments);
         assert_eq!(s.markers.len(), 1);
-        assert_eq!(s.markers[0].rules, vec!["D001"]);
+        assert_eq!(s.markers[0].rules, vec!["D009"]);
         assert!(s.malformed.is_empty());
     }
 
     #[test]
     fn multi_rule_markers() {
-        let l = lex("// lint:allow(D002, D004): bench-only harness code");
+        let l = lex("// lint:allow(D008, D009): handle and slot both parked in the task");
         let s = scan_markers(&l.comments);
-        assert_eq!(s.markers[0].rules, vec!["D002", "D004"]);
+        assert_eq!(s.markers[0].rules, vec!["D008", "D009"]);
     }
 
     #[test]
     fn reasonless_marker_is_malformed() {
-        let l = lex("// lint:allow(D001)\nlet x = 1;");
+        let l = lex("// lint:allow(D005)\nlet x = 1;");
         let s = scan_markers(&l.comments);
         assert!(s.markers.is_empty());
         assert_eq!(s.malformed.len(), 1);
@@ -158,7 +159,7 @@ mod tests {
 
     #[test]
     fn prose_mentioning_the_syntax_is_not_a_marker() {
-        let l = lex("// markers look like `lint:allow(D001): reason`\nlet x = 1;");
+        let l = lex("// markers look like `lint:allow(D005): reason`\nlet x = 1;");
         let s = scan_markers(&l.comments);
         assert!(s.markers.is_empty());
         assert!(s.malformed.is_empty());
@@ -167,19 +168,19 @@ mod tests {
     #[test]
     fn suppression_and_unused_detection() {
         let f = vec![Finding {
-            rule: "D002",
+            rule: "D005",
             path: "x.rs".into(),
             line: 5,
-            message: "wall clock".into(),
+            message: "float sort".into(),
         }];
         let scan = MarkerScan {
             markers: vec![
                 AllowMarker {
-                    rules: vec!["D002".into()],
+                    rules: vec!["D005".into()],
                     line: 4,
                 },
                 AllowMarker {
-                    rules: vec!["D003".into()],
+                    rules: vec!["D002".into()],
                     line: 9,
                 },
             ],

@@ -1,4 +1,4 @@
-//! `lint.toml`: auditor configuration plus the checked-in baseline.
+//! `lint.toml`: auditor scope and the D008–D011 registries.
 //!
 //! The workspace has no `toml` crate, so this parses the narrow subset
 //! the file actually uses: `[section]` / `[[array-of-tables]]` headers,
@@ -8,7 +8,7 @@
 //! ```toml
 //! [lint]
 //! skip = ["rand"]                      # vendored shims, never audited
-//! deterministic = ["seaweed-core"]     # crates under D001/D005
+//! deterministic = ["seaweed-core"]     # crates under D005, D008–D011
 //!
 //! [discipline]                         # D008/D009 registries
 //! timer_acquire = ["set_timer"]
@@ -23,15 +23,7 @@
 //! name = "faults"
 //! pattern = "FAULTS_STREAM"
 //! path = "crates/sim/src/faults.rs"
-//!
-//! [[allow]]                            # baseline entry
-//! rule = "D004"
-//! path = "crates/bench/src/parallel.rs"
-//! contains = "std::thread"             # optional message filter
-//! reason = "the sanctioned worker pool"
 //! ```
-
-use crate::report::Finding;
 
 /// One registered RNG stream: `pattern` is the token (a named stream
 /// constant like `FAULTS_STREAM`, or the hex literal itself) that must
@@ -94,25 +86,13 @@ impl Default for RuleConfig {
     }
 }
 
-/// One baseline entry: suppresses findings of `rule` in `path` whose
-/// message contains `contains` (empty = any).
-#[derive(Clone, Debug, Default, PartialEq, Eq)]
-pub struct BaselineEntry {
-    pub rule: String,
-    pub path: String,
-    pub contains: String,
-    pub reason: String,
-    /// Line in lint.toml, for stale-entry findings.
-    pub line: u32,
-}
-
 #[derive(Clone, Debug)]
 pub struct Config {
     /// Crate names never audited (vendored shims).
     pub skip: Vec<String>,
-    /// Crate names under the determinism-only rules (D001, D005).
+    /// Crate names the rules bind (every rule but D000 is
+    /// determinism-only).
     pub deterministic: Vec<String>,
-    pub baseline: Vec<BaselineEntry>,
     /// Registries for the flow-sensitive and registry rules.
     pub rules: RuleConfig,
 }
@@ -134,7 +114,6 @@ impl Default for Config {
             ]
             .map(String::from)
             .to_vec(),
-            baseline: Vec::new(),
             rules: RuleConfig::default(),
         }
     }
@@ -153,17 +132,13 @@ impl Config {
             }
             if let Some(h) = line.strip_prefix("[[").and_then(|l| l.strip_suffix("]]")) {
                 section = format!("[[{h}]]");
-                match h {
-                    "allow" => cfg.baseline.push(BaselineEntry {
-                        line: lineno,
-                        ..BaselineEntry::default()
-                    }),
-                    "stream" => cfg.rules.streams.push(StreamDecl {
-                        line: lineno,
-                        ..StreamDecl::default()
-                    }),
-                    _ => return Err(format!("lint.toml:{lineno}: unknown table `[[{h}]]`")),
+                if h != "stream" {
+                    return Err(format!("lint.toml:{lineno}: unknown table `[[{h}]]`"));
                 }
+                cfg.rules.streams.push(StreamDecl {
+                    line: lineno,
+                    ..StreamDecl::default()
+                });
                 continue;
             }
             if let Some(h) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
@@ -237,31 +212,7 @@ impl Config {
                         }
                     }
                 }
-                "[[allow]]" => {
-                    let s = parse_string(value)
-                        .ok_or_else(|| format!("lint.toml:{lineno}: `{key}` wants a \"string\""))?;
-                    let entry = cfg.baseline.last_mut().expect("inside [[allow]]");
-                    match key {
-                        "rule" => entry.rule = s,
-                        "path" => entry.path = s,
-                        "contains" => entry.contains = s,
-                        "reason" => entry.reason = s,
-                        _ => {
-                            return Err(format!(
-                                "lint.toml:{lineno}: unknown key `{key}` in [[allow]]"
-                            ))
-                        }
-                    }
-                }
                 _ => return Err(format!("lint.toml:{lineno}: `{key}` outside any section")),
-            }
-        }
-        for e in &cfg.baseline {
-            if e.rule.is_empty() || e.path.is_empty() || e.reason.is_empty() {
-                return Err(format!(
-                    "lint.toml:{}: [[allow]] entries need `rule`, `path` and `reason`",
-                    e.line
-                ));
             }
         }
         for s in &cfg.rules.streams {
@@ -273,43 +224,6 @@ impl Config {
             }
         }
         Ok(cfg)
-    }
-
-    /// Applies the baseline: suppressed findings are dropped, and every
-    /// entry that suppressed nothing becomes a D000 finding (the
-    /// baseline must shrink as code is fixed, never rot).
-    #[must_use]
-    pub fn apply_baseline(&self, findings: Vec<Finding>) -> Vec<Finding> {
-        let mut used = vec![false; self.baseline.len()];
-        let mut kept: Vec<Finding> = Vec::new();
-        for f in findings {
-            let suppressed = self.baseline.iter().enumerate().any(|(i, e)| {
-                let hit = e.rule == f.rule
-                    && e.path == f.path
-                    && (e.contains.is_empty() || f.message.contains(&e.contains));
-                if hit {
-                    used[i] = true;
-                }
-                hit
-            });
-            if !suppressed {
-                kept.push(f);
-            }
-        }
-        for (i, e) in self.baseline.iter().enumerate() {
-            if !used[i] {
-                kept.push(Finding {
-                    rule: "D000",
-                    path: "lint.toml".into(),
-                    line: e.line,
-                    message: format!(
-                        "stale baseline entry ({} in {}): it no longer suppresses anything — delete it",
-                        e.rule, e.path
-                    ),
-                });
-            }
-        }
-        kept
     }
 }
 
@@ -399,7 +313,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn parses_config_and_baseline() {
+    fn parses_scope_and_registries() {
         let cfg = Config::parse(
             r#"
 # comment
@@ -407,42 +321,35 @@ mod tests {
 skip = ["rand", "proptest"]
 deterministic = ["seaweed-core"]
 
-[[allow]]
-rule = "D004"
-path = "crates/bench/src/parallel.rs"
-contains = "std::thread"
-reason = "sanctioned pool"
+[metrics]
+names = [
+  "app.meta_pushes",  # trailing comment
+  "sim.nodes_up",
+]
+
+[[stream]]
+name = "faults"
+pattern = "FAULTS_STREAM"
+path = "crates/sim/src/faults.rs"
 "#,
         )
         .unwrap();
         assert_eq!(cfg.skip, vec!["rand", "proptest"]);
         assert_eq!(cfg.deterministic, vec!["seaweed-core"]);
-        assert_eq!(cfg.baseline.len(), 1);
-        assert_eq!(cfg.baseline[0].contains, "std::thread");
+        assert_eq!(
+            cfg.rules.metric_names,
+            vec!["app.meta_pushes", "sim.nodes_up"]
+        );
+        assert_eq!(cfg.rules.streams.len(), 1);
+        assert_eq!(cfg.rules.streams[0].pattern, "FAULTS_STREAM");
     }
 
     #[test]
     fn rejects_incomplete_entries_and_unknown_keys() {
-        assert!(Config::parse("[[allow]]\nrule = \"D001\"\n").is_err());
+        assert!(Config::parse("[[stream]]\nname = \"faults\"\n").is_err());
         assert!(Config::parse("[lint]\nbogus = [\"x\"]\n").is_err());
         assert!(Config::parse("[wat]\n").is_err());
-    }
-
-    #[test]
-    fn baseline_suppresses_and_reports_stale() {
-        let cfg = Config::parse(
-            "[[allow]]\nrule = \"D002\"\npath = \"a.rs\"\nreason = \"r\"\n\n[[allow]]\nrule = \"D003\"\npath = \"b.rs\"\nreason = \"r\"\n",
-        )
-        .unwrap();
-        let findings = vec![Finding {
-            rule: "D002",
-            path: "a.rs".into(),
-            line: 1,
-            message: "wall clock".into(),
-        }];
-        let out = cfg.apply_baseline(findings);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].rule, "D000");
-        assert!(out[0].message.contains("stale baseline entry"));
+        // The baseline is gone: a suppression lives at the site it excuses.
+        assert!(Config::parse("[[allow]]\nrule = \"D005\"\n").is_err());
     }
 }

@@ -1,15 +1,14 @@
-#![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
-//! `seaweed-lint` — a workspace-wide determinism & safety auditor.
+//! `seaweed-lint` — a workspace-wide determinism auditor.
 //!
 //! Every result this reproduction produces rests on the simulator
 //! replaying byte-identically; this tool moves that contract from
 //! "hope a 32-seed sweep trips a regression" to "the build refuses
 //! it". It audits every workspace crate (vendored shims excluded)
-//! against the rule catalogue in [`rules`], honours inline
-//! `lint:allow` markers ([`allow`]) and the checked-in `lint.toml`
-//! baseline ([`config`]), and exits nonzero on any unbaselined
-//! finding.
+//! against the rule catalogue in [`rules`] — the rules no
+//! type-resolving tool can check: flow-sensitive resource discipline and
+//! the `lint.toml` registries ([`config`]) — honours inline `lint:allow`
+//! markers ([`allow`]), and exits nonzero on any finding.
 //!
 //! Run it as `cargo run -p seaweed-lint` from anywhere in the
 //! workspace. `--format json` emits machine-readable output;
@@ -37,28 +36,16 @@ use rules::FileCtx;
 /// (see [`RuleConfig::default`]). Convenience wrapper over
 /// [`lint_source_with`] for tests and fixtures.
 #[must_use]
-pub fn lint_source(
-    path: &str,
-    deterministic: bool,
-    is_crate_root: bool,
-    src: &str,
-) -> Vec<Finding> {
-    lint_source_with(
-        path,
-        deterministic,
-        is_crate_root,
-        src,
-        &RuleConfig::default(),
-    )
+pub fn lint_source(path: &str, deterministic: bool, src: &str) -> Vec<Finding> {
+    lint_source_with(path, deterministic, src, &RuleConfig::default())
 }
 
 /// Lints one in-memory source file: lex, rule checks, inline-marker
-/// application. No baseline — that is a workspace-level concern.
+/// application.
 #[must_use]
 pub fn lint_source_with(
     path: &str,
     deterministic: bool,
-    is_crate_root: bool,
     src: &str,
     rules_cfg: &RuleConfig,
 ) -> Vec<Finding> {
@@ -66,7 +53,6 @@ pub fn lint_source_with(
     let findings = rules::check_file(&FileCtx {
         path,
         deterministic,
-        is_crate_root,
         tokens: &lexed.tokens,
         rules: rules_cfg,
     });
@@ -77,8 +63,8 @@ pub fn lint_source_with(
 /// Result of a workspace run.
 #[derive(Debug)]
 pub struct RunResult {
-    /// Findings that survived markers and the baseline, sorted by
-    /// (path, line, rule).
+    /// Findings that survived their markers, sorted by (path, line,
+    /// rule).
     pub findings: Vec<Finding>,
     /// Files audited.
     pub files: usize,
@@ -103,17 +89,9 @@ pub fn run_workspace(root: &Path, cfg: &Config) -> Result<RunResult, String> {
             let abs = root.join(f);
             let src = fs::read_to_string(&abs).map_err(|e| format!("{}: {e}", abs.display()))?;
             let path = f.to_string_lossy().replace('\\', "/");
-            let is_root = c.root_file.as_deref() == Some(f.as_path());
-            findings.extend(lint_source_with(
-                &path,
-                deterministic,
-                is_root,
-                &src,
-                &cfg.rules,
-            ));
+            findings.extend(lint_source_with(&path, deterministic, &src, &cfg.rules));
         }
     }
-    let mut findings = cfg.apply_baseline(findings);
     findings
         .sort_by(|a, b| (a.path.clone(), a.line, a.rule).cmp(&(b.path.clone(), b.line, b.rule)));
     Ok(RunResult {
@@ -139,9 +117,9 @@ mod tests {
 
     #[test]
     fn lint_source_end_to_end_with_marker() {
-        let bad = "fn f() { let t = std::time::Instant::now(); }";
-        assert_eq!(lint_source("x.rs", false, false, bad).len(), 1);
-        let ok = "// lint:allow(D002): human-facing progress only\nfn f() { let t = std::time::Instant::now(); }";
-        assert!(lint_source("x.rs", false, false, ok).is_empty());
+        let bad = "fn f(v: &mut [f64]) { v.sort_by(|a, b| a.partial_cmp(b).unwrap()); }";
+        assert_eq!(lint_source("x.rs", true, bad).len(), 1);
+        let ok = format!("// lint:allow(D005): inputs are NaN-free by construction\n{bad}");
+        assert!(lint_source("x.rs", true, &ok).is_empty());
     }
 }

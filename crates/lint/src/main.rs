@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 //! CLI entry point. See the crate docs in `lib.rs`.
 
 use std::path::PathBuf;
@@ -7,7 +6,7 @@ use std::process::ExitCode;
 use seaweed_lint::{load_config, report, rules, run_workspace, workspace};
 
 const USAGE: &str = "\
-seaweed-lint — workspace determinism & safety auditor
+seaweed-lint — workspace determinism auditor
 
 USAGE: cargo run -p seaweed-lint [-- OPTIONS]
 
@@ -17,7 +16,7 @@ OPTIONS:
   --list-rules            print the rule catalogue and exit
   --help                  this text
 
-Exits 0 when the tree is clean, 1 on any unbaselined finding.";
+Exits 0 when the tree is clean, 1 on any finding.";
 
 fn main() -> ExitCode {
     match real_main() {

@@ -3,7 +3,7 @@
 /// One rule violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id, e.g. `"D001"`.
+    /// Rule id, e.g. `"D008"`.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -134,13 +134,13 @@ mod tests {
     #[test]
     fn json_escapes_and_counts() {
         let f = vec![Finding {
-            rule: "D001",
+            rule: "D011",
             path: "a/b.rs".into(),
             line: 3,
-            message: "uses \"HashMap\"".into(),
+            message: "name \"app.bogus\"".into(),
         }];
         let j = render_json(&f);
-        assert!(j.contains("\\\"HashMap\\\""));
+        assert!(j.contains("\\\"app.bogus\\\""));
         assert!(j.contains("\"count\": 1"));
         assert!(render_json(&[]).contains("\"count\": 0"));
     }

@@ -1,26 +1,12 @@
-//! The determinism & safety rule catalogue.
+//! The rule catalogue: what only this tool can check.
 //!
 //! Every rule works on the token stream of one file (see
-//! [`crate::lexer`]); none require type information. Where a rule needs
-//! to know "is this receiver a hash collection", it uses **name-level
-//! resolution within the file**: `use`/`type` aliases of
-//! `HashMap`/`HashSet` are chased, then every identifier declared with
-//! a hash-typed annotation (struct fields, `let` bindings, fn params)
-//! or initialized from one is treated as hash-typed. This is a
-//! heuristic — it cannot see across files and it resolves by *name*,
-//! so a local that shares its name with a hash-typed field elsewhere
-//! in the same file is also treated as hash-typed. Rename the local or
-//! add an inline `// lint:allow(...)` marker when that bites.
-//!
-//! | id   | scope                | violation |
-//! |------|----------------------|-----------|
-//! | D001 | deterministic crates | iteration over `HashMap`/`HashSet` (order is nondeterministic across processes) |
-//! | D002 | all audited crates   | wall-clock reads (`Instant::now`, `SystemTime`) |
-//! | D003 | all audited crates   | ambient randomness (`thread_rng`, `rand::random`, `from_entropy`, `OsRng`) |
-//! | D004 | all audited crates   | `std::thread` / `std::sync::mpsc` concurrency outside `bench::parallel` / `sim::exec` |
-//! | D005 | deterministic crates | float-ordered sorts via `partial_cmp` (NaN breaks total order) |
-//! | D006 | all audited crates   | crate root missing `#![forbid(unsafe_code)]` |
-//! | D007 | deterministic crates | `.clone()` of an engine message payload (per-destination payload clones defeat the shared-payload fan-out; use `Payload`/`multicast`) |
+//! [`crate::lexer`]); none require type information. D005 and the
+//! registry rules D010/D011 match token shapes; D008/D009 run the
+//! parse → CFG → dataflow stack. All of them bind deterministic crates
+//! only. What type resolution checks better — hash collections, wall
+//! clocks, threads, `unsafe` — is clippy's and rustc's job (the root
+//! `clippy.toml` and each crate's `[lints]` table; DESIGN.md §5).
 
 use crate::config::RuleConfig;
 use crate::lexer::{Token, TokenKind};
@@ -35,8 +21,6 @@ pub struct FileCtx<'a> {
     /// Whether the file belongs to a deterministic crate (the simulator
     /// and everything it drives must replay byte-identically).
     pub deterministic: bool,
-    /// Whether this file is the crate root (`src/lib.rs`/`src/main.rs`).
-    pub is_crate_root: bool,
     pub tokens: &'a [Token],
     /// Registries for D008–D011.
     pub rules: &'a RuleConfig,
@@ -44,32 +28,12 @@ pub struct FileCtx<'a> {
 
 /// Rule ids in catalogue order, for `--list-rules`.
 pub const RULES: &[(&str, &str)] = &[
-    ("D000", "allow-marker hygiene: malformed, reason-less or unused markers and stale baseline entries"),
-    ("D001", "no iteration over HashMap/HashSet in deterministic crates (iteration order is nondeterministic)"),
-    ("D002", "no wall-clock reads (Instant::now, SystemTime) — simulated time only"),
-    ("D003", "no ambient randomness (thread_rng, rand::random, from_entropy, OsRng) — seed every RNG from a named stream constant"),
-    ("D004", "no std::thread / std::sync::mpsc outside the sanctioned concurrency modules (bench worker pool, sim partitioned executor)"),
+    ("D000", "allow-marker hygiene: malformed, reason-less or unused markers"),
     ("D005", "no float-ordered sorts via partial_cmp in deterministic crates — use total_cmp"),
-    ("D006", "every crate root carries #![forbid(unsafe_code)]"),
-    ("D007", "no .clone() of engine message payloads in deterministic crates — share via Payload/multicast; only the engine's fault-duplication path may copy"),
     ("D008", "timer-handle discipline: a binding from a timer-acquire fn must be cancelled or stored on every path — a handle dropped while armed is a leak (use a detached timer for fire-and-forget)"),
     ("D009", "stale arena-index escape: a dense index binding may not be used after a registered invalidation point (slot recycle, clear_node, mem::take) without re-lookup"),
     ("D010", "RNG stream discipline: every seed_from_u64 in a deterministic crate must mix a registered stream constant, used only in its declared subsystem file"),
     ("D011", "metrics/trace name registry: counter/gauge/trace-event name literals passed to emitter fns must be declared in lint.toml [metrics]"),
-];
-
-/// Methods whose call on a hash collection observes iteration order.
-const ITER_METHODS: &[&str] = &[
-    "iter",
-    "iter_mut",
-    "keys",
-    "values",
-    "values_mut",
-    "drain",
-    "retain",
-    "into_iter",
-    "into_keys",
-    "into_values",
 ];
 
 /// Comparator-taking sort/ordering functions D005 inspects.
@@ -81,28 +45,22 @@ const CMP_FNS: &[&str] = &[
     "min_by",
 ];
 
-/// Runs every applicable rule over one file.
+/// Runs every rule over one file of a deterministic crate; other
+/// crates get marker hygiene (D000, [`crate::allow`]) only.
 #[must_use]
 pub fn check_file(ctx: &FileCtx) -> Vec<Finding> {
+    if !ctx.deterministic {
+        return Vec::new();
+    }
     let mut out = Vec::new();
-    if ctx.deterministic {
-        d001_hash_iteration(ctx, &mut out);
-        d005_partial_cmp_sorts(ctx, &mut out);
-        d007_payload_clone(ctx, &mut out);
-        // The flow-sensitive pair shares one parse + CFG build.
-        let funcs = parse::parse_functions(ctx.tokens);
-        let cfgs: Vec<cfg::Cfg> = funcs.iter().map(|f| cfg::build(f, ctx.tokens)).collect();
-        d008_timer_discipline(ctx, &funcs, &cfgs, &mut out);
-        d009_stale_index(ctx, &funcs, &cfgs, &mut out);
-        d010_rng_streams(ctx, &mut out);
-        d011_metric_names(ctx, &mut out);
-    }
-    d002_wall_clock(ctx, &mut out);
-    d003_ambient_randomness(ctx, &mut out);
-    d004_threads(ctx, &mut out);
-    if ctx.is_crate_root {
-        d006_forbid_unsafe(ctx, &mut out);
-    }
+    d005_partial_cmp_sorts(ctx, &mut out);
+    // The flow-sensitive pair shares one parse + CFG build.
+    let funcs = parse::parse_functions(ctx.tokens);
+    let cfgs: Vec<cfg::Cfg> = funcs.iter().map(|f| cfg::build(f, ctx.tokens)).collect();
+    d008_timer_discipline(ctx, &funcs, &cfgs, &mut out);
+    d009_stale_index(ctx, &funcs, &cfgs, &mut out);
+    d010_rng_streams(ctx, &mut out);
+    d011_metric_names(ctx, &mut out);
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
     out
 }
@@ -122,367 +80,6 @@ fn is_ident(t: &Token, s: &str) -> bool {
 
 fn is_punct(t: &Token, c: char) -> bool {
     t.kind == TokenKind::Punct && t.text.as_bytes()[0] == c as u8
-}
-
-/// Matches a path pattern at `i`. Segments are identifiers; `"::"`
-/// consumes two `:` punct tokens. Returns the index one past the match.
-fn match_path(tokens: &[Token], i: usize, segs: &[&str]) -> Option<usize> {
-    let mut at = i;
-    for &s in segs {
-        if s == "::" {
-            if at + 1 < tokens.len() && is_punct(&tokens[at], ':') && is_punct(&tokens[at + 1], ':')
-            {
-                at += 2;
-            } else {
-                return None;
-            }
-        } else if at < tokens.len() && is_ident(&tokens[at], s) {
-            at += 1;
-        } else {
-            return None;
-        }
-    }
-    Some(at)
-}
-
-// --------------------------------------------------------------- D001
-
-/// Chases `use ... as X` and `type X = ...` aliases of
-/// `HashMap`/`HashSet` to a fixpoint; returns every name that denotes a
-/// hash collection type in this file.
-fn hash_type_names(tokens: &[Token]) -> Vec<String> {
-    let mut names: Vec<String> = vec!["HashMap".into(), "HashSet".into()];
-    loop {
-        let before = names.len();
-        for (i, t) in tokens.iter().enumerate() {
-            // `HashMap as Map`
-            if t.kind == TokenKind::Ident
-                && names.contains(&t.text)
-                && match_path(tokens, i + 1, &["as"]).is_some()
-            {
-                if let Some(alias) = tokens.get(i + 2) {
-                    if alias.kind == TokenKind::Ident && !names.contains(&alias.text) {
-                        names.push(alias.text.clone());
-                    }
-                }
-            }
-            // `type X<...> = <rhs>;` with a hash name in the rhs
-            if is_ident(t, "type") {
-                let Some(name) = tokens.get(i + 1) else {
-                    continue;
-                };
-                if name.kind != TokenKind::Ident {
-                    continue;
-                }
-                let mut j = i + 2;
-                while j < tokens.len() && !is_punct(&tokens[j], '=') && !is_punct(&tokens[j], ';') {
-                    j += 1;
-                }
-                if j >= tokens.len() || !is_punct(&tokens[j], '=') {
-                    continue;
-                }
-                let mut k = j + 1;
-                let mut rhs_hash = false;
-                while k < tokens.len() && !is_punct(&tokens[k], ';') {
-                    if tokens[k].kind == TokenKind::Ident && names.contains(&tokens[k].text) {
-                        rhs_hash = true;
-                    }
-                    k += 1;
-                }
-                if rhs_hash && !names.contains(&name.text) {
-                    names.push(name.text.clone());
-                }
-            }
-        }
-        if names.len() == before {
-            return names;
-        }
-    }
-}
-
-/// Identifiers bound to hash-typed values in this file: `x: HashMap<..>`
-/// annotations (fields, params, lets, struct-literal fields initialized
-/// from hash types) and `let x = <expr involving a hash name>;`.
-fn hash_bound_idents(tokens: &[Token], type_names: &[String]) -> Vec<String> {
-    let mut bound: Vec<String> = Vec::new();
-    let is_hash = |t: &Token, bound: &[String]| {
-        t.kind == TokenKind::Ident && (type_names.contains(&t.text) || bound.contains(&t.text))
-    };
-    for _ in 0..3 {
-        let before = bound.len();
-        let mut i = 0;
-        while i < tokens.len() {
-            let t = &tokens[i];
-            // `name : <type-or-value tokens>` up to a delimiter at angle
-            // depth 0. Covers struct fields, fn params, annotated lets
-            // and struct-literal initializers.
-            if t.kind == TokenKind::Ident
-                && i + 1 < tokens.len()
-                && is_punct(&tokens[i + 1], ':')
-                && !(i + 2 < tokens.len() && is_punct(&tokens[i + 2], ':'))
-                && (i == 0 || !is_punct(&tokens[i - 1], ':'))
-            {
-                let mut depth = 0i32;
-                let mut j = i + 2;
-                let mut saw_hash = false;
-                while j < tokens.len() {
-                    let u = &tokens[j];
-                    if is_punct(u, '<') || is_punct(u, '(') || is_punct(u, '[') {
-                        depth += 1;
-                    } else if is_punct(u, '>') || is_punct(u, ')') || is_punct(u, ']') {
-                        if depth == 0 {
-                            break;
-                        }
-                        depth -= 1;
-                    } else if depth == 0
-                        && (is_punct(u, ',')
-                            || is_punct(u, ';')
-                            || is_punct(u, '=')
-                            || is_punct(u, '{')
-                            || is_punct(u, '}'))
-                    {
-                        break;
-                    }
-                    if is_hash(u, &bound) {
-                        saw_hash = true;
-                    }
-                    j += 1;
-                    if j - i > 64 {
-                        break; // annotation scan bound
-                    }
-                }
-                if saw_hash && !bound.contains(&t.text) {
-                    bound.push(t.text.clone());
-                }
-            }
-            // `let [mut] name = <expr>;` where the expr mentions a hash
-            // name (covers `let m = &mut self.timer_meta[i];`).
-            if is_ident(t, "let") {
-                let mut j = i + 1;
-                if j < tokens.len() && is_ident(&tokens[j], "mut") {
-                    j += 1;
-                }
-                let Some(name) = tokens.get(j) else {
-                    i += 1;
-                    continue;
-                };
-                if name.kind == TokenKind::Ident
-                    && tokens.get(j + 1).is_some_and(|u| is_punct(u, '='))
-                {
-                    let mut k = j + 2;
-                    let mut saw_hash = false;
-                    while k < tokens.len() && !is_punct(&tokens[k], ';') && k - j < 48 {
-                        if is_hash(&tokens[k], &bound) {
-                            saw_hash = true;
-                        }
-                        k += 1;
-                    }
-                    if saw_hash && !bound.contains(&name.text) {
-                        bound.push(name.text.clone());
-                    }
-                }
-            }
-            i += 1;
-        }
-        if bound.len() == before {
-            break;
-        }
-    }
-    bound
-}
-
-/// Walks backwards from the `.` of a method call to the *direct*
-/// receiver identifier (`self.a[i].retain` → `a`, `m.retain` → `m`).
-/// Bracketed index/call groups are skipped wholesale so their contents
-/// never contribute a name; outer chain segments (`state` in
-/// `state.holders.retain`) are deliberately ignored — only the place
-/// being iterated matters.
-fn direct_receiver(tokens: &[Token], dot: usize) -> Option<String> {
-    let mut i = dot;
-    while i > 0 {
-        i -= 1;
-        let t = &tokens[i];
-        if is_punct(t, ')') || is_punct(t, ']') {
-            // skip to the matching opener
-            let (open, close) = if is_punct(t, ')') {
-                ('(', ')')
-            } else {
-                ('[', ']')
-            };
-            let mut depth = 1i32;
-            while i > 0 && depth > 0 {
-                i -= 1;
-                if is_punct(&tokens[i], close) {
-                    depth += 1;
-                } else if is_punct(&tokens[i], open) {
-                    depth -= 1;
-                }
-            }
-        } else if t.kind == TokenKind::Ident {
-            return Some(t.text.clone());
-        } else {
-            return None;
-        }
-    }
-    None
-}
-
-fn d001_hash_iteration(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    let tokens = ctx.tokens;
-    let type_names = hash_type_names(tokens);
-    let bound = hash_bound_idents(tokens, &type_names);
-    if bound.is_empty() {
-        return;
-    }
-    let mut seen_lines: Vec<u32> = Vec::new();
-    let mut push = |out: &mut Vec<Finding>, line: u32, what: &str, via: &str| {
-        if seen_lines.contains(&line) {
-            return;
-        }
-        seen_lines.push(line);
-        out.push(finding(
-            ctx,
-            "D001",
-            line,
-            format!(
-                "iteration over hash collection `{via}` ({what}); HashMap/HashSet order differs \
-                 across processes — use BTreeMap/BTreeSet or a sorted vec"
-            ),
-        ));
-    };
-    for (i, t) in tokens.iter().enumerate() {
-        // `.iter()` / `.retain(..)` / ... on a hash-bound receiver.
-        if t.kind == TokenKind::Ident
-            && ITER_METHODS.contains(&t.text.as_str())
-            && i >= 1
-            && is_punct(&tokens[i - 1], '.')
-            && tokens.get(i + 1).is_some_and(|u| is_punct(u, '('))
-        {
-            if let Some(recv) = direct_receiver(tokens, i - 1) {
-                if bound.contains(&recv) {
-                    push(out, t.line, &format!(".{}()", t.text), &recv);
-                }
-            }
-        }
-        // `for <pat> in <expr> {` where the expr mentions a hash-bound
-        // name directly (not through a method call, which the arm above
-        // already reports).
-        if is_ident(t, "for") {
-            let mut j = i + 1;
-            let mut depth = 0i32;
-            let mut found_in = None;
-            while j < tokens.len() && j - i < 48 {
-                let u = &tokens[j];
-                if is_punct(u, '(') || is_punct(u, '[') {
-                    depth += 1;
-                } else if is_punct(u, ')') || is_punct(u, ']') {
-                    depth -= 1;
-                } else if depth == 0 && is_ident(u, "in") {
-                    found_in = Some(j);
-                    break;
-                }
-                j += 1;
-            }
-            let Some(in_at) = found_in else { continue };
-            let mut k = in_at + 1;
-            let mut depth = 0i32;
-            while k < tokens.len() && k - in_at < 48 {
-                let u = &tokens[k];
-                if is_punct(u, '(') || is_punct(u, '[') {
-                    depth += 1;
-                } else if is_punct(u, ')') || is_punct(u, ']') {
-                    depth -= 1;
-                } else if depth == 0 && is_punct(u, '{') {
-                    break;
-                } else if u.kind == TokenKind::Ident && bound.contains(&u.text) {
-                    push(out, t.line, "for-loop", &u.text);
-                    break;
-                }
-                k += 1;
-            }
-        }
-    }
-}
-
-// --------------------------------------------------------------- D002
-
-fn d002_wall_clock(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    for (i, t) in ctx.tokens.iter().enumerate() {
-        if is_ident(t, "Instant") && match_path(ctx.tokens, i + 1, &["::", "now"]).is_some() {
-            out.push(finding(
-                ctx,
-                "D002",
-                t.line,
-                "wall-clock read `Instant::now()`; simulated components must use engine time"
-                    .into(),
-            ));
-        }
-        if is_ident(t, "SystemTime") {
-            out.push(finding(
-                ctx,
-                "D002",
-                t.line,
-                "wall-clock type `SystemTime`; simulated components must use engine time".into(),
-            ));
-        }
-    }
-}
-
-// --------------------------------------------------------------- D003
-
-fn d003_ambient_randomness(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    for (i, t) in ctx.tokens.iter().enumerate() {
-        let bad = if is_ident(t, "thread_rng")
-            || is_ident(t, "from_entropy")
-            || is_ident(t, "OsRng")
-            || is_ident(t, "getrandom")
-        {
-            Some(t.text.clone())
-        } else if is_ident(t, "rand") && match_path(ctx.tokens, i + 1, &["::", "random"]).is_some()
-        {
-            Some("rand::random".into())
-        } else {
-            None
-        };
-        if let Some(what) = bad {
-            out.push(finding(
-                ctx,
-                "D003",
-                t.line,
-                format!("ambient randomness `{what}`; construct every RNG from a named seed/stream constant"),
-            ));
-        }
-    }
-}
-
-// --------------------------------------------------------------- D004
-
-fn d004_threads(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    let mut seen_lines: Vec<u32> = Vec::new();
-    for (i, t) in ctx.tokens.iter().enumerate() {
-        let hit = if match_path(ctx.tokens, i, &["std", "::", "thread"]).is_some() {
-            Some("std::thread")
-        } else if match_path(ctx.tokens, i, &["std", "::", "sync", "::", "mpsc"]).is_some() {
-            Some("std::sync::mpsc")
-        } else if match_path(ctx.tokens, i, &["thread", "::", "spawn"]).is_some() {
-            Some("thread::spawn")
-        } else if match_path(ctx.tokens, i, &["mpsc", "::", "channel"]).is_some() {
-            Some("mpsc::channel")
-        } else {
-            None
-        };
-        if let Some(what) = hit {
-            if !seen_lines.contains(&t.line) {
-                seen_lines.push(t.line);
-                out.push(finding(
-                    ctx,
-                    "D004",
-                    t.line,
-                    format!("`{what}`: threads/channels are reserved for the sanctioned concurrency modules (`bench::parallel`, `sim::exec`)"),
-                ));
-            }
-        }
-    }
 }
 
 // --------------------------------------------------------------- D005
@@ -523,74 +120,6 @@ fn d005_partial_cmp_sorts(ctx: &FileCtx, out: &mut Vec<Finding>) {
             j += 1;
         }
     }
-}
-
-// --------------------------------------------------------------- D007
-
-/// Identifiers that denote an engine message payload by the workspace's
-/// own naming convention (`Engine::send(.., payload, ..)` and every
-/// protocol handler use this name for the in-flight message body).
-const PAYLOAD_IDENTS: &[&str] = &["payload"];
-
-/// Flags `.clone()` whose direct receiver is a message payload. A
-/// fan-out of one large body goes through `Engine::multicast`, and the
-/// engine's fault-duplication path shares the `Rc` instead of cloning —
-/// a fresh `payload.clone()` is a per-destination copy of the full
-/// message body. Like D001, resolution is by name within the file;
-/// rename the local or add an inline `// lint:allow(D007): ...` marker
-/// for a justified copy.
-fn d007_payload_clone(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    let tokens = ctx.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        if t.kind == TokenKind::Ident
-            && t.text == "clone"
-            && i >= 1
-            && is_punct(&tokens[i - 1], '.')
-            && tokens.get(i + 1).is_some_and(|u| is_punct(u, '('))
-        {
-            if let Some(recv) = direct_receiver(tokens, i - 1) {
-                if PAYLOAD_IDENTS.contains(&recv.as_str()) {
-                    out.push(finding(
-                        ctx,
-                        "D007",
-                        t.line,
-                        format!(
-                            "`{recv}.clone()` copies a full message payload per destination; \
-                             share one allocation via `Engine::multicast` \
-                             (`Payload` envelope) instead"
-                        ),
-                    ));
-                }
-            }
-        }
-    }
-}
-
-// --------------------------------------------------------------- D006
-
-fn d006_forbid_unsafe(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    let tokens = ctx.tokens;
-    for (i, t) in tokens.iter().enumerate() {
-        if is_punct(t, '#')
-            && tokens.get(i + 1).is_some_and(|u| is_punct(u, '!'))
-            && tokens.get(i + 2).is_some_and(|u| is_punct(u, '['))
-            && tokens
-                .get(i + 3)
-                .is_some_and(|u| is_ident(u, "forbid") || is_ident(u, "deny"))
-            && tokens.get(i + 4).is_some_and(|u| is_punct(u, '('))
-            && tokens
-                .get(i + 5)
-                .is_some_and(|u| is_ident(u, "unsafe_code"))
-        {
-            return;
-        }
-    }
-    out.push(finding(
-        ctx,
-        "D006",
-        1,
-        "crate root is missing `#![forbid(unsafe_code)]`".into(),
-    ));
 }
 
 // --------------------------------------------------------------- D008
@@ -808,99 +337,9 @@ mod tests {
         check_file(&FileCtx {
             path: "test.rs",
             deterministic,
-            is_crate_root: false,
             tokens: &lexed.tokens,
             rules,
         })
-    }
-
-    #[test]
-    fn d001_tracks_aliases_and_fields() {
-        let src = "
-            use std::collections::HashMap as Map;
-            struct S { m: Map<u32, u32> }
-            impl S { fn f(&self) { for (k, v) in &self.m {} } }
-        ";
-        let f = check(src, true);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "D001");
-    }
-
-    #[test]
-    fn d001_type_alias_chain_and_let_propagation() {
-        let src = "
-            use std::collections::HashMap;
-            type SeqMap<V> = HashMap<u64, V, SeqBuild>;
-            struct T { meta: Vec<SeqMap<u64>> }
-            impl T { fn f(&mut self, i: usize) {
-                let m = &mut self.meta[i];
-                m.retain(|_, _| true);
-            } }
-        ";
-        let f = check(src, true);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert!(f[0].message.contains(".retain()"));
-    }
-
-    #[test]
-    fn d001_ignores_lookup_only_and_nondeterministic_crates() {
-        let src = "
-            use std::collections::HashMap;
-            struct S { m: HashMap<u32, u32> }
-            impl S { fn g(&self) -> Option<&u32> { self.m.get(&1) } }
-        ";
-        assert!(check(src, true).is_empty());
-        let iter = "
-            use std::collections::HashMap;
-            fn f(m: HashMap<u32, u32>) { for k in m.keys() {} }
-        ";
-        assert!(!check(iter, true).is_empty());
-        assert!(
-            check(iter, false).is_empty(),
-            "rule only runs in deterministic crates"
-        );
-    }
-
-    #[test]
-    fn d001_btreemap_is_clean() {
-        let src = "
-            use std::collections::BTreeMap;
-            fn f(m: BTreeMap<u32, u32>) { for k in m.keys() {} m.len(); }
-        ";
-        assert!(check(src, true).is_empty());
-    }
-
-    #[test]
-    fn d002_wall_clock() {
-        let f = check("fn f() { let t = std::time::Instant::now(); }", false);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "D002");
-        let f = check("use std::time::SystemTime;", false);
-        assert_eq!(f.len(), 1);
-        assert!(check("fn f() { let i: Instant = t; }", false).is_empty());
-    }
-
-    #[test]
-    fn d003_ambient_randomness() {
-        assert_eq!(check("let r = rand::thread_rng();", false)[0].rule, "D003");
-        assert_eq!(check("let x: u8 = rand::random();", false)[0].rule, "D003");
-        assert_eq!(
-            check("let r = StdRng::from_entropy();", false)[0].rule,
-            "D003"
-        );
-        assert!(check("let r = StdRng::seed_from_u64(SEED ^ 0xfa01);", false).is_empty());
-        assert!(
-            check("fn random_walk() {}", false).is_empty(),
-            "bare `random` ident is fine"
-        );
-    }
-
-    #[test]
-    fn d004_threads() {
-        assert_eq!(check("use std::thread;", false)[0].rule, "D004");
-        assert_eq!(check("use std::sync::mpsc;", false)[0].rule, "D004");
-        assert_eq!(check("let h = thread::spawn(|| 1);", false)[0].rule, "D004");
-        assert!(check("fn thread_count() -> usize { 1 }", false).is_empty());
     }
 
     #[test]
@@ -920,60 +359,6 @@ mod tests {
             .is_empty(),
             "partial_cmp outside a sort comparator is not D005"
         );
-    }
-
-    #[test]
-    fn d007_payload_clone() {
-        let f = check(
-            "fn f() { for &to in dests { eng.send(from, to, payload.clone(), 64, c); } }",
-            true,
-        );
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "D007");
-        assert!(
-            check(
-                "fn f() { eng.multicast(from, dests, payload, 64, c); }",
-                true
-            )
-            .is_empty(),
-            "multicast without cloning is clean"
-        );
-        assert!(
-            check("fn f() { let p = config.clone(); }", true).is_empty(),
-            "cloning non-payload values is not D007"
-        );
-        assert!(
-            check(
-                "fn f() { for &to in dests { eng.send(from, to, payload.clone(), 64, c); } }",
-                false
-            )
-            .is_empty(),
-            "rule only runs in deterministic crates"
-        );
-    }
-
-    #[test]
-    fn d006_crate_root() {
-        let rules = RuleConfig::default();
-        let lexed = lex("//! docs\npub fn f() {}\n");
-        let f = check_file(&FileCtx {
-            path: "src/lib.rs",
-            deterministic: true,
-            is_crate_root: true,
-            tokens: &lexed.tokens,
-            rules: &rules,
-        });
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "D006");
-        let lexed = lex("#![forbid(unsafe_code)]\npub fn f() {}\n");
-        let f = check_file(&FileCtx {
-            path: "src/lib.rs",
-            deterministic: true,
-            is_crate_root: true,
-            tokens: &lexed.tokens,
-            rules: &rules,
-        });
-        assert!(f.is_empty());
     }
 
     #[test]

@@ -14,8 +14,6 @@ pub struct CrateInfo {
     pub dir: PathBuf,
     /// Audited `.rs` files, workspace-relative, sorted.
     pub files: Vec<PathBuf>,
-    /// The crate root (`src/lib.rs` or `src/main.rs`), if present.
-    pub root_file: Option<PathBuf>,
 }
 
 /// Walks up from `start` to the directory whose `Cargo.toml` declares
@@ -72,16 +70,7 @@ pub fn discover(root: &Path) -> Result<Vec<CrateInfo>, String> {
             collect_rs(root, &dir.join(sub), &mut files);
         }
         files.sort();
-        let root_file = ["src/lib.rs", "src/main.rs"]
-            .iter()
-            .map(|f| normalize(&dir.join(f)))
-            .find(|f| root.join(f).is_file());
-        crates.push(CrateInfo {
-            name,
-            dir,
-            files,
-            root_file,
-        });
+        crates.push(CrateInfo { name, dir, files });
     }
     crates.sort_by(|a, b| a.name.cmp(&b.name));
     Ok(crates)

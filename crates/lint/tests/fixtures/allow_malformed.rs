@@ -1,8 +1,7 @@
 //! Marker fixture: a reason-less allow is malformed — it must be
 //! reported (D000) and must NOT suppress the finding beneath it.
 
-// lint:allow(D002)
-fn elapsed_ms() -> u128 {
-    let t0 = std::time::Instant::now();
-    t0.elapsed().as_millis()
+fn rank(xs: &mut [f64]) {
+    // lint:allow(D005)
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }

@@ -1,12 +1,11 @@
 //! Marker fixture: every violation carries a justified `lint:allow`,
 //! exercising both placements (line above, same line).
 
-fn elapsed_ms() -> u128 {
-    // lint:allow(D002): fixture exercises next-line suppression
-    let t0 = std::time::Instant::now();
-    t0.elapsed().as_millis()
+fn rank(xs: &mut [f64]) {
+    // lint:allow(D005): fixture exercises next-line suppression
+    xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
 }
 
-fn pick() -> u32 {
-    rand::random::<u32>() // lint:allow(D003): fixture exercises same-line suppression
+fn rank_unstable(xs: &mut [f64]) {
+    xs.sort_unstable_by(|a, b| b.partial_cmp(a).unwrap()); // lint:allow(D005): fixture exercises same-line suppression
 }

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 //! A Pastry structured overlay (MSPastry-style) running on the simulator.
 //!
@@ -55,6 +54,6 @@ pub use events::OverlayEvents;
 pub use node::{LeafHalf, NodeState, HALF_CAP};
 pub use overlay::{
     is_overlay_tag, Overlay, OverlayConfig, OverlayEngine, OverlayEvent, OverlayMsg, OverlayStats,
-    SPARE_PUSH_MAX,
+    HEARTBEAT_PERIOD, LEAFSET_REFRESH, SPARE_PUSH_MAX,
 };
 pub use ring::RingIndex;

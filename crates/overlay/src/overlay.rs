@@ -13,6 +13,16 @@ use crate::wire;
 /// Engine type every overlay-based application runs on.
 pub type OverlayEngine<A> = Engine<OverlayMsg<A>>;
 
+/// Leafset heartbeat period (paper: 30 s).
+pub const HEARTBEAT_PERIOD: Duration = Duration::from_secs(30);
+/// How long after a failure its leafset neighbors notice: one
+/// heartbeat period plus a grace; jittered per detector.
+const DETECT_DELAY: Duration = Duration::from_secs(40);
+/// Period of the leafset anti-entropy probe (MSPastry-style): each
+/// joined node periodically pulls one leafset member's leafset and
+/// merges it, repairing asymmetric views left by lost Announces.
+pub const LEAFSET_REFRESH: Duration = Duration::from_secs(60);
+
 /// Overlay configuration; defaults are the paper's (§4.3.1).
 #[derive(Clone, Debug)]
 pub struct OverlayConfig {
@@ -21,15 +31,6 @@ pub struct OverlayConfig {
     /// Leafset size l (l/2 per side; paper: 8). Even, at least 2 and at
     /// most `2 × HALF_CAP` — [`Overlay::new`] rejects anything else.
     pub leafset: usize,
-    /// Leafset heartbeat period (paper: 30 s).
-    pub heartbeat: Duration,
-    /// How long after a failure its leafset neighbors notice: one
-    /// heartbeat period plus a grace; jittered per detector.
-    pub detect_delay: Duration,
-    /// Period of the leafset anti-entropy probe (MSPastry-style): each
-    /// joined node periodically pulls one leafset member's leafset and
-    /// merges it, repairing asymmetric views left by lost Announces.
-    pub leafset_refresh: Duration,
     /// Seed for id assignment jitter-free operations (bootstrap pick,
     /// detection jitter).
     pub seed: u64,
@@ -40,9 +41,6 @@ impl Default for OverlayConfig {
         OverlayConfig {
             b: 4,
             leafset: 8,
-            heartbeat: Duration::from_secs(30),
-            detect_delay: Duration::from_secs(40),
-            leafset_refresh: Duration::from_secs(60),
             seed: 0,
         }
     }
@@ -603,7 +601,7 @@ impl Overlay {
         // Retry in case the request or reply is lost to churn; cancelled
         // on join completion (the engine cancels it automatically if the
         // node goes down first).
-        self.join_retry[n.idx()] = Some(eng.set_timer(n, self.cfg.heartbeat * 2, TAG_JOIN_RETRY));
+        self.join_retry[n.idx()] = Some(eng.set_timer(n, HEARTBEAT_PERIOD * 2, TAG_JOIN_RETRY));
     }
 
     /// Must be called when the engine reports `NodeDown`.
@@ -632,8 +630,8 @@ impl Overlay {
             self.bump(eng, m);
             if eng.is_up(m) {
                 let jitter =
-                    Duration::from_micros(self.rng.gen_range(0..self.cfg.heartbeat.as_micros()));
-                let h = eng.set_timer(m, self.cfg.detect_delay + jitter, TAG_FAIL | u64::from(n.0));
+                    Duration::from_micros(self.rng.gen_range(0..HEARTBEAT_PERIOD.as_micros()));
+                let h = eng.set_timer(m, DETECT_DELAY + jitter, TAG_FAIL | u64::from(n.0));
                 self.fail_timers[n.idx()].push((w, h));
             }
         }
@@ -674,8 +672,8 @@ impl Overlay {
                 // A pull across the cut is lost, not a no-op.
                 self.bump(eng, d);
                 let jitter =
-                    Duration::from_micros(self.rng.gen_range(0..self.cfg.heartbeat.as_micros()));
-                let h = eng.set_timer(d, self.cfg.detect_delay + jitter, TAG_FAIL | u64::from(m.0));
+                    Duration::from_micros(self.rng.gen_range(0..HEARTBEAT_PERIOD.as_micros()));
+                let h = eng.set_timer(d, DETECT_DELAY + jitter, TAG_FAIL | u64::from(m.0));
                 self.fail_timers[m.idx()].push((w, h));
             }
         }
@@ -695,8 +693,8 @@ impl Overlay {
                     continue;
                 }
                 let jitter =
-                    Duration::from_micros(self.rng.gen_range(0..self.cfg.heartbeat.as_micros()));
-                let h = eng.set_timer(m, self.cfg.detect_delay + jitter, TAG_FAIL | u64::from(t.0));
+                    Duration::from_micros(self.rng.gen_range(0..HEARTBEAT_PERIOD.as_micros()));
+                let h = eng.set_timer(m, DETECT_DELAY + jitter, TAG_FAIL | u64::from(t.0));
                 self.fail_timers[t.idx()].push((m.0, h));
             }
         }
@@ -856,8 +854,7 @@ impl Overlay {
     fn refresh_interval(cfg: &OverlayConfig, n: NodeIdx, turn: u32) -> Duration {
         let key = u64::from(n.0) << 32 | u64::from(turn);
         let mut rng = StdRng::seed_from_u64(cfg.seed ^ LS_REFRESH_STREAM ^ key);
-        let period = cfg.leafset_refresh;
-        period + Duration::from_micros(rng.gen_range(0..period.as_micros().max(4) / 4))
+        LEAFSET_REFRESH + Duration::from_micros(rng.gen_range(0..LEAFSET_REFRESH.as_micros() / 4))
     }
 
     /// Arms the timer for `n`'s next turn.
@@ -1409,7 +1406,7 @@ impl Overlay {
     /// `n` sleeps, a pull out and a member's push back once per refresh
     /// period; and for each sleeping node that lists `n`, the mirror
     /// image once per that node's rotation. The jitter puts the mean
-    /// refresh period an eighth above the configured one.
+    /// refresh period an eighth above `LEAFSET_REFRESH`.
     fn update_standing_rate<A: Clone>(&self, eng: &mut OverlayEngine<A>, n: NodeIdx) {
         let st = &self.nodes[n.idx()];
         if !st.joined {
@@ -1418,9 +1415,8 @@ impl Overlay {
         }
         let r = &self.refresh[n.idx()];
         let count = st.members().count();
-        let heartbeats =
-            count as f64 * f64::from(wire::HEARTBEAT) / self.cfg.heartbeat.as_secs_f64();
-        let period = self.cfg.leafset_refresh.as_secs_f64() * 1.125;
+        let heartbeats = count as f64 * f64::from(wire::HEARTBEAT) / HEARTBEAT_PERIOD.as_secs_f64();
+        let period = LEAFSET_REFRESH.as_secs_f64() * 1.125;
         let pulled = f64::from(r.pulled_weight) / f64::from(PULL_WEIGHT) / period;
         let pull = f64::from(wire::leafset_msg(1));
         let push = f64::from(wire::leafset_msg(count));
@@ -1440,9 +1436,9 @@ impl Overlay {
     // ---------------------------------------------------------- routing
 
     /// Injects a message to be routed to the live node closest to `key`.
-    /// `size` is the application payload size (per-hop overhead added).
-    /// Returns delivery events immediately if the sender is itself the
-    /// root.
+    /// `size` is the application payload size (per-hop overhead added);
+    /// routed traffic is always accounted as Query class. Returns
+    /// delivery events immediately if the sender is itself the root.
     pub fn route<A: Clone>(
         &mut self,
         eng: &mut OverlayEngine<A>,
@@ -1450,10 +1446,8 @@ impl Overlay {
         key: Id,
         payload: A,
         size: u32,
-        class: TrafficClass,
     ) -> OverlayEvents<A> {
         self.stats.routed_messages += 1;
-        let _ = class; // routed traffic is always accounted as Query class
         self.forward_or_deliver(eng, from, key, from, 0, size, payload)
     }
 
@@ -1730,7 +1724,7 @@ mod tests {
         for trial in 0..50u64 {
             let key = Id::random(&mut rng);
             let from = NodeIdx((trial % n as u64) as u32);
-            let mut evs = ov.route(&mut eng, from, key, trial, 100, TrafficClass::Query);
+            let mut evs = ov.route(&mut eng, from, key, trial, 100);
             let horizon = eng.now() + Duration::from_mins(5);
             evs.extend(drive(&mut eng, &mut ov, horizon));
             let delivered: Vec<_> = evs
@@ -1765,7 +1759,7 @@ mod tests {
         for t in 0..100u64 {
             let key = Id::random(&mut rng);
             let from = NodeIdx(rng.gen_range(0..n as u32));
-            let evs = ov.route(&mut eng, from, key, t, 50, TrafficClass::Query);
+            let evs = ov.route(&mut eng, from, key, t, 50);
             drop(evs);
             let horizon = eng.now() + Duration::from_mins(5);
             drive(&mut eng, &mut ov, horizon);
@@ -1840,7 +1834,7 @@ mod tests {
         // Drain just the NodeDown.
         let _ = drive(&mut eng, &mut ov, t1);
         let from = NodeIdx(0);
-        let mut evs = ov.route(&mut eng, from, key, 99, 10, TrafficClass::Query);
+        let mut evs = ov.route(&mut eng, from, key, 99, 10);
         evs.extend(drive(&mut eng, &mut ov, t1 + Duration::from_secs(20)));
         let delivered: Vec<_> = evs
             .iter()
@@ -2011,7 +2005,7 @@ mod tests {
         assert_eq!(ov.stats.leafset_refreshes, 0);
         assert_eq!(ov.refresh_cursor(me), 0);
         assert_eq!(eng.next_pending_at(), None);
-        let evs = ov.route(&mut eng, me, Id(7), 1, 10, TrafficClass::Query);
+        let evs = ov.route(&mut eng, me, Id(7), 1, 10);
         assert!(matches!(
             evs.iter().next(),
             Some(OverlayEvent::Deliver {

@@ -76,12 +76,6 @@ impl RingIndex {
         }
     }
 
-    /// Number of endsystems in the universe (member or not).
-    #[must_use]
-    pub fn universe_len(&self) -> usize {
-        self.keys.len()
-    }
-
     /// Number of joined live members.
     #[must_use]
     pub fn live_count(&self) -> usize {

@@ -5,7 +5,7 @@
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seaweed_overlay::{is_overlay_tag, Overlay, OverlayConfig, OverlayEvent, OverlayMsg};
-use seaweed_sim::{Engine, Event, NodeIdx, SimConfig, TrafficClass, UniformTopology};
+use seaweed_sim::{Engine, Event, NodeIdx, SimConfig, UniformTopology};
 use seaweed_types::{Duration, Id, Time};
 
 type Eng = Engine<OverlayMsg<u64>>;
@@ -105,7 +105,7 @@ fn randomized_churn_converges_across_seeds() {
         for trial in 0..20 {
             let key = Id::random(&mut rng);
             let from = NodeIdx(live[rng.gen_range(0..live.len())] as u32);
-            let mut evs = ov.route(&mut eng, from, key, trial, 64, TrafficClass::Query);
+            let mut evs = ov.route(&mut eng, from, key, trial, 64);
             let horizon = eng.now() + Duration::from_mins(2);
             evs.extend(drive(&mut eng, &mut ov, horizon));
             let delivered: Vec<NodeIdx> = evs

@@ -30,7 +30,8 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use seaweed_overlay::wire;
 use seaweed_overlay::{
-    is_overlay_tag, Overlay, OverlayConfig, OverlayEvent, OverlayMsg, SPARE_PUSH_MAX,
+    is_overlay_tag, Overlay, OverlayConfig, OverlayEvent, OverlayMsg, HEARTBEAT_PERIOD,
+    LEAFSET_REFRESH, SPARE_PUSH_MAX,
 };
 use seaweed_sim::{
     Engine, Event, FaultPlan, NodeIdx, PartitionSpec, SimConfig, TrafficClass, UniformTopology,
@@ -245,7 +246,6 @@ fn view(eng: &Eng, ov: &Overlay, slots: &SlotMap) -> Vec<NodeView> {
 /// `|members(q)|` periods.
 fn closed_form_rate(
     eng: &Eng,
-    ov: &Overlay,
     views: &[NodeView],
     sleepers: &[Vec<usize>],
     n: NodeIdx,
@@ -255,9 +255,8 @@ fn closed_form_rate(
     if !eng.is_up(n) || !me.inputs.joined {
         return (0.0, 0.0);
     }
-    let cfg = ov.config();
-    let period = cfg.leafset_refresh.as_secs_f64() * 1.125;
-    let hb = members(me) * f64::from(wire::HEARTBEAT) / cfg.heartbeat.as_secs_f64();
+    let period = LEAFSET_REFRESH.as_secs_f64() * 1.125;
+    let hb = members(me) * f64::from(wire::HEARTBEAT) / HEARTBEAT_PERIOD.as_secs_f64();
     let (mut tx, mut rx) = (hb, hb);
     if me.asleep {
         for (p, _) in &me.inputs.answer {
@@ -381,7 +380,7 @@ fn check_elision(
         if is.asleep && is.synced.len() != is.inputs.answer.len() {
             return Err(format!("{n:?} sleeps on an un-synced pair"));
         }
-        let (tx, rx) = closed_form_rate(eng, ov, after, &sleepers, n);
+        let (tx, rx) = closed_form_rate(eng, after, &sleepers, n);
         let held = eng.standing(n, TrafficClass::Overlay);
         let close = |held: f32, want: f64| (f64::from(held) - want).abs() <= 1e-5 * want.max(1.0);
         if !close(held.0, tx) || !close(held.1, rx) {

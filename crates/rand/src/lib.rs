@@ -8,6 +8,11 @@
 //! the upstream ChaCha12 generator, so absolute random streams differ
 //! from genuine `rand 0.8`; everything in this workspace only relies on
 //! determinism for a fixed seed, which holds.
+//!
+//! There is no entropy-seeded constructor (`thread_rng`, `random`,
+//! `from_entropy`, `OsRng`), and that absence is the workspace's ban on
+//! ambient randomness: whoever adds one adds its path to the root
+//! `clippy.toml` `disallowed-methods` in the same change.
 
 /// Low-level source of randomness (subset of `rand_core::RngCore`).
 pub trait RngCore {

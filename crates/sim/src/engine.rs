@@ -65,7 +65,7 @@ impl NodeIdx {
 /// single in-flight copy, or shared (`Rc`-backed) between several —
 /// [`Engine::multicast`] and fault duplication hand every queued copy the
 /// same allocation instead of deep-cloning per destination. The DES is
-/// single-threaded (lint rule D004), so `Rc` suffices.
+/// single-threaded (`clippy.toml` bans threads), so `Rc` suffices.
 ///
 /// The envelope `Deref`s to the payload for reads and prints as it.
 /// Consumers that need ownership call [`Payload::into_owned`], which
@@ -79,8 +79,8 @@ pub enum Payload<M> {
 
 thread_local! {
     /// Deep clones taken by the [`Payload::into_owned`] fallback when the
-    /// allocation was still shared. The DES is single-threaded (lint rule
-    /// D004) and `into_owned` has no engine handle, so a thread-local is
+    /// allocation was still shared. The DES is single-threaded and
+    /// `into_owned` has no engine handle, so a thread-local is
     /// the one place this can be counted; it accumulates monotonically
     /// across every engine on the thread.
     static PAYLOAD_FALLBACK_CLONES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
@@ -89,8 +89,7 @@ thread_local! {
 /// Running count (this thread) of deep clones the [`Payload::into_owned`]
 /// fallback has taken — each one is a fan-out copy consumed by value while
 /// sibling copies were still queued. Single-destination sends always carry
-/// [`Payload::Owned`], so this counts only genuine shared-consumption, the
-/// regression class lint rule D007 exists to catch.
+/// [`Payload::Owned`], so this counts only genuine shared-consumption.
 #[must_use]
 pub fn payload_fallback_clones() -> u64 {
     PAYLOAD_FALLBACK_CLONES.with(std::cell::Cell::get)
@@ -882,13 +881,6 @@ impl<M> Engine<M> {
     pub fn record_app_event(&mut self, node: NodeIdx, kind: &'static str, detail: u64) {
         *self.app_events.entry(kind).or_insert(0) += 1;
         self.trace(|| TraceEvent::AppEvent { node, kind, detail });
-    }
-
-    /// Count recorded so far for an application event kind (zero if the
-    /// kind was never recorded).
-    #[must_use]
-    pub fn app_event_count(&self, kind: &str) -> u64 {
-        self.app_events.get(kind).copied().unwrap_or(0)
     }
 
     /// Clamps a request dated before the current clock to `now` (counted

@@ -43,8 +43,8 @@
 //! that shares every line of protocol code but none of the threading.
 //!
 //! Threads are deliberately confined to this module (and the bench
-//! worker pool): lint rule D004 carves out exactly these two homes for
-//! `std::thread`.
+//! worker pool): the root `clippy.toml` bans `thread::spawn`/`scope`
+//! everywhere, and these two homes carry the only `#[expect]`s.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Barrier, Mutex};
@@ -111,8 +111,8 @@ pub fn partition_seed(base: u64, p: usize) -> u64 {
 // ---------------------------------------------------------------- budget
 
 /// Global worker-thread budget shared with the bench sweep pool: when an
-/// outer `--jobs`/`SEAWEED_JOBS` sweep is running `J` single-threaded
-/// runs concurrently, inner partition executors must not oversubscribe
+/// outer `--jobs` sweep is running `J` single-threaded runs
+/// concurrently, inner partition executors must not oversubscribe
 /// the machine on top of it. `0` = unset (use available parallelism).
 static THREAD_BUDGET: AtomicUsize = AtomicUsize::new(0);
 
@@ -395,6 +395,10 @@ where
 
     let mut results: Vec<(usize, R)> = match cfg.kind {
         ExecKind::Serial => worker_loop(0),
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "exec.rs IS the sanctioned partitioned executor: scoped workers under the conservative LBTS-window protocol, determinism pinned byte-for-byte against ExecKind::Serial by the exec_determinism and federation proptests"
+        )]
         ExecKind::Parallel => std::thread::scope(|scope| {
             let handles: Vec<_> = (0..workers)
                 .map(|w| scope.spawn(move || worker_loop(w)))

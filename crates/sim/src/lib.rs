@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 //! A deterministic discrete-event network simulator.
 //!

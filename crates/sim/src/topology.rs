@@ -102,12 +102,6 @@ impl SubTopology {
             .all(|&m| (m as usize) < global.num_endsystems()));
         SubTopology { global, members }
     }
-
-    /// The global endsystem index behind a local node index.
-    #[must_use]
-    pub fn global_of(&self, local: NodeIdx) -> u32 {
-        self.members[local.idx()]
-    }
 }
 
 impl std::fmt::Debug for SubTopology {

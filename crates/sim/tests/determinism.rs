@@ -226,7 +226,8 @@ fn run_fanout(script: &[Action], seed: u64, multicast: bool) -> (Vec<String>, St
             eng.multicast(from, &dests, payload, 256, TrafficClass::Maintenance);
         } else {
             for &to in &dests {
-                // lint:allow(D007): this IS the clone-per-destination baseline the equivalence proptest compares multicast against
+                // The clone-per-destination baseline the equivalence
+                // proptest compares multicast against.
                 eng.send(from, to, payload.clone(), 256, TrafficClass::Maintenance);
             }
         }

@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 //! Common foundation types for the Seaweed delay-aware querying system.
 //!

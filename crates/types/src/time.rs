@@ -29,12 +29,12 @@ impl Duration {
     }
 
     #[must_use]
-    pub fn from_millis(ms: u64) -> Self {
+    pub const fn from_millis(ms: u64) -> Self {
         Duration(ms * 1_000)
     }
 
     #[must_use]
-    pub fn from_secs(s: u64) -> Self {
+    pub const fn from_secs(s: u64) -> Self {
         Duration(s * 1_000_000)
     }
 
@@ -49,17 +49,17 @@ impl Duration {
     }
 
     #[must_use]
-    pub fn from_mins(m: u64) -> Self {
+    pub const fn from_mins(m: u64) -> Self {
         Duration(m * 60 * 1_000_000)
     }
 
     #[must_use]
-    pub fn from_hours(h: u64) -> Self {
+    pub const fn from_hours(h: u64) -> Self {
         Duration(h * 3_600 * 1_000_000)
     }
 
     #[must_use]
-    pub fn from_days(d: u64) -> Self {
+    pub const fn from_days(d: u64) -> Self {
         Duration(d * 86_400 * 1_000_000)
     }
 
@@ -71,11 +71,6 @@ impl Duration {
     #[must_use]
     pub fn as_secs_f64(self) -> f64 {
         self.0 as f64 / 1e6
-    }
-
-    #[must_use]
-    pub fn as_hours_f64(self) -> f64 {
-        self.0 as f64 / 3.6e9
     }
 
     #[must_use]

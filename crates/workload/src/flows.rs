@@ -90,19 +90,20 @@ const APPS: &[AppSpec] = &[
     },
 ];
 
+/// Mean flow records per *active hour* for a workstation.
+const WORKSTATION_FLOWS_PER_HOUR: f64 = 12.0;
+/// Mean flow records per hour for a server (flat over the day).
+const SERVER_FLOWS_PER_HOUR: f64 = 30.0;
+/// Flow measurement interval (paper: 5 minutes).
+const MEASUREMENT_INTERVAL: Duration = Duration::from_mins(5);
+
 /// Configuration of the Anemone traffic generator.
 #[derive(Clone, Debug)]
 pub struct AnemoneConfig {
     /// Trace horizon (the paper captured ~3 weeks).
     pub horizon: Duration,
-    /// Mean flow records per *active hour* for a workstation.
-    pub workstation_flows_per_hour: f64,
-    /// Mean flow records per hour for a server (flat over the day).
-    pub server_flows_per_hour: f64,
     /// Fraction of endsystems that are servers.
     pub server_fraction: f64,
-    /// Flow measurement interval (paper: 5 minutes).
-    pub measurement_interval: Duration,
     /// Packets sampled into the Packet table per flow record.
     pub packets_per_flow_sampled: usize,
 }
@@ -111,10 +112,7 @@ impl Default for AnemoneConfig {
     fn default() -> Self {
         AnemoneConfig {
             horizon: Duration::WEEK * 3,
-            workstation_flows_per_hour: 12.0,
-            server_flows_per_hour: 30.0,
             server_fraction: 0.08,
-            measurement_interval: Duration::from_mins(5),
             packets_per_flow_sampled: 0,
         }
     }
@@ -155,7 +153,7 @@ impl AnemoneConfig {
         let kind = self.kind_of(seed, node);
         let mut rng = node_rng(seed, node, 1);
         let mut table = Table::new(flow_schema());
-        let interval_us = self.measurement_interval.as_micros();
+        let interval_us = MEASUREMENT_INTERVAL.as_micros();
         let horizon_us = self.horizon.as_micros();
         let mut t_us = 0u64;
         while t_us < horizon_us {
@@ -215,7 +213,7 @@ impl AnemoneConfig {
     /// and go quiet at night and on weekends; servers are flat.
     fn rate_at(&self, kind: EndsystemKind, t: Time) -> f64 {
         match kind {
-            EndsystemKind::Server => self.server_flows_per_hour,
+            EndsystemKind::Server => SERVER_FLOWS_PER_HOUR,
             EndsystemKind::Workstation => {
                 let hour =
                     t.hour_of_day() as f64 + (t.micros_into_day() % 3_600_000_000) as f64 / 3.6e9;
@@ -224,7 +222,7 @@ impl AnemoneConfig {
                 let bump = (-((hour - 13.0) * (hour - 13.0)) / (2.0 * 3.5 * 3.5)).exp();
                 let base = 0.08 + 0.92 * bump;
                 let day_factor = if weekday { 1.0 } else { 0.18 };
-                self.workstation_flows_per_hour * base * day_factor
+                WORKSTATION_FLOWS_PER_HOUR * base * day_factor
             }
         }
     }
@@ -250,7 +248,7 @@ impl AnemoneConfig {
         let packets = (bytes / 1200 + 1).max(1);
         vec![
             Value::Int(t.as_micros() as i64 / 1_000_000), // seconds since epoch
-            Value::Int(self.measurement_interval.as_micros() as i64 / 1_000_000),
+            Value::Int(MEASUREMENT_INTERVAL.as_micros() as i64 / 1_000_000),
             Value::Int(src_port),
             Value::Int(dst_port),
             Value::Int(local_port),

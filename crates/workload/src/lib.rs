@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 //! The Anemone network-monitoring workload (paper §4.1).
 //!

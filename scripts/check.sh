@@ -7,14 +7,40 @@ cd "$(dirname "$0")/.."
 echo "==> cargo fmt --check"
 cargo fmt --all --check
 
-echo "==> cargo clippy (-D warnings)"
+echo "==> cargo clippy (-D warnings; every member has a [lints] table; the negative control is refused)"
+# Hash collections, wall clocks, threads/channels and `unsafe` are
+# clippy's and rustc's to refuse (clippy.toml, [workspace.lints]); which
+# crate is under which ban is its Cargo.toml's [lints] table, so a member
+# without one has opted out by omission.
+for manifest in Cargo.toml crates/*/Cargo.toml; do
+  if ! grep -q '^\[lints[].]' "$manifest"; then
+    echo "$manifest has no [lints] table (DESIGN.md §5 says which one it needs)" >&2
+    exit 1
+  fi
+done
 cargo clippy --workspace --all-targets -- -D warnings
+# Negative control: one violation per ban plus an #[expect] that matches
+# nothing; clippy must refuse the package (pipefail carries its exit
+# status) with exactly those five.
+if control=$(cargo clippy --offline --quiet --message-format json \
+  --manifest-path crates/lint/tests/negative-control/Cargo.toml \
+  --target-dir target/negative-control -- -D warnings 2>/dev/null |
+  grep -o '"code":{"code":"[^"]*"' | cut -d'"' -f6 | sort | tr '\n' ' '); then
+  echo "negative control: clippy accepted a package with five violations" >&2
+  exit 1
+fi
+expected="clippy::disallowed_methods clippy::disallowed_methods clippy::disallowed_types unfulfilled_lint_expectations unsafe_code "
+if [ "$control" != "$expected" ]; then
+  echo "negative control: clippy reported [ $control], expected [ $expected]" >&2
+  exit 1
+fi
 
-echo "==> seaweed-lint (determinism & safety audit, <5s budget)"
+echo "==> seaweed-lint (determinism audit, <5s budget)"
 # Build outside the timed window so the budget measures the audit, not
 # the compiler; the flow-sensitive rules (D008+) must stay cheap enough
 # to run on every edit.
 cargo build -q -p seaweed-lint
+echo "    rules: $(./target/debug/seaweed-lint --list-rules | wc -l)"
 lint_start=$(date +%s%N)
 ./target/debug/seaweed-lint
 lint_ms=$(( ($(date +%s%N) - lint_start) / 1000000 ))
@@ -133,7 +159,7 @@ alloc_gate() {
 
 echo "==> allocation gates (traced farsite_steady smoke: leafset maintenance allocation-free, a predictor report one allocation)"
 # perf/ counts allocations from outside, so no counting allocator (and no
-# `unsafe`, D006) has to enter a deterministic crate to hold these lines.
+# `unsafe`) has to enter a deterministic crate to hold these lines.
 # Leafset: 4.00 allocations per LeafsetPull/LeafsetPush before PR 13,
 # ~0.002 after; only exchanges between un-synced pairs are events now.
 alloc_gate overlay.leafset 0.1

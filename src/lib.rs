@@ -1,4 +1,3 @@
-#![forbid(unsafe_code)]
 #![deny(missing_debug_implementations)]
 //! # Seaweed — delay aware querying over highly distributed in-situ data
 //!

@@ -173,7 +173,7 @@ fn analytic_model_matches_simulation_order_of_magnitude() {
         .sum::<f64>()
         / n as f64;
     let k = sw.cfg.k_metadata as f64;
-    let push_rate = 1.0 / sw.cfg.push_period.as_secs_f64();
+    let push_rate = 1.0 / seaweed_core::PUSH_PERIOD.as_secs_f64();
 
     let report = eng.finish();
     let measured_total_bps = report.mean_tx_per_online_bps(TrafficClass::Maintenance)
