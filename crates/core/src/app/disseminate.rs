@@ -14,7 +14,7 @@ use seaweed_sim::{NodeIdx, TrafficClass};
 use seaweed_types::{Duration, Id, IdRange};
 
 use super::{
-    AppTimer, DissemTask, QueryHandle, QueryKind, RangeResult, Seaweed, SeaweedEngine, SeaweedMsg,
+    DissemTask, QueryHandle, QueryKind, RangeResult, Seaweed, SeaweedEngine, SeaweedMsg,
     SubrangeSlot, TaskKey, TimerAction, DISSEM_TIMEOUT, HEDGE_MIN_SAMPLES, HEDGE_QUANTILE,
     MAX_REISSUES,
 };
@@ -209,7 +209,8 @@ impl<P: DataProvider> Seaweed<P> {
         // paper describes.
         let fanout = 1u32 << self.overlay.config().b;
         let wire_h = self.live_handle(h);
-        let mut stack = vec![range];
+        let mut stack = std::mem::take(&mut self.split_stack);
+        stack.push(range);
         while let Some(r) = stack.pop() {
             if range_within(&r, &my_sole) {
                 // We are the only live endsystem covering r: estimate for
@@ -258,6 +259,8 @@ impl<P: DataProvider> Seaweed<P> {
                 });
             }
         }
+
+        self.split_stack = stack;
 
         let done = task.slots.is_empty();
         // A task that forwards its entire range in one slot is a pure
@@ -631,27 +634,22 @@ impl<P: DataProvider> Seaweed<P> {
         self.stats.predictor_reports += 1;
         // Find this node's task owning that subrange. Heal-time re-issues
         // can leave one node with several tasks whose slots cover the
-        // same range (an old given-up slot plus a fresh one), so collect
-        // every candidate and prefer a still-pending slot — container
-        // iteration order must not decide which task fills.
-        // `candidate_keys` returns ascending key order under both hot
-        // state layouts, which pins the tie-break.
-        let candidates: Vec<TaskKey> = self
-            .tasks
-            .candidate_keys(n.0, h, |task| task.slots.iter().any(|s| s.range == range));
-        let key = candidates
-            .iter()
-            .copied()
-            .find(|k| {
-                // `candidate_keys` just returned these keys; a vanished
-                // entry simply fails the pending-slot preference.
-                self.tasks.get(k).is_some_and(|task| {
-                    task.slots
-                        .iter()
-                        .any(|s| s.range == range && s.done.is_none())
-                })
-            })
-            .or_else(|| candidates.first().copied());
+        // same range (an old given-up slot plus a fresh one), so prefer
+        // the first task with a still-pending slot and fall back on the
+        // first with the range at all — in ascending key order, which
+        // pins the tie-break.
+        let mut key = None;
+        for (k, task) in self.tasks.tasks_of(n.0, h) {
+            let mut slots = task.slots.iter().filter(|s| s.range == range);
+            let Some(first) = slots.next() else {
+                continue;
+            };
+            if first.done.is_none() || slots.any(|s| s.done.is_none()) {
+                key = Some(k);
+                break;
+            }
+            key = key.or(Some(k));
+        }
         let Some(key) = key else {
             return OverlayEvents::new(); // late/duplicate report for a finished task
         };
@@ -832,14 +830,10 @@ impl<P: DataProvider> Seaweed<P> {
         // Hedged mode keeps exactly one timer of each kind per task:
         // disarm whatever the previous round left pending (a hedge timer
         // mid-race, other slots' reissue timer across a heal).
-        let stale: Vec<AppTimer> = self.tasks.get_mut(&key).map_or_else(Vec::new, |t| {
-            t.timeout_timer
-                .take()
-                .into_iter()
-                .chain(t.hedge_timer.take())
-                .collect()
+        let stale = self.tasks.get_mut(&key).map_or([None, None], |t| {
+            [t.timeout_timer.take(), t.hedge_timer.take()]
         });
-        for t in stale {
+        for t in stale.into_iter().flatten() {
             self.cancel_app_timer(eng, t);
         }
         let timeout = self.set_app_timer(eng, n, DISSEM_TIMEOUT, timeout_action);
@@ -879,12 +873,7 @@ impl<P: DataProvider> Seaweed<P> {
         // Reporting resolves both pending races; hedged mode disarms the
         // timers, hedge-off lets the reissue timer fire as a no-op (see
         // `rearm_task_timers`).
-        let stale: Vec<AppTimer> = task
-            .timeout_timer
-            .take()
-            .into_iter()
-            .chain(task.hedge_timer.take())
-            .collect();
+        let stale = [task.timeout_timer.take(), task.hedge_timer.take()];
         // Local first, then the slots in slot order: a retransmission
         // of a lost report re-merges to the same bits.
         let mut merged = task.local.clone();
@@ -898,7 +887,7 @@ impl<P: DataProvider> Seaweed<P> {
         let extra_parents = std::mem::take(&mut task.extra_parents);
         let range = task.range;
         if self.cfg.hedge.is_some() {
-            for t in stale {
+            for t in stale.into_iter().flatten() {
                 self.cancel_app_timer(eng, t);
             }
         }

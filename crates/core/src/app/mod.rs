@@ -39,7 +39,7 @@ use seaweed_types::{sha1, Duration, Id, IdRange, Time};
 use crate::obs::QueryTimeline;
 use crate::predictor::Predictor;
 use crate::provider::DataProvider;
-use storage::{NodeQueryStore, SubmitStore, TaskStore, VertexStore};
+use storage::{ActionSlab, NodeQueryStore, SubmitStore, TaskStore, VertexStore};
 
 /// Engine type the full Seaweed stack runs on.
 pub type SeaweedEngine = Engine<OverlayMsg<SeaweedMsg>>;
@@ -367,7 +367,12 @@ pub struct SeaweedStats {
     /// Local executions that failed at the provider; the contribution is
     /// dropped (and shows up as incompleteness), never a crash.
     pub exec_failures: u64,
+    /// Vertex-state pushes to a backup, recruiting or refreshing.
     pub vertex_replications: u64,
+    /// Of those, the pushes to a replica already in the primary's holder
+    /// list: charged through the engine's send path, not delivered as
+    /// events (DESIGN.md "What is simulated, what is accounted").
+    pub replicas_accounted: u64,
     pub vertex_states_lost: u64,
     pub results_at_origin: u64,
     /// Crash-with-amnesia transitions (soft state wiped, unlike a clean
@@ -447,11 +452,11 @@ pub(crate) enum TimerAction {
         node: NodeIdx,
         query: QueryHandle,
     },
+    /// The earliest retransmission deadline among `node`'s unacked
+    /// submissions has come (one timer per endsystem, not one per
+    /// submission).
     ResultRetry {
         node: NodeIdx,
-        query: QueryHandle,
-        child: Id,
-        version: u64,
     },
     QueryExpire {
         query: QueryHandle,
@@ -466,44 +471,46 @@ pub(crate) enum TimerAction {
 impl TimerAction {
     /// The node whose liveness this action is tied to; `None` for
     /// actions that must survive churn (query expiry).
-    fn node(&self) -> Option<NodeIdx> {
+    pub(crate) fn node(&self) -> Option<NodeIdx> {
         match *self {
             TimerAction::MetaPush { node }
             | TimerAction::DissemTimeout { node, .. }
             | TimerAction::HedgeTimeout { node, .. }
             | TimerAction::QueryKick { node, .. }
             | TimerAction::ExecuteLocal { node, .. }
-            | TimerAction::ResultRetry { node, .. }
+            | TimerAction::ResultRetry { node }
             | TimerAction::ScanQuantum { node } => Some(node),
             TimerAction::QueryExpire { .. } => None,
         }
     }
 
-    /// The query slot this deferred action references, if any — used to
-    /// purge armed actions when a slot is released for recycling (the
-    /// engine-level timers then fire as no-ops, exactly like the
-    /// baseline's post-expiry timers).
-    fn query_slot(&self) -> Option<u32> {
-        match *self {
+    /// The one query handle the action carries, if any. Handlers arm and
+    /// handle actions by bare slot; while an action is parked the field
+    /// holds the wire handle (slot plus the generation it was armed
+    /// under), as a message in flight does, and the fire checks it the
+    /// same way (`Seaweed::on_app_timer`).
+    fn query_handle_mut(&mut self) -> Option<&mut QueryHandle> {
+        match self {
             TimerAction::DissemTimeout { task, .. } | TimerAction::HedgeTimeout { task, .. } => {
-                Some(slot_of(task.1))
+                Some(&mut task.1)
             }
             TimerAction::QueryKick { query, .. }
             | TimerAction::ExecuteLocal { query, .. }
-            | TimerAction::ResultRetry { query, .. }
-            | TimerAction::QueryExpire { query } => Some(slot_of(query)),
-            TimerAction::MetaPush { .. } | TimerAction::ScanQuantum { .. } => None,
+            | TimerAction::QueryExpire { query } => Some(query),
+            TimerAction::MetaPush { .. }
+            | TimerAction::ResultRetry { .. }
+            | TimerAction::ScanQuantum { .. } => None,
         }
     }
 }
 
-/// An armed application timer: the app-layer tag (key into
-/// `Seaweed::timers`) plus the engine handle, retained so hedging can
+/// An armed application timer: the tag its action is parked under in
+/// `Seaweed::timers` plus the engine handle, retained so hedging can
 /// disarm the loser of a reply race instead of letting it fire as a
 /// no-op.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct AppTimer {
-    pub seq: u64,
+    pub tag: u64,
     pub handle: seaweed_sim::TimerHandle,
 }
 
@@ -606,6 +613,8 @@ pub(crate) struct PendingSubmit {
     pub agg: Aggregate,
     /// Retransmissions so far; drives the exponential backoff.
     pub attempts: u32,
+    /// When to retransmit if no ack has arrived by then.
+    pub retry_at: Time,
 }
 
 /// The full Seaweed protocol state over all endsystems.
@@ -654,6 +663,12 @@ pub struct Seaweed<P: DataProvider> {
     /// recorded range is re-issued so the endsystems behind the cut
     /// still learn the query and contribute results.
     pub(crate) gave_up: Vec<(NodeIdx, QueryHandle, IdRange)>,
+    /// The emptied work stack of `handle_disseminate`, kept for its
+    /// capacity. One owner at a time: this field between calls, the call
+    /// splitting a range while it runs (it takes the buffer and hands it
+    /// back empty); a call that found the field empty would allocate its
+    /// own, and the later hand-back wins.
+    pub(crate) split_stack: Vec<IdRange>,
 
     // ---- storm mode (concurrent multi-query) ----
     /// Per-slot generation counter, parallel to `queries`. Bumped when a
@@ -694,8 +709,11 @@ pub struct Seaweed<P: DataProvider> {
     pub(crate) view_values: Vec<Vec<Option<Aggregate>>>,
 
     // ---- timers ----
-    pub(crate) timers: BTreeMap<u64, TimerAction>,
-    timer_seq: u64,
+    pub(crate) timers: ActionSlab,
+    /// Per endsystem, its one armed `ResultRetry` timer: it fires no
+    /// later than the earliest `retry_at` in the endsystem's
+    /// `pending_submits` bucket while that is non-empty.
+    pub(crate) retry_armed: Vec<Option<AppTimer>>,
 
     // ---- tail tolerance ----
     /// Per-delegator observed reply-latency distributions; drives the
@@ -717,6 +735,7 @@ impl<P: DataProvider> std::fmt::Debug for Seaweed<P> {
             .field("tasks", &self.tasks.len())
             .field("vertices", &self.vertices.len())
             .field("pending_submits", &self.pending_submits.len())
+            .field("timers", &self.timers.len())
             .field("views", &self.views.len())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
@@ -760,6 +779,7 @@ impl<P: DataProvider> Seaweed<P> {
             cont_epoch: NodeQueryStore::new(n),
             leaf_targets: NodeQueryStore::new(n),
             gave_up: Vec::new(),
+            split_stack: Vec::new(),
             slot_gen: Vec::new(),
             free_slots: Vec::new(),
             storm_queue: VecDeque::new(),
@@ -770,8 +790,8 @@ impl<P: DataProvider> Seaweed<P> {
             amnesia_vertices: vec![Vec::new(); n],
             views: Vec::new(),
             view_values: Vec::new(),
-            timers: BTreeMap::new(),
-            timer_seq: 0,
+            timers: ActionSlab::new(n),
+            retry_armed: vec![None; n],
             reply_lat: ReplyLatencyStats::new(n),
             stats: SeaweedStats::default(),
         }
@@ -854,6 +874,7 @@ impl<P: DataProvider> Seaweed<P> {
         m.set_counter("app.result_retries", s.result_retries);
         m.set_counter("app.exec_failures", s.exec_failures);
         m.set_counter("app.vertex_replications", s.vertex_replications);
+        m.set_counter("app.replicas_accounted", s.replicas_accounted);
         m.set_counter("app.vertex_states_lost", s.vertex_states_lost);
         m.set_counter("app.results_at_origin", s.results_at_origin);
         m.set_counter("app.amnesia_crashes", s.amnesia_crashes);
@@ -1113,10 +1134,15 @@ impl<P: DataProvider> Seaweed<P> {
         // per-range state to aggregate back).
         let origin = self.queries[slot as usize].origin;
         if eng.is_up(origin) {
-            let n_live = eng.num_up() as u64;
             let notice = u64::from(crate::wire::SEAWEED_HEADER + 16);
-            self.stats.dissem_bytes += notice * n_live;
-            eng.record_probe(origin, (notice * n_live.min(1 << 16)) as u32);
+            let mut left = notice * eng.num_up() as u64;
+            self.stats.dissem_bytes += left;
+            // The recorder takes a charge of at most 4 GB.
+            while left > 0 {
+                let chunk = u32::try_from(left).unwrap_or(u32::MAX);
+                eng.record_exchange(origin, seaweed_sim::TrafficClass::Query, chunk, 0);
+                left -= u64::from(chunk);
+            }
         }
         self.expire_query(eng, slot);
     }
@@ -1368,13 +1394,19 @@ impl<P: DataProvider> Seaweed<P> {
 
     // ---------------------------------------------------------- timers
 
-    /// Parks `action` under a fresh engine timer tag and returns the tag.
-    fn park_timer_action(&mut self, action: TimerAction) -> u64 {
-        let seq = self.timer_seq;
-        self.timer_seq += 1;
-        debug_assert!(seq < (1 << 62), "timer tag space exhausted");
-        self.timers.insert(seq, action);
-        seq
+    /// Parks `action` — its query slot, if it names one, widened to the
+    /// live wire handle — and returns the tag to arm its engine timer
+    /// with.
+    fn park_timer_action(&mut self, mut action: TimerAction) -> u64 {
+        if let Some(query) = action.query_handle_mut() {
+            *query = self.live_handle(*query);
+        }
+        let tag = self.timers.park(action);
+        debug_assert!(
+            !is_overlay_tag(tag),
+            "application tag in the overlay's space"
+        );
+        tag
     }
 
     pub(crate) fn set_app_timer(
@@ -1384,9 +1416,9 @@ impl<P: DataProvider> Seaweed<P> {
         delay: Duration,
         action: TimerAction,
     ) -> AppTimer {
-        let seq = self.park_timer_action(action);
-        let handle = eng.set_timer(node, delay, seq);
-        AppTimer { seq, handle }
+        let tag = self.park_timer_action(action);
+        let handle = eng.set_timer(node, delay, tag);
+        AppTimer { tag, handle }
     }
 
     /// Disarms an application timer: the engine timer is cancelled and
@@ -1395,7 +1427,7 @@ impl<P: DataProvider> Seaweed<P> {
     /// mode calls this; hedge-off lets a finished task's timers fire as
     /// no-ops, which is cheaper (see `rearm_task_timers`).
     pub(crate) fn cancel_app_timer(&mut self, eng: &mut SeaweedEngine, t: AppTimer) {
-        self.timers.remove(&t.seq);
+        self.timers.take(t.tag);
         let _ = eng.cancel_timer(t.handle);
     }
 
@@ -1409,14 +1441,24 @@ impl<P: DataProvider> Seaweed<P> {
         delay: Duration,
         action: TimerAction,
     ) {
-        let seq = self.park_timer_action(action);
-        let _ = eng.set_detached_timer(node, delay, seq);
+        let tag = self.park_timer_action(action);
+        let _ = eng.set_detached_timer(node, delay, tag);
     }
 
     fn on_app_timer(&mut self, eng: &mut SeaweedEngine, node: NodeIdx, tag: u64) {
-        let Some(action) = self.timers.remove(&tag) else {
-            return; // cancelled or superseded
+        let Some(mut action) = self.timers.take(tag) else {
+            return; // cancelled
         };
+        // An action armed for a query whose slot has since been recycled
+        // is late traffic for a dead query, exactly as a message in
+        // flight would be: dropped before any state is touched, and
+        // counted (`validate_msg`).
+        if let Some(query) = action.query_handle_mut() {
+            let Some(slot) = self.check_handle(*query) else {
+                return;
+            };
+            *query = slot;
+        }
         match action {
             TimerAction::MetaPush { node: n } => {
                 debug_assert_eq!(n, node);
@@ -1434,13 +1476,8 @@ impl<P: DataProvider> Seaweed<P> {
             TimerAction::ExecuteLocal { node: n, query } => {
                 self.execute_and_submit(eng, n, query);
             }
-            TimerAction::ResultRetry {
-                node: n,
-                query,
-                child,
-                version,
-            } => {
-                self.on_result_retry(eng, n, query, child, version);
+            TimerAction::ResultRetry { node: n } => {
+                self.on_result_retry(eng, n);
             }
             TimerAction::QueryExpire { query } => {
                 self.expire_query(eng, query);
@@ -1466,30 +1503,24 @@ impl<P: DataProvider> Seaweed<P> {
         if let Some(t) = q.kick_timer.take() {
             self.cancel_app_timer(eng, t);
         }
-        // Hedged mode disarms every timer still tied to the query's
-        // tasks before dropping them (invariant: no armed dissemination
-        // timer may reference a dead query). Hedge-off lets them fire
-        // as no-ops.
-        if self.cfg.hedge.is_some() {
-            let keys: Vec<TaskKey> = self.tasks.keys().filter(|k| k.1 == query).collect();
-            let mut stale: Vec<AppTimer> = Vec::new();
-            for key in keys {
-                if let Some(task) = self.tasks.get_mut(&key) {
-                    stale.extend(task.timeout_timer.take());
-                    stale.extend(task.hedge_timer.take());
+        // Drop protocol state lazily held for this query. Hedged mode
+        // disarms every timer still tied to its tasks as they go
+        // (invariant: no armed dissemination timer may reference a dead
+        // query); hedge-off lets them fire as no-ops.
+        let (timers, hedged) = (&mut self.timers, self.cfg.hedge.is_some());
+        self.tasks.clear_query(query, |task| {
+            if hedged {
+                for t in [task.timeout_timer, task.hedge_timer].into_iter().flatten() {
+                    timers.take(t.tag);
+                    let _ = eng.cancel_timer(t.handle);
                 }
             }
-            for t in stale {
-                self.cancel_app_timer(eng, t);
-            }
-        }
-        // Drop protocol state lazily held for this query.
-        self.tasks.clear_query(query);
+        });
         self.vertices.clear_query(query);
         for nv in &mut self.node_vertices {
             nv.retain(|&(qh, _)| qh != query);
         }
-        self.pending_submits.clear_query(query);
+        self.pending_submits.clear_query(query, drop);
         self.cont_epoch.clear_query(query);
         self.leaf_targets.clear_query(query);
         self.gave_up.retain(|&(_, qh, _)| qh != query);
@@ -1524,7 +1555,8 @@ impl<P: DataProvider> Seaweed<P> {
         self.pending_submits.clear_node(n.0);
         // The engine auto-cancelled this node's timers; drop the matching
         // deferred actions (query expiry is detached and survives).
-        self.timers.retain(|_, a| a.node() != Some(n));
+        self.timers.drop_node(n.0);
+        self.retry_armed[n.idx()] = None;
         // Un-acked local executions may be rescheduled on rejoin.
         self.exec_pending[n.idx()] = 0;
         // Queued scan work dies with the node's volatile state too; the
@@ -1664,11 +1696,13 @@ impl<P: DataProvider> Seaweed<P> {
             if issuer == n {
                 // Ascending key order; the first candidate is picked, so
                 // the order is protocol-visible.
-                let candidates: Vec<TaskKey> = self
+                let candidate = self
                     .tasks
-                    .candidate_keys(n.0, h, |task| task.slots.iter().any(|s| s.range == range));
-                if let Some(key) = candidates.first().copied() {
-                    // `candidate_keys` just returned this key with a slot
+                    .tasks_of(n.0, h)
+                    .find(|(_, task)| task.slots.iter().any(|s| s.range == range))
+                    .map(|(key, _)| key);
+                if let Some(key) = candidate {
+                    // `tasks_of` just listed this key with a slot
                     // matching the range and nothing mutates in between;
                     // if either lookup misses anyway, skip the re-open
                     // (counted) — the resend below still covers the range.

@@ -14,8 +14,9 @@
 use seaweed_overlay::OverlayEvents;
 use seaweed_sim::{NodeIdx, TrafficClass};
 use seaweed_store::Aggregate;
-use seaweed_types::Id;
+use seaweed_types::{Id, Time};
 
+use super::backoff::retry_backoff;
 use super::{
     PendingSubmit, QueryHandle, Seaweed, SeaweedEngine, SeaweedMsg, TimerAction, VertexState,
     LOCAL_EXEC_DELAY, M_VERTEX,
@@ -206,7 +207,9 @@ impl<P: DataProvider> Seaweed<P> {
         target
     }
 
-    /// Routes a (re)submission toward a vertex and arms the retry timer.
+    /// Routes a submission toward a vertex and gives it a retry
+    /// deadline, replacing whatever `from` still had pending under the
+    /// same child key.
     #[allow(clippy::too_many_arguments)]
     fn submit_to_vertex(
         &mut self,
@@ -218,6 +221,7 @@ impl<P: DataProvider> Seaweed<P> {
         version: u64,
         agg: Aggregate,
     ) {
+        let retry_at = eng.now() + self.cfg.result_retry;
         self.pending_submits.insert(
             (from.0, h, child.0),
             PendingSubmit {
@@ -225,6 +229,7 @@ impl<P: DataProvider> Seaweed<P> {
                 version,
                 agg,
                 attempts: 0,
+                retry_at,
             },
         );
         let wire_h = self.live_handle(h);
@@ -241,88 +246,85 @@ impl<P: DataProvider> Seaweed<P> {
             },
             wire::RESULT_SUBMIT,
         );
-        self.set_app_timer(
-            eng,
-            from,
-            self.cfg.result_retry,
-            TimerAction::ResultRetry {
-                node: from,
-                query: h,
-                child,
-                version,
-            },
-        );
+        self.arm_result_retry(eng, from, retry_at);
         self.cascade(eng, evs);
     }
 
-    /// Retry timer: if the submission is still unacked, re-route it and
-    /// re-arm with capped exponential backoff. Fixed-interval retries
-    /// hammer a dead or partitioned-away primary every `result_retry`;
-    /// doubling (to `result_retry_cap`) keeps the common fast recovery
-    /// while bounding retransmissions across long outages. The jitter is
-    /// drawn from the protocol's seeded RNG only when a retransmission
-    /// actually happens, so loss-free runs consume identical RNG
-    /// sequences to the pre-backoff protocol.
-    pub(crate) fn on_result_retry(
-        &mut self,
-        eng: &mut SeaweedEngine,
-        n: NodeIdx,
-        h: QueryHandle,
-        child: Id,
-        version: u64,
-    ) {
-        let Some(p) = self.pending_submits.get_mut(&(n.0, h, child.0)) else {
-            return; // acked
-        };
-        if p.version != version {
-            return; // superseded by a newer submission
+    /// Makes sure `n`'s one retry timer fires no later than `deadline`.
+    /// An ack disarms nothing — a timer that finds nothing due re-arms
+    /// for what is left, or not at all — so in a loss-free run an
+    /// endsystem arms one timer per ten seconds of submitting, however
+    /// many submissions it makes, and only a deadline earlier than the
+    /// armed one (a first try behind a backed-off retry) cancels.
+    fn arm_result_retry(&mut self, eng: &mut SeaweedEngine, n: NodeIdx, deadline: Time) {
+        match self.retry_armed[n.idx()] {
+            Some(armed) if armed.handle.fires_at() <= deadline => return,
+            Some(later) => self.cancel_app_timer(eng, later),
+            None => {}
         }
-        if !eng.is_up(n) || !self.queries[h as usize].active {
-            return;
-        }
-        p.attempts += 1;
-        let (vertex, agg, attempts) = (p.target_vertex, p.agg, p.attempts);
-        self.stats.result_retries += 1;
-        self.timelines[h as usize].result_retries += 1;
-        let wire_h = self.live_handle(h);
-        let evs = self.overlay.route(
-            eng,
-            n,
-            vertex,
-            SeaweedMsg::ResultSubmit {
-                query: wire_h,
+        let delay = deadline.saturating_since(eng.now());
+        let timer = self.set_app_timer(eng, n, delay, TimerAction::ResultRetry { node: n });
+        self.retry_armed[n.idx()] = Some(timer);
+    }
+
+    /// `n`'s retry timer fired: re-route every submission of `n` that is
+    /// due and still unacked, in key order, each with capped exponential
+    /// backoff to its next deadline, then re-arm for the earliest
+    /// deadline left. Fixed-interval retries hammer a dead or
+    /// partitioned-away primary every `result_retry`; doubling (to
+    /// `result_retry_cap`) keeps the common fast recovery while bounding
+    /// retransmissions across long outages. The jitter is drawn from the
+    /// protocol's seeded RNG only when a retransmission actually
+    /// happens, so loss-free runs consume identical RNG sequences to the
+    /// pre-backoff protocol.
+    pub(crate) fn on_result_retry(&mut self, eng: &mut SeaweedEngine, n: NodeIdx) {
+        let now = eng.now();
+        // `retry_armed[n]` names the timer that just fired until the
+        // loop is done: a deadline at `now`, so no submission a
+        // retransmission cascades into arms a second timer.
+        debug_assert!(self.retry_armed[n.idx()].is_some_and(|t| t.handle.fires_at() == now));
+        for key in self.pending_submits.due_keys(n.0, now) {
+            // An earlier retransmission's cascade may have acked this
+            // one, or replaced it with a newer submission.
+            let Some(p) = self.pending_submits.get_mut(&key) else {
+                continue;
+            };
+            if p.retry_at > now {
+                continue;
+            }
+            p.attempts += 1;
+            p.retry_at = now
+                + retry_backoff(
+                    self.cfg.result_retry,
+                    self.cfg.result_retry_cap,
+                    p.attempts,
+                    &mut self.rng,
+                );
+            let (vertex, version, agg) = (p.target_vertex, p.version, p.agg);
+            let (_, h, child) = key;
+            debug_assert!(self.queries[h as usize].active, "expiry clears submissions");
+            self.stats.result_retries += 1;
+            self.timelines[h as usize].result_retries += 1;
+            let wire_h = self.live_handle(h);
+            let evs = self.overlay.route(
+                eng,
+                n,
                 vertex,
-                child,
-                version,
-                agg,
-            },
-            wire::RESULT_SUBMIT,
-        );
-        let delay = self.retry_backoff(attempts);
-        self.set_app_timer(
-            eng,
-            n,
-            delay,
-            TimerAction::ResultRetry {
-                node: n,
-                query: h,
-                child,
-                version,
-            },
-        );
-        self.cascade(eng, evs);
-    }
-
-    /// Delay until retransmission `attempts + 1`; see
-    /// [`backoff::retry_backoff`](super::backoff::retry_backoff). One
-    /// RNG draw per call, exactly as before the extraction.
-    fn retry_backoff(&mut self, attempts: u32) -> seaweed_types::Duration {
-        super::backoff::retry_backoff(
-            self.cfg.result_retry,
-            self.cfg.result_retry_cap,
-            attempts,
-            &mut self.rng,
-        )
+                SeaweedMsg::ResultSubmit {
+                    query: wire_h,
+                    vertex,
+                    child: Id(child),
+                    version,
+                    agg,
+                },
+                wire::RESULT_SUBMIT,
+            );
+            self.cascade(eng, evs);
+        }
+        self.retry_armed[n.idx()] = None;
+        if let Some(next) = self.pending_submits.earliest_retry(n.0) {
+            self.arm_result_retry(eng, n, next);
+        }
     }
 
     /// A submission arrived at the (believed) primary for `vertex`.
@@ -345,16 +347,10 @@ impl<P: DataProvider> Seaweed<P> {
 
         // Ensure the vertex group exists and `at` is a member (a fresh
         // primary after churn pulls state from a surviving backup —
-        // charged as one replication transfer).
-        self.ensure_vertex_member(eng, at, h, vertex);
-
-        let Some(state) = self.vertices.get_mut(&(h, vertex)) else {
-            // `ensure_vertex_member` just created or joined the group; a
-            // miss here is an internal inconsistency — drop the
-            // submission (counted) and let the retry timer re-drive it.
-            self.stats.internal_drops += 1;
-            return OverlayEvents::new();
-        };
+        // charged as one replication transfer). The vertex is looked up
+        // once; from here on it is addressed by its slot.
+        let slot = self.ensure_vertex_member(eng, at, h, vertex);
+        let state = self.vertices.at_mut(slot);
         // A stale duplicate (older version of a known child) is dropped.
         match state.children.entry(child) {
             std::collections::btree_map::Entry::Vacant(e) => {
@@ -366,28 +362,26 @@ impl<P: DataProvider> Seaweed<P> {
                 }
             }
         }
-        let children_count = state.children.len();
+        let size = wire::vertex_replicate(state.children.len());
 
         // Replicate to backups before acknowledging (paper ordering).
-        let holders = state.holders.clone();
-        let size = wire::vertex_replicate(children_count);
-        let wire_h = self.live_handle(h);
-        for b in holders.iter().skip(1) {
-            if *b != at && eng.is_up(*b) {
+        // Every backup listed is a holder already, by the primary's own
+        // list, and vertex contents live in the shared store: delivery
+        // would find `holders.contains(&b)` and merge nothing. So the
+        // push goes through the engine's send path — charged, cut, lost
+        // and duplicated exactly as a delivered message — without
+        // becoming an event.
+        for i in 1..self.vertices.at(slot).holders.len() {
+            let b = self.vertices.at(slot).holders[i];
+            if b != at && eng.is_up(b) {
+                debug_assert!(self.replicate_is_noop(b, h, vertex));
                 self.stats.vertex_replications += 1;
-                self.overlay.send_app(
-                    eng,
-                    at,
-                    *b,
-                    SeaweedMsg::VertexReplicate {
-                        query: wire_h,
-                        vertex,
-                    },
-                    size,
-                    TrafficClass::Query,
-                );
+                self.stats.replicas_accounted += 1;
+                self.overlay
+                    .send_app_accounted(eng, at, b, size, TrafficClass::Query);
             }
         }
+        let wire_h = self.live_handle(h);
 
         // Ack the submitter.
         if submitter != at {
@@ -409,23 +403,24 @@ impl<P: DataProvider> Seaweed<P> {
         }
 
         // Propagate the merged aggregate upward.
-        self.propagate_up(eng, at, h, vertex);
+        self.propagate_up(eng, at, h, vertex, slot);
         OverlayEvents::new()
     }
 
-    /// Merges a vertex's children and pushes the result to its parent
-    /// vertex (or the query origin at the root).
-    fn propagate_up(&mut self, eng: &mut SeaweedEngine, at: NodeIdx, h: QueryHandle, vertex: Id) {
+    /// Merges the children of the vertex in `slot` and pushes the result
+    /// to its parent vertex (or the query origin at the root).
+    fn propagate_up(
+        &mut self,
+        eng: &mut SeaweedEngine,
+        at: NodeIdx,
+        h: QueryHandle,
+        vertex: Id,
+        slot: u32,
+    ) {
         let qid = self.queries[h as usize].id;
         let b = self.overlay.config().b;
         let empty = Aggregate::empty(self.queries[h as usize].bound.agg);
-        let Some(state) = self.vertices.get_mut(&(h, vertex)) else {
-            // Every caller holds the vertex when it calls; dropping the
-            // propagation (counted) loses one push that the next child
-            // submission regenerates.
-            self.stats.internal_drops += 1;
-            return;
-        };
+        let state = self.vertices.at_mut(slot);
         let merged = state.merged(empty);
         state.out_version += 1;
         let version = state.out_version;
@@ -522,20 +517,28 @@ impl<P: DataProvider> Seaweed<P> {
         }
     }
 
+    /// Would [`Seaweed::on_vertex_replicate`] at `at` change nothing? The
+    /// condition under which a replica push is accounted instead of
+    /// delivered, re-derived in debug builds at every one.
+    fn replicate_is_noop(&self, at: NodeIdx, h: QueryHandle, vertex: Id) -> bool {
+        self.vertices
+            .get(&(h, vertex))
+            .is_none_or(|state| state.holders.contains(&at))
+    }
+
     /// Makes sure a vertex group exists with `at` as a member, recruiting
-    /// backups on creation.
+    /// backups on creation; returns the vertex's slot in the store.
     fn ensure_vertex_member(
         &mut self,
         eng: &mut SeaweedEngine,
         at: NodeIdx,
         h: QueryHandle,
         vertex: Id,
-    ) {
-        let exists = self.vertices.contains_key(&(h, vertex));
-        if !exists {
+    ) -> u32 {
+        let Some(slot) = self.vertices.slot(&(h, vertex)) else {
             let mut state = VertexState::default();
             state.holders.push(at);
-            self.vertices.insert((h, vertex), state);
+            let slot = self.vertices.insert((h, vertex), state);
             self.node_vertices[at.idx()].push((h, vertex));
             // Recruit m-1 backups: the next-closest live nodes to the
             // vertex key (from our leafset view).
@@ -561,52 +564,47 @@ impl<P: DataProvider> Seaweed<P> {
                     TrafficClass::Query,
                 );
             }
-        } else {
-            let Some(state) = self.vertices.get_mut(&(h, vertex)) else {
-                // `contains_key` held a moment ago with nothing mutating
-                // in between; skip the membership update (counted)
-                // rather than panic — the next submission re-ensures.
-                self.stats.internal_drops += 1;
-                return;
-            };
-            if !state.holders.contains(&at) {
-                // New primary after churn: pull state from a surviving
-                // member (charged as one replication-sized transfer).
-                // Prefer a member we can actually reach — across a
-                // partition, an up-but-unreachable survivor cannot serve
-                // the pull (the transfer would be cut at the boundary).
-                let src = state
-                    .holders
-                    .iter()
-                    .copied()
-                    .find(|&x| x != at && eng.is_up(x) && eng.reachable(at, x))
-                    .or_else(|| {
-                        state
-                            .holders
-                            .iter()
-                            .copied()
-                            .find(|&x| x != at && eng.is_up(x))
-                    });
-                state.holders.insert(0, at);
-                let children = state.children.len();
-                self.node_vertices[at.idx()].push((h, vertex));
-                if let Some(src) = src {
-                    self.stats.vertex_replications += 1;
-                    let wire_h = self.live_handle(h);
-                    self.overlay.send_app(
-                        eng,
-                        src,
-                        at,
-                        SeaweedMsg::VertexReplicate {
-                            query: wire_h,
-                            vertex,
-                        },
-                        wire::vertex_replicate(children),
-                        TrafficClass::Query,
-                    );
-                }
+            return slot;
+        };
+        let state = self.vertices.at_mut(slot);
+        if !state.holders.contains(&at) {
+            // New primary after churn: pull state from a surviving
+            // member (charged as one replication-sized transfer).
+            // Prefer a member we can actually reach — across a
+            // partition, an up-but-unreachable survivor cannot serve
+            // the pull (the transfer would be cut at the boundary).
+            let src = state
+                .holders
+                .iter()
+                .copied()
+                .find(|&x| x != at && eng.is_up(x) && eng.reachable(at, x))
+                .or_else(|| {
+                    state
+                        .holders
+                        .iter()
+                        .copied()
+                        .find(|&x| x != at && eng.is_up(x))
+                });
+            state.holders.insert(0, at);
+            let children = state.children.len();
+            self.node_vertices[at.idx()].push((h, vertex));
+            if let Some(src) = src {
+                self.stats.vertex_replications += 1;
+                let wire_h = self.live_handle(h);
+                self.overlay.send_app(
+                    eng,
+                    src,
+                    at,
+                    SeaweedMsg::VertexReplicate {
+                        query: wire_h,
+                        vertex,
+                    },
+                    wire::vertex_replicate(children),
+                    TrafficClass::Query,
+                );
             }
         }
+        slot
     }
 
     /// Repairs every vertex group `failed` belonged to: drop it from the
@@ -697,5 +695,207 @@ impl<P: DataProvider> Seaweed<P> {
             q.progress.push((eng.now(), agg.rows, agg.finish()));
             self.timelines[h as usize].record_result(eng.now(), agg.rows);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::BTreeMap;
+
+    use seaweed_overlay::OverlayConfig;
+    use seaweed_sim::{FaultPlan, NodeIdx, OutageSpec, PartitionSpec, SimConfig, UniformTopology};
+    use seaweed_types::{Duration, Time};
+
+    use super::super::storage::SubmitKey;
+    use super::super::{Seaweed, SeaweedConfig};
+    use crate::provider::LiveTables;
+    use crate::world::{boot_staggered, build_world, flag_fixture};
+
+    const N: usize = 30;
+    const BASE: Duration = Duration(2_000_000);
+    const CAP: Duration = Duration(64_000_000);
+
+    /// What one unacked submission is owed, by the reference: a
+    /// retransmission at `due` unless it is acked, replaced or dies with
+    /// its endsystem first.
+    #[derive(Clone, Copy, Debug)]
+    struct Owed {
+        version: u64,
+        attempts: u32,
+        due: Time,
+    }
+
+    /// The reference for the per-endsystem retry timer: one deadline per
+    /// `(node, query, child)`, what a timer per submission would keep.
+    /// Called after every delivered event, it reads what the event did to
+    /// the pending submissions and holds the protocol to the deadlines:
+    /// a retransmission happens at the instant it was due and nowhere
+    /// else, and nothing is left waiting past its deadline.
+    #[derive(Default)]
+    struct Deadlines {
+        owed: BTreeMap<SubmitKey, Owed>,
+        retransmissions: u64,
+        /// Submissions gone after the event at their deadline: either
+        /// acked just in time, or retransmitted to a primary so close
+        /// that the ack came back within the event.
+        settled_when_due: u64,
+    }
+
+    impl Deadlines {
+        fn observe(&mut self, sw: &Seaweed<LiveTables>, now: Time) {
+            let mut owed = BTreeMap::new();
+            for key in sw.pending_submits.keys() {
+                let p = sw.pending_submits.get(&key).expect("listed key");
+                let entry = match self.owed.get(&key) {
+                    // Untouched by this event.
+                    Some(&was)
+                        if (was.version, was.attempts, was.due)
+                            == (p.version, p.attempts, p.retry_at) =>
+                    {
+                        was
+                    }
+                    // Retransmitted by this event: then it was due now,
+                    // and its next deadline is a backoff away.
+                    Some(&was) if was.version == p.version && p.attempts == was.attempts + 1 => {
+                        assert_eq!(was.due, now, "{key:?} retransmitted off its deadline");
+                        let backed = CAP.min(Duration(BASE.0 << p.attempts.min(32)));
+                        let wait = p.retry_at.saturating_since(now);
+                        assert!(
+                            backed <= wait && wait <= backed + Duration(BASE.0 / 2),
+                            "{key:?}: attempt {} backs off {wait:?}",
+                            p.attempts
+                        );
+                        self.retransmissions += 1;
+                        Owed {
+                            version: p.version,
+                            attempts: p.attempts,
+                            due: p.retry_at,
+                        }
+                    }
+                    // Submitted by this event: first under its key, a
+                    // newer version, or the same one over again.
+                    _ => {
+                        assert_eq!(p.attempts, 0, "{key:?}");
+                        assert_eq!(p.retry_at, now + BASE, "{key:?}");
+                        Owed {
+                            version: p.version,
+                            attempts: 0,
+                            due: p.retry_at,
+                        }
+                    }
+                };
+                assert!(
+                    entry.due >= now,
+                    "{key:?} was due at {:?} and still waits at {now:?}",
+                    entry.due
+                );
+                owed.insert(key, entry);
+            }
+            self.settled_when_due += self
+                .owed
+                .iter()
+                .filter(|(key, was)| was.due == now && !owed.contains_key(key))
+                .count() as u64;
+            self.owed = owed;
+        }
+    }
+
+    /// The `backoff.rs` scenario — a third of the population behind a
+    /// two-minute partition, so deadlines back off to the cap while first
+    /// tries keep arriving beside them — under `loss`, with two clean
+    /// outages on top so that endsystems die holding armed timers.
+    fn retransmissions_under(loss: f64, seed: u64) -> (u64, usize) {
+        let (tables, schema) = flag_fixture(0..N as u32, 1);
+        let outage = |members: Vec<u32>, down: u64, up: u64| OutageSpec {
+            members,
+            down_at: Time::from_secs(down),
+            up_at: Time::from_secs(up),
+            amnesia: false,
+        };
+        let plan = FaultPlan {
+            partitions: vec![PartitionSpec {
+                members: (20..N as u32).collect(),
+                from: Time::from_secs(905),
+                until: Time::from_secs(1025),
+            }],
+            outages: vec![
+                outage(vec![3, 7, 24], 914, 960),
+                outage(vec![5, 12, 21], 1040, 1100),
+            ],
+            ..FaultPlan::default()
+        };
+        let (mut eng, mut sw) = build_world(
+            Box::new(UniformTopology::new(N, Duration::from_millis(5))),
+            seed,
+            SimConfig {
+                loss_rate: loss,
+                faults: Some(plan),
+                ..SimConfig::default()
+            },
+            OverlayConfig::default(),
+            SeaweedConfig {
+                result_retry: BASE,
+                result_retry_cap: CAP,
+                ..Default::default()
+            },
+            tables,
+        );
+        boot_staggered(&mut eng, Duration::from_millis(700));
+        sw.run_until(&mut eng, Time::from_secs(910));
+        for (origin, sql) in [
+            (0, "SELECT SUM(v) FROM T WHERE flag = 1"),
+            (9, "SELECT COUNT(*) FROM T WHERE flag = 1"),
+            (26, "SELECT MAX(v) FROM T WHERE flag = 1"),
+        ] {
+            sw.inject_query(
+                &mut eng,
+                NodeIdx(origin),
+                sql,
+                Duration::from_hours(4),
+                &schema,
+            )
+            .expect("the query parses and binds");
+        }
+        let mut reference = Deadlines::default();
+        // First tries that came due before the retry their endsystem's
+        // timer was armed for: the case that needs the timer moved.
+        let mut moved_earlier = 0;
+        let fires_at = |sw: &Seaweed<LiveTables>| -> Vec<Option<Time>> {
+            let armed = sw.retry_armed.iter();
+            armed.map(|t| t.map(|t| t.handle.fires_at())).collect()
+        };
+        while let Some((now, ev)) = eng.next_event_before(Time::from_secs(1500)) {
+            let before = fires_at(&sw);
+            sw.dispatch(&mut eng, ev);
+            let moved = |(b, a): (&Option<Time>, Option<Time>)| {
+                b.is_some_and(|b| b > now && a.is_some_and(|a| a < b))
+            };
+            moved_earlier += before
+                .iter()
+                .zip(fires_at(&sw))
+                .filter(|&p| moved(p))
+                .count();
+            reference.observe(&sw, now);
+        }
+        let unseen = sw.stats.result_retries - reference.retransmissions;
+        assert!(unseen <= reference.settled_when_due, "{unseen} stray");
+        (reference.retransmissions, moved_earlier)
+    }
+
+    #[test]
+    fn retransmission_instants_are_those_of_one_deadline_per_submission() {
+        let mut moved_earlier = 0;
+        for (loss, seed) in [(0.05, 11), (0.1, 12), (0.2, 13), (0.2, 14)] {
+            let (retransmissions, moved) = retransmissions_under(loss, seed);
+            assert!(
+                retransmissions >= 20,
+                "loss {loss}: only {retransmissions} retransmissions to compare"
+            );
+            moved_earlier += moved;
+        }
+        assert!(
+            moved_earlier > 0,
+            "no timer ever had to move to an earlier deadline"
+        );
     }
 }

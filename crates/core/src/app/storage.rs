@@ -1,74 +1,73 @@
 //! Hot-state containers for the protocol layer.
 //!
 //! Every per-query/per-node table the handlers touch on the hot path
-//! lives in one of the stores below: state bucketed by dense `u32` node
-//! index (a `Vec` addressed directly) or per-query slab slots, so the
-//! common operations — "this node went down, drop its soft state", "this
-//! query expired, drop everything it owns", point lookups keyed by a
-//! node the caller already holds as a dense index — touch only the
-//! entries involved instead of walking a map of the whole world.
+//! lives in one of the stores below: state in cells addressed by dense
+//! `u32` node index and query slot (`Vec`s indexed directly) or per-query
+//! slab slots, so the common operations — "this node went down, drop its
+//! soft state", "this query expired, drop everything it owns", point
+//! lookups keyed by a node the caller already holds as a dense index —
+//! touch only the entries involved instead of walking a map of the whole
+//! world.
 //!
 //! Iteration order is part of the protocol's determinism contract: each
 //! store iterates in exactly the order of one workspace-wide `BTreeMap`
 //! keyed by the full composite tuple (`(node, query, start, width)` and
-//! friends) — node-major buckets replay the `(node, ...)` lexicographic
-//! order, per-query vertex maps the `(query, id)` order. The proptest at
-//! the bottom of this file drives each store against such a map,
-//! operation by operation.
+//! friends) — node-major rows of query-ordered sorted cells replay the
+//! `(node, query, ...)` lexicographic order, per-query vertex maps the
+//! `(query, id)` order. The proptest at the bottom of this file drives
+//! each store against such a map, operation by operation.
 
 use std::collections::BTreeMap;
 
-use seaweed_types::Id;
+use seaweed_types::{Id, Time};
 
-use super::{DissemTask, PendingSubmit, QueryHandle, TaskKey, VertexState};
+use super::{DissemTask, PendingSubmit, QueryHandle, TaskKey, TimerAction, VertexState};
 
 /// A key whose first component is the dense index of the endsystem that
 /// owns the entry and whose second is the query it belongs to.
 pub(crate) trait NodeKey: Copy {
-    /// The key without its node, `(query, ...)`: what a bucket orders by.
-    type Rest: Ord + Copy;
-    fn split(self) -> (u32, Self::Rest);
-    fn join(node: u32, rest: Self::Rest) -> Self;
-    fn query(rest: &Self::Rest) -> QueryHandle;
+    /// The key without its node and query: what a cell orders by.
+    type Tail: Ord + Copy + std::fmt::Debug;
+    fn split(self) -> (u32, QueryHandle, Self::Tail);
+    fn join(node: u32, query: QueryHandle, tail: Self::Tail) -> Self;
 }
 
 impl NodeKey for TaskKey {
-    type Rest = (QueryHandle, u128, u128);
-    fn split(self) -> (u32, Self::Rest) {
-        (self.0, (self.1, self.2, self.3))
+    type Tail = (u128, u128);
+    fn split(self) -> (u32, QueryHandle, Self::Tail) {
+        (self.0, self.1, (self.2, self.3))
     }
-    fn join(node: u32, (q, start, width): Self::Rest) -> Self {
-        (node, q, start, width)
-    }
-    fn query(rest: &Self::Rest) -> QueryHandle {
-        rest.0
+    fn join(node: u32, query: QueryHandle, (start, width): Self::Tail) -> Self {
+        (node, query, start, width)
     }
 }
 
 impl NodeKey for SubmitKey {
-    type Rest = (QueryHandle, u128);
-    fn split(self) -> (u32, Self::Rest) {
-        (self.0, (self.1, self.2))
+    type Tail = u128;
+    fn split(self) -> (u32, QueryHandle, Self::Tail) {
+        (self.0, self.1, self.2)
     }
-    fn join(node: u32, (q, child): Self::Rest) -> Self {
-        (node, q, child)
-    }
-    fn query(rest: &Self::Rest) -> QueryHandle {
-        rest.0
+    fn join(node: u32, query: QueryHandle, child: Self::Tail) -> Self {
+        (node, query, child)
     }
 }
 
 /// `(submitting node, query, child key)`.
 pub(crate) type SubmitKey = (u32, QueryHandle, u128);
 
-/// Entries bucketed by owning endsystem: one map per node, keyed by the
-/// remainder of the key, so node-death cleanup drops one bucket instead
-/// of filtering the world.
+/// Entries in cells addressed `[node][query slot]`, each cell the handful
+/// of entries one endsystem holds for one query, sorted by the rest of
+/// the key. A lookup is two indexings and a search of that handful;
+/// node-death cleanup drops one row, query expiry one cell per row —
+/// neither reads an entry it does not drop. (A row is as long as the
+/// highest slot its endsystem has held an entry for: 24 bytes a slot.)
 #[derive(Debug)]
 pub(crate) struct NodeStore<K: NodeKey, V> {
-    per_node: Vec<BTreeMap<K::Rest, V>>,
+    cells: Vec<Vec<Cell<K, V>>>,
     len: usize,
 }
+
+type Cell<K, V> = Vec<(<K as NodeKey>::Tail, V)>;
 
 /// Dissemination tasks, keyed `(node, query, range start, range width)`.
 pub(crate) type TaskStore = NodeStore<TaskKey, DissemTask>;
@@ -79,7 +78,7 @@ pub(crate) type SubmitStore = NodeStore<SubmitKey, PendingSubmit>;
 impl<K: NodeKey, V> NodeStore<K, V> {
     pub fn new(n: usize) -> Self {
         NodeStore {
-            per_node: (0..n).map(|_| BTreeMap::new()).collect(),
+            cells: (0..n).map(|_| Vec::new()).collect(),
             len: 0,
         }
     }
@@ -88,71 +87,121 @@ impl<K: NodeKey, V> NodeStore<K, V> {
         self.len
     }
 
+    /// `node`'s entries for `query`, in ascending key order.
+    fn cell(&self, node: u32, query: QueryHandle) -> &[(K::Tail, V)] {
+        self.cells[node as usize]
+            .get(query as usize)
+            .map_or(&[], Vec::as_slice)
+    }
+
     pub fn get(&self, key: &K) -> Option<&V> {
-        let (node, rest) = key.split();
-        self.per_node[node as usize].get(&rest)
+        let (node, query, tail) = key.split();
+        let cell = self.cell(node, query);
+        let at = cell.binary_search_by_key(&tail, |e| e.0).ok()?;
+        Some(&cell[at].1)
     }
 
     pub fn get_mut(&mut self, key: &K) -> Option<&mut V> {
-        let (node, rest) = key.split();
-        self.per_node[node as usize].get_mut(&rest)
+        let (node, query, tail) = key.split();
+        let cell = self.cells[node as usize].get_mut(query as usize)?;
+        let at = cell.binary_search_by_key(&tail, |e| e.0).ok()?;
+        Some(&mut cell[at].1)
     }
 
     pub fn insert(&mut self, key: K, val: V) {
-        let (node, rest) = key.split();
-        if self.per_node[node as usize].insert(rest, val).is_none() {
-            self.len += 1;
+        let (node, query, tail) = key.split();
+        let row = &mut self.cells[node as usize];
+        if row.len() <= query as usize {
+            row.resize_with(query as usize + 1, Vec::new);
+        }
+        let cell = &mut row[query as usize];
+        match cell.binary_search_by_key(&tail, |e| e.0) {
+            Ok(at) => cell[at].1 = val,
+            Err(at) => {
+                // A cell holds one entry, or a few, for as long as its
+                // query lives: sized to fit, not doubled ahead.
+                cell.reserve_exact(1);
+                cell.insert(at, (tail, val));
+                self.len += 1;
+            }
         }
     }
 
     pub fn remove(&mut self, key: &K) -> Option<V> {
-        let (node, rest) = key.split();
-        let removed = self.per_node[node as usize].remove(&rest);
-        if removed.is_some() {
-            self.len -= 1;
-        }
-        removed
+        let (node, query, tail) = key.split();
+        let cell = self.cells[node as usize].get_mut(query as usize)?;
+        let at = cell.binary_search_by_key(&tail, |e| e.0).ok()?;
+        self.len -= 1;
+        Some(cell.remove(at).1)
     }
 
     /// Drops every entry owned by `node` (its volatile state died with
     /// it). O(own entries).
     pub fn clear_node(&mut self, node: u32) {
-        let bucket = std::mem::take(&mut self.per_node[node as usize]);
-        self.len -= bucket.len();
+        let row = std::mem::take(&mut self.cells[node as usize]);
+        self.len -= row.iter().map(Vec::len).sum::<usize>();
     }
 
-    /// Drops every entry belonging to an expired query.
-    pub fn clear_query(&mut self, query: QueryHandle) {
-        for bucket in &mut self.per_node {
-            let before = bucket.len();
-            bucket.retain(|rest, _| K::query(rest) != query);
-            self.len -= before - bucket.len();
+    /// Drops every entry belonging to an expired query, handing each to
+    /// `dropped` in ascending key order: one cell per endsystem, emptied
+    /// without a look at any other query's.
+    pub fn clear_query(&mut self, query: QueryHandle, mut dropped: impl FnMut(V)) {
+        for row in &mut self.cells {
+            let Some(cell) = row.get_mut(query as usize) else {
+                continue;
+            };
+            self.len -= cell.len();
+            for (_, val) in std::mem::take(cell) {
+                dropped(val);
+            }
         }
+    }
+
+    /// `node`'s entries, in ascending key order.
+    fn of_node(&self, node: u32) -> impl Iterator<Item = (K, &V)> + '_ {
+        self.cells[node as usize]
+            .iter()
+            .enumerate()
+            .flat_map(move |(query, cell)| {
+                cell.iter()
+                    .map(move |(tail, val)| (K::join(node, query as QueryHandle, *tail), val))
+            })
     }
 
     /// All keys in ascending order of the full tuple.
     pub fn keys(&self) -> impl Iterator<Item = K> + '_ {
-        self.per_node
-            .iter()
-            .enumerate()
-            .flat_map(|(n, bucket)| bucket.keys().map(move |&rest| K::join(n as u32, rest)))
+        (0..self.cells.len() as u32).flat_map(|node| self.of_node(node).map(|(key, _)| key))
     }
 }
 
 impl TaskStore {
-    /// Keys of `node`'s tasks for `query` whose task satisfies `pred`,
-    /// in ascending key order (the heal/report paths pick the first
-    /// candidate, so this order is protocol-visible).
-    pub fn candidate_keys(
+    /// `node`'s tasks for `query`, in ascending key order (the heal and
+    /// report paths pick the first one that qualifies, so this order is
+    /// protocol-visible).
+    pub fn tasks_of(
         &self,
         node: u32,
         query: QueryHandle,
-        mut pred: impl FnMut(&DissemTask) -> bool,
-    ) -> Vec<TaskKey> {
-        self.per_node[node as usize]
-            .range((query, 0, 0)..=(query, u128::MAX, u128::MAX))
-            .filter(|(_, t)| pred(t))
-            .map(|(&(q, s, w), _)| (node, q, s, w))
+    ) -> impl Iterator<Item = (TaskKey, &DissemTask)> + '_ {
+        self.cell(node, query)
+            .iter()
+            .map(move |(tail, task)| (TaskKey::join(node, query, *tail), task))
+    }
+}
+
+impl SubmitStore {
+    /// The earliest retransmission deadline among `node`'s unacked
+    /// submissions.
+    pub fn earliest_retry(&self, node: u32) -> Option<Time> {
+        self.of_node(node).map(|(_, p)| p.retry_at).min()
+    }
+
+    /// Keys of `node`'s submissions whose retransmission is due at
+    /// `now`, in ascending key order.
+    pub fn due_keys(&self, node: u32, now: Time) -> Vec<SubmitKey> {
+        self.of_node(node)
+            .filter(|(_, p)| p.retry_at <= now)
+            .map(|(key, _)| key)
             .collect()
     }
 }
@@ -174,44 +223,53 @@ impl VertexStore {
         self.slots.len() - self.free.len()
     }
 
-    pub fn contains_key(&self, key: &(QueryHandle, Id)) -> bool {
-        self.get(key).is_some()
+    /// The slab slot holding `key`'s state: what a handler that touches
+    /// one vertex several times looks up once and then addresses through
+    /// [`VertexStore::at`] / [`VertexStore::at_mut`]. Valid until the
+    /// vertex is removed or its query cleared.
+    pub fn slot(&self, key: &(QueryHandle, Id)) -> Option<u32> {
+        self.by_id.get(key.0 as usize)?.get(&key.1 .0).copied()
+    }
+
+    pub fn at(&self, slot: u32) -> &VertexState {
+        &self.slots[slot as usize]
+    }
+
+    pub fn at_mut(&mut self, slot: u32) -> &mut VertexState {
+        &mut self.slots[slot as usize]
     }
 
     pub fn get(&self, key: &(QueryHandle, Id)) -> Option<&VertexState> {
-        self.by_id
-            .get(key.0 as usize)?
-            .get(&key.1 .0)
-            .map(|&slot| &self.slots[slot as usize])
+        self.slot(key).map(|slot| self.at(slot))
     }
 
     pub fn get_mut(&mut self, key: &(QueryHandle, Id)) -> Option<&mut VertexState> {
-        self.by_id
-            .get(key.0 as usize)?
-            .get(&key.1 .0)
-            .map(|&slot| &mut self.slots[slot as usize])
+        self.slot(key).map(|slot| self.at_mut(slot))
     }
 
-    pub fn insert(&mut self, key: (QueryHandle, Id), state: VertexState) {
+    /// Stores `state` under `key`, replacing what was there; returns the
+    /// slot it now occupies.
+    pub fn insert(&mut self, key: (QueryHandle, Id), state: VertexState) -> u32 {
         let q = key.0 as usize;
         if self.by_id.len() <= q {
             self.by_id.resize_with(q + 1, BTreeMap::new);
         }
         if let Some(&slot) = self.by_id[q].get(&key.1 .0) {
             self.slots[slot as usize] = state;
-        } else {
-            let slot = match self.free.pop() {
-                Some(slot) => {
-                    self.slots[slot as usize] = state;
-                    slot
-                }
-                None => {
-                    self.slots.push(state);
-                    (self.slots.len() - 1) as u32
-                }
-            };
-            self.by_id[q].insert(key.1 .0, slot);
+            return slot;
         }
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = state;
+                slot
+            }
+            None => {
+                self.slots.push(state);
+                (self.slots.len() - 1) as u32
+            }
+        };
+        self.by_id[q].insert(key.1 .0, slot);
+        slot
     }
 
     pub fn remove(&mut self, key: &(QueryHandle, Id)) -> Option<VertexState> {
@@ -336,6 +394,142 @@ impl<T: Copy + Default> NodeQueryStore<T> {
     }
 }
 
+/// Deferred timer actions, addressed by the engine timer tag they are
+/// armed under: a free-listed slab, the slot index in the tag's low 32
+/// bits and the slot's generation in the 30 above, so that every tag
+/// stays below the overlay's tag space. Vacating a slot — its action
+/// fired, was cancelled, or died with its endsystem — bumps the
+/// generation, so a tag that outlived its action resolves to nothing,
+/// whoever holds the index now. The actions tied to one endsystem's
+/// liveness are chained through their slots: node-down unlinks exactly
+/// its own, wherever in the slab they sit.
+#[derive(Debug)]
+pub(crate) struct ActionSlab {
+    slots: Vec<ActionSlot>,
+    free: Vec<u32>,
+    /// First slot of each endsystem's chain; `NIL` for an empty chain.
+    heads: Vec<u32>,
+}
+
+#[derive(Debug)]
+struct ActionSlot {
+    generation: u32,
+    /// `None` while the slot is on the free list.
+    action: Option<TimerAction>,
+    /// Chain neighbours (`NIL` at either end, and for detached actions).
+    prev: u32,
+    next: u32,
+}
+
+const NIL: u32 = u32::MAX;
+const GENERATION_BITS: u32 = 30;
+
+fn action_tag(generation: u32, idx: u32) -> u64 {
+    u64::from(generation) << 32 | u64::from(idx)
+}
+
+impl ActionSlab {
+    pub fn new(n: usize) -> Self {
+        ActionSlab {
+            slots: Vec::new(),
+            free: Vec::new(),
+            heads: vec![NIL; n],
+        }
+    }
+
+    /// Parked actions.
+    pub fn len(&self) -> usize {
+        self.slots.len() - self.free.len()
+    }
+
+    /// The occupied slot `tag` names, unless the tag is stale.
+    fn resolve(&self, tag: u64) -> Option<u32> {
+        let idx = tag as u32;
+        let slot = self.slots.get(idx as usize)?;
+        (slot.action.is_some() && u64::from(slot.generation) == tag >> 32).then_some(idx)
+    }
+
+    /// Parks `action` and returns the tag to arm its engine timer with.
+    pub fn park(&mut self, action: TimerAction) -> u64 {
+        let owner = action.node();
+        let idx = match self.free.pop() {
+            Some(idx) => idx,
+            None => {
+                self.slots.push(ActionSlot {
+                    generation: 0,
+                    action: None,
+                    prev: NIL,
+                    next: NIL,
+                });
+                u32::try_from(self.slots.len() - 1).expect("action slab index fits u32")
+            }
+        };
+        // Chained at the head: the order within a chain is never read.
+        let next = owner.map_or(NIL, |n| std::mem::replace(&mut self.heads[n.idx()], idx));
+        if next != NIL {
+            self.slots[next as usize].prev = idx;
+        }
+        let slot = &mut self.slots[idx as usize];
+        slot.action = Some(action);
+        slot.prev = NIL;
+        slot.next = next;
+        action_tag(slot.generation, idx)
+    }
+
+    /// The action parked under `tag`, if it is still there.
+    pub fn get(&self, tag: u64) -> Option<&TimerAction> {
+        self.slots[self.resolve(tag)? as usize].action.as_ref()
+    }
+
+    /// Unparks the action `tag` names: its timer fired or is being
+    /// cancelled. `None` for a stale tag.
+    pub fn take(&mut self, tag: u64) -> Option<TimerAction> {
+        let idx = self.resolve(tag)?;
+        let ActionSlot { prev, next, .. } = self.slots[idx as usize];
+        if next != NIL {
+            self.slots[next as usize].prev = prev;
+        }
+        if prev != NIL {
+            self.slots[prev as usize].next = next;
+        } else if let Some(n) = self.slots[idx as usize]
+            .action
+            .as_ref()
+            .and_then(TimerAction::node)
+        {
+            self.heads[n.idx()] = next;
+        }
+        self.vacate(idx)
+    }
+
+    /// Drops every action tied to `node`'s liveness (the engine cancelled
+    /// their timers when it went down). O(its own actions).
+    pub fn drop_node(&mut self, node: u32) {
+        let mut idx = std::mem::replace(&mut self.heads[node as usize], NIL);
+        while idx != NIL {
+            let next = self.slots[idx as usize].next;
+            self.vacate(idx);
+            idx = next;
+        }
+    }
+
+    /// Empties an already unlinked slot onto the free list.
+    fn vacate(&mut self, idx: u32) -> Option<TimerAction> {
+        let slot = &mut self.slots[idx as usize];
+        slot.generation = (slot.generation + 1) & ((1 << GENERATION_BITS) - 1);
+        self.free.push(idx);
+        slot.action.take()
+    }
+
+    /// Every parked action with its tag, in slot order. Oracle-only; the
+    /// protocol never iterates the slab.
+    pub fn iter(&self) -> impl Iterator<Item = (u64, &TimerAction)> + '_ {
+        self.slots.iter().enumerate().filter_map(|(idx, slot)| {
+            let action = slot.action.as_ref()?;
+            Some((action_tag(slot.generation, idx as u32), action))
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeSet;
@@ -408,7 +602,7 @@ mod tests {
         );
         ss.clear_node(1);
         assert_eq!(ss.len(), 1);
-        ss.clear_query(0);
+        ss.clear_query(0, drop);
         assert_eq!(ss.len(), 0);
     }
 
@@ -418,6 +612,8 @@ mod tests {
             version,
             agg: Aggregate::empty(AggFunc::Count),
             attempts: 0,
+            // The model's deadlines: the step that wrote the entry.
+            retry_at: Time(version),
         }
     }
 
@@ -505,8 +701,16 @@ mod tests {
                     store.clear_node(n);
                     model.retain(|k, _| k.0 != n);
                 }
+                // The dropped tasks are handed over, in key order.
                 Op::ClearQuery(q) => {
-                    store.clear_query(q);
+                    let mut dropped = Vec::new();
+                    store.clear_query(q, |t| dropped.push(task_marker(&t)));
+                    let want: Vec<u64> = model
+                        .iter()
+                        .filter(|(k, _)| k.1 == q)
+                        .map(|(_, &m)| m)
+                        .collect();
+                    prop_assert_eq!(dropped, want, "step {}", step);
                     model.retain(|k, _| k.1 != q);
                 }
             }
@@ -526,12 +730,12 @@ mod tests {
                     .filter(|&(_, &m)| even(m))
                     .map(|(&k, _)| k)
                     .collect();
-                prop_assert_eq!(
-                    store.candidate_keys(n, q, |t| even(task_marker(t))),
-                    want,
-                    "step {}",
-                    step
-                );
+                let got: Vec<TaskKey> = store
+                    .tasks_of(n, q)
+                    .filter(|(_, t)| even(task_marker(t)))
+                    .map(|(k, _)| k)
+                    .collect();
+                prop_assert_eq!(got, want, "step {}", step);
             }
         }
         Ok(())
@@ -554,7 +758,7 @@ mod tests {
                 }
                 Op::Remove((_, q, a, _)) => {
                     let k = (q, Id(a));
-                    prop_assert_eq!(store.contains_key(&k), model.contains_key(&k));
+                    prop_assert_eq!(store.slot(&k).is_some(), model.contains_key(&k));
                     prop_assert_eq!(
                         store.get_mut(&k).map(|s| s.out_version),
                         model.get(&k).copied()
@@ -616,11 +820,25 @@ mod tests {
                     model.retain(|k, _| k.0 != n);
                 }
                 Op::ClearQuery(q) => {
-                    store.clear_query(q);
+                    store.clear_query(q, drop);
                     model.retain(|k, _| k.1 != q);
                 }
             }
             prop_assert_eq!(store.len(), model.len(), "step {}", step);
+            // What the retry timer asks of one endsystem's bucket.
+            if let Op::Put((n, ..)) | Op::Remove((n, ..)) | Op::ClearNode(n) = op {
+                let of_node = || model.iter().filter(move |(k, _)| k.0 == n);
+                prop_assert_eq!(
+                    store.earliest_retry(n),
+                    of_node().map(|(_, &m)| Time(m)).min()
+                );
+                let now = Time(marker / 2);
+                let due: Vec<_> = of_node()
+                    .filter(|(_, &m)| Time(m) <= now)
+                    .map(|(&k, _)| k)
+                    .collect();
+                prop_assert_eq!(store.due_keys(n, now), due, "step {}", step);
+            }
             let got: Vec<((u32, QueryHandle, u128), u64)> = store
                 .keys()
                 .map(|k| (k, store.get(&k).expect("listed key").version))
@@ -678,6 +896,110 @@ mod tests {
         Ok(())
     }
 
+    // ---- the action slab against the `BTreeMap<u64, TimerAction>` it
+    // replaced: the map is keyed by the tags the slab hands out, so what
+    // is checked is that a tag names its own action for exactly as long
+    // as the map holds it — through index reuse, and whatever node-down
+    // sweeps in between.
+
+    #[derive(Clone, Copy, Debug)]
+    enum SlabOp {
+        /// Park an action tied to this endsystem's liveness.
+        Park(u32),
+        /// Park a detached action (query expiry).
+        ParkDetached,
+        /// Fire or cancel the i-th tag ever issued (modulo how many
+        /// there are) — as often as not a stale one.
+        Take(usize),
+        DropNode(u32),
+    }
+
+    fn slab_ops() -> impl Strategy<Value = Vec<SlabOp>> {
+        let node = || 0u32..4;
+        prop::collection::vec(
+            prop_oneof![
+                node().prop_map(SlabOp::Park),
+                node().prop_map(SlabOp::Park),
+                (0u32..1).prop_map(|_| SlabOp::ParkDetached),
+                (0usize..200).prop_map(SlabOp::Take),
+                (0usize..200).prop_map(SlabOp::Take),
+                node().prop_map(SlabOp::DropNode),
+            ],
+            1..160,
+        )
+    }
+
+    /// `(owner, marker)`; the marker rides in the query field.
+    fn action_marker(a: &TimerAction) -> (Option<u32>, u32) {
+        match *a {
+            TimerAction::ExecuteLocal { node, query } => (Some(node.0), query),
+            TimerAction::QueryExpire { query } => (None, query),
+            ref other => unreachable!("the model parks no {other:?}"),
+        }
+    }
+
+    fn check_slab(script: &[SlabOp]) -> Result<(), TestCaseError> {
+        use seaweed_sim::NodeIdx;
+        let mut slab = ActionSlab::new(4);
+        let mut model: BTreeMap<u64, (Option<u32>, u32)> = BTreeMap::new();
+        let mut issued: Vec<u64> = Vec::new();
+        let mut most_live = 0;
+        for (step, &op) in script.iter().enumerate() {
+            let marker = step as u32;
+            match op {
+                SlabOp::Park(_) | SlabOp::ParkDetached => {
+                    let action = match op {
+                        SlabOp::Park(n) => TimerAction::ExecuteLocal {
+                            node: NodeIdx(n),
+                            query: marker,
+                        },
+                        _ => TimerAction::QueryExpire { query: marker },
+                    };
+                    let entry = action_marker(&action);
+                    let tag = slab.park(action);
+                    prop_assert!(tag < 1 << 62, "tag {:x} in the overlay's space", tag);
+                    prop_assert!(!issued.contains(&tag), "tag {:x} issued twice", tag);
+                    issued.push(tag);
+                    model.insert(tag, entry);
+                }
+                SlabOp::Take(i) => {
+                    let Some(&tag) = issued.get(i % issued.len().max(1)) else {
+                        continue;
+                    };
+                    prop_assert_eq!(slab.get(tag).map(action_marker), model.get(&tag).copied());
+                    prop_assert_eq!(
+                        slab.take(tag).as_ref().map(action_marker),
+                        model.remove(&tag),
+                        "step {}",
+                        step
+                    );
+                }
+                SlabOp::DropNode(n) => {
+                    slab.drop_node(n);
+                    model.retain(|_, &mut (owner, _)| owner != Some(n));
+                }
+            }
+            prop_assert_eq!(slab.len(), model.len(), "step {}", step);
+            let mut got: Vec<(u64, (Option<u32>, u32))> = slab
+                .iter()
+                .map(|(tag, a)| (tag, action_marker(a)))
+                .collect();
+            got.sort_unstable();
+            let want: Vec<(u64, (Option<u32>, u32))> =
+                model.iter().map(|(&t, &m)| (t, m)).collect();
+            prop_assert_eq!(got, want, "step {}", step);
+            // No tag the map has let go of resolves, whoever has its
+            // index now.
+            for &tag in &issued {
+                prop_assert_eq!(slab.get(tag).is_some(), model.contains_key(&tag));
+            }
+            // Indices are reused before the slab grows.
+            most_live = most_live.max(model.len());
+            prop_assert_eq!(slab.slots.len(), most_live, "step {}", step);
+        }
+        Ok(())
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -687,6 +1009,11 @@ mod tests {
             check_vertices(&script)?;
             check_submits(&script)?;
             check_node_query(&script)?;
+        }
+
+        #[test]
+        fn action_slab_matches_the_map_it_replaced(script in slab_ops()) {
+            check_slab(&script)?;
         }
     }
 }

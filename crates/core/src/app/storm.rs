@@ -11,7 +11,8 @@
 //! * **Slot recycling** — retired queries release their registry slot
 //!   behind a generation bump, so a run can process arbitrarily many
 //!   queries through the 64-slot registry while late traffic for dead
-//!   queries is rejected at the message boundary (`stale_handle_drops`).
+//!   queries — messages at the message boundary, timer actions at their
+//!   fire — is rejected by its generation (`stale_handle_drops`).
 //! * **Fair scan scheduling** — each endsystem charges a local execution
 //!   its scan cost (rows touched) and slices contended executions into
 //!   preemption quanta, round-robining in deterministic `(quantum
@@ -192,8 +193,9 @@ impl<P: DataProvider> Seaweed<P> {
     }
 
     /// Releases a retired query's slot for recycling: generation bump
-    /// (invalidating every handle on the wire), global per-node state
-    /// purge, armed-action purge, then queue admission. Storm mode only.
+    /// (invalidating every handle on the wire and in every parked timer
+    /// action), global per-node state purge, then queue admission. Storm
+    /// mode only.
     pub(crate) fn release_slot(&mut self, eng: &mut SeaweedEngine, slot: QueryHandle) {
         debug_assert!(self.cfg.storm.is_some());
         debug_assert!(!self.queries[slot as usize].active);
@@ -209,10 +211,9 @@ impl<P: DataProvider> Seaweed<P> {
         for w in &mut self.exec_pending {
             *w &= mask;
         }
-        // Deferred actions for the dead slot are dropped; their engine
-        // timers fire as no-ops, exactly like the baseline's post-expiry
-        // timers, so the event stream shape is unchanged.
-        self.timers.retain(|_, a| a.query_slot() != Some(slot));
+        // Deferred actions armed for the dead query stay parked: each is
+        // dropped when its timer fires and its handle fails the
+        // generation check (`on_app_timer`).
         for sn in &mut self.scan {
             sn.tasks.retain(|t| t.slot != slot);
         }
@@ -448,5 +449,187 @@ impl<P: DataProvider> Seaweed<P> {
             }
         }
         out
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use seaweed_overlay::OverlayConfig;
+    use seaweed_sim::{NodeIdx, SimConfig, UniformTopology};
+    use seaweed_store::Schema;
+    use seaweed_types::{Duration, Time};
+
+    use super::super::{
+        slot_of, Seaweed, SeaweedConfig, SeaweedEngine, StormConfig, Submission, TimerAction,
+        LOCAL_EXEC_DELAY,
+    };
+    use crate::provider::LiveTables;
+    use crate::world::{boot_staggered, build_world, flag_fixture};
+
+    const N: usize = 24;
+    const T0: Time = Time(600_000_000);
+
+    /// An all-up 24-endsystem storm world, joined and quiet at `T0`.
+    fn world(storm: StormConfig) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
+        let (tables, schema) = flag_fixture(0..N as u32, 1);
+        let (mut eng, mut sw) = build_world(
+            Box::new(UniformTopology::new(N, Duration::from_millis(5))),
+            9,
+            SimConfig::default(),
+            OverlayConfig::default(),
+            SeaweedConfig {
+                storm: Some(storm),
+                ..Default::default()
+            },
+            tables,
+        );
+        boot_staggered(&mut eng, Duration::from_millis(300));
+        sw.run_until(&mut eng, T0);
+        assert_eq!(sw.overlay.num_joined(), N);
+        (eng, sw, schema)
+    }
+
+    fn admit(
+        sw: &mut Seaweed<LiveTables>,
+        eng: &mut SeaweedEngine,
+        schema: &Schema,
+        sql: &str,
+        ttl: Duration,
+    ) -> super::QueryHandle {
+        match sw.submit_query(eng, NodeIdx(0), sql, ttl, schema) {
+            Ok(Submission::Admitted(h)) => h,
+            other => panic!("not admitted: {other:?}"),
+        }
+    }
+
+    /// Slot recycling against parked timer actions: query A is retired
+    /// while local executions and reissue timers armed for it are still
+    /// pending, and B takes its slot at once. No release-time purge walks
+    /// the action table any more; what keeps A's timers off B is the
+    /// generation in the handle each action carries. Every one of them
+    /// must be dropped at its fire (and counted), and B must execute
+    /// once per endsystem, on the schedule of its own dissemination.
+    #[test]
+    fn a_recycled_slot_is_not_served_by_its_last_tenants_timers() {
+        let (mut eng, mut sw, schema) = world(StormConfig::default());
+        let ttl = Duration::from_hours(4);
+        let a = admit(
+            &mut sw,
+            &mut eng,
+            &schema,
+            "SELECT SUM(v) FROM T WHERE flag = 1",
+            ttl,
+        );
+        // Step to the first instant at which every endsystem has the
+        // query and nothing of it is on the wire: what is left of A is
+        // then timers only.
+        let in_flight = |eng: &SeaweedEngine| {
+            let m = eng.metrics();
+            let gauge = |name| m.gauge(name).expect("engine gauge") as u64;
+            // The one detached timer is A's expiry.
+            gauge("sim.queue.depth") - gauge("sim.queue.armed_timers") - 1
+        };
+        let knows = |sw: &Seaweed<LiveTables>| {
+            let bit = 1u64 << slot_of(a);
+            sw.knows_query.iter().all(|w| w & bit != 0)
+        };
+        while !(knows(&sw) && in_flight(&eng) == 0) {
+            let (_, ev) = eng
+                .next_event_before(T0 + Duration::from_secs(1))
+                .expect("A goes quiet within a second");
+            sw.dispatch(&mut eng, ev);
+        }
+        let parked = |sw: &Seaweed<LiveTables>, pick: fn(&TimerAction) -> Option<u32>| {
+            sw.timers
+                .iter()
+                .filter(|(_, act)| pick(act) == Some(a))
+                .count() as u64
+        };
+        let executions = parked(&sw, |act| match *act {
+            TimerAction::ExecuteLocal { query, .. } => Some(query),
+            _ => None,
+        });
+        let reissues = parked(&sw, |act| match *act {
+            TimerAction::DissemTimeout { task, .. } => Some(task.1),
+            _ => None,
+        });
+        assert!(executions > 0 && reissues > 0, "{executions} / {reissues}");
+
+        let drops_before = sw.stats.stale_handle_drops;
+        sw.retire_query(&mut eng, a);
+        let admitted_at = eng.now();
+        let b = admit(
+            &mut sw,
+            &mut eng,
+            &schema,
+            "SELECT COUNT(*) FROM T WHERE flag = 1",
+            ttl,
+        );
+        assert_eq!(slot_of(b), slot_of(a), "B recycles A's slot");
+        assert_ne!(a, b);
+        sw.run_until(&mut eng, admitted_at + Duration::from_secs(60));
+
+        assert_eq!(
+            sw.stats.stale_handle_drops - drops_before,
+            executions + reissues,
+            "each of A's pending fires is dropped, and nothing else is"
+        );
+        assert_eq!(sw.query(b).rows(), N as u64);
+        assert_eq!(sw.timeline(b).submissions, N as u64, "once per endsystem");
+        let first = sw.query(b).progress.first().expect("B has results").0;
+        assert!(
+            first >= admitted_at + LOCAL_EXEC_DELAY,
+            "B executed at {first:?}, before its own delay from {admitted_at:?}"
+        );
+        crate::oracle::ChaosOracle::new(N as u64).assert_clean(&sw, &eng);
+    }
+
+    /// The action slab returns to baseline: queries come and go through
+    /// two slots — expiring on their TTL, retired early, with an
+    /// endsystem bouncing in between — and 200 simulated seconds after
+    /// the last TTL has passed, what is parked is what was parked before
+    /// the first query: each endsystem's metadata-push timer.
+    #[test]
+    fn the_action_slab_returns_to_its_standing_timers() {
+        let (mut eng, mut sw, schema) = world(StormConfig {
+            max_in_flight: 2,
+            ..StormConfig::default()
+        });
+        let standing = sw.timers.len();
+        assert_eq!(standing, N, "one push timer per endsystem");
+        eng.schedule_down(T0 + Duration::from_secs(20), NodeIdx(5));
+        eng.schedule_up(T0 + Duration::from_secs(70), NodeIdx(5));
+        let mut live = Vec::new();
+        for i in 0..6u64 {
+            let sql = format!("SELECT SUM(v) FROM T WHERE flag < {}", 2 + i);
+            let ttl = Duration::from_secs(60 + 30 * i);
+            if let Submission::Admitted(h) = sw
+                .submit_query(&mut eng, NodeIdx(0), &sql, ttl, &schema)
+                .expect("the query parses")
+            {
+                live.push(h);
+            }
+        }
+        assert_eq!(live.len(), 2);
+        // One of the two is retired early; its expiry stays parked until
+        // its TTL and is dropped there.
+        sw.run_until(&mut eng, T0 + Duration::from_secs(10));
+        assert!(sw.timers.len() > standing);
+        sw.retire_query(&mut eng, live[0]);
+        // Admission chains on expiry; second by second to the last one.
+        while sw.storm_in_flight() + sw.storm_queue_len() > 0 {
+            assert!(eng.now() < T0 + Duration::from_hours(1), "the storm drains");
+            let next = eng.now() + Duration::from_secs(1);
+            sw.run_until(&mut eng, next);
+        }
+        assert_eq!(sw.stats.storm_admitted, 6);
+        // (The retired query's TTL, 60 s from `T0`, passed long ago.)
+        let settled = eng.now() + Duration::from_secs(200);
+        sw.run_until(&mut eng, settled);
+        assert_eq!(sw.timers.len(), standing);
+        assert!(sw
+            .timers
+            .iter()
+            .all(|(_, act)| matches!(act, TimerAction::MetaPush { .. })));
     }
 }

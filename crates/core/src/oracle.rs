@@ -26,6 +26,11 @@
 //!    and in hedged mode — which disarms timers eagerly — no armed
 //!    dissemination or hedge timer references a reported task, a
 //!    dropped task, or a dead query.
+//! 7. **Storm hygiene**: admission budget, slot free list and scan
+//!    scheduler are consistent.
+//! 8. **Retry deadlines**: an up endsystem with unacked submissions has
+//!    its one retry timer armed no later than the earliest of their
+//!    deadlines; a down endsystem has neither submissions nor a timer.
 
 use seaweed_sim::NodeIdx;
 use seaweed_types::Id;
@@ -70,7 +75,51 @@ impl ChaosOracle {
         // (7) Storm hygiene: admission budget, slot free-list and scan
         // scheduler consistency (no-op checks when storm mode is off).
         v.extend(sw.storm_invariant_violations());
+        v.extend(self.check_retry_deadlines(sw, eng));
         v
+    }
+
+    /// (8) alone: every retransmission that is owed has a timer that
+    /// will make it, and nothing of a down endsystem's is left armed.
+    /// O(endsystems), so cheap enough to run after every delivered event
+    /// — where a deadline armed too late, or a flag a node-down forgot,
+    /// shows before a later event papers over it.
+    #[must_use]
+    pub fn check_retry_deadlines<P: DataProvider>(
+        &self,
+        sw: &Seaweed<P>,
+        eng: &SeaweedEngine,
+    ) -> Vec<String> {
+        let mut out = Vec::new();
+        for (n, armed) in sw.retry_armed.iter().enumerate() {
+            let node = NodeIdx(n as u32);
+            let earliest = sw.pending_submits.earliest_retry(node.0);
+            if !eng.is_up(node) {
+                if armed.is_some() || earliest.is_some() {
+                    out.push(format!(
+                        "node {n}: down with a retry timer or unacked submissions left"
+                    ));
+                }
+                continue;
+            }
+            let fires_at = armed.and_then(|t| {
+                let parked = sw.timers.get(t.tag);
+                matches!(parked, Some(&TimerAction::ResultRetry { node: owner }) if owner == node)
+                    .then(|| t.handle.fires_at())
+            });
+            if armed.is_some() && fires_at.is_none() {
+                out.push(format!("node {n}: retry timer on record is not armed"));
+            }
+            if let Some(due) = earliest {
+                if fires_at.is_none_or(|at| at > due) {
+                    out.push(format!(
+                        "node {n}: submission due at {} but retry timer {fires_at:?}",
+                        due.as_micros()
+                    ));
+                }
+            }
+        }
+        out
     }
 
     /// Like [`check`](Self::check) but panics with the full violation
@@ -319,7 +368,20 @@ impl ChaosOracle {
         if !hedging && s.hedges_sent + s.hedge_wins + s.hedge_losses + s.hedge_wasted_bytes != 0 {
             out.push("hedging disabled but hedge counters are nonzero".to_string());
         }
-        for (&seq, action) in &sw.timers {
+        // A parked action names its query by wire handle; one whose
+        // generation has moved on belongs to a dead query.
+        let live = |h| {
+            sw.live_slot(h)
+                .filter(|&slot| sw.queries[slot as usize].active)
+        };
+        let waiting_for_report = |slot: u32| {
+            let q = &sw.queries[slot as usize];
+            match q.kind {
+                QueryKind::View { .. } => q.latest.is_none(),
+                _ => q.predictor.is_none(),
+            }
+        };
+        for (seq, action) in sw.timers.iter() {
             let (kind, task) = match *action {
                 TimerAction::DissemTimeout { task, .. } => ("dissem-timeout", task),
                 TimerAction::HedgeTimeout { task, .. } => ("hedge-timeout", task),
@@ -331,12 +393,7 @@ impl ChaosOracle {
                             "timer {seq}: query-kick timer armed with tail tolerance off"
                         ));
                     } else {
-                        let q = &sw.queries[query as usize];
-                        let got_report = match q.kind {
-                            crate::app::QueryKind::View { .. } => q.latest.is_some(),
-                            _ => q.predictor.is_some(),
-                        };
-                        if !q.active || got_report {
+                        if !live(query).is_some_and(waiting_for_report) {
                             out.push(format!(
                                 "timer {seq}: armed query-kick timer but query {query} \
                                  is finished or already has its report"
@@ -356,8 +413,11 @@ impl ChaosOracle {
             if !hedging {
                 continue; // baseline no-op fires are expected
             }
-            let alive = sw.queries[task.1 as usize].active
-                && sw.tasks.get(&task).is_some_and(|t| !t.reported);
+            let alive = live(task.1).is_some_and(|slot| {
+                sw.tasks
+                    .get(&(task.0, slot, task.2, task.3))
+                    .is_some_and(|t| !t.reported)
+            });
             if !alive {
                 out.push(format!(
                     "timer {seq}: armed {kind} timer references a finished task of query {}",

@@ -212,7 +212,8 @@ impl ChaosRun {
 
 /// Runs the chaos scenario over a [`chaos_world`]: the query injected
 /// at [`CHAOS_T0`], the oracle consulted at each of
-/// [`CHAOS_CHECKPOINTS`].
+/// [`CHAOS_CHECKPOINTS`] and, for its retry-deadline invariant, after
+/// every event delivered from the injection on.
 ///
 /// # Panics
 /// Panics unless every endsystem has joined by [`CHAOS_T0`] — the
@@ -228,7 +229,11 @@ pub fn run_chaos(world: (SeaweedEngine, Seaweed<LiveTables>, Schema)) -> ChaosRu
     let oracle = ChaosOracle::new(n as u64);
     let mut violations = Vec::new();
     for t in CHAOS_CHECKPOINTS {
-        sw.run_until_logged(&mut eng, Time::from_secs(t), &mut log);
+        while let Some((at, ev)) = eng.next_event_before(Time::from_secs(t)) {
+            log.add(at, &ev);
+            sw.dispatch(&mut eng, ev);
+            violations.extend(oracle.check_retry_deadlines(&sw, &eng));
+        }
         violations.extend(oracle.check(&sw, &eng));
     }
     let rows = sw.query(h).rows();

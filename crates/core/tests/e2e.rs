@@ -92,6 +92,39 @@ fn query_over_fully_available_network() {
     assert_eq!(payload_fallback_clones(), clones_before);
 }
 
+/// A vertex's standing holders are charged their replica pushes, not sent
+/// them: against the run of this world at the commit before pushes to
+/// standing holders stopped being events (the constants), every byte
+/// transmitted, per class, every replication counted and every row is
+/// where it was, and the messages sent are fewer by exactly the pushes
+/// accounted.
+#[test]
+fn standing_holders_are_charged_not_sent_their_replicas() {
+    let n = 30;
+    let (mut eng, mut sw, schema) = world(n, 1);
+    settle(&mut eng, &mut sw);
+    let h = sw
+        .inject_query(
+            &mut eng,
+            NodeIdx(0),
+            QUERY_SUM,
+            Duration::from_hours(4),
+            &schema,
+        )
+        .unwrap();
+    let hz = eng.now() + Duration::from_mins(5);
+    sw.run_until(&mut eng, hz);
+
+    let m = eng.metrics();
+    assert_eq!(m.counter("sim.tx_bytes.overlay"), 101_246);
+    assert_eq!(m.counter("sim.tx_bytes.maintenance"), 638_112);
+    assert_eq!(m.counter("sim.tx_bytes.query"), 120_922);
+    assert_eq!(sw.stats.vertex_replications, 98);
+    assert_eq!(sw.query(h).rows(), 30);
+    assert!(sw.stats.replicas_accounted > 0);
+    assert_eq!(eng.messages_sent + sw.stats.replicas_accounted, 2_915);
+}
+
 #[test]
 fn predictor_reflects_unavailable_endsystems() {
     let n = 30;

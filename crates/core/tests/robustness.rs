@@ -100,8 +100,23 @@ fn cancel_stops_incremental_results() {
     assert_eq!(before, (n - 5) as u64);
 
     // The user accepts the partial result and cancels (§2.1's scenario).
+    // The notice is query traffic, one to every live endsystem, none of
+    // it booked as overlay maintenance.
+    let tx = |eng: &SeaweedEngine| {
+        let m = eng.metrics();
+        (
+            m.counter("sim.tx_bytes.query"),
+            m.counter("sim.tx_bytes.overlay"),
+        )
+    };
+    let (query_before, overlay_before) = tx(&eng);
     sw.cancel_query(&mut eng, h);
     assert!(!sw.query(h).active);
+    let notice = u64::from(seaweed_core::wire::SEAWEED_HEADER + 16);
+    assert_eq!(
+        tx(&eng),
+        (query_before + notice * (n - 5) as u64, overlay_before)
+    );
 
     // The stragglers return — but the canceled query must not grow.
     let t1 = eng.now();

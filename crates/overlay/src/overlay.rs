@@ -1470,6 +1470,21 @@ impl Overlay {
         );
     }
 
+    /// [`Overlay::send_app`] for a message the sender knows would change
+    /// nothing at `to`: sent through [`seaweed_sim::Engine::send_accounted`],
+    /// so charged, cut, lost and duplicated as a direct message of `size`
+    /// would be, and delivered to no handler.
+    pub fn send_app_accounted<A: Clone>(
+        &self,
+        eng: &mut OverlayEngine<A>,
+        from: NodeIdx,
+        to: NodeIdx,
+        size: u32,
+        class: TrafficClass,
+    ) {
+        eng.send_accounted(from, to, wire::HEADER + size, class);
+    }
+
     #[allow(clippy::too_many_arguments)]
     fn forward_or_deliver<A: Clone>(
         &mut self,
