@@ -282,10 +282,12 @@ fn sixteen_seed_chaos_storm_is_clean_and_stable() {
 }
 
 /// Seed 7 of the run above (`goldens.rs` explains the fingerprint and its
-/// one re-recording, at PR 16).
+/// two re-recordings: PR 16, and PR 20 — `log_len` 10866 → 9717, 765
+/// replica deliveries accounted and 551 → 167 retry-timer fires; results
+/// at the origins and the report hash unmoved).
 #[test]
 fn chaos_storm_matches_golden() {
-    let golden = (0x8cfb_defc_89a2_3d48, 10866, 318, 0xa657_304b_ae05_e976);
+    let golden = (0x50f2_c843_da8e_5fff, 9717, 318, 0xa657_304b_ae05_e976);
     assert_eq!(chaos_storm(7), (golden, vec![0, 1, 2, 3]));
 }
 
