@@ -11,7 +11,7 @@ use seaweed_availability::ReturnPrediction;
 use seaweed_core::predictor::Predictor;
 use seaweed_core::vertex::chain_to_root;
 use seaweed_core::SeaweedMsg;
-use seaweed_overlay::{Overlay, OverlayConfig, OverlayMsg};
+use seaweed_overlay::{Overlay, OverlayConfig, OverlayMsg, RingIndex};
 use seaweed_sim::{
     CorpNetTopology, Engine, Event, NodeIdx, SimConfig, TimerHandle, Topology, TrafficClass,
     UniformTopology,
@@ -256,6 +256,52 @@ fn bench_overlay_maintenance(c: &mut Criterion) {
     g.finish();
 }
 
+/// The two questions the metadata and vertex repairs ask the ring index
+/// on every membership change, at `gnutella_churn`'s shape: a universe of
+/// 3,000 ids with about a third joined, k = 8.
+///
+/// - `nearest_take_k`: the k joined nodes ring-closest to an id, nearest
+///   first (a repair `.find()`s its replacement among these).
+/// - `membership_hit` / `membership_miss`: is a joined node among the k
+///   closest to an id — its own id, and the one opposite it? Each
+///   iteration builds the node's served arc and tests one id; a
+///   `NeighborJoined` builds it once and tests every held owner.
+fn bench_replica_set_questions(c: &mut Criterion) {
+    const UNIVERSE: usize = 3_000;
+    const K: usize = 8;
+    let mut rng = StdRng::seed_from_u64(21);
+    let ids = Overlay::random_ids(UNIVERSE, 21);
+    let mut index = RingIndex::new(&ids);
+    let joined: Vec<NodeIdx> = (0..UNIVERSE as u32)
+        .map(NodeIdx)
+        .filter(|_| rng.gen_range(0..3) == 0)
+        .collect();
+    for &n in &joined {
+        index.insert(n);
+    }
+    let mut g = c.benchmark_group("replica_set_questions");
+    let mut i = 0;
+    g.bench_function("nearest_take_k", |b| {
+        b.iter(|| {
+            i += 1;
+            black_box(index.nearest_live(ids[i % UNIVERSE]).take(K).last())
+        });
+    });
+    for (case, offset) in [("membership_hit", 0), ("membership_miss", 1 << 127)] {
+        g.bench_function(case, |b| {
+            b.iter(|| {
+                i += 1;
+                let x = joined[i % joined.len()];
+                let id = ids[x.idx()].wrapping_add(offset);
+                let among = index.served_arc(x, K).is_some_and(|arc| arc.contains(id));
+                assert_eq!(among, offset == 0);
+                among
+            });
+        });
+    }
+    g.finish();
+}
+
 fn bench_engine(c: &mut Criterion) {
     let mut g = c.benchmark_group("engine");
     g.throughput(Throughput::Elements(10_000));
@@ -407,6 +453,7 @@ criterion_group!(
     bench_sql,
     bench_routing,
     bench_overlay_maintenance,
+    bench_replica_set_questions,
     bench_engine,
     bench_des_event_throughput,
 );

@@ -34,7 +34,7 @@ impl<P: DataProvider> Seaweed<P> {
         let size = self.meta_push_size(owner);
         let members = self.overlay.replica_set(owner, self.cfg.k_metadata);
         self.stats.meta_pushes += members.len() as u64;
-        for m in members {
+        for &m in members.iter() {
             self.overlay.send_app(
                 eng,
                 owner,
@@ -111,17 +111,13 @@ impl<P: DataProvider> Seaweed<P> {
             );
         }
         // Hand over held copies the joiner is now a proper holder of.
-        let candidates: Vec<NodeIdx> = self.held_by[node.idx()]
-            .iter()
-            .copied()
-            .filter(|&z| z != joined && !self.holders[z.idx()].contains(&joined))
-            .collect();
-        for z in candidates {
-            let z_id = self.overlay.id_of(z);
-            if self
-                .overlay
-                .replica_set_oracle(z_id, self.cfg.k_metadata)
-                .contains(&joined)
+        let Some(served) = self.overlay.served_arc(joined, self.cfg.k_metadata) else {
+            return;
+        };
+        for &z in &self.held_by[node.idx()] {
+            if z != joined
+                && !self.holders[z.idx()].contains(&joined)
+                && served.contains(self.overlay.id_of(z))
             {
                 let size = self.meta_push_size(z);
                 self.stats.meta_pushes += 1;
@@ -155,7 +151,7 @@ impl<P: DataProvider> Seaweed<P> {
         if self.overlay.is_joined(detector) {
             let size = self.meta_push_size(detector);
             let members = self.overlay.replica_set(detector, self.cfg.k_metadata);
-            for m in members {
+            for &m in members.iter() {
                 if !self.holders[detector.idx()].contains(&m) {
                     self.stats.meta_pushes += 1;
                     self.stats.meta_repairs += 1;
@@ -200,8 +196,7 @@ impl<P: DataProvider> Seaweed<P> {
                 let owner_id = self.overlay.id_of(owner);
                 let replacement = self
                     .overlay
-                    .replica_set_oracle(owner_id, self.cfg.k_metadata)
-                    .into_iter()
+                    .closest_joined(owner_id, self.cfg.k_metadata)
                     .find(|m| {
                         !self.holders[owner.idx()].contains(m)
                             && eng.is_up(*m)

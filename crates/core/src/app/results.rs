@@ -542,15 +542,10 @@ impl<P: DataProvider> Seaweed<P> {
             self.node_vertices[at.idx()].push((h, vertex));
             // Recruit m-1 backups: the next-closest live nodes to the
             // vertex key (from our leafset view).
-            let backups: Vec<NodeIdx> = self
-                .overlay
-                .replica_set(at, self.cfg.k_metadata)
-                .into_iter()
-                .filter(|&x| x != at)
-                .take(M_VERTEX - 1)
-                .collect();
+            let members = self.overlay.replica_set(at, self.cfg.k_metadata);
+            let backups = members.iter().copied().filter(|&x| x != at);
             let wire_h = self.live_handle(h);
-            for bkp in backups {
+            for bkp in backups.take(M_VERTEX - 1) {
                 self.stats.vertex_replications += 1;
                 self.overlay.send_app(
                     eng,
@@ -622,13 +617,7 @@ impl<P: DataProvider> Seaweed<P> {
                 continue;
             };
             state.holders.retain(|&x| x != failed);
-            let survivors: Vec<NodeIdx> = state
-                .holders
-                .iter()
-                .copied()
-                .filter(|&x| eng.is_up(x))
-                .collect();
-            if survivors.is_empty() {
+            let Some(survivor) = state.holders.iter().copied().find(|&x| eng.is_up(x)) else {
                 if !state.children.is_empty() {
                     self.stats.vertex_states_lost += 1;
                     // The holders still listed are all down; their
@@ -640,19 +629,13 @@ impl<P: DataProvider> Seaweed<P> {
                     }
                 }
                 continue;
-            }
+            };
             let children = state.children.len();
             if state.holders.len() < M_VERTEX {
                 // Recruit a replacement near the vertex key.
-                let replacement = self
-                    .overlay
-                    .replica_set_oracle(vertex, M_VERTEX + 2)
-                    .into_iter()
-                    .find(|x| {
-                        !state.holders.contains(x)
-                            && eng.is_up(*x)
-                            && eng.reachable(survivors[0], *x)
-                    });
+                let replacement = self.overlay.closest_joined(vertex, M_VERTEX + 2).find(|x| {
+                    !state.holders.contains(x) && eng.is_up(*x) && eng.reachable(survivor, *x)
+                });
                 if let Some(r) = replacement {
                     state.holders.push(r);
                     self.node_vertices[r.idx()].push((h, vertex));
@@ -660,7 +643,7 @@ impl<P: DataProvider> Seaweed<P> {
                     let wire_h = self.live_handle(h);
                     self.overlay.send_app(
                         eng,
-                        survivors[0],
+                        survivor,
                         r,
                         SeaweedMsg::VertexReplicate {
                             query: wire_h,

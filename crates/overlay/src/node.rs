@@ -9,26 +9,32 @@ use seaweed_types::{Id, IdRange};
 /// `2 × HALF_CAP` (the paper runs l = 8, i.e. 4 per side).
 pub const HALF_CAP: usize = 8;
 
-/// One leafset half, stored inline in [`NodeState`]: nearest neighbor
-/// first, no duplicates, at most [`HALF_CAP`] entries. Reads go through
-/// `Deref<[NodeIdx]>`; being `Copy`, a pre-change snapshot costs no
-/// allocation.
+/// A short list of nodes stored inline: at most `N` entries, read through
+/// `Deref<[NodeIdx]>`; being `Copy`, a snapshot costs no allocation.
 #[derive(Clone, Copy, PartialEq, Eq)]
-pub struct LeafHalf {
+pub struct Inline<const N: usize> {
     len: u8,
-    slots: [NodeIdx; HALF_CAP],
+    slots: [NodeIdx; N],
 }
 
-impl Default for LeafHalf {
+/// One leafset half in [`NodeState`]: nearest neighbor first, no
+/// duplicates.
+pub type LeafHalf = Inline<HALF_CAP>;
+
+/// [`NodeState::nearest_members`] collected: a node's replica set as its
+/// own leafset shows it.
+pub type ReplicaSet = Inline<{ 2 * HALF_CAP }>;
+
+impl<const N: usize> Default for Inline<N> {
     fn default() -> Self {
-        LeafHalf {
+        Inline {
             len: 0,
-            slots: [NodeIdx(0); HALF_CAP],
+            slots: [NodeIdx(0); N],
         }
     }
 }
 
-impl Deref for LeafHalf {
+impl<const N: usize> Deref for Inline<N> {
     type Target = [NodeIdx];
 
     fn deref(&self) -> &[NodeIdx] {
@@ -36,13 +42,21 @@ impl Deref for LeafHalf {
     }
 }
 
-impl std::fmt::Debug for LeafHalf {
+impl<const N: usize> std::fmt::Debug for Inline<N> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_list().entries(self.iter()).finish()
     }
 }
 
-impl LeafHalf {
+impl<const N: usize> FromIterator<NodeIdx> for Inline<N> {
+    fn from_iter<I: IntoIterator<Item = NodeIdx>>(iter: I) -> Self {
+        let mut list = Self::default();
+        iter.into_iter().for_each(|x| list.push(x));
+        list
+    }
+}
+
+impl<const N: usize> Inline<N> {
     pub fn clear(&mut self) {
         self.len = 0;
     }
@@ -50,7 +64,7 @@ impl LeafHalf {
     /// Appends `x` as the farthest member.
     ///
     /// # Panics
-    /// Panics if the half already holds [`HALF_CAP`] members.
+    /// Panics if the list already holds `N` members.
     pub fn push(&mut self, x: NodeIdx) {
         self.slots[self.len as usize] = x;
         self.len += 1;
@@ -58,10 +72,10 @@ impl LeafHalf {
 
     /// Inserts `x` at `pos`, keeping at most `half` members; returns the
     /// member pushed off the far end, if any. Requires `pos < half` and
-    /// `half <= HALF_CAP`.
+    /// `half <= N`.
     pub fn insert_capped(&mut self, pos: usize, x: NodeIdx, half: usize) -> Option<NodeIdx> {
         let len = self.len as usize;
-        debug_assert!(pos <= len && pos < half && half <= HALF_CAP);
+        debug_assert!(pos <= len && pos < half && half <= N);
         let evicted = (len == half).then(|| self.slots[len - 1]);
         let new_len = (len + 1).min(half);
         self.slots.copy_within(pos..new_len - 1, pos + 1);
@@ -179,6 +193,37 @@ impl NodeState {
     /// counter-clockwise members not already seen.
     pub fn members(&self) -> impl Iterator<Item = NodeIdx> + '_ {
         dedup_members(&self.cw, &self.ccw)
+    }
+
+    /// Deduplicated leafset members, ring-closest to this node first with
+    /// the smaller id breaking a tie (`ids[n]` is node `n`'s id).
+    pub fn nearest_members<'a>(&'a self, ids: &'a [Id]) -> impl Iterator<Item = NodeIdx> + 'a {
+        let key = move |m: NodeIdx| (ids[m.idx()].ring_dist(self.id), ids[m.idx()].0);
+        let mut halves: [&[NodeIdx]; 2] = [&self.cw, &self.ccw];
+        let mut last = None;
+        // A half ascends by its own direction's distance, so by ring
+        // distance it rises up to the exactly-opposite point and falls
+        // after it: its nearest remaining member is at one of its ends. A
+        // member of both halves has one key, so its two copies come out
+        // back to back.
+        std::iter::from_fn(move || loop {
+            let ends = halves
+                .iter()
+                .enumerate()
+                .flat_map(|(h, half)| [(half.first(), h, false), (half.last(), h, true)]);
+            let (_, h, back) = ends
+                .filter_map(|(m, h, back)| Some((key(*m?), h, back)))
+                .min()?;
+            let (&m, rest) = if back {
+                halves[h].split_last()
+            } else {
+                halves[h].split_first()
+            }?;
+            halves[h] = rest;
+            if last.replace(m) != Some(m) {
+                return Some(m);
+            }
+        })
     }
 
     /// True if `n` is in the leafset.

@@ -6,8 +6,8 @@ use seaweed_sim::{Engine, NodeIdx, TimerHandle, TrafficClass};
 use seaweed_types::{Duration, Id, IdRange, Time};
 
 use crate::events::OverlayEvents;
-use crate::node::{dedup_members, LeafHalf, NodeState, HALF_CAP};
-use crate::ring::RingIndex;
+use crate::node::{dedup_members, LeafHalf, NodeState, ReplicaSet, HALF_CAP};
+use crate::ring::{RingIndex, ServedArc};
 use crate::wire;
 
 /// Engine type every overlay-based application runs on.
@@ -163,8 +163,11 @@ pub struct Overlay {
     nodes: Vec<NodeState>,
     /// Ground truth of *joined, live* nodes (the oracle used for
     /// membership convergence; see crate docs): the sorted-vec universe
-    /// plus a live bitset. Its membership-ignoring range scans also
-    /// serve the protocol layer.
+    /// plus a live bitset. The protocol layer reads it too, on every
+    /// membership change — the metadata and vertex repairs ask it their
+    /// replica-set questions ([`Overlay::closest_joined`],
+    /// [`Overlay::served_arc`]) — and uses its membership-ignoring range
+    /// scans.
     index: RingIndex,
     /// Joined live nodes as a dense list for O(1) random bootstrap picks.
     joined_list: Vec<NodeIdx>,
@@ -449,27 +452,18 @@ impl Overlay {
         self.spare_push.len()
     }
 
-    /// The `k` nodes whose ids are ring-closest to `n`'s id, from `n`'s
-    /// own leafset view — Seaweed's metadata replica set (k must be ≤ l).
+    /// The `k` nodes whose ids are ring-closest to `n`'s id, nearest
+    /// first, from `n`'s own leafset view — Seaweed's metadata replica
+    /// set (k must be ≤ l).
     #[must_use]
-    pub fn replica_set(&self, n: NodeIdx, k: usize) -> Vec<NodeIdx> {
+    pub fn replica_set(&self, n: NodeIdx, k: usize) -> ReplicaSet {
         debug_assert!(
             k <= self.cfg.leafset,
             "replica set of {k} exceeds the leafset size {}",
             self.cfg.leafset
         );
-        let id = self.ids[n.idx()];
-        let mut members = self.leafset_members(n);
-        members.sort_by(|&a, &b| {
-            let (da, db) = (
-                self.ids[a.idx()].ring_dist(id),
-                self.ids[b.idx()].ring_dist(id),
-            );
-            da.cmp(&db)
-                .then(self.ids[a.idx()].0.cmp(&self.ids[b.idx()].0))
-        });
-        members.truncate(k);
-        members
+        let members = self.nodes[n.idx()].nearest_members(&self.ids);
+        members.take(k).collect()
     }
 
     /// The namespace range `n` believes it is responsible for.
@@ -498,34 +492,21 @@ impl Overlay {
         }
     }
 
-    /// Ground-truth replica set for an arbitrary id: the `k` joined live
-    /// nodes ring-closest to `id` (oracle; callers charge the repair
-    /// traffic the real membership exchange would cost).
+    /// Ground truth: the joined live nodes around `id`, ring-closest first
+    /// with the smaller id breaking a tie, at most `k` — the replica set
+    /// of an arbitrary id, for the repairs that look for the first
+    /// acceptable replacement in it (the caller charges the traffic the
+    /// real membership exchange would cost). Read off the ring index as
+    /// far as the caller consumes it.
+    pub fn closest_joined(&self, id: Id, k: usize) -> impl Iterator<Item = NodeIdx> + '_ {
+        self.index.nearest_live(id).take(k)
+    }
+
+    /// Ground truth: the ids whose `k` ring-closest joined live nodes
+    /// include `x` — `None` if `x` is not one itself.
     #[must_use]
-    pub fn replica_set_oracle(&self, id: Id, k: usize) -> Vec<NodeIdx> {
-        let half = k.div_ceil(2) + 1;
-        let mut cands = self.ring_neighbors(Walk::Cw, id, half + k);
-        for m in self.ring_neighbors(Walk::Ccw, id, half + k) {
-            if !cands.contains(&m) {
-                cands.push(m);
-            }
-        }
-        // Include an exact-id match if present (ring_neighbors skip it).
-        if let Some(exact) = self.index.get_live(id.0) {
-            if !cands.contains(&exact) {
-                cands.push(exact);
-            }
-        }
-        cands.sort_by(|&a, &b| {
-            let (da, db) = (
-                self.ids[a.idx()].ring_dist(id),
-                self.ids[b.idx()].ring_dist(id),
-            );
-            da.cmp(&db)
-                .then(self.ids[a.idx()].0.cmp(&self.ids[b.idx()].0))
-        });
-        cands.truncate(k);
-        cands
+    pub fn served_arc(&self, x: NodeIdx, k: usize) -> Option<ServedArc> {
+        self.index.served_arc(x, k)
     }
 
     /// Candidate endsystems for covering `key`: the `k` ring-closest
@@ -540,27 +521,14 @@ impl Overlay {
         self.index.around(key, k, &self.ids)
     }
 
-    /// Ground-truth closest joined live node to `key` (oracle; used by
-    /// tests and instrumentation, never by protocol logic on the hot
-    /// path).
+    /// Ground-truth closest joined live node to `key`, for tests and
+    /// instrumentation; no protocol logic calls it. The ground-truth
+    /// reads that *are* on the churn path are [`Overlay::closest_joined`]
+    /// and [`Overlay::served_arc`] (once per repaired owner or vertex and
+    /// once per `NeighborJoined`) and the leafset rebuild.
     #[must_use]
     pub fn oracle_root(&self, key: Id) -> Option<NodeIdx> {
-        if let Some(exact) = self.index.get_live(key.0) {
-            return Some(exact);
-        }
-        let mut best: Option<NodeIdx> = None;
-        for n in self
-            .ring_neighbors(Walk::Cw, key, 1)
-            .into_iter()
-            .chain(self.ring_neighbors(Walk::Ccw, key, 1))
-        {
-            best = match best {
-                None => Some(n),
-                Some(b) if self.ids[n.idx()].closer_to(key, self.ids[b.idx()]) => Some(n),
-                keep => keep,
-            };
-        }
-        best
+        self.index.nearest_live(key).next()
     }
 
     // ------------------------------------------------------------ events
@@ -1392,14 +1360,6 @@ impl Overlay {
         };
     }
 
-    /// Nearest joined live nodes from `id` (excluding the exact key
-    /// match), for the oracle queries.
-    fn ring_neighbors(&self, dir: Walk, id: Id, count: usize) -> Vec<NodeIdx> {
-        let mut out = Vec::with_capacity(count);
-        self.walk_neighbors(dir, id, count, &|_| true, &mut |n| out.push(n));
-        out
-    }
-
     /// Registers `n`'s standing Overlay-class traffic, everything the
     /// protocol exchanges on schedule without the simulator scheduling
     /// it: a heartbeat per member per heartbeat period each way; while
@@ -2038,7 +1998,7 @@ mod tests {
         for (me, peer) in [(NodeIdx(0), NodeIdx(1)), (NodeIdx(1), NodeIdx(0))] {
             assert_eq!(ov.leafset_halves(me), (&[peer][..], &[peer][..]));
             assert_eq!(ov.leafset_members(me), [peer]);
-            assert_eq!(ov.replica_set(me, 8), [peer]);
+            assert_eq!(*ov.replica_set(me, 8), [peer]);
             assert_eq!(ov.listed_by(me), [peer.0]);
         }
         // Every turn pulls the one peer — as a standing rate by now: the

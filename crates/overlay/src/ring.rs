@@ -106,7 +106,7 @@ impl RingIndex {
     #[must_use]
     pub fn get_live(&self, key: u128) -> Option<NodeIdx> {
         let rank = self.keys.binary_search(&key).ok()?;
-        (self.words[rank / 64] & (1u64 << (rank % 64)) != 0).then(|| self.nodes[rank])
+        self.is_live(rank).then(|| self.nodes[rank])
     }
 
     /// Live members clockwise from `id`: ids strictly greater than `id`
@@ -116,8 +116,7 @@ impl RingIndex {
     /// for the `id == u128::MAX` divergence.
     pub fn cw_live_from(&self, id: Id) -> impl Iterator<Item = NodeIdx> + '_ {
         let split = self.keys.partition_point(|&k| k <= id.0);
-        SetRanksFwd::new(&self.words, split, self.keys.len())
-            .chain(SetRanksFwd::new(&self.words, 0, split))
+        self.ranks_cw(split, split)
             .map(move |rank| self.nodes[rank])
     }
 
@@ -127,9 +126,88 @@ impl RingIndex {
     /// .chain(range(id..).rev())`.
     pub fn ccw_live_from(&self, id: Id) -> impl Iterator<Item = NodeIdx> + '_ {
         let split = self.keys.partition_point(|&k| k < id.0);
-        SetRanksRev::new(&self.words, 0, split)
-            .chain(SetRanksRev::new(&self.words, split, self.keys.len()))
+        self.ranks_ccw(split, split)
             .map(move |rank| self.nodes[rank])
+    }
+
+    /// Live ranks from `from` upwards, then wrapping, those below `to`.
+    fn ranks_cw(&self, from: usize, to: usize) -> CwRanks<'_> {
+        SetRanksFwd::new(&self.words, from, self.keys.len()).chain(SetRanksFwd::new(
+            &self.words,
+            0,
+            to,
+        ))
+    }
+
+    /// Live ranks from below `to` downwards, then wrapping, those from
+    /// `from` upwards.
+    fn ranks_ccw(&self, to: usize, from: usize) -> CcwRanks<'_> {
+        SetRanksRev::new(&self.words, 0, to).chain(SetRanksRev::new(
+            &self.words,
+            from,
+            self.keys.len(),
+        ))
+    }
+
+    /// Every live member, ring-closest to `id` first with the smaller id
+    /// breaking a tie — the one ordering every replica-set question is
+    /// asked in. An exact-id match comes first; the rest is a merge of
+    /// the clockwise walk up to and including the exactly-opposite point
+    /// and the counter-clockwise walk short of it, so each member is
+    /// visited once. Nothing is scanned beyond what the caller consumes.
+    #[must_use]
+    pub fn nearest_live(&self, id: Id) -> NearestLive<'_> {
+        let lo = self.keys.partition_point(|&k| k < id.0);
+        let exact = self.keys.get(lo) == Some(&id.0);
+        let split = lo + usize::from(exact);
+        let mut walk = NearestLive {
+            index: self,
+            id,
+            exact: (exact && self.is_live(lo)).then(|| self.nodes[lo]),
+            cw: self.ranks_cw(split, lo),
+            ccw: self.ranks_ccw(lo, split),
+            cw_head: None,
+            ccw_head: None,
+        };
+        walk.advance_cw();
+        walk.advance_ccw();
+        walk
+    }
+
+    /// The ids whose `k` ring-closest live members include the live
+    /// member `x`: `None` if `x` is not a member. One pair of `k`-step
+    /// walks answers "is `x` in the replica set of `id`?" for any number
+    /// of ids.
+    #[must_use]
+    pub fn served_arc(&self, x: NodeIdx, k: usize) -> Option<ServedArc> {
+        let rank = self.rank_of[x.idx()] as usize;
+        if !self.is_live(rank) || k == 0 {
+            return None;
+        }
+        let at = Id(self.keys[rank]);
+        // `x` serves an id at clockwise offset `o` while fewer than `k`
+        // members beat it there. The members that do lie within `o` of
+        // the id, i.e. on the clockwise arc of length `2o` from `x`, plus
+        // one exactly `2o` away if its id is the smaller. So the k-th
+        // member clockwise of `x`, at offset `p`, ends the arc at `p / 2`
+        // — one short of it when it sits at exactly `2o` and wins the tie.
+        // Counter-clockwise is the mirror image.
+        let reach = |kth: Option<usize>, dist: fn(Id, Id) -> u128| match kth {
+            None => u128::MAX, // fewer than k others: x serves the whole ring
+            Some(r) => {
+                let p = dist(at, Id(self.keys[r]));
+                p / 2 - u128::from(p.is_multiple_of(2) && self.keys[r] < at.0)
+            }
+        };
+        Some(ServedArc {
+            at,
+            cw_reach: reach(self.ranks_cw(rank + 1, rank).nth(k - 1), Id::cw_dist),
+            ccw_reach: reach(self.ranks_ccw(rank, rank + 1).nth(k - 1), Id::ccw_dist),
+        })
+    }
+
+    fn is_live(&self, rank: usize) -> bool {
+        self.words[rank / 64] & (1u64 << (rank % 64)) != 0
     }
 
     /// The `k` endsystems (member or not) ring-closest to `key`, ordered
@@ -187,6 +265,86 @@ impl RingIndex {
             .iter()
             .chain(self.nodes[c..d].iter())
             .copied()
+    }
+}
+
+/// Ring distance of the exactly-opposite point.
+const ANTIPODE: u128 = 1 << 127;
+
+type CwRanks<'a> = std::iter::Chain<SetRanksFwd<'a>, SetRanksFwd<'a>>;
+type CcwRanks<'a> = std::iter::Chain<SetRanksRev<'a>, SetRanksRev<'a>>;
+
+/// [`RingIndex::nearest_live`]'s walk.
+pub struct NearestLive<'a> {
+    index: &'a RingIndex,
+    id: Id,
+    exact: Option<NodeIdx>,
+    cw: CwRanks<'a>,
+    ccw: CcwRanks<'a>,
+    /// Next member of each walk as `(distance, rank)`; `None` once the
+    /// walk has left its half of the ring.
+    cw_head: Option<(u128, usize)>,
+    ccw_head: Option<(u128, usize)>,
+}
+
+impl std::fmt::Debug for NearestLive<'_> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("NearestLive").field("id", &self.id).finish()
+    }
+}
+
+impl NearestLive<'_> {
+    fn advance_cw(&mut self) {
+        self.cw_head = self.cw.next().and_then(|rank| {
+            let d = self.id.cw_dist(Id(self.index.keys[rank]));
+            (d <= ANTIPODE).then_some((d, rank))
+        });
+    }
+
+    fn advance_ccw(&mut self) {
+        self.ccw_head = self.ccw.next().and_then(|rank| {
+            let d = self.id.ccw_dist(Id(self.index.keys[rank]));
+            (d < ANTIPODE).then_some((d, rank))
+        });
+    }
+}
+
+impl Iterator for NearestLive<'_> {
+    type Item = NodeIdx;
+
+    fn next(&mut self) -> Option<NodeIdx> {
+        if let Some(exact) = self.exact.take() {
+            return Some(exact);
+        }
+        let keys = &self.index.keys;
+        let rank = match (self.cw_head, self.ccw_head) {
+            (Some((a, ra)), ccw) if ccw.is_none_or(|(b, rb)| (a, keys[ra]) < (b, keys[rb])) => {
+                self.advance_cw();
+                ra
+            }
+            (_, Some((_, rb))) => {
+                self.advance_ccw();
+                rb
+            }
+            _ => return None,
+        };
+        Some(self.index.nodes[rank])
+    }
+}
+
+/// [`RingIndex::served_arc`]'s answer: the ids within `cw_reach`
+/// clockwise or `ccw_reach` counter-clockwise of `at`.
+#[derive(Clone, Copy, Debug)]
+pub struct ServedArc {
+    at: Id,
+    cw_reach: u128,
+    ccw_reach: u128,
+}
+
+impl ServedArc {
+    #[must_use]
+    pub fn contains(&self, id: Id) -> bool {
+        self.at.cw_dist(id) <= self.cw_reach || self.at.ccw_dist(id) <= self.ccw_reach
     }
 }
 

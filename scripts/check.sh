@@ -138,28 +138,32 @@ echo "==> perf/ benchmark (its unit tests; smoke: five workloads correct, finger
 cargo test -q --manifest-path perf/Cargo.toml --offline
 perf/run.sh --smoke
 
-# ledger_value <metric> [workload]: its value in the workload's traced
-# smoke ledger (farsite_steady unless named).
-ledger=perf/out/farsite_steady.smoke.ledger.json
-ledger_value() {
-  sed -n "s/.*\"${1//./\\.}\": {\"value\": \([-+0-9.eE]*\),.*/\1/p" \
-    "perf/out/${2:-farsite_steady}.smoke.ledger.json"
+# ledger_of [workload]: the workload's traced smoke ledger (farsite_steady
+# unless named).
+ledger_of() {
+  echo "perf/out/${1:-farsite_steady}.smoke.ledger.json"
 }
 
-# alloc_gate <layer> <limit>: <layer>.allocs_per_event is at most <limit>,
-# over at least 1,000 <layer>.events — under that the ratio says nothing.
+# ledger_value <metric> [workload]: its value in that ledger.
+ledger_value() {
+  sed -n "s/.*\"${1//./\\.}\": {\"value\": \([-+0-9.eE]*\),.*/\1/p" "$(ledger_of "${2:-}")"
+}
+
+# alloc_gate <layer> <limit> [workload]: <layer>.allocs_per_event is at
+# most <limit>, over at least 1,000 <layer>.events — under that the ratio
+# says nothing.
 alloc_gate() {
   local allocs events
-  allocs=$(ledger_value "$1.allocs_per_event")
-  events=$(ledger_value "$1.events")
-  echo "    $1.allocs_per_event = ${allocs:-missing} over ${events:-missing} events"
+  allocs=$(ledger_value "$1.allocs_per_event" "${3:-}")
+  events=$(ledger_value "$1.events" "${3:-}")
+  echo "    ${3:+$3: }$1.allocs_per_event = ${allocs:-missing} over ${events:-missing} events"
   if ! awk -v a="$allocs" -v n="$events" -v max="$2" 'BEGIN { exit !(a != "" && a + 0 <= max && n + 0 >= 1000) }'; then
-    echo "$1.allocs_per_event exceeds $2 (or is missing from $ledger, or counts under 1000 events)" >&2
+    echo "$1.allocs_per_event exceeds $2 (or is missing from $(ledger_of "${3:-}"), or counts under 1000 events)" >&2
     exit 1
   fi
 }
 
-echo "==> allocation gates (traced farsite_steady smoke: leafset maintenance allocation-free, a predictor report one allocation)"
+echo "==> allocation gates (traced smokes: leafset maintenance allocation-free, a predictor report one allocation, a join hand-over builds no replica set)"
 # perf/ counts allocations from outside, so no counting allocator (and no
 # `unsafe`) has to enter a deterministic crate to hold these lines.
 # Leafset: 4.00 allocations per LeafsetPull/LeafsetPush before PR 13,
@@ -168,8 +172,15 @@ alloc_gate overlay.leafset 0.1
 # Dissemination: 5.79 per event while a boxed predictor was two
 # allocations and every task kept a second copy of its merge, 3.79 from
 # PR 18, 2.90 since the per-report candidate list, the per-task timer
-# pair and the split stack stopped being `Vec`s (PR 20).
-alloc_gate core.disseminate 3.2
+# pair and the split stack stopped being `Vec`s (PR 20), 1.90 since
+# `oracle_root` — which perf's classifier calls on every routed message,
+# inside the span — stopped building two `Vec`s (PR 21).
+alloc_gate core.disseminate 2.4
+# A join event carries the application's replica hand-over: 36.6 per event
+# here while every held owner's replica set was built as a sorted `Vec`
+# to ask `.contains(&joiner)`, 0.80 since the ring index answers that as
+# an interval test (PR 21).
+alloc_gate overlay.join 1.0 gnutella_churn
 
 echo "==> event gates (traced smokes: a converged ring is not simulated, nor a push to a replica that holds the vertex)"
 # Leafset exchanges plus overlay timers were 0.74 of all events when every
@@ -182,7 +193,7 @@ share=$(awk -v l="$leafset_events" -v t="$timer_events" -v s="$sim_events" \
   'BEGIN { if (l != "" && t != "" && s + 0 > 0) printf "%.3f", (l + t) / s }')
 echo "    (overlay.leafset.events + overlay.timer.events) / sim.events = ${share:-missing}"
 if ! awk -v r="$share" 'BEGIN { exit !(r != "" && r + 0 <= 0.35) }'; then
-  echo "overlay maintenance is more than 0.35 of all events (or a count is missing from $ledger)" >&2
+  echo "overlay maintenance is more than 0.35 of all events (or a count is missing from $(ledger_of))" >&2
   exit 1
 fi
 # A submission cost 9.75 aggregation events on the query_storm smoke while
