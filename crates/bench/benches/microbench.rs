@@ -11,7 +11,7 @@ use seaweed_availability::ReturnPrediction;
 use seaweed_core::predictor::Predictor;
 use seaweed_core::vertex::chain_to_root;
 use seaweed_core::SeaweedMsg;
-use seaweed_overlay::{Overlay, OverlayConfig, OverlayMsg, RingIndex};
+use seaweed_overlay::{NodeState, Overlay, OverlayConfig, OverlayMsg, RingIndex, HALF_CAP};
 use seaweed_sim::{
     CorpNetTopology, Engine, Event, NodeIdx, SimConfig, TimerHandle, Topology, TrafficClass,
     UniformTopology,
@@ -257,8 +257,9 @@ fn bench_overlay_maintenance(c: &mut Criterion) {
 }
 
 /// The two questions the metadata and vertex repairs ask the ring index
-/// on every membership change, at `gnutella_churn`'s shape: a universe of
-/// 3,000 ids with about a third joined, k = 8.
+/// on every membership change, and the one every push timer asks the
+/// owner's leafset, at `gnutella_churn`'s shape: a universe of 3,000 ids
+/// with about a third joined, k = 8.
 ///
 /// - `nearest_take_k`: the k joined nodes ring-closest to an id, nearest
 ///   first (a repair `.find()`s its replacement among these).
@@ -266,6 +267,9 @@ fn bench_overlay_maintenance(c: &mut Criterion) {
 ///   closest to an id — its own id, and the one opposite it? Each
 ///   iteration builds the node's served arc and tests one id; a
 ///   `NeighborJoined` builds it once and tests every held owner.
+/// - `leafset_take_k`: a joined node's replica set as its own converged
+///   leafset (l = 16) shows it — [`NodeState::nearest_members`], what
+///   `Overlay::replica_set` collects once per push timer.
 fn bench_replica_set_questions(c: &mut Criterion) {
     const UNIVERSE: usize = 3_000;
     const K: usize = 8;
@@ -299,6 +303,31 @@ fn bench_replica_set_questions(c: &mut Criterion) {
             });
         });
     }
+    // Converged leafsets: the eight joined nodes on either side, in ring
+    // order.
+    let mut ring = joined.clone();
+    ring.sort_by_key(|n| ids[n.idx()]);
+    let states: Vec<NodeState> = (0..ring.len())
+        .map(|at| {
+            let mut st = NodeState::new(ids[ring[at].idx()], 32, 16);
+            for d in 1..=HALF_CAP {
+                st.cw.push(ring[(at + d) % ring.len()]);
+                st.ccw.push(ring[(at + ring.len() - d) % ring.len()]);
+            }
+            st
+        })
+        .collect();
+    g.bench_function("leafset_take_k", |b| {
+        b.iter(|| {
+            i += 1;
+            black_box(
+                states[i % states.len()]
+                    .nearest_members(&ids)
+                    .take(K)
+                    .last(),
+            )
+        });
+    });
     g.finish();
 }
 

@@ -350,7 +350,13 @@ impl QueryState {
 /// Protocol counters.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct SeaweedStats {
+    /// Metadata pushes to a replica-set member: periodic, join, hand-over
+    /// and repair.
     pub meta_pushes: u64,
+    /// Of those, the periodic pushes to a member already on the owner's
+    /// holder list: charged through the engine's send path, not delivered
+    /// as events (DESIGN.md "What is simulated, what is accounted").
+    pub meta_pushes_accounted: u64,
     pub meta_repairs: u64,
     pub disseminate_msgs: u64,
     /// Application-payload bytes of dissemination messages (excluding
@@ -859,6 +865,7 @@ impl<P: DataProvider> Seaweed<P> {
         let mut m = seaweed_sim::MetricsRegistry::new();
         let s = &self.stats;
         m.set_counter("app.meta_pushes", s.meta_pushes);
+        m.set_counter("app.meta_pushes_accounted", s.meta_pushes_accounted);
         m.set_counter("app.meta_repairs", s.meta_repairs);
         m.set_counter("app.disseminate_msgs", s.disseminate_msgs);
         m.set_counter("app.dissem_bytes", s.dissem_bytes);

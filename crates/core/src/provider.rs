@@ -10,8 +10,6 @@
 //!   estimates for a fixed query set — large-scale experiments stream
 //!   generated fragments through a summarization pass and drop them.
 
-use std::collections::BTreeMap;
-
 use seaweed_store::exec::{count_matching, execute};
 use seaweed_store::{Aggregate, BoundQuery, DataSummary, Query, Schema, StoreError, Table};
 
@@ -165,25 +163,22 @@ impl DataProvider for LiveTables {
 pub struct Precomputed {
     /// Summary sizes per endsystem.
     summary_sizes: Vec<u32>,
-    /// Per registered query: per-endsystem (estimate, aggregate, exact).
-    answers: BTreeMap<QueryKey, Vec<(f64, Aggregate, u64)>>,
+    /// Per registered query, in registration order: one [`Answer`] per
+    /// endsystem. Found by [`BoundQuery`] equality — a scan over the few
+    /// dozen registered shapes that allocates nothing, on a path every
+    /// predictor report and local execution takes.
+    answers: Vec<(BoundQuery, Vec<Answer>)>,
 }
 
-/// Ordered identity of a bound query (order-stable registry keys keep
-/// latent iteration hazards out of the data plane).
-#[derive(Clone, PartialEq, Eq, PartialOrd, Ord, Debug)]
-struct QueryKey(String);
-
-fn key_of(query: &BoundQuery) -> QueryKey {
-    QueryKey(format!("{query:?}"))
-}
+/// One endsystem's (estimate, aggregate, exact row count) for one query.
+type Answer = (f64, Aggregate, u64);
 
 impl Precomputed {
     #[must_use]
     pub fn new(num_nodes: usize) -> Self {
         Precomputed {
             summary_sizes: vec![0; num_nodes],
-            answers: BTreeMap::new(),
+            answers: Vec::new(),
         }
     }
 
@@ -197,10 +192,16 @@ impl Precomputed {
     ) {
         self.summary_sizes[node] = summary_size;
         for (q, est, agg, exact) in answers {
-            let slot = self.answers.entry(key_of(&q)).or_insert_with(|| {
-                vec![(0.0, Aggregate::empty(q.agg), 0); self.summary_sizes.len()]
-            });
-            slot[node] = (est, agg, exact);
+            let at = match self.answers.iter().position(|(known, _)| *known == q) {
+                Some(at) => at,
+                None => {
+                    let blank = (0.0, Aggregate::empty(q.agg), 0);
+                    self.answers
+                        .push((q, vec![blank; self.summary_sizes.len()]));
+                    self.answers.len() - 1
+                }
+            };
+            self.answers[at].1[node] = (est, agg, exact);
         }
     }
 
@@ -229,14 +230,12 @@ impl Precomputed {
         Ok(())
     }
 
-    fn lookup(
-        &self,
-        node: usize,
-        query: &BoundQuery,
-    ) -> Result<&(f64, Aggregate, u64), StoreError> {
+    fn lookup(&self, node: usize, query: &BoundQuery) -> Result<&Answer, StoreError> {
         self.answers
-            .get(&key_of(query))
+            .iter()
+            .find(|(known, _)| known == query)
             .ok_or_else(|| StoreError::UnknownQuery(format!("{query:?}")))?
+            .1
             .get(node)
             .ok_or_else(|| StoreError::UnknownQuery(format!("node {node} out of range")))
     }

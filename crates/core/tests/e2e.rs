@@ -92,12 +92,12 @@ fn query_over_fully_available_network() {
     assert_eq!(payload_fallback_clones(), clones_before);
 }
 
-/// A vertex's standing holders are charged their replica pushes, not sent
-/// them: against the run of this world at the commit before pushes to
-/// standing holders stopped being events (the constants), every byte
-/// transmitted, per class, every replication counted and every row is
-/// where it was, and the messages sent are fewer by exactly the pushes
-/// accounted.
+/// Standing holders — of a vertex, of an endsystem's metadata — are
+/// charged the pushes they already hold, not sent them: against the run
+/// of this world at the commit before either push stopped being an event
+/// (the constants), every byte transmitted, per class, every replication
+/// counted and every row is where it was, and the messages sent are fewer
+/// by exactly the pushes accounted.
 #[test]
 fn standing_holders_are_charged_not_sent_their_replicas() {
     let n = 30;
@@ -122,7 +122,11 @@ fn standing_holders_are_charged_not_sent_their_replicas() {
     assert_eq!(sw.stats.vertex_replications, 98);
     assert_eq!(sw.query(h).rows(), 30);
     assert!(sw.stats.replicas_accounted > 0);
-    assert_eq!(eng.messages_sent + sw.stats.replicas_accounted, 2_915);
+    assert!(sw.stats.meta_pushes_accounted > 0);
+    assert_eq!(
+        eng.messages_sent + sw.stats.replicas_accounted + sw.stats.meta_pushes_accounted,
+        2_915
+    );
 }
 
 #[test]

@@ -198,28 +198,45 @@ impl NodeState {
     /// Deduplicated leafset members, ring-closest to this node first with
     /// the smaller id breaking a tie (`ids[n]` is node `n`'s id).
     pub fn nearest_members<'a>(&'a self, ids: &'a [Id]) -> impl Iterator<Item = NodeIdx> + 'a {
-        let key = move |m: NodeIdx| (ids[m.idx()].ring_dist(self.id), ids[m.idx()].0);
+        // No member is farther than half the ring, so this sorts last.
+        const TAKEN: (u128, u128) = (u128::MAX, 0);
+        let key = move |m: Option<&NodeIdx>| {
+            m.map_or(TAKEN, |m| (ids[m.idx()].ring_dist(self.id), ids[m.idx()].0))
+        };
         let mut halves: [&[NodeIdx]; 2] = [&self.cw, &self.ccw];
-        let mut last = None;
         // A half ascends by its own direction's distance, so by ring
         // distance it rises up to the exactly-opposite point and falls
         // after it: its nearest remaining member is at one of its ends. A
         // member of both halves has one key, so its two copies come out
-        // back to back.
+        // back to back. The four ends' keys — front and back of `cw`,
+        // front and back of `ccw` — are carried from one output to the
+        // next: taking a member re-keys the one end it was taken from.
+        let mut ends = [
+            key(self.cw.first()),
+            key(self.cw.last()),
+            key(self.ccw.first()),
+            key(self.ccw.last()),
+        ];
+        let mut last = None;
         std::iter::from_fn(move || loop {
-            let ends = halves
-                .iter()
-                .enumerate()
-                .flat_map(|(h, half)| [(half.first(), h, false), (half.last(), h, true)]);
-            let (_, h, back) = ends
-                .filter_map(|(m, h, back)| Some((key(*m?), h, back)))
-                .min()?;
+            let mut e = 0;
+            for other in 1..4 {
+                if ends[other] < ends[e] {
+                    e = other;
+                }
+            }
+            let (h, back) = (e / 2, e % 2 == 1);
             let (&m, rest) = if back {
                 halves[h].split_last()
             } else {
                 halves[h].split_first()
             }?;
             halves[h] = rest;
+            ends[e] = key(if back { rest.last() } else { rest.first() });
+            if rest.is_empty() {
+                // The half's one remaining member was both of its ends.
+                ends[e ^ 1] = TAKEN;
+            }
             if last.replace(m) != Some(m) {
                 return Some(m);
             }
