@@ -141,9 +141,10 @@ proptest! {
 }
 
 /// Seed 7, serial and parallel, against the recorded fingerprint
-/// (`goldens.rs` tells when it was re-recorded, twice, and why: at
+/// (`goldens.rs` tells when it was re-recorded, three times, and why: at
 /// PR 20 `log_len` 5827 → 5706, 103 replica deliveries accounted and
-/// 77 → 59 retry-timer fires, rows and report hash unmoved). The
+/// 77 → 59 retry-timer fires; at PR 24 5706 → 5279, 427 metadata
+/// deliveries accounted; rows and report hash unmoved by either). The
 /// shards keep no event log, so `log_hash` covers each
 /// shard's counters (events, rows, merged rows, reports received,
 /// duplicated messages) in shard order; `log_len` is the events summed
@@ -151,7 +152,7 @@ proptest! {
 /// every shard's `BandwidthReport` rendering.
 #[test]
 fn federated_chaos_matches_golden() {
-    let golden = (0x207d_5e7b_59d8_f40e, 5706, 32, 0xf339_9a2b_de92_f523);
+    let golden = (0xce7b_b45c_bfe2_d1a0, 5279, 32, 0xf339_9a2b_de92_f523);
     for kind in [ExecKind::Serial, ExecKind::Parallel] {
         let shards = run_federated(7, kind);
         let (mut counters, mut reports) = (String::new(), String::new());
