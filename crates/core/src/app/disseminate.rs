@@ -78,7 +78,7 @@ impl<P: DataProvider> Seaweed<P> {
         if self.cfg.hedge.is_none() {
             return;
         }
-        let t = self.set_app_timer(
+        self.set_app_timer(
             eng,
             origin,
             DISSEM_TIMEOUT,
@@ -87,7 +87,6 @@ impl<P: DataProvider> Seaweed<P> {
                 query: h,
             },
         );
-        self.queries[h as usize].kick_timer = Some(t);
     }
 
     /// The watchdog fired: if the origin still has no aggregate at all,
@@ -101,7 +100,6 @@ impl<P: DataProvider> Seaweed<P> {
         h: QueryHandle,
     ) {
         let q = &mut self.queries[h as usize];
-        q.kick_timer = None;
         // The watchdog guards the dissemination tree's own deliverable.
         // Result rows flow through the separate aggregation-tree path
         // and can arrive even when the dissemination root died — the
@@ -187,8 +185,7 @@ impl<P: DataProvider> Seaweed<P> {
             slots: Vec::new(),
             local: self.empty_result(h),
             reported: false,
-            timeout_timer: None,
-            hedge_timer: None,
+            round: 0,
         };
 
         // The query root (first receiver, full range) reports straight to
@@ -274,34 +271,7 @@ impl<P: DataProvider> Seaweed<P> {
         if done {
             self.finish_task(eng, n, h, key);
         } else {
-            let timeout = self.set_app_timer(
-                eng,
-                n,
-                DISSEM_TIMEOUT,
-                TimerAction::DissemTimeout { node: n, task: key },
-            );
-            let hedge = (self.cfg.hedge.is_some() && !pure_relay).then(|| {
-                let delay = self.hedge_delay(n);
-                self.set_app_timer(
-                    eng,
-                    n,
-                    delay,
-                    TimerAction::HedgeTimeout { node: n, task: key },
-                )
-            });
-            if let Some(task) = self.tasks.get_mut(&key) {
-                task.timeout_timer = Some(timeout);
-                task.hedge_timer = hedge;
-            } else {
-                // Inserted two statements up; a miss means the store is
-                // inconsistent. Disarm instead of letting the timers
-                // fire against a missing task.
-                self.stats.internal_drops += 1;
-                self.cancel_app_timer(eng, timeout);
-                if let Some(t) = hedge {
-                    self.cancel_app_timer(eng, t);
-                }
-            }
+            self.arm_task_timers(eng, key, 0, !pure_relay);
         }
         out_events
     }
@@ -351,22 +321,20 @@ impl<P: DataProvider> Seaweed<P> {
     /// fast side — so a raw p90 of it hedges nearly every slot and
     /// multiplies dissemination bandwidth. The model may only *extend*
     /// the wait (a habitually slow replica set earns patience), up to
-    /// the reissue timeout itself.
-    pub(crate) fn hedge_delay(&self, n: NodeIdx) -> Duration {
-        // Every caller gates on `cfg.hedge`; the fallback (the full
-        // reissue timeout, the cap anyway) keeps this total rather than
-        // panicking if one ever stops.
-        let Some(hc) = self.cfg.hedge.as_ref() else {
-            return DISSEM_TIMEOUT;
-        };
+    /// the reissue timeout itself. `None` with hedging off.
+    fn hedge_delay(&self, n: NodeIdx) -> Option<Duration> {
+        let hc = self.cfg.hedge.as_ref()?;
         let fallback = Duration::from_micros(
             (DISSEM_TIMEOUT.as_micros() as f64 * hc.fallback_fraction) as u64,
         );
-        self.reply_lat
-            .quantile(n.idx(), HEDGE_QUANTILE, HEDGE_MIN_SAMPLES)
-            .map_or(fallback, |q| q.max(fallback))
-            .max(Duration::from_micros(1))
-            .min(DISSEM_TIMEOUT)
+        let observed = self
+            .reply_lat
+            .quantile(n.idx(), HEDGE_QUANTILE, HEDGE_MIN_SAMPLES);
+        Some(
+            observed
+                .map_or(fallback, |q| q.max(fallback))
+                .clamp(Duration::from_micros(1), DISSEM_TIMEOUT),
+        )
     }
 
     /// The hedge timer fired for a task: duplicate still-silent,
@@ -394,25 +362,12 @@ impl<P: DataProvider> Seaweed<P> {
     /// converges into the existing task via the extra-parent fan-in
     /// rather than spawning a duplicate subtree, so the cost of a losing
     /// hedge is one request and one reply, not a re-dissemination.
-    pub(crate) fn on_hedge_timeout(&mut self, eng: &mut SeaweedEngine, n: NodeIdx, key: TaskKey) {
-        let h = key.1;
-        {
-            let Some(task) = self.tasks.get_mut(&key) else {
-                return;
-            };
-            task.hedge_timer = None;
-            if task.reported {
-                return;
-            }
-        }
-        if !self.queries[h as usize].active {
-            return;
-        }
-        // Re-fetched because the block above dropped its borrow; it
-        // returned early when the task was absent, and nothing between
-        // removes it.
-        let Some(task) = self.tasks.get(&key) else {
-            self.stats.internal_drops += 1;
+    ///
+    /// A hedge timer of a task that has reported, or of an earlier
+    /// round, fires as a no-op.
+    pub(crate) fn on_hedge_timeout(&mut self, eng: &mut SeaweedEngine, key: TaskKey, round: u32) {
+        let (n, h) = (NodeIdx(key.0), key.1);
+        let Some(task) = self.tasks.get(&key).filter(|t| t.awaits(round)) else {
             return;
         };
         let pending: Vec<IdRange> = task
@@ -722,16 +677,14 @@ impl<P: DataProvider> Seaweed<P> {
 
     /// Reissue timer fired for a task: re-route any silent subranges (up
     /// to `MAX_REISSUES` times), then give up on stragglers
-    /// so the predictor is not held hostage by churn.
-    pub(crate) fn on_dissem_timeout(&mut self, eng: &mut SeaweedEngine, n: NodeIdx, key: TaskKey) {
-        let Some(task) = self.tasks.get_mut(&key) else {
+    /// so the predictor is not held hostage by churn. A reissue timer of
+    /// a task that has reported, or of an earlier round, fires as a
+    /// no-op.
+    pub(crate) fn on_dissem_timeout(&mut self, eng: &mut SeaweedEngine, key: TaskKey, round: u32) {
+        let Some(task) = self.tasks.get_mut(&key).filter(|t| t.awaits(round)) else {
             return;
         };
-        task.timeout_timer = None; // it just fired
-        if task.reported {
-            return;
-        }
-        let h = key.1;
+        let (n, h) = (NodeIdx(key.0), key.1);
         let now = eng.now();
         let mut to_reissue = Vec::new();
         let mut gave_up = Vec::new();
@@ -813,46 +766,25 @@ impl<P: DataProvider> Seaweed<P> {
         }
     }
 
-    /// Re-arms a task's reissue timer (and, with hedging on, its hedge
-    /// timer) after a round of re-delegation — a reissue, or the re-cover
-    /// of given-up ranges when a partition heals.
+    /// Starts a task's next timer round after a round of re-delegation —
+    /// a reissue, or the re-cover of given-up ranges when a partition
+    /// heals: what the previous round left armed now fires as a no-op.
     pub(crate) fn rearm_task_timers(&mut self, eng: &mut SeaweedEngine, key: TaskKey) {
-        let n = NodeIdx(key.0);
-        let timeout_action = TimerAction::DissemTimeout { node: n, task: key };
-        if self.cfg.hedge.is_none() {
-            // Fire-and-forget. The re-delegation cascade may already have
-            // completed the task, and then this fires as a no-op:
-            // cancelling such timers cost +9% `run_s` on `query_storm`
-            // when it was tried (ROADMAP 8a).
-            self.set_app_timer(eng, n, DISSEM_TIMEOUT, timeout_action);
-            return;
-        }
-        // Hedged mode keeps exactly one timer of each kind per task:
-        // disarm whatever the previous round left pending (a hedge timer
-        // mid-race, other slots' reissue timer across a heal).
-        let stale = self.tasks.get_mut(&key).map_or([None, None], |t| {
-            [t.timeout_timer.take(), t.hedge_timer.take()]
+        let round = self.tasks.get_mut(&key).map_or(0, |task| {
+            task.round = task.round.wrapping_add(1);
+            task.round
         });
-        for t in stale.into_iter().flatten() {
-            self.cancel_app_timer(eng, t);
-        }
-        let timeout = self.set_app_timer(eng, n, DISSEM_TIMEOUT, timeout_action);
-        let hedge = self.set_app_timer(
-            eng,
-            n,
-            self.hedge_delay(n),
-            TimerAction::HedgeTimeout { node: n, task: key },
-        );
-        match self.tasks.get_mut(&key) {
-            Some(task) if !task.reported => {
-                task.timeout_timer = Some(timeout);
-                task.hedge_timer = Some(hedge);
-            }
-            // The cascade completed the task synchronously.
-            _ => {
-                self.cancel_app_timer(eng, timeout);
-                self.cancel_app_timer(eng, hedge);
-            }
+        self.arm_task_timers(eng, key, round, true);
+    }
+
+    /// Arms a task's reissue timer for `round` and, when hedging is on
+    /// and the task may hedge, its hedge timer, both fire-and-forget.
+    fn arm_task_timers(&mut self, eng: &mut SeaweedEngine, task: TaskKey, round: u32, hedge: bool) {
+        let n = NodeIdx(task.0);
+        let timeout = TimerAction::DissemTimeout { task, round };
+        self.set_app_timer(eng, n, DISSEM_TIMEOUT, timeout);
+        if let Some(delay) = hedge.then(|| self.hedge_delay(n)).flatten() {
+            self.set_app_timer(eng, n, delay, TimerAction::HedgeTimeout { task, round });
         }
     }
 
@@ -869,11 +801,9 @@ impl<P: DataProvider> Seaweed<P> {
         if task.reported {
             return;
         }
+        // Reporting resolves both pending races: the task's reissue and
+        // hedge timers now fire as no-ops.
         task.reported = true;
-        // Reporting resolves both pending races; hedged mode disarms the
-        // timers, hedge-off lets the reissue timer fire as a no-op (see
-        // `rearm_task_timers`).
-        let stale = [task.timeout_timer.take(), task.hedge_timer.take()];
         // Local first, then the slots in slot order: a retransmission
         // of a lost report re-merges to the same bits.
         let mut merged = task.local.clone();
@@ -886,11 +816,6 @@ impl<P: DataProvider> Seaweed<P> {
         // asked again. Always empty with tail tolerance off.
         let extra_parents = std::mem::take(&mut task.extra_parents);
         let range = task.range;
-        if self.cfg.hedge.is_some() {
-            for t in stale.into_iter().flatten() {
-                self.cancel_app_timer(eng, t);
-            }
-        }
         let size = match &merged {
             RangeResult::Predictor(p) => wire::predictor_report(p.wire_size()),
             RangeResult::View(..) => wire::predictor_report(48),
@@ -986,7 +911,7 @@ impl<P: DataProvider> Seaweed<P> {
     /// The aggregated view answer reached the query origin.
     pub(crate) fn on_view_at_origin(
         &mut self,
-        eng: &mut SeaweedEngine,
+        eng: &SeaweedEngine,
         at: NodeIdx,
         h: QueryHandle,
         agg: Aggregate,
@@ -999,20 +924,16 @@ impl<P: DataProvider> Seaweed<P> {
             q.latest_version = endsystems; // coverage doubles as version
             q.progress.push((eng.now(), agg.rows, agg.finish()));
             q.predictor_at = Some(eng.now());
-            let kick = q.kick_timer.take(); // watchdog's race is resolved
             let tl = &mut self.timelines[h as usize];
             tl.predictor_at = Some(eng.now());
             tl.record_result(eng.now(), agg.rows);
-            if let Some(t) = kick {
-                self.cancel_app_timer(eng, t);
-            }
         }
     }
 
     /// The aggregated predictor reached the query origin.
     pub(crate) fn on_predictor_at_origin(
         &mut self,
-        eng: &mut SeaweedEngine,
+        eng: &SeaweedEngine,
         at: NodeIdx,
         h: QueryHandle,
         predictor: Predictor,
@@ -1022,11 +943,7 @@ impl<P: DataProvider> Seaweed<P> {
         if q.predictor.is_none() {
             q.predictor = Some(predictor);
             q.predictor_at = Some(eng.now());
-            let kick = q.kick_timer.take(); // watchdog's race is resolved
             self.timelines[h as usize].predictor_at = Some(eng.now());
-            if let Some(t) = kick {
-                self.cancel_app_timer(eng, t);
-            }
         }
     }
 }
@@ -1054,7 +971,117 @@ fn range_within(inner: &IdRange, outer: &IdRange) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use seaweed_types::Id;
+    use seaweed_overlay::OverlayConfig;
+    use seaweed_sim::{SimConfig, UniformTopology};
+    use seaweed_types::{Id, Time};
+
+    use super::super::{HedgeConfig, SeaweedConfig};
+    use crate::provider::LiveTables;
+    use crate::world::{boot_staggered, build_world, flag_fixture, CHAOS_QUERY};
+
+    const N: usize = 24;
+
+    /// The timer actions parked for `key`, as `(round, is a hedge, tag)`
+    /// in round order, the reissue timer first.
+    fn parked(sw: &Seaweed<LiveTables>, key: TaskKey) -> Vec<(u32, bool, u64)> {
+        // A parked action names its query by wire handle.
+        let ours = |t: TaskKey| sw.live_slot(t.1).is_some_and(|s| (t.0, s, t.2, t.3) == key);
+        let mut out: Vec<_> = (sw.timers.iter())
+            .filter_map(|(tag, action)| match *action {
+                TimerAction::DissemTimeout { task, round, .. } if ours(task) => {
+                    Some((round, false, tag))
+                }
+                TimerAction::HedgeTimeout { task, round, .. } if ours(task) => {
+                    Some((round, true, tag))
+                }
+                _ => None,
+            })
+            .collect();
+        out.sort_unstable();
+        out
+    }
+
+    /// Hedging on, in a fault-free world one second after a query was
+    /// injected: every task has reported, none of its timers has come
+    /// due, and each is fired here through `on_app_timer`, the dispatch
+    /// of a timer event. A reported task's reissue and hedge timers fire
+    /// without a message or a counter moving. After a reissue round, on a
+    /// task again waiting on a silent, already-reissued slot — one either
+    /// of them would act on — the previous round's two timers do nothing,
+    /// while the current round's reissue timer reissues and arms the next
+    /// round.
+    #[test]
+    fn stale_dissemination_timers_fire_as_no_ops() {
+        let (tables, schema) = flag_fixture(0..N as u32, 1);
+        let hedged = SeaweedConfig {
+            hedge: Some(HedgeConfig::default()),
+            ..SeaweedConfig::default()
+        };
+        let topology = Box::new(UniformTopology::new(N, Duration::from_millis(5)));
+        let (mut eng, mut sw) = build_world(
+            topology,
+            5,
+            SimConfig::default(),
+            OverlayConfig::default(),
+            hedged,
+            tables,
+        );
+        boot_staggered(&mut eng, Duration::from_millis(300));
+        sw.run_until(&mut eng, Time::from_secs(300));
+        let ttl = Duration::from_hours(1);
+        sw.inject_query(&mut eng, NodeIdx(0), CHAOS_QUERY, ttl, &schema)
+            .expect("the query parses and binds");
+        sw.run_until(&mut eng, Time::from_secs(301));
+        let keys: Vec<TaskKey> = sw.tasks.keys().collect();
+        let shape = |timers: &[(u32, bool, u64)]| -> Vec<(u32, bool)> {
+            timers
+                .iter()
+                .map(|&(round, hedge, _)| (round, hedge))
+                .collect()
+        };
+        let quiet = |sw: &Seaweed<LiveTables>, eng: &SeaweedEngine| {
+            (eng.messages_sent, format!("{:?}", sw.stats))
+        };
+        // The tasks that delegated and are not pure relays.
+        let mut hedging = keys.into_iter().filter(|&k| parked(&sw, k).len() == 2);
+        let reported = hedging.next().expect("a task that hedges");
+        let reopened = hedging.next().expect("a second task that hedges");
+
+        let timers = parked(&sw, reported);
+        assert!(sw.tasks.get(&reported).is_some_and(|t| t.reported));
+        assert_eq!(shape(&timers), [(0, false), (0, true)]);
+        let before = quiet(&sw, &eng);
+        for &(.., tag) in &timers {
+            sw.on_app_timer(&mut eng, NodeIdx(reported.0), tag);
+        }
+        assert_eq!(quiet(&sw, &eng), before);
+        assert!(parked(&sw, reported).is_empty());
+
+        let task = sw.tasks.get_mut(&reopened).expect("listed key");
+        task.reported = false;
+        let slot = &mut task.slots[0];
+        (slot.done, slot.reissues, slot.hedge) = (None, 1, None);
+        sw.rearm_task_timers(&mut eng, reopened);
+        let timers = parked(&sw, reopened);
+        assert_eq!(
+            shape(&timers),
+            [(0, false), (0, true), (1, false), (1, true)]
+        );
+        let node = NodeIdx(reopened.0);
+        let before = quiet(&sw, &eng);
+        sw.on_app_timer(&mut eng, node, timers[1].2);
+        sw.on_app_timer(&mut eng, node, timers[0].2);
+        assert_eq!(quiet(&sw, &eng), before);
+        let task = sw.tasks.get(&reopened).expect("the task is still there");
+        assert!(task.awaits(1) && task.slots[0].done.is_none());
+        let reissues = sw.stats.dissem_reissues;
+        sw.on_app_timer(&mut eng, node, timers[2].2);
+        assert_eq!(sw.stats.dissem_reissues, reissues + 1);
+        assert_eq!(
+            shape(&parked(&sw, reopened)),
+            [(1, true), (2, false), (2, true)]
+        );
+    }
 
     #[test]
     fn range_within_cases() {

@@ -320,10 +320,6 @@ pub struct QueryState {
     pub latest_version: u64,
     /// History of `(time, rows folded in, finished value)` at the origin.
     pub progress: Vec<(Time, u64, Option<f64>)>,
-    /// Origin-side watchdog timer re-kicking a dissemination that has
-    /// produced no result at all; armed only when tail tolerance is
-    /// active, disarmed when the first aggregate lands.
-    pub(crate) kick_timer: Option<AppTimer>,
     /// Full-range re-kicks the watchdog has issued for this query.
     pub kicks: u8,
 }
@@ -433,23 +429,25 @@ pub(crate) enum TimerAction {
     MetaPush {
         node: NodeIdx,
     },
+    /// A task's reissue deadline, at the endsystem that holds the task
+    /// (`task.0`), for the round it was armed in.
     DissemTimeout {
-        node: NodeIdx,
         task: TaskKey,
+        round: u32,
     },
     /// The expected-reply quantile elapsed with subranges still silent:
     /// duplicate them to backup cover candidates. Armed only when
-    /// `SeaweedConfig::hedge` is set.
+    /// `SeaweedConfig::hedge` is set; otherwise as `DissemTimeout`.
     HedgeTimeout {
-        node: NodeIdx,
         task: TaskKey,
+        round: u32,
     },
     /// No aggregated result has reached the origin within the reissue
     /// timeout: re-kick the full-range dissemination. The kickoff is a
     /// single unretried message and the query root's task dies with the
     /// root (crash-with-amnesia), so without this watchdog an unlucky
     /// root crash silences the whole query. Armed only when tail
-    /// tolerance is active.
+    /// tolerance is active; a no-op once the report has arrived.
     QueryKick {
         node: NodeIdx,
         query: QueryHandle,
@@ -460,7 +458,7 @@ pub(crate) enum TimerAction {
     },
     /// The earliest retransmission deadline among `node`'s unacked
     /// submissions has come (one timer per endsystem, not one per
-    /// submission).
+    /// submission); a no-op unless it is the timer `retry_armed` records.
     ResultRetry {
         node: NodeIdx,
     },
@@ -480,12 +478,13 @@ impl TimerAction {
     pub(crate) fn node(&self) -> Option<NodeIdx> {
         match *self {
             TimerAction::MetaPush { node }
-            | TimerAction::DissemTimeout { node, .. }
-            | TimerAction::HedgeTimeout { node, .. }
             | TimerAction::QueryKick { node, .. }
             | TimerAction::ExecuteLocal { node, .. }
             | TimerAction::ResultRetry { node }
             | TimerAction::ScanQuantum { node } => Some(node),
+            TimerAction::DissemTimeout { task, .. } | TimerAction::HedgeTimeout { task, .. } => {
+                Some(NodeIdx(task.0))
+            }
             TimerAction::QueryExpire { .. } => None,
         }
     }
@@ -510,14 +509,13 @@ impl TimerAction {
     }
 }
 
-/// An armed application timer: the tag its action is parked under in
-/// `Seaweed::timers` plus the engine handle, retained so hedging can
-/// disarm the loser of a reply race instead of letting it fire as a
-/// no-op.
+/// An endsystem's current `ResultRetry` timer: the tag its action is
+/// parked under and the instant it fires. A retry timer that fires under
+/// another tag was superseded by an earlier deadline and does nothing.
 #[derive(Clone, Copy, Debug)]
-pub(crate) struct AppTimer {
+pub(crate) struct ArmedRetry {
     pub tag: u64,
-    pub handle: seaweed_sim::TimerHandle,
+    pub at: Time,
 }
 
 /// Key of a dissemination task: (node, query, range start, range width —
@@ -566,11 +564,19 @@ pub(crate) struct DissemTask {
     /// Locally accumulated result (own contribution + dead ranges).
     pub local: RangeResult,
     pub reported: bool,
-    /// The armed reissue timer, kept so hedged mode can disarm it when
-    /// the task reports. `None` once fired, cancelled or never armed.
-    pub timeout_timer: Option<AppTimer>,
-    /// The armed hedge timer (hedged mode only).
-    pub hedge_timer: Option<AppTimer>,
+    /// Timer rounds started since the task was created: each reissue
+    /// round, and each re-cover at a partition heal, starts one. Its
+    /// `DissemTimeout` and `HedgeTimeout` carry the round they were armed
+    /// in, and one from an earlier round fires as a no-op.
+    pub round: u32,
+}
+
+impl DissemTask {
+    /// Whether a timer armed in `round` is still current: the task has
+    /// not reported and has started no later round.
+    pub(crate) fn awaits(&self, round: u32) -> bool {
+        !self.reported && self.round == round
+    }
 }
 
 #[derive(Debug)]
@@ -716,10 +722,10 @@ pub struct Seaweed<P: DataProvider> {
 
     // ---- timers ----
     pub(crate) timers: ActionSlab,
-    /// Per endsystem, its one armed `ResultRetry` timer: it fires no
+    /// Per endsystem, its current `ResultRetry` timer: it fires no
     /// later than the earliest `retry_at` in the endsystem's
     /// `pending_submits` bucket while that is non-empty.
-    pub(crate) retry_armed: Vec<Option<AppTimer>>,
+    pub(crate) retry_armed: Vec<Option<ArmedRetry>>,
 
     // ---- tail tolerance ----
     /// Per-delegator observed reply-latency distributions; drives the
@@ -1057,7 +1063,6 @@ impl<P: DataProvider> Seaweed<P> {
             latest: None,
             latest_version: 0,
             progress: Vec::new(),
-            kick_timer: None,
             kicks: 0,
         };
         let slot = self.alloc_slot();
@@ -1109,7 +1114,6 @@ impl<P: DataProvider> Seaweed<P> {
             latest: None,
             latest_version: 0,
             progress: Vec::new(),
-            kick_timer: None,
             kicks: 0,
         };
         // Slot claimed only after parse/bind succeed, so a rejected
@@ -1416,26 +1420,19 @@ impl<P: DataProvider> Seaweed<P> {
         tag
     }
 
+    /// Arms `action` on `node`, tied to its liveness, and returns its tag.
+    /// Never disarmed: a handler decides when it fires whether it is
+    /// still current (DESIGN.md §3.5).
     pub(crate) fn set_app_timer(
         &mut self,
         eng: &mut SeaweedEngine,
         node: NodeIdx,
         delay: Duration,
         action: TimerAction,
-    ) -> AppTimer {
+    ) -> u64 {
         let tag = self.park_timer_action(action);
-        let handle = eng.set_timer(node, delay, tag);
-        AppTimer { tag, handle }
-    }
-
-    /// Disarms an application timer: the engine timer is cancelled and
-    /// the deferred action dropped. Idempotent — a timer that already
-    /// fired or was auto-cancelled by node-down is a no-op. Only hedged
-    /// mode calls this; hedge-off lets a finished task's timers fire as
-    /// no-ops, which is cheaper (see `rearm_task_timers`).
-    pub(crate) fn cancel_app_timer(&mut self, eng: &mut SeaweedEngine, t: AppTimer) {
-        self.timers.take(t.tag);
-        let _ = eng.cancel_timer(t.handle);
+        let _ = eng.set_timer(node, delay, tag);
+        tag
     }
 
     /// Arms a timer that must survive `node` going down (e.g. query
@@ -1454,7 +1451,7 @@ impl<P: DataProvider> Seaweed<P> {
 
     fn on_app_timer(&mut self, eng: &mut SeaweedEngine, node: NodeIdx, tag: u64) {
         let Some(mut action) = self.timers.take(tag) else {
-            return; // cancelled
+            return; // nothing is parked under this tag
         };
         // An action armed for a query whose slot has since been recycled
         // is late traffic for a dead query, exactly as a message in
@@ -1471,11 +1468,11 @@ impl<P: DataProvider> Seaweed<P> {
                 debug_assert_eq!(n, node);
                 self.on_meta_push_timer(eng, n);
             }
-            TimerAction::DissemTimeout { node: n, task } => {
-                self.on_dissem_timeout(eng, n, task);
+            TimerAction::DissemTimeout { task, round } => {
+                self.on_dissem_timeout(eng, task, round);
             }
-            TimerAction::HedgeTimeout { node: n, task } => {
-                self.on_hedge_timeout(eng, n, task);
+            TimerAction::HedgeTimeout { task, round } => {
+                self.on_hedge_timeout(eng, task, round);
             }
             TimerAction::QueryKick { node: n, query } => {
                 self.on_query_kick(eng, n, query);
@@ -1484,7 +1481,7 @@ impl<P: DataProvider> Seaweed<P> {
                 self.execute_and_submit(eng, n, query);
             }
             TimerAction::ResultRetry { node: n } => {
-                self.on_result_retry(eng, n);
+                self.on_result_retry(eng, n, tag);
             }
             TimerAction::QueryExpire { query } => {
                 self.expire_query(eng, query);
@@ -1505,29 +1502,15 @@ impl<P: DataProvider> Seaweed<P> {
             return;
         }
         q.active = false;
-        // Only ever Some when tail tolerance armed it, so the cancel is
-        // baseline-invisible.
-        if let Some(t) = q.kick_timer.take() {
-            self.cancel_app_timer(eng, t);
-        }
-        // Drop protocol state lazily held for this query. Hedged mode
-        // disarms every timer still tied to its tasks as they go
-        // (invariant: no armed dissemination timer may reference a dead
-        // query); hedge-off lets them fire as no-ops.
-        let (timers, hedged) = (&mut self.timers, self.cfg.hedge.is_some());
-        self.tasks.clear_query(query, |task| {
-            if hedged {
-                for t in [task.timeout_timer, task.hedge_timer].into_iter().flatten() {
-                    timers.take(t.tag);
-                    let _ = eng.cancel_timer(t.handle);
-                }
-            }
-        });
+        // Drop protocol state lazily held for this query. Timers still
+        // armed for it fire as no-ops: its tasks are gone, and under
+        // storm mode the recycled slot's generation refuses them first.
+        self.tasks.clear_query(query);
         self.vertices.clear_query(query);
         for nv in &mut self.node_vertices {
             nv.retain(|&(qh, _)| qh != query);
         }
-        self.pending_submits.clear_query(query, drop);
+        self.pending_submits.clear_query(query);
         self.cont_epoch.clear_query(query);
         self.leaf_targets.clear_query(query);
         self.gave_up.retain(|&(_, qh, _)| qh != query);

@@ -18,8 +18,8 @@ use seaweed_types::{Id, Time};
 
 use super::backoff::retry_backoff;
 use super::{
-    PendingSubmit, QueryHandle, Seaweed, SeaweedEngine, SeaweedMsg, TimerAction, VertexState,
-    LOCAL_EXEC_DELAY, M_VERTEX,
+    ArmedRetry, PendingSubmit, QueryHandle, Seaweed, SeaweedEngine, SeaweedMsg, TimerAction,
+    VertexState, LOCAL_EXEC_DELAY, M_VERTEX,
 };
 use crate::provider::DataProvider;
 use crate::vertex::parent_vertex;
@@ -250,21 +250,22 @@ impl<P: DataProvider> Seaweed<P> {
         self.cascade(eng, evs);
     }
 
-    /// Makes sure `n`'s one retry timer fires no later than `deadline`.
+    /// Makes sure `n`'s current retry timer fires no later than `deadline`.
     /// An ack disarms nothing — a timer that finds nothing due re-arms
     /// for what is left, or not at all — so in a loss-free run an
     /// endsystem arms one timer per ten seconds of submitting, however
-    /// many submissions it makes, and only a deadline earlier than the
-    /// armed one (a first try behind a backed-off retry) cancels.
+    /// many submissions it makes. An earlier deadline (a first try behind
+    /// a backed-off retry) arms a new one; the old fires as a no-op.
     fn arm_result_retry(&mut self, eng: &mut SeaweedEngine, n: NodeIdx, deadline: Time) {
-        match self.retry_armed[n.idx()] {
-            Some(armed) if armed.handle.fires_at() <= deadline => return,
-            Some(later) => self.cancel_app_timer(eng, later),
-            None => {}
+        if self.retry_armed[n.idx()].is_some_and(|armed| armed.at <= deadline) {
+            return;
         }
         let delay = deadline.saturating_since(eng.now());
-        let timer = self.set_app_timer(eng, n, delay, TimerAction::ResultRetry { node: n });
-        self.retry_armed[n.idx()] = Some(timer);
+        let tag = self.set_app_timer(eng, n, delay, TimerAction::ResultRetry { node: n });
+        self.retry_armed[n.idx()] = Some(ArmedRetry {
+            tag,
+            at: eng.now() + delay,
+        });
     }
 
     /// `n`'s retry timer fired: re-route every submission of `n` that is
@@ -276,13 +277,18 @@ impl<P: DataProvider> Seaweed<P> {
     /// retransmissions across long outages. The jitter is drawn from the
     /// protocol's seeded RNG only when a retransmission actually
     /// happens, so loss-free runs consume identical RNG sequences to the
-    /// pre-backoff protocol.
-    pub(crate) fn on_result_retry(&mut self, eng: &mut SeaweedEngine, n: NodeIdx) {
+    /// pre-backoff protocol. A timer fired under `tag` that is not the
+    /// one on record was superseded by an earlier deadline, and does
+    /// nothing.
+    pub(crate) fn on_result_retry(&mut self, eng: &mut SeaweedEngine, n: NodeIdx, tag: u64) {
+        if self.retry_armed[n.idx()].is_none_or(|armed| armed.tag != tag) {
+            return;
+        }
         let now = eng.now();
         // `retry_armed[n]` names the timer that just fired until the
         // loop is done: a deadline at `now`, so no submission a
         // retransmission cascades into arms a second timer.
-        debug_assert!(self.retry_armed[n.idx()].is_some_and(|t| t.handle.fires_at() == now));
+        debug_assert!(self.retry_armed[n.idx()].is_some_and(|t| t.at == now));
         for key in self.pending_submits.due_keys(n.0, now) {
             // An earlier retransmission's cascade may have acked this
             // one, or replaced it with a newer submission.
@@ -686,7 +692,9 @@ mod tests {
     use std::collections::BTreeMap;
 
     use seaweed_overlay::OverlayConfig;
-    use seaweed_sim::{FaultPlan, NodeIdx, OutageSpec, PartitionSpec, SimConfig, UniformTopology};
+    use seaweed_sim::{
+        Event, FaultPlan, NodeIdx, OutageSpec, PartitionSpec, SimConfig, UniformTopology,
+    };
     use seaweed_types::{Duration, Time};
 
     use super::super::storage::SubmitKey;
@@ -787,7 +795,9 @@ mod tests {
     /// two-minute partition, so deadlines back off to the cap while first
     /// tries keep arriving beside them — under `loss`, with two clean
     /// outages on top so that endsystems die holding armed timers.
-    fn retransmissions_under(loss: f64, seed: u64) -> (u64, usize) {
+    /// Returns the retransmissions, the timers an earlier deadline
+    /// superseded, and how many of those fired.
+    fn retransmissions_under(loss: f64, seed: u64) -> (u64, usize, usize) {
         let (tables, schema) = flag_fixture(0..N as u32, 1);
         let outage = |members: Vec<u32>, down: u64, up: u64| OutageSpec {
             members,
@@ -841,44 +851,50 @@ mod tests {
         }
         let mut reference = Deadlines::default();
         // First tries that came due before the retry their endsystem's
-        // timer was armed for: the case that needs the timer moved.
-        let mut moved_earlier = 0;
-        let fires_at = |sw: &Seaweed<LiveTables>| -> Vec<Option<Time>> {
-            let armed = sw.retry_armed.iter();
-            armed.map(|t| t.map(|t| t.handle.fires_at())).collect()
-        };
+        // timer was armed for: the case that needs a new timer. The one
+        // it supersedes stays armed, and must fire as a no-op.
+        let (mut superseded, mut fired) = (Vec::new(), 0);
         while let Some((now, ev)) = eng.next_event_before(Time::from_secs(1500)) {
-            let before = fires_at(&sw);
+            let stale = matches!(ev, Event::Timer { tag, .. } if superseded.contains(&tag));
+            let before = sw.retry_armed.clone();
+            let (retries, sent) = (sw.stats.result_retries, eng.messages_sent);
             sw.dispatch(&mut eng, ev);
-            let moved = |(b, a): (&Option<Time>, Option<Time>)| {
-                b.is_some_and(|b| b > now && a.is_some_and(|a| a < b))
-            };
-            moved_earlier += before
+            if stale {
+                fired += 1;
+                let after = (sw.stats.result_retries, eng.messages_sent);
+                assert_eq!(after, (retries, sent), "a superseded timer acted");
+            }
+            let moved = before
                 .iter()
-                .zip(fires_at(&sw))
-                .filter(|&p| moved(p))
-                .count();
+                .zip(&sw.retry_armed)
+                .filter_map(|pair| match pair {
+                    (Some(b), Some(a)) if b.at > now && a.at < b.at => Some(b.tag),
+                    _ => None,
+                });
+            superseded.extend(moved);
             reference.observe(&sw, now);
         }
         let unseen = sw.stats.result_retries - reference.retransmissions;
         assert!(unseen <= reference.settled_when_due, "{unseen} stray");
-        (reference.retransmissions, moved_earlier)
+        (reference.retransmissions, superseded.len(), fired)
     }
 
     #[test]
     fn retransmission_instants_are_those_of_one_deadline_per_submission() {
-        let mut moved_earlier = 0;
+        let (mut superseded, mut superseded_fired) = (0, 0);
         for (loss, seed) in [(0.05, 11), (0.1, 12), (0.2, 13), (0.2, 14)] {
-            let (retransmissions, moved) = retransmissions_under(loss, seed);
+            let (retransmissions, moved, fired) = retransmissions_under(loss, seed);
             assert!(
                 retransmissions >= 20,
                 "loss {loss}: only {retransmissions} retransmissions to compare"
             );
-            moved_earlier += moved;
+            superseded += moved;
+            superseded_fired += fired;
         }
         assert!(
-            moved_earlier > 0,
+            superseded > 0,
             "no timer ever had to move to an earlier deadline"
         );
+        assert!(superseded_fired > 0, "no superseded timer ever fired");
     }
 }

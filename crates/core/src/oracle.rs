@@ -21,21 +21,25 @@
 //! 5. **Index consistency**: the metadata holder maps and vertex
 //!    membership maps stay mutual inverses, and crash-amnesia stashes
 //!    never alias live state.
-//! 6. **Tail-tolerance hygiene**: hedge accounting is consistent (wins
-//!    plus losses never exceed hedges sent, per query and globally),
-//!    and in hedged mode — which disarms timers eagerly — no armed
-//!    dissemination or hedge timer references a reported task, a
-//!    dropped task, or a dead query.
+//! 6. **Dissemination timers and tail-tolerance hygiene**: every
+//!    unreported task of an active query that still has an open slot has
+//!    a reissue timer parked at its current round, so no silent subrange
+//!    waits forever; hedge accounting is consistent (wins plus losses
+//!    never exceed hedges sent, per query and globally), and with
+//!    hedging off no hedge counter moves and no hedge or kick timer is
+//!    armed.
 //! 7. **Storm hygiene**: admission budget, slot free list and scan
 //!    scheduler are consistent.
 //! 8. **Retry deadlines**: an up endsystem with unacked submissions has
 //!    its one retry timer armed no later than the earliest of their
 //!    deadlines; a down endsystem has neither submissions nor a timer.
 
+use std::collections::BTreeSet;
+
 use seaweed_sim::NodeIdx;
 use seaweed_types::Id;
 
-use crate::app::{QueryKind, Seaweed, SeaweedEngine, TimerAction};
+use crate::app::{QueryKind, Seaweed, SeaweedEngine, TaskKey, TimerAction};
 use crate::provider::DataProvider;
 
 /// Invariant checker over the whole simulated deployment. Construct once
@@ -105,7 +109,7 @@ impl ChaosOracle {
             let fires_at = armed.and_then(|t| {
                 let parked = sw.timers.get(t.tag);
                 matches!(parked, Some(&TimerAction::ResultRetry { node: owner }) if owner == node)
-                    .then(|| t.handle.fires_at())
+                    .then_some(t.at)
             });
             if armed.is_some() && fires_at.is_none() {
                 out.push(format!("node {n}: retry timer on record is not armed"));
@@ -342,12 +346,12 @@ impl ChaosOracle {
         }
     }
 
-    /// (6) Tail-tolerance hygiene. Hedged mode cancels timers eagerly
-    /// (on report, expiry and heal re-arm), so any armed dissemination
-    /// or hedge timer must reference a live, still-collecting task of an
-    /// active query. The baseline deliberately lets no-op timers fire,
-    /// so with hedging off only the accounting checks apply (all hedge
-    /// counters must be zero and no hedge timer may exist at all).
+    /// (6) Dissemination timers and tail-tolerance hygiene. Application
+    /// timers are never disarmed — a reported task's timers, and an
+    /// earlier round's, fire as no-ops — so what must hold is the
+    /// converse, in both modes: a task still owed a reply has a reissue
+    /// timer parked at its current round. Hedge accounting must balance,
+    /// and with hedging off nothing of it may move or be armed.
     fn check_tail_tolerance<P: DataProvider>(&self, sw: &Seaweed<P>, out: &mut Vec<String>) {
         for (h, tl) in sw.timelines.iter().enumerate() {
             if tl.hedge_wins + tl.hedge_losses > tl.hedges_sent {
@@ -368,60 +372,39 @@ impl ChaosOracle {
         if !hedging && s.hedges_sent + s.hedge_wins + s.hedge_losses + s.hedge_wasted_bytes != 0 {
             out.push("hedging disabled but hedge counters are nonzero".to_string());
         }
-        // A parked action names its query by wire handle; one whose
-        // generation has moved on belongs to a dead query.
-        let live = |h| {
-            sw.live_slot(h)
-                .filter(|&slot| sw.queries[slot as usize].active)
-        };
-        let waiting_for_report = |slot: u32| {
-            let q = &sw.queries[slot as usize];
-            match q.kind {
-                QueryKind::View { .. } => q.latest.is_none(),
-                _ => q.predictor.is_none(),
-            }
-        };
-        for (seq, action) in sw.timers.iter() {
-            let (kind, task) = match *action {
-                TimerAction::DissemTimeout { task, .. } => ("dissem-timeout", task),
-                TimerAction::HedgeTimeout { task, .. } => ("hedge-timeout", task),
-                TimerAction::QueryKick { query, .. } => {
-                    // Armed only by tail tolerance, and disarmed the
-                    // moment any aggregate reaches the origin.
-                    if !hedging {
-                        out.push(format!(
-                            "timer {seq}: query-kick timer armed with tail tolerance off"
-                        ));
-                    } else {
-                        if !live(query).is_some_and(waiting_for_report) {
-                            out.push(format!(
-                                "timer {seq}: armed query-kick timer but query {query} \
-                                 is finished or already has its report"
-                            ));
-                        }
+        // The reissue rounds parked, by task. A parked action names its
+        // query by wire handle; one whose generation has moved on
+        // belongs to a dead query and is left out.
+        let mut parked: BTreeSet<(TaskKey, u32)> = BTreeSet::new();
+        for (tag, action) in sw.timers.iter() {
+            match *action {
+                TimerAction::DissemTimeout { task, round, .. } => {
+                    if let Some(slot) = sw.live_slot(task.1) {
+                        parked.insert(((task.0, slot, task.2, task.3), round));
                     }
-                    continue;
                 }
-                _ => continue,
-            };
-            if kind == "hedge-timeout" && !hedging {
-                out.push(format!(
-                    "timer {seq}: hedge timer armed with hedging disabled"
-                ));
-                continue;
+                TimerAction::HedgeTimeout { .. } if !hedging => {
+                    out.push(format!(
+                        "timer {tag}: hedge timer armed with hedging disabled"
+                    ));
+                }
+                TimerAction::QueryKick { .. } if !hedging => {
+                    out.push(format!(
+                        "timer {tag}: query-kick timer armed with tail tolerance off"
+                    ));
+                }
+                _ => {}
             }
-            if !hedging {
-                continue; // baseline no-op fires are expected
-            }
-            let alive = live(task.1).is_some_and(|slot| {
-                sw.tasks
-                    .get(&(task.0, slot, task.2, task.3))
-                    .is_some_and(|t| !t.reported)
-            });
-            if !alive {
+        }
+        for (key, task) in sw.tasks.keys().filter_map(|k| Some((k, sw.tasks.get(&k)?))) {
+            let owed = sw.queries[key.1 as usize].active
+                && !task.reported
+                && task.slots.iter().any(|s| s.done.is_none());
+            if owed && !parked.contains(&(key, task.round)) {
                 out.push(format!(
-                    "timer {seq}: armed {kind} timer references a finished task of query {}",
-                    task.1
+                    "node {}: task of query {} has an open slot but no reissue timer \
+                     at its round {}",
+                    key.0, key.1, task.round
                 ));
             }
         }

@@ -8,7 +8,13 @@
 //! checks), deterministic replay, and sane hedge bookkeeping.
 
 use proptest::prelude::*;
-use seaweed_core::{chaos_sim, chaos_world, run_chaos, ChaosRun, HedgeConfig, SeaweedConfig};
+use seaweed_core::{
+    boot_staggered, build_world, chaos_sim, chaos_world, flag_fixture, run_chaos, ChaosRun,
+    HedgeConfig, SeaweedConfig, CHAOS_QUERY,
+};
+use seaweed_overlay::OverlayConfig;
+use seaweed_sim::{NodeIdx, SimConfig, UniformTopology};
+use seaweed_types::{Duration, Time};
 
 const N: usize = 36;
 const ROUTERS: usize = 24;
@@ -68,4 +74,48 @@ fn hedges_fire_under_chaos() {
         run.stats.hedges_sent > 0,
         "seed 7 chaos plan provoked no hedges — the machinery never ran"
     );
+}
+
+/// On a quiet ring — every endsystem up, no loss, no faults — with
+/// hedging on, nothing is cancelled from injection to the complete
+/// answer: every delegating task reports before its reissue and hedge
+/// timers come due, the origin's watchdog loses its race to the
+/// predictor, and all of those timers fire as no-ops instead.
+#[test]
+fn a_quiet_hedged_ring_cancels_no_timer() {
+    const N: usize = 40;
+    let (tables, schema) = flag_fixture(0..N as u32, 1);
+    let (mut eng, mut sw) = build_world(
+        Box::new(UniformTopology::new(N, Duration::from_millis(5))),
+        5,
+        SimConfig::default(),
+        OverlayConfig::default(),
+        SeaweedConfig {
+            hedge: Some(HedgeConfig::default()),
+            ..SeaweedConfig::default()
+        },
+        tables,
+    );
+    boot_staggered(&mut eng, Duration::from_millis(300));
+    sw.run_until(&mut eng, Time::from_secs(600));
+    assert_eq!(sw.overlay.num_joined(), N);
+    let cancelled = eng.timers_cancelled;
+    let h = sw
+        .inject_query(
+            &mut eng,
+            NodeIdx(0),
+            CHAOS_QUERY,
+            Duration::from_hours(1),
+            &schema,
+        )
+        .expect("the query parses and binds");
+    sw.run_until(&mut eng, Time::from_secs(660));
+    let q = sw.query(h);
+    assert_eq!(q.rows(), N as u64);
+    assert!(q.predictor.is_some());
+    assert!(
+        sw.stats.disseminate_msgs > N as u64 / 2,
+        "the broadcast delegated"
+    );
+    assert_eq!(eng.timers_cancelled, cancelled);
 }

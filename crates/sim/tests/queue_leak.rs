@@ -1,8 +1,8 @@
-//! Leak-freedom of the event queue (ROADMAP item 5c): a million
-//! arm/cancel/fire cycles at a constant live population must leave the
-//! slab, its index accounting and the per-endsystem armed lists sized by
-//! that population — not by the number of events processed — and the
-//! last `NodeDown` must take everything back to baseline.
+//! Leak-freedom of the event queue: a million arm/cancel/fire cycles at
+//! a constant live population must leave the slab, its index accounting
+//! and the per-endsystem armed lists sized by that population — not by
+//! the number of events processed — and the last `NodeDown` must take
+//! everything back to baseline.
 
 use seaweed_sim::{Engine, Event, NodeIdx, SimConfig, TimerHandle, TrafficClass, UniformTopology};
 use seaweed_types::{Duration, Time};

@@ -50,6 +50,14 @@ if [ "$lint_ms" -ge 5000 ]; then
   exit 1
 fi
 
+echo "==> one timer discipline (the protocol layer never cancels a timer)"
+# Every application timer is armed fire-and-forget and its handler decides
+# at the fire instant whether it is still current (a task's round, the
+# recorded retry tag, a query's report). A cancel in crates/core would bring
+# back a second way to disarm a timer, and with it the hedged/unhedged fork
+# (DESIGN.md §3.5).
+if grep -rnE 'cancel_(app_)?timer' crates/core/src; then echo "crates/core/src cancels a timer" >&2; exit 1; fi
+
 echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
 
