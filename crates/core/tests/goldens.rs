@@ -10,9 +10,9 @@
 //! used to carry beside the live ones — the binary-heap scheduler, the
 //! `BTreeMap` hot-state layout, id-order replica selection — before the
 //! baselines were deleted (DESIGN.md §3: a baseline lives until the next
-//! re-anchor, then becomes a golden), then re-recorded three times, each
+//! re-anchor, then becomes a golden), then re-recorded four times, each
 //! time by a change meant to alter the event stream (DESIGN.md "What is
-//! simulated, what is accounted").
+//! simulated, what is accounted", and §3.5 for the last).
 //!
 //! At PR 16 leafset pulls between synced pairs stopped being events, so
 //! a run delivers fewer events and every later loss and jitter draw of
@@ -35,25 +35,34 @@
 //! edge in flight, and none crossed an hour boundary (these runs end at
 //! 1,500 s).
 //!
+//! When the protocol layer stopped cancelling timers (last column), the
+//! event-log half alone moved once more: a timer that used to be
+//! cancelled — a reported task's reissue and hedge timers, a retry timer
+//! an earlier deadline superseded — now fires, as a no-op. Nothing it
+//! does sends or draws, so rows and report hashes are to the bit what
+//! they were, in every row; three rows move at all.
+//!
 //! Per row, `log_len` old → new: at PR 20 = replica deliveries accounted
 //! plus retry-timer fires retired (old − new fires); at PR 24 = metadata
 //! deliveries accounted (one per copy the network delivered: pushes
 //! accounted, less those cut or lost at the send instant, plus
-//! duplicates), closing exactly in all eleven rows:
+//! duplicates); in the last column = the application-timer cancels the
+//! previous code made that reached their fire time (none met a node-down
+//! first), closing exactly in all eleven rows:
 //!
-//! | row | PR 20 `log_len` | accounted | retry fires | PR 24 `log_len` | accounted |
-//! |---|---|---|---|---|---|
-//! | seed 7 | 5836 → 5705 | 105 | 69 → 43 | 5705 → 5340 | 365 |
-//! | seed 11 | 5482 → 5342 | 112 | 76 → 48 | 5342 → 5070 | 272 |
-//! | seed 42 | 5510 → 5385 | 102 | 76 → 53 | 5385 → 5010 | 375 |
-//! | seed 1 | 5663 → 5541 | 94 | 81 → 53 | 5541 → 5223 | 318 |
-//! | seed 3 | 5479 → 5366 | 95 | 64 → 46 | 5366 → 5076 | 290 |
-//! | seed 23 | 5609 → 5480 | 101 | 73 → 45 | 5480 → 5078 | 402 |
-//! | seed 99 | 5453 → 5327 | 104 | 71 → 49 | 5327 → 5025 | 302 |
-//! | seed 1234 | 5528 → 5390 | 113 | 74 → 49 | 5390 → 5080 | 310 |
-//! | hedged, seed 7 | 5846 → 5710 | 110 | 70 → 44 | 5710 → 5315 | 395 |
-//! | `storm.rs`, seed 7 | 10866 → 9717 | 765 | 551 → 167 | 9717 → 9376 | 341 |
-//! | `federation.rs`, seed 7 | 5827 → 5706 | 103 | 77 → 59 | 5706 → 5279 | 427 |
+//! | row | PR 20 `log_len` | accounted | retry fires | PR 24 `log_len` | accounted | no-cancel `log_len` |
+//! |---|---|---|---|---|---|---|
+//! | seed 7 | 5836 → 5705 | 105 | 69 → 43 | 5705 → 5340 | 365 | 5340 |
+//! | seed 11 | 5482 → 5342 | 112 | 76 → 48 | 5342 → 5070 | 272 | 5070 |
+//! | seed 42 | 5510 → 5385 | 102 | 76 → 53 | 5385 → 5010 | 375 | 5010 |
+//! | seed 1 | 5663 → 5541 | 94 | 81 → 53 | 5541 → 5223 | 318 | 5223 → 5225: 2 retry |
+//! | seed 3 | 5479 → 5366 | 95 | 64 → 46 | 5366 → 5076 | 290 | 5076 |
+//! | seed 23 | 5609 → 5480 | 101 | 73 → 45 | 5480 → 5078 | 402 | 5078 |
+//! | seed 99 | 5453 → 5327 | 104 | 71 → 49 | 5327 → 5025 | 302 | 5025 |
+//! | seed 1234 | 5528 → 5390 | 113 | 74 → 49 | 5390 → 5080 | 310 | 5080 |
+//! | hedged, seed 7 | 5846 → 5710 | 110 | 70 → 44 | 5710 → 5315 | 395 | 5315 → 5351: 18 reissue + 18 hedge |
+//! | `storm.rs`, seed 7 | 10866 → 9717 | 765 | 551 → 167 | 9717 → 9376 | 341 | 9376 → 9377: 1 retry |
+//! | `federation.rs`, seed 7 | 5827 → 5706 | 103 | 77 → 59 | 5706 → 5279 | 427 | 5279 |
 //!
 //! With `hedge: None` the tail-tolerance machinery must be fully inert
 //! (asserted below).
@@ -76,7 +85,7 @@ const GOLDENS: [(u64, Fingerprint); 8] = [
     (7, (0xb2bd_db8a_17dc_a20c, 5340, 36, 0xb8d1_6c92_5711_ce54)),
     (11, (0x109d_e87a_e3d1_fb41, 5070, 36, 0x71d9_0f65_3cbb_c736)),
     (42, (0x67a5_def3_4949_959b, 5010, 36, 0x9a96_f90c_37b4_210e)),
-    (1, (0xa4bb_d439_583e_4e5d, 5223, 36, 0xb4a8_4a34_60a5_01b2)),
+    (1, (0xbe1c_8822_c8d5_8db6, 5225, 36, 0xb4a8_4a34_60a5_01b2)),
     (3, (0xcf31_9055_4b62_4034, 5076, 35, 0x58ab_bad0_3d93_24a9)),
     (23, (0xc901_3687_37cf_603c, 5078, 36, 0x4192_640e_77e1_12de)),
     (99, (0x9963_4802_af67_4775, 5025, 36, 0x0b94_707e_726e_2e67)),
@@ -88,7 +97,7 @@ const GOLDENS: [(u64, Fingerprint); 8] = [
 
 /// `hedge: Some(HedgeConfig::default())`, seed 7 — a seed on which the
 /// chaos plan provokes hedges (`hedging.rs` asserts that it does).
-const HEDGED_GOLDEN: Fingerprint = (0xb2cf_0e1e_864f_e788, 5315, 36, 0x66e1_b827_7210_ee78);
+const HEDGED_GOLDEN: Fingerprint = (0x1dc6_db01_0543_cdc4, 5351, 36, 0x66e1_b827_7210_ee78);
 
 /// The 36-endsystem chaos world, hedging on or off.
 fn world(seed: u64, hedge: Option<HedgeConfig>) -> (SeaweedEngine, Seaweed<LiveTables>, Schema) {
