@@ -1,7 +1,8 @@
 //! Criterion micro-benchmarks for the hot paths of every layer:
 //! hashing, id arithmetic, the vertex parent function, histogram
 //! construction and estimation, aggregate/predictor merging, SQL parsing,
-//! overlay routing and maintenance, and raw engine throughput.
+//! store scans, overlay routing and maintenance, and raw engine
+//! throughput.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
 use rand::rngs::StdRng;
@@ -16,9 +17,13 @@ use seaweed_sim::{
     CorpNetTopology, Engine, Event, NodeIdx, SimConfig, TimerHandle, Topology, TrafficClass,
     UniformTopology,
 };
+use seaweed_store::exec::{count_matching, execute, execute_batch};
 use seaweed_store::histogram::NumericHistogram;
-use seaweed_store::{AggFunc, Aggregate, CmpOp, Query};
+use seaweed_store::{
+    AggFunc, Aggregate, BoundQuery, CmpOp, ColumnDef, DataType, Query, Schema, Table, Value,
+};
 use seaweed_types::{sha1, Duration, Id, Time};
+use seaweed_workload::{paper_queries, AnemoneConfig};
 
 fn bench_sha1(c: &mut Criterion) {
     let mut g = c.benchmark_group("sha1");
@@ -120,6 +125,63 @@ fn bench_sql(c: &mut Criterion) {
     c.bench_function("sql/parse_paper_query", |b| {
         b.iter(|| Query::parse(black_box(SQL)).expect("parses"));
     });
+}
+
+/// The scan kernel under the data plane's pre-computation (`Precomputed`
+/// records `execute` and `count_matching` of every query per endsystem)
+/// and under a storm's shared scans (`LiveTables::execute_many`).
+fn bench_store_scan(c: &mut Criterion) {
+    let flows = AnemoneConfig {
+        horizon: Duration::from_hours(24),
+        ..AnemoneConfig::default()
+    }
+    .generate_flow_table(42, 0, &[]);
+    let mut g = c.benchmark_group("store_scan");
+    g.throughput(Throughput::Elements(flows.num_rows() as u64));
+    for pq in paper_queries() {
+        let q = Query::parse(pq.sql)
+            .and_then(|q| q.bind(flows.schema(), 0))
+            .expect("the paper's queries bind to the Flow schema");
+        g.bench_function(format!("execute/fig{}", pq.figure), |b| {
+            b.iter(|| execute(black_box(&q), black_box(&flows)));
+        });
+        g.bench_function(format!("count_matching/fig{}", pq.figure), |b| {
+            b.iter(|| count_matching(black_box(&q), black_box(&flows)));
+        });
+    }
+
+    // `perf`'s query_storm shape: 256-row fragments, `a` uniform below
+    // 256, one `a < threshold` per query.
+    let mut rng = StdRng::seed_from_u64(4);
+    let mut storm = Table::new(Schema::new(
+        "T",
+        vec![
+            ColumnDef::new("a", DataType::Int, true),
+            ColumnDef::new("v", DataType::Int, true),
+        ],
+    ));
+    for _ in 0..256 {
+        storm
+            .insert(vec![
+                Value::Int(rng.gen_range(0..256)),
+                Value::Int(rng.gen_range(0..10_000)),
+            ])
+            .expect("row matches schema");
+    }
+    let batch: Vec<BoundQuery> = (0..8)
+        .map(|i| {
+            let sql = format!("SELECT SUM(v) FROM T WHERE a < {}", 1 + (i * 7 + 13) % 255);
+            Query::parse(&sql)
+                .and_then(|q| q.bind(storm.schema(), 0))
+                .expect("storm queries bind")
+        })
+        .collect();
+    let refs: Vec<&BoundQuery> = batch.iter().collect();
+    g.throughput(Throughput::Elements(8 * 256));
+    g.bench_function("execute_batch/storm_8x256", |b| {
+        b.iter(|| execute_batch(black_box(&refs), black_box(&storm)));
+    });
+    g.finish();
 }
 
 /// An `n`-node overlay on `topology`, every node joined one after the
@@ -480,6 +542,7 @@ criterion_group!(
     bench_histograms,
     bench_merges,
     bench_sql,
+    bench_store_scan,
     bench_routing,
     bench_overlay_maintenance,
     bench_replica_set_questions,

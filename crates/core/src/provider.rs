@@ -46,8 +46,8 @@ pub trait DataProvider {
     }
 
     /// Executes several queries against `node`'s fragment, per-query
-    /// results in input order. Providers with real tables share one row
-    /// walk across all queries; the default just loops.
+    /// results in input order, each bit-identical to
+    /// [`DataProvider::execute`]. The default just loops.
     fn execute_many(
         &self,
         node: usize,

@@ -8,8 +8,10 @@
 //! completeness numerator: "completeness is defined as the ratio of tuples
 //! processed to the total number of tuples relevant to the query" (§1).
 
+use std::cmp::Ordering;
+
 use crate::error::StoreError;
-use crate::sql::BoundQuery;
+use crate::sql::{BoundQuery, CmpOp, Comparison};
 use crate::table::{ColumnData, Table};
 use crate::value::Value;
 
@@ -89,90 +91,21 @@ impl Aggregate {
 /// Executes a bound query against a local table fragment (ignoring any
 /// `GROUP BY`; see [`execute_grouped`]).
 pub fn execute(query: &BoundQuery, table: &Table) -> Result<Aggregate, StoreError> {
+    let src = FoldSource::of(query, table)?;
     let mut agg = Aggregate::empty(query.agg);
-    let rows = matching_rows(query, table);
-    match query.agg_column {
-        None => {
-            for _ in rows {
-                agg.fold(0.0);
-            }
-        }
-        Some(col) => match table.column(col) {
-            ColumnData::Ints(v) => {
-                for r in rows {
-                    agg.fold(v[r] as f64);
-                }
-            }
-            ColumnData::Floats(v) => {
-                for r in rows {
-                    agg.fold(v[r]);
-                }
-            }
-            ColumnData::Strs { .. } => {
-                if query.agg == AggFunc::Count {
-                    for _ in rows {
-                        agg.fold(0.0);
-                    }
-                } else {
-                    return Err(StoreError::BadAggregate(
-                        "numeric aggregate over string column".into(),
-                    ));
-                }
-            }
-        },
-    }
+    scan(query, table, |base, mask| {
+        for_each_row(base, mask, |r| agg.fold(src.value(r)));
+    });
     Ok(agg)
 }
 
-/// Executes several bound queries against the same local table fragment
-/// in **one pass over the rows** (shared-scan batching): each row is
-/// visited once and offered to every query. Per query, rows are folded
-/// in the same ascending row order as [`execute`], so each returned
-/// aggregate is bit-identical to running that query alone — only the
-/// scan cost is shared, never the answer.
+/// Executes several bound queries against the same local table fragment,
+/// per-query results in input order: the scan kernel once per query.
+/// Each result is bit-identical to [`execute`] of that query, errors
+/// included. (What a batch shares is the *simulated* scan cost, which the
+/// protocol layer's scheduler charges; the host runs each query alone.)
 pub fn execute_batch(queries: &[&BoundQuery], table: &Table) -> Vec<Result<Aggregate, StoreError>> {
-    /// Per-query fold source, resolved once before the row walk.
-    enum Src<'a> {
-        CountOnly,
-        Ints(&'a [i64]),
-        Floats(&'a [f64]),
-        Bad,
-    }
-    let mut aggs: Vec<Result<Aggregate, StoreError>> = Vec::with_capacity(queries.len());
-    let mut srcs: Vec<Src> = Vec::with_capacity(queries.len());
-    for q in queries {
-        let src = match q.agg_column {
-            None => Src::CountOnly,
-            Some(col) => match table.column(col) {
-                ColumnData::Ints(v) => Src::Ints(v),
-                ColumnData::Floats(v) => Src::Floats(v),
-                ColumnData::Strs { .. } if q.agg == AggFunc::Count => Src::CountOnly,
-                ColumnData::Strs { .. } => Src::Bad,
-            },
-        };
-        aggs.push(match src {
-            Src::Bad => Err(StoreError::BadAggregate(
-                "numeric aggregate over string column".into(),
-            )),
-            _ => Ok(Aggregate::empty(q.agg)),
-        });
-        srcs.push(src);
-    }
-    for r in 0..table.num_rows() {
-        for (i, q) in queries.iter().enumerate() {
-            let Ok(agg) = &mut aggs[i] else { continue };
-            if !row_matches(q, table, r) {
-                continue;
-            }
-            match srcs[i] {
-                Src::CountOnly => agg.fold(0.0),
-                Src::Ints(v) => agg.fold(v[r] as f64),
-                Src::Floats(v) => agg.fold(v[r]),
-                Src::Bad => unreachable!("flagged as Err above"),
-            }
-        }
-    }
-    aggs
+    queries.iter().map(|q| execute(q, table)).collect()
 }
 
 /// Executes a `GROUP BY` aggregate against a local table fragment,
@@ -190,38 +123,39 @@ pub fn execute_grouped(
     let group_col = query
         .group_by
         .ok_or_else(|| StoreError::BadAggregate("execute_grouped without GROUP BY".into()))?;
+    let src = match FoldSource::of(query, table) {
+        Ok(src) => src,
+        // A bad aggregate is an error only once a row reaches it.
+        Err(e) if count_matching(query, table) > 0 => return Err(e),
+        Err(_) => return Ok(Vec::new()),
+    };
+    let keys = table.column(group_col);
     let mut groups: Vec<(Value, Aggregate)> = Vec::new();
-    let mut upsert =
-        |key: Value, v: f64, agg_fn: AggFunc| match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, a)) => a.fold(v),
-            None => {
-                let mut a = Aggregate::empty(agg_fn);
-                a.fold(v);
-                groups.push((key, a));
-            }
-        };
-    for r in 0..table.num_rows() {
-        if !row_matches(query, table, r) {
-            continue;
-        }
-        let key = table.get(r, group_col);
-        let v = match query.agg_column {
-            None => 0.0,
-            Some(col) => match table.get(r, col) {
-                Value::Int(i) => i as f64,
-                Value::Float(f) => f,
-                Value::Str(_) if query.agg == AggFunc::Count => 0.0,
-                Value::Str(_) => {
-                    return Err(StoreError::BadAggregate(
-                        "numeric aggregate over string column".into(),
-                    ))
+    scan(query, table, |base, mask| {
+        for_each_row(base, mask, |r| {
+            let at = match groups.iter().position(|(k, _)| cell_equals(keys, r, k)) {
+                Some(at) => at,
+                None => {
+                    groups.push((table.get(r, group_col), Aggregate::empty(query.agg)));
+                    groups.len() - 1
                 }
-            },
-        };
-        upsert(key, v, query.agg);
-    }
+            };
+            groups[at].1.fold(src.value(r));
+        });
+    });
     groups.sort_by(|(a, _), (b, _)| a.compare(b).unwrap_or(std::cmp::Ordering::Equal));
     Ok(groups)
+}
+
+/// Whether row `r` of `col` equals `key` by [`Value`]'s `==`, without
+/// materializing the cell.
+fn cell_equals(col: &ColumnData, r: usize, key: &Value) -> bool {
+    match (col, key) {
+        (ColumnData::Ints(v), Value::Int(k)) => v[r] == *k,
+        (ColumnData::Floats(v), Value::Float(k)) => v[r] == *k,
+        (ColumnData::Strs { codes, dict }, Value::Str(k)) => dict[codes[r] as usize] == *k,
+        _ => false,
+    }
 }
 
 /// Merges two grouped partial results (e.g. from different endsystems'
@@ -245,37 +179,158 @@ pub fn merge_grouped(
 /// execution and as the ground-truth row count behind completeness.
 #[must_use]
 pub fn count_matching(query: &BoundQuery, table: &Table) -> u64 {
-    matching_rows(query, table).count() as u64
+    let mut n = 0;
+    scan(query, table, |_, mask| n += u64::from(mask.count_ones()));
+    n
 }
 
-/// Iterator over matching row indices.
-fn matching_rows<'a>(query: &'a BoundQuery, table: &'a Table) -> impl Iterator<Item = usize> + 'a {
-    (0..table.num_rows()).filter(move |&r| row_matches(query, table, r))
+// ------------------------------------------------------------ the kernel --
+//
+// Every entry point above is one call of `scan`: the `WHERE` conjunction
+// is evaluated a column at a time into 64-row bit masks, and the caller
+// folds the surviving rows. Masks come out in ascending block order and a
+// block's rows are visited lowest bit first, so every fold sees exactly
+// the row sequence a row-at-a-time walk would — the f64 sums are not
+// reassociated, and results are bit-identical to that walk
+// (`tests/scan_model.rs` keeps it as the reference).
+
+/// Rows per mask.
+const BLOCK: usize = 64;
+/// Blocks per span: the masks of one span live on the stack (512 bytes),
+/// and each predicate is resolved once per span — once per call on a
+/// fragment of up to 4,096 rows.
+const SPAN_BLOCKS: usize = 64;
+
+/// Calls `on_block(base, mask)`, in ascending `base` order, for every
+/// block of rows with at least one row matching all of `query`'s
+/// predicates: bit `i` of `mask` is row `base + i`. Allocates nothing.
+fn scan(query: &BoundQuery, table: &Table, mut on_block: impl FnMut(usize, u64)) {
+    let rows = table.num_rows();
+    let mut masks = [0u64; SPAN_BLOCKS];
+    for span in (0..rows).step_by(BLOCK * SPAN_BLOCKS) {
+        let len = (rows - span).min(BLOCK * SPAN_BLOCKS);
+        let live = &mut masks[..len.div_ceil(BLOCK)];
+        live.fill(u64::MAX);
+        if !len.is_multiple_of(BLOCK) {
+            live[len / BLOCK] = (1 << (len % BLOCK)) - 1;
+        }
+        for p in &query.predicates {
+            narrow(table.column(p.column), p, span, live);
+        }
+        for (b, &mask) in live.iter().enumerate() {
+            if mask != 0 {
+                on_block(span + b * BLOCK, mask);
+            }
+        }
+    }
 }
 
-fn row_matches(query: &BoundQuery, table: &Table, row: usize) -> bool {
-    query.predicates.iter().all(|p| {
-        let cell = cell_matches(table.column(p.column), row, p);
-        cell
-    })
+/// Calls `f` on every row of a block's mask, lowest first.
+fn for_each_row(base: usize, mut mask: u64, mut f: impl FnMut(usize)) {
+    while mask != 0 {
+        f(base + mask.trailing_zeros() as usize);
+        mask &= mask - 1;
+    }
 }
 
-fn cell_matches(col: &ColumnData, row: usize, p: &crate::sql::Comparison) -> bool {
+/// Clears from `masks` (the blocks of the span starting at row `span`)
+/// every row of `col` that fails `p`. The literal is resolved here, once:
+/// for `Eq`/`Ne` a string literal becomes a dictionary code (a literal the
+/// dictionary lacks is a code no row has); a string range compares each
+/// row's dictionary entry.
+fn narrow(col: &ColumnData, p: &Comparison, span: usize, masks: &mut [u64]) {
     match (col, &p.value) {
-        (ColumnData::Ints(v), Value::Int(x)) => p.op.eval(v[row].cmp(x)),
+        (ColumnData::Ints(v), Value::Int(x)) => narrow_cmp(v, span, masks, p.op, *x, |a| a),
         (ColumnData::Ints(v), Value::Float(x)) => {
-            (v[row] as f64).partial_cmp(x).is_some_and(|o| p.op.eval(o))
+            narrow_cmp(v, span, masks, p.op, *x, |a| a as f64);
         }
-        (ColumnData::Floats(v), Value::Int(x)) => v[row]
-            .partial_cmp(&(*x as f64))
-            .is_some_and(|o| p.op.eval(o)),
-        (ColumnData::Floats(v), Value::Float(x)) => {
-            v[row].partial_cmp(x).is_some_and(|o| p.op.eval(o))
+        (ColumnData::Floats(v), Value::Int(x)) => {
+            narrow_cmp(v, span, masks, p.op, *x as f64, |a| a);
         }
-        (ColumnData::Strs { codes, dict }, Value::Str(s)) => {
-            p.op.eval(dict[codes[row] as usize].as_str().cmp(s.as_str()))
+        (ColumnData::Floats(v), Value::Float(x)) => narrow_cmp(v, span, masks, p.op, *x, |a| a),
+        (ColumnData::Strs { codes, dict }, Value::Str(s)) => match p.op {
+            CmpOp::Eq | CmpOp::Ne => {
+                let code = dict
+                    .iter()
+                    .position(|d| d == s)
+                    .map_or(u32::MAX, |c| c as u32);
+                narrow_cmp(codes, span, masks, p.op, code, |c| c);
+            }
+            op => narrow_cmp(codes, span, masks, op, s.as_str(), |c| {
+                dict[c as usize].as_str()
+            }),
+        },
+        _ => masks.fill(0), // bind() prevents incompatible comparisons
+    }
+}
+
+/// [`narrow_by`] with `key(cell) op x`. An unordered pair (a NaN) passes
+/// no operator, `Ne` included, as under `partial_cmp`.
+fn narrow_cmp<S: Copy, T: Copy + PartialOrd>(
+    col: &[S],
+    span: usize,
+    masks: &mut [u64],
+    op: CmpOp,
+    x: T,
+    key: impl Fn(S) -> T,
+) {
+    match op {
+        CmpOp::Eq => narrow_by(col, span, masks, |a| key(a) == x),
+        CmpOp::Ne => narrow_by(col, span, masks, |a| {
+            key(a).partial_cmp(&x).is_some_and(Ordering::is_ne)
+        }),
+        CmpOp::Lt => narrow_by(col, span, masks, |a| key(a) < x),
+        CmpOp::Le => narrow_by(col, span, masks, |a| key(a) <= x),
+        CmpOp::Gt => narrow_by(col, span, masks, |a| key(a) > x),
+        CmpOp::Ge => narrow_by(col, span, masks, |a| key(a) >= x),
+    }
+}
+
+/// Clears every row of `col` that fails `pass` from the non-empty masks.
+fn narrow_by<S: Copy>(col: &[S], span: usize, masks: &mut [u64], pass: impl Fn(S) -> bool) {
+    for (b, mask) in masks.iter_mut().enumerate() {
+        if *mask == 0 {
+            continue;
         }
-        _ => false, // bind() prevents incompatible comparisons
+        let lo = span + b * BLOCK;
+        let block = &col[lo..col.len().min(lo + BLOCK)];
+        let mut bits = 0u64;
+        for (i, &a) in block.iter().enumerate() {
+            bits |= u64::from(pass(a)) << i;
+        }
+        *mask &= bits;
+    }
+}
+
+/// Where a query's folded values come from, resolved once per call.
+enum FoldSource<'a> {
+    /// `COUNT(*)`, or `COUNT` of a string column: every row folds `0.0`.
+    Zeros,
+    Ints(&'a [i64]),
+    Floats(&'a [f64]),
+}
+
+impl<'a> FoldSource<'a> {
+    fn of(query: &BoundQuery, table: &'a Table) -> Result<Self, StoreError> {
+        Ok(match query.agg_column.map(|c| table.column(c)) {
+            None => FoldSource::Zeros,
+            Some(ColumnData::Ints(v)) => FoldSource::Ints(v),
+            Some(ColumnData::Floats(v)) => FoldSource::Floats(v),
+            Some(ColumnData::Strs { .. }) if query.agg == AggFunc::Count => FoldSource::Zeros,
+            Some(ColumnData::Strs { .. }) => {
+                return Err(StoreError::BadAggregate(
+                    "numeric aggregate over string column".into(),
+                ))
+            }
+        })
+    }
+
+    fn value(&self, r: usize) -> f64 {
+        match self {
+            FoldSource::Zeros => 0.0,
+            FoldSource::Ints(v) => v[r] as f64,
+            FoldSource::Floats(v) => v[r],
+        }
     }
 }
 

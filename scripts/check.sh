@@ -184,7 +184,7 @@ ratio_gate() {
   fi
 }
 
-echo "==> allocation gates (traced smokes: leafset maintenance allocation-free, a predictor report one allocation, a join hand-over builds no replica set, a precomputed answer is found without a key)"
+echo "==> allocation gates (traced smokes: leafset maintenance allocation-free, a predictor report one allocation, a join hand-over builds no replica set, a precomputed answer is found without a key, a live scan allocates nothing)"
 # perf/ counts allocations from outside, so no counting allocator (and no
 # `unsafe`) has to enter a deterministic crate to hold these lines.
 # Leafset: 4.00 allocations per LeafsetPull/LeafsetPush before PR 13,
@@ -207,6 +207,12 @@ alloc_gate overlay.join 1.0 gnutella_churn
 # query into a `String` key, none since the registry is searched by
 # `BoundQuery` equality (PR 24). This smoke makes 514 of them.
 alloc_gate store.estimate 0.1 farsite_steady 500
+# Live scans (`execute` and a storm's `execute_many`): 1.99 per call over
+# 1,170 calls while `execute_batch` built an aggregate `Vec` and a
+# fold-source `Vec` around its shared row walk. Every entry point is now
+# one call of a scan kernel that allocates nothing, so a batch's returned
+# `Vec` is all that is left.
+alloc_gate store.execute 1.0 query_storm
 
 echo "==> event gates (traced smokes: a converged ring is not simulated, nor a push to a replica that holds the vertex, nor one to a holder of the metadata)"
 # Leafset exchanges plus overlay timers, as a share of the events that
