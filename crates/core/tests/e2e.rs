@@ -1,11 +1,14 @@
 //! End-to-end protocol tests: the full Seaweed stack (engine → Pastry →
 //! Seaweed) on synthetic tables with known ground truth.
 
+use seaweed_availability::GnutellaConfig;
 use seaweed_core::{
     boot_staggered, build_world, flag_fixture, LiveTables, Seaweed, SeaweedConfig, SeaweedEngine,
 };
 use seaweed_overlay::OverlayConfig;
-use seaweed_sim::{payload_fallback_clones, NodeIdx, SimConfig, UniformTopology};
+use seaweed_sim::{
+    payload_fallback_clones, NodeIdx, SimConfig, TraceConfig, TraceEvent, UniformTopology,
+};
 use seaweed_store::{Schema, Value};
 use seaweed_types::{Duration, Time};
 
@@ -365,4 +368,68 @@ fn deterministic_across_reruns() {
         )
     };
     assert_eq!(run(), run());
+}
+
+/// Under churn only the engine cancels a timer, sweeping a node's timers
+/// as it goes down: every `timer_cancel` record shares its instant and
+/// node with a `node_down` or `node_crash` record. The protocol layers
+/// arm each timer fire-and-forget and decide at the fire instant — a
+/// join retry after the join, a detection timer after the watched node
+/// came back, a task's timers after it reported.
+#[test]
+fn under_churn_only_a_node_going_down_cancels_a_timer() {
+    let n = 40;
+    let trace = GnutellaConfig::small(n, 6).generate(11);
+    let provider = tables(n);
+    let schema = provider.schema().clone();
+    let (mut eng, mut sw) = build_world(
+        Box::new(UniformTopology::new(n, Duration::from_millis(5))),
+        11,
+        SimConfig {
+            trace: Some(TraceConfig { capacity: 1 << 20 }),
+            ..SimConfig::default()
+        },
+        OverlayConfig::default(),
+        SeaweedConfig::default(),
+        provider,
+    );
+    trace.replay_into(&mut eng);
+    let t_query = Time::ZERO + Duration::from_hours(2);
+    sw.run_until(&mut eng, t_query);
+    let origin = (0..n)
+        .find(|&i| eng.is_up(NodeIdx(i as u32)))
+        .expect("someone is up");
+    sw.inject_query(
+        &mut eng,
+        NodeIdx(origin as u32),
+        QUERY_SUM,
+        Duration::from_hours(4),
+        &schema,
+    )
+    .unwrap();
+    sw.run_until(&mut eng, trace.horizon());
+    assert!(sw.overlay.stats.joins > n as u64, "the trace did not churn");
+
+    let tracer = eng.tracer().expect("the world traces");
+    assert_eq!(tracer.dropped_records(), 0);
+    let mut downs = Vec::new();
+    let mut cancels = 0;
+    for r in tracer.records() {
+        match r.ev {
+            TraceEvent::NodeDown { node } | TraceEvent::NodeCrash { node } => {
+                downs.push((r.at, node))
+            }
+            TraceEvent::TimerCancel { node, .. } => {
+                // The sweep is traced right after the transition.
+                assert_eq!(
+                    downs.last(),
+                    Some(&(r.at, node)),
+                    "a timer cancelled without its node going down"
+                );
+                cancels += 1;
+            }
+            _ => {}
+        }
+    }
+    assert!(cancels > 0, "no node went down with a timer armed");
 }

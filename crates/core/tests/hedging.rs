@@ -77,10 +77,12 @@ fn hedges_fire_under_chaos() {
 }
 
 /// On a quiet ring — every endsystem up, no loss, no faults — with
-/// hedging on, nothing is cancelled from injection to the complete
-/// answer: every delegating task reports before its reissue and hedge
-/// timers come due, the origin's watchdog loses its race to the
-/// predictor, and all of those timers fire as no-ops instead.
+/// hedging on, nothing is cancelled from boot to the complete answer:
+/// each joiner's join retry comes due after its join completed, every
+/// delegating task reports before its reissue and hedge timers come due,
+/// the origin's watchdog loses its race to the predictor, and all of
+/// those timers fire as no-ops instead. Only a node going down cancels a
+/// timer, and none does.
 #[test]
 fn a_quiet_hedged_ring_cancels_no_timer() {
     const N: usize = 40;
@@ -99,7 +101,6 @@ fn a_quiet_hedged_ring_cancels_no_timer() {
     boot_staggered(&mut eng, Duration::from_millis(300));
     sw.run_until(&mut eng, Time::from_secs(600));
     assert_eq!(sw.overlay.num_joined(), N);
-    let cancelled = eng.timers_cancelled;
     let h = sw
         .inject_query(
             &mut eng,
@@ -117,5 +118,5 @@ fn a_quiet_hedged_ring_cancels_no_timer() {
         sw.stats.disseminate_msgs > N as u64 / 2,
         "the broadcast delegated"
     );
-    assert_eq!(eng.timers_cancelled, cancelled);
+    assert_eq!(eng.timers_cancelled, 0);
 }

@@ -2,12 +2,12 @@
 //!
 //! A finding can be suppressed at the offending line (or the line
 //! directly above it) with a comment of the form
-//! `lint:allow(D008): <reason>` at the start of the comment — e.g.
+//! `lint:allow(D009): <reason>` at the start of the comment — e.g.
 //! `// lint:allow(D005): inputs are NaN-free by construction`.
 //! The reason is mandatory; a marker without one is itself a finding
 //! (D000), as is a marker that suppresses nothing — markers must not
 //! outlive the code they excuse, and a marker naming a rule this tool
-//! no longer has (D001–D004, D006, D007) can match nothing.
+//! no longer has (D001–D004, D006–D008) can match nothing.
 
 use crate::lexer::Comment;
 use crate::report::Finding;
@@ -15,7 +15,7 @@ use crate::report::Finding;
 /// One parsed marker.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AllowMarker {
-    /// Rule ids the marker suppresses, e.g. `["D008"]`.
+    /// Rule ids the marker suppresses, e.g. `["D009"]`.
     pub rules: Vec<String>,
     /// Line the marker comment starts on.
     pub line: u32,
@@ -144,9 +144,9 @@ mod tests {
 
     #[test]
     fn multi_rule_markers() {
-        let l = lex("// lint:allow(D008, D009): handle and slot both parked in the task");
+        let l = lex("// lint:allow(D005, D009): keys are NaN-free and the slot is re-checked");
         let s = scan_markers(&l.comments);
-        assert_eq!(s.markers[0].rules, vec!["D008", "D009"]);
+        assert_eq!(s.markers[0].rules, vec!["D005", "D009"]);
     }
 
     #[test]

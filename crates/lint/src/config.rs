@@ -1,4 +1,4 @@
-//! `lint.toml`: auditor scope and the D008–D011 registries.
+//! `lint.toml`: auditor scope and the D009–D011 registries.
 //!
 //! The workspace has no `toml` crate, so this parses the narrow subset
 //! the file actually uses: `[section]` / `[[array-of-tables]]` headers,
@@ -8,10 +8,10 @@
 //! ```toml
 //! [lint]
 //! skip = ["rand"]                      # vendored shims, never audited
-//! deterministic = ["seaweed-core"]     # crates under D005, D008–D011
+//! deterministic = ["seaweed-core"]     # crates under D005, D009–D011
 //!
-//! [discipline]                         # D008/D009 registries
-//! timer_acquire = ["set_timer"]
+//! [discipline]                         # D009 registries
+//! index_acquire = ["slot_of"]
 //! teardown = ["finish_task"]
 //!
 //! [metrics]                            # D011 name registry
@@ -39,18 +39,14 @@ pub struct StreamDecl {
 }
 
 /// Registries consumed by the flow-sensitive and registry rules
-/// (D008–D011). The defaults bake in the workspace's own discipline
+/// (D009–D011). The defaults bake in the workspace's own discipline
 /// functions so single-file linting (fixtures, unit tests) works
 /// without a `lint.toml`; the stream and metric registries default to
 /// empty, which turns D010/D011 off until the file declares them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RuleConfig {
-    /// Fns whose return value is a live (cancellable) timer handle.
-    pub timer_acquire: Vec<String>,
-    /// Fns producing deliberately unowned timers (exempt from D008).
-    pub timer_detached: Vec<String>,
-    /// Teardown fns trusted to release stored handles/slots; also
-    /// D009 invalidation points (a teardown recycles state).
+    /// Teardown fns: D009 invalidation points (a teardown recycles
+    /// slots).
     pub teardown: Vec<String>,
     /// Fns whose return value is a dense arena/slot index.
     pub index_acquire: Vec<String>,
@@ -68,8 +64,6 @@ impl Default for RuleConfig {
     fn default() -> Self {
         let v = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         RuleConfig {
-            timer_acquire: v(&["set_timer", "set_app_timer"]),
-            timer_detached: v(&["set_detached_timer", "set_detached_app_timer"]),
             teardown: v(&["finish_task", "expire_query", "clear_node", "clear_query"]),
             index_acquire: v(&["slot_of", "live_slot"]),
             index_invalidate: v(&["release_slot", "mem::take"]),
@@ -173,8 +167,6 @@ impl Config {
                     let list = want_array(value)?;
                     let r = &mut cfg.rules;
                     match key {
-                        "timer_acquire" => r.timer_acquire = list,
-                        "timer_detached" => r.timer_detached = list,
                         "teardown" => r.teardown = list,
                         "index_acquire" => r.index_acquire = list,
                         "index_invalidate" => r.index_invalidate = list,

@@ -1,17 +1,10 @@
 //! Abstract-state dataflow over the conservative CFG.
 //!
-//! Two forward may-analyses run on [`crate::cfg`] graphs with a
-//! worklist fixpoint (in-states only grow under set union, transfer
-//! functions are monotone, the abstract domains are finite — so both
-//! terminate on any input the parser produces):
+//! A forward may-analysis runs on [`crate::cfg`] graphs with a worklist
+//! fixpoint (in-states only grow under set union, the transfer function
+//! is monotone, the abstract domain is finite — so it terminates on any
+//! input the parser produces):
 //!
-//! * **Timer-handle liveness (D008)** — a `let` binding initialized
-//!   from a registered timer-acquire call starts *live*; any later
-//!   statement mentioning the binding consumes it on that path
-//!   (cancel, store, return, move — the analysis does not distinguish,
-//!   see the conservatism notes in DESIGN.md §5). A path on which a
-//!   live binding reaches the function exit is a leak: the handle is
-//!   dropped while the timer stays armed.
 //! * **Stale-index poisoning (D009)** — a `let` binding initialized
 //!   from a registered index-acquire call starts *valid*; crossing a
 //!   statement that calls a registered invalidation point poisons
@@ -20,25 +13,14 @@
 //!   poisoned binding is a finding: the dense index may now name a
 //!   recycled slot.
 //!
-//! Both analyses resolve calls by *name* (`set_timer(`, `.release_slot(`,
+//! The analysis resolves calls by *name* (`.release_slot(`,
 //! `mem::take(`), matching the rest of the auditor's single-file,
 //! type-free design.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
-use crate::cfg::{Cfg, NodeKind, EXIT};
+use crate::cfg::{Cfg, NodeKind};
 use crate::lexer::{Token, TokenKind};
-
-/// One leaked timer handle.
-#[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
-pub struct TimerLeak {
-    /// The binding name.
-    pub var: String,
-    /// Line of the acquiring `let`.
-    pub line: u32,
-    /// The acquire function that armed the timer.
-    pub via: String,
-}
 
 /// One use of a possibly-stale index.
 #[derive(Debug, PartialEq, Eq, PartialOrd, Ord)]
@@ -61,7 +43,7 @@ fn is_punct(t: &Token, c: char) -> bool {
 }
 
 /// Finds a call to any of `fns` inside `[lo, hi)`: an entry is either a
-/// bare name (`set_timer`, matched as `name(`) or a `::` path
+/// bare name (`slot_of`, matched as `name(`) or a `::` path
 /// (`mem::take`, matched segment-wise, so `std::mem::take(` also hits).
 /// Returns the matched entry.
 fn call_in_range<'a>(tokens: &[Token], lo: usize, hi: usize, fns: &'a [String]) -> Option<&'a str> {
@@ -119,10 +101,10 @@ fn flat(node: &NodeKind) -> Option<(usize, usize, u32, Option<&str>)> {
     }
 }
 
-/// Generic worklist driver: runs `transfer` to fixpoint, merging
-/// out-states into successor in-states by union. `State` elements are
-/// (var, fact) pairs; the in-state map only ever grows.
-fn fixpoint<F, Fact>(cfg: &Cfg, transfer: F) -> Vec<BTreeMap<String, BTreeSet<Fact>>>
+/// Worklist driver: runs `transfer` to fixpoint, merging out-states into
+/// successor in-states by union. `State` elements are (var, fact) pairs;
+/// the in-state map only ever grows.
+fn fixpoint<F, Fact>(cfg: &Cfg, transfer: F)
 where
     Fact: Ord + Clone,
     F: Fn(u32, &BTreeMap<String, BTreeSet<Fact>>) -> BTreeMap<String, BTreeSet<Fact>>,
@@ -163,53 +145,6 @@ where
             }
         }
     }
-    in_states
-}
-
-/// D008: timer-handle bindings that can reach the function exit
-/// without being consumed on some path.
-#[must_use]
-pub fn timer_leaks(
-    cfg: &Cfg,
-    tokens: &[Token],
-    acquire: &[String],
-    _detached: &[String],
-) -> Vec<TimerLeak> {
-    // Fact = (def line, acquire fn). Detached acquire fns simply are
-    // not in `acquire`, so their bindings never enter the domain.
-    let in_states = fixpoint(cfg, |node, in_state| {
-        let mut out = in_state.clone();
-        if let Some((lo, hi, line, def)) = flat(&cfg.nodes[node as usize].kind) {
-            // Kill: any mention of a tracked binding consumes it on
-            // this path (cancelled, stored, moved, returned).
-            out.retain(|var, _| !uses_var(tokens, lo, hi, var));
-            // Gen: a tracked `let` from an acquire call.
-            if let Some(v) = def {
-                if let Some(via) = call_in_range(tokens, lo, hi, acquire) {
-                    let mut set = BTreeSet::new();
-                    set.insert((line, via.to_string()));
-                    out.insert(v.to_string(), set);
-                    // A `?` in the acquiring statement exits *before*
-                    // the binding exists; drop the just-created fact on
-                    // the EXIT edge by not special-casing — acquire
-                    // fns in this workspace are infallible, so the
-                    // overlap cannot occur. (Documented limitation.)
-                }
-            }
-        }
-        out
-    });
-    let mut leaks: BTreeSet<TimerLeak> = BTreeSet::new();
-    for (var, facts) in &in_states[EXIT as usize] {
-        for (line, via) in facts {
-            leaks.insert(TimerLeak {
-                var: var.clone(),
-                line: *line,
-                via: via.clone(),
-            });
-        }
-    }
-    leaks.into_iter().collect()
 }
 
 /// D009: uses of index bindings after a registered invalidation point.
@@ -223,7 +158,7 @@ pub fn stale_index_uses(
     use std::cell::RefCell;
     // Fact = (def line, Some(invalidating fn) once poisoned).
     let findings: RefCell<BTreeSet<StaleIndexUse>> = RefCell::new(BTreeSet::new());
-    let in_states = fixpoint::<_, (u32, Option<String>)>(cfg, |node, in_state| {
+    fixpoint::<_, (u32, Option<String>)>(cfg, |node, in_state| {
         let mut out = in_state.clone();
         if let Some((lo, hi, line, def)) = flat(&cfg.nodes[node as usize].kind) {
             // 1. Uses of already-poisoned bindings are findings; the
@@ -290,7 +225,6 @@ pub fn stale_index_uses(
         }
         out
     });
-    let _ = in_states;
     findings.into_inner().into_iter().collect()
 }
 
@@ -303,22 +237,6 @@ mod tests {
 
     fn strs(v: &[&str]) -> Vec<String> {
         v.iter().map(|s| s.to_string()).collect()
-    }
-
-    fn leaks_of(src: &str) -> Vec<TimerLeak> {
-        let tokens = lex(src).tokens;
-        let funcs = parse_functions(&tokens);
-        let mut out = Vec::new();
-        for f in &funcs {
-            let cfg = build(f, &tokens);
-            out.extend(timer_leaks(
-                &cfg,
-                &tokens,
-                &strs(&["set_timer", "set_app_timer"]),
-                &strs(&["set_detached_timer"]),
-            ));
-        }
-        out
     }
 
     fn stale_of(src: &str) -> Vec<StaleIndexUse> {
@@ -335,102 +253,6 @@ mod tests {
             ));
         }
         out
-    }
-
-    #[test]
-    fn straight_line_leak_and_consume() {
-        let l = leaks_of("fn f(&mut self) { let h = eng.set_timer(n, d, t); }");
-        assert_eq!(l.len(), 1, "{l:?}");
-        assert_eq!(l[0].var, "h");
-        assert_eq!(l[0].via, "set_timer");
-        assert!(leaks_of(
-            "fn f(&mut self) { let h = eng.set_timer(n, d, t); eng.cancel_timer(h); }"
-        )
-        .is_empty());
-        assert!(
-            leaks_of("fn f(&mut self) { let h = eng.set_timer(n, d, t); self.slot[i] = Some(h); }")
-                .is_empty(),
-            "storing consumes"
-        );
-    }
-
-    #[test]
-    fn branch_leak_is_path_sensitive() {
-        // Consumed only in the then-branch: the else path leaks.
-        let src = "fn f(&mut self, c: bool) {
-            let h = eng.set_timer(n, d, t);
-            if c { self.keep = Some(h); }
-        }";
-        let l = leaks_of(src);
-        assert_eq!(l.len(), 1, "{l:?}");
-        // Consumed on both paths: clean.
-        let src = "fn f(&mut self, c: bool) {
-            let h = eng.set_timer(n, d, t);
-            if c { self.keep = Some(h); } else { eng.cancel_timer(h); }
-        }";
-        assert!(leaks_of(src).is_empty());
-    }
-
-    #[test]
-    fn match_arm_drop_is_flagged() {
-        let src = "fn f(&mut self, k: Key) {
-            let timeout = self.set_app_timer(eng, n, d, a);
-            match self.tasks.get_mut(&k) {
-                Some(task) => task.timeout_timer = Some(timeout),
-                None => self.stats.drops += 1,
-            }
-        }";
-        let l = leaks_of(src);
-        assert_eq!(l.len(), 1, "{l:?}");
-        assert_eq!(l[0].var, "timeout");
-    }
-
-    #[test]
-    fn early_return_before_consume_leaks() {
-        let src = "fn f(&mut self, c: bool) {
-            let h = eng.set_timer(n, d, t);
-            if c { return; }
-            self.keep = Some(h);
-        }";
-        let l = leaks_of(src);
-        assert_eq!(l.len(), 1, "{l:?}");
-        // `return h` itself consumes (ownership moves to the caller).
-        assert!(
-            leaks_of("fn f(&mut self) -> H { let h = eng.set_timer(n, d, t); return h; }")
-                .is_empty()
-        );
-    }
-
-    #[test]
-    fn detached_and_untracked_are_ignored() {
-        assert!(
-            leaks_of("fn f(&mut self) { let h = eng.set_detached_timer(n, d, t); }").is_empty()
-        );
-        assert!(
-            leaks_of("fn f(&mut self) { eng.set_timer(n, d, t); }").is_empty(),
-            "statement-position discard is declared fire-and-forget"
-        );
-        assert!(leaks_of("fn f(&mut self) { let _ = eng.set_timer(n, d, t); }").is_empty());
-    }
-
-    #[test]
-    fn loop_paths() {
-        // Armed each iteration, consumed each iteration: clean.
-        let src = "fn f(&mut self) {
-            for n in nodes {
-                let h = eng.set_timer(n, d, t);
-                self.timers.push(h);
-            }
-        }";
-        assert!(leaks_of(src).is_empty());
-        // Armed each iteration, consumed only under a condition: leaks.
-        let src = "fn f(&mut self) {
-            for n in nodes {
-                let h = eng.set_timer(n, d, t);
-                if keep(n) { self.timers.push(h); }
-            }
-        }";
-        assert_eq!(leaks_of(src).len(), 1);
     }
 
     #[test]
@@ -487,5 +309,39 @@ mod tests {
             touch(s);
         }";
         assert!(stale_of(src).is_empty());
+        // One match arm invalidating is one path too.
+        let src = "fn f(&mut self, h: Handle, k: Kind) {
+            let s = self.slot_of(h);
+            match k {
+                Kind::Gone => self.release_slot(other),
+                Kind::Kept => {}
+            }
+            touch(s);
+        }";
+        assert_eq!(stale_of(src).len(), 1);
+    }
+
+    #[test]
+    fn stale_across_a_loop_back_edge() {
+        // Looked up once, invalidated at the end of an iteration: the
+        // next iteration's use reads a recycled slot.
+        let src = "fn f(&mut self, h: Handle) {
+            let s = self.slot_of(h);
+            for n in nodes {
+                touch(s);
+                self.release_slot(n);
+            }
+        }";
+        let u = stale_of(src);
+        assert_eq!(u.len(), 1, "{u:?}");
+        // Looked up afresh in every iteration: clean.
+        let src = "fn f(&mut self, h: Handle) {
+            for n in nodes {
+                let s = self.slot_of(h);
+                touch(s);
+                self.release_slot(n);
+            }
+        }";
+        assert!(stale_of(src).is_empty(), "{:?}", stale_of(src));
     }
 }

@@ -1,7 +1,7 @@
 //! A lightweight statement parser over the token stream.
 //!
-//! The flow-sensitive rules (D008/D009) need more structure than a flat
-//! token walk: they reason about *paths* through a function. This
+//! The flow-sensitive rule (D009) needs more structure than a flat
+//! token walk: it reasons about *paths* through a function. This
 //! module recovers just enough shape for that — per-function statement
 //! trees with branches (`if`/`else`, `match`), loops (`for`/`while`/
 //! `loop`) and early exits (`return`/`break`/`continue`) — without

@@ -2,7 +2,7 @@
 //!
 //! Every rule works on the token stream of one file (see
 //! [`crate::lexer`]); none require type information. D005 and the
-//! registry rules D010/D011 match token shapes; D008/D009 run the
+//! registry rules D010/D011 match token shapes; D009 runs the
 //! parse → CFG → dataflow stack. All of them bind deterministic crates
 //! only. What type resolution checks better — hash collections, wall
 //! clocks, threads, `unsafe` — is clippy's and rustc's job (the root
@@ -22,7 +22,7 @@ pub struct FileCtx<'a> {
     /// and everything it drives must replay byte-identically).
     pub deterministic: bool,
     pub tokens: &'a [Token],
-    /// Registries for D008–D011.
+    /// Registries for D009–D011.
     pub rules: &'a RuleConfig,
 }
 
@@ -30,7 +30,6 @@ pub struct FileCtx<'a> {
 pub const RULES: &[(&str, &str)] = &[
     ("D000", "allow-marker hygiene: malformed, reason-less or unused markers"),
     ("D005", "no float-ordered sorts via partial_cmp in deterministic crates — use total_cmp"),
-    ("D008", "timer-handle discipline: a binding from a timer-acquire fn must be cancelled or stored on every path — a handle dropped while armed is a leak (use a detached timer for fire-and-forget)"),
     ("D009", "stale arena-index escape: a dense index binding may not be used after a registered invalidation point (slot recycle, clear_node, mem::take) without re-lookup"),
     ("D010", "RNG stream discipline: every seed_from_u64 in a deterministic crate must mix a registered stream constant, used only in its declared subsystem file"),
     ("D011", "metrics/trace name registry: counter/gauge/trace-event name literals passed to emitter fns must be declared in lint.toml [metrics]"),
@@ -54,11 +53,7 @@ pub fn check_file(ctx: &FileCtx) -> Vec<Finding> {
     }
     let mut out = Vec::new();
     d005_partial_cmp_sorts(ctx, &mut out);
-    // The flow-sensitive pair shares one parse + CFG build.
-    let funcs = parse::parse_functions(ctx.tokens);
-    let cfgs: Vec<cfg::Cfg> = funcs.iter().map(|f| cfg::build(f, ctx.tokens)).collect();
-    d008_timer_discipline(ctx, &funcs, &cfgs, &mut out);
-    d009_stale_index(ctx, &funcs, &cfgs, &mut out);
+    d009_stale_index(ctx, &mut out);
     d010_rng_streams(ctx, &mut out);
     d011_metric_names(ctx, &mut out);
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
@@ -122,50 +117,14 @@ fn d005_partial_cmp_sorts(ctx: &FileCtx, out: &mut Vec<Finding>) {
     }
 }
 
-// --------------------------------------------------------------- D008
-
-fn d008_timer_discipline(
-    ctx: &FileCtx,
-    funcs: &[parse::Func],
-    cfgs: &[cfg::Cfg],
-    out: &mut Vec<Finding>,
-) {
-    let r = ctx.rules;
-    if r.timer_acquire.is_empty() {
-        return;
-    }
-    for (f, g) in funcs.iter().zip(cfgs) {
-        for leak in dataflow::timer_leaks(g, ctx.tokens, &r.timer_acquire, &r.timer_detached) {
-            out.push(finding(
-                ctx,
-                "D008",
-                leak.line,
-                format!(
-                    "timer handle `{}` (armed via `{}` in `{}`) can go out of scope \
-                     still armed on some path — cancel it, store it in state released \
-                     by a teardown fn ({}), or arm a detached timer",
-                    leak.var,
-                    leak.via,
-                    f.name,
-                    r.teardown.join("/"),
-                ),
-            ));
-        }
-    }
-}
-
 // --------------------------------------------------------------- D009
 
-fn d009_stale_index(
-    ctx: &FileCtx,
-    funcs: &[parse::Func],
-    cfgs: &[cfg::Cfg],
-    out: &mut Vec<Finding>,
-) {
+fn d009_stale_index(ctx: &FileCtx, out: &mut Vec<Finding>) {
     let r = ctx.rules;
     if r.index_acquire.is_empty() {
         return;
     }
+    let funcs = parse::parse_functions(ctx.tokens);
     // Teardown fns recycle slots, so they are invalidation points too.
     let mut invalidate = r.index_invalidate.clone();
     for t in &r.teardown {
@@ -173,8 +132,9 @@ fn d009_stale_index(
             invalidate.push(t.clone());
         }
     }
-    for (f, g) in funcs.iter().zip(cfgs) {
-        for u in dataflow::stale_index_uses(g, ctx.tokens, &r.index_acquire, &invalidate) {
+    for f in &funcs {
+        let g = cfg::build(f, ctx.tokens);
+        for u in dataflow::stale_index_uses(&g, ctx.tokens, &r.index_acquire, &invalidate) {
             out.push(finding(
                 ctx,
                 "D009",
@@ -362,27 +322,6 @@ mod tests {
     }
 
     #[test]
-    fn d008_flags_leak_and_honours_consumption() {
-        let bad = "impl A { fn f(&mut self, c: bool) {
-            let h = self.set_timer(eng, n, d, t);
-            if c { self.keep = Some(h); }
-        } }";
-        let f = check(bad, true);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "D008");
-        assert!(f[0].message.contains('h'));
-        let good = "impl A { fn f(&mut self, c: bool) {
-            let h = self.set_timer(eng, n, d, t);
-            if c { self.keep = Some(h); } else { eng.cancel_timer(h); }
-        } }";
-        assert!(check(good, true).is_empty());
-        assert!(
-            check(bad, false).is_empty(),
-            "flow rules only run in deterministic crates"
-        );
-    }
-
-    #[test]
     fn d009_flags_use_after_invalidation() {
         let bad = "impl A { fn f(&mut self, h: Handle) {
             let s = self.slot_of(h);
@@ -392,6 +331,10 @@ mod tests {
         let f = check(bad, true);
         assert_eq!(f.len(), 1, "{f:?}");
         assert_eq!(f[0].rule, "D009");
+        assert!(
+            check(bad, false).is_empty(),
+            "flow rules only run in deterministic crates"
+        );
         // Teardown fns double as invalidation points.
         let bad2 = "impl A { fn f(&mut self, h: Handle) {
             let s = self.slot_of(h);

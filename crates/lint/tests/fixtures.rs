@@ -43,11 +43,6 @@ fn d005_float_sort_pair() {
 }
 
 #[test]
-fn d008_timer_discipline_pair() {
-    assert_pair("D008");
-}
-
-#[test]
 fn d009_stale_index_pair() {
     assert_pair("D009");
 }
@@ -95,22 +90,7 @@ fn d011_metric_name_pair() {
     assert!(good.is_empty(), "{good:#?}");
 }
 
-/// The exact stale-handle shape PR 8 fixed (rearm before lookup, miss
-/// arm drops the armed handle) must be caught by D008 — the bug class
-/// this analyzer exists for.
-#[test]
-fn d008_catches_the_pr8_rearm_bug_shape() {
-    let f = lint_fixture("d008_pr8_rearm.rs");
-    assert_eq!(f.len(), 1, "{f:#?}");
-    assert_eq!(f[0].rule, "D008");
-    assert!(
-        f[0].message.contains("timeout") && f[0].message.contains("on_timeout_rearm"),
-        "{}",
-        f[0].message
-    );
-}
-
-/// Robustness: the parser, CFG lowering and both dataflow passes run to
+/// Robustness: the parser, CFG lowering and the dataflow pass run to
 /// completion over every `.rs` file in the workspace — including test
 /// and bench trees the audit itself skips — without panicking or
 /// hanging. (The fixtures directory is included on purpose: the
@@ -147,12 +127,6 @@ fn parser_and_dataflow_terminate_on_every_workspace_file() {
                 funcs_total += funcs.len();
                 for f in &funcs {
                     let cfg = seaweed_lint::cfg::build(f, &tokens);
-                    let _ = seaweed_lint::dataflow::timer_leaks(
-                        &cfg,
-                        &tokens,
-                        &rules.timer_acquire,
-                        &rules.timer_detached,
-                    );
                     let _ = seaweed_lint::dataflow::stale_index_uses(
                         &cfg,
                         &tokens,

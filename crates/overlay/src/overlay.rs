@@ -2,7 +2,7 @@
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use seaweed_sim::{Engine, NodeIdx, TimerHandle, TrafficClass};
+use seaweed_sim::{Engine, NodeIdx, TrafficClass};
 use seaweed_types::{Duration, Id, IdRange, Time};
 
 use crate::events::OverlayEvents;
@@ -144,10 +144,13 @@ const ID_ASSIGN_STREAM: u64 = 0x01d5_0f5e_aeed;
 const LS_REFRESH_STREAM: u64 = 0x15f2_e5e7_71b7_e200;
 
 const TAG_KIND_SHIFT: u32 = 62;
+const TAG_KIND_MASK: u64 = 0b11 << TAG_KIND_SHIFT;
+/// A failure-detection timer: the watched node's session (mod 2³⁰) in
+/// bits 32..62 above its index — see [`Overlay::fail_tag`].
 const TAG_FAIL: u64 = 0b11 << TAG_KIND_SHIFT;
 const TAG_JOIN_RETRY: u64 = 0b10 << TAG_KIND_SHIFT;
 const TAG_LS_REFRESH: u64 = 0b01 << TAG_KIND_SHIFT;
-const TAG_PAYLOAD_MASK: u64 = (1 << TAG_KIND_SHIFT) - 1;
+const TAG_SESSION_MASK: u32 = (1 << 30) - 1;
 
 /// Is this timer tag owned by the overlay (vs the application)?
 #[must_use]
@@ -179,15 +182,13 @@ pub struct Overlay {
     /// sorted and duplicate-free (≈ l entries): iteration is ascending,
     /// which the per-detector jitter draws rely on.
     listed_by: Vec<Vec<u32>>,
-    /// Pending join-retry timer per node, cancelled on join completion.
-    join_retry: Vec<Option<TimerHandle>>,
     /// Per-node anti-entropy state: rotation, schedule of turns, and
     /// which pairs are synced.
     refresh: Vec<Refresh>,
-    /// Pending failure-detection timers keyed by the *failed* node:
-    /// `(detector, handle)` pairs, cancelled if the node comes back up
-    /// before the detection delay elapses.
-    fail_timers: Vec<Vec<(u32, TimerHandle)>>,
+    /// Availability session per node, bumped in [`Overlay::node_up`]. A
+    /// detection timer carries its watched node's session, so one armed
+    /// before the node came back up fires as a no-op.
+    session: Vec<u32>,
     /// Emptied `LeafsetPush` member buffers awaiting reuse, at most
     /// [`SPARE_PUSH_MAX`]. A buffer is owned by exactly one party at a
     /// time: this list, then the Pull handler filling it, then the
@@ -334,9 +335,8 @@ impl Overlay {
             joined_list: Vec::new(),
             joined_pos: vec![NO_POS; n],
             listed_by: vec![Vec::new(); n],
-            join_retry: vec![None; n],
             refresh: vec![Refresh::default(); n],
-            fail_timers: vec![Vec::new(); n],
+            session: vec![0; n],
             spare_push: Vec::new(),
             rows,
             stats: OverlayStats::default(),
@@ -539,12 +539,9 @@ impl Overlay {
         eng: &mut OverlayEngine<A>,
         n: NodeIdx,
     ) -> OverlayEvents<A> {
-        // The node is back: disarm any detection timers still pending for
-        // its previous session (cancelling a handle whose detector has
-        // itself gone down is a harmless no-op).
-        for (_, h) in self.fail_timers[n.idx()].drain(..) {
-            eng.cancel_timer(h);
-        }
+        // The node is back: detection timers still pending for its
+        // previous session fire as no-ops.
+        self.session[n.idx()] = self.session[n.idx()].wrapping_add(1);
         self.bump(eng, n);
         self.unlist_all(n);
         self.nodes[n.idx()].reset();
@@ -566,10 +563,17 @@ impl Overlay {
             wire::JOIN_REQUEST,
             TrafficClass::Overlay,
         );
-        // Retry in case the request or reply is lost to churn; cancelled
-        // on join completion (the engine cancels it automatically if the
-        // node goes down first).
-        self.join_retry[n.idx()] = Some(eng.set_timer(n, HEARTBEAT_PERIOD * 2, TAG_JOIN_RETRY));
+        // Retry in case the request or reply is lost to churn; a no-op if
+        // the join has completed by then (the engine drops it if the node
+        // goes down first).
+        eng.set_timer(n, HEARTBEAT_PERIOD * 2, TAG_JOIN_RETRY);
+    }
+
+    /// The tag of a detection timer watching `watched` in its current
+    /// session.
+    fn fail_tag(&self, watched: NodeIdx) -> u64 {
+        let session = self.session[watched.idx()] & TAG_SESSION_MASK;
+        TAG_FAIL | u64::from(session) << 32 | u64::from(watched.0)
     }
 
     /// Must be called when the engine reports `NodeDown`.
@@ -591,22 +595,19 @@ impl Overlay {
         // views are asymmetric under churn, so `n`'s own view may omit
         // nodes that still list it (and would otherwise never detect).
         for i in 0..self.listed_by[n.idx()].len() {
-            let w = self.listed_by[n.idx()][i];
-            let m = NodeIdx(w);
+            let m = NodeIdx(self.listed_by[n.idx()][i]);
             // What `m` answers to a pull changes once the receiver
             // filters `n` out as dead.
             self.bump(eng, m);
             if eng.is_up(m) {
                 let jitter =
                     Duration::from_micros(self.rng.gen_range(0..HEARTBEAT_PERIOD.as_micros()));
-                let h = eng.set_timer(m, DETECT_DELAY + jitter, TAG_FAIL | u64::from(n.0));
-                self.fail_timers[n.idx()].push((w, h));
+                eng.set_timer(m, DETECT_DELAY + jitter, self.fail_tag(n));
             }
         }
         self.bump(eng, n);
         // The engine auto-cancels n's own timers (join retry and
         // refresh included).
-        self.join_retry[n.idx()] = None;
         self.refresh[n.idx()].armed = false;
         self.unlist_all(n);
         self.nodes[n.idx()].reset();
@@ -641,8 +642,7 @@ impl Overlay {
                 self.bump(eng, d);
                 let jitter =
                     Duration::from_micros(self.rng.gen_range(0..HEARTBEAT_PERIOD.as_micros()));
-                let h = eng.set_timer(d, DETECT_DELAY + jitter, TAG_FAIL | u64::from(m.0));
-                self.fail_timers[m.idx()].push((w, h));
+                eng.set_timer(d, DETECT_DELAY + jitter, self.fail_tag(m));
             }
         }
         // Members stop hearing the outsiders they watch.
@@ -662,8 +662,7 @@ impl Overlay {
                 }
                 let jitter =
                     Duration::from_micros(self.rng.gen_range(0..HEARTBEAT_PERIOD.as_micros()));
-                let h = eng.set_timer(m, DETECT_DELAY + jitter, TAG_FAIL | u64::from(t.0));
-                self.fail_timers[t.idx()].push((m.0, h));
+                eng.set_timer(m, DETECT_DELAY + jitter, self.fail_tag(t));
             }
         }
     }
@@ -696,30 +695,21 @@ impl Overlay {
         node: NodeIdx,
         tag: u64,
     ) -> OverlayEvents<A> {
-        if tag & TAG_FAIL == TAG_FAIL {
-            let failed = NodeIdx((tag & TAG_PAYLOAD_MASK) as u32);
-            let pending = &mut self.fail_timers[failed.idx()];
-            if let Some(pos) = pending.iter().position(|&(d, _)| d == node.0) {
-                pending.swap_remove(pos);
+        match tag & TAG_KIND_MASK {
+            // Armed in a session of the watched node that has since ended.
+            TAG_FAIL if tag != self.fail_tag(NodeIdx(tag as u32)) => {}
+            TAG_FAIL => return self.detect_failure(eng, node, NodeIdx(tag as u32)),
+            TAG_LS_REFRESH => self.on_leafset_refresh(eng, node),
+            // The join completed before the retry came due.
+            TAG_JOIN_RETRY if self.nodes[node.idx()].joined => {}
+            // Everyone else left while we were joining: become the
+            // singleton network.
+            TAG_JOIN_RETRY if self.joined_list.is_empty() => return self.complete_join(eng, node),
+            TAG_JOIN_RETRY => {
+                self.stats.join_retries += 1;
+                self.start_join(eng, node);
             }
-            return self.detect_failure(eng, node, failed);
-        }
-        if tag & TAG_FAIL == TAG_LS_REFRESH {
-            self.on_leafset_refresh(eng, node);
-            return OverlayEvents::new();
-        }
-        if tag & TAG_JOIN_RETRY == TAG_JOIN_RETRY {
-            self.join_retry[node.idx()] = None;
-            // A retry firing after the join completed can't happen any
-            // more: complete_join cancels the handle.
-            debug_assert!(!self.nodes[node.idx()].joined);
-            if self.joined_list.is_empty() {
-                // Everyone else left while we were joining: become the
-                // singleton network.
-                return self.complete_join(eng, node);
-            }
-            self.stats.join_retries += 1;
-            self.start_join(eng, node);
+            _ => {}
         }
         OverlayEvents::new()
     }
@@ -1181,9 +1171,6 @@ impl Overlay {
         n: NodeIdx,
     ) -> OverlayEvents<A> {
         debug_assert!(!self.nodes[n.idx()].joined);
-        if let Some(h) = self.join_retry[n.idx()].take() {
-            eng.cancel_timer(h);
-        }
         // A stale watcher from `n`'s last session answers pulls with a
         // member the receiver is about to stop filtering out.
         for i in 0..self.listed_by[n.idx()].len() {
@@ -1612,28 +1599,35 @@ mod tests {
     fn drive(eng: &mut Eng, ov: &mut Overlay, horizon: Time) -> Vec<OverlayEvent<u64>> {
         let mut out = Vec::new();
         while let Some((_, ev)) = eng.next_event_before(horizon) {
-            match ev {
-                Event::Message { from, to, payload } => {
-                    out.extend(ov.on_message(eng, from, to, payload.into_owned()));
-                }
-                Event::Timer { node, tag } if is_overlay_tag(tag) => {
-                    out.extend(ov.on_timer(eng, node, tag));
-                }
-                Event::Timer { .. } => {}
-                Event::NodeUp { node } => out.extend(ov.node_up(eng, node)),
-                Event::NodeDown { node } => ov.node_down(eng, node),
-                Event::NodeCrash { node } => ov.node_down(eng, node),
-                Event::PartitionStart { partition } => {
-                    let members = eng.partition_members(partition);
-                    ov.partition_started(eng, &members);
-                }
-                Event::PartitionEnd { partition } => {
-                    let members = eng.partition_members(partition);
-                    ov.partition_healed(eng, &members);
-                }
-            }
+            out.extend(dispatch(eng, ov, ev));
         }
         out
+    }
+
+    /// Hands one engine event to the overlay.
+    fn dispatch(eng: &mut Eng, ov: &mut Overlay, ev: Event<OverlayMsg<u64>>) -> OverlayEvents<u64> {
+        match ev {
+            Event::Message { from, to, payload } => {
+                ov.on_message(eng, from, to, payload.into_owned())
+            }
+            Event::Timer { node, tag } if is_overlay_tag(tag) => ov.on_timer(eng, node, tag),
+            Event::Timer { .. } => OverlayEvents::new(),
+            Event::NodeUp { node } => ov.node_up(eng, node),
+            Event::NodeDown { node } | Event::NodeCrash { node } => {
+                ov.node_down(eng, node);
+                OverlayEvents::new()
+            }
+            Event::PartitionStart { partition } => {
+                let members = eng.partition_members(partition);
+                ov.partition_started(eng, &members);
+                OverlayEvents::new()
+            }
+            Event::PartitionEnd { partition } => {
+                let members = eng.partition_members(partition);
+                ov.partition_healed(eng, &members);
+                OverlayEvents::new()
+            }
+        }
     }
 
     fn build(n: usize, seed: u64) -> (Eng, Overlay) {
@@ -1792,6 +1786,64 @@ mod tests {
         assert!(rejoined);
         assert!(ov.is_joined(victim));
         assert_eq!(ov.num_joined(), n);
+    }
+
+    /// Timers are armed fire-and-forget and decide at the fire instant: a
+    /// detection timer from an ended session of the watched node, and a
+    /// join retry at a node that has joined, fire and do nothing.
+    #[test]
+    fn stale_detection_and_join_retry_timers_fire_as_no_ops() {
+        let n = 20;
+        let (mut eng, mut ov) = build(n, 5);
+        bootstrap_all(&mut eng, &mut ov, n);
+        let victim = NodeIdx(7);
+        let failed_victim = |e: &OverlayEvent<u64>| matches!(e, OverlayEvent::NeighborFailed { failed, .. } if *failed == victim);
+        // Down, back up before any detector fires, down again while the
+        // first session's timers are all still pending. They fire in
+        // [t0 + 40 s, t0 + 70 s), with the victim down; the second
+        // session's fire from t1 + 40 s = t0 + 75 s.
+        let t0 = eng.now() + Duration::from_secs(10);
+        let t1 = t0 + Duration::from_secs(35);
+        eng.schedule_down(t0, victim);
+        eng.schedule_up(t0 + Duration::from_secs(5), victim);
+        eng.schedule_down(t1, victim);
+        let repairs = ov.stats.leafset_repairs;
+        let mut stale = 0;
+        while let Some((_, ev)) = eng.next_event_before(t1 + DETECT_DELAY) {
+            if let Event::Timer { tag, .. } = ev {
+                stale += u32::from(tag & TAG_KIND_MASK == TAG_FAIL && tag as u32 == victim.0);
+            }
+            assert!(!dispatch(&mut eng, &mut ov, ev)
+                .into_iter()
+                .any(|e| failed_victim(&e)));
+        }
+        assert!(stale > 0, "no first-session detection timer fired");
+        assert_eq!(ov.stats.leafset_repairs, repairs);
+        let evs = drive(&mut eng, &mut ov, t1 + DETECT_DELAY + HEARTBEAT_PERIOD);
+        assert!(
+            evs.iter().any(failed_victim),
+            "the second session went undetected"
+        );
+        assert!(ov.stats.leafset_repairs > repairs);
+        // Back for good: the join completes long before its retry fires.
+        let t2 = eng.now();
+        eng.schedule_up(t2, victim);
+        let mut retries = 0;
+        while let Some((_, ev)) = eng.next_event_before(t2 + HEARTBEAT_PERIOD * 3) {
+            if !matches!(ev, Event::Timer { node, tag: TAG_JOIN_RETRY } if node == victim) {
+                let _ = dispatch(&mut eng, &mut ov, ev);
+                continue;
+            }
+            assert!(ov.is_joined(victim));
+            let (stats, sent) = (format!("{:?}", ov.stats), eng.messages_sent);
+            assert!(dispatch(&mut eng, &mut ov, ev).is_empty());
+            assert_eq!(
+                (format!("{:?}", ov.stats), eng.messages_sent),
+                (stats, sent)
+            );
+            retries += 1;
+        }
+        assert_eq!(retries, 1);
     }
 
     #[test]

@@ -143,7 +143,7 @@ pub fn execute_grouped(
             groups[at].1.fold(src.value(r));
         });
     });
-    groups.sort_by(|(a, _), (b, _)| a.compare(b).unwrap_or(std::cmp::Ordering::Equal));
+    groups.sort_by(|(a, _), (b, _)| a.key_order(b));
     Ok(groups)
 }
 
@@ -171,7 +171,7 @@ pub fn merge_grouped(
             None => left.push((key.clone(), *agg)),
         }
     }
-    left.sort_by(|(a, _), (b, _)| a.compare(b).unwrap_or(std::cmp::Ordering::Equal));
+    left.sort_by(|(a, _), (b, _)| a.key_order(b));
     left
 }
 
@@ -520,6 +520,39 @@ mod tests {
             .bind(t.schema(), 0)
             .unwrap();
         assert!(execute_grouped(&plain, &t).is_err());
+    }
+
+    #[test]
+    fn nan_group_keys_sort_after_every_number() {
+        let schema = Schema::new("T", vec![ColumnDef::new("k", DataType::Float, true)]);
+        let mut t = Table::new(schema);
+        // Descending keys with a NaN every third row: enough groups for
+        // `sort_by` to notice an order that is not total.
+        for i in 0..32 {
+            let k = if i % 3 == 0 {
+                f64::NAN
+            } else {
+                f64::from(32 - i)
+            };
+            t.insert(vec![Value::Float(k)]).unwrap();
+        }
+        let q = Query::parse("SELECT COUNT(*) FROM T GROUP BY k")
+            .unwrap()
+            .bind(t.schema(), 0)
+            .unwrap();
+        let keys = |groups: &[(Value, Aggregate)]| -> Vec<f64> {
+            groups.iter().map(|(k, _)| k.as_f64().unwrap()).collect()
+        };
+        let groups = execute_grouped(&q, &t).unwrap();
+        // `NaN != NaN`: each NaN row is a group of its own, as before.
+        let numbers: Vec<f64> = (1..32).filter(|i| i % 3 != 2).map(f64::from).collect();
+        let got = keys(&groups);
+        assert_eq!(got[..numbers.len()], numbers[..]);
+        assert_eq!(got.len(), numbers.len() + 11);
+        assert!(got[numbers.len()..].iter().all(|k| k.is_nan()));
+        let merged = keys(&merge_grouped(groups.clone(), &groups));
+        assert_eq!(merged[..numbers.len()], numbers[..]);
+        assert!(merged[numbers.len()..].iter().all(|k| k.is_nan()));
     }
 
     #[test]

@@ -64,6 +64,16 @@ impl Value {
             }
         }
     }
+
+    /// The order grouped results are sorted in: [`Value::compare`], with
+    /// a NaN after every number and equal to another NaN, which makes it
+    /// total over one column's keys.
+    #[must_use]
+    pub fn key_order(&self, other: &Value) -> Ordering {
+        let nan = |v: &Value| matches!(v, Value::Float(f) if f.is_nan());
+        self.compare(other)
+            .unwrap_or_else(|| nan(self).cmp(&nan(other)))
+    }
 }
 
 impl fmt::Display for Value {

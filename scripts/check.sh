@@ -37,7 +37,7 @@ fi
 
 echo "==> seaweed-lint (determinism audit, <5s budget)"
 # Build outside the timed window so the budget measures the audit, not
-# the compiler; the flow-sensitive rules (D008+) must stay cheap enough
+# the compiler; the flow-sensitive rule (D009) must stay cheap enough
 # to run on every edit.
 cargo build -q -p seaweed-lint
 echo "    rules: $(./target/debug/seaweed-lint --list-rules | wc -l)"
@@ -50,13 +50,18 @@ if [ "$lint_ms" -ge 5000 ]; then
   exit 1
 fi
 
-echo "==> one timer discipline (the protocol layer never cancels a timer)"
-# Every application timer is armed fire-and-forget and its handler decides
-# at the fire instant whether it is still current (a task's round, the
-# recorded retry tag, a query's report). A cancel in crates/core would bring
-# back a second way to disarm a timer, and with it the hedged/unhedged fork
-# (DESIGN.md §3.5).
-if grep -rnE 'cancel_(app_)?timer' crates/core/src; then echo "crates/core/src cancels a timer" >&2; exit 1; fi
+echo "==> one timer discipline (no protocol layer cancels a timer or holds a handle)"
+# Every protocol timer is armed fire-and-forget and its handler decides at
+# the fire instant whether it is still current: in crates/core a task's
+# round, the recorded retry tag, a query's report; in crates/overlay the
+# watched node's session carried in a detection tag, and whether a joiner
+# has joined. A cancel or a held `TimerHandle` in either would bring back a
+# second way to disarm a timer (DESIGN.md §3.5); the engine alone cancels,
+# sweeping a node's timers when it goes down.
+if grep -rnE 'cancel_timer|TimerHandle' crates/core/src crates/overlay/src; then
+  echo "a protocol layer cancels a timer or holds a timer handle" >&2
+  exit 1
+fi
 
 echo "==> cargo doc (-D warnings)"
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --quiet
