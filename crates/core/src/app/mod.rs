@@ -48,7 +48,9 @@ pub type SeaweedEngine = Engine<OverlayMsg<SeaweedMsg>>;
 /// bits plus a per-slot generation counter above. The generation
 /// invalidates every handle minted for a query once its slot is recycled
 /// (storm mode retires and reuses slots), so late traffic addressed to a
-/// dead query can never attribute work to its slot's next tenant.
+/// dead query can never attribute work to its slot's next tenant. A slot
+/// is recycled only between events, so within one handler a slot names
+/// one query from entry to exit.
 /// Without storm mode slots are never recycled, every generation is 0
 /// and a handle is numerically the plain registry index it always was.
 pub type QueryHandle = u32;
@@ -689,9 +691,14 @@ pub struct Seaweed<P: DataProvider> {
     /// never bumped) without storm mode.
     pub(crate) slot_gen: Vec<u32>,
     /// Released slots available for reuse, sorted descending so `pop()`
-    /// yields the lowest slot first (deterministic recycling order).
-    /// Always empty without storm mode.
+    /// yields the lowest slot first (deterministic recycling order). A
+    /// slot joins it at the end of the event or call that retired its
+    /// query. Always empty without storm mode.
     pub(crate) free_slots: Vec<u32>,
+    /// Slots whose query was retired during the current event or call,
+    /// released by [`Seaweed::reclaim_slots`] as it ends. Empty between
+    /// events, and always empty without storm mode.
+    pub(crate) retired: Vec<u32>,
     /// Submissions waiting for an in-flight slot, in ticket order.
     pub(crate) storm_queue: VecDeque<storm::QueuedSubmission>,
     /// Monotone ticket counter for queued submissions.
@@ -794,6 +801,7 @@ impl<P: DataProvider> Seaweed<P> {
             split_stack: Vec::new(),
             slot_gen: Vec::new(),
             free_slots: Vec::new(),
+            retired: Vec::new(),
             storm_queue: VecDeque::new(),
             storm_seq: 0,
             admitted_log: Vec::new(),
@@ -959,9 +967,18 @@ impl<P: DataProvider> Seaweed<P> {
         self.queries.len() as u32
     }
 
-    /// Installs a query's origin-side state into `slot` (fresh push or
-    /// recycled overwrite) and returns the generation-bearing handle.
-    fn install_query(&mut self, slot: u32, state: QueryState, now: Time) -> QueryHandle {
+    /// Installs a query's origin-side state into a claimed slot (fresh
+    /// push or recycled overwrite), registers its id and sets it going:
+    /// the TTL expiry, the dissemination from its origin and the kick
+    /// timer. Returns the generation-bearing handle.
+    fn launch_query(
+        &mut self,
+        eng: &mut SeaweedEngine,
+        state: QueryState,
+        ttl: Duration,
+    ) -> QueryHandle {
+        let (id, origin, now) = (state.id, state.origin, eng.now());
+        let slot = self.alloc_slot();
         if slot as usize == self.queries.len() {
             self.queries.push(state);
             self.timelines.push(QueryTimeline::new(now));
@@ -970,7 +987,15 @@ impl<P: DataProvider> Seaweed<P> {
             self.queries[slot as usize] = state;
             self.timelines[slot as usize] = QueryTimeline::new(now);
         }
-        make_handle(slot, self.slot_gen[slot as usize])
+        let handle = make_handle(slot, self.slot_gen[slot as usize]);
+        self.query_by_id.insert(id, handle);
+        // Internal machinery (timers, dissemination, bitmasks) runs on
+        // slots; the generation only travels on the wire and in the
+        // returned handle.
+        self.set_detached_app_timer(eng, origin, ttl, TimerAction::QueryExpire { query: slot });
+        self.start_dissemination(eng, origin, slot);
+        self.arm_query_kick(eng, origin, slot);
+        handle
     }
 
     /// Injects a one-shot query at `origin` (which must be up and
@@ -1065,16 +1090,7 @@ impl<P: DataProvider> Seaweed<P> {
             progress: Vec::new(),
             kicks: 0,
         };
-        let slot = self.alloc_slot();
-        let handle = self.install_query(slot, state, eng.now());
-        self.query_by_id.insert(id, handle);
-        // Internal machinery (timers, dissemination, bitmasks) runs on
-        // slots; the generation only travels on the wire and in the
-        // returned handle.
-        self.set_detached_app_timer(eng, origin, ttl, TimerAction::QueryExpire { query: slot });
-        self.start_dissemination(eng, origin, slot);
-        self.arm_query_kick(eng, origin, slot);
-        handle
+        self.launch_query(eng, state, ttl)
     }
 
     fn inject_with_kind(
@@ -1118,13 +1134,7 @@ impl<P: DataProvider> Seaweed<P> {
         };
         // Slot claimed only after parse/bind succeed, so a rejected
         // query can never leak a recycled slot.
-        let slot = self.alloc_slot();
-        let handle = self.install_query(slot, state, eng.now());
-        self.query_by_id.insert(id, handle);
-        self.set_detached_app_timer(eng, origin, ttl, TimerAction::QueryExpire { query: slot });
-        self.start_dissemination(eng, origin, slot);
-        self.arm_query_kick(eng, origin, slot);
-        Ok(handle)
+        Ok(self.launch_query(eng, state, ttl))
     }
 
     /// Explicitly cancels a query before its TTL (§2: results "continue
@@ -1155,7 +1165,8 @@ impl<P: DataProvider> Seaweed<P> {
                 left -= u64::from(chunk);
             }
         }
-        self.expire_query(eng, slot);
+        self.expire_query(slot);
+        self.reclaim_slots(eng);
     }
 
     /// Runs the event loop until `horizon`; returns how many events it
@@ -1222,6 +1233,7 @@ impl<P: DataProvider> Seaweed<P> {
             }
         };
         self.cascade(eng, initial);
+        self.reclaim_slots(eng);
     }
 
     pub(crate) fn on_overlay_event(
@@ -1484,7 +1496,7 @@ impl<P: DataProvider> Seaweed<P> {
                 self.on_result_retry(eng, n, tag);
             }
             TimerAction::QueryExpire { query } => {
-                self.expire_query(eng, query);
+                self.expire_query(query);
             }
             TimerAction::ScanQuantum { node: n } => {
                 debug_assert_eq!(n, node);
@@ -1495,8 +1507,9 @@ impl<P: DataProvider> Seaweed<P> {
 
     /// Tears down a query's protocol state. `query` is a slot index;
     /// idempotent (retire followed by the TTL expiry timer is a no-op).
-    /// Under storm mode the slot is then released for recycling.
-    fn expire_query(&mut self, eng: &mut SeaweedEngine, query: QueryHandle) {
+    /// Under storm mode the slot is left in `retired`, still naming this
+    /// query until [`Seaweed::reclaim_slots`] ends the event or call.
+    fn expire_query(&mut self, query: QueryHandle) {
         let q = &mut self.queries[query as usize];
         if !q.active {
             return;
@@ -1514,11 +1527,10 @@ impl<P: DataProvider> Seaweed<P> {
         self.cont_epoch.clear_query(query);
         self.leaf_targets.clear_query(query);
         self.gave_up.retain(|&(_, qh, _)| qh != query);
-        // Storm mode recycles the slot (generation bump + global state
-        // purge + queue admission). The baseline never releases, so its
-        // handles stay unique for the life of the run.
+        // Storm mode recycles the slot once the event ends. The baseline
+        // never releases, so its handles stay unique for the life of the run.
         if self.cfg.storm.is_some() {
-            self.release_slot(eng, query);
+            self.retired.push(query);
         }
     }
 

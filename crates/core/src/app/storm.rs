@@ -9,10 +9,12 @@
 //!   free and otherwise parks the submission in a deterministic FIFO;
 //!   every retirement promotes queued submissions in ticket order.
 //! * **Slot recycling** — retired queries release their registry slot
-//!   behind a generation bump, so a run can process arbitrarily many
-//!   queries through the 64-slot registry while late traffic for dead
-//!   queries — messages at the message boundary, timer actions at their
-//!   fire — is rejected by its generation (`stale_handle_drops`).
+//!   behind a generation bump at the end of the event or call that
+//!   retired them ([`Seaweed::reclaim_slots`]), so a run can process
+//!   arbitrarily many queries through the 64-slot registry while late
+//!   traffic for dead queries — messages at the message boundary, timer
+//!   actions at their fire — is rejected by its generation
+//!   (`stale_handle_drops`).
 //! * **Fair scan scheduling** — each endsystem charges a local execution
 //!   its scan cost (rows touched) and slices contended executions into
 //!   preemption quanta, round-robining in deterministic `(quantum
@@ -170,8 +172,9 @@ impl<P: DataProvider> Seaweed<P> {
     }
 
     /// Retires a completed query: origin-side teardown plus (storm mode)
-    /// slot release and queue admission. Idempotent, and a no-op on a
-    /// stale handle — retiring twice or racing the TTL expiry is safe.
+    /// slot release and queue admission before it returns. Idempotent,
+    /// and a no-op on a stale handle — retiring twice or racing the TTL
+    /// expiry is safe.
     /// Unlike [`Seaweed::cancel_query`] no cancel notice is charged: the
     /// caller asserts the query already ran to completion, so there is
     /// nothing left to stop.
@@ -182,7 +185,8 @@ impl<P: DataProvider> Seaweed<P> {
         if !self.queries[slot as usize].active {
             return;
         }
-        self.expire_query(eng, slot);
+        self.expire_query(slot);
+        self.reclaim_slots(eng);
     }
 
     /// `(ticket, handle)` pairs admitted from the queue since the last
@@ -192,11 +196,22 @@ impl<P: DataProvider> Seaweed<P> {
         std::mem::take(&mut self.admitted_log)
     }
 
+    /// Releases the slots retired during the event or call now ending.
+    /// Runs last in the three entry points that can retire a query —
+    /// [`Seaweed::dispatch`], [`Seaweed::retire_query`] and
+    /// [`Seaweed::cancel_query`] — so no handler ever sees a slot change
+    /// tenant under it. Each retires at most one query.
+    pub(crate) fn reclaim_slots(&mut self, eng: &mut SeaweedEngine) {
+        while let Some(slot) = self.retired.pop() {
+            self.release_slot(eng, slot);
+        }
+    }
+
     /// Releases a retired query's slot for recycling: generation bump
     /// (invalidating every handle on the wire and in every parked timer
     /// action), global per-node state purge, then queue admission. Storm
-    /// mode only.
-    pub(crate) fn release_slot(&mut self, eng: &mut SeaweedEngine, slot: QueryHandle) {
+    /// mode only; called from [`Seaweed::reclaim_slots`] alone.
+    fn release_slot(&mut self, eng: &mut SeaweedEngine, slot: QueryHandle) {
         debug_assert!(self.cfg.storm.is_some());
         debug_assert!(!self.queries[slot as usize].active);
         self.slot_gen[slot as usize] += 1;
@@ -385,13 +400,20 @@ impl<P: DataProvider> Seaweed<P> {
     }
 
     /// Storm-hygiene checks, run by `ChaosOracle` as invariant (7):
-    /// budget respected, free list consistent, every queued scan task
-    /// references a live pending execution. Returns human-readable
-    /// violations (empty = clean); cheap enough to run per-event at test
-    /// scale.
+    /// every retired slot reclaimed, budget respected, free list
+    /// consistent, every queued scan task references a live pending
+    /// execution. Returns human-readable violations (empty = clean);
+    /// cheap enough to run per-event at test scale. Call it between
+    /// events.
     #[must_use]
     pub fn storm_invariant_violations(&self) -> Vec<String> {
         let mut out = Vec::new();
+        if !self.retired.is_empty() {
+            out.push(format!(
+                "slots {:?} retired but not reclaimed between events",
+                self.retired
+            ));
+        }
         if self.cfg.storm.is_none() {
             if !self.free_slots.is_empty() || !self.storm_queue.is_empty() {
                 out.push("storm machinery engaged without storm mode".into());
@@ -460,8 +482,8 @@ mod tests {
     use seaweed_types::{Duration, Time};
 
     use super::super::{
-        slot_of, Seaweed, SeaweedConfig, SeaweedEngine, StormConfig, Submission, TimerAction,
-        LOCAL_EXEC_DELAY,
+        gen_of, slot_of, QueryHandle, Seaweed, SeaweedConfig, SeaweedEngine, StormConfig,
+        Submission, TimerAction, LOCAL_EXEC_DELAY,
     };
     use crate::provider::LiveTables;
     use crate::world::{boot_staggered, build_world, flag_fixture};
@@ -495,11 +517,81 @@ mod tests {
         schema: &Schema,
         sql: &str,
         ttl: Duration,
-    ) -> super::QueryHandle {
+    ) -> QueryHandle {
         match sw.submit_query(eng, NodeIdx(0), sql, ttl, schema) {
             Ok(Submission::Admitted(h)) => h,
             other => panic!("not admitted: {other:?}"),
         }
+    }
+
+    /// An in-flight budget of one, with A admitted and B queued.
+    fn one_admitted_one_queued(
+        ttl: Duration,
+    ) -> (SeaweedEngine, Seaweed<LiveTables>, QueryHandle, u64) {
+        let (mut eng, mut sw, schema) = world(StormConfig {
+            max_in_flight: 1,
+            ..StormConfig::default()
+        });
+        let sql_a = "SELECT SUM(v) FROM T WHERE flag = 1";
+        let a = admit(&mut sw, &mut eng, &schema, sql_a, ttl);
+        let b = "SELECT COUNT(*) FROM T WHERE flag = 1";
+        let Ok(Submission::Queued(ticket)) = sw.submit_query(&mut eng, NodeIdx(0), b, ttl, &schema)
+        else {
+            panic!("B is queued behind A");
+        };
+        (eng, sw, a, ticket)
+    }
+
+    /// The one admission since the last drain is the queued `ticket`, in
+    /// A's slot at the next generation; returns its handle.
+    fn admitted(sw: &mut Seaweed<LiveTables>, a: QueryHandle, ticket: u64) -> QueryHandle {
+        let admitted = sw.drain_admissions();
+        let [(t, b)] = admitted[..] else {
+            panic!("one admission, not {admitted:?}");
+        };
+        let want = (ticket, slot_of(a), gen_of(a) + 1);
+        assert_eq!((t, slot_of(b), gen_of(b)), want);
+        b
+    }
+
+    /// Retiring a query does not recycle its slot: until the retiring
+    /// event or call reclaims it, the slot still names the retired
+    /// query, its handle is still live and nothing is admitted.
+    #[test]
+    fn a_retired_slot_names_its_query_until_reclaimed() {
+        let (mut eng, mut sw, a, ticket) = one_admitted_one_queued(Duration::from_hours(1));
+        let slot = slot_of(a);
+        let id = sw.query(a).id;
+        sw.expire_query(slot);
+        assert_eq!(sw.queries[slot as usize].id, id, "the slot still holds A");
+        assert_eq!(sw.live_slot(a), Some(slot));
+        assert!(sw.drain_admissions().is_empty(), "nothing admitted yet");
+        assert!(!sw.storm_invariant_violations().is_empty());
+
+        sw.reclaim_slots(&mut eng);
+        admitted(&mut sw, a, ticket);
+        assert_eq!(sw.live_slot(a), None);
+        assert!(sw.storm_invariant_violations().is_empty());
+    }
+
+    /// A TTL expiry delivered through `dispatch` admits the queued
+    /// submission before `dispatch` returns, and no event leaves a
+    /// retired slot unreclaimed.
+    #[test]
+    fn a_ttl_expiry_admits_the_queue_within_its_event() {
+        let ttl = Duration::from_secs(30);
+        let (mut eng, mut sw, a, ticket) = one_admitted_one_queued(ttl);
+        let expires = eng.now() + ttl;
+        while sw.live_slot(a).is_some() {
+            let (_, ev) = eng
+                .next_event_before(expires + Duration::from_secs(1))
+                .expect("A's expiry fires at its TTL");
+            sw.dispatch(&mut eng, ev);
+            assert_eq!(sw.storm_invariant_violations(), Vec::<String>::new());
+        }
+        assert_eq!(eng.now(), expires);
+        let b = admitted(&mut sw, a, ticket);
+        assert!(sw.query(b).active);
     }
 
     /// Slot recycling against parked timer actions: query A is retired

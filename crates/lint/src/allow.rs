@@ -2,12 +2,12 @@
 //!
 //! A finding can be suppressed at the offending line (or the line
 //! directly above it) with a comment of the form
-//! `lint:allow(D009): <reason>` at the start of the comment — e.g.
+//! `lint:allow(D010): <reason>` at the start of the comment — e.g.
 //! `// lint:allow(D005): inputs are NaN-free by construction`.
 //! The reason is mandatory; a marker without one is itself a finding
 //! (D000), as is a marker that suppresses nothing — markers must not
 //! outlive the code they excuse, and a marker naming a rule this tool
-//! no longer has (D001–D004, D006–D008) can match nothing.
+//! no longer has (D001–D004, D006–D009) can match nothing.
 
 use crate::lexer::Comment;
 use crate::report::Finding;
@@ -15,7 +15,7 @@ use crate::report::Finding;
 /// One parsed marker.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct AllowMarker {
-    /// Rule ids the marker suppresses, e.g. `["D009"]`.
+    /// Rule ids the marker suppresses, e.g. `["D010"]`.
     pub rules: Vec<String>,
     /// Line the marker comment starts on.
     pub line: u32,
@@ -135,18 +135,18 @@ mod tests {
 
     #[test]
     fn parses_well_formed_markers() {
-        let l = lex("// lint:allow(D009): slot re-checked by the callee\nlet x = 1;");
+        let l = lex("// lint:allow(D010): seed mixed by the caller\nlet x = 1;");
         let s = scan_markers(&l.comments);
         assert_eq!(s.markers.len(), 1);
-        assert_eq!(s.markers[0].rules, vec!["D009"]);
+        assert_eq!(s.markers[0].rules, vec!["D010"]);
         assert!(s.malformed.is_empty());
     }
 
     #[test]
     fn multi_rule_markers() {
-        let l = lex("// lint:allow(D005, D009): keys are NaN-free and the slot is re-checked");
+        let l = lex("// lint:allow(D005, D010): keys are NaN-free and the seed is mixed upstream");
         let s = scan_markers(&l.comments);
-        assert_eq!(s.markers[0].rules, vec!["D005", "D009"]);
+        assert_eq!(s.markers[0].rules, vec!["D005", "D010"]);
     }
 
     #[test]

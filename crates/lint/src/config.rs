@@ -1,4 +1,4 @@
-//! `lint.toml`: auditor scope and the D009–D011 registries.
+//! `lint.toml`: auditor scope and the D010/D011 registries.
 //!
 //! The workspace has no `toml` crate, so this parses the narrow subset
 //! the file actually uses: `[section]` / `[[array-of-tables]]` headers,
@@ -8,11 +8,7 @@
 //! ```toml
 //! [lint]
 //! skip = ["rand"]                      # vendored shims, never audited
-//! deterministic = ["seaweed-core"]     # crates under D005, D009–D011
-//!
-//! [discipline]                         # D009 registries
-//! index_acquire = ["slot_of"]
-//! teardown = ["finish_task"]
+//! deterministic = ["seaweed-core"]     # crates under D005, D010, D011
 //!
 //! [metrics]                            # D011 name registry
 //! names = [
@@ -38,20 +34,13 @@ pub struct StreamDecl {
     pub line: u32,
 }
 
-/// Registries consumed by the flow-sensitive and registry rules
-/// (D009–D011). The defaults bake in the workspace's own discipline
-/// functions so single-file linting (fixtures, unit tests) works
-/// without a `lint.toml`; the stream and metric registries default to
-/// empty, which turns D010/D011 off until the file declares them.
+/// Registries consumed by the registry rules (D010, D011). The
+/// defaults bake in the workspace's own metric emitters so single-file
+/// linting (fixtures, unit tests) works without a `lint.toml`; the
+/// stream and metric-name registries default to empty, which turns
+/// D010/D011 off until the file declares them.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct RuleConfig {
-    /// Teardown fns: D009 invalidation points (a teardown recycles
-    /// slots).
-    pub teardown: Vec<String>,
-    /// Fns whose return value is a dense arena/slot index.
-    pub index_acquire: Vec<String>,
-    /// Calls that invalidate outstanding dense indices.
-    pub index_invalidate: Vec<String>,
     /// D010 stream registry (empty = rule off).
     pub streams: Vec<StreamDecl>,
     /// Metric/trace-emitting fns whose string-literal args D011 checks.
@@ -64,9 +53,6 @@ impl Default for RuleConfig {
     fn default() -> Self {
         let v = |xs: &[&str]| xs.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         RuleConfig {
-            teardown: v(&["finish_task", "expire_query", "clear_node", "clear_query"]),
-            index_acquire: v(&["slot_of", "live_slot"]),
-            index_invalidate: v(&["release_slot", "mem::take"]),
             streams: Vec::new(),
             metric_emitters: v(&[
                 "set_counter",
@@ -87,7 +73,7 @@ pub struct Config {
     /// Crate names the rules bind (every rule but D000 is
     /// determinism-only).
     pub deterministic: Vec<String>,
-    /// Registries for the flow-sensitive and registry rules.
+    /// Registries for the registry rules.
     pub rules: RuleConfig,
 }
 
@@ -137,7 +123,7 @@ impl Config {
             }
             if let Some(h) = line.strip_prefix('[').and_then(|l| l.strip_suffix(']')) {
                 section = h.to_string();
-                if h != "lint" && h != "discipline" && h != "metrics" {
+                if h != "lint" && h != "metrics" {
                     return Err(format!("lint.toml:{lineno}: unknown section `[{h}]`"));
                 }
                 continue;
@@ -159,20 +145,6 @@ impl Config {
                         _ => {
                             return Err(format!(
                                 "lint.toml:{lineno}: unknown key `{key}` in [lint]"
-                            ))
-                        }
-                    }
-                }
-                "discipline" => {
-                    let list = want_array(value)?;
-                    let r = &mut cfg.rules;
-                    match key {
-                        "teardown" => r.teardown = list,
-                        "index_acquire" => r.index_acquire = list,
-                        "index_invalidate" => r.index_invalidate = list,
-                        _ => {
-                            return Err(format!(
-                                "lint.toml:{lineno}: unknown key `{key}` in [discipline]"
                             ))
                         }
                     }

@@ -6,8 +6,8 @@
 //! "hope a 32-seed sweep trips a regression" to "the build refuses
 //! it". It audits every workspace crate (vendored shims excluded)
 //! against the rule catalogue in [`rules`] — the rules no
-//! type-resolving tool can check: flow-sensitive resource discipline and
-//! the `lint.toml` registries ([`config`]) — honours inline `lint:allow`
+//! type-resolving tool can check: float-ordered sorts and the
+//! `lint.toml` registries ([`config`]) — honours inline `lint:allow`
 //! markers ([`allow`]), and exits nonzero on any finding.
 //!
 //! Run it as `cargo run -p seaweed-lint` from anywhere in the
@@ -16,11 +16,8 @@
 //! analysis" for the rule rationale and the policy on allowlists.
 
 pub mod allow;
-pub mod cfg;
 pub mod config;
-pub mod dataflow;
 pub mod lexer;
-pub mod parse;
 pub mod report;
 pub mod rules;
 pub mod workspace;

@@ -3,7 +3,7 @@
 /// One rule violation.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Rule id, e.g. `"D009"`.
+    /// Rule id, e.g. `"D005"`.
     pub rule: &'static str,
     /// Workspace-relative path.
     pub path: String,
@@ -109,10 +109,10 @@ mod tests {
     #[test]
     fn sarif_has_schema_rules_and_result_locations() {
         let f = vec![Finding {
-            rule: "D009",
+            rule: "D005",
             path: "crates/core/src/app/x.rs".into(),
             line: 42,
-            message: "dense index `s` is used after `release_slot`".into(),
+            message: "`sort_by` comparator uses `partial_cmp`".into(),
         }];
         let s = render_sarif(&f);
         assert!(s.contains("\"version\": \"2.1.0\""));
@@ -122,7 +122,7 @@ mod tests {
         for (id, _) in crate::rules::RULES {
             assert!(s.contains(&format!("\"id\": \"{id}\"")), "{id} missing");
         }
-        assert!(s.contains("\"ruleId\": \"D009\""));
+        assert!(s.contains("\"ruleId\": \"D005\""));
         assert!(s.contains("\"startLine\": 42"));
         assert!(s.contains("\"uri\": \"crates/core/src/app/x.rs\""));
         // Clean runs still produce a valid log with an empty results

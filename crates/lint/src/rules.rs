@@ -2,16 +2,15 @@
 //!
 //! Every rule works on the token stream of one file (see
 //! [`crate::lexer`]); none require type information. D005 and the
-//! registry rules D010/D011 match token shapes; D009 runs the
-//! parse → CFG → dataflow stack. All of them bind deterministic crates
-//! only. What type resolution checks better — hash collections, wall
-//! clocks, threads, `unsafe` — is clippy's and rustc's job (the root
-//! `clippy.toml` and each crate's `[lints]` table; DESIGN.md §5).
+//! registry rules D010/D011 match token shapes. All of them bind
+//! deterministic crates only. What type resolution checks better — hash
+//! collections, wall clocks, threads, `unsafe` — is clippy's and
+//! rustc's job (the root `clippy.toml` and each crate's `[lints]` table;
+//! DESIGN.md §5).
 
 use crate::config::RuleConfig;
 use crate::lexer::{Token, TokenKind};
 use crate::report::Finding;
-use crate::{cfg, dataflow, parse};
 
 /// Per-file context handed to every rule.
 #[derive(Debug)]
@@ -22,7 +21,7 @@ pub struct FileCtx<'a> {
     /// and everything it drives must replay byte-identically).
     pub deterministic: bool,
     pub tokens: &'a [Token],
-    /// Registries for D009–D011.
+    /// Registries for D010 and D011.
     pub rules: &'a RuleConfig,
 }
 
@@ -30,7 +29,6 @@ pub struct FileCtx<'a> {
 pub const RULES: &[(&str, &str)] = &[
     ("D000", "allow-marker hygiene: malformed, reason-less or unused markers"),
     ("D005", "no float-ordered sorts via partial_cmp in deterministic crates — use total_cmp"),
-    ("D009", "stale arena-index escape: a dense index binding may not be used after a registered invalidation point (slot recycle, clear_node, mem::take) without re-lookup"),
     ("D010", "RNG stream discipline: every seed_from_u64 in a deterministic crate must mix a registered stream constant, used only in its declared subsystem file"),
     ("D011", "metrics/trace name registry: counter/gauge/trace-event name literals passed to emitter fns must be declared in lint.toml [metrics]"),
 ];
@@ -53,7 +51,6 @@ pub fn check_file(ctx: &FileCtx) -> Vec<Finding> {
     }
     let mut out = Vec::new();
     d005_partial_cmp_sorts(ctx, &mut out);
-    d009_stale_index(ctx, &mut out);
     d010_rng_streams(ctx, &mut out);
     d011_metric_names(ctx, &mut out);
     out.sort_by(|a, b| (a.line, a.rule).cmp(&(b.line, b.rule)));
@@ -113,39 +110,6 @@ fn d005_partial_cmp_sorts(ctx: &FileCtx, out: &mut Vec<Finding>) {
                 break;
             }
             j += 1;
-        }
-    }
-}
-
-// --------------------------------------------------------------- D009
-
-fn d009_stale_index(ctx: &FileCtx, out: &mut Vec<Finding>) {
-    let r = ctx.rules;
-    if r.index_acquire.is_empty() {
-        return;
-    }
-    let funcs = parse::parse_functions(ctx.tokens);
-    // Teardown fns recycle slots, so they are invalidation points too.
-    let mut invalidate = r.index_invalidate.clone();
-    for t in &r.teardown {
-        if !invalidate.contains(t) {
-            invalidate.push(t.clone());
-        }
-    }
-    for f in &funcs {
-        let g = cfg::build(f, ctx.tokens);
-        for u in dataflow::stale_index_uses(&g, ctx.tokens, &r.index_acquire, &invalidate) {
-            out.push(finding(
-                ctx,
-                "D009",
-                u.use_line,
-                format!(
-                    "dense index `{}` (looked up on line {} in `{}`) is used after \
-                     `{}` may have invalidated it — re-look it up past the \
-                     invalidation point",
-                    u.var, u.def_line, f.name, u.invalidated_by,
-                ),
-            ));
         }
     }
 }
@@ -319,35 +283,6 @@ mod tests {
             .is_empty(),
             "partial_cmp outside a sort comparator is not D005"
         );
-    }
-
-    #[test]
-    fn d009_flags_use_after_invalidation() {
-        let bad = "impl A { fn f(&mut self, h: Handle) {
-            let s = self.slot_of(h);
-            self.release_slot(s);
-            self.scan[s] = 0;
-        } }";
-        let f = check(bad, true);
-        assert_eq!(f.len(), 1, "{f:?}");
-        assert_eq!(f[0].rule, "D009");
-        assert!(
-            check(bad, false).is_empty(),
-            "flow rules only run in deterministic crates"
-        );
-        // Teardown fns double as invalidation points.
-        let bad2 = "impl A { fn f(&mut self, h: Handle) {
-            let s = self.slot_of(h);
-            self.clear_node(n);
-            touch(s);
-        } }";
-        assert_eq!(check(bad2, true).len(), 1);
-        let good = "impl A { fn f(&mut self, h: Handle) {
-            let s = self.slot_of(h);
-            self.scan[s] = 0;
-            self.release_slot(s);
-        } }";
-        assert!(check(good, true).is_empty());
     }
 
     fn rules_with_stream(path: &str) -> RuleConfig {

@@ -42,11 +42,6 @@ fn d005_float_sort_pair() {
     assert_pair("D005");
 }
 
-#[test]
-fn d009_stale_index_pair() {
-    assert_pair("D009");
-}
-
 /// Lints a fixture with an explicit rule registry (D010/D011 are off
 /// under the default empty registries the other pairs use).
 fn lint_fixture_with(name: &str, rules: &RuleConfig) -> Vec<Finding> {
@@ -88,57 +83,6 @@ fn d011_metric_name_pair() {
     );
     let good = lint_fixture_with("d011_good.rs", &rules);
     assert!(good.is_empty(), "{good:#?}");
-}
-
-/// Robustness: the parser, CFG lowering and the dataflow pass run to
-/// completion over every `.rs` file in the workspace — including test
-/// and bench trees the audit itself skips — without panicking or
-/// hanging. (The fixtures directory is included on purpose: the
-/// known-bad files are exactly the hostile inputs.)
-#[test]
-fn parser_and_dataflow_terminate_on_every_workspace_file() {
-    let root = Path::new(env!("CARGO_MANIFEST_DIR"))
-        .parent()
-        .and_then(Path::parent)
-        .expect("workspace root")
-        .to_path_buf();
-    let mut stack = vec![root.join("crates")];
-    let mut files = 0usize;
-    let mut funcs_total = 0usize;
-    let rules = RuleConfig::default();
-    while let Some(dir) = stack.pop() {
-        let Ok(entries) = fs::read_dir(&dir) else {
-            continue;
-        };
-        for e in entries.flatten() {
-            let p = e.path();
-            if p.is_dir() {
-                if p.file_name().is_some_and(|n| n == "target") {
-                    continue;
-                }
-                stack.push(p);
-            } else if p.extension().is_some_and(|x| x == "rs") {
-                let Ok(src) = fs::read_to_string(&p) else {
-                    continue;
-                };
-                files += 1;
-                let tokens = seaweed_lint::lexer::lex(&src).tokens;
-                let funcs = seaweed_lint::parse::parse_functions(&tokens);
-                funcs_total += funcs.len();
-                for f in &funcs {
-                    let cfg = seaweed_lint::cfg::build(f, &tokens);
-                    let _ = seaweed_lint::dataflow::stale_index_uses(
-                        &cfg,
-                        &tokens,
-                        &rules.index_acquire,
-                        &rules.index_invalidate,
-                    );
-                }
-            }
-        }
-    }
-    assert!(files > 100, "walked only {files} files");
-    assert!(funcs_total > 500, "parsed only {funcs_total} functions");
 }
 
 #[test]

@@ -37,8 +37,7 @@ fi
 
 echo "==> seaweed-lint (determinism audit, <5s budget)"
 # Build outside the timed window so the budget measures the audit, not
-# the compiler; the flow-sensitive rule (D009) must stay cheap enough
-# to run on every edit.
+# the compiler; the audit must stay cheap enough to run on every edit.
 cargo build -q -p seaweed-lint
 echo "    rules: $(./target/debug/seaweed-lint --list-rules | wc -l)"
 lint_start=$(date +%s%N)
@@ -60,6 +59,31 @@ echo "==> one timer discipline (no protocol layer cancels a timer or holds a han
 # sweeping a node's timers when it goes down.
 if grep -rnE 'cancel_timer|TimerHandle' crates/core/src crates/overlay/src; then
   echo "a protocol layer cancels a timer or holds a timer handle" >&2
+  exit 1
+fi
+
+echo "==> one slot-recycle path (a query slot changes tenant only between events)"
+# A storm-mode slot is recycled by release_slot -> try_admit ->
+# install. Only reclaim_slots may release, and only the three entry
+# points that can retire a query call it, last: then no handler sees a
+# slot name a second query (DESIGN.md §3.6). Prints the enclosing fn of
+# every call of $1 in crates/core/src, unit-test modules and comments
+# excluded.
+callers() {
+  awk -v f="$1(" '
+    FNR == 1 { live = 1 }
+    /#\[cfg\(test\)\]/ { live = 0 }
+    !live || /^[[:space:]]*\/\// { next }
+    match($0, /fn [a-z_][a-z_0-9]*[(<]/) { enc = substr($0, RSTART + 3, RLENGTH - 4) }
+    index($0, f) && enc "(" != f { print enc }
+  ' $(find crates/core/src -name '*.rs' | sort) | sort | tr '\n' ' '
+}
+release=$(callers release_slot)
+reclaim=$(callers reclaim_slots)
+echo "    release_slot called from: $release"
+echo "    reclaim_slots called from: $reclaim"
+if [ "$release" != "reclaim_slots " ] || [ "$reclaim" != "cancel_query dispatch retire_query " ]; then
+  echo "release_slot must be called from reclaim_slots alone, and reclaim_slots from dispatch, retire_query and cancel_query alone" >&2
   exit 1
 fi
 
