@@ -217,9 +217,7 @@ impl<P: DataProvider> Seaweed<P> {
                 // Our own id is inside (or we are the root for the
                 // subrange's midpoint, so routing it out would boomerang):
                 // subdivide further locally.
-                for s in r.split(fanout) {
-                    stack.push(s);
-                }
+                stack.extend(r.split(fanout));
             } else {
                 // Delegate toward the subrange midpoint — always. Routing
                 // by key terminates at the live region owner, which splits
@@ -432,7 +430,7 @@ impl<P: DataProvider> Seaweed<P> {
             QueryKind::View { .. } => {
                 RangeResult::View(Aggregate::empty(self.queries[h as usize].bound.agg), 0)
             }
-            _ => RangeResult::Predictor(Box::default()),
+            _ => RangeResult::Predictor(Predictor::new()),
         }
     }
 
@@ -827,7 +825,7 @@ impl<P: DataProvider> Seaweed<P> {
                 RangeResult::Predictor(predictor) => SeaweedMsg::PredictorReport {
                     query: wire_h,
                     range,
-                    predictor,
+                    predictor: Box::new(predictor),
                 },
                 RangeResult::View(agg, endsystems) => SeaweedMsg::ViewReport {
                     query: wire_h,
@@ -846,7 +844,7 @@ impl<P: DataProvider> Seaweed<P> {
                     RangeResult::Predictor(predictor) => SeaweedMsg::PredictorReport {
                         query: wire_h,
                         range,
-                        predictor,
+                        predictor: Box::new(predictor),
                     },
                     RangeResult::View(agg, endsystems) => SeaweedMsg::ViewReport {
                         query: wire_h,
@@ -870,7 +868,7 @@ impl<P: DataProvider> Seaweed<P> {
                 match merged {
                     RangeResult::Predictor(predictor) => {
                         if origin == n {
-                            self.on_predictor_at_origin(eng, n, h, *predictor);
+                            self.on_predictor_at_origin(eng, n, h, predictor);
                         } else {
                             self.overlay.send_app(
                                 eng,
@@ -878,7 +876,7 @@ impl<P: DataProvider> Seaweed<P> {
                                 origin,
                                 SeaweedMsg::PredictorToOrigin {
                                     query: wire_h,
-                                    predictor,
+                                    predictor: Box::new(predictor),
                                 },
                                 size,
                                 TrafficClass::Query,

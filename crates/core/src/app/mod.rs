@@ -109,18 +109,16 @@ pub enum SeaweedMsg {
         parent: NodeIdx,
     },
     /// Aggregated predictor for `range`, child → parent in the
-    /// dissemination tree. The predictor is boxed: it is 416 bytes, and
-    /// an unboxed payload would set the size of *every* queued engine
-    /// event — messages and timers alike — to the largest variant,
-    /// multiplying the event queue's working set under concurrent query
-    /// load.
+    /// dissemination tree. The predictor is boxed, though at 40 bytes it
+    /// would fit inline without making this the largest variant: `perf/`'s
+    /// message classifier builds the variant with `Box::new`.
     PredictorReport {
         query: QueryHandle,
         range: IdRange,
         predictor: Box<Predictor>,
     },
     /// The aggregated predictor arriving at the query's origin (boxed
-    /// for the same reason as [`SeaweedMsg::PredictorReport`]).
+    /// like [`SeaweedMsg::PredictorReport`]'s).
     PredictorToOrigin {
         query: QueryHandle,
         predictor: Box<Predictor>,
@@ -190,13 +188,14 @@ impl SeaweedMsg {
 
 // Every queued engine event — message or timer — is sized by the largest
 // `SeaweedMsg` variant, and a query storm keeps hundreds of thousands of
-// them in flight. Keep fat payloads (the predictor's fifty buckets)
-// behind a `Box` so the queue's working set stays lean; this tripped at
-// 656 bytes once and cost ~5× the event-queue memory.
+// them in flight. Keep a payload that would be the largest variant behind
+// a `Box` so the queue's working set stays lean; this tripped at 656
+// bytes once, with a predictor inline, and cost ~5× the event-queue memory.
 const _: () = assert!(std::mem::size_of::<SeaweedMsg>() <= 128);
-// What the `Box` holds is the whole predictor — fifty buckets inline,
-// nothing behind a second pointer — so a report is one allocation.
-const _: () = assert!(std::mem::size_of::<Predictor>() == 416);
+// A predictor is its immediate rows, its endsystem count and a `Vec` of
+// the delay buckets it has touched; the protocol keeps it by value (in a
+// task's accumulator and its parent's slot), and only a message boxes it.
+const _: () = assert!(std::mem::size_of::<Predictor>() == 40);
 
 /// Aggregation-vertex replica group size m, primary included (paper: 3).
 const M_VERTEX: usize = 3;
@@ -532,7 +531,7 @@ pub(crate) type TaskKey = (u32, QueryHandle, u128, u128);
 /// carries either.
 #[derive(Debug, Clone)]
 pub(crate) enum RangeResult {
-    Predictor(Box<Predictor>),
+    Predictor(Predictor),
     /// `(aggregate, endsystems covered)`.
     View(Aggregate, u64),
 }
@@ -1312,7 +1311,7 @@ impl<P: DataProvider> Seaweed<P> {
                 from,
                 query,
                 range,
-                RangeResult::Predictor(predictor),
+                RangeResult::Predictor(*predictor),
             ),
             SeaweedMsg::PredictorToOrigin { query, predictor } => {
                 self.on_predictor_at_origin(eng, to, query, *predictor);

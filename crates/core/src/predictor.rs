@@ -5,7 +5,11 @@
 //! now; later buckets count rows expected to become queryable after a
 //! given delay, on a log-scaled time axis spanning seconds to weeks.
 //! Predictors are aggregated element-wise up the dissemination tree, so
-//! their size is constant regardless of how many endsystems contributed.
+//! their size on the wire is constant regardless of how many endsystems
+//! contributed. In memory a predictor stores its delay buckets only up to
+//! the highest one ever written: an all-up query touches only the lowest
+//! few of fifty, and a storm keeps hundreds of thousands of predictors
+//! live.
 
 use std::sync::LazyLock;
 
@@ -24,12 +28,15 @@ static STANDARD: LazyLock<LogBuckets> = LazyLock::new(|| {
 });
 
 /// A (partial) completeness predictor.
-#[derive(Clone, Debug, PartialEq)]
+#[derive(Clone, Debug)]
 pub struct Predictor {
     /// Rows available immediately (delay "zero").
     now_rows: f64,
-    /// Expected rows becoming available in each delay bucket.
-    later: [f64; BUCKETS],
+    /// Expected rows becoming available in each delay bucket, through the
+    /// highest bucket ever written; a bucket past the end holds `0.0`.
+    /// A sum or scan over the stored buckets alone is exact: adding the
+    /// missing `0.0`s would change no bit.
+    later: Vec<f64>,
     /// Number of endsystems folded in (for diagnostics).
     endsystems: u64,
 }
@@ -39,9 +46,25 @@ impl Predictor {
     pub fn new() -> Self {
         Predictor {
             now_rows: 0.0,
-            later: [0.0; BUCKETS],
+            later: Vec::new(),
             endsystems: 0,
         }
+    }
+
+    /// Expected rows in delay bucket `i` ([`LogBuckets::standard`]'s
+    /// bucket `i`): `0.0` for a bucket never written.
+    #[must_use]
+    pub fn bucket(&self, i: usize) -> f64 {
+        self.later.get(i).copied().unwrap_or(0.0)
+    }
+
+    /// Delay bucket `i` for writing, storing it (and every bucket before
+    /// it) as `0.0` on first touch.
+    fn bucket_mut(&mut self, i: usize) -> &mut f64 {
+        if i >= self.later.len() {
+            self.later.resize(i + 1, 0.0);
+        }
+        &mut self.later[i]
     }
 
     /// Folds in an endsystem that is available now with `rows` relevant
@@ -60,7 +83,7 @@ impl Predictor {
             self.add_available(rows);
             return;
         }
-        self.later[STANDARD.index(delay)] += rows.max(0.0);
+        *self.bucket_mut(STANDARD.index(delay)) += rows.max(0.0);
         self.endsystems += 1;
     }
 
@@ -70,14 +93,18 @@ impl Predictor {
         let rows = rows.max(0.0);
         let buckets = &*STANDARD;
         for &(delay, weight) in &pred.mass {
-            self.later[buckets.index(delay)] += rows * weight;
+            *self.bucket_mut(buckets.index(delay)) += rows * weight;
         }
         self.endsystems += 1;
     }
 
-    /// Merges another predictor, element-wise.
+    /// Merges another predictor, element-wise. A bucket neither side
+    /// stores stays unstored: adding `0.0` to it would change nothing.
     pub fn merge(&mut self, other: &Predictor) {
         self.now_rows += other.now_rows;
+        if self.later.len() < other.later.len() {
+            self.later.resize(other.later.len(), 0.0);
+        }
         for (a, b) in self.later.iter_mut().zip(&other.later) {
             *a += b;
         }
@@ -154,8 +181,8 @@ impl Predictor {
         let mut out = Vec::with_capacity(BUCKETS + 1);
         let mut acc = self.now_rows;
         out.push((Duration::ZERO, acc));
-        for (i, &rows) in self.later.iter().enumerate() {
-            acc += rows;
+        for i in 0..BUCKETS {
+            acc += self.bucket(i);
             out.push((buckets.midpoint(i), acc));
         }
         out
@@ -186,8 +213,8 @@ impl Predictor {
         out.extend_from_slice(&(BUCKETS as u32).to_le_bytes());
         out.extend_from_slice(&self.endsystems.to_le_bytes());
         out.extend_from_slice(&(self.now_rows as f32).to_le_bytes());
-        for &v in &self.later {
-            out.extend_from_slice(&(v as f32).to_le_bytes());
+        for i in 0..BUCKETS {
+            out.extend_from_slice(&(self.bucket(i) as f32).to_le_bytes());
         }
         debug_assert_eq!(out.len(), self.wire_size() as usize);
         out
@@ -204,7 +231,7 @@ impl Predictor {
         }
         let endsystems = r.u64()?;
         let now_rows = f64::from(r.f32()?);
-        let mut later = [0.0; BUCKETS];
+        let mut later = vec![0.0; BUCKETS];
         for v in &mut later {
             *v = f64::from(r.f32()?);
         }
@@ -216,6 +243,16 @@ impl Predictor {
             later,
             endsystems,
         })
+    }
+}
+
+/// Equal when every bucket is, stored or not: [`Predictor::decode`]
+/// yields all fifty, a predictor built in memory only those it touched.
+impl PartialEq for Predictor {
+    fn eq(&self, other: &Self) -> bool {
+        self.now_rows == other.now_rows
+            && self.endsystems == other.endsystems
+            && (0..BUCKETS).all(|i| self.bucket(i) == other.bucket(i))
     }
 }
 

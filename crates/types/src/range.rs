@@ -123,22 +123,18 @@ impl IdRange {
     /// Splits the range into `parts` near-equal consecutive subranges
     /// (clockwise order). The first `width % parts` subranges get one extra
     /// id so that the union is exactly `self` and subranges are disjoint.
-    /// Empty subranges are omitted, so fewer than `parts` may be returned
-    /// for narrow ranges.
-    #[must_use]
-    pub fn split(&self, parts: u32) -> Vec<IdRange> {
+    /// Empty subranges are omitted, so fewer than `parts` may be yielded
+    /// for narrow ranges. Lazy: nothing is allocated.
+    pub fn split(&self, parts: u32) -> impl Iterator<Item = IdRange> {
         assert!(parts >= 1, "cannot split into zero parts");
-        if self.empty {
-            return Vec::new();
-        }
-        if parts == 1 {
-            return vec![*self];
-        }
-        let parts_u = parts as u128;
-        let (base, rem) = if self.is_full() {
-            // width = 2^128 = parts * base + rem, computed without overflow:
-            // 2^128 / p  ==  (2^127 / p) * 2 + carry stuff; do it via u128
-            // as: base = ((u128::MAX / p) ... ). Simpler: 2^128 = (MAX + 1).
+        let parts_u = u128::from(parts);
+        // The full circle in one part is itself; its width, 2^128, is no
+        // `u128` for the arithmetic below.
+        let whole = (parts == 1 && self.is_full()).then_some(*self);
+        let (base, rem) = if whole.is_some() {
+            (0, 0)
+        } else if self.is_full() {
+            // 2^128 = (u128::MAX + 1) = parts * base + rem.
             let base = u128::MAX / parts_u;
             let rem = u128::MAX % parts_u + 1;
             // If rem == parts, fold one extra into base.
@@ -148,19 +144,19 @@ impl IdRange {
                 (base, rem)
             }
         } else {
+            // The empty range has width 0, so it yields no part.
             (self.width / parts_u, self.width % parts_u)
         };
-        let mut out = Vec::with_capacity(parts as usize);
         let mut cursor = self.start;
-        for i in 0..parts_u {
+        whole.into_iter().chain((0..parts_u).filter_map(move |i| {
             let w = base + u128::from(i < rem);
             if w == 0 {
-                continue;
+                return None;
             }
-            out.push(IdRange::new(cursor, w));
+            let part = IdRange::new(cursor, w);
             cursor = cursor.wrapping_add(w);
-        }
-        out
+            Some(part)
+        }))
     }
 }
 
@@ -209,7 +205,7 @@ mod tests {
     #[test]
     fn split_partitions_exactly() {
         let r = IdRange::new(Id(100), 10);
-        let parts = r.split(3);
+        let parts: Vec<_> = r.split(3).collect();
         assert_eq!(parts.len(), 3);
         assert_eq!(parts[0], IdRange::new(Id(100), 4));
         assert_eq!(parts[1], IdRange::new(Id(104), 3));
@@ -224,7 +220,7 @@ mod tests {
 
     #[test]
     fn split_full_into_16() {
-        let parts = IdRange::FULL.split(16);
+        let parts: Vec<_> = IdRange::FULL.split(16).collect();
         assert_eq!(parts.len(), 16);
         let each = 1u128 << 124;
         for (i, p) in parts.iter().enumerate() {
@@ -236,7 +232,7 @@ mod tests {
     #[test]
     fn split_narrow_range_drops_empty_parts() {
         let r = IdRange::new(Id(0), 3);
-        let parts = r.split(16);
+        let parts: Vec<_> = r.split(16).collect();
         assert_eq!(parts.len(), 3);
         assert!(parts.iter().all(|p| p.width() == Some(1)));
     }

@@ -70,7 +70,7 @@ proptest! {
         probe in any::<u128>(),
     ) {
         let r = IdRange::new(Id(start), width);
-        let subs = r.split(parts);
+        let subs: Vec<_> = r.split(parts).collect();
         prop_assert!(subs.len() <= parts as usize);
         let total: u128 = subs.iter().map(|s| s.width().unwrap()).sum();
         prop_assert_eq!(total, width);
@@ -90,7 +90,7 @@ proptest! {
     /// once.
     #[test]
     fn split_full_is_partition(parts in 1u32..=32, probe in any::<u128>()) {
-        let subs = IdRange::FULL.split(parts);
+        let subs: Vec<_> = IdRange::FULL.split(parts).collect();
         let hits = subs.iter().filter(|s| s.contains(Id(probe))).count();
         prop_assert_eq!(hits, 1);
     }

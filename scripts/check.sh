@@ -213,7 +213,7 @@ ratio_gate() {
   fi
 }
 
-echo "==> allocation gates (traced smokes: leafset maintenance allocation-free, a predictor report one allocation, a join hand-over builds no replica set, a precomputed answer is found without a key, a live scan allocates nothing)"
+echo "==> allocation gates (traced smokes: leafset maintenance allocation-free, a dissemination event under 1.5 allocations, a join hand-over builds no replica set, a precomputed answer is found without a key, a live scan allocates nothing, an aggregation event allocates less than once per submission)"
 # perf/ counts allocations from outside, so no counting allocator (and no
 # `unsafe`) has to enter a deterministic crate to hold these lines.
 # Leafset: 4.00 allocations per LeafsetPull/LeafsetPush before PR 13,
@@ -224,8 +224,11 @@ alloc_gate overlay.leafset 0.1
 # PR 18, 2.90 since the per-report candidate list, the per-task timer
 # pair and the split stack stopped being `Vec`s (PR 20), 1.90 since
 # `oracle_root` — which perf's classifier calls on every routed message,
-# inside the span — stopped building two `Vec`s (PR 21).
-alloc_gate core.disseminate 2.4
+# inside the span — stopped building two `Vec`s (PR 21), 1.36 since a
+# predictor is held by value and stores only the buckets it has touched,
+# and `IdRange::split` yields its parts without a `Vec` (PR 33; 1.91 at
+# its parent).
+alloc_gate core.disseminate 1.5
 # A join event carries the application's replica hand-over: 36.6 per event
 # here while every held owner's replica set was built as a sorted `Vec`
 # to ask `.contains(&joiner)`, 0.80 since the ring index answers that as
@@ -242,6 +245,11 @@ alloc_gate store.estimate 0.1 farsite_steady 500
 # one call of a scan kernel that allocates nothing, so a batch's returned
 # `Vec` is all that is left.
 alloc_gate store.execute 1.0 query_storm
+# Aggregation (submissions, acks, vertex replication): 0.248 per event
+# over 14,916 events on this smoke at PR 33 and at its parent. With at
+# most 7.0 events per submission (the ratio gate below), one more
+# allocation per submission would add at least 0.14 and fail this.
+alloc_gate core.results 0.3 query_storm
 
 echo "==> event gates (traced smokes: a converged ring is not simulated, nor a push to a replica that holds the vertex, nor one to a holder of the metadata)"
 # Leafset exchanges plus overlay timers, as a share of the events that
